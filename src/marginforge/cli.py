@@ -3,7 +3,8 @@
 Artifacts are machine-readable: model JSON, per-round JSON-lines logs
 and a CSV summary for sweeps.  All writes are atomic (temp file then
 rename).  Exit codes: 0 ok, 2 not converged, 3 budget exceeded,
-4 input width mismatch, 1 anything else.
+4 input width mismatch, 1 anything else (bad input or model file,
+LP failure).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .boosting import (
     run_scheme,
 )
 from .core import Dataset
-from .lp import solve_edge_min
+from .lp import LpError, solve_edge_min
 from .stumps import StumpHypothesis, StumpPool, full_gain_matrix
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -265,13 +266,35 @@ def cmd_oracle(manifest: RunManifest, budget: int | None = None) -> int:
 
 
 def load_model(path: str):
+    """Read a model JSON written by ``train``; malformed models raise DataFormatError."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    hypotheses = [
-        StumpHypothesis(int(h["feature"]), float(h["threshold"]), int(h["polarity"]))
-        for h in payload["hypotheses"]
-    ]
-    return _DiskModel(hypotheses=hypotheses, weights=[float(v) for v in payload["weights"]])
+    try:
+        raw_hypotheses, raw_weights = payload["hypotheses"], payload["weights"]
+    except (KeyError, TypeError):
+        raise DataFormatError(f"{path}: model needs 'hypotheses' and 'weights'") from None
+    if not isinstance(raw_hypotheses, list) or not isinstance(raw_weights, list):
+        raise DataFormatError(f"{path}: 'hypotheses' and 'weights' must be lists")
+    if not raw_hypotheses:
+        raise DataFormatError(f"{path}: model has no hypotheses")
+    if len(raw_weights) != len(raw_hypotheses):
+        raise DataFormatError(
+            f"{path}: {len(raw_weights)} weights for {len(raw_hypotheses)} hypotheses"
+        )
+    hypotheses = []
+    for k, h in enumerate(raw_hypotheses):
+        try:
+            stump = StumpHypothesis(int(h["feature"]), float(h["threshold"]), int(h["polarity"]))
+        except (KeyError, TypeError, ValueError):
+            raise DataFormatError(
+                f"{path}: hypothesis {k} needs numeric feature, threshold and polarity"
+            ) from None
+        if stump.feature < 0:
+            raise DataFormatError(f"{path}: hypothesis {k} has negative feature {stump.feature}")
+        if stump.polarity not in (-1, 1):
+            raise DataFormatError(f"{path}: hypothesis {k} has polarity {stump.polarity}, not -1/+1")
+        hypotheses.append(stump)
+    return _DiskModel(hypotheses=hypotheses, weights=[float(v) for v in raw_weights])
 
 
 @dataclass(frozen=True)
@@ -437,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
-    except (DataFormatError, ValueError, OSError) as exc:
+    except (DataFormatError, LpError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,7 +12,6 @@ CAP_REL_SLACK          1e-12      relative slack when a projection entry hits 1/
 ENTROPY_ZERO           1e-15      entries below this count as 0 in x*ln(x)
 DUAL_CLIP              1e-10      most-negative dual weight still clipped to zero
 STRONG_DUALITY_TOL     1e-7       |gamma - rho| accepted from an edge-min solve
-COMPLEMENTARITY_TOL    1e-8       complementary-slackness residual from the LP solver
 LP_PIVOT_TOL           1e-9       reduced-cost threshold for simplex pricing
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
 BISECTION_TOL          1e-10      step-size interval width at which line search stops
@@ -27,7 +26,6 @@ CAP_REL_SLACK = 1e-12
 ENTROPY_ZERO = 1e-15
 DUAL_CLIP = 1e-10
 STRONG_DUALITY_TOL = 1e-7
-COMPLEMENTARITY_TOL = 1e-8
 LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10
 BISECTION_TOL = 1e-10

@@ -88,10 +88,14 @@ class CapParams:
 class GainMatrix:
     """Discovered gain columns, entry [i, j] = label_i * h_j(x_i).
 
-    Columns are kept in discovery order.  ``with_column`` returns a new
-    matrix sharing the existing column arrays, so instances act as
-    immutable values; a repeated hypothesis id reuses its old index
-    instead of inserting a duplicate column.
+    Columns are kept in discovery order, both as the list ``columns``
+    and in an m x capacity buffer that ``as_array`` views.  Successive
+    matrices from ``with_column`` share that buffer: the newest one
+    writes the next column in place (the buffer doubles when full), so
+    an append costs O(m).  Appending to an older matrix copies its
+    columns into a fresh buffer instead, so instances act as immutable
+    values.  A repeated hypothesis id reuses its old index instead of
+    inserting a duplicate column.
     """
 
     def __init__(self, columns=(), hypothesis_ids=()):
@@ -102,7 +106,7 @@ class GainMatrix:
         for col in self.columns:
             _check_gain_column(col)
         self._index_of = {hid: j for j, hid in enumerate(self.hypothesis_ids)}
-        self._stacked: np.ndarray | None = None
+        self._buffer = _ColumnBuffer(np.column_stack(self.columns)) if self.columns else None
 
     @property
     def m(self) -> int:
@@ -130,14 +134,49 @@ class GainMatrix:
         _check_gain_column(column)
         if self.columns and column.shape != self.columns[0].shape:
             raise ValueError("column length does not match the matrix")
-        grown = GainMatrix(self.columns + [column], self.hypothesis_ids + [hypothesis_id])
-        return grown, grown.t - 1
+        t = self.t
+        columns = self.columns + [column]
+        buffer = self._buffer
+        if buffer is None or buffer.t != t:  # empty, or a newer matrix owns the buffer
+            buffer = _ColumnBuffer(np.column_stack(columns))
+        else:
+            buffer.append(column)
+        grown = object.__new__(GainMatrix)
+        grown.columns = columns
+        grown.hypothesis_ids = self.hypothesis_ids + [hypothesis_id]
+        grown._index_of = {**self._index_of, hypothesis_id: t}
+        grown._buffer = buffer
+        return grown, t
 
     def as_array(self) -> np.ndarray:
-        """Dense m x t view (cached)."""
-        if self._stacked is None or self._stacked.shape[1] != self.t:
-            self._stacked = np.column_stack(self.columns)
-        return self._stacked
+        """Read-only dense m x t view of the column buffer."""
+        if self._buffer is None:
+            raise ValueError("empty gain matrix has no columns")
+        view = self._buffer.data[:, : self.t]
+        view.flags.writeable = False
+        return view
+
+
+class _ColumnBuffer:
+    """Append-only m x capacity column store shared by successive matrices.
+
+    ``t`` counts the columns written so far; only the matrix with that
+    many columns may append in place.
+    """
+
+    __slots__ = ("data", "t")
+
+    def __init__(self, stacked: np.ndarray):
+        self.data = stacked
+        self.t = stacked.shape[1]
+
+    def append(self, column: np.ndarray):
+        if self.t == self.data.shape[1]:
+            grown = np.empty((self.data.shape[0], 2 * self.t))
+            grown[:, : self.t] = self.data
+            self.data = grown
+        self.data[:, self.t] = column
+        self.t += 1
 
 
 def _check_gain_column(col: np.ndarray):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
-    COMPLEMENTARITY_TOL,
     DUAL_CLIP,
     LP_PIVOT_TOL,
     LP_RATIO_TOL,

@@ -1,13 +1,16 @@
 """Threshold stumps and the max-edge queries a booster round needs.
 
 ``best_stump`` answers a distribution with the pool stump of largest
-weighted correlation via one sorted sweep per feature; ``pool_oracle``
-does the same by dense argmax when the whole gain matrix is in memory.
+weighted correlation.  ``StumpPool.build`` argsorts every feature once,
+O(p m log m); each query then costs O(p m + |pool|): one gather into
+that order, one row-wise prefix sum and one argmax over every
+candidate's edge.  ``pool_oracle`` does the same by dense argmax when
+the whole gain matrix is in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,29 +33,45 @@ class StumpHypothesis:
 
 @dataclass(frozen=True)
 class StumpPool:
-    """Deterministic stump candidates for a dataset.
+    """Deterministic stump candidates for a dataset, plus its presort.
 
     Per feature: one threshold below the minimum, midpoints between
     consecutive distinct values, one above the maximum; each threshold
     with polarity +1 then -1.  Enumeration order is (feature asc,
     threshold asc, +1 first), which is also the tie-break order of
     every max-edge query.
+
+    ``orders[f]`` is the stable ascending argsort of feature f (p x m).
+    ``split_at[k]`` locates threshold k in the (p, m+1) prefix-sum
+    matrix of a query: flat index f*(m+1) + (rows below the threshold).
+    Both come from ``build``; a pool made from bare candidates has an
+    empty presort and cannot answer ``best_stump``.
     """
 
     candidates: tuple[StumpHypothesis, ...]
+    orders: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=np.intp), compare=False, repr=False
+    )
+    split_at: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.intp), compare=False, repr=False
+    )
 
     @classmethod
     def build(cls, data: Dataset) -> "StumpPool":
-        out = []
-        for f in range(data.p):
-            distinct = np.unique(data.features[:, f])
-            thresholds = [distinct[0] - 1.0]
-            thresholds.extend((distinct[:-1] + distinct[1:]) / 2.0)
-            thresholds.append(distinct[-1] + 1.0)
-            for thr in thresholds:
-                out.append(StumpHypothesis(f, float(thr), 1))
-                out.append(StumpHypothesis(f, float(thr), -1))
-        return cls(candidates=tuple(out))
+        m = data.m
+        orders = np.argsort(data.features.T, axis=1, kind="stable")
+        sorted_x = np.take_along_axis(data.features.T, orders, axis=1)
+        out, splits = [], []
+        for f, xs in enumerate(sorted_x):
+            boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1
+            thresholds = np.concatenate(
+                [[xs[0] - 1.0], (xs[boundaries - 1] + xs[boundaries]) / 2.0, [xs[-1] + 1.0]]
+            )
+            splits.append(f * (m + 1) + np.concatenate([[0], boundaries, [m]]))
+            for thr in thresholds.tolist():
+                out.append(StumpHypothesis(f, thr, 1))
+                out.append(StumpHypothesis(f, thr, -1))
+        return cls(candidates=tuple(out), orders=orders, split_at=np.concatenate(splits))
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -63,40 +82,25 @@ def best_stump(
 ) -> tuple[StumpHypothesis, float, np.ndarray]:
     """Pool stump with the largest edge sum_i d_i y_i h(x_i).
 
-    One argsort per feature; prefix sums of d_i*y_i give every
-    threshold's edge, so the scan costs O(p m log m) instead of
-    O(|pool| m).  Ties resolve to the earliest pool candidate.
+    Uses the pool's presort: gather d_i*y_i into feature order, take
+    row-wise prefix sums, read every threshold's +1 edge
+    total_f - 2*prefix_f(split) off them, and argmax the interleaved
+    (+edge, -edge) pairs.  That is O(p m + |pool|) per query after the
+    O(p m log m) presort in ``StumpPool.build``.  np.argmax returns the
+    first maximum, so ties resolve to the earliest pool candidate.
     """
     if len(pool) == 0:
         raise ValueError("stump pool is empty")
+    if pool.orders.shape != (data.p, data.m):
+        raise ValueError("stump pool was not built for this dataset")
     d = np.asarray(d, dtype=float)
     if d.shape != (data.m,):
         raise ValueError("distribution length does not match the dataset")
 
-    weighted = d * data.labels
-    best = None  # (edge, stump)
-    for f in range(data.p):
-        x = data.features[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        prefix = np.concatenate([[0.0], np.cumsum(weighted[order])])
-        total = prefix[-1]
-
-        # below-min and above-max thresholds, then distinct-value midpoints
-        thresholds = [xs[0] - 1.0]
-        plus_edges = [total]
-        boundaries = np.nonzero(xs[:-1] < xs[1:])[0] + 1
-        thresholds.extend((xs[boundaries - 1] + xs[boundaries]) / 2.0)
-        plus_edges.extend(total - 2.0 * prefix[boundaries])
-        thresholds.append(xs[-1] + 1.0)
-        plus_edges.append(-total)
-
-        for thr, edge_plus in zip(thresholds, plus_edges):
-            for pol, edge in ((1, edge_plus), (-1, -edge_plus)):
-                if best is None or edge > best[0]:
-                    best = (edge, StumpHypothesis(f, float(thr), pol))
-
-    stump = best[1]
+    prefix = np.zeros((data.p, data.m + 1))
+    np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
+    plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
+    stump = pool.candidates[int(np.argmax(np.column_stack([plus, -plus]).ravel()))]
     gain_column = data.labels * stump.predict(data.features)
     return stump, float(d @ gain_column), gain_column
 

@@ -15,7 +15,7 @@ from marginforge.cli import (
     load_model,
     main,
 )
-from marginforge.lp import solve_edge_min
+from marginforge.lp import LpError, solve_edge_min
 from marginforge.stumps import StumpPool, full_gain_matrix
 
 from conftest import two_gaussians, write_csv
@@ -236,6 +236,71 @@ def test_predict_width_mismatch_exit(tmp_path, capsys):
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("f0,label\n0.1,1\n", encoding="utf-8")
     assert cmd_predict(str(model_path), str(narrow), "csv") == 4
+
+
+def _write_model(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+GOOD_STUMP = {"feature": 0, "threshold": 0.5, "polarity": 1}
+
+
+def _predict_exit(tmp_path, capsys, payload):
+    """Exit code and stderr of `predict` on a one-feature dataset."""
+    model = _write_model(tmp_path, payload)
+    data_path = tmp_path / "one.csv"
+    data_path.write_text("f0,label\n0.1,1\n0.9,-1\n", encoding="utf-8")
+    code = main(["predict", "--model", model, "--data", str(data_path)])
+    return code, capsys.readouterr().err
+
+
+def test_predict_rejects_model_without_hypotheses(tmp_path, capsys):
+    code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [], "weights": []})
+    assert code == 1 and "no hypotheses" in err
+    with pytest.raises(DataFormatError):
+        load_model(_write_model(tmp_path, {"hypotheses": [], "weights": []}))
+
+
+def test_predict_rejects_model_missing_keys(tmp_path, capsys):
+    code, err = _predict_exit(tmp_path, capsys, {"weights": [1.0]})
+    assert code == 1 and "'hypotheses'" in err
+    code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [GOOD_STUMP]})
+    assert code == 1 and "'weights'" in err
+
+
+def test_predict_rejects_negative_feature(tmp_path, capsys):
+    stump = dict(GOOD_STUMP, feature=-1)
+    code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [stump], "weights": [1.0]})
+    assert code == 1 and "negative feature" in err
+
+
+def test_predict_rejects_bad_polarity(tmp_path, capsys):
+    stump = dict(GOOD_STUMP, polarity=7)
+    code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [stump], "weights": [1.0]})
+    assert code == 1 and "polarity 7" in err
+
+
+def test_predict_rejects_weight_count_mismatch(tmp_path, capsys):
+    payload = {"hypotheses": [GOOD_STUMP, GOOD_STUMP], "weights": [1.0]}
+    code, err = _predict_exit(tmp_path, capsys, payload)
+    assert code == 1 and "1 weights for 2 hypotheses" in err
+
+
+def test_lp_error_exits_one_with_message(tmp_path, capsys, monkeypatch):
+    def failing_solve(A, nu):
+        raise LpError("strong duality violated")
+
+    data_path = tmp_path / "g.csv"
+    write_csv(data_path, two_gaussians(30, seed=2))
+    monkeypatch.setattr("marginforge.boosting.solve_edge_min", failing_solve)
+    code = main(["train", "--data", str(data_path), "--algo", "mlpb-ss", "--eps", "0.1"])
+    assert code == 1
+    assert "strong duality violated" in capsys.readouterr().err
+    monkeypatch.setattr("marginforge.cli.solve_edge_min", failing_solve)
+    assert main(["oracle", "--data", str(data_path)]) == 1
+    assert "strong duality violated" in capsys.readouterr().err
 
 
 def test_model_disk_round_trip_matches_memory(tmp_path):

@@ -39,6 +39,39 @@ def test_gain_matrix_deduplicates_known_ids():
     assert A3 is A2 and j_again == 0
 
 
+def test_gain_matrix_append_to_older_instance_branches():
+    c0, c1, c2 = np.array([1.0, -1.0]), np.array([0.5, 0.5]), np.array([-0.25, 0.75])
+    A1 = GainMatrix([c0], ["h0"])
+    A2, _ = A1.with_column(c1, "h1")
+    A3, _ = A2.with_column(c2, "h2")  # grows the shared buffer past A2's capacity
+    B2, j = A1.with_column(c2, "h2")  # A2 owns the buffer slot after c0
+    assert j == 1
+    C3, k = A2.with_column(c0 * 0.5, "h3")  # A3 owns the slot after c1
+    assert k == 2
+    assert np.array_equal(A1.as_array(), np.column_stack([c0]))
+    assert np.array_equal(A2.as_array(), np.column_stack([c0, c1]))
+    assert np.array_equal(A3.as_array(), np.column_stack([c0, c1, c2]))
+    assert np.array_equal(B2.as_array(), np.column_stack([c0, c2]))
+    assert np.array_equal(C3.as_array(), np.column_stack([c0, c1, c0 * 0.5]))
+    assert (A3.index_of("h2"), B2.index_of("h2"), A2.index_of("h2")) == (2, 1, None)
+    for A in (A1, A2, A3, B2, C3):
+        assert not A.as_array().flags.writeable
+        with pytest.raises(ValueError):
+            A.as_array()[0, 0] = 0.0
+
+
+def test_gain_matrix_many_appends_match_column_stack():
+    rng = np.random.default_rng(8)
+    cols = [rng.uniform(-1, 1, 5) for _ in range(37)]
+    A = GainMatrix()
+    for j, col in enumerate(cols):
+        A, idx = A.with_column(col, j)
+        assert idx == j
+        assert np.array_equal(A.as_array(), np.column_stack(cols[: j + 1]))
+    with pytest.raises(ValueError):
+        GainMatrix().as_array()
+
+
 def test_margins_identity_and_convexity():
     c = np.array([0.3, -0.7, 1.0])
     A = GainMatrix([c], [0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from marginforge.core import Dataset, GainMatrix
 from marginforge.stumps import (
@@ -22,6 +24,98 @@ def naive_best(data, d, pool):
         if best is None or edge > best[0]:
             best = (edge, h)
     return best
+
+
+def sweep_best(data, d):
+    """Reference per-feature sweep: argsort, prefix sums, strict-> scan.
+
+    Visits candidates in pool order (feature asc, threshold asc, +1
+    first) and keeps the first maximum, recomputing the thresholds from
+    each query's own sort rather than from a presort.
+    """
+    weighted = d * data.labels
+    best = None  # (edge, stump)
+    for f in range(data.p):
+        x = data.features[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        prefix = np.concatenate([[0.0], np.cumsum(weighted[order])])
+        total = prefix[-1]
+        thresholds = [xs[0] - 1.0]
+        plus_edges = [total]
+        boundaries = np.nonzero(xs[:-1] < xs[1:])[0] + 1
+        thresholds.extend((xs[boundaries - 1] + xs[boundaries]) / 2.0)
+        plus_edges.extend(total - 2.0 * prefix[boundaries])
+        thresholds.append(xs[-1] + 1.0)
+        plus_edges.append(-total)
+        for thr, edge_plus in zip(thresholds, plus_edges):
+            for pol, edge in ((1, edge_plus), (-1, -edge_plus)):
+                if best is None or edge > best[0]:
+                    best = (edge, StumpHypothesis(f, float(thr), pol))
+    stump = best[1]
+    return stump, float(d @ (data.labels * stump.predict(data.features)))
+
+
+@st.composite
+def stump_queries(draw):
+    """(dataset, distribution) pairs rich in ties and duplicate values."""
+    m = draw(st.integers(1, 25))
+    p = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    features = rng.normal(0.0, 1.0, (m, p))
+    if draw(st.booleans()):
+        features = features.round(1)  # duplicate values collapse thresholds
+    if draw(st.booleans()):
+        features[:, draw(st.integers(0, p - 1))] = 0.7  # constant column
+    labels = rng.choice([-1.0, 1.0], m)
+    if draw(st.booleans()):
+        d = np.full(m, 1.0 / m)  # uniform weights tie many stumps
+    else:
+        raw = rng.exponential(1.0, m)
+        d = raw / raw.sum()
+    return Dataset(features, labels), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(stump_queries())
+@example((Dataset(np.array([[2.0]]), np.array([-1.0])), np.array([1.0])))
+@example((Dataset(np.full((4, 2), 0.7), np.array([1.0, -1.0, 1.0, -1.0])), np.full(4, 0.25)))
+def test_best_stump_is_identical_to_per_feature_sweep(query):
+    data, d = query
+    pool = StumpPool.build(data)
+    stump, edge, column = best_stump(data, d, pool)
+    ref_stump, ref_edge = sweep_best(data, d)
+    assert stump == ref_stump
+    assert edge == ref_edge  # bit-equal, not approximately equal
+    assert stump in pool.candidates
+    assert np.array_equal(column, data.labels * stump.predict(data.features))
+
+
+def test_pool_thresholds_match_distinct_value_midpoints():
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(0, 1, (50, 3)).round(1), rng.choice([-1.0, 1.0], 50))
+    pool = StumpPool.build(data)
+    expected = []
+    for f in range(data.p):
+        distinct = np.unique(data.features[:, f])
+        thresholds = [distinct[0] - 1.0, *((distinct[:-1] + distinct[1:]) / 2.0), distinct[-1] + 1.0]
+        expected.extend((f, float(thr)) for thr in thresholds)
+    assert [(h.feature, h.threshold) for h in pool.candidates[::2]] == expected
+    assert [h.polarity for h in pool.candidates] == [1, -1] * len(expected)
+
+
+def test_mismatched_pool_is_configuration_error():
+    small = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
+    large = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, -1.0, 1.0]))
+    wide = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="not built for this dataset"):
+        best_stump(large, np.full(3, 1 / 3), StumpPool.build(small))
+    with pytest.raises(ValueError, match="not built for this dataset"):
+        best_stump(small, np.full(2, 0.5), StumpPool.build(wide))
+    bare = StumpPool(candidates=(StumpHypothesis(0, 0.5, 1),))
+    with pytest.raises(ValueError, match="not built for this dataset"):
+        best_stump(small, np.full(2, 0.5), bare)
 
 
 def test_stump_prediction_sign_convention():
