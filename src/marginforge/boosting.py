@@ -3,9 +3,11 @@
 ``run_scheme`` is the shared column-generation loop: per round it
 projects onto the capped simplex, queries the weak learner, checks the
 certified optimality gap, then keeps the better of a conditional
-gradient update and an optional secondary update.  ``run_lpboost`` is
-the classic fully-LP baseline with its own stopping rule, and
-``run_erlpboost`` is the scheme with the fully corrective secondary.
+gradient update and an optional secondary update (a secondary that
+fails numerically leaves the conditional-gradient update in place).
+``run_lpboost`` is the classic fully-LP baseline with its own stopping
+rule, and ``run_erlpboost`` is the scheme with the fully corrective
+secondary.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import (
 )
 from .entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
 from .fw import FwStepOutcome, classic_step, line_search_step, pairwise_step, short_step
-from .lp import solve_edge_min
+from .lp import LpError, solve_edge_min
 from .stumps import StumpPool, best_stump, pool_oracle
 
 logger = logging.getLogger(__name__)
@@ -126,8 +128,10 @@ def run_scheme(data, learner, config: BoosterConfig):
     learner query, gap eps_t = min running edge + smoothed objective,
     stop at eps_t <= eps/2, otherwise keep whichever of the FW and
     secondary candidates has the smaller smoothed objective (ties stay
-    with FW).  With secondary "none" and the short-step rule this is
-    the plain corrective booster.
+    with FW).  An ``LpError`` or ``LinAlgError`` from the secondary is
+    logged as a warning and the round keeps the FW candidate.  With
+    secondary "none" and the short-step rule this is the plain
+    corrective booster.
     """
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)
@@ -152,7 +156,7 @@ def run_scheme(data, learner, config: BoosterConfig):
         proj = capped_entropy_projection(marg, params)
         d = proj.d
         smoothed_obj = -proj.objective
-        soft_margin_obj, _ = capped_min_linear(marg, config.nu)
+        soft_margin_obj, _ = capped_min_linear(marg, config.nu, order=proj.order)
 
         hyp_id, hypothesis, column, edge_new = learner.query(d)
         A, j_new = A.with_column(column, hyp_id)
@@ -174,7 +178,11 @@ def run_scheme(data, learner, config: BoosterConfig):
         chosen_rule = "fw"
         w = fw_out.new_w
         # the FW candidate doubles as the warm start for a corrective solve
-        secondary_w = _secondary_update(config.secondary, A, params, config.nu, fw_out.new_w)
+        try:
+            secondary_w = _secondary_update(config.secondary, A, params, config.nu, fw_out.new_w)
+        except (LpError, np.linalg.LinAlgError) as exc:
+            logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
+            secondary_w = None
         if secondary_w is not None:
             value_fw = smoothed_conjugate(-margins(A, fw_out.new_w), params)
             value_secondary = smoothed_conjugate(-margins(A, secondary_w), params)

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -293,8 +294,13 @@ def load_model(path: str):
             raise DataFormatError(f"{path}: hypothesis {k} has negative feature {stump.feature}")
         if stump.polarity not in (-1, 1):
             raise DataFormatError(f"{path}: hypothesis {k} has polarity {stump.polarity}, not -1/+1")
+        if not math.isfinite(stump.threshold):
+            raise DataFormatError(f"{path}: hypothesis {k} has non-finite threshold")
         hypotheses.append(stump)
-    return _DiskModel(hypotheses=hypotheses, weights=[float(v) for v in raw_weights])
+    weights = [float(v) for v in raw_weights]
+    if not all(math.isfinite(v) for v in weights):
+        raise DataFormatError(f"{path}: weights must be finite")
+    return _DiskModel(hypotheses=hypotheses, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -306,6 +312,8 @@ class _DiskModel:
 def cmd_predict(model_path: str, data_path: str, format: str = "csv") -> int:
     model = load_model(model_path)
     features, labels = _load_table(data_path, format)  # labels already mapped
+    if not np.all(np.isfinite(features)):
+        raise DataFormatError(f"{data_path}: features contain non-finite values")
     try:
         predictions = predict(model, features)
     except ValueError as exc:

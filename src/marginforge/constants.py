@@ -14,8 +14,8 @@ DUAL_CLIP              1e-10      most-negative dual weight still clipped to zer
 STRONG_DUALITY_TOL     1e-7       |gamma - rho| accepted from an edge-min solve
 LP_PIVOT_TOL           1e-9       reduced-cost threshold for simplex pricing
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
-BISECTION_TOL          1e-10      step-size interval width at which line search stops
-BISECTION_MAX_ITERS    50         hard cap on line-search bisection iterations
+LINE_SEARCH_TOL        1e-10      bracket width or Newton step at which line search stops
+LINE_SEARCH_MAX_ITERS  50         hard cap on line-search slope evaluations per step
 SUPPORT_DROP_TOL       1e-12      ensemble coefficients below this leave the support
 =====================  =========  ================================================
 """
@@ -28,6 +28,6 @@ DUAL_CLIP = 1e-10
 STRONG_DUALITY_TOL = 1e-7
 LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10
-BISECTION_TOL = 1e-10
-BISECTION_MAX_ITERS = 50
+LINE_SEARCH_TOL = 1e-10
+LINE_SEARCH_MAX_ITERS = 50
 SUPPORT_DROP_TOL = 1e-12

@@ -3,13 +3,16 @@
 ``capped_entropy_projection`` minimises d@theta + (1/eta)*H(d) over the
 capped simplex by one sort plus a linear scan; ``smoothed_conjugate``
 and ``capped_min_linear`` evaluate the smoothed and exact support
-functions used as objectives everywhere else.
+functions used as objectives everywhere else.  A projection hands back
+its sort order, so a caller that also needs ``capped_min_linear`` of the
+same vector sorts once, and evaluates its objective only on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,11 +22,23 @@ from .core import CapParams, relative_entropy
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Minimiser of d@theta + (1/eta)*relative_entropy(d) over the cap."""
+    """Minimiser of d@theta + (1/eta)*relative_entropy(d) over the cap.
+
+    ``order`` is the ascending (theta, index) permutation of the
+    projected vector; ``d[order[:capped_count]]`` sit at the cap 1/nu.
+    ``objective`` is computed on first access, so callers that need only
+    ``d`` skip the entropy evaluation.
+    """
 
     d: np.ndarray
-    objective: float
     capped_count: int
+    order: np.ndarray
+    theta: np.ndarray = field(repr=False)
+    eta: float = field(repr=False)
+
+    @cached_property
+    def objective(self) -> float:
+        return float(self.d @ self.theta) + relative_entropy(self.d) / self.eta
 
 
 def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> ProjectionResult:
@@ -32,9 +47,10 @@ def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> Projectio
     Sorts theta ascending and caps a growing prefix at 1/nu until the
     remaining mass, spread over the tail proportionally to
     exp(-eta*theta_i), stays below the cap.  The tail is evaluated
-    through suffix log-sum-exp so arbitrarily large eta is safe.
+    through suffix log-sum-exp so arbitrarily large eta is safe.  The
+    result keeps a private copy of theta for its lazy objective.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] != params.m:
         raise ValueError(f"theta must be a vector of length m={params.m}")
     if not np.all(np.isfinite(theta)):
@@ -63,8 +79,7 @@ def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> Projectio
     d = np.empty(m)
     d[order] = d_sorted
 
-    objective = float(d @ theta) + relative_entropy(d) / eta
-    return ProjectionResult(d=d, objective=objective, capped_count=k)
+    return ProjectionResult(d=d, capped_count=k, order=order, theta=theta, eta=eta)
 
 
 def smoothed_conjugate(theta: np.ndarray, params: CapParams) -> float:
@@ -72,12 +87,17 @@ def smoothed_conjugate(theta: np.ndarray, params: CapParams) -> float:
     return -capped_entropy_projection(-np.asarray(theta, dtype=float), params).objective
 
 
-def capped_min_linear(margins: np.ndarray, nu: float) -> tuple[float, np.ndarray]:
+def capped_min_linear(
+    margins: np.ndarray, nu: float, order: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Exact minimum of d@margins over the capped simplex by water-filling.
 
     The floor(nu) smallest entries receive 1/nu each and the next one
     takes the leftover 1 - floor(nu)/nu; this is an optimal vertex of
-    the cap polytope.  Returns (value, argmin).
+    the cap polytope.  ``order``, when given, must be the ascending
+    (margin, index) permutation of ``margins``, such as the ``order`` of
+    a projection of the same vector; it replaces the sort.  Returns
+    (value, argmin).
     """
     margins = np.asarray(margins, dtype=float)
     if not np.all(np.isfinite(margins)):
@@ -86,7 +106,8 @@ def capped_min_linear(margins: np.ndarray, nu: float) -> tuple[float, np.ndarray
     if not 1.0 <= nu <= m:
         raise ValueError(f"nu must lie in [1, m]; got {nu}")
 
-    order = np.lexsort((np.arange(m), margins))
+    if order is None:
+        order = np.lexsort((np.arange(m), margins))
     full = int(math.floor(nu))
     d_sorted = np.zeros(m)
     d_sorted[:full] = 1.0 / nu

@@ -4,15 +4,21 @@ Each rule maps the current sparse ensemble weights and a newly
 discovered column to updated weights on the simplex.  ``good_step``
 records whether a pairwise move stopped short of its mass cap; for the
 other rules the cap is 1.
+
+The line-search and pairwise rules minimise the smoothed objective
+exactly along their segment.  The slope there is nondecreasing and has
+a closed-form derivative, so the root is found by Newton's method kept
+inside a sign bracket, at about six entropy projections per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import BISECTION_MAX_ITERS, BISECTION_TOL, SUPPORT_DROP_TOL
+from .constants import LINE_SEARCH_MAX_ITERS, LINE_SEARCH_TOL, SUPPORT_DROP_TOL
 from .core import CapParams, GainMatrix, margins
 from .entropy import capped_entropy_projection
 
@@ -53,7 +59,7 @@ def line_search_step(
     """Exact minimisation of the smoothed objective along the segment."""
     base = margins(A, w)
     direction = A.columns[e_new] - base
-    lam = _bisect(base, direction, 1.0, params)
+    lam = _line_search(base, direction, 1.0, params)
     return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0)
 
 
@@ -78,7 +84,7 @@ def pairwise_step(
 
     base = margins(A, w)
     direction = A.columns[e_new] - A.columns[away_idx]
-    lam = _bisect(base, direction, cap, params)
+    lam = _line_search(base, direction, cap, params)
 
     new_w = dict(w)
     new_w[away_idx] = new_w.get(away_idx, 0.0) - lam
@@ -86,32 +92,69 @@ def pairwise_step(
     return FwStepOutcome(_normalise(new_w), lam, cap, lam < cap)
 
 
-def _bisect(base: np.ndarray, direction: np.ndarray, hi: float, params: CapParams) -> float:
-    """Root of the directional derivative of the smoothed objective.
+def _line_search(base: np.ndarray, direction: np.ndarray, hi: float, params: CapParams) -> float:
+    """Root in [0, hi] of the directional derivative of the smoothed objective.
 
-    The derivative at lam is -(d(lam) @ direction) with d(lam) the
-    entropy projection at base + lam*direction; it is nondecreasing, so
-    a sign bisection is exact.
+    The slope at lam is -(d(lam) @ direction) with d(lam) the entropy
+    projection at base + lam*direction; it is nondecreasing.  Returns 0
+    when the slope at 0 is nonnegative and hi when the slope at hi is
+    nonpositive.  Otherwise it keeps a bracket lo < root <= up and takes
+    the Newton point lam - s/s' when s' > 0, the point lies inside the
+    open bracket and the step is at most half the move before last (the
+    safeguard of Numerical Recipes' rtsafe, which breaks Newton cycles
+    where s bends from convex to concave); else the bracket midpoint.
+    It stops when the bracket or the Newton step is at most
+    LINE_SEARCH_TOL, or after LINE_SEARCH_MAX_ITERS evaluations.
     """
-
-    def slope(lam: float) -> float:
-        proj = capped_entropy_projection(base + lam * direction, params)
-        return -float(proj.d @ direction)
-
-    if slope(0.0) >= 0.0:
+    s_lo, ds_lo = _slope_and_curvature(base, direction, 0.0, params)
+    if s_lo >= 0.0:
         return 0.0
-    if slope(hi) <= 0.0:
+    s_up, _ = _slope_and_curvature(base, direction, hi, params)
+    if s_up <= 0.0:
         return hi
     lo, up = 0.0, hi
-    for _ in range(BISECTION_MAX_ITERS):
-        if up - lo <= BISECTION_TOL:
+    lam, s, ds = 0.0, s_lo, ds_lo
+    last_move = older_move = hi  # the two latest moves, newest first
+    for _ in range(LINE_SEARCH_MAX_ITERS):
+        if up - lo <= LINE_SEARCH_TOL:
             break
-        mid = 0.5 * (lo + up)
-        if slope(mid) >= 0.0:
-            up = mid
+        step = s / ds if ds > 0.0 else math.inf
+        if abs(step) <= LINE_SEARCH_TOL:
+            return min(max(lam - step, lo), up)
+        newton = lam - step
+        if lo < newton < up and 2.0 * abs(step) <= older_move:
+            nxt = newton
         else:
-            lo = mid
+            nxt = 0.5 * (lo + up)
+        older_move, last_move = last_move, abs(nxt - lam)
+        lam = nxt
+        s, ds = _slope_and_curvature(base, direction, lam, params)
+        if s >= 0.0:
+            up = lam
+        else:
+            lo = lam
     return 0.5 * (lo + up)
+
+
+def _slope_and_curvature(
+    base: np.ndarray, direction: np.ndarray, lam: float, params: CapParams
+) -> tuple[float, float]:
+    """Slope s and its derivative s' at lam, from one entropy projection.
+
+    On a fixed capped set, with U the uncapped entries, u = direction and
+    R = 1 - k/nu their mass, s' = eta * (sum_U d u^2 - (sum_U d u)^2 / R),
+    eta times the variance of u under d restricted to U.
+    """
+    proj = capped_entropy_projection(base + lam * direction, params)
+    d = proj.d
+    slope = -float(d @ direction)
+    remaining = 1.0 - proj.capped_count / params.nu
+    if remaining <= 0.0:
+        return slope, 0.0
+    free = proj.order[proj.capped_count :]
+    du = d[free] * direction[free]
+    first = float(du.sum())
+    return slope, params.eta * (float(du @ direction[free]) - first * first / remaining)
 
 
 def _mix(w: dict[int, float], e_new: int, lam: float) -> dict[int, float]:

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from marginforge.boosting import (
 )
 from marginforge.core import CapParams, Dataset, GainMatrix, margins
 from marginforge.entropy import smoothed_conjugate
-from marginforge.lp import solve_edge_min
+from marginforge import boosting
+from marginforge.lp import LpError, solve_edge_min
 from marginforge.stumps import StumpHypothesis, StumpPool, full_gain_matrix
 
 from conftest import min_linear_over_cap, two_gaussians
@@ -177,6 +179,29 @@ def test_secondary_erlpboost_matches_grid_oracle():
         for lam in np.linspace(0.0, 1.0, 10_001)
     )
     assert value <= grid_best + params.eps / 10 + 1e-9
+
+
+@pytest.mark.parametrize("error", [LpError("pivot limit"), np.linalg.LinAlgError("singular")])
+def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
+    calls = {"n": 0}
+
+    def fail_on_third_call(A, nu):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise error
+        return solve_edge_min(A, nu)
+
+    monkeypatch.setattr(boosting, "solve_edge_min", fail_on_third_call)
+    data = two_gaussians(60, seed=3)
+    cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule="short_step", secondary="lpboost")
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged
+    assert calls["n"] > 3
+    assert records[2].chosen_rule == "fw"
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "round 3: secondary update failed" in warnings[0] and str(error) in warnings[0]
 
 
 def test_run_lpboost_perfect_stump_stops_fast():

@@ -288,6 +288,29 @@ def test_predict_rejects_weight_count_mismatch(tmp_path, capsys):
     assert code == 1 and "1 weights for 2 hypotheses" in err
 
 
+def test_predict_rejects_non_finite_features(tmp_path, capsys):
+    model = _write_model(tmp_path, {"hypotheses": [GOOD_STUMP], "weights": [1.0]})
+    for bad in ("nan", "inf", "-inf"):
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text(f"f0,label\n0.1,1\n{bad},-1\n", encoding="utf-8")
+        code = main(["predict", "--model", model, "--data", str(data_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and "non-finite" in captured.err
+        assert captured.out == ""
+
+
+def test_predict_rejects_non_finite_weight(tmp_path, capsys):
+    payload = {"hypotheses": [GOOD_STUMP], "weights": [float("nan")]}
+    code, err = _predict_exit(tmp_path, capsys, payload)
+    assert code == 1 and "weights must be finite" in err
+
+
+def test_predict_rejects_non_finite_threshold(tmp_path, capsys):
+    stump = dict(GOOD_STUMP, threshold=float("nan"))
+    code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [stump], "weights": [1.0]})
+    assert code == 1 and "non-finite threshold" in err
+
+
 def test_lp_error_exits_one_with_message(tmp_path, capsys, monkeypatch):
     def failing_solve(A, nu):
         raise LpError("strong duality violated")
@@ -295,7 +318,8 @@ def test_lp_error_exits_one_with_message(tmp_path, capsys, monkeypatch):
     data_path = tmp_path / "g.csv"
     write_csv(data_path, two_gaussians(30, seed=2))
     monkeypatch.setattr("marginforge.boosting.solve_edge_min", failing_solve)
-    code = main(["train", "--data", str(data_path), "--algo", "mlpb-ss", "--eps", "0.1"])
+    # lpboost's LP is its primary solver; a failing secondary LP in mlpb-* fails soft
+    code = main(["train", "--data", str(data_path), "--algo", "lpboost", "--eps", "0.1"])
     assert code == 1
     assert "strong duality violated" in capsys.readouterr().err
     monkeypatch.setattr("marginforge.cli.solve_edge_min", failing_solve)

@@ -155,3 +155,32 @@ def test_capped_min_linear_matches_vertex_enumeration():
         assert value == pytest.approx(min_linear_over_cap(vec, nu), abs=1e-10)
         check_distribution(d, nu)
         assert float(d @ vec) == pytest.approx(value, abs=1e-12)
+
+
+def test_projection_order_is_sort_and_capped_prefix_sits_at_cap():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        m = int(rng.integers(2, 12))
+        nu = float(rng.uniform(1.0, m))
+        theta = rng.uniform(-1, 1, m)
+        if rng.random() < 0.5:
+            theta = theta.round(1)  # ties
+        res = capped_entropy_projection(theta, params(m, nu, float(rng.choice([1.0, 50.0, 500.0]))))
+        assert np.array_equal(res.order, np.lexsort((np.arange(m), theta)))
+        assert np.all(res.d[res.order[: res.capped_count]] == 1.0 / nu)
+        assert np.all(res.d[res.order[res.capped_count :]] <= (1.0 / nu) * (1.0 + 1e-12))
+
+
+def test_capped_min_linear_with_projection_order_is_identical():
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        m = int(rng.integers(1, 30))
+        nu = float(rng.uniform(1.0, m))
+        vec = rng.uniform(-1, 1, m)
+        if trial % 2:
+            vec = vec.round(1)  # ties
+        order = capped_entropy_projection(vec, params(m, nu, 20.0)).order
+        value, d = capped_min_linear(vec, nu)
+        value_o, d_o = capped_min_linear(vec, nu, order=order)
+        assert value_o == value
+        assert np.array_equal(d_o, d)

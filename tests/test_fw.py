@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from marginforge import fw
+from marginforge.boosting import BoosterConfig, StumpLearner, run_erlpboost
 from marginforge.core import CapParams, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
 from marginforge.fw import classic_step, line_search_step, pairwise_step, short_step
+
+from conftest import two_gaussians
 
 
 def smoothed_obj(A, w, params):
@@ -166,3 +172,112 @@ def test_pairwise_away_choice_and_descent():
         away = min(sorted(w), key=lambda j: (float(d @ A.columns[j]), j))
         assert out.step_cap == pytest.approx(w[away])
         assert smoothed_obj(A, out.new_w, params) <= smoothed_obj(A, w, params) + 1e-12
+
+
+def reference_bisection(base, direction, hi, params):
+    """The sign bisection the line search replaced (tolerance 1e-10, 50 halvings)."""
+
+    def slope(lam):
+        return -float(capped_entropy_projection(base + lam * direction, params).d @ direction)
+
+    if slope(0.0) >= 0.0:
+        return 0.0
+    if slope(hi) <= 0.0:
+        return hi
+    lo, up = 0.0, hi
+    for _ in range(50):
+        if up - lo <= 1e-10:
+            break
+        mid = 0.5 * (lo + up)
+        if slope(mid) >= 0.0:
+            up = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + up)
+
+
+@st.composite
+def line_search_instances(draw):
+    """Segment data as the FW rules build it: a line-search or pairwise direction."""
+    m = draw(st.integers(2, 12))
+    t = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = GainMatrix([rng.uniform(-1, 1, m) for _ in range(t)], list(range(t)))
+    coeffs = rng.exponential(1.0, t)
+    w = {j: float(c) for j, c in enumerate(coeffs / coeffs.sum())}
+    params = CapParams(
+        nu=draw(st.floats(1.0, float(m))), m=m, eta=draw(st.floats(0.5, 500.0)), eps=0.1
+    )
+    base = margins(A, w)
+    j_new, j_away = draw(st.permutations(range(t)))[:2]
+    if draw(st.booleans()):
+        return base, A.columns[j_new] - A.columns[j_away], w[j_away], params
+    return base, A.columns[j_new] - base, 1.0, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_search_instances())
+def test_line_search_agrees_with_reference_bisection(instance):
+    base, direction, hi, params = instance
+    lam = fw._line_search(base, direction, hi, params)
+    ref = reference_bisection(base, direction, hi, params)
+    if ref in (0.0, hi):
+        assert lam == ref
+        return
+    assert 0.0 < lam < hi
+    assert abs(lam - ref) <= 1e-8
+
+    def smoothed(x):
+        return -capped_entropy_projection(base + x * direction, params).objective
+
+    assert smoothed(lam) <= smoothed(ref) + 1e-12
+
+
+def test_curvature_matches_finite_difference_of_slope():
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    checked = 0
+    for _ in range(200):
+        m = int(rng.integers(2, 12))
+        params = CapParams(
+            nu=float(rng.uniform(1.0, m)), m=m, eta=float(rng.uniform(0.5, 50.0)), eps=0.1
+        )
+        base, direction = rng.uniform(-1, 1, m), rng.uniform(-1, 1, m)
+        lam = float(rng.uniform(h, 1.0 - h))
+        capped_sets = {
+            frozenset(proj.order[: proj.capped_count].tolist())
+            for proj in (
+                capped_entropy_projection(base + x * direction, params)
+                for x in (lam - h, lam, lam + h)
+            )
+        }
+        if len(capped_sets) != 1:
+            continue  # the capped set changes inside the stencil
+        _, ds = fw._slope_and_curvature(base, direction, lam, params)
+        s_minus, _ = fw._slope_and_curvature(base, direction, lam - h, params)
+        s_plus, _ = fw._slope_and_curvature(base, direction, lam + h, params)
+        assert ds >= -1e-12
+        assert ds == pytest.approx((s_plus - s_minus) / (2 * h), rel=1e-5, abs=1e-7)
+        checked += 1
+    assert checked >= 100
+
+
+def test_erlpboost_line_search_projection_count(monkeypatch):
+    counts = {"projections": 0, "searches": 0}
+    project, search = fw.capped_entropy_projection, fw._line_search
+
+    def counting_projection(*args, **kwargs):
+        counts["projections"] += 1
+        return project(*args, **kwargs)
+
+    def counting_search(*args, **kwargs):
+        counts["searches"] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(fw, "capped_entropy_projection", counting_projection)
+    monkeypatch.setattr(fw, "_line_search", counting_search)
+    data = two_gaussians(200, seed=0, p=10)
+    model, _ = run_erlpboost(data, StumpLearner(data), BoosterConfig(eps=0.2, nu=20.0))
+    assert model.converged
+    assert counts["searches"] > 0
+    assert counts["projections"] / counts["searches"] <= 10.0
