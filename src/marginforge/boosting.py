@@ -5,6 +5,9 @@ projects onto the capped simplex, queries the weak learner, checks the
 certified optimality gap, then keeps the better of a conditional
 gradient update and an optional secondary update (a secondary that
 fails numerically leaves the conditional-gradient update in place).
+The LPBoost secondary depends only on the discovered columns and nu,
+so it is solved once per distinct column set and reused on rounds
+whose weak learner returns a column already held.
 ``run_lpboost`` is the classic fully-LP baseline with its own stopping
 rule, and ``run_erlpboost`` is the scheme with the fully corrective
 secondary.
@@ -129,9 +132,14 @@ def run_scheme(data, learner, config: BoosterConfig):
     stop at eps_t <= eps/2, otherwise keep whichever of the FW and
     secondary candidates has the smaller smoothed objective (ties stay
     with FW).  An ``LpError`` or ``LinAlgError`` from the secondary is
-    logged as a warning and the round keeps the FW candidate.  With
-    secondary "none" and the short-step rule this is the plain
-    corrective booster.
+    logged as a warning and the round keeps the FW candidate.  The
+    "lpboost" secondary is a function of (A, nu) alone, so its last
+    successful weights and smoothed value are kept and reused while the
+    learner returns known columns (A unchanged); a failed solve is not
+    kept, so the next round retries.  The "erlpboost" secondary depends
+    on its warm start and a callable may keep state, so both run every
+    round.  With secondary "none" and the short-step rule this is the
+    plain corrective booster.
     """
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)
@@ -149,6 +157,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     min_edge = edge0
     records: list[IterationRecord] = []
     converged = False
+    lp_memo = None  # (A, weights, smoothed value) of the last LPBoost secondary solved
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
@@ -177,15 +186,24 @@ def run_scheme(data, learner, config: BoosterConfig):
         fw_out = _fw_update(config.fw_rule, A, w, j_new, d, params, t)
         chosen_rule = "fw"
         w = fw_out.new_w
-        # the FW candidate doubles as the warm start for a corrective solve
-        try:
-            secondary_w = _secondary_update(config.secondary, A, params, config.nu, fw_out.new_w)
-        except (LpError, np.linalg.LinAlgError) as exc:
-            logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
-            secondary_w = None
+        if lp_memo is not None and lp_memo[0] is A:
+            # known column: the restricted LP is the one already solved
+            _, secondary_w, value_secondary = lp_memo
+        else:
+            # the FW candidate doubles as the warm start for a corrective solve
+            try:
+                secondary_w = _secondary_update(
+                    config.secondary, A, params, config.nu, fw_out.new_w
+                )
+            except (LpError, np.linalg.LinAlgError) as exc:
+                logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
+                secondary_w = None
+            if secondary_w is not None:
+                value_secondary = smoothed_conjugate(-margins(A, secondary_w), params)
+                if config.secondary == "lpboost":
+                    lp_memo = (A, secondary_w, value_secondary)
         if secondary_w is not None:
             value_fw = smoothed_conjugate(-margins(A, fw_out.new_w), params)
-            value_secondary = smoothed_conjugate(-margins(A, secondary_w), params)
             if value_secondary < value_fw:
                 chosen_rule = "secondary"
                 w = secondary_w
@@ -259,7 +277,7 @@ def secondary_erlpboost(
         )
         if gap <= tol:
             return w
-        w = pairwise_step(A, w, j_best, d, params).new_w
+        w = pairwise_step(A, w, j_best, d, params, proj=proj).new_w
     logger.warning("fully corrective inner solve hit its %d-step cap", _ERLP_INNER_CAP)
     return w
 

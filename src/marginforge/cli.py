@@ -297,7 +297,12 @@ def load_model(path: str):
         if not math.isfinite(stump.threshold):
             raise DataFormatError(f"{path}: hypothesis {k} has non-finite threshold")
         hypotheses.append(stump)
-    weights = [float(v) for v in raw_weights]
+    weights = []
+    for k, v in enumerate(raw_weights):
+        try:
+            weights.append(float(v))
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{path}: weight {k} is not a number: {v!r}") from None
     if not all(math.isfinite(v) for v in weights):
         raise DataFormatError(f"{path}: weights must be finite")
     return _DiskModel(hypotheses=hypotheses, weights=weights)

@@ -48,7 +48,8 @@ def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> Projectio
     remaining mass, spread over the tail proportionally to
     exp(-eta*theta_i), stays below the cap.  The tail is evaluated
     through suffix log-sum-exp so arbitrarily large eta is safe.  The
-    result keeps a private copy of theta for its lazy objective.
+    result keeps its own copy of theta (``theta``) for its lazy
+    objective; a caller that needs the projected vector again may read it.
     """
     theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] != params.m:

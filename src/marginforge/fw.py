@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import LINE_SEARCH_MAX_ITERS, LINE_SEARCH_TOL, SUPPORT_DROP_TOL
 from .core import CapParams, GainMatrix, margins
-from .entropy import capped_entropy_projection
+from .entropy import ProjectionResult, capped_entropy_projection
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,21 @@ def line_search_step(
 
 
 def pairwise_step(
-    A: GainMatrix, w: dict[int, float], e_new: int, d: np.ndarray, params: CapParams
+    A: GainMatrix,
+    w: dict[int, float],
+    e_new: int,
+    d: np.ndarray,
+    params: CapParams,
+    proj: ProjectionResult | None = None,
 ) -> FwStepOutcome:
     """Move mass from the worst active column onto the new one.
 
     The away column minimises d @ column over the support (ties to the
     lowest index) and caps the step at its coefficient; hitting the cap
-    drops it from the support and counts as a bad step.
+    drops it from the support and counts as a bad step.  ``proj``, when
+    given, must be the projection of margins(A, w) (so ``proj.d`` is d);
+    the line search then starts from it instead of recomputing the
+    margins and projecting them again.
     """
     if not w:
         raise ValueError("pairwise step needs a non-empty support")
@@ -82,9 +90,9 @@ def pairwise_step(
     away_idx = away[0]
     cap = w[away_idx]
 
-    base = margins(A, w)
+    base = margins(A, w) if proj is None else proj.theta
     direction = A.columns[e_new] - A.columns[away_idx]
-    lam = _line_search(base, direction, cap, params)
+    lam = _line_search(base, direction, cap, params, at_zero=proj)
 
     new_w = dict(w)
     new_w[away_idx] = new_w.get(away_idx, 0.0) - lam
@@ -92,7 +100,13 @@ def pairwise_step(
     return FwStepOutcome(_normalise(new_w), lam, cap, lam < cap)
 
 
-def _line_search(base: np.ndarray, direction: np.ndarray, hi: float, params: CapParams) -> float:
+def _line_search(
+    base: np.ndarray,
+    direction: np.ndarray,
+    hi: float,
+    params: CapParams,
+    at_zero: ProjectionResult | None = None,
+) -> float:
     """Root in [0, hi] of the directional derivative of the smoothed objective.
 
     The slope at lam is -(d(lam) @ direction) with d(lam) the entropy
@@ -105,8 +119,10 @@ def _line_search(base: np.ndarray, direction: np.ndarray, hi: float, params: Cap
     where s bends from convex to concave); else the bracket midpoint.
     It stops when the bracket or the Newton step is at most
     LINE_SEARCH_TOL, or after LINE_SEARCH_MAX_ITERS evaluations.
+    ``at_zero``, when given, is the projection of base and replaces the
+    one at lam = 0.
     """
-    s_lo, ds_lo = _slope_and_curvature(base, direction, 0.0, params)
+    s_lo, ds_lo = _slope_and_curvature(base, direction, 0.0, params, at_zero)
     if s_lo >= 0.0:
         return 0.0
     s_up, _ = _slope_and_curvature(base, direction, hi, params)
@@ -137,15 +153,21 @@ def _line_search(base: np.ndarray, direction: np.ndarray, hi: float, params: Cap
 
 
 def _slope_and_curvature(
-    base: np.ndarray, direction: np.ndarray, lam: float, params: CapParams
+    base: np.ndarray,
+    direction: np.ndarray,
+    lam: float,
+    params: CapParams,
+    proj: ProjectionResult | None = None,
 ) -> tuple[float, float]:
     """Slope s and its derivative s' at lam, from one entropy projection.
 
     On a fixed capped set, with U the uncapped entries, u = direction and
     R = 1 - k/nu their mass, s' = eta * (sum_U d u^2 - (sum_U d u)^2 / R),
-    eta times the variance of u under d restricted to U.
+    eta times the variance of u under d restricted to U.  A given
+    ``proj`` (the projection at lam) is used instead of projecting.
     """
-    proj = capped_entropy_projection(base + lam * direction, params)
+    if proj is None:
+        proj = capped_entropy_projection(base + lam * direction, params)
     d = proj.d
     slope = -float(d @ direction)
     remaining = 1.0 - proj.capped_count / params.nu

@@ -204,6 +204,97 @@ def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
     assert "round 3: secondary update failed" in warnings[0] and str(error) in warnings[0]
 
 
+def _strip(records):
+    return [dataclasses.replace(r, wall_time_ns=0) for r in records]
+
+
+def _same_fit(a, b):
+    (model_a, recs_a), (model_b, recs_b) = a, b
+    assert _strip(recs_a) == _strip(recs_b)
+    assert model_a.hypotheses == model_b.hypotheses
+    assert model_a.weights == model_b.weights
+    assert model_a.soft_margin_obj == model_b.soft_margin_obj
+    assert model_a.smoothed_obj == model_b.smoothed_obj
+    assert model_a.converged and model_b.converged
+
+
+def _lpboost_every_round(A, params):
+    """The LPBoost secondary as a callable, which run_scheme never reuses."""
+    return secondary_lpboost(A, params.nu)
+
+
+@pytest.mark.parametrize("fw_rule", ["short_step", "pairwise"])
+def test_reused_lpboost_secondary_matches_solving_every_round(fw_rule):
+    data = two_gaussians(200, seed=0)
+    learner = StumpLearner(data)
+    cfg = BoosterConfig(eps=0.01, nu=20.0, fw_rule=fw_rule, secondary="lpboost")
+    reused = run_scheme(data, learner, cfg)
+    every_round = run_scheme(
+        data, learner, dataclasses.replace(cfg, secondary=_lpboost_every_round)
+    )
+    _same_fit(reused, every_round)
+
+
+def test_lpboost_secondary_solves_once_per_column_set(monkeypatch):
+    column_counts = []
+
+    def counting_solve(A, nu):
+        column_counts.append(A.t)
+        return solve_edge_min(A, nu)
+
+    monkeypatch.setattr(boosting, "solve_edge_min", counting_solve)
+    data = two_gaussians(200, seed=0)
+    cfg = BoosterConfig(eps=0.01, nu=20.0, fw_rule="short_step", secondary="lpboost")
+    model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged
+    # columns only grow, so one solve per column set means strictly increasing counts
+    assert all(a < b for a, b in zip(column_counts, column_counts[1:]))
+    assert len(column_counts) <= len(records) // 10  # measured 23 solves in 683 rounds
+
+
+class _RecordingLearner:
+    def __init__(self, learner):
+        self.learner = learner
+        self.ids = []
+
+    @property
+    def m(self):
+        return self.learner.m
+
+    def query(self, d):
+        response = self.learner.query(d)
+        self.ids.append(response[0])
+        return response
+
+
+def test_failed_lpboost_secondary_is_retried_on_the_same_columns(monkeypatch, caplog):
+    column_counts = []
+
+    def fail_at_four_columns(A, nu):
+        column_counts.append(A.t)
+        if A.t == 4:
+            raise LpError("pivot limit")
+        return solve_edge_min(A, nu)
+
+    monkeypatch.setattr(boosting, "solve_edge_min", fail_at_four_columns)
+    data = two_gaussians(60, seed=3)
+    learner = _RecordingLearner(StumpLearner(data))
+    cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule="short_step", secondary="lpboost")
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        reused = run_scheme(data, learner, cfg)
+    # query 0 seeds the matrix; query r belongs to round r; the last round stops
+    counts = [len(set(learner.ids[: r + 1])) for r in range(1, len(reused[1]))]
+    expected = [c for i, c in enumerate(counts) if c == 4 or i == 0 or c != counts[i - 1]]
+    assert column_counts == expected
+    assert column_counts.count(4) >= 2  # a failed solve is retried, never reused
+    assert len(caplog.records) == column_counts.count(4)
+
+    every_round = run_scheme(
+        data, StumpLearner(data), dataclasses.replace(cfg, secondary=_lpboost_every_round)
+    )
+    _same_fit(reused, every_round)
+
+
 def test_run_lpboost_perfect_stump_stops_fast():
     data = separable_line()
     cfg = BoosterConfig(eps=0.05, nu=1.0)

@@ -305,6 +305,15 @@ def test_predict_rejects_non_finite_weight(tmp_path, capsys):
     assert code == 1 and "weights must be finite" in err
 
 
+@pytest.mark.parametrize("bad", [{}, "abc", None], ids=["dict", "string", "null"])
+def test_predict_rejects_non_numeric_weight(tmp_path, capsys, bad):
+    payload = {"hypotheses": [GOOD_STUMP, GOOD_STUMP], "weights": [0.5, bad]}
+    code, err = _predict_exit(tmp_path, capsys, payload)
+    assert code == 1 and "weight 1 is not a number" in err and "model.json" in err
+    with pytest.raises(DataFormatError, match="weight 1"):
+        load_model(_write_model(tmp_path, payload))
+
+
 def test_predict_rejects_non_finite_threshold(tmp_path, capsys):
     stump = dict(GOOD_STUMP, threshold=float("nan"))
     code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [stump], "weights": [1.0]})

@@ -174,6 +174,28 @@ def test_pairwise_away_choice_and_descent():
         assert smoothed_obj(A, out.new_w, params) <= smoothed_obj(A, w, params) + 1e-12
 
 
+def test_pairwise_step_from_known_projection_is_identical(monkeypatch):
+    calls = {"n": 0}
+    project = fw.capped_entropy_projection
+
+    def counting_projection(*args, **kwargs):
+        calls["n"] += 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(fw, "capped_entropy_projection", counting_projection)
+    rng = np.random.default_rng(45)
+    for _ in range(30):
+        A, w, params, _ = random_instance(rng)
+        proj = capped_entropy_projection(margins(A, w), params)
+        j_new = int(np.argmax(proj.d @ A.as_array()))
+        before = calls["n"]
+        out = pairwise_step(A, w, j_new, proj.d, params)
+        fresh = calls["n"] - before
+        out_given = pairwise_step(A, w, j_new, proj.d, params, proj=proj)
+        assert out_given == out  # bit-equal weights and step
+        assert calls["n"] - before - fresh == fresh - 1
+
+
 def reference_bisection(base, direction, hi, params):
     """The sign bisection the line search replaced (tolerance 1e-10, 50 halvings)."""
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from marginforge.core import GainMatrix, check_distribution, check_ensemble_weights
 from marginforge.entropy import capped_min_linear
@@ -173,3 +176,39 @@ def test_edge_min_value_nondecreasing_in_columns():
             cur = solve_edge_min(_gain(cols), nu).gamma
             assert cur >= prev - 1e-9
             prev = cur
+
+
+@st.composite
+def sign_matrices(draw, wide: bool):
+    """(G, nu): an m x t matrix of +-1 gains with t <= m, or t > m if wide."""
+    m = draw(st.integers(1, 10))
+    t = draw(st.integers(m + 1, 3 * m + 1) if wide else st.integers(1, m))
+    signs = draw(st.lists(st.booleans(), min_size=m * t, max_size=m * t))
+    G = np.where(np.array(signs).reshape(m, t), 1.0, -1.0)
+    nu = draw(st.floats(1.0, float(m)))
+    return G, nu
+
+
+def _scipy_edge_min(G, nu):
+    """min g subject to G.T @ d <= g, sum(d) = 1, 0 <= d <= 1/nu, by HiGHS."""
+    m, t = G.shape
+    res = linprog(
+        c=np.concatenate([np.zeros(m), [1.0]]),
+        A_ub=np.hstack([G.T, -np.ones((t, 1))]),
+        b_ub=np.zeros(t),
+        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, 1.0 / nu)] * m + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "soft-margin form"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_edge_min_gamma_matches_scipy_highs(wide, data):
+    G, nu = data.draw(sign_matrices(wide))
+    sol = solve_edge_min(_gain(G.T), nu)
+    assert sol.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-7)
