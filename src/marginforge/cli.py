@@ -266,10 +266,27 @@ def cmd_oracle(manifest: RunManifest, budget: int | None = None) -> int:
     return EXIT_OK
 
 
+def _json_float(value) -> float | None:
+    """A JSON number as a float (inf past float range); None for any other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range
+        return math.inf
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_model(path: str):
     """Read a model JSON written by ``train``; malformed models raise DataFormatError."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"{path}: not a valid model JSON file ({exc})") from None
     try:
         raw_hypotheses, raw_weights = payload["hypotheses"], payload["weights"]
     except (KeyError, TypeError):
@@ -285,11 +302,19 @@ def load_model(path: str):
     hypotheses = []
     for k, h in enumerate(raw_hypotheses):
         try:
-            stump = StumpHypothesis(int(h["feature"]), float(h["threshold"]), int(h["polarity"]))
-        except (KeyError, TypeError, ValueError):
+            feature, threshold, polarity = h["feature"], h["threshold"], h["polarity"]
+        except (KeyError, TypeError):
             raise DataFormatError(
-                f"{path}: hypothesis {k} needs numeric feature, threshold and polarity"
+                f"{path}: hypothesis {k} needs feature, threshold and polarity"
             ) from None
+        if not _is_json_int(feature):
+            raise DataFormatError(f"{path}: hypothesis {k} feature is not an integer: {feature!r}")
+        if not _is_json_int(polarity):
+            raise DataFormatError(f"{path}: hypothesis {k} polarity is not an integer: {polarity!r}")
+        value = _json_float(threshold)
+        if value is None:
+            raise DataFormatError(f"{path}: hypothesis {k} threshold is not a number: {threshold!r}")
+        stump = StumpHypothesis(feature, value, polarity)
         if stump.feature < 0:
             raise DataFormatError(f"{path}: hypothesis {k} has negative feature {stump.feature}")
         if stump.polarity not in (-1, 1):
@@ -299,10 +324,10 @@ def load_model(path: str):
         hypotheses.append(stump)
     weights = []
     for k, v in enumerate(raw_weights):
-        try:
-            weights.append(float(v))
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{path}: weight {k} is not a number: {v!r}") from None
+        weight = _json_float(v)
+        if weight is None:
+            raise DataFormatError(f"{path}: weight {k} is not a number: {v!r}")
+        weights.append(weight)
     if not all(math.isfinite(v) for v in weights):
         raise DataFormatError(f"{path}: weights must be finite")
     return _DiskModel(hypotheses=hypotheses, weights=weights)

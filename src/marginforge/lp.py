@@ -4,8 +4,13 @@ The kernel is a two-phase primal simplex over ``0 <= x <= u`` boxes
 (upper bounds handled implicitly, free variables by splitting).  Pricing
 is most-negative-reduced-cost but falls back to Bland's rule whenever
 the objective stalls, so the solver cannot cycle and stays
-deterministic.  ``solve_edge_min`` wraps the restricted edge-min /
-soft-margin pair and certifies strong duality on every call.
+deterministic.  Each phase inverts its starting basis once and keeps the
+inverse by product-form (rank-one) updates at every basis change,
+re-inverting from scratch every ``_REFACTOR_INTERVAL`` changes to bound
+the drift; the basic solution and duals that end a phase come from
+fresh solves.  ``solve_edge_min`` merges identical instance rows,
+solves the restricted edge-min / soft-margin pair over the distinct
+rows, and certifies strong duality on every call.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .core import GainMatrix, check_distribution, check_ensemble_weights, edges
 from .entropy import capped_min_linear
 
 _STALL_LIMIT = 32  # degenerate pivots tolerated before switching to Bland
+_REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
 _MAX_PIVOTS = 200_000
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
@@ -136,7 +142,7 @@ def _simplex_min(A, b, c, upper):
     A1 = np.hstack([A, np.eye(r)])
     u1 = np.concatenate([upper, np.full(r, math.inf)])
     c1 = np.concatenate([np.zeros(n), np.ones(r)])
-    basis = list(range(n, n + r))
+    basis = np.arange(n, n + r)
     status = np.full(n + r, _AT_LOWER, dtype=np.int8)
     status[basis] = _BASIC
     allow = np.ones(n + r, dtype=bool)
@@ -176,14 +182,18 @@ def _iterate(A, b, c, u, basis, status, allow):
     bland = False
     stall = 0
     last_obj = math.inf
+    Binv = np.linalg.inv(A[:, basis])
+    pivots = 0  # basis changes since Binv was last inverted from scratch
+    movable = allow & (u > 0.0)
 
     for _ in range(_MAX_PIVOTS):
-        B = A[:, basis]
-        x = _assemble_x(A, b, u, basis, status)
-        y = np.linalg.solve(B.T, c[basis])
+        x = np.where(status == _AT_UPPER, u, 0.0)
+        x[basis] = 0.0
+        x[basis] = Binv @ (b - A @ x)
+        y = c[basis] @ Binv
         red = c - y @ A
 
-        eligible = allow & (status != _BASIC) & (u > 0.0)
+        eligible = movable & (status != _BASIC)
         eligible &= ((status == _AT_LOWER) & (red < -LP_PIVOT_TOL)) | (
             (status == _AT_UPPER) & (red > LP_PIVOT_TOL)
         )
@@ -205,7 +215,7 @@ def _iterate(A, b, c, u, basis, status, allow):
                 bland = True
         last_obj = min(last_obj, obj)
 
-        alpha = np.linalg.solve(B, A[:, j])
+        alpha = Binv @ A[:, j]
         increasing = status[j] == _AT_LOWER
         step = alpha if increasing else -alpha  # basic vars move by -step * theta
         xb = x[basis]
@@ -237,6 +247,17 @@ def _iterate(A, b, c, u, basis, status, allow):
         status[j] = _BASIC
         status[out] = _AT_LOWER if to_lower[leave_pos] else _AT_UPPER
 
+        pivots += 1
+        if pivots == _REFACTOR_INTERVAL:
+            Binv = np.linalg.inv(A[:, basis])
+            pivots = 0
+        else:
+            # product-form update: the new inverse is E @ Binv, where the
+            # eta matrix E turns alpha into the leave_pos unit vector
+            pivot_row = Binv[leave_pos] / alpha[leave_pos]
+            Binv -= np.outer(alpha, pivot_row)
+            Binv[leave_pos] = pivot_row
+
     raise LpError("pivot limit exceeded")
 
 
@@ -263,54 +284,63 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
     value gamma, and the dual hypothesis weights w whose soft-margin
     value rho certifies optimality (|gamma - rho| <= 1e-7).
 
-    Whichever of the two formulations has fewer rows is handed to the
+    Identical instance rows of A are merged first: the k distinct rows,
+    with multiplicities n_g, carry one aggregate weight D_g in
+    ``[0, n_g/nu]`` (edge-min form) or one slack of cost ``n_g/nu``
+    (soft-margin form), and every instance of row g gets
+    ``d_i = D_g / n_g``.  The reduction is exact, and duplicated rows
+    get equal weight.  Whichever form has fewer rows is handed to the
     solver: the edge-min form has t+1 rows (caps live in variable
-    bounds), the soft-margin form m+1.
+    bounds), the soft-margin form k+1.  rho and gamma are evaluated on
+    the full matrix.
     """
     if A.t < 1:
         raise ValueError("gain matrix has no columns")
-    m, t = A.m, A.t
+    t = A.t
     G = A.as_array()
     cap = 1.0 / nu
+    rows, group, counts = np.unique(G, axis=0, return_inverse=True, return_counts=True)
+    group = group.reshape(-1)  # numpy 2.0.0 alone returns it with shape (m, 1)
+    k = rows.shape[0]
 
-    if t <= m:
-        # variables (d_1..d_m, g): maximize -g
-        # rows: column edges <= g; sum(d) = 1
-        con = np.zeros((t + 1, m + 1))
-        con[:t, :m] = G.T
-        con[:t, m] = -1.0
-        con[t, :m] = 1.0
+    if t <= k:
+        # variables (D_1..D_k, g): maximize -g
+        # rows: column edges <= g; sum(D) = 1
+        con = np.zeros((t + 1, k + 1))
+        con[:t, :k] = rows.T
+        con[:t, k] = -1.0
+        con[t, :k] = 1.0
         lp = StandardLp(
-            objective=np.concatenate([np.zeros(m), [-1.0]]),
+            objective=np.concatenate([np.zeros(k), [-1.0]]),
             constraint_matrix=con,
             rhs=np.concatenate([np.zeros(t), [1.0]]),
             row_kinds=["le"] * t + ["eq"],
-            variable_bounds=[(0.0, cap)] * m + [(-math.inf, math.inf)],
+            variable_bounds=[(0.0, float(n_g) * cap) for n_g in counts] + [(-math.inf, math.inf)],
         )
         x, value, duals = solve_lp(lp)
-        d = _cleanup_distribution(x[:m], cap)
+        d = _cleanup_distribution((x[:k] / counts)[group], cap)
         gamma = -value
         w = _cleanup_weights(duals[:t])
         rho, _ = capped_min_linear(G @ _densify(w, t), nu)
     else:
-        # variables (w_1..w_t, xi_1..xi_m, r): maximize r - sum(xi)/nu
-        # rows: r - xi_i - (G w)_i <= 0; sum(w) = 1
-        con = np.zeros((m + 1, t + m + 1))
-        con[:m, :t] = -G
-        con[:m, t : t + m] = -np.eye(m)
-        con[:m, t + m] = 1.0
-        con[m, :t] = 1.0
+        # variables (w_1..w_t, xi_1..xi_k, r): maximize r - sum(n_g xi_g)/nu
+        # rows: r - xi_g - (rows w)_g <= 0; sum(w) = 1
+        con = np.zeros((k + 1, t + k + 1))
+        con[:k, :t] = -rows
+        con[:k, t : t + k] = -np.eye(k)
+        con[:k, t + k] = 1.0
+        con[k, :t] = 1.0
         lp = StandardLp(
-            objective=np.concatenate([np.zeros(t), np.full(m, -cap), [1.0]]),
+            objective=np.concatenate([np.zeros(t), -counts * cap, [1.0]]),
             constraint_matrix=con,
-            rhs=np.concatenate([np.zeros(m), [1.0]]),
-            row_kinds=["le"] * m + ["eq"],
-            variable_bounds=[(0.0, math.inf)] * (t + m) + [(-math.inf, math.inf)],
+            rhs=np.concatenate([np.zeros(k), [1.0]]),
+            row_kinds=["le"] * k + ["eq"],
+            variable_bounds=[(0.0, math.inf)] * (t + k) + [(-math.inf, math.inf)],
         )
         x, value, duals = solve_lp(lp)
         rho = value
         w = _cleanup_weights(x[:t])
-        d = _cleanup_distribution(duals[:m], cap)
+        d = _cleanup_distribution((duals[:k] / counts)[group], cap)
         gamma = float(np.max(d @ G))
 
     check_distribution(d, nu)

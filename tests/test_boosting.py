@@ -249,7 +249,7 @@ def test_lpboost_secondary_solves_once_per_column_set(monkeypatch):
     assert model.converged
     # columns only grow, so one solve per column set means strictly increasing counts
     assert all(a < b for a, b in zip(column_counts, column_counts[1:]))
-    assert len(column_counts) <= len(records) // 10  # measured 23 solves in 683 rounds
+    assert len(column_counts) <= len(records) // 10  # measured 22 solves in 605 rounds
 
 
 class _RecordingLearner:

@@ -305,7 +305,9 @@ def test_predict_rejects_non_finite_weight(tmp_path, capsys):
     assert code == 1 and "weights must be finite" in err
 
 
-@pytest.mark.parametrize("bad", [{}, "abc", None], ids=["dict", "string", "null"])
+@pytest.mark.parametrize(
+    "bad", [{}, "abc", None, "1.0", True], ids=["dict", "string", "null", "numeric string", "bool"]
+)
 def test_predict_rejects_non_numeric_weight(tmp_path, capsys, bad):
     payload = {"hypotheses": [GOOD_STUMP, GOOD_STUMP], "weights": [0.5, bad]}
     code, err = _predict_exit(tmp_path, capsys, payload)
@@ -318,6 +320,52 @@ def test_predict_rejects_non_finite_threshold(tmp_path, capsys):
     stump = dict(GOOD_STUMP, threshold=float("nan"))
     code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [stump], "weights": [1.0]})
     assert code == 1 and "non-finite threshold" in err
+
+
+def test_predict_rejects_integers_beyond_float_range(tmp_path, capsys):
+    huge = 10**400  # a JSON integer literal; float() of it overflows
+    code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [GOOD_STUMP], "weights": [huge]})
+    assert code == 1 and "weights must be finite" in err
+    stump = dict(GOOD_STUMP, threshold=-huge)
+    code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [stump], "weights": [1.0]})
+    assert code == 1 and "non-finite threshold" in err
+
+
+@pytest.mark.parametrize("bad", ["0.5", True], ids=["numeric string", "bool"])
+def test_predict_rejects_non_numeric_threshold(tmp_path, capsys, bad):
+    payload = {"hypotheses": [GOOD_STUMP, dict(GOOD_STUMP, threshold=bad)], "weights": [0.5, 0.5]}
+    code, err = _predict_exit(tmp_path, capsys, payload)
+    assert code == 1 and "hypothesis 1 threshold is not a number" in err and "model.json" in err
+
+
+@pytest.mark.parametrize("bad", [1.7, 0.0, "0", False], ids=["fraction", "float", "string", "bool"])
+def test_predict_rejects_non_integer_feature(tmp_path, capsys, bad):
+    # a float feature index used to be truncated by int(), 1.7 -> 1
+    payload = {"hypotheses": [GOOD_STUMP, dict(GOOD_STUMP, feature=bad)], "weights": [0.5, 0.5]}
+    code, err = _predict_exit(tmp_path, capsys, payload)
+    assert code == 1 and "hypothesis 1 feature is not an integer" in err and "model.json" in err
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", True], ids=["float", "string", "bool"])
+def test_predict_rejects_non_integer_polarity(tmp_path, capsys, bad):
+    payload = {"hypotheses": [GOOD_STUMP, dict(GOOD_STUMP, polarity=bad)], "weights": [0.5, 0.5]}
+    code, err = _predict_exit(tmp_path, capsys, payload)
+    assert code == 1 and "hypothesis 1 polarity is not an integer" in err and "model.json" in err
+
+
+def test_predict_rejects_truncated_or_undecodable_model(tmp_path, capsys):
+    text = json.dumps({"hypotheses": [GOOD_STUMP], "weights": [1.0]})
+    data_path = tmp_path / "one.csv"
+    data_path.write_text("f0,label\n0.1,1\n", encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    for raw in (text[: len(text) // 2].encode(), b"\xff\xfe{}"):
+        model_path.write_bytes(raw)
+        code = main(["predict", "--model", str(model_path), "--data", str(data_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "model.json: not a valid model JSON file" in captured.err
+        with pytest.raises(DataFormatError, match="model.json"):
+            load_model(str(model_path))
 
 
 def test_lp_error_exits_one_with_message(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 from marginforge.core import GainMatrix, check_distribution, check_ensemble_weights
 from marginforge.entropy import capped_min_linear
 from marginforge.lp import (
+    _REFACTOR_INTERVAL,
     LpInfeasibleError,
     LpUnboundedError,
     StandardLp,
@@ -212,3 +213,69 @@ def test_edge_min_gamma_matches_scipy_highs(wide, data):
     G, nu = data.draw(sign_matrices(wide))
     sol = solve_edge_min(_gain(G.T), nu)
     assert sol.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-7)
+
+
+@st.composite
+def repeated_row_matrices(draw, wide: bool):
+    """(G, nu): k distinct real-valued rows, each repeated 1-4 times in a
+    shuffled order, with t <= k columns, or t > k if wide.
+
+    Gains lie on a 1/64 grid: entries near the 1e-9 pricing tolerance
+    can make the simplex return a dual below -DUAL_CLIP, with or without
+    repeated rows, which is a separate defect.
+    """
+    k = draw(st.integers(1, 6))
+    t = draw(st.integers(k + 1, 2 * k + 2) if wide else st.integers(1, k))
+    row = st.lists(st.integers(-64, 64).map(lambda v: v / 64), min_size=t, max_size=t)
+    distinct = draw(st.lists(row, min_size=k, max_size=k, unique_by=tuple))
+    counts = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    group = np.repeat(np.arange(k), counts)
+    group = group[draw(st.permutations(range(group.size)))]
+    G = np.array(distinct, dtype=float).reshape(k, t)[group]
+    nu = draw(st.floats(1.0, float(group.size)))
+    return G, nu, group
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "soft-margin form"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_edge_min_over_repeated_rows_matches_scipy_highs(wide, data):
+    G, nu, group = data.draw(repeated_row_matrices(wide))
+    sol = solve_edge_min(_gain(G.T), nu)
+    assert sol.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-7)
+    check_distribution(sol.d, nu)
+    assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
+    for g in np.unique(group):
+        assert np.all(sol.d[group == g] == sol.d[group == g][0])
+
+
+def test_simplex_reinverts_basis_on_long_runs(monkeypatch):
+    # 40 "le" rows with positive right-hand sides: phase 1 starts from 40
+    # basic artificials and must pivot each one out, so the basis changes
+    # more often than _REFACTOR_INTERVAL and the inverse is rebuilt
+    assert _REFACTOR_INTERVAL < 40
+    inversions = []
+    real_inv = np.linalg.inv
+
+    def counting_inv(a):
+        inversions.append(a.shape)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    rng = np.random.default_rng(41)
+    r, n = 40, 60
+    G = np.vstack([rng.uniform(-1, 1, (r - 1, n)), np.ones(n)])
+    h = np.concatenate([rng.uniform(0.1, 1.0, r - 1), [5.0]])
+    c = rng.uniform(-0.2, 1.0, n)
+    x, value, duals = solve_lp(StandardLp(c, G, h, ["le"] * r, [NONNEG] * n))
+    assert len(inversions) > 2  # one per phase, plus at least one refresh
+
+    ref = linprog(-c, A_ub=G, b_ub=h, bounds=[(0.0, None)] * n, method="highs")
+    assert ref.status == 0, ref.message
+    assert value == pytest.approx(-ref.fun, abs=1e-8)
+    residual = h - G @ x
+    assert np.all(residual >= -1e-8) and np.all(x >= -1e-10)
+    reduced = G.T @ duals - c
+    assert np.all(duals >= -1e-9) and np.all(reduced >= -1e-8)
+    assert np.max(np.abs(duals * residual)) <= 1e-8
+    assert np.max(np.abs(x * reduced)) <= 1e-8
