@@ -13,7 +13,6 @@ from .boosting import (
     StumpLearner,
     TrainedModel,
     predict,
-    run_erlpboost,
     run_lpboost,
     run_scheme,
     secondary_erlpboost,
@@ -59,7 +58,6 @@ __all__ = [
     "pool_oracle",
     "predict",
     "relative_entropy",
-    "run_erlpboost",
     "run_lpboost",
     "run_scheme",
     "secondary_erlpboost",

@@ -5,17 +5,19 @@ projects onto the capped simplex, queries the weak learner, checks the
 certified optimality gap, then keeps the better of a conditional
 gradient update and an optional secondary update (a secondary that
 fails numerically leaves the conditional-gradient update in place).
+Ensemble weights are one vector with an entry per discovered column,
+grown by a zero whenever the weak learner returns a new column.
 The LPBoost secondary depends only on the discovered columns and nu,
 so it is solved once per distinct column set and reused on rounds
 whose weak learner returns a column already held.
 ``run_lpboost`` is the classic fully-LP baseline with its own stopping
-rule, and ``run_erlpboost`` is the scheme with the fully corrective
-secondary.
+rule.  A weak learner answers ``query(d)`` with
+``(hypothesis, gain column, edge)``; the hypothesis also identifies its
+column in the gain matrix.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import time
@@ -50,7 +52,6 @@ class BoosterConfig:
     fw_rule: str = "short_step"
     secondary: object = "none"  # name from SECONDARY_RULES or callable(A, params)
     max_iterations: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -100,7 +101,7 @@ class StumpLearner:
 
     def query(self, d: np.ndarray):
         stump, edge, column = best_stump(self.data, d, self.pool)
-        return stump, stump, column, edge
+        return stump, column, edge
 
 
 class PoolOracleLearner:
@@ -116,7 +117,7 @@ class PoolOracleLearner:
     def query(self, d: np.ndarray):
         j = pool_oracle(self.A_full, d)
         column = self.A_full.columns[j]
-        return j, self.A_full.hypothesis_ids[j], column, float(d @ column)
+        return self.A_full.hypothesis_ids[j], column, float(d @ column)
 
 
 def default_iteration_cap(m: int, nu: float, eps: float) -> int:
@@ -150,10 +151,9 @@ def run_scheme(data, learner, config: BoosterConfig):
     )
 
     d0 = np.full(m, 1.0 / m)
-    hyp_id, hypothesis, column, edge0 = learner.query(d0)
-    A = GainMatrix([column], [hyp_id])
-    hypotheses = {hyp_id: hypothesis}
-    w: dict[int, float] = {0: 1.0}
+    hypothesis, column, edge0 = learner.query(d0)
+    A = GainMatrix([column], [hypothesis])
+    w = np.ones(1)
     min_edge = edge0
     records: list[IterationRecord] = []
     converged = False
@@ -167,9 +167,10 @@ def run_scheme(data, learner, config: BoosterConfig):
         smoothed_obj = -proj.objective
         soft_margin_obj, _ = capped_min_linear(marg, config.nu, order=proj.order)
 
-        hyp_id, hypothesis, column, edge_new = learner.query(d)
-        A, j_new = A.with_column(column, hyp_id)
-        hypotheses.setdefault(hyp_id, hypothesis)
+        hypothesis, column, edge_new = learner.query(d)
+        A, j_new = A.with_column(column, hypothesis)
+        if j_new == w.size:
+            w = np.append(w, 0.0)
         min_edge = min(min_edge, edge_new)
         eps_t = min_edge + smoothed_obj
 
@@ -216,7 +217,7 @@ def run_scheme(data, learner, config: BoosterConfig):
             )
         )
 
-    model = _finish_model(A, w, hypotheses, config, converged)
+    model = _finish_model(A, w, config, converged)
     if not converged:
         logger.warning("booster hit the iteration cap (%d rounds)", cap_rounds)
     return model, records
@@ -239,10 +240,10 @@ def _secondary_update(secondary, A, params, nu, current_w):
         return secondary_lpboost(A, nu)
     if secondary == "erlpboost":
         return secondary_erlpboost(A, params, start=current_w)
-    return check_ensemble_weights(secondary(A, params))
+    return check_ensemble_weights(secondary(A, params), A)
 
 
-def secondary_lpboost(A: GainMatrix, nu: float) -> dict[int, float]:
+def secondary_lpboost(A: GainMatrix, nu: float) -> np.ndarray:
     """Optimal restricted soft-margin weights from the edge-min LP dual."""
     return solve_edge_min(A, nu).w
 
@@ -250,21 +251,21 @@ def secondary_lpboost(A: GainMatrix, nu: float) -> dict[int, float]:
 def secondary_erlpboost(
     A: GainMatrix,
     params: CapParams,
-    start: dict[int, float] | None = None,
+    start: np.ndarray | None = None,
     gap_tol: float | None = None,
-) -> dict[int, float]:
+) -> np.ndarray:
     """Fully corrective weights over the discovered columns.
 
     Minimises the smoothed objective over the restricted simplex by
     pairwise conditional-gradient iterations until the linearised gap
-    drops below eps/10 (the optional warm start does not change the
-    guarantee).  Hitting the inner cap logs a warning and returns the
-    current iterate.
+    drops below eps/10 (the optional warm start, all weight on column 0
+    by default, does not change the guarantee).  Hitting the inner cap
+    logs a warning and returns the current iterate.
     """
     if A.t < 1:
         raise ValueError("gain matrix has no columns")
     tol = params.eps / 10.0 if gap_tol is None else gap_tol
-    w = dict(start) if start else {0: 1.0}
+    w = np.eye(1, A.t)[0] if start is None else start
     G = A.as_array()
 
     for _ in range(_ERLP_INNER_CAP):
@@ -272,9 +273,7 @@ def secondary_erlpboost(
         d = proj.d
         col_edges = d @ G
         j_best = int(np.argmax(col_edges))
-        gap = float(col_edges[j_best]) - sum(
-            coeff * col_edges[j] for j, coeff in w.items()
-        )
+        gap = float(col_edges[j_best] - col_edges @ w)
         if gap <= tol:
             return w
         w = pairwise_step(A, w, j_best, d, params, proj=proj).new_w
@@ -299,11 +298,9 @@ def run_lpboost(data, learner, config: BoosterConfig):
     )
 
     d0 = np.full(m, 1.0 / m)
-    hyp_id, hypothesis, column, edge0 = learner.query(d0)
-    A = GainMatrix([column], [hyp_id])
-    hypotheses = {hyp_id: hypothesis}
+    hypothesis, column, edge0 = learner.query(d0)
+    A = GainMatrix([column], [hypothesis])
     min_edge = edge0
-    w: dict[int, float] = {0: 1.0}
     records: list[IterationRecord] = []
     converged = False
 
@@ -311,7 +308,7 @@ def run_lpboost(data, learner, config: BoosterConfig):
         tic = time.perf_counter_ns()
         sol = solve_edge_min(A, config.nu)
         w = sol.w
-        hyp_id, hypothesis, column, edge_new = learner.query(sol.d)
+        hypothesis, column, edge_new = learner.query(sol.d)
         min_edge = min(min_edge, edge_new)
         smoothed_obj = smoothed_conjugate(-margins(A, w), params)
         records.append(
@@ -324,29 +321,24 @@ def run_lpboost(data, learner, config: BoosterConfig):
         if edge_new <= sol.gamma + config.eps:
             converged = True
             break
-        A, _ = A.with_column(column, hyp_id)
-        hypotheses.setdefault(hyp_id, hypothesis)
+        A, _ = A.with_column(column, hypothesis)
 
-    model = _finish_model(A, w, hypotheses, config, converged)
+    # at the cap A holds the last query's column, which that solve did not see
+    model = _finish_model(A, np.pad(w, (0, A.t - w.size)), config, converged)
     if not converged:
         logger.warning("LP booster hit the iteration cap (%d rounds)", cap_rounds)
     return model, records
 
 
-def run_erlpboost(data, learner, config: BoosterConfig):
-    """Entropy-regularised fully corrective booster (scheme instance)."""
-    return run_scheme(data, learner, dataclasses.replace(config, secondary="erlpboost"))
-
-
-def _finish_model(A, w, hypotheses, config, converged) -> TrainedModel:
-    check_ensemble_weights(w)
+def _finish_model(A, w, config, converged) -> TrainedModel:
+    check_ensemble_weights(w, A)
     marg = margins(A, w)
     params = CapParams.from_tolerance(len(marg), config.nu, config.eps)
     soft_margin_obj, _ = capped_min_linear(marg, config.nu)
-    support = sorted(w)
+    support = np.flatnonzero(w)
     return TrainedModel(
-        hypotheses=[hypotheses[A.hypothesis_ids[j]] for j in support],
-        weights=[w[j] for j in support],
+        hypotheses=[A.hypothesis_ids[j] for j in support],
+        weights=w[support].tolist(),
         config=config,
         soft_margin_obj=soft_margin_obj,
         smoothed_obj=smoothed_conjugate(-marg, params),

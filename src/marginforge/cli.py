@@ -190,7 +190,6 @@ def build_config(manifest: RunManifest, m: int) -> BoosterConfig:
         fw_rule=fw_rule,
         secondary=secondary,
         max_iterations=manifest.max_iters,
-        seed=manifest.seed,
     )
 
 
@@ -262,7 +261,7 @@ def cmd_oracle(manifest: RunManifest, budget: int | None = None) -> int:
             f"pool of {len(pool)} stumps x {data.m} rows exceeds {budget} entries"
         )
     sol = solve_edge_min(full_gain_matrix(data, pool), manifest.nu(data.m))
-    print(json.dumps({"rho_star": sol.rho, "support_size": len(sol.w)}))
+    print(json.dumps({"rho_star": sol.rho, "support_size": int(np.count_nonzero(sol.w))}))
     return EXIT_OK
 
 

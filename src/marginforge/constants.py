@@ -10,7 +10,6 @@ SIMPLEX_SUM_TOL        1e-9       |sum(weights) - 1| for simplex membership
 CAP_BOX_TOL            1e-12      absolute slack above 1/nu for distribution entries
 CAP_REL_SLACK          1e-12      relative slack when a projection entry hits 1/nu
 ENTROPY_ZERO           1e-15      entries below this count as 0 in x*ln(x)
-DUAL_CLIP              1e-10      most-negative dual weight still clipped to zero
 STRONG_DUALITY_TOL     1e-7       |gamma - rho| accepted from an edge-min solve
 LP_PIVOT_TOL           1e-9       reduced-cost threshold for simplex pricing
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
@@ -24,7 +23,6 @@ SIMPLEX_SUM_TOL = 1e-9
 CAP_BOX_TOL = 1e-12
 CAP_REL_SLACK = 1e-12
 ENTROPY_ZERO = 1e-15
-DUAL_CLIP = 1e-10
 STRONG_DUALITY_TOL = 1e-7
 LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10

@@ -1,9 +1,10 @@
 """Shared data model: datasets, gain matrices, capped-simplex points.
 
-Distributions over examples are plain 1-D numpy arrays; ensemble weights
-over discovered hypotheses are sparse ``{column index: coefficient}``
-dicts.  ``check_distribution`` / ``check_ensemble_weights`` enforce the
-membership invariants where such vectors are produced.
+Distributions over examples and ensemble weights over the discovered
+hypotheses are both plain 1-D numpy arrays; a weight vector has one
+entry per gain column, zero off the support.  ``check_distribution`` /
+``check_ensemble_weights`` enforce the membership invariants where such
+vectors are produced.
 """
 
 from __future__ import annotations
@@ -200,33 +201,26 @@ def check_distribution(d: np.ndarray, nu: float) -> np.ndarray:
     return d
 
 
-def check_ensemble_weights(w: dict[int, float]) -> dict[int, float]:
-    """Validate sparse simplex weights: positive entries summing to 1."""
-    if not w:
-        raise ValueError("ensemble weights must be non-empty")
-    if any(v <= 0.0 for v in w.values()):
-        raise ValueError("stored ensemble coefficients must be positive")
-    if abs(sum(w.values()) - 1.0) > SIMPLEX_SUM_TOL:
+def check_ensemble_weights(w: np.ndarray, A: GainMatrix | None = None) -> np.ndarray:
+    """Validate simplex weights: a vector of nonnegative entries summing to 1,
+    one per column of ``A`` when a matrix is given."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("ensemble weights must be a non-empty vector")
+    if A is not None and w.shape != (A.t,):
+        raise ValueError(f"weights of shape {w.shape} for {A.t} columns")
+    if np.any(w < 0.0):
+        raise ValueError("ensemble weights must be nonnegative")
+    if not abs(float(w.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
         raise ValueError("ensemble weights do not sum to 1")
     return w
 
 
-def margins(A: GainMatrix, w: dict[int, float]) -> np.ndarray:
-    """Weighted gain vector sum_j w_j * column_j (length m)."""
-    if not w:
-        raise ValueError("ensemble weights must be non-empty")
-    t = A.t
-    if len(w) == 1:
-        ((j, coeff),) = w.items()
-        if not 0 <= j < t:
-            raise IndexError(f"ensemble references column {j} outside the matrix")
-        return coeff * A.columns[j]
-    dense = np.zeros(t)
-    for j, coeff in w.items():
-        if not 0 <= j < t:
-            raise IndexError(f"ensemble references column {j} outside the matrix")
-        dense[j] = coeff
-    return A.as_array() @ dense
+def margins(A: GainMatrix, w: np.ndarray) -> np.ndarray:
+    """Weighted gain vector A @ w (length m)."""
+    if np.shape(w) != (A.t,):
+        raise ValueError(f"weights of shape {np.shape(w)} for {A.t} columns")
+    return A.as_array() @ w
 
 
 def edges(A: GainMatrix, d: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Pluggable conditional-gradient update rules for the booster loop.
 
-Each rule maps the current sparse ensemble weights and a newly
-discovered column to updated weights on the simplex.  ``good_step``
+Each rule maps the current ensemble weights (a vector with one entry
+per gain column) and a newly discovered column to new weights on the
+simplex, without modifying the weights it was given.  ``good_step``
 records whether a pairwise move stopped short of its mass cap; for the
 other rules the cap is 1.
 
@@ -25,13 +26,13 @@ from .entropy import ProjectionResult, capped_entropy_projection
 
 @dataclass(frozen=True)
 class FwStepOutcome:
-    new_w: dict[int, float]
+    new_w: np.ndarray
     step_size: float
     step_cap: float
     good_step: bool
 
 
-def classic_step(t: int, w: dict[int, float], e_new: int) -> FwStepOutcome:
+def classic_step(t: int, w: np.ndarray, e_new: int) -> FwStepOutcome:
     """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
@@ -40,7 +41,7 @@ def classic_step(t: int, w: dict[int, float], e_new: int) -> FwStepOutcome:
 
 
 def short_step(
-    A: GainMatrix, w: dict[int, float], e_new: int, d: np.ndarray, eta: float
+    A: GainMatrix, w: np.ndarray, e_new: int, d: np.ndarray, eta: float
 ) -> FwStepOutcome:
     """Step minimising the smoothness upper bound, clipped to [0, 1].
 
@@ -54,7 +55,7 @@ def short_step(
 
 
 def line_search_step(
-    A: GainMatrix, w: dict[int, float], e_new: int, params: CapParams
+    A: GainMatrix, w: np.ndarray, e_new: int, params: CapParams
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
     base = margins(A, w)
@@ -65,7 +66,7 @@ def line_search_step(
 
 def pairwise_step(
     A: GainMatrix,
-    w: dict[int, float],
+    w: np.ndarray,
     e_new: int,
     d: np.ndarray,
     params: CapParams,
@@ -80,23 +81,19 @@ def pairwise_step(
     the line search then starts from it instead of recomputing the
     margins and projecting them again.
     """
-    if not w:
+    support = np.flatnonzero(w)
+    if support.size == 0:
         raise ValueError("pairwise step needs a non-empty support")
-    away = None
-    for j in sorted(w):
-        score = float(d @ A.columns[j])
-        if away is None or score < away[1]:
-            away = (j, score)
-    away_idx = away[0]
-    cap = w[away_idx]
+    away_idx = int(support[np.argmin((d @ A.as_array())[support])])
+    cap = float(w[away_idx])
 
     base = margins(A, w) if proj is None else proj.theta
     direction = A.columns[e_new] - A.columns[away_idx]
     lam = _line_search(base, direction, cap, params, at_zero=proj)
 
-    new_w = dict(w)
-    new_w[away_idx] = new_w.get(away_idx, 0.0) - lam
-    new_w[e_new] = new_w.get(e_new, 0.0) + lam
+    new_w = w.copy()
+    new_w[away_idx] -= lam
+    new_w[e_new] += lam
     return FwStepOutcome(_normalise(new_w), lam, cap, lam < cap)
 
 
@@ -179,15 +176,16 @@ def _slope_and_curvature(
     return slope, params.eta * (float(du @ direction[free]) - first * first / remaining)
 
 
-def _mix(w: dict[int, float], e_new: int, lam: float) -> dict[int, float]:
-    mixed = {j: (1.0 - lam) * v for j, v in w.items()}
-    mixed[e_new] = mixed.get(e_new, 0.0) + lam
+def _mix(w: np.ndarray, e_new: int, lam: float) -> np.ndarray:
+    mixed = (1.0 - lam) * w
+    mixed[e_new] += lam
     return _normalise(mixed)
 
 
-def _normalise(w: dict[int, float]) -> dict[int, float]:
-    kept = {j: v for j, v in w.items() if v > SUPPORT_DROP_TOL}
-    if not kept:
+def _normalise(w: np.ndarray) -> np.ndarray:
+    """Entries at or below SUPPORT_DROP_TOL become exact zeros; the rest sum to 1."""
+    kept = np.where(w > SUPPORT_DROP_TOL, w, 0.0)
+    total = kept.sum()
+    if total <= 0.0:
         raise ValueError("update emptied the ensemble support")
-    total = sum(kept.values())
-    return {j: v / total for j, v in kept.items()}
+    return kept / total

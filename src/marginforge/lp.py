@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    DUAL_CLIP,
-    LP_PIVOT_TOL,
-    LP_RATIO_TOL,
-    STRONG_DUALITY_TOL,
-)
+from .constants import LP_PIVOT_TOL, LP_RATIO_TOL, STRONG_DUALITY_TOL
 from .core import GainMatrix, check_distribution, check_ensemble_weights, edges
 from .entropy import capped_min_linear
 
@@ -239,8 +234,12 @@ def _iterate(A, b, c, u, basis, status, allow):
             status[j] = _AT_UPPER if increasing else _AT_LOWER
             continue
 
-        # Bland: among the minimal ratios, evict the lowest variable index
+        # Bland: among the minimal ratios, evict the lowest variable index; a
+        # ratio only ties if its row would end within 1e-12 of its bound, so
+        # a long step cannot push the true blocking row past its own
         tied = np.nonzero(ratios <= theta_basic + 1e-12)[0]
+        if tied.size > 1:
+            tied = tied[(ratios[tied] - theta_basic) * np.abs(step[tied]) <= 1e-12]
         leave_pos = int(min(tied, key=lambda i: basis[i]))
         out = basis[leave_pos]
         basis[leave_pos] = j
@@ -267,7 +266,7 @@ class EdgeMinSolution:
 
     d: np.ndarray
     gamma: float
-    w: dict[int, float]
+    w: np.ndarray
     rho: float
 
     def __post_init__(self):
@@ -321,7 +320,7 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
         d = _cleanup_distribution((x[:k] / counts)[group], cap)
         gamma = -value
         w = _cleanup_weights(duals[:t])
-        rho, _ = capped_min_linear(G @ _densify(w, t), nu)
+        rho, _ = capped_min_linear(G @ w, nu)
     else:
         # variables (w_1..w_t, xi_1..xi_k, r): maximize r - sum(n_g xi_g)/nu
         # rows: r - xi_g - (rows w)_g <= 0; sum(w) = 1
@@ -344,13 +343,15 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
         gamma = float(np.max(d @ G))
 
     check_distribution(d, nu)
-    check_ensemble_weights(w)
+    check_ensemble_weights(w, A)
     return EdgeMinSolution(d=d, gamma=gamma, w=w, rho=rho)
 
 
+# Pricing accepts reduced costs up to LP_PIVOT_TOL on the wrong side, so LP
+# values within LP_PIVOT_TOL below zero are rounding, not infeasibility.
 def _cleanup_distribution(raw: np.ndarray, cap: float) -> np.ndarray:
-    if np.any(raw < -DUAL_CLIP):
-        raise LpError(f"distribution weight below -{DUAL_CLIP}: {raw.min()}")
+    if np.any(raw < -LP_PIVOT_TOL):
+        raise LpError(f"distribution weight below -{LP_PIVOT_TOL}: {raw.min()}")
     d = np.clip(raw, 0.0, cap)
     total = d.sum()
     if total <= 0.0:
@@ -358,18 +359,11 @@ def _cleanup_distribution(raw: np.ndarray, cap: float) -> np.ndarray:
     return d / total
 
 
-def _cleanup_weights(raw: np.ndarray) -> dict[int, float]:
-    if np.any(raw < -DUAL_CLIP):
-        raise LpError(f"dual weight below -{DUAL_CLIP}: {raw.min()}")
-    clipped = np.where(raw > DUAL_CLIP, raw, 0.0)
+def _cleanup_weights(raw: np.ndarray) -> np.ndarray:
+    if np.any(raw < -LP_PIVOT_TOL):
+        raise LpError(f"dual weight below -{LP_PIVOT_TOL}: {raw.min()}")
+    clipped = np.where(raw > LP_PIVOT_TOL, raw, 0.0)
     total = clipped.sum()
     if total <= 0.0:
         raise LpError("degenerate zero weight vector")
-    return {int(j): float(v / total) for j, v in enumerate(clipped) if v > 0.0}
-
-
-def _densify(w: dict[int, float], t: int) -> np.ndarray:
-    dense = np.zeros(t)
-    for j, coeff in w.items():
-        dense[j] = coeff
-    return dense
+    return clipped / total

@@ -104,7 +104,7 @@ def bound_runs(gauss200):
     oracle = PoolOracleLearner(full_gain_matrix(gauss200, StumpPool.build(gauss200)))
 
     def uniform_stub(A, params):
-        return {j: 1.0 / A.t for j in range(A.t)}
+        return np.full(A.t, 1.0 / A.t)
 
     out = {}
     for fw_rule in ("classic", "short_step", "pairwise", "line_search"):
@@ -163,10 +163,7 @@ def test_edge_min_strong_duality():
         assert abs(sol.gamma - sol.rho) <= 1e-7
         assert np.max(sol.d @ A.as_array()) == pytest.approx(sol.gamma, abs=1e-8)
         if m <= 8:
-            dense = np.zeros(t)
-            for j, coeff in sol.w.items():
-                dense[j] = coeff
-            rho_ref = min_linear_over_cap(A.as_array() @ dense, nu)
+            rho_ref = min_linear_over_cap(A.as_array() @ sol.w, nu)
             assert sol.rho == pytest.approx(rho_ref, abs=1e-9)
 
 

@@ -12,7 +12,6 @@ from marginforge.boosting import (
     TrainedModel,
     default_iteration_cap,
     predict,
-    run_erlpboost,
     run_lpboost,
     run_scheme,
     secondary_erlpboost,
@@ -29,7 +28,7 @@ from conftest import min_linear_over_cap, two_gaussians
 
 def uniform_stub(A, params):
     """Adversarial secondary: ignores the data, returns uniform weights."""
-    return {j: 1.0 / A.t for j in range(A.t)}
+    return np.full(A.t, 1.0 / A.t)
 
 
 def separable_line():
@@ -127,13 +126,13 @@ def test_pairwise_good_step_rate():
 def test_secondary_lpboost_point_mass_and_duplicates():
     col = np.array([0.4, -0.1, 0.3])
     A = GainMatrix([col], [0])
-    assert secondary_lpboost(A, 2.0) == {0: pytest.approx(1.0)}
+    assert secondary_lpboost(A, 2.0) == pytest.approx([1.0])
 
     A2 = GainMatrix([col, col.copy()], [0, 1])
     w = secondary_lpboost(A2, 2.0)
-    value = min_linear_over_cap(A2.as_array() @ _dense(w, 2), 2.0)
+    value = min_linear_over_cap(A2.as_array() @ w, 2.0)
     ref = solve_edge_min(A, 2.0).rho
-    assert sum(w.values()) == pytest.approx(1.0)
+    assert w.sum() == pytest.approx(1.0)
     # any split between duplicate columns achieves the same value
     assert value == pytest.approx(ref, abs=1e-9)
 
@@ -141,20 +140,13 @@ def test_secondary_lpboost_point_mass_and_duplicates():
 def test_secondary_lpboost_matches_edge_min_dual():
     c = np.array([0.5, -0.2, 0.3, 0.9])
     A = GainMatrix([c, -c], [0, 1])
-    assert secondary_lpboost(A, 2.0) == solve_edge_min(A, 2.0).w
-
-
-def _dense(w, t):
-    out = np.zeros(t)
-    for j, c in w.items():
-        out[j] = c
-    return out
+    assert np.array_equal(secondary_lpboost(A, 2.0), solve_edge_min(A, 2.0).w)
 
 
 def test_secondary_erlpboost_point_mass():
     A = GainMatrix([np.array([0.4, -0.1, 0.3])], [0])
     params = CapParams.from_tolerance(3, 1.5, 0.1)
-    assert secondary_erlpboost(A, params) == {0: pytest.approx(1.0)}
+    assert secondary_erlpboost(A, params) == pytest.approx([1.0])
 
 
 def test_secondary_erlpboost_nu_equals_m_maximises_mean_margin():
@@ -164,7 +156,7 @@ def test_secondary_erlpboost_nu_equals_m_maximises_mean_margin():
     params = CapParams.from_tolerance(4, 4.0, 0.1)
     w = secondary_erlpboost(A, params)
     best = int(np.argmax([c.mean() for c in cols]))
-    assert w.get(best, 0.0) == pytest.approx(1.0, abs=1e-6)
+    assert w[best] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_secondary_erlpboost_matches_grid_oracle():
@@ -304,6 +296,17 @@ def test_run_lpboost_perfect_stump_stops_fast():
     assert model.soft_margin_obj >= 1.0 - 0.05
 
 
+def test_run_lpboost_at_the_iteration_cap_keeps_the_last_solve():
+    # the last round grows A after its solve, so the weights need padding
+    data = two_gaussians(60, seed=3)
+    cfg = BoosterConfig(eps=0.01, nu=6.0, max_iterations=2)
+    model, records = run_lpboost(data, StumpLearner(data), cfg)
+    assert not model.converged
+    assert len(records) == 2
+    assert model.weights == pytest.approx([0.5, 0.5])
+    assert len(model.hypotheses) == 2
+
+
 def test_run_lpboost_reaches_full_pool_optimum():
     data = two_gaussians(60, seed=5)
     learner = StumpLearner(data)
@@ -317,26 +320,12 @@ def test_run_lpboost_reaches_full_pool_optimum():
     assert all(r.chosen_rule == "secondary" for r in records)
 
 
-def test_run_erlpboost_is_a_scheme_configuration():
-    data = two_gaussians(50, seed=6)
-    learner = StumpLearner(data)
-    cfg = BoosterConfig(eps=0.1, nu=5.0, fw_rule="short_step", secondary="none")
-    model_a, recs_a = run_erlpboost(data, learner, cfg)
-    model_b, recs_b = run_scheme(
-        data, learner, dataclasses.replace(cfg, secondary="erlpboost")
-    )
-    strip = lambda recs: [dataclasses.replace(r, wall_time_ns=0) for r in recs]
-    assert strip(recs_a) == strip(recs_b)
-    assert model_a.weights == model_b.weights
-    assert model_a.converged and model_a.soft_margin_obj == model_b.soft_margin_obj
-
-
 def test_erlpboost_converges_in_few_rounds():
     data = two_gaussians(60, seed=5)
     learner = StumpLearner(data)
     cfg = BoosterConfig(eps=0.05, nu=6.0)
     model_plain, recs_plain = run_scheme(data, learner, cfg)
-    model_er, recs_er = run_erlpboost(data, learner, cfg)
+    model_er, recs_er = run_scheme(data, learner, dataclasses.replace(cfg, secondary="erlpboost"))
     assert model_er.converged
     assert len(recs_er) <= len(recs_plain)
 

@@ -8,6 +8,7 @@ from marginforge.core import (
     Dataset,
     GainMatrix,
     check_distribution,
+    check_ensemble_weights,
     edges,
     margins,
     relative_entropy,
@@ -75,17 +76,34 @@ def test_gain_matrix_many_appends_match_column_stack():
 def test_margins_identity_and_convexity():
     c = np.array([0.3, -0.7, 1.0])
     A = GainMatrix([c], [0])
-    assert np.allclose(margins(A, {0: 1.0}), c)
+    assert np.allclose(margins(A, np.array([1.0])), c)
     A2 = GainMatrix([c, c.copy()], [0, 1])
-    assert np.allclose(margins(A2, {0: 0.5, 1: 0.5}), c)
+    assert np.allclose(margins(A2, np.array([0.5, 0.5])), c)
     A3 = GainMatrix([np.array([1.0, -1.0]), np.array([-1.0, 1.0])], [0, 1])
-    assert np.allclose(margins(A3, {0: 0.5, 1: 0.5}), np.zeros(2))
+    assert np.allclose(margins(A3, np.array([0.5, 0.5])), np.zeros(2))
 
 
-def test_margins_unknown_index_is_structural_error():
-    A = GainMatrix([np.array([1.0, -1.0])], [0])
-    with pytest.raises(IndexError):
-        margins(A, {3: 1.0})
+def test_margins_reject_weights_of_the_wrong_shape():
+    A = GainMatrix([np.array([1.0, -1.0]), np.array([0.5, 0.5])], [0, 1])
+    for bad in (np.array([1.0]), np.array([0.5, 0.5, 0.0]), np.array([[0.5, 0.5]])):
+        with pytest.raises(ValueError, match="weights of shape"):
+            margins(A, bad)
+
+
+def test_check_ensemble_weights_rejections():
+    A = GainMatrix([np.array([1.0, -1.0]), np.array([0.5, 0.5])], [0, 1])
+    assert np.array_equal(check_ensemble_weights(np.array([0.0, 1.0]), A), [0.0, 1.0])
+    with pytest.raises(ValueError, match="weights of shape"):
+        check_ensemble_weights(np.array([0.2, 0.3, 0.5]), A)  # wrong length
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_ensemble_weights(np.array([-0.5, 1.5]), A)
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_ensemble_weights(np.array([0.5, 0.6]), A)
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_ensemble_weights(np.array([np.nan, 1.0]))
+    for bad in (np.array([[0.5, 0.5]]), np.array([])):  # 2-D, empty
+        with pytest.raises(ValueError, match="non-empty vector"):
+            check_ensemble_weights(bad)
 
 
 def test_edges_values():
@@ -138,10 +156,8 @@ def test_bilinearity_of_margins_and_edges():
         support = rng.choice(t, size=min(t, 3), replace=False)
         coeffs = rng.exponential(1.0, len(support))
         coeffs /= coeffs.sum()
-        w = {int(j): float(c) for j, c in zip(support, coeffs)}
-        dense = np.zeros(t)
-        for j, c in w.items():
-            dense[j] = c
-        lhs = float(edges(A, d) @ dense)
+        w = np.zeros(t)
+        w[support] = coeffs
+        lhs = float(edges(A, d) @ w)
         rhs = float(d @ margins(A, w))
         assert lhs == pytest.approx(rhs, abs=1e-12)

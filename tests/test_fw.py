@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marginforge import fw
-from marginforge.boosting import BoosterConfig, StumpLearner, run_erlpboost
+from marginforge import boosting, fw
+from marginforge.boosting import BoosterConfig, StumpLearner, run_scheme, secondary_erlpboost
 from marginforge.core import CapParams, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
 from marginforge.fw import classic_step, line_search_step, pairwise_step, short_step
@@ -24,7 +26,8 @@ def random_instance(rng, m=None, t=None):
     support = rng.choice(t, size=size, replace=False)
     coeffs = rng.exponential(1.0, size)
     coeffs /= coeffs.sum()
-    w = {int(j): float(c) for j, c in zip(support, coeffs)}
+    w = np.zeros(t)
+    w[support] = coeffs
     params = CapParams(
         nu=float(rng.uniform(1.0, m)), m=m, eta=float(rng.uniform(1.0, 60.0)), eps=0.1
     )
@@ -33,17 +36,17 @@ def random_instance(rng, m=None, t=None):
 
 
 def test_classic_step_sizes():
-    w = {0: 0.4, 1: 0.6}
+    w = np.array([0.4, 0.6, 0.0])
     assert classic_step(0, w, 2).step_size == pytest.approx(1.0)
     assert classic_step(2, w, 2).step_size == pytest.approx(0.5)
     assert classic_step(998, w, 2).step_size == pytest.approx(0.002)
     out = classic_step(0, w, 2)
-    assert out.new_w == {2: pytest.approx(1.0)}
+    assert out.new_w == pytest.approx([0.0, 0.0, 1.0])
 
 
 def test_short_step_hand_case_and_slope():
     A = GainMatrix([np.zeros(2), np.array([0.5, -0.5])], [0, 1])
-    w = {0: 1.0}
+    w = np.array([1.0, 0.0])
     d = np.array([0.8, 0.2])
     out = short_step(A, w, 1, d, eta=4.0)
     assert out.step_size == pytest.approx(0.3)
@@ -55,13 +58,13 @@ def test_short_step_hand_case_and_slope():
     direction = A.columns[1] - margins(A, w)
     num = float(d_true @ direction)
     h = 1e-6
-    fd = (smoothed_obj(A, {0: 1 - h, 1: h}, params) - smoothed_obj(A, w, params)) / h
+    fd = (smoothed_obj(A, np.array([1 - h, h]), params) - smoothed_obj(A, w, params)) / h
     assert fd == pytest.approx(-num, abs=1e-5)
 
 
 def test_short_step_clips_to_zero_and_one():
     A = GainMatrix([np.zeros(3), np.array([0.5, 0.5, -0.5])], [0, 1])
-    w = {0: 1.0}
+    w = np.array([1.0, 0.0])
     down = np.array([0.1, 0.1, 0.8])  # negative numerator
     assert short_step(A, w, 1, down, eta=2.0).step_size == 0.0
     up = np.array([0.45, 0.45, 0.1])  # numerator 0.4 vs denominator 0.025
@@ -70,7 +73,7 @@ def test_short_step_clips_to_zero_and_one():
 
 def test_short_step_zero_direction():
     A = GainMatrix([np.array([0.3, -0.3])], [0])
-    out = short_step(A, {0: 1.0}, 0, np.array([0.5, 0.5]), eta=5.0)
+    out = short_step(A, np.array([1.0]), 0, np.array([0.5, 0.5]), eta=5.0)
     assert out.step_size == 0.0
 
 
@@ -78,7 +81,7 @@ def test_line_search_boundary_cases():
     rng = np.random.default_rng(0)
     A, w, params, _ = random_instance(rng, m=4, t=3)
     # moving toward the current mix itself cannot improve: slope(0) >= 0
-    j_self = max(w, key=w.get)
+    j_self = int(np.argmax(w))
     base = margins(A, w)
     d0 = capped_entropy_projection(base, params).d
     if float(d0 @ (A.columns[j_self] - base)) <= 0:
@@ -89,9 +92,9 @@ def test_line_search_saturates_at_one():
     # second column dominates the first everywhere: slope stays negative
     A = GainMatrix([np.full(3, -0.8), np.full(3, 0.9)], [0, 1])
     params = CapParams(nu=1.0, m=3, eta=3.0, eps=0.1)
-    out = line_search_step(A, {0: 1.0}, 1, params)
+    out = line_search_step(A, np.array([1.0, 0.0]), 1, params)
     assert out.step_size == pytest.approx(1.0)
-    assert out.new_w == {1: pytest.approx(1.0)}
+    assert out.new_w == pytest.approx([0.0, 1.0])
 
 
 def test_line_search_matches_grid_oracle():
@@ -122,8 +125,9 @@ def test_rules_return_normalised_simplex_points():
             line_search_step(A, w, j_new, params),
             pairwise_step(A, w, j_new, d, params),
         ):
-            assert abs(sum(out.new_w.values()) - 1.0) <= 1e-12
-            assert all(v > 0 for v in out.new_w.values())
+            assert out.new_w.shape == (A.t,)
+            assert abs(out.new_w.sum() - 1.0) <= 1e-12
+            assert np.all((out.new_w == 0.0) | (out.new_w > fw.SUPPORT_DROP_TOL))
             assert 0.0 <= out.step_size <= out.step_cap <= 1.0
 
 
@@ -144,21 +148,21 @@ def test_short_step_and_line_search_descend():
 def test_pairwise_degenerate_support_is_noop():
     A = GainMatrix([np.array([0.5, -0.5]), np.array([0.1, 0.2])], [0, 1])
     params = CapParams(nu=1.0, m=2, eta=2.0, eps=0.1)
-    out = pairwise_step(A, {0: 1.0}, 0, np.array([0.5, 0.5]), params)
+    out = pairwise_step(A, np.array([1.0, 0.0]), 0, np.array([0.5, 0.5]), params)
     assert out.step_cap == pytest.approx(1.0)
-    assert out.new_w == {0: pytest.approx(1.0)}
+    assert out.new_w == pytest.approx([1.0, 0.0])
 
 
 def test_pairwise_drop_step_removes_away_column():
     # away column is strictly dominated, so the line search hits the cap
     A = GainMatrix([np.full(3, -0.9), np.full(3, 0.8)], [0, 1])
     params = CapParams(nu=1.0, m=3, eta=2.0, eps=0.1)
-    w = {0: 0.3, 1: 0.7}
+    w = np.array([0.3, 0.7])
     d = capped_entropy_projection(margins(A, w), params).d
     out = pairwise_step(A, w, 1, d, params)
     assert out.step_size == pytest.approx(0.3)
     assert not out.good_step
-    assert set(out.new_w) == {1}
+    assert np.flatnonzero(out.new_w).tolist() == [1]
 
 
 def test_pairwise_away_choice_and_descent():
@@ -169,7 +173,7 @@ def test_pairwise_away_choice_and_descent():
         j_new = int(np.argmax(d @ A.as_array()))
         out = pairwise_step(A, w, j_new, d, params)
         # exhaustive away check: the cap equals the worst support coefficient
-        away = min(sorted(w), key=lambda j: (float(d @ A.columns[j]), j))
+        away = min(np.flatnonzero(w), key=lambda j: (float(d @ A.columns[j]), j))
         assert out.step_cap == pytest.approx(w[away])
         assert smoothed_obj(A, out.new_w, params) <= smoothed_obj(A, w, params) + 1e-12
 
@@ -192,7 +196,10 @@ def test_pairwise_step_from_known_projection_is_identical(monkeypatch):
         out = pairwise_step(A, w, j_new, proj.d, params)
         fresh = calls["n"] - before
         out_given = pairwise_step(A, w, j_new, proj.d, params, proj=proj)
-        assert out_given == out  # bit-equal weights and step
+        assert np.array_equal(out_given.new_w, out.new_w)  # bit-equal weights and step
+        assert (out_given.step_size, out_given.step_cap, out_given.good_step) == (
+            out.step_size, out.step_cap, out.good_step
+        )
         assert calls["n"] - before - fresh == fresh - 1
 
 
@@ -226,7 +233,7 @@ def line_search_instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = GainMatrix([rng.uniform(-1, 1, m) for _ in range(t)], list(range(t)))
     coeffs = rng.exponential(1.0, t)
-    w = {j: float(c) for j, c in enumerate(coeffs / coeffs.sum())}
+    w = coeffs / coeffs.sum()
     params = CapParams(
         nu=draw(st.floats(1.0, float(m))), m=m, eta=draw(st.floats(0.5, 500.0)), eps=0.1
     )
@@ -299,7 +306,147 @@ def test_erlpboost_line_search_projection_count(monkeypatch):
     monkeypatch.setattr(fw, "capped_entropy_projection", counting_projection)
     monkeypatch.setattr(fw, "_line_search", counting_search)
     data = two_gaussians(200, seed=0, p=10)
-    model, _ = run_erlpboost(data, StumpLearner(data), BoosterConfig(eps=0.2, nu=20.0))
+    config = BoosterConfig(eps=0.2, nu=20.0, secondary="erlpboost")
+    model, _ = run_scheme(data, StumpLearner(data), config)
     assert model.converged
     assert counts["searches"] > 0
     assert counts["projections"] / counts["searches"] <= 10.0
+
+
+# The step rules and the corrective-solve gap as they were on sparse
+# {column: coeff} dicts, kept as an independent reference for the dense rules.
+
+
+def dict_margins(A, w):
+    if len(w) == 1:
+        ((j, coeff),) = w.items()
+        return coeff * A.columns[j]
+    dense = np.zeros(A.t)
+    for j, coeff in w.items():
+        dense[j] = coeff
+    return A.as_array() @ dense
+
+
+def dict_normalise(w):
+    kept = {j: v for j, v in w.items() if v > fw.SUPPORT_DROP_TOL}
+    total = sum(kept.values())
+    return {j: v / total for j, v in kept.items()}
+
+
+def dict_mix(w, e_new, lam):
+    mixed = {j: (1.0 - lam) * v for j, v in w.items()}
+    mixed[e_new] = mixed.get(e_new, 0.0) + lam
+    return dict_normalise(mixed)
+
+
+def dict_classic(t, w, e_new):
+    lam = 2.0 / (t + 2.0)
+    return dict_mix(w, e_new, lam), lam, 1.0
+
+
+def dict_short(A, w, e_new, d, eta):
+    direction = A.columns[e_new] - dict_margins(A, w)
+    denom = eta * float(np.max(np.abs(direction))) ** 2
+    lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, float(d @ direction) / denom))
+    return dict_mix(w, e_new, lam), lam, 1.0
+
+
+def dict_line_search(A, w, e_new, params):
+    base = dict_margins(A, w)
+    lam = fw._line_search(base, A.columns[e_new] - base, 1.0, params)
+    return dict_mix(w, e_new, lam), lam, 1.0
+
+
+def dict_pairwise(A, w, e_new, d, params):
+    away = None
+    for j in sorted(w):
+        score = float(d @ A.columns[j])
+        if away is None or score < away[1]:
+            away = (j, score)
+    cap = w[away[0]]
+    direction = A.columns[e_new] - A.columns[away[0]]
+    lam = fw._line_search(dict_margins(A, w), direction, cap, params)
+    new_w = dict(w)
+    new_w[away[0]] = new_w.get(away[0], 0.0) - lam
+    new_w[e_new] = new_w.get(e_new, 0.0) + lam
+    return dict_normalise(new_w), lam, cap
+
+
+def dict_gap(col_edges, w):
+    return float(col_edges.max()) - sum(coeff * col_edges[j] for j, coeff in w.items())
+
+
+@st.composite
+def sparse_step_instances(draw):
+    """(A, dict weights on a random support, new column, params, round)."""
+    m = draw(st.integers(2, 12))
+    t = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = GainMatrix([rng.uniform(-1, 1, m) for _ in range(t)], list(range(t)))
+    support = sorted(draw(st.sets(st.integers(0, t - 1), min_size=1)))
+    coeffs = rng.exponential(1.0, len(support))
+    w = {j: float(c) for j, c in zip(support, coeffs / coeffs.sum())}
+    params = CapParams(
+        nu=draw(st.floats(1.0, float(m))), m=m, eta=draw(st.floats(0.5, 200.0)), eps=0.1
+    )
+    return A, w, draw(st.integers(0, t - 1)), params, draw(st.integers(0, 60))
+
+
+def assert_same_weights(w, ref_w):
+    dense = np.zeros(w.size)
+    for j, coeff in ref_w.items():
+        dense[j] = coeff
+    assert np.flatnonzero(w).tolist() == sorted(ref_w)
+    assert np.max(np.abs(w - dense)) <= 1e-12
+
+
+def assert_same_step(out, ref):
+    ref_w, ref_lam, ref_cap = ref
+    assert_same_weights(out.new_w, ref_w)
+    assert abs(out.step_size - ref_lam) <= 1e-12
+    assert out.step_cap == ref_cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_step_instances())
+@example(  # a coefficient that falls below SUPPORT_DROP_TOL and leaves the support
+    (
+        GainMatrix([np.array([1.0, -1.0]), np.array([0.5, 0.5]), np.array([-0.2, 0.4])], [0, 1, 2]),
+        {0: 1e-12, 1: 1.0 - 1e-12},
+        2,
+        CapParams(nu=1.5, m=2, eta=10.0, eps=0.1),
+        998,
+    )
+)
+def test_dense_rules_match_dict_reference(instance):
+    A, w_dict, j_new, params, rounds = instance
+    w = np.zeros(A.t)
+    w[list(w_dict)] = list(w_dict.values())
+    proj = capped_entropy_projection(margins(A, w), params)
+    d = proj.d
+    assert_same_step(classic_step(rounds, w, j_new), dict_classic(rounds, w_dict, j_new))
+    assert_same_step(
+        short_step(A, w, j_new, d, params.eta), dict_short(A, w_dict, j_new, d, params.eta)
+    )
+    assert_same_step(
+        line_search_step(A, w, j_new, params), dict_line_search(A, w_dict, j_new, params)
+    )
+    assert_same_step(
+        pairwise_step(A, w, j_new, d, params), dict_pairwise(A, w_dict, j_new, d, params)
+    )
+
+    # corrective solve: stops at once when the gap is within tolerance, and
+    # otherwise takes the pairwise step toward the best column
+    col_edges = d @ A.as_array()
+    gap = dict_gap(col_edges, w_dict)
+    assert secondary_erlpboost(A, params, start=w, gap_tol=gap + 1e-12) is w
+    with mock.patch.object(boosting, "_ERLP_INNER_CAP", 1):
+        one_step = secondary_erlpboost(A, params, start=w, gap_tol=gap - 1e-12)
+    ref_w, _, _ = dict_pairwise(A, w_dict, int(np.argmax(col_edges)), d, params)
+    assert_same_weights(one_step, ref_w)
+
+
+def test_secondary_erlpboost_starts_from_the_first_column():
+    A = GainMatrix([np.array([0.4, -0.1, 0.3]), np.array([-0.2, 0.1, 0.5])], [0, 1])
+    params = CapParams.from_tolerance(3, 1.5, 0.1)
+    assert np.array_equal(secondary_erlpboost(A, params, gap_tol=10.0), [1.0, 0.0])
