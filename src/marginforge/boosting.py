@@ -9,7 +9,10 @@ Ensemble weights are one vector with an entry per discovered column,
 grown by a zero whenever the weak learner returns a new column.
 The LPBoost secondary depends only on the discovered columns and nu,
 so it is solved once per distinct column set and reused on rounds
-whose weak learner returns a column already held.
+whose weak learner returns a column already held.  The ERLPBoost
+secondary re-solves the smoothed problem over all discovered columns by
+projected-Newton steps (``fw.newton_step``), warm-started at the
+conditional-gradient candidate.
 ``run_lpboost`` is the classic fully-LP baseline with its own stopping
 rule.  A weak learner answers ``query(d)`` with
 ``(hypothesis, gain column, edge)``; the hypothesis also identifies its
@@ -33,7 +36,7 @@ from .core import (
     margins,
 )
 from .entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
-from .fw import FwStepOutcome, classic_step, line_search_step, pairwise_step, short_step
+from .fw import FwStepOutcome, classic_step, line_search_step, newton_step, pairwise_step, short_step
 from .lp import LpError, solve_edge_min
 from .stumps import StumpPool, best_stump, pool_oracle
 
@@ -257,10 +260,11 @@ def secondary_erlpboost(
     """Fully corrective weights over the discovered columns.
 
     Minimises the smoothed objective over the restricted simplex by
-    pairwise conditional-gradient iterations until the linearised gap
-    drops below eps/10 (the optional warm start, all weight on column 0
-    by default, does not change the guarantee).  Hitting the inner cap
-    logs a warning and returns the current iterate.
+    projected-Newton iterations (``fw.newton_step``) until the
+    linearised gap drops below eps/10 (the optional warm start, all
+    weight on column 0 by default, does not change the guarantee).
+    Each iteration projects G @ w once for the gap test and the step.
+    Hitting the inner cap logs a warning and returns the current iterate.
     """
     if A.t < 1:
         raise ValueError("gain matrix has no columns")
@@ -269,14 +273,12 @@ def secondary_erlpboost(
     G = A.as_array()
 
     for _ in range(_ERLP_INNER_CAP):
-        proj = capped_entropy_projection(margins(A, w), params)
-        d = proj.d
-        col_edges = d @ G
-        j_best = int(np.argmax(col_edges))
-        gap = float(col_edges[j_best] - col_edges @ w)
+        proj = capped_entropy_projection(G @ w, params)
+        col_edges = proj.d @ G
+        gap = float(col_edges.max() - col_edges @ w)
         if gap <= tol:
             return w
-        w = pairwise_step(A, w, j_best, d, params, proj=proj).new_w
+        w = newton_step(A, w, proj, params)
     logger.warning("fully corrective inner solve hit its %d-step cap", _ERLP_INNER_CAP)
     return w
 

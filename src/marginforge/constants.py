@@ -16,6 +16,8 @@ LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio tes
 LINE_SEARCH_TOL        1e-10      bracket width or Newton step at which line search stops
 LINE_SEARCH_MAX_ITERS  50         hard cap on line-search slope evaluations per step
 SUPPORT_DROP_TOL       1e-12      ensemble coefficients below this leave the support
+NEWTON_RIDGE           1e-10      diagonal ridge, relative to max(1, max diag), on the Newton QP
+QP_MULTIPLIER_TOL      1e-12      bound multipliers above -this are optimal in the Newton QP
 =====================  =========  ================================================
 """
 
@@ -29,3 +31,5 @@ LP_RATIO_TOL = 1e-10
 LINE_SEARCH_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 50
 SUPPORT_DROP_TOL = 1e-12
+NEWTON_RIDGE = 1e-10
+QP_MULTIPLIER_TOL = 1e-12

@@ -10,6 +10,12 @@ The line-search and pairwise rules minimise the smoothed objective
 exactly along their segment.  The slope there is nondecreasing and has
 a closed-form derivative, so the root is found by Newton's method kept
 inside a sign bracket, at about six entropy projections per step.
+
+``newton_step`` is the projected-Newton step of ERLPBoost's fully
+corrective solve: ``_hessian`` is the matrix form of the curvature in
+``_slope_and_curvature``, ``_simplex_qp`` minimises the resulting
+quadratic model over the simplex by a primal active-set method, and the
+same line search runs along the segment to its minimiser.
 """
 
 from __future__ import annotations
@@ -19,9 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import LINE_SEARCH_MAX_ITERS, LINE_SEARCH_TOL, SUPPORT_DROP_TOL
+from .constants import (
+    LINE_SEARCH_MAX_ITERS,
+    LINE_SEARCH_TOL,
+    NEWTON_RIDGE,
+    QP_MULTIPLIER_TOL,
+    SUPPORT_DROP_TOL,
+)
 from .core import CapParams, GainMatrix, margins
 from .entropy import ProjectionResult, capped_entropy_projection
+
+_QP_MAX_ITERS = 1_000  # safeguard: each iteration adds or releases one bound
 
 
 @dataclass(frozen=True)
@@ -65,21 +79,13 @@ def line_search_step(
 
 
 def pairwise_step(
-    A: GainMatrix,
-    w: np.ndarray,
-    e_new: int,
-    d: np.ndarray,
-    params: CapParams,
-    proj: ProjectionResult | None = None,
+    A: GainMatrix, w: np.ndarray, e_new: int, d: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
     """Move mass from the worst active column onto the new one.
 
     The away column minimises d @ column over the support (ties to the
     lowest index) and caps the step at its coefficient; hitting the cap
-    drops it from the support and counts as a bad step.  ``proj``, when
-    given, must be the projection of margins(A, w) (so ``proj.d`` is d);
-    the line search then starts from it instead of recomputing the
-    margins and projecting them again.
+    drops it from the support and counts as a bad step.
     """
     support = np.flatnonzero(w)
     if support.size == 0:
@@ -87,14 +93,38 @@ def pairwise_step(
     away_idx = int(support[np.argmin((d @ A.as_array())[support])])
     cap = float(w[away_idx])
 
-    base = margins(A, w) if proj is None else proj.theta
     direction = A.columns[e_new] - A.columns[away_idx]
-    lam = _line_search(base, direction, cap, params, at_zero=proj)
+    lam = _line_search(margins(A, w), direction, cap, params)
 
     new_w = w.copy()
     new_w[away_idx] -= lam
     new_w[e_new] += lam
     return FwStepOutcome(_normalise(new_w), lam, cap, lam < cap)
+
+
+def newton_step(
+    A: GainMatrix, w: np.ndarray, proj: ProjectionResult, params: CapParams
+) -> np.ndarray:
+    """Projected-Newton step of the smoothed objective over the simplex.
+
+    ``proj`` must be the projection of margins(A, w).  The quadratic
+    model at w (gradient -(d @ A), Hessian ``_hessian``) is minimised
+    over the simplex from w, and the line search runs along the segment
+    from w to that minimiser, starting from ``proj``.  Should it return
+    0, the step goes toward the column of largest edge instead: the
+    slope there is minus the conditional-gradient gap, so any w with a
+    positive gap moves.
+    """
+    G = A.as_array()
+    col_edges = proj.d @ G
+    v = _simplex_qp(_hessian(G, proj, params), -col_edges, w)
+    direction = v - w
+    lam = _line_search(proj.theta, G @ direction, 1.0, params, at_zero=proj)
+    if lam > 0.0:
+        return _normalise(w + lam * direction)
+    j_best = int(np.argmax(col_edges))
+    lam = _line_search(proj.theta, G[:, j_best] - proj.theta, 1.0, params, at_zero=proj)
+    return _mix(w, j_best, lam)
 
 
 def _line_search(
@@ -174,6 +204,81 @@ def _slope_and_curvature(
     du = d[free] * direction[free]
     first = float(du.sum())
     return slope, params.eta * (float(du @ direction[free]) - first * first / remaining)
+
+
+def _hessian(G: np.ndarray, proj: ProjectionResult, params: CapParams) -> np.ndarray:
+    """Hessian in w of the smoothed objective at the projection of G @ w.
+
+    On the fixed capped set of ``proj``, with U the uncapped entries and
+    R = 1 - k/nu their mass, H = eta * G_U^T (Diag(d_U) - d_U d_U^T / R) G_U,
+    the matrix form of ``_slope_and_curvature``: u @ H @ u is s' along
+    G @ u.  It is positive semidefinite and singular whenever columns
+    are collinear on U.
+    """
+    t = G.shape[1]
+    remaining = 1.0 - proj.capped_count / params.nu
+    if remaining <= 0.0:
+        return np.zeros((t, t))
+    free = proj.order[proj.capped_count :]
+    G_free = G[free]
+    dG = proj.d[free, None] * G_free
+    first = dG.sum(axis=0)
+    return params.eta * (G_free.T @ dG - np.outer(first, first) / remaining)
+
+
+def _simplex_qp(H: np.ndarray, g: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Minimiser over the simplex of g @ u + u @ H_r @ u / 2, u = v - start.
+
+    H_r is H plus NEWTON_RIDGE * max(1, max diag H) on the diagonal.  The
+    ridge keeps every KKT system regular when H is singular (a stump
+    and its complement are collinear) and pulls the minimiser toward
+    start along directions H leaves flat.  Primal active-set method,
+    warm-started at start with its zero entries as the working set of
+    bounds: each iteration solves the KKT system of the model on the
+    free entries with sum(v) = 1 and moves toward its solution, either
+    until a free entry reaches zero, which joins the working set, or all
+    the way.  At the minimiser of a face it releases the bound with the
+    most negative multiplier and stops once none is below
+    -QP_MULTIPLIER_TOL, or when the bound it just released blocks again
+    with a zero step (a rounding artefact that would otherwise cycle).
+    """
+    t = g.size
+    H_r = H + NEWTON_RIDGE * max(1.0, float(np.max(np.diag(H)))) * np.eye(t)
+    c = g - H_r @ start
+    v = start.copy()
+    free = v > 0.0
+    released = -1
+    for _ in range(_QP_MAX_ITERS):
+        F = np.flatnonzero(free)
+        n = F.size
+        kkt = np.ones((n + 1, n + 1))
+        kkt[:n, :n] = H_r[np.ix_(F, F)]
+        kkt[n, n] = 0.0
+        sol = np.linalg.solve(kkt, np.append(-c[F], 1.0))
+        p = sol[:n] - v[F]
+        shrink = np.flatnonzero(p < 0.0)
+        ratios = np.maximum(v[F[shrink]], 0.0) / -p[shrink]
+        if ratios.size and ratios.min() < 1.0:
+            i = int(np.argmin(ratios))
+            block = F[shrink[i]]
+            if block == released and ratios[i] == 0.0:
+                break
+            v[F] += ratios[i] * p
+            v[block] = 0.0
+            free[block] = False
+            released = -1
+            continue
+        v[F] = sol[:n]
+        bound = np.flatnonzero(~free)
+        if bound.size == 0:
+            break
+        multipliers = H_r[bound] @ v + c[bound] + sol[n]
+        j = int(np.argmin(multipliers))
+        if multipliers[j] >= -QP_MULTIPLIER_TOL:
+            break
+        released = int(bound[j])
+        free[released] = True
+    return np.maximum(v, 0.0)
 
 
 def _mix(w: np.ndarray, e_new: int, lam: float) -> np.ndarray:

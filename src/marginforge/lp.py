@@ -298,8 +298,7 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
     t = A.t
     G = A.as_array()
     cap = 1.0 / nu
-    rows, group, counts = np.unique(G, axis=0, return_inverse=True, return_counts=True)
-    group = group.reshape(-1)  # numpy 2.0.0 alone returns it with shape (m, 1)
+    rows, group, counts = _distinct_rows(G)
     k = rows.shape[0]
 
     if t <= k:
@@ -345,6 +344,24 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
     check_distribution(d, nu)
     check_ensemble_weights(w, A)
     return EdgeMinSolution(d=d, gamma=gamma, w=w, rho=rho)
+
+
+def _distinct_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of G in lexicographic order, each row's group, group sizes.
+
+    The triple ``np.unique(G, axis=0, return_inverse=True,
+    return_counts=True)`` returns, from one stable lexsort of the
+    columns.  Rows that differ only in the sign of a zero are one row,
+    kept as its first occurrence.
+    """
+    m = G.shape[0]
+    order = np.lexsort(G.T[::-1])
+    ranked = G[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    group = np.empty(m, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return ranked[first], group, np.diff(np.append(np.flatnonzero(first), m))
 
 
 # Pricing accepts reduced costs up to LP_PIVOT_TOL on the wrong side, so LP

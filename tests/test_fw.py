@@ -1,12 +1,16 @@
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from marginforge import boosting, fw
 from marginforge.boosting import BoosterConfig, StumpLearner, run_scheme, secondary_erlpboost
+from marginforge.constants import NEWTON_RIDGE
 from marginforge.core import CapParams, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
 from marginforge.fw import classic_step, line_search_step, pairwise_step, short_step
@@ -178,7 +182,7 @@ def test_pairwise_away_choice_and_descent():
         assert smoothed_obj(A, out.new_w, params) <= smoothed_obj(A, w, params) + 1e-12
 
 
-def test_pairwise_step_from_known_projection_is_identical(monkeypatch):
+def test_line_search_from_known_projection_is_identical(monkeypatch):
     calls = {"n": 0}
     project = fw.capped_entropy_projection
 
@@ -192,14 +196,12 @@ def test_pairwise_step_from_known_projection_is_identical(monkeypatch):
         A, w, params, _ = random_instance(rng)
         proj = capped_entropy_projection(margins(A, w), params)
         j_new = int(np.argmax(proj.d @ A.as_array()))
+        direction = A.columns[j_new] - proj.theta
         before = calls["n"]
-        out = pairwise_step(A, w, j_new, proj.d, params)
+        lam = fw._line_search(proj.theta, direction, 1.0, params)
         fresh = calls["n"] - before
-        out_given = pairwise_step(A, w, j_new, proj.d, params, proj=proj)
-        assert np.array_equal(out_given.new_w, out.new_w)  # bit-equal weights and step
-        assert (out_given.step_size, out_given.step_cap, out_given.good_step) == (
-            out.step_size, out.step_cap, out.good_step
-        )
+        lam_given = fw._line_search(proj.theta, direction, 1.0, params, at_zero=proj)
+        assert lam_given == lam  # bit-equal step
         assert calls["n"] - before - fresh == fresh - 1
 
 
@@ -293,7 +295,10 @@ def test_curvature_matches_finite_difference_of_slope():
 
 def test_erlpboost_line_search_projection_count(monkeypatch):
     counts = {"projections": 0, "searches": 0}
-    project, search = fw.capped_entropy_projection, fw._line_search
+    per_solve = []
+    project, search, solve = (
+        fw.capped_entropy_projection, fw._line_search, boosting.secondary_erlpboost
+    )
 
     def counting_projection(*args, **kwargs):
         counts["projections"] += 1
@@ -303,14 +308,130 @@ def test_erlpboost_line_search_projection_count(monkeypatch):
         counts["searches"] += 1
         return search(*args, **kwargs)
 
+    def counting_solve(*args, **kwargs):
+        before = counts["projections"]
+        w = solve(*args, **kwargs)
+        per_solve.append(counts["projections"] - before)
+        return w
+
     monkeypatch.setattr(fw, "capped_entropy_projection", counting_projection)
+    monkeypatch.setattr(boosting, "capped_entropy_projection", counting_projection)
     monkeypatch.setattr(fw, "_line_search", counting_search)
+    monkeypatch.setattr(boosting, "secondary_erlpboost", counting_solve)
     data = two_gaussians(200, seed=0, p=10)
     config = BoosterConfig(eps=0.2, nu=20.0, secondary="erlpboost")
     model, _ = run_scheme(data, StumpLearner(data), config)
     assert model.converged
     assert counts["searches"] > 0
-    assert counts["projections"] / counts["searches"] <= 10.0
+    assert per_solve and max(per_solve) <= 50
+
+
+def test_hessian_matches_curvature_along_the_margins():
+    rng = np.random.default_rng(11)
+    capped = 0
+    for _ in range(300):
+        A, w, params, _ = random_instance(rng, t=int(rng.integers(1, 8)))
+        G = A.as_array()
+        proj = capped_entropy_projection(G @ w, params)
+        H = fw._hessian(G, proj, params)
+        u = rng.normal(size=A.t)
+        u -= u.mean()  # a direction inside the simplex
+        _, ds = fw._slope_and_curvature(proj.theta, G @ u, 0.0, params, proj)
+        assert u @ H @ u == pytest.approx(ds, rel=1e-9, abs=1e-12)
+        assert np.allclose(H, H.T, atol=1e-12)
+        capped += proj.capped_count > 0
+    assert capped >= 30
+
+
+def model_value(H, g, start, v):
+    u = v - start
+    return float(g @ u + 0.5 * u @ H @ u)
+
+
+def slsqp_simplex_min(fun, jac, t, starts):
+    best = math.inf
+    for x0 in starts:
+        res = minimize(
+            fun, x0, jac=jac, method="SLSQP", bounds=[(0.0, 1.0)] * t,
+            constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,
+                          "jac": lambda x: np.ones_like(x)}],
+            options={"ftol": 1e-15, "maxiter": 500},
+        )
+        x = np.clip(res.x, 0.0, None)
+        best = min(best, fun(x / x.sum()))
+    return best
+
+
+@st.composite
+def simplex_qps(draw):
+    """(H, g, start): PSD H, singular when columns are duplicated or negated."""
+    t = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.normal(size=(draw(st.integers(1, 10)), t))
+    for j in range(1, t):
+        tie = draw(st.sampled_from(["none", "duplicate", "negate"]))
+        if tie != "none":
+            i = int(rng.integers(0, j))
+            B[:, j] = B[:, i] if tie == "duplicate" else -B[:, i]
+    H = draw(st.floats(0.1, 500.0)) * B.T @ B
+    g = rng.uniform(-1, 1, t)
+    start = rng.exponential(1.0, t) * (rng.random(t) < 0.6)
+    if start.sum() == 0.0:
+        start[int(rng.integers(0, t))] = 1.0
+    return H, g, start / start.sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplex_qps())
+def test_simplex_qp_matches_slsqp(qp):
+    H, g, start = qp
+    v = fw._simplex_qp(H, g, start)
+    assert np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-9
+    t = g.size
+    ref = slsqp_simplex_min(
+        lambda x: model_value(H, g, start, x),
+        lambda x: g + H @ (x - start),
+        t,
+        [start, np.full(t, 1.0 / t), np.eye(1, t, int(np.argmin(g)))[0]],
+    )
+    scale = max(1.0, float(np.max(np.diag(H))))
+    assert model_value(H, g, start, v) <= ref + 1e-9 * scale
+
+
+@st.composite
+def restricted_problems(draw):
+    """(A, params): m 5-40 instances, t 1-8 columns of +-1 or uniform gains."""
+    m = draw(st.integers(5, 40))
+    t = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cols = [rng.choice([-1.0, 1.0], m) for _ in range(t)]
+    else:
+        cols = [rng.uniform(-1, 1, m) for _ in range(t)]
+    params = CapParams.from_tolerance(
+        m, draw(st.floats(1.0, float(m))), draw(st.floats(0.01, 0.5))
+    )
+    return GainMatrix(cols, list(range(t))), params
+
+
+@settings(max_examples=60, deadline=None)
+@given(restricted_problems())
+def test_corrective_solve_matches_slsqp(problem):
+    A, params = problem
+    G = A.as_array()
+    w = secondary_erlpboost(A, params, gap_tol=1e-10)
+    col_edges = capped_entropy_projection(G @ w, params).d @ G
+    assert col_edges.max() - col_edges @ w <= 1e-10
+
+    def objective(x):
+        return smoothed_conjugate(-(G @ x), params)
+
+    def gradient(x):
+        return -(capped_entropy_projection(G @ x, params).d @ G)
+
+    rng = np.random.default_rng(0)
+    starts = [np.full(A.t, 1.0 / A.t), np.eye(1, A.t)[0], rng.dirichlet(np.ones(A.t))]
+    assert objective(w) <= slsqp_simplex_min(objective, gradient, A.t, starts) + 1e-8
 
 
 # The step rules and the corrective-solve gap as they were on sparse
@@ -436,14 +557,71 @@ def test_dense_rules_match_dict_reference(instance):
     )
 
     # corrective solve: stops at once when the gap is within tolerance, and
-    # otherwise takes the pairwise step toward the best column
+    # otherwise takes the projected-Newton step of the reference below
     col_edges = d @ A.as_array()
     gap = dict_gap(col_edges, w_dict)
     assert secondary_erlpboost(A, params, start=w, gap_tol=gap + 1e-12) is w
     with mock.patch.object(boosting, "_ERLP_INNER_CAP", 1):
         one_step = secondary_erlpboost(A, params, start=w, gap_tol=gap - 1e-12)
-    ref_w, _, _ = dict_pairwise(A, w_dict, int(np.argmax(col_edges)), d, params)
-    assert_same_weights(one_step, ref_w)
+    ref = reference_newton_step(A, w, proj, params)
+    assert np.all(one_step >= 0.0) and abs(one_step.sum() - 1.0) <= 1e-12
+    assert smoothed_obj(A, one_step, params) == pytest.approx(
+        smoothed_obj(A, ref, params), rel=0.0, abs=1e-10
+    )
+
+
+def reference_newton_step(A, w, proj, params):
+    """The corrective solve's step from an independent Hessian and QP.
+
+    Hessian entries by polarisation of the curvature along single
+    columns; the ridged quadratic model minimised by enumerating every
+    support and keeping the best nonnegative KKT point; the same line
+    search and zero-step fallback.
+    """
+    G, t = A.as_array(), A.t
+    theta = proj.theta
+
+    def curvature(u):
+        return fw._slope_and_curvature(theta, G @ u, 0.0, params, proj)[1]
+
+    eye = np.eye(t)
+    H = np.array(
+        [[(curvature(eye[i] + eye[j]) - curvature(eye[i] - eye[j])) / 4.0 for j in range(t)]
+         for i in range(t)]
+    )
+    H += NEWTON_RIDGE * max(1.0, float(np.max(np.diag(H)))) * eye
+    g = -(proj.d @ G)
+    best, v = math.inf, None
+    for size in range(1, t + 1):
+        for support in itertools.combinations(range(t), size):
+            S = list(support)
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = H[np.ix_(S, S)]
+            kkt[size, size] = 0.0
+            rhs = np.append(-(g - H @ w)[S], 1.0)
+            cand = np.zeros(t)
+            cand[S] = np.linalg.solve(kkt, rhs)[:size]
+            if cand.min() >= -1e-12 and model_value(H, g, w, cand) < best:
+                best, v = model_value(H, g, w, cand), np.maximum(cand, 0.0)
+    lam = fw._line_search(theta, G @ (v - w), 1.0, params, at_zero=proj)
+    if lam > 0.0:
+        return fw._normalise(w + lam * (v - w))
+    j_best = int(np.argmax(proj.d @ G))
+    return line_search_step(A, w, j_best, params).new_w
+
+
+def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
+    rng = np.random.default_rng(3)
+    A, w, params, _ = random_instance(rng, m=8, t=4)
+    G = A.as_array()
+    proj = capped_entropy_projection(G @ w, params)
+    col_edges = proj.d @ G
+    j_best = int(np.argmax(col_edges))
+    assert col_edges[j_best] - col_edges @ w > 1e-6
+    monkeypatch.setattr(fw, "_simplex_qp", lambda H, g, start: start.copy())
+    new_w = fw.newton_step(A, w, proj, params)
+    assert np.array_equal(new_w, line_search_step(A, w, j_best, params).new_w)
+    assert smoothed_obj(A, new_w, params) < smoothed_obj(A, w, params)
 
 
 def test_secondary_erlpboost_starts_from_the_first_column():

@@ -11,6 +11,7 @@ from marginforge.core import GainMatrix, check_distribution, check_ensemble_weig
 from marginforge.entropy import capped_min_linear
 from marginforge.lp import (
     _REFACTOR_INTERVAL,
+    _distinct_rows,
     LpInfeasibleError,
     LpUnboundedError,
     StandardLp,
@@ -239,6 +240,29 @@ def test_edge_min_over_repeated_rows_matches_scipy_highs(wide, data):
     assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
     for g in np.unique(group):
         assert np.all(sol.d[group == g] == sol.d[group == g][0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([[-1.0, 1.0], [-1.0, -0.0, 0.0, 1.0], None]),
+    st.integers(1, 40),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_distinct_rows_match_numpy_unique(values, m, t, seed):
+    rng = np.random.default_rng(seed)
+    if values is None:  # float rows, each repeated
+        base = rng.uniform(-1.0, 1.0, (max(1, m // 3), t))
+        G = base[rng.integers(0, base.shape[0], m)]
+    else:
+        G = rng.choice(values, (m, t))
+    rows, group, counts = _distinct_rows(G)
+    ref_rows, ref_group, ref_counts = np.unique(
+        G, axis=0, return_inverse=True, return_counts=True
+    )
+    assert np.array_equal(rows, ref_rows)  # == on values, so -0.0 matches 0.0
+    assert np.array_equal(group, ref_group.reshape(-1))
+    assert np.array_equal(counts, ref_counts)
 
 
 def test_edge_min_accepts_duals_within_the_pricing_tolerance():
