@@ -7,9 +7,11 @@ gradient update and an optional secondary update (a secondary that
 fails numerically leaves the conditional-gradient update in place).
 Ensemble weights are one vector with an entry per discovered column,
 grown by a zero whenever the weak learner returns a new column.
-The LPBoost secondary depends only on the discovered columns and nu,
-so it is solved once per distinct column set and reused on rounds
-whose weak learner returns a column already held.  The ERLPBoost
+The gain matrix grows in place by at most one column per round and
+never loses one, so its column count identifies its column set.  The
+LPBoost secondary depends only on the discovered columns and nu, so it
+is solved once per column count and reused on rounds whose weak
+learner returns a column already held.  The ERLPBoost
 secondary re-solves the smoothed problem over all discovered columns by
 projected-Newton steps (``fw.newton_step``), warm-started at the
 conditional-gradient candidate.
@@ -85,7 +87,6 @@ class IterationRecord:
 class TrainedModel:
     hypotheses: list
     weights: list[float]
-    config: BoosterConfig
     soft_margin_obj: float
     smoothed_obj: float
     converged: bool
@@ -119,7 +120,8 @@ class PoolOracleLearner:
 
     def query(self, d: np.ndarray):
         j = pool_oracle(self.A_full, d)
-        column = self.A_full.columns[j]
+        # a contiguous copy: a strided dot would round the edge differently
+        column = self.A_full.as_array()[:, j].copy()
         return self.A_full.hypothesis_ids[j], column, float(d @ column)
 
 
@@ -139,7 +141,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     logged as a warning and the round keeps the FW candidate.  The
     "lpboost" secondary is a function of (A, nu) alone, so its last
     successful weights and smoothed value are kept and reused while the
-    learner returns known columns (A unchanged); a failed solve is not
+    learner returns known columns (``A.t`` unchanged); a failed solve is not
     kept, so the next round retries.  The "erlpboost" secondary depends
     on its warm start and a callable may keep state, so both run every
     round.  With secondary "none" and the short-step rule this is the
@@ -160,7 +162,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     min_edge = edge0
     records: list[IterationRecord] = []
     converged = False
-    lp_memo = None  # (A, weights, smoothed value) of the last LPBoost secondary solved
+    lp_memo = None  # (A.t, weights, smoothed value) of the last LPBoost secondary solved
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
@@ -190,7 +192,7 @@ def run_scheme(data, learner, config: BoosterConfig):
         fw_out = _fw_update(config.fw_rule, A, w, j_new, d, params, t)
         chosen_rule = "fw"
         w = fw_out.new_w
-        if lp_memo is not None and lp_memo[0] is A:
+        if lp_memo is not None and lp_memo[0] == A.t:
             # known column: the restricted LP is the one already solved
             _, secondary_w, value_secondary = lp_memo
         else:
@@ -205,7 +207,7 @@ def run_scheme(data, learner, config: BoosterConfig):
             if secondary_w is not None:
                 value_secondary = smoothed_conjugate(-margins(A, secondary_w), params)
                 if config.secondary == "lpboost":
-                    lp_memo = (A, secondary_w, value_secondary)
+                    lp_memo = (A.t, secondary_w, value_secondary)
         if secondary_w is not None:
             value_fw = smoothed_conjugate(-margins(A, fw_out.new_w), params)
             if value_secondary < value_fw:
@@ -341,7 +343,6 @@ def _finish_model(A, w, config, converged) -> TrainedModel:
     return TrainedModel(
         hypotheses=[A.hypothesis_ids[j] for j in support],
         weights=w[support].tolist(),
-        config=config,
         soft_margin_obj=soft_margin_obj,
         smoothed_obj=smoothed_conjugate(-marg, params),
         converged=converged,

@@ -13,6 +13,7 @@ ENTROPY_ZERO           1e-15      entries below this count as 0 in x*ln(x)
 STRONG_DUALITY_TOL     1e-7       |gamma - rho| accepted from an edge-min solve
 LP_PIVOT_TOL           1e-9       reduced-cost threshold for simplex pricing
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
+LP_INFEASIBLE_TOL      1e-7       phase-1 artificial sum above which an LP is infeasible
 LINE_SEARCH_TOL        1e-10      bracket width or Newton step at which line search stops
 LINE_SEARCH_MAX_ITERS  50         hard cap on line-search slope evaluations per step
 SUPPORT_DROP_TOL       1e-12      ensemble coefficients below this leave the support
@@ -28,6 +29,7 @@ ENTROPY_ZERO = 1e-15
 STRONG_DUALITY_TOL = 1e-7
 LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10
+LP_INFEASIBLE_TOL = 1e-7
 LINE_SEARCH_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 50
 SUPPORT_DROP_TOL = 1e-12

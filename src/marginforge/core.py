@@ -1,5 +1,8 @@
 """Shared data model: datasets, gain matrices, capped-simplex points.
 
+The gain matrix is one append-only column store that a booster loop
+grows in place, at most one column per round.
+
 Distributions over examples and ensemble weights over the discovered
 hypotheses are both plain 1-D numpy arrays; a weight vector has one
 entry per gain column, zero off the support.  ``check_distribution`` /
@@ -89,95 +92,68 @@ class CapParams:
 class GainMatrix:
     """Discovered gain columns, entry [i, j] = label_i * h_j(x_i).
 
-    Columns are kept in discovery order, both as the list ``columns``
-    and in an m x capacity buffer that ``as_array`` views.  Successive
-    matrices from ``with_column`` share that buffer: the newest one
-    writes the next column in place (the buffer doubles when full), so
-    an append costs O(m).  Appending to an older matrix copies its
-    columns into a fresh buffer instead, so instances act as immutable
-    values.  A repeated hypothesis id reuses its old index instead of
-    inserting a duplicate column.
+    An append-only store: columns sit in discovery order in one
+    m x capacity buffer, and ``with_column`` writes a new column in
+    place (the buffer doubles when full), so an append costs amortised
+    O(m).  Columns are never overwritten, so an ``as_array`` view taken
+    before an append keeps its shape and values.  A repeated hypothesis
+    id reuses its old index instead of inserting a duplicate column.
     """
 
     def __init__(self, columns=(), hypothesis_ids=()):
-        self.columns: list[np.ndarray] = list(columns)
+        columns = list(columns)
         self.hypothesis_ids: list = list(hypothesis_ids)
-        if len(self.columns) != len(self.hypothesis_ids):
+        if len(columns) != len(self.hypothesis_ids):
             raise ValueError("columns and hypothesis_ids must run parallel")
-        for col in self.columns:
+        for col in columns:
             _check_gain_column(col)
         self._index_of = {hid: j for j, hid in enumerate(self.hypothesis_ids)}
-        self._buffer = _ColumnBuffer(np.column_stack(self.columns)) if self.columns else None
+        self._data = np.column_stack(columns) if columns else None
 
     @property
     def m(self) -> int:
-        if not self.columns:
+        if self._data is None:
             raise ValueError("empty gain matrix has no row count")
-        return self.columns[0].shape[0]
+        return self._data.shape[0]
 
     @property
     def t(self) -> int:
-        return len(self.columns)
+        return len(self.hypothesis_ids)
 
     def index_of(self, hypothesis_id):
         return self._index_of.get(hypothesis_id)
 
     def with_column(self, column: np.ndarray, hypothesis_id) -> tuple["GainMatrix", int]:
-        """Return (matrix containing the column, its index).
+        """Append the column in place; return (self, its index).
 
-        Known ids are not re-inserted; the existing index is returned
-        with ``self`` unchanged.
+        Known ids are not re-inserted; their existing index is returned.
         """
         existing = self._index_of.get(hypothesis_id)
         if existing is not None:
             return self, existing
         column = np.asarray(column, dtype=float)
         _check_gain_column(column)
-        if self.columns and column.shape != self.columns[0].shape:
-            raise ValueError("column length does not match the matrix")
         t = self.t
-        columns = self.columns + [column]
-        buffer = self._buffer
-        if buffer is None or buffer.t != t:  # empty, or a newer matrix owns the buffer
-            buffer = _ColumnBuffer(np.column_stack(columns))
-        else:
-            buffer.append(column)
-        grown = object.__new__(GainMatrix)
-        grown.columns = columns
-        grown.hypothesis_ids = self.hypothesis_ids + [hypothesis_id]
-        grown._index_of = {**self._index_of, hypothesis_id: t}
-        grown._buffer = buffer
-        return grown, t
+        if self._data is None:
+            self._data = np.empty((column.shape[0], 1))
+        elif column.shape != (self.m,):
+            raise ValueError("column length does not match the matrix")
+        elif t == self._data.shape[1]:
+            grown = np.empty((self.m, 2 * t))
+            grown[:, :t] = self._data
+            self._data = grown
+        self._data[:, t] = column
+        self.hypothesis_ids.append(hypothesis_id)
+        self._index_of[hypothesis_id] = t
+        return self, t
 
     def as_array(self) -> np.ndarray:
         """Read-only dense m x t view of the column buffer."""
-        if self._buffer is None:
+        if self._data is None:
             raise ValueError("empty gain matrix has no columns")
-        view = self._buffer.data[:, : self.t]
+        view = self._data[:, : self.t]
         view.flags.writeable = False
         return view
-
-
-class _ColumnBuffer:
-    """Append-only m x capacity column store shared by successive matrices.
-
-    ``t`` counts the columns written so far; only the matrix with that
-    many columns may append in place.
-    """
-
-    __slots__ = ("data", "t")
-
-    def __init__(self, stacked: np.ndarray):
-        self.data = stacked
-        self.t = stacked.shape[1]
-
-    def append(self, column: np.ndarray):
-        if self.t == self.data.shape[1]:
-            grown = np.empty((self.data.shape[0], 2 * self.t))
-            grown[:, : self.t] = self.data
-            self.data = grown
-        self.data[:, self.t] = column
-        self.t += 1
 
 
 def _check_gain_column(col: np.ndarray):

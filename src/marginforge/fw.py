@@ -62,7 +62,7 @@ def short_step(
     lam = [d @ (col_new - A w)] / [eta * ||col_new - A w||_inf^2];
     a zero denominator (new column equals the current mix) gives 0.
     """
-    direction = A.columns[e_new] - margins(A, w)
+    direction = A.as_array()[:, e_new] - margins(A, w)
     denom = eta * float(np.max(np.abs(direction))) ** 2
     lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, float(d @ direction) / denom))
     return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0)
@@ -73,7 +73,7 @@ def line_search_step(
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
     base = margins(A, w)
-    direction = A.columns[e_new] - base
+    direction = A.as_array()[:, e_new] - base
     lam = _line_search(base, direction, 1.0, params)
     return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0)
 
@@ -90,10 +90,11 @@ def pairwise_step(
     support = np.flatnonzero(w)
     if support.size == 0:
         raise ValueError("pairwise step needs a non-empty support")
-    away_idx = int(support[np.argmin((d @ A.as_array())[support])])
+    G = A.as_array()
+    away_idx = int(support[np.argmin((d @ G)[support])])
     cap = float(w[away_idx])
 
-    direction = A.columns[e_new] - A.columns[away_idx]
+    direction = G[:, e_new] - G[:, away_idx]
     lam = _line_search(margins(A, w), direction, cap, params)
 
     new_w = w.copy()

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import LP_PIVOT_TOL, LP_RATIO_TOL, STRONG_DUALITY_TOL
-from .core import GainMatrix, check_distribution, check_ensemble_weights, edges
+from .constants import LP_INFEASIBLE_TOL, LP_PIVOT_TOL, LP_RATIO_TOL, STRONG_DUALITY_TOL
+from .core import GainMatrix, check_distribution, check_ensemble_weights
 from .entropy import capped_min_linear
 
 _STALL_LIMIT = 32  # degenerate pivots tolerated before switching to Bland
@@ -144,7 +144,7 @@ def _simplex_min(A, b, c, upper):
 
     _iterate(A1, b, c1, u1, basis, status, allow)
     x1 = _assemble_x(A1, b, u1, basis, status)
-    if c1 @ x1 > 1e-7:
+    if c1 @ x1 > LP_INFEASIBLE_TOL:
         y = _duals(A1, c1, basis, flip)
         raise LpInfeasibleError(certificate=y)
 

@@ -346,7 +346,6 @@ def _model(hypotheses, weights):
     return TrainedModel(
         hypotheses=hypotheses,
         weights=weights,
-        config=BoosterConfig(eps=0.1, nu=1.0),
         soft_margin_obj=0.0,
         smoothed_obj=0.0,
         converged=True,

@@ -180,7 +180,7 @@ def test_oracle_full_cap_equals_best_mean_margin(tmp_path, capsys):
     assert cmd_oracle(RunManifest(data=str(data_path), nu_frac=1.0)) == 0
     rho = json.loads(capsys.readouterr().out)["rho_star"]
     A = full_gain_matrix(data, StumpPool.build(data))
-    best_mean = max(float(c.mean()) for c in A.columns)
+    best_mean = max(float(c.mean()) for c in A.as_array().T)
     assert rho == pytest.approx(best_mean, abs=1e-9)
 
 

@@ -40,35 +40,39 @@ def test_gain_matrix_deduplicates_known_ids():
     assert A3 is A2 and j_again == 0
 
 
-def test_gain_matrix_append_to_older_instance_branches():
+def test_gain_matrix_view_survives_appends_and_doubling():
     c0, c1, c2 = np.array([1.0, -1.0]), np.array([0.5, 0.5]), np.array([-0.25, 0.75])
-    A1 = GainMatrix([c0], ["h0"])
-    A2, _ = A1.with_column(c1, "h1")
-    A3, _ = A2.with_column(c2, "h2")  # grows the shared buffer past A2's capacity
-    B2, j = A1.with_column(c2, "h2")  # A2 owns the buffer slot after c0
-    assert j == 1
-    C3, k = A2.with_column(c0 * 0.5, "h3")  # A3 owns the slot after c1
-    assert k == 2
-    assert np.array_equal(A1.as_array(), np.column_stack([c0]))
-    assert np.array_equal(A2.as_array(), np.column_stack([c0, c1]))
-    assert np.array_equal(A3.as_array(), np.column_stack([c0, c1, c2]))
-    assert np.array_equal(B2.as_array(), np.column_stack([c0, c2]))
-    assert np.array_equal(C3.as_array(), np.column_stack([c0, c1, c0 * 0.5]))
-    assert (A3.index_of("h2"), B2.index_of("h2"), A2.index_of("h2")) == (2, 1, None)
-    for A in (A1, A2, A3, B2, C3):
-        assert not A.as_array().flags.writeable
+    A = GainMatrix([c0], ["h0"])
+    before = A.as_array()
+    A2, j = A.with_column(c1, "h1")  # capacity 1 -> 2
+    assert A2 is A and j == 1
+    middle = A.as_array()
+    A.with_column(c2, "h2")  # capacity 2 -> 4
+    A.with_column(c0 * 0.5, "h3")  # written in place, no doubling
+    assert np.array_equal(before, np.column_stack([c0]))
+    assert np.array_equal(middle, np.column_stack([c0, c1]))
+    assert np.array_equal(A.as_array(), np.column_stack([c0, c1, c2, c0 * 0.5]))
+    for view in (before, middle, A.as_array()):
+        assert not view.flags.writeable
         with pytest.raises(ValueError):
-            A.as_array()[0, 0] = 0.0
+            view[0, 0] = 0.0
 
 
 def test_gain_matrix_many_appends_match_column_stack():
     rng = np.random.default_rng(8)
     cols = [rng.uniform(-1, 1, 5) for _ in range(37)]
+    ids = rng.integers(0, 37, size=100).tolist()  # 34 distinct: repeats, and a doubling past 32
     A = GainMatrix()
-    for j, col in enumerate(cols):
-        A, idx = A.with_column(col, j)
-        assert idx == j
-        assert np.array_equal(A.as_array(), np.column_stack(cols[: j + 1]))
+    index_of, kept = {}, []
+    for hid in ids:
+        A, idx = A.with_column(cols[hid], hid)
+        if hid not in index_of:
+            index_of[hid] = len(kept)
+            kept.append(hid)
+        assert idx == index_of[hid]
+        assert A.hypothesis_ids == kept
+        assert all(A.index_of(h) == index_of.get(h) for h in range(37))
+        assert np.array_equal(A.as_array(), np.column_stack([cols[h] for h in kept]))
     with pytest.raises(ValueError):
         GainMatrix().as_array()
 

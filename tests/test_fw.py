@@ -59,7 +59,7 @@ def test_short_step_hand_case_and_slope():
     # objective when d is the true gradient at w
     params = CapParams(nu=1.2, m=2, eta=4.0, eps=0.1)
     d_true = capped_entropy_projection(margins(A, w), params).d
-    direction = A.columns[1] - margins(A, w)
+    direction = A.as_array()[:, 1] - margins(A, w)
     num = float(d_true @ direction)
     h = 1e-6
     fd = (smoothed_obj(A, np.array([1 - h, h]), params) - smoothed_obj(A, w, params)) / h
@@ -88,7 +88,7 @@ def test_line_search_boundary_cases():
     j_self = int(np.argmax(w))
     base = margins(A, w)
     d0 = capped_entropy_projection(base, params).d
-    if float(d0 @ (A.columns[j_self] - base)) <= 0:
+    if float(d0 @ (A.as_array()[:, j_self] - base)) <= 0:
         assert line_search_step(A, w, j_self, params).step_size == 0.0
 
 
@@ -109,7 +109,7 @@ def test_line_search_matches_grid_oracle():
         out = line_search_step(A, w, j_new, params)
         value = smoothed_obj(A, out.new_w, params)
         base = margins(A, w)
-        direction = A.columns[j_new] - base
+        direction = A.as_array()[:, j_new] - base
         grid = np.linspace(0.0, 1.0, 10_001)
         grid_best = min(
             -capped_entropy_projection(base + lam * direction, params).objective
@@ -177,7 +177,7 @@ def test_pairwise_away_choice_and_descent():
         j_new = int(np.argmax(d @ A.as_array()))
         out = pairwise_step(A, w, j_new, d, params)
         # exhaustive away check: the cap equals the worst support coefficient
-        away = min(np.flatnonzero(w), key=lambda j: (float(d @ A.columns[j]), j))
+        away = min(np.flatnonzero(w), key=lambda j: (float(d @ A.as_array()[:, j]), j))
         assert out.step_cap == pytest.approx(w[away])
         assert smoothed_obj(A, out.new_w, params) <= smoothed_obj(A, w, params) + 1e-12
 
@@ -196,7 +196,7 @@ def test_line_search_from_known_projection_is_identical(monkeypatch):
         A, w, params, _ = random_instance(rng)
         proj = capped_entropy_projection(margins(A, w), params)
         j_new = int(np.argmax(proj.d @ A.as_array()))
-        direction = A.columns[j_new] - proj.theta
+        direction = A.as_array()[:, j_new] - proj.theta
         before = calls["n"]
         lam = fw._line_search(proj.theta, direction, 1.0, params)
         fresh = calls["n"] - before
@@ -242,8 +242,8 @@ def line_search_instances(draw):
     base = margins(A, w)
     j_new, j_away = draw(st.permutations(range(t)))[:2]
     if draw(st.booleans()):
-        return base, A.columns[j_new] - A.columns[j_away], w[j_away], params
-    return base, A.columns[j_new] - base, 1.0, params
+        return base, A.as_array()[:, j_new] - A.as_array()[:, j_away], w[j_away], params
+    return base, A.as_array()[:, j_new] - base, 1.0, params
 
 
 @settings(max_examples=300, deadline=None)
@@ -441,7 +441,7 @@ def test_corrective_solve_matches_slsqp(problem):
 def dict_margins(A, w):
     if len(w) == 1:
         ((j, coeff),) = w.items()
-        return coeff * A.columns[j]
+        return coeff * A.as_array()[:, j]
     dense = np.zeros(A.t)
     for j, coeff in w.items():
         dense[j] = coeff
@@ -466,7 +466,7 @@ def dict_classic(t, w, e_new):
 
 
 def dict_short(A, w, e_new, d, eta):
-    direction = A.columns[e_new] - dict_margins(A, w)
+    direction = A.as_array()[:, e_new] - dict_margins(A, w)
     denom = eta * float(np.max(np.abs(direction))) ** 2
     lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, float(d @ direction) / denom))
     return dict_mix(w, e_new, lam), lam, 1.0
@@ -474,18 +474,18 @@ def dict_short(A, w, e_new, d, eta):
 
 def dict_line_search(A, w, e_new, params):
     base = dict_margins(A, w)
-    lam = fw._line_search(base, A.columns[e_new] - base, 1.0, params)
+    lam = fw._line_search(base, A.as_array()[:, e_new] - base, 1.0, params)
     return dict_mix(w, e_new, lam), lam, 1.0
 
 
 def dict_pairwise(A, w, e_new, d, params):
     away = None
     for j in sorted(w):
-        score = float(d @ A.columns[j])
+        score = float(d @ A.as_array()[:, j])
         if away is None or score < away[1]:
             away = (j, score)
     cap = w[away[0]]
-    direction = A.columns[e_new] - A.columns[away[0]]
+    direction = A.as_array()[:, e_new] - A.as_array()[:, away[0]]
     lam = fw._line_search(dict_margins(A, w), direction, cap, params)
     new_w = dict(w)
     new_w[away[0]] = new_w.get(away[0], 0.0) - lam

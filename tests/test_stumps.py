@@ -220,7 +220,7 @@ def test_pool_oracle_matches_linear_scan():
         d = raw / raw.sum()
         best, best_j = -np.inf, -1
         for j in range(t):
-            edge = float(d @ A.columns[j])
+            edge = float(d @ A.as_array()[:, j])
             if edge > best:
                 best, best_j = edge, j
         assert pool_oracle(A, d) == best_j
@@ -232,4 +232,4 @@ def test_full_gain_matrix_entries():
     A = full_gain_matrix(data, pool)
     assert A.t == len(pool)
     for j, h in enumerate(pool.candidates):
-        assert np.allclose(A.columns[j], data.labels * h.predict(data.features))
+        assert np.allclose(A.as_array()[:, j], data.labels * h.predict(data.features))
