@@ -26,7 +26,7 @@ from .entropy import (
     smoothed_conjugate,
 )
 from .fw import FwStepOutcome, classic_step, line_search_step, pairwise_step, short_step
-from .lp import EdgeMinSolution, StandardLp, solve_edge_min, solve_lp
+from .lp import EdgeMinSolution, solve_edge_min
 from .stumps import StumpHypothesis, StumpPool, best_stump, full_gain_matrix, pool_oracle
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "IterationRecord",
     "PoolOracleLearner",
     "ProjectionResult",
-    "StandardLp",
     "StumpHypothesis",
     "StumpLearner",
     "StumpPool",
@@ -65,5 +64,4 @@ __all__ = [
     "short_step",
     "smoothed_conjugate",
     "solve_edge_min",
-    "solve_lp",
 ]

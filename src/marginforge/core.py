@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CAP_BOX_TOL, ENTROPY_ZERO, SIMPLEX_SUM_TOL
+from .constants import CAP_BOX_TOL, ENTROPY_ZERO, GAIN_RANGE_SLACK, SIMPLEX_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,23 @@ class GainMatrix:
     m x capacity buffer, and ``with_column`` writes a new column in
     place (the buffer doubles when full), so an append costs amortised
     O(m).  Columns are never overwritten, so an ``as_array`` view taken
-    before an append keeps its shape and values.  A repeated hypothesis
-    id reuses its old index instead of inserting a duplicate column.
+    before an append keeps its shape and values.  Hypothesis ids are
+    unique: the constructor rejects a repeated id, and ``with_column``
+    returns a known id's old index instead of inserting a duplicate.
     """
 
     def __init__(self, columns=(), hypothesis_ids=()):
-        columns = list(columns)
+        columns = [np.asarray(col, dtype=float) for col in columns]
         self.hypothesis_ids: list = list(hypothesis_ids)
         if len(columns) != len(self.hypothesis_ids):
             raise ValueError("columns and hypothesis_ids must run parallel")
         for col in columns:
             _check_gain_column(col)
-        self._index_of = {hid: j for j, hid in enumerate(self.hypothesis_ids)}
+        self._index_of = {}
+        for j, hid in enumerate(self.hypothesis_ids):
+            if hid in self._index_of:
+                raise ValueError(f"repeated hypothesis id {hid!r}")
+            self._index_of[hid] = j
         self._data = np.column_stack(columns) if columns else None
 
     @property
@@ -161,7 +166,7 @@ def _check_gain_column(col: np.ndarray):
         raise ValueError("gain column must be a non-empty vector")
     if not np.all(np.isfinite(col)):
         raise ValueError("gain column has non-finite entries")
-    if np.any(np.abs(col) > 1.0 + 1e-12):
+    if np.any(np.abs(col) > 1.0 + GAIN_RANGE_SLACK):
         raise ValueError("gain column entries must lie in [-1, +1]")
 
 

@@ -1,16 +1,17 @@
-"""Dense LP solver and the two boosting formulations built on it.
+"""Dense simplex kernel and the edge-min / soft-margin LP pair built on it.
 
-The kernel is a two-phase primal simplex over ``0 <= x <= u`` boxes
-(upper bounds handled implicitly, free variables by splitting).  Pricing
-is most-negative-reduced-cost but falls back to Bland's rule whenever
-the objective stalls, so the solver cannot cycle and stays
+The kernel ``_simplex_min`` is a two-phase primal simplex for
+``min c @ x, A x = b, 0 <= x <= u`` (upper bounds handled implicitly).
+Pricing is most-negative-reduced-cost but falls back to Bland's rule
+whenever the objective stalls, so the solver cannot cycle and stays
 deterministic.  Each phase inverts its starting basis once and keeps the
 inverse by product-form (rank-one) updates at every basis change,
 re-inverting from scratch every ``_REFACTOR_INTERVAL`` changes to bound
 the drift; the basic solution and duals that end a phase come from
-fresh solves.  ``solve_edge_min`` merges identical instance rows,
-solves the restricted edge-min / soft-margin pair over the distinct
-rows, and certifies strong duality on every call.
+fresh solves.  ``solve_edge_min`` is the one entry point above it: it
+merges identical instance rows, solves the restricted edge-min /
+soft-margin pair over the distinct rows, and certifies strong duality
+on every call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import LP_INFEASIBLE_TOL, LP_PIVOT_TOL, LP_RATIO_TOL, STRONG_DUALITY_TOL
+from .constants import (
+    LP_INFEASIBLE_TOL,
+    LP_PIVOT_TOL,
+    LP_PROGRESS_TOL,
+    LP_RATIO_TOL,
+    LP_TIE_TOL,
+    STRONG_DUALITY_TOL,
+)
 from .core import GainMatrix, check_distribution, check_ensemble_weights
 from .entropy import capped_min_linear
 
@@ -47,82 +55,25 @@ class LpUnboundedError(LpError):
         self.direction = direction
 
 
-@dataclass
-class StandardLp:
-    """maximize objective @ x subject to rows and per-variable boxes.
+def _solve_max(objective, con, upper):
+    """maximize objective @ x subject to con[:-1] @ x <= 0, con[-1] @ x = 1,
+    0 <= x[:-1] <= upper and x[-1] free; returns (x, value, row duals).
 
-    ``row_kinds[r]`` is "le" or "eq"; ``variable_bounds[j]`` is a
-    ``(lo, hi)`` pair with lo in {0, -inf} and hi possibly +inf.
+    The kernel's columns are con's, the mirror x- of the free variable
+    x[-1] = x+ - x-, then one slack per inequality row; that order sets
+    the pivoting tie-breaks, so it is part of the result.  Duals are for
+    the maximisation sense: nonnegative on binding inequality rows.
     """
+    r, n = con.shape
+    kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
+    cost = np.concatenate([-objective, objective[-1:], np.zeros(r - 1)])
+    bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
+    rhs = np.append(np.zeros(r - 1), 1.0)
 
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    rhs: np.ndarray
-    row_kinds: list[str]
-    variable_bounds: list[tuple[float, float]]
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.constraint_matrix = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float))
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        r, n = self.constraint_matrix.shape
-        if self.objective.shape != (n,) or self.rhs.shape != (r,):
-            raise ValueError("inconsistent LP dimensions")
-        if len(self.row_kinds) != r or len(self.variable_bounds) != n:
-            raise ValueError("row_kinds / variable_bounds lengths do not match")
-        if any(kind not in ("le", "eq") for kind in self.row_kinds):
-            raise ValueError("row kinds must be 'le' or 'eq'")
-        for lo, hi in self.variable_bounds:
-            if lo not in (0.0, -math.inf) or hi <= lo:
-                raise ValueError("variable bounds must be [0, hi] or [-inf, hi]")
-
-
-def solve_lp(lp: StandardLp) -> tuple[np.ndarray, float, np.ndarray]:
-    """Solve a StandardLp; returns (x, value, row duals).
-
-    Duals are reported for the maximisation sense: nonnegative on
-    binding "le" rows, free on "eq" rows.
-    """
-    r, n = lp.constraint_matrix.shape
-
-    # column layout: one column per variable, plus a mirror column for
-    # each free variable (x = x+ - x-)
-    cols = []
-    upper = []
-    cost = []
-    owner = []  # (variable index, sign)
-    for j in range(n):
-        lo, hi = lp.variable_bounds[j]
-        cols.append(lp.constraint_matrix[:, j])
-        cost.append(-lp.objective[j])
-        owner.append((j, 1.0))
-        if lo == -math.inf:
-            upper.append(math.inf)
-            cols.append(-lp.constraint_matrix[:, j])
-            cost.append(lp.objective[j])
-            upper.append(math.inf)
-            owner.append((j, -1.0))
-            if hi != math.inf:
-                raise ValueError("free variables with finite upper bounds are unsupported")
-        else:
-            upper.append(hi)
-
-    n_struct = len(cols)
-    slack_rows = [i for i, kind in enumerate(lp.row_kinds) if kind == "le"]
-    A = np.zeros((r, n_struct + len(slack_rows)))
-    A[:, :n_struct] = np.column_stack(cols)
-    for pos, row in enumerate(slack_rows):
-        A[row, n_struct + pos] = 1.0
-    c = np.array(cost + [0.0] * len(slack_rows))
-    u = np.array(upper + [math.inf] * len(slack_rows))
-
-    x_full, y_internal = _simplex_min(A, lp.rhs.copy(), c, u)
-
-    x = np.zeros(n)
-    for val, (j, sign) in zip(x_full[:n_struct], owner):
-        x[j] += sign * val
-    duals = -y_internal
-    return x, float(lp.objective @ x), duals
+    x_full, y = _simplex_min(kernel, rhs, cost, bounds)
+    x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
+    x[-1] -= x_full[n]
+    return x, float(objective @ x), -y
 
 
 def _simplex_min(A, b, c, upper):
@@ -201,7 +152,7 @@ def _iterate(A, b, c, u, basis, status, allow):
             j = int(idx[np.argmax(np.abs(red[idx]))])
 
         obj = float(c @ x)
-        if obj < last_obj - 1e-12:
+        if obj < last_obj - LP_PROGRESS_TOL:
             stall = 0
             bland = False
         else:
@@ -224,7 +175,7 @@ def _iterate(A, b, c, u, basis, status, allow):
         ratios = np.maximum(ratios, 0.0)  # absorb tiny feasibility drift
         theta_basic = float(ratios.min()) if r else math.inf
 
-        if u[j] <= theta_basic + 1e-12:
+        if u[j] <= theta_basic + LP_TIE_TOL:
             if math.isinf(u[j]):
                 direction = np.zeros(n)
                 direction[j] = 1.0 if increasing else -1.0
@@ -235,11 +186,11 @@ def _iterate(A, b, c, u, basis, status, allow):
             continue
 
         # Bland: among the minimal ratios, evict the lowest variable index; a
-        # ratio only ties if its row would end within 1e-12 of its bound, so
-        # a long step cannot push the true blocking row past its own
-        tied = np.nonzero(ratios <= theta_basic + 1e-12)[0]
+        # ratio only ties if its row would end within LP_TIE_TOL of its bound,
+        # so a long step cannot push the true blocking row past its own
+        tied = np.nonzero(ratios <= theta_basic + LP_TIE_TOL)[0]
         if tied.size > 1:
-            tied = tied[(ratios[tied] - theta_basic) * np.abs(step[tied]) <= 1e-12]
+            tied = tied[(ratios[tied] - theta_basic) * np.abs(step[tied]) <= LP_TIE_TOL]
         leave_pos = int(min(tied, key=lambda i: basis[i]))
         out = basis[leave_pos]
         basis[leave_pos] = j
@@ -281,7 +232,7 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
 
     Returns the distribution minimising ``max_k (d @ A)_k``, the optimal
     value gamma, and the dual hypothesis weights w whose soft-margin
-    value rho certifies optimality (|gamma - rho| <= 1e-7).
+    value rho certifies optimality (|gamma - rho| <= STRONG_DUALITY_TOL).
 
     Identical instance rows of A are merged first: the k distinct rows,
     with multiplicities n_g, carry one aggregate weight D_g in
@@ -308,14 +259,7 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
         con[:t, :k] = rows.T
         con[:t, k] = -1.0
         con[t, :k] = 1.0
-        lp = StandardLp(
-            objective=np.concatenate([np.zeros(k), [-1.0]]),
-            constraint_matrix=con,
-            rhs=np.concatenate([np.zeros(t), [1.0]]),
-            row_kinds=["le"] * t + ["eq"],
-            variable_bounds=[(0.0, float(n_g) * cap) for n_g in counts] + [(-math.inf, math.inf)],
-        )
-        x, value, duals = solve_lp(lp)
+        x, value, duals = _solve_max(np.concatenate([np.zeros(k), [-1.0]]), con, counts * cap)
         d = _cleanup_distribution((x[:k] / counts)[group], cap)
         gamma = -value
         w = _cleanup_weights(duals[:t])
@@ -328,14 +272,9 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
         con[:k, t : t + k] = -np.eye(k)
         con[:k, t + k] = 1.0
         con[k, :t] = 1.0
-        lp = StandardLp(
-            objective=np.concatenate([np.zeros(t), -counts * cap, [1.0]]),
-            constraint_matrix=con,
-            rhs=np.concatenate([np.zeros(k), [1.0]]),
-            row_kinds=["le"] * k + ["eq"],
-            variable_bounds=[(0.0, math.inf)] * (t + k) + [(-math.inf, math.inf)],
+        x, value, duals = _solve_max(
+            np.concatenate([np.zeros(t), -counts * cap, [1.0]]), con, np.full(t + k, math.inf)
         )
-        x, value, duals = solve_lp(lp)
         rho = value
         w = _cleanup_weights(x[:t])
         d = _cleanup_distribution((duals[:k] / counts)[group], cap)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import marginforge
 from marginforge.core import (
     CapParams,
     Dataset,
@@ -38,6 +39,26 @@ def test_gain_matrix_deduplicates_known_ids():
     assert (A2.t, j) == (2, 1)
     A3, j_again = A2.with_column(col, "h0")
     assert A3 is A2 and j_again == 0
+
+
+def test_gain_matrix_rejects_repeated_ids():
+    a, b = np.array([1.0, -1.0]), np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="repeated hypothesis id 'h'"):
+        GainMatrix([a, b], ["h", "h"])
+
+
+def test_gain_matrix_converts_its_columns():
+    A = GainMatrix([[1.0, -1.0]], [0])
+    assert A.t == 1
+    assert np.array_equal(A.as_array(), GainMatrix([np.array([1.0, -1.0])], [0]).as_array())
+    with pytest.raises(ValueError, match="non-empty vector"):
+        GainMatrix([[[1.0, -1.0]]], [0])
+
+
+def test_public_names_resolve_once():
+    assert len(set(marginforge.__all__)) == len(marginforge.__all__)
+    for name in marginforge.__all__:
+        getattr(marginforge, name)
 
 
 def test_gain_matrix_view_survives_appends_and_doubling():

@@ -12,48 +12,67 @@ from marginforge.entropy import capped_min_linear
 from marginforge.lp import (
     _REFACTOR_INTERVAL,
     _distinct_rows,
+    _simplex_min,
     LpInfeasibleError,
     LpUnboundedError,
-    StandardLp,
     solve_edge_min,
-    solve_lp,
 )
 
 from conftest import min_linear_over_cap
 
-FREE = (-math.inf, math.inf)
-NONNEG = (0.0, math.inf)
+
+def _slack_form(G, h, c, upper=None):
+    """Kernel form (A, b, cost, u) of max c@x st G@x <= h, 0 <= x <= upper:
+    one slack column per row, costs negated for minimisation."""
+    r, n = G.shape
+    upper = np.full(n, math.inf) if upper is None else np.asarray(upper, dtype=float)
+    return (
+        np.hstack([G, np.eye(r)]),
+        h,
+        np.concatenate([-c, np.zeros(r)]),
+        np.concatenate([upper, np.full(r, math.inf)]),
+    )
+
+
+def _max_le(G, h, c, upper=None):
+    """max c@x st G@x <= h, 0 <= x <= upper by the kernel; returns
+    (x, value, row duals), duals for the maximisation sense."""
+    x_full, y = _simplex_min(*_slack_form(G, h, c, upper))
+    x = x_full[: G.shape[1]]
+    return x, float(c @ x), -y
 
 
 def test_single_bound():
-    x, value, duals = solve_lp(
-        StandardLp(np.array([1.0]), np.array([[1.0]]), np.array([1.0]), ["le"], [NONNEG])
-    )
+    x, value, duals = _max_le(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
     assert value == pytest.approx(1.0)
     assert x[0] == pytest.approx(1.0)
     assert duals[0] == pytest.approx(1.0)
 
 
 def test_degenerate_face():
-    x, value, _ = solve_lp(
-        StandardLp(
-            np.array([1.0, 1.0]),
-            np.array([[1.0, 1.0]]),
-            np.array([1.0]),
-            ["eq"],
-            [NONNEG, NONNEG],
-        )
-    )
-    assert value == pytest.approx(1.0)
+    # max x1 + x2 st x1 + x2 = 1: an equality row, so no slack column
+    c = np.array([1.0, 1.0])
+    x, _ = _simplex_min(np.array([[1.0, 1.0]]), np.array([1.0]), -c, np.full(2, math.inf))
+    assert float(c @ x) == pytest.approx(1.0)
     assert x.sum() == pytest.approx(1.0)
 
 
 def test_infeasible_and_unbounded_are_reported():
-    with pytest.raises(LpInfeasibleError):
-        solve_lp(StandardLp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]), ["le"], [NONNEG]))
+    # x <= -1 with x >= 0: the certificate y is a Farkas ray, y@A <= 0 < y@b
+    A, b, cost, u = _slack_form(np.array([[1.0]]), np.array([-1.0]), np.array([1.0]))
+    with pytest.raises(LpInfeasibleError) as err:
+        _simplex_min(A, b, cost, u)
+    y = err.value.certificate
+    assert np.all(y @ A <= 1e-12) and y @ b > 0.0
+    # max x st -x <= 1: the direction (over the columns and the phase-1
+    # artificials) keeps A@x = b, stays nonnegative and lowers the cost
+    A, b, cost, u = _slack_form(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]))
     with pytest.raises(LpUnboundedError) as err:
-        solve_lp(StandardLp(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]), ["le"], [NONNEG]))
-    assert err.value.direction is not None
+        _simplex_min(A, b, cost, u)
+    direction = err.value.direction
+    assert direction is not None
+    assert np.allclose(np.hstack([A, np.eye(1)]) @ direction, 0.0)
+    assert np.all(direction >= 0.0) and cost @ direction[: A.shape[1]] < 0.0
 
 
 def _enumerate_bfs_value(G, h, c):
@@ -82,8 +101,7 @@ def test_random_lp_matches_bfs_enumeration():
         G = np.vstack([G, np.ones(5)])  # keeps the feasible set bounded
         h = np.concatenate([rng.uniform(0.1, 1.0, 4), [3.0]])
         c = rng.uniform(-1, 1, 5)
-        lp = StandardLp(c, G, h, ["le"] * 5, [NONNEG] * 5)
-        x, value, duals = solve_lp(lp)
+        x, value, duals = _max_le(G, h, c)
         assert value == pytest.approx(_enumerate_bfs_value(G, h, c), abs=1e-8)
         # primal feasibility and complementary slackness
         residual = h - G @ x
@@ -93,15 +111,10 @@ def test_random_lp_matches_bfs_enumeration():
 
 
 def test_upper_bounded_variables():
-    # max x1 + x2 with x1 <= 0.25 boxed, x1 + x2 <= 1
-    lp = StandardLp(
-        np.array([2.0, 1.0]),
-        np.array([[1.0, 1.0]]),
-        np.array([1.0]),
-        ["le"],
-        [(0.0, 0.25), NONNEG],
+    # max 2 x1 + x2 with x1 <= 0.25 boxed, x1 + x2 <= 1
+    x, value, _ = _max_le(
+        np.array([[1.0, 1.0]]), np.array([1.0]), np.array([2.0, 1.0]), upper=[0.25, math.inf]
     )
-    x, value, _ = solve_lp(lp)
     assert np.allclose(x, [0.25, 0.75])
     assert value == pytest.approx(1.25)
 
@@ -304,7 +317,7 @@ def test_simplex_reinverts_basis_on_long_runs(monkeypatch):
     G = np.vstack([rng.uniform(-1, 1, (r - 1, n)), np.ones(n)])
     h = np.concatenate([rng.uniform(0.1, 1.0, r - 1), [5.0]])
     c = rng.uniform(-0.2, 1.0, n)
-    x, value, duals = solve_lp(StandardLp(c, G, h, ["le"] * r, [NONNEG] * n))
+    x, value, duals = _max_le(G, h, c)
     assert len(inversions) > 2  # one per phase, plus at least one refresh
 
     ref = linprog(-c, A_ub=G, b_ub=h, bounds=[(0.0, None)] * n, method="highs")
