@@ -6,7 +6,14 @@ certified optimality gap, then keeps the better of a conditional
 gradient update and an optional secondary update (a secondary that
 fails numerically leaves the conditional-gradient update in place).
 Ensemble weights are one vector with an entry per discovered column,
-grown by a zero whenever the weak learner returns a new column.
+grown by a zero whenever the weak learner returns a new column.  Their
+margins A @ w are carried from round to round: each update hands back
+the margins of its candidate (the FW rule as ``base + lam * direction``,
+the secondary as the A @ w it forms for its value), A @ w is re-derived
+every ``_MARGIN_REFRESH`` rounds to bound the drift, and a round that
+may stop re-derives it first, so the certificate and the final model
+never read a carried vector.  Each projection is seeded with the
+previous round's sort order.
 The gain matrix grows in place by at most one column per round and
 never loses one, so its column count identifies its column set.  The
 LPBoost secondary depends only on the discovered columns and nu, so it
@@ -48,6 +55,7 @@ FW_RULES = ("classic", "short_step", "line_search", "pairwise")
 SECONDARY_RULES = ("none", "lpboost", "erlpboost")
 
 _ERLP_INNER_CAP = 10_000
+_MARGIN_REFRESH = 64  # rounds between re-derivations of the carried margins A @ w
 
 
 @dataclass(frozen=True)
@@ -137,15 +145,17 @@ def run_scheme(data, learner, config: BoosterConfig):
     learner query, gap eps_t = min running edge + smoothed objective,
     stop at eps_t <= eps/2, otherwise keep whichever of the FW and
     secondary candidates has the smaller smoothed objective (ties stay
-    with FW).  An ``LpError`` or ``LinAlgError`` from the secondary is
-    logged as a warning and the round keeps the FW candidate.  The
-    "lpboost" secondary is a function of (A, nu) alone, so its last
-    successful weights and smoothed value are kept and reused while the
-    learner returns known columns (``A.t`` unchanged); a failed solve is not
-    kept, so the next round retries.  The "erlpboost" secondary depends
-    on its warm start and a callable may keep state, so both run every
-    round.  With secondary "none" and the short-step rule this is the
-    plain corrective booster.
+    with FW).  The margins are carried, not rebuilt, and a round is
+    certified only on a fresh A @ w (see the module docstring).  An
+    ``LpError`` or ``LinAlgError`` from the secondary is logged as a
+    warning and the round keeps the FW candidate.  The "lpboost"
+    secondary is a function of (A, nu) alone, so its last successful
+    weights, their margins and smoothed value are kept and reused while
+    the learner returns known columns (``A.t`` unchanged); a failed solve
+    is not kept, so the next round retries.  The "erlpboost" secondary
+    depends on its warm start and a callable may keep state, so both run
+    every round.  With secondary "none" and the short-step rule this is
+    the plain corrective booster.
     """
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)
@@ -159,26 +169,32 @@ def run_scheme(data, learner, config: BoosterConfig):
     hypothesis, column, edge0 = learner.query(d0)
     A = GainMatrix([column], [hypothesis])
     w = np.ones(1)
+    marg = margins(A, w)  # carried from round to round, re-derived every _MARGIN_REFRESH
+    proj = None
     min_edge = edge0
     records: list[IterationRecord] = []
     converged = False
-    lp_memo = None  # (A.t, weights, smoothed value) of the last LPBoost secondary solved
+    lp_memo = None  # (A.t, weights, their margins, smoothed value) of the last LPBoost solve
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
-        marg = margins(A, w)
-        proj = capped_entropy_projection(marg, params)
-        d = proj.d
-        smoothed_obj = -proj.objective
-        soft_margin_obj, _ = capped_min_linear(marg, config.nu, order=proj.order)
+        if t % _MARGIN_REFRESH == 0:
+            marg = margins(A, w)
+        proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, proj)
 
-        hypothesis, column, edge_new = learner.query(d)
+        hypothesis, column, edge_new = learner.query(proj.d)
         A, j_new = A.with_column(column, hypothesis)
         if j_new == w.size:
             w = np.append(w, 0.0)
         min_edge = min(min_edge, edge_new)
         eps_t = min_edge + smoothed_obj
 
+        if eps_t <= config.eps / 2.0:
+            # certify on a fresh A @ w, never on the carried margins; a round
+            # that fails the re-check goes on from the fresh vector
+            marg = margins(A, w)
+            proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, proj)
+            eps_t = min_edge + smoothed_obj
         if eps_t <= config.eps / 2.0:
             converged = True
             records.append(
@@ -189,12 +205,12 @@ def run_scheme(data, learner, config: BoosterConfig):
             )
             break
 
-        fw_out = _fw_update(config.fw_rule, A, w, j_new, d, params, t)
+        fw_out = _fw_update(config.fw_rule, A, w, j_new, marg, proj.d, params, t)
         chosen_rule = "fw"
-        w = fw_out.new_w
+        w, marg = fw_out.new_w, fw_out.margins
         if lp_memo is not None and lp_memo[0] == A.t:
             # known column: the restricted LP is the one already solved
-            _, secondary_w, value_secondary = lp_memo
+            _, secondary_w, secondary_marg, value_secondary = lp_memo
         else:
             # the FW candidate doubles as the warm start for a corrective solve
             try:
@@ -205,14 +221,15 @@ def run_scheme(data, learner, config: BoosterConfig):
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                 secondary_w = None
             if secondary_w is not None:
-                value_secondary = smoothed_conjugate(-margins(A, secondary_w), params)
+                secondary_marg = margins(A, secondary_w)
+                value_secondary = smoothed_conjugate(-secondary_marg, params)
                 if config.secondary == "lpboost":
-                    lp_memo = (A.t, secondary_w, value_secondary)
+                    lp_memo = (A.t, secondary_w, secondary_marg, value_secondary)
         if secondary_w is not None:
-            value_fw = smoothed_conjugate(-margins(A, fw_out.new_w), params)
+            value_fw = smoothed_conjugate(-fw_out.margins, params)
             if value_secondary < value_fw:
                 chosen_rule = "secondary"
-                w = secondary_w
+                w, marg = secondary_w, secondary_marg
 
         records.append(
             IterationRecord(
@@ -228,14 +245,27 @@ def run_scheme(data, learner, config: BoosterConfig):
     return model, records
 
 
-def _fw_update(rule, A, w, j_new, d, params, t) -> FwStepOutcome:
+def _evaluate(marg, params, previous):
+    """Projection of the margins and the round's two objectives.
+
+    The previous round's projection order seeds the sort.  Returns the
+    projection, the smoothed objective and the soft-margin objective.
+    """
+    proj = capped_entropy_projection(
+        marg, params, order_hint=None if previous is None else previous.order
+    )
+    soft_margin_obj, _ = capped_min_linear(marg, params.nu, order=proj.order)
+    return proj, -proj.objective, soft_margin_obj
+
+
+def _fw_update(rule, A, w, j_new, base, d, params, t) -> FwStepOutcome:
     if rule == "classic":
-        return classic_step(t, w, j_new)
+        return classic_step(A, w, j_new, base, t)
     if rule == "short_step":
-        return short_step(A, w, j_new, d, params.eta)
+        return short_step(A, w, j_new, base, d, params.eta)
     if rule == "line_search":
-        return line_search_step(A, w, j_new, params)
-    return pairwise_step(A, w, j_new, d, params)
+        return line_search_step(A, w, j_new, base, params)
+    return pairwise_step(A, w, j_new, base, d, params)
 
 
 def _secondary_update(secondary, A, params, nu, current_w):

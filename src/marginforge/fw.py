@@ -1,10 +1,14 @@
 """Pluggable conditional-gradient update rules for the booster loop.
 
 Each rule maps the current ensemble weights (a vector with one entry
-per gain column) and a newly discovered column to new weights on the
-simplex, without modifying the weights it was given.  ``good_step``
-records whether a pairwise move stopped short of its mass cap; for the
-other rules the cap is 1.
+per gain column), their margins ``base`` = A @ w and a newly discovered
+column to new weights on the simplex, without modifying the weights it
+was given.  It also returns the new margins as ``base + lam * direction``,
+the vector it already forms, so a caller can carry the margins from
+round to round instead of rebuilding A @ w; they agree with A @ new_w up
+to rounding and to the support entries ``_normalise`` drops.
+``good_step`` records whether a pairwise move stopped short of its mass
+cap; for the other rules the cap is 1.
 
 The line-search and pairwise rules minimise the smoothed objective
 exactly along their segment.  The slope there is nondecreasing and has
@@ -32,7 +36,7 @@ from .constants import (
     QP_MULTIPLIER_TOL,
     SUPPORT_DROP_TOL,
 )
-from .core import CapParams, GainMatrix, margins
+from .core import CapParams, GainMatrix
 from .entropy import ProjectionResult, capped_entropy_projection
 
 _QP_MAX_ITERS = 1_000  # safeguard: each iteration adds or releases one bound
@@ -44,42 +48,45 @@ class FwStepOutcome:
     step_size: float
     step_cap: float
     good_step: bool
+    margins: np.ndarray  # base + step_size * direction, carried in place of A @ new_w
 
 
-def classic_step(t: int, w: np.ndarray, e_new: int) -> FwStepOutcome:
+def classic_step(
+    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, t: int
+) -> FwStepOutcome:
     """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
     lam = 2.0 / (t + 2.0)
-    return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0)
+    direction = A.as_array()[:, e_new] - base
+    return _toward(w, e_new, lam, base, direction)
 
 
 def short_step(
-    A: GainMatrix, w: np.ndarray, e_new: int, d: np.ndarray, eta: float
+    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, d: np.ndarray, eta: float
 ) -> FwStepOutcome:
     """Step minimising the smoothness upper bound, clipped to [0, 1].
 
     lam = [d @ (col_new - A w)] / [eta * ||col_new - A w||_inf^2];
     a zero denominator (new column equals the current mix) gives 0.
     """
-    direction = A.as_array()[:, e_new] - margins(A, w)
+    direction = A.as_array()[:, e_new] - base
     denom = eta * float(np.max(np.abs(direction))) ** 2
     lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, float(d @ direction) / denom))
-    return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0)
+    return _toward(w, e_new, lam, base, direction)
 
 
 def line_search_step(
-    A: GainMatrix, w: np.ndarray, e_new: int, params: CapParams
+    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
-    base = margins(A, w)
     direction = A.as_array()[:, e_new] - base
     lam = _line_search(base, direction, 1.0, params)
-    return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0)
+    return _toward(w, e_new, lam, base, direction)
 
 
 def pairwise_step(
-    A: GainMatrix, w: np.ndarray, e_new: int, d: np.ndarray, params: CapParams
+    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, d: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
     """Move mass from the worst active column onto the new one.
 
@@ -95,12 +102,17 @@ def pairwise_step(
     cap = float(w[away_idx])
 
     direction = G[:, e_new] - G[:, away_idx]
-    lam = _line_search(margins(A, w), direction, cap, params)
+    lam = _line_search(base, direction, cap, params)
 
     new_w = w.copy()
     new_w[away_idx] -= lam
     new_w[e_new] += lam
-    return FwStepOutcome(_normalise(new_w), lam, cap, lam < cap)
+    return FwStepOutcome(_normalise(new_w), lam, cap, lam < cap, base + lam * direction)
+
+
+def _toward(w, e_new, lam, base, direction) -> FwStepOutcome:
+    """Outcome of the step of size lam from w toward column e_new."""
+    return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0, base + lam * direction)
 
 
 def newton_step(

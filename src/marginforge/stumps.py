@@ -3,9 +3,9 @@
 ``best_stump`` answers a distribution with the pool stump of largest
 weighted correlation.  ``StumpPool.build`` argsorts every feature once,
 O(p m log m); each query then costs O(p m + |pool|): one gather into
-that order, one row-wise prefix sum and one argmax over every
-candidate's edge.  ``pool_oracle`` does the same by dense argmax when
-the whole gain matrix is in memory.
+that order, one row-wise prefix sum, and one argmax and one argmin over
+the thresholds' +1 edges.  ``pool_oracle`` does the same by dense argmax
+when the whole gain matrix is in memory.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ class StumpPool:
 
     Per feature: one threshold below the minimum, midpoints between
     consecutive distinct values, one above the maximum; each threshold
-    with polarity +1 then -1.  Enumeration order is (feature asc,
+    with polarity +1 then -1.  A midpoint is halved before adding where
+    the sum would overflow, one that rounds onto the lower of its two
+    values is replaced by the upper one, and the threshold above
+    the maximum is the next float up when adding 1 does not move it; at
+    the float maximum itself there is none, and that feature's
+    above-maximum pair is left out.  Enumeration order is (feature asc,
     threshold asc, +1 first), which is also the tie-break order of
     every max-edge query.
 
@@ -64,10 +69,21 @@ class StumpPool:
         out, splits = [], []
         for f, xs in enumerate(sorted_x):
             boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1
-            thresholds = np.concatenate(
-                [[xs[0] - 1.0], (xs[boundaries - 1] + xs[boundaries]) / 2.0, [xs[-1] + 1.0]]
-            )
-            splits.append(f * (m + 1) + np.concatenate([[0], boundaries, [m]]))
+            lo, hi = xs[boundaries - 1], xs[boundaries]
+            with np.errstate(over="ignore"):
+                mids = (lo + hi) / 2.0
+                mids = np.where(np.isfinite(mids), mids, lo / 2.0 + hi / 2.0)  # lo + hi overflowed
+                mids = np.where(mids > lo, mids, hi)  # adjacent floats: rounded onto lo
+                top = xs[-1] + 1.0
+                if top == xs[-1]:  # |xs[-1]| >= 2**53 absorbs the 1.0
+                    top = np.nextafter(xs[-1], np.inf)
+            thresholds = np.concatenate([[xs[0] - 1.0], mids, [top]])
+            cuts = np.concatenate([[0], boundaries, [m]])
+            if not np.isfinite(top):
+                # nothing finite lies above the float maximum; the dropped
+                # pair's columns repeat the below-min pair's, polarity flipped
+                thresholds, cuts = thresholds[:-1], cuts[:-1]
+            splits.append(f * (m + 1) + cuts)
             for thr in thresholds.tolist():
                 out.append(StumpHypothesis(f, thr, 1))
                 out.append(StumpHypothesis(f, thr, -1))
@@ -83,11 +99,13 @@ def best_stump(
     """Pool stump with the largest edge sum_i d_i y_i h(x_i).
 
     Uses the pool's presort: gather d_i*y_i into feature order, take
-    row-wise prefix sums, read every threshold's +1 edge
-    total_f - 2*prefix_f(split) off them, and argmax the interleaved
-    (+edge, -edge) pairs.  That is O(p m + |pool|) per query after the
-    O(p m log m) presort in ``StumpPool.build``.  np.argmax returns the
-    first maximum, so ties resolve to the earliest pool candidate.
+    row-wise prefix sums, and read every threshold's +1 edge
+    total_f - 2*prefix_f(split) off them; the -1 edge is its negation.
+    That is O(p m + |pool|) per query after the O(p m log m) presort in
+    ``StumpPool.build``.  The largest +1 edge (first argmax) and the
+    largest -1 edge (first argmin of the +1 edges) compete, and an exact
+    tie goes to the earlier pool candidate, so ties resolve as a first
+    argmax over the whole pool order would.
     """
     if len(pool) == 0:
         raise ValueError("stump pool is empty")
@@ -100,7 +118,11 @@ def best_stump(
     prefix = np.zeros((data.p, data.m + 1))
     np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
     plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
-    stump = pool.candidates[int(np.argmax(np.column_stack([plus, -plus]).ravel()))]
+    i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
+    if plus[i_pos] > -plus[i_neg] or (plus[i_pos] == -plus[i_neg] and i_pos <= i_neg):
+        stump = pool.candidates[2 * i_pos]
+    else:
+        stump = pool.candidates[2 * i_neg + 1]
     gain_column = data.labels * stump.predict(data.features)
     return stump, float(d @ gain_column), gain_column
 

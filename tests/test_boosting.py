@@ -17,6 +17,7 @@ from marginforge.boosting import (
     secondary_erlpboost,
     secondary_lpboost,
 )
+from marginforge.cli import ALGORITHMS
 from marginforge.core import CapParams, Dataset, GainMatrix, margins
 from marginforge.entropy import smoothed_conjugate
 from marginforge import boosting
@@ -378,3 +379,41 @@ def test_predict_width_mismatch():
     model = _model([StumpHypothesis(3, 0.0, 1)], [1.0])
     with pytest.raises(ValueError):
         predict(model, np.zeros((2, 2)))
+
+
+SCHEME_ALGOS = [algo for algo, (runner, _, _) in ALGORITHMS.items() if runner is run_scheme]
+
+
+@pytest.mark.parametrize("algo", SCHEME_ALGOS)
+def test_certified_stop_reads_fresh_margins(algo):
+    data = two_gaussians(200, seed=0)
+    _, fw_rule, secondary = ALGORITHMS[algo]
+    cfg = BoosterConfig(eps=0.05, nu=20.0, fw_rule=fw_rule, secondary=secondary)
+    model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged
+    # the model's objectives come from a fresh A @ w; the stop must too, bit for bit
+    assert records[-1].smoothed_obj == model.smoothed_obj
+    assert records[-1].soft_margin_obj == model.soft_margin_obj
+
+
+def test_carried_margins_that_overstate_progress_cannot_stop_the_loop(monkeypatch):
+    fw_update = boosting._fw_update
+    biased_rounds = []
+
+    def biased_update(*args):
+        # margins raised by 0.05 make the carried gap look 0.05 smaller than it is
+        out = fw_update(*args)
+        biased_rounds.append(args[-1])
+        return dataclasses.replace(out, margins=out.margins + 0.05)
+
+    monkeypatch.setattr(boosting, "_fw_update", biased_update)
+    data = two_gaussians(80, seed=4)
+    eps = 0.05
+    cfg = BoosterConfig(eps=eps, nu=8.0, fw_rule="short_step", secondary="none")
+    model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged and len(biased_rounds) > 0
+    last = records[-1]
+    assert last.smoothed_obj == model.smoothed_obj
+    assert last.eps_t == last.min_edge_so_far + model.smoothed_obj <= eps / 2.0
+    # every recorded gap that passed the test came from fresh margins, so only the last one did
+    assert all(rec.eps_t > eps / 2.0 for rec in records[:-1])

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from marginforge.constants import CAP_REL_SLACK
 from marginforge.core import CapParams, check_distribution
 from marginforge.entropy import (
     capped_entropy_projection,
@@ -184,3 +187,66 @@ def test_capped_min_linear_with_projection_order_is_identical():
         value_o, d_o = capped_min_linear(vec, nu, order=order)
         assert value_o == value
         assert np.array_equal(d_o, d)
+
+
+def while_loop_projection(theta, nu, eta):
+    """The projection as first written: lexsort, then a cap scan that
+    indexes numpy scalars in a ``while`` loop.  Returns (order, k, d)."""
+    m = theta.shape[0]
+    cap = 1.0 / nu
+    order = np.lexsort((np.arange(m), theta))
+    scaled = -eta * theta[order]
+    suffix_lse = np.logaddexp.accumulate(scaled[::-1])[::-1]
+    k = 0
+    while True:
+        remaining = 1.0 - k / nu
+        top = remaining * math.exp(scaled[k] - suffix_lse[k])
+        if top <= cap * (1.0 + CAP_REL_SLACK):
+            break
+        k += 1
+    d_sorted = np.empty(m)
+    d_sorted[:k] = cap
+    d_sorted[k:] = remaining * np.exp(scaled[k:] - suffix_lse[k])
+    d = np.empty(m)
+    d[order] = d_sorted
+    return order, k, d
+
+
+@st.composite
+def hinted_projections(draw):
+    """(theta, nu, eta, hint): tie-heavy theta with +-0.0, and a hint that
+    is either the order of a perturbed theta or an unrelated permutation."""
+    m = draw(st.integers(1, 40))
+    pool = [-1.5, -0.25, -0.0, 0.0, 0.25, 1.0, 3.0]
+    values = st.sampled_from(pool) | st.floats(-4.0, 4.0, allow_nan=False)
+    theta = np.array(draw(st.lists(values, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        noise = rng.normal(0.0, draw(st.sampled_from([1e-12, 1e-3, 0.5])), m)
+        hint = np.lexsort((np.arange(m), theta + noise))
+    else:
+        hint = np.array(draw(st.permutations(range(m))), dtype=np.intp)
+    nu = draw(st.one_of(st.floats(1.0, float(m)), st.integers(1, m).map(float)))
+    eta = draw(st.sampled_from([1e-9, 0.5, 7.0, 60.0, 2000.0]))
+    return theta, nu, eta, hint
+
+
+@settings(max_examples=400, deadline=None)
+@given(hinted_projections())
+@example((np.array([0.0, -0.0, 0.0, -0.0]), 2.0, 7.0, np.array([3, 2, 1, 0])))
+@example((np.array([1.0, 1.0, 0.5]), 3.0, 7.0, np.array([1, 0, 2])))
+def test_warm_started_projection_is_bit_identical_to_the_while_loop(case):
+    theta, nu, eta, hint = case
+    m = theta.shape[0]
+    ref_order, ref_k, ref_d = while_loop_projection(theta, nu, eta)
+    assert np.array_equal(ref_order, np.lexsort((np.arange(m), theta)))
+    for order_hint in (None, hint):
+        res = capped_entropy_projection(theta, params(m, nu, eta), order_hint=order_hint)
+        assert np.array_equal(res.order, ref_order)
+        assert res.capped_count == ref_k
+        assert np.array_equal(res.d, ref_d)
+
+
+def test_projection_rejects_a_hint_of_the_wrong_length():
+    with pytest.raises(ValueError, match="order_hint"):
+        capped_entropy_projection(np.zeros(3), params(3, 1.0, 1.0), order_hint=np.arange(2))

@@ -10,10 +10,11 @@ from scipy.optimize import minimize
 
 from marginforge import boosting, fw
 from marginforge.boosting import BoosterConfig, StumpLearner, run_scheme, secondary_erlpboost
-from marginforge.constants import NEWTON_RIDGE
+from marginforge.constants import NEWTON_RIDGE, SIMPLEX_SUM_TOL
 from marginforge.core import CapParams, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
 from marginforge.fw import classic_step, line_search_step, pairwise_step, short_step
+from marginforge.stumps import StumpPool, full_gain_matrix
 
 from conftest import two_gaussians
 
@@ -40,11 +41,13 @@ def random_instance(rng, m=None, t=None):
 
 
 def test_classic_step_sizes():
+    A = GainMatrix([np.array([0.5, -0.5]), np.array([0.2, 0.1]), np.array([-1.0, 1.0])], [0, 1, 2])
     w = np.array([0.4, 0.6, 0.0])
-    assert classic_step(0, w, 2).step_size == pytest.approx(1.0)
-    assert classic_step(2, w, 2).step_size == pytest.approx(0.5)
-    assert classic_step(998, w, 2).step_size == pytest.approx(0.002)
-    out = classic_step(0, w, 2)
+    base = margins(A, w)
+    assert classic_step(A, w, 2, base, 0).step_size == pytest.approx(1.0)
+    assert classic_step(A, w, 2, base, 2).step_size == pytest.approx(0.5)
+    assert classic_step(A, w, 2, base, 998).step_size == pytest.approx(0.002)
+    out = classic_step(A, w, 2, base, 0)
     assert out.new_w == pytest.approx([0.0, 0.0, 1.0])
 
 
@@ -52,7 +55,7 @@ def test_short_step_hand_case_and_slope():
     A = GainMatrix([np.zeros(2), np.array([0.5, -0.5])], [0, 1])
     w = np.array([1.0, 0.0])
     d = np.array([0.8, 0.2])
-    out = short_step(A, w, 1, d, eta=4.0)
+    out = short_step(A, w, 1, margins(A, w), d, eta=4.0)
     assert out.step_size == pytest.approx(0.3)
 
     # same numerator through a finite difference of the smoothed
@@ -70,14 +73,15 @@ def test_short_step_clips_to_zero_and_one():
     A = GainMatrix([np.zeros(3), np.array([0.5, 0.5, -0.5])], [0, 1])
     w = np.array([1.0, 0.0])
     down = np.array([0.1, 0.1, 0.8])  # negative numerator
-    assert short_step(A, w, 1, down, eta=2.0).step_size == 0.0
+    assert short_step(A, w, 1, margins(A, w), down, eta=2.0).step_size == 0.0
     up = np.array([0.45, 0.45, 0.1])  # numerator 0.4 vs denominator 0.025
-    assert short_step(A, w, 1, up, eta=0.1).step_size == 1.0
+    assert short_step(A, w, 1, margins(A, w), up, eta=0.1).step_size == 1.0
 
 
 def test_short_step_zero_direction():
     A = GainMatrix([np.array([0.3, -0.3])], [0])
-    out = short_step(A, np.array([1.0]), 0, np.array([0.5, 0.5]), eta=5.0)
+    w = np.array([1.0])
+    out = short_step(A, w, 0, margins(A, w), np.array([0.5, 0.5]), eta=5.0)
     assert out.step_size == 0.0
 
 
@@ -89,14 +93,15 @@ def test_line_search_boundary_cases():
     base = margins(A, w)
     d0 = capped_entropy_projection(base, params).d
     if float(d0 @ (A.as_array()[:, j_self] - base)) <= 0:
-        assert line_search_step(A, w, j_self, params).step_size == 0.0
+        assert line_search_step(A, w, j_self, base, params).step_size == 0.0
 
 
 def test_line_search_saturates_at_one():
     # second column dominates the first everywhere: slope stays negative
     A = GainMatrix([np.full(3, -0.8), np.full(3, 0.9)], [0, 1])
     params = CapParams(nu=1.0, m=3, eta=3.0, eps=0.1)
-    out = line_search_step(A, np.array([1.0, 0.0]), 1, params)
+    w = np.array([1.0, 0.0])
+    out = line_search_step(A, w, 1, margins(A, w), params)
     assert out.step_size == pytest.approx(1.0)
     assert out.new_w == pytest.approx([0.0, 1.0])
 
@@ -106,7 +111,7 @@ def test_line_search_matches_grid_oracle():
     for _ in range(10):
         A, w, params, _ = random_instance(rng)
         j_new = int(rng.integers(0, A.t))
-        out = line_search_step(A, w, j_new, params)
+        out = line_search_step(A, w, j_new, margins(A, w), params)
         value = smoothed_obj(A, out.new_w, params)
         base = margins(A, w)
         direction = A.as_array()[:, j_new] - base
@@ -123,11 +128,12 @@ def test_rules_return_normalised_simplex_points():
     for _ in range(20):
         A, w, params, d = random_instance(rng)
         j_new = int(rng.integers(0, A.t))
+        base = margins(A, w)
         for out in (
-            classic_step(int(rng.integers(0, 50)), w, j_new),
-            short_step(A, w, j_new, d, params.eta),
-            line_search_step(A, w, j_new, params),
-            pairwise_step(A, w, j_new, d, params),
+            classic_step(A, w, j_new, base, int(rng.integers(0, 50))),
+            short_step(A, w, j_new, base, d, params.eta),
+            line_search_step(A, w, j_new, base, params),
+            pairwise_step(A, w, j_new, base, d, params),
         ):
             assert out.new_w.shape == (A.t,)
             assert abs(out.new_w.sum() - 1.0) <= 1e-12
@@ -143,8 +149,8 @@ def test_short_step_and_line_search_descend():
         d = capped_entropy_projection(base, params).d  # true gradient
         j_new = int(np.argmax(d @ A.as_array()))
         before = smoothed_obj(A, w, params)
-        after_ss = smoothed_obj(A, short_step(A, w, j_new, d, params.eta).new_w, params)
-        after_ls = smoothed_obj(A, line_search_step(A, w, j_new, params).new_w, params)
+        after_ss = smoothed_obj(A, short_step(A, w, j_new, base, d, params.eta).new_w, params)
+        after_ls = smoothed_obj(A, line_search_step(A, w, j_new, base, params).new_w, params)
         assert after_ss <= before + 1e-9
         assert after_ls <= after_ss + 1e-9  # line search dominates short step
 
@@ -152,7 +158,8 @@ def test_short_step_and_line_search_descend():
 def test_pairwise_degenerate_support_is_noop():
     A = GainMatrix([np.array([0.5, -0.5]), np.array([0.1, 0.2])], [0, 1])
     params = CapParams(nu=1.0, m=2, eta=2.0, eps=0.1)
-    out = pairwise_step(A, np.array([1.0, 0.0]), 0, np.array([0.5, 0.5]), params)
+    w = np.array([1.0, 0.0])
+    out = pairwise_step(A, w, 0, margins(A, w), np.array([0.5, 0.5]), params)
     assert out.step_cap == pytest.approx(1.0)
     assert out.new_w == pytest.approx([1.0, 0.0])
 
@@ -163,7 +170,7 @@ def test_pairwise_drop_step_removes_away_column():
     params = CapParams(nu=1.0, m=3, eta=2.0, eps=0.1)
     w = np.array([0.3, 0.7])
     d = capped_entropy_projection(margins(A, w), params).d
-    out = pairwise_step(A, w, 1, d, params)
+    out = pairwise_step(A, w, 1, margins(A, w), d, params)
     assert out.step_size == pytest.approx(0.3)
     assert not out.good_step
     assert np.flatnonzero(out.new_w).tolist() == [1]
@@ -175,7 +182,7 @@ def test_pairwise_away_choice_and_descent():
         A, w, params, _ = random_instance(rng)
         d = capped_entropy_projection(margins(A, w), params).d
         j_new = int(np.argmax(d @ A.as_array()))
-        out = pairwise_step(A, w, j_new, d, params)
+        out = pairwise_step(A, w, j_new, margins(A, w), d, params)
         # exhaustive away check: the cap equals the worst support coefficient
         away = min(np.flatnonzero(w), key=lambda j: (float(d @ A.as_array()[:, j]), j))
         assert out.step_cap == pytest.approx(w[away])
@@ -545,15 +552,19 @@ def test_dense_rules_match_dict_reference(instance):
     w[list(w_dict)] = list(w_dict.values())
     proj = capped_entropy_projection(margins(A, w), params)
     d = proj.d
-    assert_same_step(classic_step(rounds, w, j_new), dict_classic(rounds, w_dict, j_new))
+    base = margins(A, w)
     assert_same_step(
-        short_step(A, w, j_new, d, params.eta), dict_short(A, w_dict, j_new, d, params.eta)
+        classic_step(A, w, j_new, base, rounds), dict_classic(rounds, w_dict, j_new)
     )
     assert_same_step(
-        line_search_step(A, w, j_new, params), dict_line_search(A, w_dict, j_new, params)
+        short_step(A, w, j_new, base, d, params.eta),
+        dict_short(A, w_dict, j_new, d, params.eta),
     )
     assert_same_step(
-        pairwise_step(A, w, j_new, d, params), dict_pairwise(A, w_dict, j_new, d, params)
+        line_search_step(A, w, j_new, base, params), dict_line_search(A, w_dict, j_new, params)
+    )
+    assert_same_step(
+        pairwise_step(A, w, j_new, base, d, params), dict_pairwise(A, w_dict, j_new, d, params)
     )
 
     # corrective solve: stops at once when the gap is within tolerance, and
@@ -607,7 +618,7 @@ def reference_newton_step(A, w, proj, params):
     if lam > 0.0:
         return fw._normalise(w + lam * (v - w))
     j_best = int(np.argmax(proj.d @ G))
-    return line_search_step(A, w, j_best, params).new_w
+    return line_search_step(A, w, j_best, margins(A, w), params).new_w
 
 
 def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
@@ -620,7 +631,7 @@ def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
     assert col_edges[j_best] - col_edges @ w > 1e-6
     monkeypatch.setattr(fw, "_simplex_qp", lambda H, g, start: start.copy())
     new_w = fw.newton_step(A, w, proj, params)
-    assert np.array_equal(new_w, line_search_step(A, w, j_best, params).new_w)
+    assert np.array_equal(new_w, line_search_step(A, w, j_best, margins(A, w), params).new_w)
     assert smoothed_obj(A, new_w, params) < smoothed_obj(A, w, params)
 
 
@@ -628,3 +639,42 @@ def test_secondary_erlpboost_starts_from_the_first_column():
     A = GainMatrix([np.array([0.4, -0.1, 0.3]), np.array([-0.2, 0.1, 0.5])], [0, 1])
     params = CapParams.from_tolerance(3, 1.5, 0.1)
     assert np.array_equal(secondary_erlpboost(A, params, gap_tol=10.0), [1.0, 0.0])
+
+
+def test_rules_return_the_margins_of_their_new_weights():
+    rng = np.random.default_rng(52)
+    for _ in range(40):
+        A, w, params, d = random_instance(rng)
+        j_new = int(rng.integers(0, A.t))
+        base = margins(A, w)
+        for out in (
+            classic_step(A, w, j_new, base, int(rng.integers(0, 50))),
+            short_step(A, w, j_new, base, d, params.eta),
+            line_search_step(A, w, j_new, base, params),
+            pairwise_step(A, w, j_new, base, d, params),
+        ):
+            assert np.max(np.abs(out.margins - margins(A, out.new_w))) <= 1e-12
+
+
+@pytest.mark.parametrize("rule", ["classic", "short_step"])
+def test_margins_carried_for_5000_steps_stay_within_the_simplex_tolerance(rule):
+    """A booster's inner loop on stump columns with the margins never re-derived."""
+    data = two_gaussians(60, seed=5)
+    G = full_gain_matrix(data, StumpPool.build(data)).as_array()
+    params = CapParams.from_tolerance(60, 6.0, 0.05)
+    A, w = GainMatrix([G[:, 0]], [0]), np.ones(1)
+    carried = margins(A, w)
+    worst = 0.0
+    for t in range(1, 5_001):
+        d = capped_entropy_projection(carried, params).d
+        j = int(np.argmax(d @ G))
+        A, j_new = A.with_column(G[:, j], j)
+        if j_new == w.size:
+            w = np.append(w, 0.0)
+        if rule == "classic":
+            out = classic_step(A, w, j_new, carried, t)
+        else:
+            out = short_step(A, w, j_new, carried, d, params.eta)
+        w, carried = out.new_w, out.margins
+        worst = max(worst, float(np.max(np.abs(carried - margins(A, w)))))
+    assert worst <= SIMPLEX_SUM_TOL

@@ -12,7 +12,9 @@ from marginforge.stumps import (
     pool_oracle,
 )
 
-from conftest import two_gaussians
+from marginforge.cli import main
+
+from conftest import two_gaussians, write_csv
 
 
 def naive_best(data, d, pool):
@@ -233,3 +235,88 @@ def test_full_gain_matrix_entries():
     assert A.t == len(pool)
     for j, h in enumerate(pool.candidates):
         assert np.allclose(A.as_array()[:, j], data.labels * h.predict(data.features))
+
+
+def interleaved_pick(data, d, pool):
+    """The pick as first written: argmax over the (+edge, -edge) pairs
+    interleaved into one array, so the first maximum in pool order wins."""
+    prefix = np.zeros((data.p, data.m + 1))
+    np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
+    plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
+    return pool.candidates[int(np.argmax(np.column_stack([plus, -plus]).ravel()))]
+
+
+@st.composite
+def tie_heavy_queries(draw):
+    """Few distinct feature values, repeated features and weights drawn
+    from a handful of values (zeros included), so many edges tie exactly."""
+    m = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.integers(0, draw(st.integers(1, 4)), (m, p)).astype(float)
+    if p > 1 and draw(st.booleans()):
+        features[:, -1] = features[:, 0]  # a repeated feature ties whole rows of stumps
+    labels = rng.choice([-1.0, 1.0], m)
+    d = rng.choice(draw(st.sampled_from([[0.25], [0.0, 0.5], [0.0, 0.125, 0.25, 1.0]])), m)
+    if draw(st.booleans()):
+        d = np.full(m, 1.0 / m)  # uniform: +-0.0 edges on balanced splits
+    return Dataset(features, labels), d
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_queries())
+@example((Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0])), np.array([0.5, 0.5])))
+@example((Dataset(np.zeros((2, 2)), np.array([1.0, 1.0])), np.array([0.0, 0.0])))
+def test_best_stump_pick_matches_interleaved_argmax(query):
+    data, d = query
+    pool = StumpPool.build(data)
+    assert best_stump(data, d, pool)[0] == interleaved_pick(data, d, pool)
+
+
+EXTREME_FEATURES = {
+    "beyond 2**53": [1e16, 1e16 + 2, 1e16 + 4, 5.0],
+    "adjacent floats": [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), 0.5],
+    "adjacent negatives": [-3.0, np.nextafter(-3.0, 0.0), -7.0, -3.0],
+    "float maximum": [np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0), 0.0],
+    "overflowing midpoint": [1.7e308, 1.79e308, -1.79e308, -1.7e308],
+    "float minimum": [-np.finfo(float).max, 0.0, 5e-324, 1e-323],
+}
+
+
+@pytest.mark.parametrize("values", EXTREME_FEATURES.values(), ids=EXTREME_FEATURES.keys())
+def test_every_threshold_fires_on_the_rows_its_split_counts(values):
+    x = np.array(values, dtype=float)
+    m = x.size
+    data = Dataset(np.column_stack([x, x[::-1]]), np.where(np.arange(m) % 2, 1.0, -1.0))
+    pool = StumpPool.build(data)
+    assert len(set(pool.candidates)) == len(pool.candidates)
+    assert pool.split_at.size == len(pool) // 2
+    for h, flat in zip(pool.candidates[::2], pool.split_at.tolist()):
+        f, below = divmod(flat, m + 1)
+        assert f == h.feature
+        assert np.isfinite(h.threshold)
+        fires = np.flatnonzero(data.features[:, f] >= h.threshold)
+        assert sorted(fires.tolist()) == sorted(pool.orders[f, below:].tolist())
+    # the presorted query agrees bit for bit with scoring every column
+    rng = np.random.default_rng(m)
+    d = rng.exponential(1.0, m)
+    stump, edge, column = best_stump(data, d, pool)
+    assert np.array_equal(column, data.labels * stump.predict(data.features))
+    assert edge == max(float(d @ (data.labels * h.predict(data.features))) for h in pool.candidates)
+
+
+def test_no_finite_threshold_above_the_float_maximum_drops_that_pair():
+    top = np.finfo(float).max
+    data = Dataset(np.array([[top], [0.0]]), np.array([1.0, -1.0]))
+    pool = StumpPool.build(data)
+    assert [h.threshold for h in pool.candidates[::2]] == [-1.0, top / 2.0]
+    assert pool.split_at.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("values", EXTREME_FEATURES.values(), ids=EXTREME_FEATURES.keys())
+def test_oracle_runs_on_extreme_feature_values(values, tmp_path, capsys):
+    x = np.array(values, dtype=float)
+    path = tmp_path / "extreme.csv"
+    write_csv(path, Dataset(x[:, None], np.where(np.arange(x.size) % 2, 1.0, -1.0)))
+    assert main(["oracle", "--data", str(path)]) == 0
+    assert "rho_star" in capsys.readouterr().out
