@@ -67,8 +67,8 @@ class BoosterConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be a positive finite number")
         if self.fw_rule not in FW_RULES:
             raise ValueError(f"unknown fw rule {self.fw_rule!r}")
         if not callable(self.secondary) and self.secondary not in SECONDARY_RULES:
@@ -138,6 +138,23 @@ def default_iteration_cap(m: int, nu: float, eps: float) -> int:
     return math.ceil(32.0 * math.log(m / nu) / eps**2) + 16
 
 
+def _start(learner, config: BoosterConfig):
+    """Start state shared by both loops.
+
+    Returns the params, the round cap, and the one-column gain matrix and
+    edge of the weak learner's answer to the uniform distribution.
+    """
+    m = learner.m
+    params = CapParams.from_tolerance(m, config.nu, config.eps)
+    cap_rounds = (
+        config.max_iterations
+        if config.max_iterations is not None
+        else default_iteration_cap(m, config.nu, config.eps)
+    )
+    hypothesis, column, edge0 = learner.query(np.full(m, 1.0 / m))
+    return params, cap_rounds, GainMatrix([column], [hypothesis]), edge0
+
+
 def run_scheme(data, learner, config: BoosterConfig):
     """Generic booster: certified stopping, FW rule vs secondary rule.
 
@@ -157,21 +174,10 @@ def run_scheme(data, learner, config: BoosterConfig):
     every round.  With secondary "none" and the short-step rule this is
     the plain corrective booster.
     """
-    m = learner.m
-    params = CapParams.from_tolerance(m, config.nu, config.eps)
-    cap_rounds = (
-        config.max_iterations
-        if config.max_iterations is not None
-        else default_iteration_cap(m, config.nu, config.eps)
-    )
-
-    d0 = np.full(m, 1.0 / m)
-    hypothesis, column, edge0 = learner.query(d0)
-    A = GainMatrix([column], [hypothesis])
+    params, cap_rounds, A, min_edge = _start(learner, config)
     w = np.ones(1)
     marg = margins(A, w)  # carried from round to round, re-derived every _MARGIN_REFRESH
     proj = None
-    min_edge = edge0
     records: list[IterationRecord] = []
     converged = False
     lp_memo = None  # (A.t, weights, their margins, smoothed value) of the last LPBoost solve
@@ -239,7 +245,7 @@ def run_scheme(data, learner, config: BoosterConfig):
             )
         )
 
-    model = _finish_model(A, w, config, converged)
+    model = _finish_model(A, w, params, converged)
     if not converged:
         logger.warning("booster hit the iteration cap (%d rounds)", cap_rounds)
     return model, records
@@ -323,18 +329,7 @@ def run_lpboost(data, learner, config: BoosterConfig):
     once the freshly queried hypothesis cannot beat the restricted
     value by more than eps.
     """
-    m = learner.m
-    params = CapParams.from_tolerance(m, config.nu, config.eps)
-    cap_rounds = (
-        config.max_iterations
-        if config.max_iterations is not None
-        else default_iteration_cap(m, config.nu, config.eps)
-    )
-
-    d0 = np.full(m, 1.0 / m)
-    hypothesis, column, edge0 = learner.query(d0)
-    A = GainMatrix([column], [hypothesis])
-    min_edge = edge0
+    params, cap_rounds, A, min_edge = _start(learner, config)
     records: list[IterationRecord] = []
     converged = False
 
@@ -358,17 +353,16 @@ def run_lpboost(data, learner, config: BoosterConfig):
         A, _ = A.with_column(column, hypothesis)
 
     # at the cap A holds the last query's column, which that solve did not see
-    model = _finish_model(A, np.pad(w, (0, A.t - w.size)), config, converged)
+    model = _finish_model(A, np.pad(w, (0, A.t - w.size)), params, converged)
     if not converged:
         logger.warning("LP booster hit the iteration cap (%d rounds)", cap_rounds)
     return model, records
 
 
-def _finish_model(A, w, config, converged) -> TrainedModel:
+def _finish_model(A, w, params, converged) -> TrainedModel:
     check_ensemble_weights(w, A)
     marg = margins(A, w)
-    params = CapParams.from_tolerance(len(marg), config.nu, config.eps)
-    soft_margin_obj, _ = capped_min_linear(marg, config.nu)
+    soft_margin_obj, _ = capped_min_linear(marg, params.nu)
     support = np.flatnonzero(w)
     return TrainedModel(
         hypotheses=[A.hypothesis_ids[j] for j in support],

@@ -2,9 +2,10 @@
 
 Artifacts are machine-readable: model JSON, per-round JSON-lines logs
 and a CSV summary for sweeps.  All writes are atomic (temp file then
-rename).  Exit codes: 0 ok, 2 not converged, 3 budget exceeded,
-4 input width mismatch, 1 anything else (bad input or model file,
-LP failure).
+rename).  Each subcommand accepts only the flags it reads.  Exit
+codes: 0 ok, 2 not converged, 3 budget exceeded, 4 input width
+mismatch, 1 anything else (usage error, bad input or model file, LP
+failure).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .lp import LpError, solve_edge_min
 from .stumps import StumpHypothesis, StumpPool, full_gain_matrix
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
+DENSE_ENTRY_BUDGET = 100_000_000  # rows x width of a LIBSVM file's dense matrix
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -165,6 +167,10 @@ def _load_libsvm(path: str):
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     width = max(width, 1)
+    if len(rows) * width > DENSE_ENTRY_BUDGET:
+        raise DataFormatError(
+            f"{path}: a dense {len(rows)} x {width} matrix exceeds {DENSE_ENTRY_BUDGET} entries"
+        )
     features = np.zeros((len(rows), width))
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
@@ -444,36 +450,43 @@ def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) ->
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="marginforge", description="Soft-margin boosting toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _ArgumentParser(argparse.ArgumentParser):  # usage errors exit 1; 2 means "not converged"
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
-    def common(p, algo_list=False):
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(prog="marginforge", description="Soft-margin boosting toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers inherit its class
+
+    def subcommand(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", required=True)
         p.add_argument("--format", choices=["csv", "libsvm"], default="csv")
-        if algo_list:
-            p.add_argument("--algo", default="mlpb-ss", help="comma-separated list")
-            p.add_argument("--nu-frac", default="0.1", help="comma-separated list in (0, 1]")
-        else:
-            p.add_argument("--algo", choices=sorted(ALGORITHMS), default="mlpb-ss")
-            p.add_argument("--nu-frac", type=float, default=0.1)
-        p.add_argument("--eps", type=float, default=0.01)
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--model-out", default=None)
-        p.add_argument("--log-out", default=None)
-        p.add_argument("--timeout-secs", type=float, default=None)
+        return p
 
-    common(sub.add_parser("train", help="fit a model and write artifacts"))
-    common(sub.add_parser("bench", help="sweep algorithms x capping grid"), algo_list=True)
+    train = subcommand("train", "fit a model and write artifacts")
+    train.add_argument("--algo", choices=sorted(ALGORITHMS), default="mlpb-ss")
+    train.add_argument("--nu-frac", type=float, default=0.1)
+    train.add_argument("--eps", type=float, default=0.01)
+    train.add_argument("--max-iters", type=int, default=None)
+    train.add_argument("--model-out", default=None)
+    train.add_argument("--log-out", default=None)
 
-    oracle = sub.add_parser("oracle", help="exact soft-margin optimum over the stump pool")
-    common(oracle)
+    bench = subcommand("bench", "sweep algorithms x capping grid")
+    bench.add_argument("--algo", default="mlpb-ss", help="comma-separated list")
+    bench.add_argument("--nu-frac", default="0.1", help="comma-separated list in (0, 1]")
+    bench.add_argument("--eps", type=float, default=0.01)
+    bench.add_argument("--max-iters", type=int, default=None)
+    bench.add_argument("--seed", type=int, default=0, help="label written to each CSV row")
+    bench.add_argument("--log-out", default=None)
+    bench.add_argument("--timeout-secs", type=float, default=None)
 
-    pred = sub.add_parser("predict", help="apply a saved model")
-    pred.add_argument("--model", required=True)
-    pred.add_argument("--data", required=True)
-    pred.add_argument("--format", choices=["csv", "libsvm"], default="csv")
+    oracle = subcommand("oracle", "exact soft-margin optimum over the stump pool")
+    oracle.add_argument("--nu-frac", type=float, default=0.1)
+
+    subcommand("predict", "apply a saved model").add_argument("--model", required=True)
     return parser
 
 
@@ -484,13 +497,17 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_predict(args.model, args.data, args.format)
         if args.command == "bench":
             algos = [a.strip() for a in args.algo.split(",") if a.strip()]
+            if not algos:
+                raise ValueError("--algo lists no algorithm")
             for algo in algos:
                 if algo not in ALGORITHMS:
                     raise ValueError(f"unknown algo {algo!r}")
             fracs = [float(v) for v in args.nu_frac.split(",") if v.strip()]
+            if not fracs:
+                raise ValueError("--nu-frac lists no value")
             manifest = _manifest_from_args(args, algo=algos[0], nu_frac=fracs[0])
             return cmd_bench(manifest, algos, fracs)
-        manifest = _manifest_from_args(args, algo=args.algo, nu_frac=args.nu_frac)
+        manifest = _manifest_from_args(args)
         if args.command == "train":
             return cmd_train(manifest)
         return cmd_oracle(manifest)
@@ -502,19 +519,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
-def _manifest_from_args(args, algo: str, nu_frac: float) -> RunManifest:
-    return RunManifest(
-        data=args.data,
-        format=args.format,
-        algo=algo,
-        nu_frac=nu_frac,
-        eps=args.eps,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        model_out=args.model_out,
-        log_out=args.log_out,
-        timeout_secs=args.timeout_secs,
-    )
+def _manifest_from_args(args, **overrides) -> RunManifest:
+    """The manifest of the flags a subcommand declares; the rest keep their defaults."""
+    names = {f.name for f in dataclasses.fields(RunManifest)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return RunManifest(**{**given, **overrides})
 
 
 if __name__ == "__main__":

@@ -84,10 +84,6 @@ class CapParams:
         eta = max(2.0 * math.log(m / nu) / eps, 1e-9)
         return cls(nu=nu, m=m, eta=eta, eps=eps)
 
-    @property
-    def cap(self) -> float:
-        return 1.0 / self.nu
-
 
 class GainMatrix:
     """Discovered gain columns, entry [i, j] = label_i * h_j(x_i).

@@ -46,7 +46,6 @@ _QP_MAX_ITERS = 1_000  # safeguard: each iteration adds or releases one bound
 class FwStepOutcome:
     new_w: np.ndarray
     step_size: float
-    step_cap: float
     good_step: bool
     margins: np.ndarray  # base + step_size * direction, carried in place of A @ new_w
 
@@ -107,12 +106,12 @@ def pairwise_step(
     new_w = w.copy()
     new_w[away_idx] -= lam
     new_w[e_new] += lam
-    return FwStepOutcome(_normalise(new_w), lam, cap, lam < cap, base + lam * direction)
+    return FwStepOutcome(_normalise(new_w), lam, lam < cap, base + lam * direction)
 
 
 def _toward(w, e_new, lam, base, direction) -> FwStepOutcome:
     """Outcome of the step of size lam from w toward column e_new."""
-    return FwStepOutcome(_mix(w, e_new, lam), lam, 1.0, lam < 1.0, base + lam * direction)
+    return FwStepOutcome(_mix(w, e_new, lam), lam, lam < 1.0, base + lam * direction)
 
 
 def newton_step(

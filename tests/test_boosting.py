@@ -381,6 +381,12 @@ def test_predict_width_mismatch():
         predict(model, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_config_requires_positive_finite_eps(eps):
+    with pytest.raises(ValueError, match="eps must be a positive finite number"):
+        BoosterConfig(eps=eps, nu=1.0)
+
+
 SCHEME_ALGOS = [algo for algo, (runner, _, _) in ALGORITHMS.items() if runner is run_scheme]
 
 

@@ -444,3 +444,82 @@ def test_bench_timeout_marks_row(tmp_path):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].endswith("timed_out")
+
+
+def test_missing_required_flag_exits_one(capsys):
+    # argparse's own exit code, 2, would read as "did not converge"
+    with pytest.raises(SystemExit) as exc:
+        main(["train"])
+    assert exc.value.code == 1
+    assert "the following arguments are required: --data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("oracle", "--eps", "0.1"),
+        ("oracle", "--algo", "lpboost"),
+        ("oracle", "--max-iters", "5"),
+        ("oracle", "--seed", "1"),
+        ("oracle", "--model-out", "model.json"),
+        ("oracle", "--log-out", "log.jsonl"),
+        ("oracle", "--timeout-secs", "1"),
+        ("train", "--seed", "1"),
+        ("train", "--timeout-secs", "0.000001"),
+        ("bench", "--model-out", "model.json"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", separable_csv(tmp_path), flag, value])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["bench", "--help"],
+                                  ["oracle", "--help"], ["predict", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: marginforge" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--algo", ","), ("--nu-frac", "")])
+def test_bench_empty_list_exits_one_naming_the_flag(tmp_path, capsys, flag, value):
+    code = main(["bench", "--data", separable_csv(tmp_path), flag, value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"{flag} lists no" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_non_finite_eps(tmp_path, capsys, value):
+    model_path = tmp_path / "model.json"
+    code = main([
+        "train", "--data", separable_csv(tmp_path), "--eps", value,
+        "--model-out", str(model_path),
+    ])
+    assert code == 1
+    assert "eps must be a positive finite number" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+def test_libsvm_width_is_bounded_before_allocating(tmp_path, capsys):
+    path = tmp_path / "wide.svm"
+    path.write_text("1 10000000000000:1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r"wide\.svm: a dense 1 x 10000000000000 matrix"):
+        load_dataset(str(path), "libsvm")
+    assert main(["train", "--data", str(path), "--format", "libsvm"]) == 1
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_libsvm_width_budget_boundary(tmp_path, monkeypatch):
+    monkeypatch.setattr("marginforge.cli.DENSE_ENTRY_BUDGET", 4)
+    path = tmp_path / "two.svm"
+    path.write_text("1 2:1\n-1 1:1\n", encoding="utf-8")
+    assert load_dataset(str(path), "libsvm").features.shape == (2, 2)
+    path.write_text("1 3:1\n-1 1:1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="2 x 3"):
+        load_dataset(str(path), "libsvm")
