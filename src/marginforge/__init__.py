@@ -10,7 +10,6 @@ from .boosting import (
     BoosterConfig,
     IterationRecord,
     PoolOracleLearner,
-    StumpLearner,
     TrainedModel,
     predict,
     run_lpboost,
@@ -27,7 +26,7 @@ from .entropy import (
 )
 from .fw import FwStepOutcome, classic_step, line_search_step, pairwise_step, short_step
 from .lp import EdgeMinSolution, solve_edge_min
-from .stumps import StumpHypothesis, StumpPool, best_stump, full_gain_matrix, pool_oracle
+from .stumps import StumpHypothesis, StumpLearner, StumpPool, best_stump, full_gain_matrix, pool_oracle
 
 __version__ = "0.1.0"
 

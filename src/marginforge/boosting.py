@@ -39,7 +39,6 @@ import numpy as np
 
 from .core import (
     CapParams,
-    Dataset,
     GainMatrix,
     check_ensemble_weights,
     margins,
@@ -47,7 +46,7 @@ from .core import (
 from .entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
 from .fw import FwStepOutcome, classic_step, line_search_step, newton_step, pairwise_step, short_step
 from .lp import LpError, solve_edge_min
-from .stumps import StumpPool, best_stump, pool_oracle
+from .stumps import StumpLearner, pool_oracle  # StumpLearner: re-exported
 
 logger = logging.getLogger(__name__)
 
@@ -98,22 +97,6 @@ class TrainedModel:
     soft_margin_obj: float
     smoothed_obj: float
     converged: bool
-
-
-class StumpLearner:
-    """Max-edge responses over the stump pool of a dataset."""
-
-    def __init__(self, data: Dataset, pool: StumpPool | None = None):
-        self.data = data
-        self.pool = pool if pool is not None else StumpPool.build(data)
-
-    @property
-    def m(self) -> int:
-        return self.data.m
-
-    def query(self, d: np.ndarray):
-        stump, edge, column = best_stump(self.data, d, self.pool)
-        return stump, column, edge
 
 
 class PoolOracleLearner:

@@ -27,7 +27,6 @@ import numpy as np
 from .boosting import (
     BoosterConfig,
     IterationRecord,
-    StumpLearner,
     TrainedModel,
     predict,
     run_lpboost,
@@ -35,7 +34,7 @@ from .boosting import (
 )
 from .core import Dataset
 from .lp import LpError, solve_edge_min
-from .stumps import StumpHypothesis, StumpPool, full_gain_matrix
+from .stumps import StumpHypothesis, StumpLearner, StumpPool, full_gain_matrix
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 DENSE_ENTRY_BUDGET = 100_000_000  # rows x width of a LIBSVM file's dense matrix
@@ -84,6 +83,8 @@ class RunManifest:
             raise DataFormatError(f"unknown format {self.format!r}")
         if not 0.0 < self.nu_frac <= 1.0:
             raise ValueError("nu-frac must lie in (0, 1]")
+        if self.timeout_secs is not None and not 0.0 < self.timeout_secs < math.inf:
+            raise ValueError("timeout-secs must be a positive finite number")
 
     def nu(self, m: int) -> float:
         return min(max(self.nu_frac * m, 1.0), float(m))

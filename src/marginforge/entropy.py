@@ -3,9 +3,14 @@
 ``capped_entropy_projection`` minimises d@theta + (1/eta)*H(d) over the
 capped simplex by one sort plus a linear scan; ``smoothed_conjugate``
 and ``capped_min_linear`` evaluate the smoothed and exact support
-functions used as objectives everywhere else.  A projection hands back
-its sort order, so a caller that also needs ``capped_min_linear`` of the
-same vector sorts once, and evaluates its objective only on demand.
+functions used as objectives everywhere else.  The scan caps at most
+floor(nu) entries, so the suffix log-sum-exp it reads is formed over
+that head alone, with the rest of the sorted vector folded into one
+term around its maximum.  A projection hands back its sort order, so a
+caller that also needs ``capped_min_linear`` of the same vector sorts
+once, and evaluates its objective only on demand, in closed form from
+the capped entries and the uncapped entries' normaliser: O(k) for k
+capped entries, where the entropy of d would take a logarithm over m.
 A caller that projects a slowly changing vector round after round passes
 the previous order back as ``order_hint``: the sort then runs over a
 nearly sorted gather and yields the same permutation as a cold sort.
@@ -20,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import CAP_REL_SLACK, ENTROPY_ZERO
-from .core import CapParams, relative_entropy
+from .core import CapParams
 
 
 @dataclass(frozen=True)
@@ -29,19 +34,35 @@ class ProjectionResult:
 
     ``order`` is the ascending (theta, index) permutation of the
     projected vector; ``d[order[:capped_count]]`` sit at the cap 1/nu.
+    ``lse`` is log sum_{i >= k} exp(-eta*theta[order[i]]) at
+    k = capped_count, the normaliser of the uncapped entries.
     ``objective`` is computed on first access, so callers that need only
-    ``d`` skip the entropy evaluation.
+    ``d`` skip it.
     """
 
     d: np.ndarray
     capped_count: int
     order: np.ndarray
     theta: np.ndarray = field(repr=False)
-    eta: float = field(repr=False)
+    lse: float = field(repr=False)
+    params: CapParams = field(repr=False)
 
     @cached_property
     def objective(self) -> float:
-        return float(self.d @ self.theta) + relative_entropy(self.d) / self.eta
+        """d@theta + relative_entropy(d)/eta in closed form, O(k).
+
+        On the uncapped entries ln d_i = ln R - eta*theta_i - lse with
+        R = 1 - k/nu, so their d_i*theta_i cancel against the entropy
+        and what is left is cap*sum(capped theta) + (k*cap*ln cap
+        + R*(ln R - lse) + ln m)/eta, with R*ln R = 0 at R = 0.
+        """
+        k, nu = self.capped_count, self.params.nu
+        cap = 1.0 / nu
+        remaining = 1.0 - k / nu
+        entropy = k * cap * math.log(cap) + math.log(self.d.shape[0])
+        if remaining > 0.0:
+            entropy += remaining * (math.log(remaining) - self.lse)
+        return cap * float(self.theta[self.order[:k]].sum()) + entropy / self.params.eta
 
 
 def capped_entropy_projection(
@@ -52,9 +73,11 @@ def capped_entropy_projection(
     Sorts theta ascending and caps a growing prefix at 1/nu until the
     remaining mass, spread over the tail proportionally to
     exp(-eta*theta_i), stays below the cap.  The tail is evaluated
-    through suffix log-sum-exp so arbitrarily large eta is safe.  The
-    result keeps its own copy of theta (``theta``) for its lazy
-    objective; a caller that needs the projected vector again may read it.
+    through suffix log-sum-exp so arbitrarily large eta is safe; it is
+    formed for the stop = min(m, floor(nu) + 1) entries the scan can
+    reach, after one fold of the rest.  The result keeps its own copy of
+    theta (``theta``); a caller that needs the projected vector again may
+    read it.
 
     ``order_hint``, a permutation of range(m) such as the ``order`` of an
     earlier projection, seeds the sort: theta is stably sorted in hint
@@ -73,37 +96,48 @@ def capped_entropy_projection(
     m, nu, eta = params.m, params.nu, params.eta
     cap = 1.0 / nu
 
-    order = _ascending_order(theta, order_hint)
-    scaled = -eta * theta[order]
-    # suffix_lse[k] = log(sum_{i >= k} exp(scaled[i]))
-    suffix_lse = np.logaddexp.accumulate(scaled[::-1])[::-1]
-
+    order, scaled = _ascending_order(theta, order_hint)
+    np.multiply(scaled, -eta, out=scaled)  # -eta * sorted theta, descending
     # largest uncapped weight belongs to the smallest theta in the tail;
     # it fits under the cap by k = floor(nu) (or k = m - 1 at nu = m)
     stop = min(m, math.floor(nu) + 1)
-    for k, gap in enumerate((scaled[:stop] - suffix_lse[:stop]).tolist()):
+    # lse[stop - k] = log(sum_{i >= k} exp(scaled[i])) for k < stop; lse[0]
+    # folds the entries past stop around their maximum scaled[stop]
+    lse = np.empty(stop + 1)
+    if stop < m:
+        top = scaled[stop]
+        lse[0] = top + math.log(float(np.exp(scaled[stop:] - top).sum()))
+    else:
+        lse[0] = -math.inf  # logaddexp(-inf, x) == x: the plain suffix scan
+    lse[1:] = scaled[stop - 1 :: -1]
+    np.logaddexp.accumulate(lse, out=lse)
+
+    for k, gap in enumerate((scaled[:stop] - lse[stop:0:-1]).tolist()):
         remaining = 1.0 - k / nu
         if remaining * math.exp(gap) <= cap * (1.0 + CAP_REL_SLACK):
             break
 
+    lse_k = float(lse[stop - k])
     d_sorted = np.empty(m)
     d_sorted[:k] = cap
-    d_sorted[k:] = remaining * np.exp(scaled[k:] - suffix_lse[k])
+    d_sorted[k:] = remaining * np.exp(scaled[k:] - lse_k)
     d = np.empty(m)
     d[order] = d_sorted
 
-    return ProjectionResult(d=d, capped_count=k, order=order, theta=theta, eta=eta)
+    return ProjectionResult(d=d, capped_count=k, order=order, theta=theta, lse=lse_k, params=params)
 
 
-def _ascending_order(theta: np.ndarray, hint: np.ndarray | None) -> np.ndarray:
-    """The ascending (theta, index) permutation, seeded by ``hint`` if given."""
+def _ascending_order(theta: np.ndarray, hint: np.ndarray | None):
+    """The ascending (theta, index) permutation, seeded by ``hint`` if given,
+    and theta gathered into it (a fresh array)."""
     if hint is not None:
         order = hint[np.argsort(theta[hint], kind="stable")]
         sorted_theta = theta[order]
         tied = sorted_theta[1:] == sorted_theta[:-1]
         if not np.any(tied & (order[1:] < order[:-1])):
-            return order
-    return np.argsort(theta, kind="stable")
+            return order, sorted_theta
+    order = np.argsort(theta, kind="stable")
+    return order, theta[order]
 
 
 def smoothed_conjugate(theta: np.ndarray, params: CapParams) -> float:

@@ -255,18 +255,23 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, start: np.ndarray) -> np.ndarray:
     with a zero step (a rounding artefact that would otherwise cycle).
     """
     t = g.size
-    H_r = H + NEWTON_RIDGE * max(1.0, float(np.max(np.diag(H)))) * np.eye(t)
+    H_r = H.copy()
+    H_r.flat[:: t + 1] += NEWTON_RIDGE * max(1.0, float(np.max(np.diag(H))))
     c = g - H_r @ start
     v = start.copy()
     free = v > 0.0
     released = -1
+    kkt_buf, rhs_buf = np.empty((t + 1, t + 1)), np.empty(t + 1)  # reused by every KKT solve
     for _ in range(_QP_MAX_ITERS):
         F = np.flatnonzero(free)
         n = F.size
-        kkt = np.ones((n + 1, n + 1))
-        kkt[:n, :n] = H_r[np.ix_(F, F)]
+        kkt, rhs = kkt_buf[: n + 1, : n + 1], rhs_buf[: n + 1]
+        kkt[:n, :n] = H_r[F][:, F]
+        kkt[:n, n] = kkt[n, :n] = 1.0
         kkt[n, n] = 0.0
-        sol = np.linalg.solve(kkt, np.append(-c[F], 1.0))
+        np.negative(c[F], out=rhs[:n])
+        rhs[n] = 1.0
+        sol = np.linalg.solve(kkt, rhs)
         p = sol[:n] - v[F]
         shrink = np.flatnonzero(p < 0.0)
         ratios = np.maximum(v[F[shrink]], 0.0) / -p[shrink]

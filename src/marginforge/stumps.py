@@ -4,8 +4,10 @@
 weighted correlation.  ``StumpPool.build`` argsorts every feature once,
 O(p m log m); each query then costs O(p m + |pool|): one gather into
 that order, one row-wise prefix sum, and one argmax and one argmin over
-the thresholds' +1 edges.  ``pool_oracle`` does the same by dense argmax
-when the whole gain matrix is in memory.
+the thresholds' +1 edges.  ``StumpLearner`` answers the same queries
+for a booster and keeps each gain column it has computed.
+``pool_oracle`` answers by dense argmax when the whole gain matrix
+is in memory.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ def best_stump(
     tie goes to the earlier pool candidate, so ties resolve as a first
     argmax over the whole pool order would.
     """
+    j, d = _pick(data, d, pool)
+    stump = pool.candidates[j]
+    gain_column = data.labels * stump.predict(data.features)
+    return stump, float(d @ gain_column), gain_column
+
+
+def _pick(data: Dataset, d: np.ndarray, pool: StumpPool) -> tuple[int, np.ndarray]:
+    """Pool index of ``best_stump``'s answer, and d as a float vector."""
     if len(pool) == 0:
         raise ValueError("stump pool is empty")
     if pool.orders.shape != (data.p, data.m):
@@ -120,11 +130,37 @@ def best_stump(
     plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
     i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
     if plus[i_pos] > -plus[i_neg] or (plus[i_pos] == -plus[i_neg] and i_pos <= i_neg):
-        stump = pool.candidates[2 * i_pos]
-    else:
-        stump = pool.candidates[2 * i_neg + 1]
-    gain_column = data.labels * stump.predict(data.features)
-    return stump, float(d @ gain_column), gain_column
+        return 2 * i_pos, d
+    return 2 * i_neg + 1, d
+
+
+class StumpLearner:
+    """Max-edge responses over the stump pool of a dataset.
+
+    Answers as ``best_stump`` does.  A booster's queries mostly return
+    stumps it already holds, so each gain column is computed once and
+    kept by pool index.  Gains are exactly +-1, so the kept copy is int8
+    (m bytes per stump); each query hands out a fresh float column.
+    """
+
+    def __init__(self, data: Dataset, pool: StumpPool | None = None):
+        self.data = data
+        self.pool = pool if pool is not None else StumpPool.build(data)
+        self._gains: dict[int, np.ndarray] = {}
+
+    @property
+    def m(self) -> int:
+        return self.data.m
+
+    def query(self, d: np.ndarray):
+        j, d = _pick(self.data, d, self.pool)
+        stump = self.pool.candidates[j]
+        gains = self._gains.get(j)
+        if gains is None:
+            gains = (self.data.labels * stump.predict(self.data.features)).astype(np.int8)
+            self._gains[j] = gains
+        column = gains.astype(float)
+        return stump, column, float(d @ column)
 
 
 def pool_oracle(A_full: GainMatrix, d: np.ndarray) -> int:

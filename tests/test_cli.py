@@ -506,6 +506,20 @@ def test_train_rejects_non_finite_eps(tmp_path, capsys, value):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_bench_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, capsys, value):
+    out_path = tmp_path / "bench.csv"
+    code = main([
+        "bench", "--data", separable_csv(tmp_path), "--algo", "lpboost",
+        "--timeout-secs", value, "--log-out", str(out_path),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "timeout-secs must be a positive finite number" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_libsvm_width_is_bounded_before_allocating(tmp_path, capsys):
     path = tmp_path / "wide.svm"
     path.write_text("1 10000000000000:1\n", encoding="utf-8")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marginforge.constants import CAP_REL_SLACK
-from marginforge.core import CapParams, check_distribution
+from marginforge.core import CapParams, check_distribution, relative_entropy
 from marginforge.entropy import (
     capped_entropy_projection,
     capped_min_linear,
@@ -227,24 +227,44 @@ def hinted_projections(draw):
     else:
         hint = np.array(draw(st.permutations(range(m))), dtype=np.intp)
     nu = draw(st.one_of(st.floats(1.0, float(m)), st.integers(1, m).map(float)))
-    eta = draw(st.sampled_from([1e-9, 0.5, 7.0, 60.0, 2000.0]))
+    eta = draw(st.sampled_from([1e-9, 0.5, 7.0, 60.0, 2000.0, 1e6]))
     return theta, nu, eta, hint
+
+
+# k = nu (R = 0) needs the leftover 1 - (nu-1)/nu to round above the cap's
+# slack, which first happens near nu = 1e5; the entries are spaced so that
+# each sorted entry outweighs everything after it
+_FULL_HEAD = np.linspace(-2.0, 2.0, 100_004)
 
 
 @settings(max_examples=400, deadline=None)
 @given(hinted_projections())
 @example((np.array([0.0, -0.0, 0.0, -0.0]), 2.0, 7.0, np.array([3, 2, 1, 0])))
 @example((np.array([1.0, 1.0, 0.5]), 3.0, 7.0, np.array([1, 0, 2])))
+@example((np.array([0.5, -1.0, 2.0, -1.0]), 1.0, 1e6, np.array([3, 2, 1, 0])))  # k = 0
+@example((np.array([0.3, -0.2, 1.0, -1.5, 0.3]), 4.5, 60.0, np.arange(5)))  # stop == m
+@example((_FULL_HEAD, 100_003.0, 1e6, np.arange(100_004)[::-1].copy()))  # R = 0, stop == m
 def test_warm_started_projection_is_bit_identical_to_the_while_loop(case):
+    """Order and capped count match the reference bit for bit; so does d
+    when the suffix log-sum-exp runs over all m entries (stop == m).  Past
+    that the kernel folds the tail, and d may differ by the rounding of a
+    log-sum-exp of magnitude eta*max|theta|, the bound ``rtol`` scales with
+    (with a few subnormal spacings for entries that underflow)."""
     theta, nu, eta, hint = case
     m = theta.shape[0]
     ref_order, ref_k, ref_d = while_loop_projection(theta, nu, eta)
     assert np.array_equal(ref_order, np.lexsort((np.arange(m), theta)))
+    big = float(np.max(np.abs(theta)))
+    rtol = 1e-12 + 16 * 2.0**-52 * eta * big
+    ref_objective = float(ref_d @ theta) + relative_entropy(ref_d) / eta
     for order_hint in (None, hint):
         res = capped_entropy_projection(theta, params(m, nu, eta), order_hint=order_hint)
         assert np.array_equal(res.order, ref_order)
         assert res.capped_count == ref_k
-        assert np.array_equal(res.d, ref_d)
+        if min(m, math.floor(nu) + 1) == m:
+            assert np.array_equal(res.d, ref_d)
+        np.testing.assert_allclose(res.d, ref_d, rtol=rtol, atol=16 * 2.0**-1074)
+        assert abs(res.objective - ref_objective) <= rtol * (1.0 + big + math.log(m) / eta)
 
 
 def test_projection_rejects_a_hint_of_the_wrong_length():

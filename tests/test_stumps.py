@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from marginforge.core import Dataset, GainMatrix
 from marginforge.stumps import (
     StumpHypothesis,
+    StumpLearner,
     StumpPool,
     best_stump,
     full_gain_matrix,
@@ -92,6 +93,22 @@ def test_best_stump_is_identical_to_per_feature_sweep(query):
     assert edge == ref_edge  # bit-equal, not approximately equal
     assert stump in pool.candidates
     assert np.array_equal(column, data.labels * stump.predict(data.features))
+
+
+def test_learner_queries_match_fresh_best_stump_calls():
+    data = two_gaussians(60, seed=1)
+    pool = StumpPool.build(data)
+    learner = StumpLearner(data, pool)
+    rng = np.random.default_rng(5)
+    raw = [rng.exponential(1.0, data.m) for _ in range(12)]
+    ds = [r / r.sum() for r in raw] + [np.full(data.m, 1.0 / data.m)]
+    for d in ds + ds[::-1]:  # the second pass returns only stumps already held
+        stump, column, edge = learner.query(d)
+        ref_stump, ref_edge, ref_column = best_stump(data, d, pool)
+        assert stump == ref_stump
+        assert column.dtype == ref_column.dtype and np.array_equal(column, ref_column)
+        assert edge == ref_edge
+        column[:] = 0.0  # a caller's copy: the kept gains stay as they were
 
 
 def test_pool_thresholds_match_distinct_value_midpoints():
