@@ -12,13 +12,22 @@ the margins of its candidate (the FW rule as ``base + lam * direction``,
 the secondary as the A @ w it forms for its value), A @ w is re-derived
 every ``_MARGIN_REFRESH`` rounds to bound the drift, and a round that
 may stop re-derives it first, so the certificate and the final model
-never read a carried vector.  Each projection is seeded with the
-previous round's sort order.
+never read a carried vector.  The projection of the margins is carried
+with them: a round that compares two candidates scores each as minus
+the objective of the projection of exactly the margins it would keep,
+and the winner's projection is the next round's distribution, so the
+round does not project those margins again.  A round without a
+comparison, a re-derivation and the certify re-check project afresh,
+seeded with the previous round's sort order.  The loop calls the
+entropy kernels (``entropy._project``, ``entropy._min_linear``), which
+skip the public functions' input checks: every vector it projects is
+one it formed itself.
 The gain matrix grows in place by at most one column per round and
 never loses one, so its column count identifies its column set.  The
 LPBoost secondary depends only on the discovered columns and nu, so it
-is solved once per column count and reused on rounds whose weak
-learner returns a column already held.  The ERLPBoost
+is solved once per column count and reused, with the projection of
+its margins, on rounds whose weak learner returns a column already
+held.  The ERLPBoost
 secondary re-solves the smoothed problem over all discovered columns by
 projected-Newton steps (``fw.newton_step``), warm-started at the
 conditional-gradient candidate.
@@ -43,7 +52,13 @@ from .core import (
     check_ensemble_weights,
     margins,
 )
-from .entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
+from .entropy import (
+    _min_linear,
+    _project,
+    capped_entropy_projection,
+    capped_min_linear,
+    smoothed_conjugate,
+)
 from .fw import FwStepOutcome, classic_step, line_search_step, newton_step, pairwise_step, short_step
 from .lp import LpError, solve_edge_min
 from .stumps import StumpLearner, pool_oracle  # StumpLearner: re-exported
@@ -150,7 +165,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     ``LpError`` or ``LinAlgError`` from the secondary is logged as a
     warning and the round keeps the FW candidate.  The "lpboost"
     secondary is a function of (A, nu) alone, so its last successful
-    weights, their margins and smoothed value are kept and reused while
+    weights and the projection of their margins are kept and reused while
     the learner returns known columns (``A.t`` unchanged); a failed solve
     is not kept, so the next round retries.  The "erlpboost" secondary
     depends on its warm start and a callable may keep state, so both run
@@ -160,16 +175,18 @@ def run_scheme(data, learner, config: BoosterConfig):
     params, cap_rounds, A, min_edge = _start(learner, config)
     w = np.ones(1)
     marg = margins(A, w)  # carried from round to round, re-derived every _MARGIN_REFRESH
-    proj = None
+    proj = None  # the projection of marg, when the last comparison formed it
+    order = None  # the latest projection's sort order, which seeds the next sort
     records: list[IterationRecord] = []
     converged = False
-    lp_memo = None  # (A.t, weights, their margins, smoothed value) of the last LPBoost solve
+    lp_memo = None  # (A.t, weights, projection of their margins) of the last LPBoost solve
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
         if t % _MARGIN_REFRESH == 0:
-            marg = margins(A, w)
-        proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, proj)
+            marg, proj = margins(A, w), None
+        proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, proj, order)
+        order = proj.order
 
         hypothesis, column, edge_new = learner.query(proj.d)
         A, j_new = A.with_column(column, hypothesis)
@@ -182,7 +199,8 @@ def run_scheme(data, learner, config: BoosterConfig):
             # certify on a fresh A @ w, never on the carried margins; a round
             # that fails the re-check goes on from the fresh vector
             marg = margins(A, w)
-            proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, proj)
+            proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, None, order)
+            order = proj.order
             eps_t = min_edge + smoothed_obj
         if eps_t <= config.eps / 2.0:
             converged = True
@@ -196,10 +214,10 @@ def run_scheme(data, learner, config: BoosterConfig):
 
         fw_out = _fw_update(config.fw_rule, A, w, j_new, marg, proj.d, params, t)
         chosen_rule = "fw"
-        w, marg = fw_out.new_w, fw_out.margins
+        w, marg, proj = fw_out.new_w, fw_out.margins, None
         if lp_memo is not None and lp_memo[0] == A.t:
             # known column: the restricted LP is the one already solved
-            _, secondary_w, secondary_marg, value_secondary = lp_memo
+            _, secondary_w, secondary_proj = lp_memo
         else:
             # the FW candidate doubles as the warm start for a corrective solve
             try:
@@ -210,15 +228,19 @@ def run_scheme(data, learner, config: BoosterConfig):
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                 secondary_w = None
             if secondary_w is not None:
-                secondary_marg = margins(A, secondary_w)
-                value_secondary = smoothed_conjugate(-secondary_marg, params)
+                secondary_proj = _project(margins(A, secondary_w), params)
                 if config.secondary == "lpboost":
-                    lp_memo = (A.t, secondary_w, secondary_marg, value_secondary)
+                    lp_memo = (A.t, secondary_w, secondary_proj)
         if secondary_w is not None:
-            value_fw = smoothed_conjugate(-fw_out.margins, params)
-            if value_secondary < value_fw:
+            # each candidate's smoothed value is minus the objective of the
+            # projection of its margins; the winner's projection starts the
+            # next round
+            fw_proj = _project(marg, params)
+            if -secondary_proj.objective < -fw_proj.objective:
                 chosen_rule = "secondary"
-                w, marg = secondary_w, secondary_marg
+                w, marg, proj = secondary_w, secondary_proj.theta, secondary_proj
+            else:
+                proj = fw_proj
 
         records.append(
             IterationRecord(
@@ -234,16 +256,17 @@ def run_scheme(data, learner, config: BoosterConfig):
     return model, records
 
 
-def _evaluate(marg, params, previous):
+def _evaluate(marg, params, proj, order):
     """Projection of the margins and the round's two objectives.
 
-    The previous round's projection order seeds the sort.  Returns the
-    projection, the smoothed objective and the soft-margin objective.
+    ``proj``, when given, is already the projection of ``marg`` and is
+    used as it is; otherwise ``marg`` is projected, its sort seeded by
+    ``order``.  Returns the projection, the smoothed objective and the
+    soft-margin objective.
     """
-    proj = capped_entropy_projection(
-        marg, params, order_hint=None if previous is None else previous.order
-    )
-    soft_margin_obj, _ = capped_min_linear(marg, params.nu, order=proj.order)
+    if proj is None:
+        proj = _project(marg, params, order)
+    soft_margin_obj, _ = _min_linear(marg, params.nu, proj.order)
     return proj, -proj.objective, soft_margin_obj
 
 
@@ -284,7 +307,10 @@ def secondary_erlpboost(
     projected-Newton iterations (``fw.newton_step``) until the
     linearised gap drops below eps/10 (the optional warm start, all
     weight on column 0 by default, does not change the guarantee).
-    Each iteration projects G @ w once for the gap test and the step.
+    Each iteration projects G @ w once for the gap test and the step,
+    which also reuses the gap test's column edges.  The caller's start
+    goes through the checked ``capped_entropy_projection``; every later
+    iterate is one the solve formed, and goes through the kernel.
     Hitting the inner cap logs a warning and returns the current iterate.
     """
     if A.t < 1:
@@ -293,13 +319,14 @@ def secondary_erlpboost(
     w = np.eye(1, A.t)[0] if start is None else start
     G = A.as_array()
 
+    proj = capped_entropy_projection(G @ w, params)  # checks the caller's start once
     for _ in range(_ERLP_INNER_CAP):
-        proj = capped_entropy_projection(G @ w, params)
         col_edges = proj.d @ G
         gap = float(col_edges.max() - col_edges @ w)
         if gap <= tol:
             return w
-        w = newton_step(A, w, proj, params)
+        w = newton_step(A, w, proj, params, col_edges)
+        proj = _project(G @ w, params)
     logger.warning("fully corrective inner solve hit its %d-step cap", _ERLP_INNER_CAP)
     return w
 

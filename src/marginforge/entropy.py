@@ -14,6 +14,15 @@ capped entries, where the entropy of d would take a logarithm over m.
 A caller that projects a slowly changing vector round after round passes
 the previous order back as ``order_hint``: the sort then runs over a
 nearly sorted gather and yields the same permutation as a cold sort.
+
+The public functions validate at the boundary: they copy their input,
+scan it for non-finite entries, check shapes, and accept a given order
+only as a permutation of range(m) (for ``capped_min_linear``, one that
+sorts the margins).  Each then calls a private kernel, ``_project`` or
+``_min_linear``, which does the arithmetic alone.  The booster loop and
+the corrective solve call those kernels directly on vectors they formed
+themselves, with orders that come from a sort, and so pay for no check
+inside the loop; both paths return the same bits.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ class ProjectionResult:
 
     ``order`` is the ascending (theta, index) permutation of the
     projected vector; ``d[order[:capped_count]]`` sit at the cap 1/nu.
+    ``d_sorted`` is d in that order, ``d[order]``, so the uncapped
+    entries are ``d_sorted[capped_count:]`` without a gather.
     ``lse`` is log sum_{i >= k} exp(-eta*theta[order[i]]) at
     k = capped_count, the normaliser of the uncapped entries.
     ``objective`` is computed on first access, so callers that need only
@@ -43,6 +54,7 @@ class ProjectionResult:
     d: np.ndarray
     capped_count: int
     order: np.ndarray
+    d_sorted: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
     lse: float = field(repr=False)
     params: CapParams = field(repr=False)
@@ -88,11 +100,23 @@ def capped_entropy_projection(
     theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] != params.m:
         raise ValueError(f"theta must be a vector of length m={params.m}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta has non-finite entries")
-    if order_hint is not None and np.shape(order_hint) != theta.shape:
-        raise ValueError("order_hint must be a permutation of range(m)")
+    _require_finite(theta)
+    if order_hint is not None:
+        order_hint = np.asarray(order_hint)
+        if not _is_permutation(order_hint, params.m):
+            raise ValueError("order_hint must be a permutation of range(m)")
+    return _project(theta, params, order_hint)
 
+
+def _project(
+    theta: np.ndarray, params: CapParams, order_hint: np.ndarray | None = None
+) -> ProjectionResult:
+    """``capped_entropy_projection`` without its checks or its copy.
+
+    theta must be a finite float vector of length m that the caller will
+    not modify (the result keeps it), and ``order_hint`` None or an
+    integer permutation of range(m).
+    """
     m, nu, eta = params.m, params.nu, params.eta
     cap = 1.0 / nu
 
@@ -124,19 +148,35 @@ def capped_entropy_projection(
     d = np.empty(m)
     d[order] = d_sorted
 
-    return ProjectionResult(d=d, capped_count=k, order=order, theta=theta, lse=lse_k, params=params)
+    return ProjectionResult(
+        d=d, capped_count=k, order=order, d_sorted=d_sorted, theta=theta, lse=lse_k, params=params
+    )
+
+
+def _require_finite(theta: np.ndarray) -> None:
+    """The projection's finiteness check, shared with the public FW steps
+    that hand a vector of their caller's to the unchecked kernel."""
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta has non-finite entries")
+
+
+def _is_permutation(order: np.ndarray, m: int) -> bool:
+    """Whether ``order`` is an integer vector holding each of 0..m-1 once."""
+    if order.shape != (m,) or not np.issubdtype(order.dtype, np.integer):
+        return False
+    return bool(np.array_equal(np.sort(order), np.arange(m)))
 
 
 def _ascending_order(theta: np.ndarray, hint: np.ndarray | None):
     """The ascending (theta, index) permutation, seeded by ``hint`` if given,
     and theta gathered into it (a fresh array)."""
     if hint is not None:
-        order = hint[np.argsort(theta[hint], kind="stable")]
+        order = hint[theta[hint].argsort(kind="stable")]
         sorted_theta = theta[order]
         tied = sorted_theta[1:] == sorted_theta[:-1]
         if not np.any(tied & (order[1:] < order[:-1])):
             return order, sorted_theta
-    order = np.argsort(theta, kind="stable")
+    order = theta.argsort(kind="stable")
     return order, theta[order]
 
 
@@ -152,8 +192,8 @@ def capped_min_linear(
 
     The floor(nu) smallest entries receive 1/nu each and the next one
     takes the leftover 1 - floor(nu)/nu; this is an optimal vertex of
-    the cap polytope.  ``order``, when given, must be the ascending
-    (margin, index) permutation of ``margins``, such as the ``order`` of
+    the cap polytope.  ``order``, when given, must be a permutation of
+    range(m) that sorts ``margins`` ascending, such as the ``order`` of
     a projection of the same vector; it replaces the sort.  Returns
     (value, argmin).
     """
@@ -166,6 +206,19 @@ def capped_min_linear(
 
     if order is None:
         order = np.argsort(margins, kind="stable")
+    else:
+        order = np.asarray(order)
+        if not _is_permutation(order, m):
+            raise ValueError("order must be a permutation of range(m)")
+        ranked = margins[order]
+        if np.any(ranked[1:] < ranked[:-1]):
+            raise ValueError("order must sort margins ascending")
+    return _min_linear(margins, nu, order)
+
+
+def _min_linear(margins: np.ndarray, nu: float, order: np.ndarray) -> tuple[float, np.ndarray]:
+    """``capped_min_linear`` from a known ascending ``order``, unchecked."""
+    m = margins.shape[0]
     full = int(math.floor(nu))
     d_sorted = np.zeros(m)
     d_sorted[:full] = 1.0 / nu

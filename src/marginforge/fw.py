@@ -14,6 +14,9 @@ The line-search and pairwise rules minimise the smoothed objective
 exactly along their segment.  The slope there is nondecreasing and has
 a closed-form derivative, so the root is found by Newton's method kept
 inside a sign bracket, at about six entropy projections per step.
+Those projections run through the unchecked kernel ``entropy._project``
+on vectors the search forms itself; the public rules check once, on
+entry, that the vector they search from is finite.
 
 ``newton_step`` is the projected-Newton step of ERLPBoost's fully
 corrective solve: ``_hessian`` is the matrix form of the curvature in
@@ -37,7 +40,7 @@ from .constants import (
     SUPPORT_DROP_TOL,
 )
 from .core import CapParams, GainMatrix
-from .entropy import ProjectionResult, capped_entropy_projection
+from .entropy import ProjectionResult, _project, _require_finite
 
 _QP_MAX_ITERS = 1_000  # safeguard: each iteration adds or releases one bound
 
@@ -79,6 +82,7 @@ def line_search_step(
     A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
+    _require_finite(base)
     direction = A.as_array()[:, e_new] - base
     lam = _line_search(base, direction, 1.0, params)
     return _toward(w, e_new, lam, base, direction)
@@ -93,6 +97,7 @@ def pairwise_step(
     lowest index) and caps the step at its coefficient; hitting the cap
     drops it from the support and counts as a bad step.
     """
+    _require_finite(base)
     support = np.flatnonzero(w)
     if support.size == 0:
         raise ValueError("pairwise step needs a non-empty support")
@@ -115,20 +120,27 @@ def _toward(w, e_new, lam, base, direction) -> FwStepOutcome:
 
 
 def newton_step(
-    A: GainMatrix, w: np.ndarray, proj: ProjectionResult, params: CapParams
+    A: GainMatrix,
+    w: np.ndarray,
+    proj: ProjectionResult,
+    params: CapParams,
+    col_edges: np.ndarray | None = None,
 ) -> np.ndarray:
     """Projected-Newton step of the smoothed objective over the simplex.
 
-    ``proj`` must be the projection of margins(A, w).  The quadratic
-    model at w (gradient -(d @ A), Hessian ``_hessian``) is minimised
-    over the simplex from w, and the line search runs along the segment
-    from w to that minimiser, starting from ``proj``.  Should it return
-    0, the step goes toward the column of largest edge instead: the
-    slope there is minus the conditional-gradient gap, so any w with a
-    positive gap moves.
+    ``proj`` must be the projection of margins(A, w), and ``col_edges``,
+    when given, ``proj.d @ A.as_array()``, which the step then does not
+    form again.  The quadratic model at w (gradient -(d @ A), Hessian
+    ``_hessian``) is minimised over the simplex from w, and the line
+    search runs along the segment from w to that minimiser, starting
+    from ``proj``.  Should it return 0, the step goes toward the column
+    of largest edge instead: the slope there is minus the
+    conditional-gradient gap, so any w with a positive gap moves.
     """
+    _require_finite(w)
     G = A.as_array()
-    col_edges = proj.d @ G
+    if col_edges is None:
+        col_edges = proj.d @ G
     v = _simplex_qp(_hessian(G, proj, params), -col_edges, w)
     direction = v - w
     lam = _line_search(proj.theta, G @ direction, 1.0, params, at_zero=proj)
@@ -206,16 +218,16 @@ def _slope_and_curvature(
     ``proj`` (the projection at lam) is used instead of projecting.
     """
     if proj is None:
-        proj = capped_entropy_projection(base + lam * direction, params)
-    d = proj.d
-    slope = -float(d @ direction)
-    remaining = 1.0 - proj.capped_count / params.nu
+        proj = _project(base + lam * direction, params)
+    slope = -float(proj.d @ direction)
+    k = proj.capped_count
+    remaining = 1.0 - k / params.nu
     if remaining <= 0.0:
         return slope, 0.0
-    free = proj.order[proj.capped_count :]
-    du = d[free] * direction[free]
+    u = direction[proj.order[k:]]
+    du = proj.d_sorted[k:] * u
     first = float(du.sum())
-    return slope, params.eta * (float(du @ direction[free]) - first * first / remaining)
+    return slope, params.eta * (float(du @ u) - first * first / remaining)
 
 
 def _hessian(G: np.ndarray, proj: ProjectionResult, params: CapParams) -> np.ndarray:
@@ -228,12 +240,12 @@ def _hessian(G: np.ndarray, proj: ProjectionResult, params: CapParams) -> np.nda
     are collinear on U.
     """
     t = G.shape[1]
-    remaining = 1.0 - proj.capped_count / params.nu
+    k = proj.capped_count
+    remaining = 1.0 - k / params.nu
     if remaining <= 0.0:
         return np.zeros((t, t))
-    free = proj.order[proj.capped_count :]
-    G_free = G[free]
-    dG = proj.d[free, None] * G_free
+    G_free = G[proj.order[k:]]
+    dG = proj.d_sorted[k:, None] * G_free
     first = dG.sum(axis=0)
     return params.eta * (G_free.T @ dG - np.outer(first, first) / remaining)
 

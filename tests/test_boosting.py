@@ -19,8 +19,8 @@ from marginforge.boosting import (
 )
 from marginforge.cli import ALGORITHMS
 from marginforge.core import CapParams, Dataset, GainMatrix, margins
-from marginforge.entropy import smoothed_conjugate
-from marginforge import boosting
+from marginforge.entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
+from marginforge import boosting, fw
 from marginforge.lp import LpError, solve_edge_min
 from marginforge.stumps import StumpHypothesis, StumpPool, full_gain_matrix
 
@@ -423,3 +423,51 @@ def test_carried_margins_that_overstate_progress_cannot_stop_the_loop(monkeypatc
     assert last.eps_t == last.min_edge_so_far + model.smoothed_obj <= eps / 2.0
     # every recorded gap that passed the test came from fresh margins, so only the last one did
     assert all(rec.eps_t > eps / 2.0 for rec in records[:-1])
+
+
+def _assert_same_projection(got, fresh):
+    assert got.d.tobytes() == fresh.d.tobytes()
+    assert got.order.tobytes() == fresh.order.tobytes()
+    assert got.capped_count == fresh.capped_count
+    assert np.float64(got.objective).tobytes() == np.float64(fresh.objective).tobytes()
+
+
+@pytest.mark.parametrize("algo", SCHEME_ALGOS)
+def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypatch):
+    """The loop projects through the unchecked kernel and hands the winning
+    candidate's projection to the next round; each projection it uses must
+    equal, bit for bit, a fresh checked projection of the same margins."""
+    kernels = {"boosting": boosting._project, "fw": fw._project}
+    evaluate = boosting._evaluate
+    seen = {"kernel": 0, "reused": 0}
+
+    def checked_kernel(owner):
+        def project(theta, params, order_hint=None):
+            res = kernels[owner](theta, params, order_hint)
+            _assert_same_projection(res, capped_entropy_projection(theta, params))
+            seen["kernel"] += 1
+            return res
+
+        return project
+
+    def checked_evaluate(marg, params, proj, order):
+        seen["reused"] += proj is not None
+        got, smoothed_obj, soft_margin_obj = evaluate(marg, params, proj, order)
+        _assert_same_projection(got, capped_entropy_projection(marg, params))
+        assert np.float64(smoothed_obj).tobytes() == np.float64(
+            smoothed_conjugate(-marg, params)
+        ).tobytes()
+        assert soft_margin_obj == capped_min_linear(marg, params.nu)[0]
+        return got, smoothed_obj, soft_margin_obj
+
+    monkeypatch.setattr(boosting, "_project", checked_kernel("boosting"))
+    monkeypatch.setattr(fw, "_project", checked_kernel("fw"))
+    monkeypatch.setattr(boosting, "_evaluate", checked_evaluate)
+    data = two_gaussians(80, seed=4)
+    _, fw_rule, secondary = ALGORITHMS[algo]
+    cfg = BoosterConfig(eps=0.02, nu=8.0, fw_rule=fw_rule, secondary=secondary)
+    model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged and seen["kernel"] > 0
+    if secondary != "none":
+        assert seen["reused"] > 0
+        assert any(rec.chosen_rule == "secondary" for rec in records)

@@ -195,14 +195,15 @@ def test_pairwise_away_choice_and_descent():
 
 
 def test_line_search_from_known_projection_is_identical(monkeypatch):
+    # the line search projects through the unchecked kernel, so that is what is counted
     calls = {"n": 0}
-    project = fw.capped_entropy_projection
+    project = fw._project
 
     def counting_projection(*args, **kwargs):
         calls["n"] += 1
         return project(*args, **kwargs)
 
-    monkeypatch.setattr(fw, "capped_entropy_projection", counting_projection)
+    monkeypatch.setattr(fw, "_project", counting_projection)
     rng = np.random.default_rng(45)
     for _ in range(30):
         A, w, params, _ = random_instance(rng)
@@ -214,6 +215,7 @@ def test_line_search_from_known_projection_is_identical(monkeypatch):
         fresh = calls["n"] - before
         lam_given = fw._line_search(proj.theta, direction, 1.0, params, at_zero=proj)
         assert lam_given == lam  # bit-equal step
+        assert fresh >= 1
         assert calls["n"] - before - fresh == fresh - 1
 
 
@@ -306,36 +308,42 @@ def test_curvature_matches_finite_difference_of_slope():
 
 
 def test_erlpboost_line_search_projection_count(monkeypatch):
-    counts = {"projections": 0, "searches": 0}
+    # the solve checks its start through the public projection once; every
+    # later projection, the line search's included, goes through the kernel
+    counts = {"kernel": 0, "public": 0, "searches": 0}
     per_solve = []
-    project, search, solve = (
-        fw.capped_entropy_projection, fw._line_search, boosting.secondary_erlpboost
+    project, public, search, solve = (
+        fw._project, boosting.capped_entropy_projection, fw._line_search, boosting.secondary_erlpboost
     )
 
-    def counting_projection(*args, **kwargs):
-        counts["projections"] += 1
-        return project(*args, **kwargs)
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
 
-    def counting_search(*args, **kwargs):
-        counts["searches"] += 1
-        return search(*args, **kwargs)
+        return wrapped
 
     def counting_solve(*args, **kwargs):
-        before = counts["projections"]
+        before = dict(counts)
         w = solve(*args, **kwargs)
-        per_solve.append(counts["projections"] - before)
+        per_solve.append({key: counts[key] - before[key] for key in counts})
         return w
 
-    monkeypatch.setattr(fw, "capped_entropy_projection", counting_projection)
-    monkeypatch.setattr(boosting, "capped_entropy_projection", counting_projection)
-    monkeypatch.setattr(fw, "_line_search", counting_search)
+    monkeypatch.setattr(fw, "_project", counting("kernel", project))
+    monkeypatch.setattr(boosting, "_project", counting("kernel", project))
+    monkeypatch.setattr(boosting, "capped_entropy_projection", counting("public", public))
+    monkeypatch.setattr(fw, "_line_search", counting("searches", search))
     monkeypatch.setattr(boosting, "secondary_erlpboost", counting_solve)
     data = two_gaussians(200, seed=0, p=10)
     config = BoosterConfig(eps=0.2, nu=20.0, secondary="erlpboost")
     model, _ = run_scheme(data, StumpLearner(data), config)
     assert model.converged
     assert counts["searches"] > 0
-    assert per_solve and max(per_solve) <= 50
+    assert per_solve
+    for solve_counts in per_solve:
+        assert solve_counts["public"] == 1
+        assert solve_counts["kernel"] >= 1
+        assert solve_counts["kernel"] + solve_counts["public"] <= 50
 
 
 def test_hessian_matches_curvature_along_the_margins():
@@ -638,6 +646,37 @@ def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
     new_w = fw.newton_step(A, w, proj, params)
     assert np.array_equal(new_w, line_search_step(A, w, j_best, margins(A, w), params).new_w)
     assert smoothed_obj(A, new_w, params) < smoothed_obj(A, w, params)
+
+
+def test_newton_step_with_passed_column_edges_is_identical():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        A, w, params, _ = random_instance(rng)
+        G = A.as_array()
+        proj = capped_entropy_projection(G @ w, params)
+        plain = fw.newton_step(A, w, proj, params)
+        given = fw.newton_step(A, w, proj, params, proj.d @ G)
+        assert given.tobytes() == plain.tobytes()
+
+
+def test_public_steps_reject_non_finite_vectors_at_entry():
+    rng = np.random.default_rng(9)
+    A, w, params, d = random_instance(rng, m=6, t=3)
+    G = A.as_array()
+    proj = capped_entropy_projection(G @ w, params)
+    for bad in (np.nan, np.inf):
+        base = G @ w
+        base[1] = bad
+        bad_w = w.copy()
+        bad_w[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            line_search_step(A, w, 0, base, params)
+        with pytest.raises(ValueError, match="non-finite"):
+            pairwise_step(A, w, 0, base, d, params)
+        with pytest.raises(ValueError, match="non-finite"):
+            fw.newton_step(A, bad_w, proj, params)
+        with pytest.raises(ValueError, match="non-finite"):
+            secondary_erlpboost(A, params, start=bad_w)
 
 
 def test_secondary_erlpboost_starts_from_the_first_column():

@@ -13,6 +13,7 @@ from marginforge.lp import (
     _REFACTOR_INTERVAL,
     _distinct_rows,
     _simplex_min,
+    LpError,
     LpInfeasibleError,
     LpUnboundedError,
     solve_edge_min,
@@ -329,3 +330,38 @@ def test_simplex_reinverts_basis_on_long_runs(monkeypatch):
     assert np.all(duals >= -1e-9) and np.all(reduced >= -1e-8)
     assert np.max(np.abs(duals * residual)) <= 1e-8
     assert np.max(np.abs(x * reduced)) <= 1e-8
+
+
+def _tiny_gain_rows(family, v):
+    """The 4 x 5 gain rows at nu 1 whose tiny entry v drives the simplex to
+    pivot on elements near 1e-7 (ROADMAP item 6)."""
+    head = (
+        [[0.75, 0, 0, -1, -0.0078125], [0.625, 0, 0, -1, 0.5], [0.375, 0, 0, -1, 0]]
+        if family == 1
+        else [[0.5, 0, 0, -1, 0.5], [0.75, 0, 0, -1, -0.0625], [0.375, 0, 0, -1, 0]]
+    )
+    return np.array(head + [[v, 0, 0.5, -1, 0]], dtype=float)
+
+
+@pytest.mark.parametrize("v", [1e-6, 1e-9, 0.0])
+def test_edge_min_tiny_gain_neighbours_match_scipy_highs(v):
+    G = _tiny_gain_rows(1, v)
+    sol = solve_edge_min(_gain(G.T), 1.0)
+    check_distribution(sol.d, 1.0)
+    assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-7)
+    assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(LpError, np.linalg.LinAlgError),
+    reason="absolute ratio-test tolerance pivots on ~1e-7 elements (ROADMAP item 6)",
+)
+@pytest.mark.parametrize(
+    "family, v",
+    [(1, 1e-8), (1, 5e-10), (1, 1e-10), (2, 1e-9), (2, 1.01e-10), (2, 1e-10), (2, 5e-11)],
+)
+def test_edge_min_tiny_gains_solve_the_bounded_lp(family, v):
+    G = _tiny_gain_rows(family, v)
+    sol = solve_edge_min(_gain(G.T), 1.0)
+    assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-7)
