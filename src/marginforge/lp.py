@@ -8,10 +8,17 @@ deterministic.  Each phase inverts its starting basis once and keeps the
 inverse by product-form (rank-one) updates at every basis change,
 re-inverting from scratch every ``_REFACTOR_INTERVAL`` changes to bound
 the drift; the basic solution and duals that end a phase come from
-fresh solves.  ``solve_edge_min`` is the one entry point above it: it
-merges identical instance rows, solves the restricted edge-min /
-soft-margin pair over the distinct rows, and certifies strong duality
-on every call.
+fresh solves.  The pivot loop carries its state from pivot to pivot
+instead of rebuilding it from the variable statuses: the nonbasic
+values, one pricing sign per variable, the basis's costs, upper bounds
+and finite-bound mask, and ``b - A @ x_nb`` and the reduced costs for as
+long as the pivots leave them unchanged.  Carrying adds no arithmetic of
+its own: each value is bit for bit the one a rebuild would give, so the
+pivots and the outputs equal those of the rebuilding kernel that
+``tests/conftest.py`` keeps as a reference.  ``solve_edge_min`` is the
+one entry point above it: it checks ``nu``, merges identical instance
+rows, solves the restricted edge-min / soft-margin pair over the
+distinct rows, and certifies strong duality on every call.
 """
 
 from __future__ import annotations
@@ -80,12 +87,11 @@ def _simplex_min(A, b, c, upper):
     """minimize c@x st A@x = b, 0 <= x <= upper.  Returns (x, duals)."""
     r, n = A.shape
     flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
     b = np.abs(b)
 
     # phase 1: artificial basis
     A1 = np.hstack([A, np.eye(r)])
+    A1[flip, :n] *= -1.0
     u1 = np.concatenate([upper, np.full(r, math.inf)])
     c1 = np.concatenate([np.zeros(n), np.ones(r)])
     basis = np.arange(n, n + r)
@@ -124,6 +130,20 @@ def _duals(A, c, basis, flip):
 
 
 def _iterate(A, b, c, u, basis, status, allow):
+    """Pivot from a feasible basis until pricing finds no improving column.
+
+    ``basis`` and ``status`` are updated in place.  Everything else a pivot
+    needs is carried from pivot to pivot instead of rebuilt from
+    ``status``: the nonbasic values ``x_nb`` (u at upper-bound nonbasics,
+    0 elsewhere and on the basis), each variable's pricing sign (+1 if
+    movable at its lower bound, -1 if movable at its upper bound, 0 if
+    basic or locked, so a column is eligible when ``red * sign <
+    -LP_PIVOT_TOL`` and Dantzig's column is the first argmin), and the
+    basis's costs, upper bounds and finite-bound mask.  ``b - A @ x_nb``
+    is formed again only after ``x_nb`` changes, and the reduced costs
+    only after the basis does; a bound flip keeps them.  Reduced costs
+    are assumed finite: a NaN would win the argmin.
+    """
     r, n = A.shape
     bland = False
     stall = 0
@@ -131,26 +151,38 @@ def _iterate(A, b, c, u, basis, status, allow):
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
     movable = allow & (u > 0.0)
+    x_nb = np.where(status == _AT_UPPER, u, 0.0)
+    x_nb[basis] = 0.0
+    sign = np.where(status == _AT_LOWER, 1.0, -1.0)
+    sign[~movable | (status == _BASIC)] = 0.0
+    c_B = c[basis]
+    u_B = u[basis]
+    finite_B = np.isfinite(u_B)
+    ratios = np.empty(r)
+    room = np.empty(r)  # u_B - x_B on the rows that can reach their upper bound
+    rhs = red = None  # b - A @ x_nb and the reduced costs, while still current
 
     for _ in range(_MAX_PIVOTS):
-        x = np.where(status == _AT_UPPER, u, 0.0)
-        x[basis] = 0.0
-        x[basis] = Binv @ (b - A @ x)
-        y = c[basis] @ Binv
-        red = c - y @ A
+        if rhs is None:
+            rhs = b - A @ x_nb
+        x_B = Binv @ rhs
+        if red is None:
+            y = c_B @ Binv
+            red = c - y @ A
 
-        eligible = movable & (status != _BASIC)
-        eligible &= ((status == _AT_LOWER) & (red < -LP_PIVOT_TOL)) | (
-            (status == _AT_UPPER) & (red > LP_PIVOT_TOL)
-        )
-        idx = np.nonzero(eligible)[0]
-        if idx.size == 0:
-            return
+        score = red * sign
         if bland:
-            j = int(idx[0])
+            eligible = score < -LP_PIVOT_TOL
+            j = int(eligible.argmax())
+            if not eligible[j]:
+                return
         else:
-            j = int(idx[np.argmax(np.abs(red[idx]))])
+            j = int(score.argmin())  # the first of the largest |red|
+            if not score[j] < -LP_PIVOT_TOL:
+                return
 
+        x = x_nb.copy()
+        x[basis] = x_B
         obj = float(c @ x)
         if obj < last_obj - LP_PROGRESS_TOL:
             stall = 0
@@ -162,40 +194,61 @@ def _iterate(A, b, c, u, basis, status, allow):
         last_obj = min(last_obj, obj)
 
         alpha = Binv @ A[:, j]
-        increasing = status[j] == _AT_LOWER
+        increasing = sign[j] > 0.0
         step = alpha if increasing else -alpha  # basic vars move by -step * theta
-        xb = x[basis]
-        ub = u[basis]
 
         to_lower = step > LP_RATIO_TOL
-        to_upper = (step < -LP_RATIO_TOL) & np.isfinite(ub)
-        ratios = np.full(r, math.inf)
-        ratios[to_lower] = xb[to_lower] / step[to_lower]
-        ratios[to_upper] = (ub[to_upper] - xb[to_upper]) / -step[to_upper]
-        ratios = np.maximum(ratios, 0.0)  # absorb tiny feasibility drift
-        theta_basic = float(ratios.min()) if r else math.inf
+        to_upper = step < -LP_RATIO_TOL
+        to_upper &= finite_B
+        ratios.fill(math.inf)
+        np.divide(x_B, step, out=ratios, where=to_lower)
+        np.subtract(u_B, x_B, out=room, where=to_upper)
+        np.divide(room, -step, out=ratios, where=to_upper)
+        np.maximum(ratios, 0.0, out=ratios)  # absorb tiny feasibility drift
+        theta_basic = float(ratios[ratios.argmin()]) if r else math.inf
+        tie_bound = theta_basic + LP_TIE_TOL
 
-        if u[j] <= theta_basic + LP_TIE_TOL:
-            if math.isinf(u[j]):
+        u_j = u[j]
+        if u_j <= tie_bound:
+            if math.isinf(u_j):
                 direction = np.zeros(n)
                 direction[j] = 1.0 if increasing else -1.0
                 direction[basis] = -step
                 raise LpUnboundedError(direction=direction)
             # entering variable flips to its other bound, basis unchanged
             status[j] = _AT_UPPER if increasing else _AT_LOWER
+            x_nb[j] = u_j if increasing else 0.0
+            sign[j] = -sign[j]
+            rhs = None
             continue
 
         # Bland: among the minimal ratios, evict the lowest variable index; a
         # ratio only ties if its row would end within LP_TIE_TOL of its bound,
         # so a long step cannot push the true blocking row past its own
-        tied = np.nonzero(ratios <= theta_basic + LP_TIE_TOL)[0]
+        tied = (ratios <= tie_bound).nonzero()[0]
         if tied.size > 1:
-            tied = tied[(ratios[tied] - theta_basic) * np.abs(step[tied]) <= LP_TIE_TOL]
-        leave_pos = int(min(tied, key=lambda i: basis[i]))
-        out = basis[leave_pos]
+            tied = tied[(ratios[tied] - theta_basic) * abs(step[tied]) <= LP_TIE_TOL]
+        leave_pos = int(tied[basis[tied].argmin()])
+        out = int(basis[leave_pos])
+        # j enters at leave_pos and out leaves to the bound it reached
         basis[leave_pos] = j
         status[j] = _BASIC
-        status[out] = _AT_LOWER if to_lower[leave_pos] else _AT_UPPER
+        if not increasing:
+            x_nb[j] = 0.0
+            rhs = None
+        sign[j] = 0.0
+        c_B[leave_pos] = c[j]
+        u_B[leave_pos] = u_j
+        finite_B[leave_pos] = math.isfinite(u_j)
+        if to_lower[leave_pos]:
+            status[out] = _AT_LOWER
+            sign[out] = 1.0 if movable[out] else 0.0
+        else:
+            status[out] = _AT_UPPER
+            x_nb[out] = u[out]
+            sign[out] = -1.0 if movable[out] else 0.0
+            rhs = None
+        red = None
 
         pivots += 1
         if pivots == _REFACTOR_INTERVAL:
@@ -205,7 +258,7 @@ def _iterate(A, b, c, u, basis, status, allow):
             # product-form update: the new inverse is E @ Binv, where the
             # eta matrix E turns alpha into the leave_pos unit vector
             pivot_row = Binv[leave_pos] / alpha[leave_pos]
-            Binv -= np.outer(alpha, pivot_row)
+            Binv -= alpha[:, None] * pivot_row
             Binv[leave_pos] = pivot_row
 
     raise LpError("pivot limit exceeded")
@@ -242,10 +295,13 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
     get equal weight.  Whichever form has fewer rows is handed to the
     solver: the edge-min form has t+1 rows (caps live in variable
     bounds), the soft-margin form k+1.  rho and gamma are evaluated on
-    the full matrix.
+    the full matrix.  ``nu`` outside ``[1, m]``, NaN included, is a
+    ValueError before any LP is built.
     """
     if A.t < 1:
         raise ValueError("gain matrix has no columns")
+    if not 1.0 <= nu <= A.m:
+        raise ValueError(f"nu must lie in [1, m]; got {nu}")
     t = A.t
     G = A.as_array()
     cap = 1.0 / nu
@@ -297,10 +353,11 @@ def _distinct_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.lexsort(G.T[::-1])
     ranked = G[order]
     first = np.ones(m, dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    rank = first.cumsum() - 1
     group = np.empty(m, dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return ranked[first], group, np.diff(np.append(np.flatnonzero(first), m))
+    group[order] = rank
+    return ranked[first], group, np.bincount(rank)
 
 
 # Pricing accepts reduced costs up to LP_PIVOT_TOL on the wrong side, so LP

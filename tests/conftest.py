@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from marginforge import lp
 from marginforge.core import Dataset
 
 
@@ -104,3 +105,160 @@ def min_linear_over_cap(vector, nu: float) -> float:
     """Exact min of d @ vector over the capped simplex via its vertices."""
     vector = np.asarray(vector, dtype=float)
     return min(float(d @ vector) for d in capped_simplex_vertices(vector.shape[0], nu))
+
+
+# Reference simplex: the dense kernel of marginforge.lp before its pivot
+# loop carried state from pivot to pivot, kept verbatim as an oracle that
+# the lean kernel must match bit for bit.  The limits are read from
+# marginforge.lp at call time, so a test that monkeypatches them there
+# runs both kernels under the same limits.
+
+_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+
+
+def reference_solve_max(objective, con, upper):
+    r, n = con.shape
+    kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
+    cost = np.concatenate([-objective, objective[-1:], np.zeros(r - 1)])
+    bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
+    rhs = np.append(np.zeros(r - 1), 1.0)
+
+    x_full, y = reference_simplex_min(kernel, rhs, cost, bounds)
+    x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
+    x[-1] -= x_full[n]
+    return x, float(objective @ x), -y
+
+
+def reference_simplex_min(A, b, c, upper):
+    """minimize c@x st A@x = b, 0 <= x <= upper.  Returns (x, duals)."""
+    r, n = A.shape
+    flip = b < 0
+    A = A.copy()
+    A[flip] *= -1.0
+    b = np.abs(b)
+
+    # phase 1: artificial basis
+    A1 = np.hstack([A, np.eye(r)])
+    u1 = np.concatenate([upper, np.full(r, math.inf)])
+    c1 = np.concatenate([np.zeros(n), np.ones(r)])
+    basis = np.arange(n, n + r)
+    status = np.full(n + r, _AT_LOWER, dtype=np.int8)
+    status[basis] = _BASIC
+    allow = np.ones(n + r, dtype=bool)
+
+    _reference_iterate(A1, b, c1, u1, basis, status, allow)
+    x1 = _reference_assemble_x(A1, b, u1, basis, status)
+    if c1 @ x1 > lp.LP_INFEASIBLE_TOL:
+        y = _reference_duals(A1, c1, basis, flip)
+        raise lp.LpInfeasibleError(certificate=y)
+
+    # phase 2: lock artificials at zero and restore the real objective
+    u1[n:] = 0.0
+    c2 = np.concatenate([c, np.zeros(r)])
+    allow[n:] = False
+    _reference_iterate(A1, b, c2, u1, basis, status, allow)
+
+    x = _reference_assemble_x(A1, b, u1, basis, status)
+    y = _reference_duals(A1, c2, basis, flip)
+    return np.clip(x[:n], 0.0, upper), y
+
+
+def _reference_assemble_x(A, b, u, basis, status):
+    x = np.where(status == _AT_UPPER, u, 0.0)
+    x[basis] = 0.0
+    rhs = b - A @ x
+    x[basis] = np.linalg.solve(A[:, basis], rhs)
+    return x
+
+
+def _reference_duals(A, c, basis, flip):
+    y = np.linalg.solve(A[:, basis].T, c[basis])
+    return np.where(flip, -y, y)
+
+
+def _reference_iterate(A, b, c, u, basis, status, allow):
+    r, n = A.shape
+    bland = False
+    stall = 0
+    last_obj = math.inf
+    Binv = np.linalg.inv(A[:, basis])
+    pivots = 0  # basis changes since Binv was last inverted from scratch
+    movable = allow & (u > 0.0)
+
+    for _ in range(lp._MAX_PIVOTS):
+        x = np.where(status == _AT_UPPER, u, 0.0)
+        x[basis] = 0.0
+        x[basis] = Binv @ (b - A @ x)
+        y = c[basis] @ Binv
+        red = c - y @ A
+
+        eligible = movable & (status != _BASIC)
+        eligible &= ((status == _AT_LOWER) & (red < -lp.LP_PIVOT_TOL)) | (
+            (status == _AT_UPPER) & (red > lp.LP_PIVOT_TOL)
+        )
+        idx = np.nonzero(eligible)[0]
+        if idx.size == 0:
+            return
+        if bland:
+            j = int(idx[0])
+        else:
+            j = int(idx[np.argmax(np.abs(red[idx]))])
+
+        obj = float(c @ x)
+        if obj < last_obj - lp.LP_PROGRESS_TOL:
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall >= lp._STALL_LIMIT:
+                bland = True
+        last_obj = min(last_obj, obj)
+
+        alpha = Binv @ A[:, j]
+        increasing = status[j] == _AT_LOWER
+        step = alpha if increasing else -alpha  # basic vars move by -step * theta
+        xb = x[basis]
+        ub = u[basis]
+
+        to_lower = step > lp.LP_RATIO_TOL
+        to_upper = (step < -lp.LP_RATIO_TOL) & np.isfinite(ub)
+        ratios = np.full(r, math.inf)
+        ratios[to_lower] = xb[to_lower] / step[to_lower]
+        ratios[to_upper] = (ub[to_upper] - xb[to_upper]) / -step[to_upper]
+        ratios = np.maximum(ratios, 0.0)  # absorb tiny feasibility drift
+        theta_basic = float(ratios.min()) if r else math.inf
+
+        if u[j] <= theta_basic + lp.LP_TIE_TOL:
+            if math.isinf(u[j]):
+                direction = np.zeros(n)
+                direction[j] = 1.0 if increasing else -1.0
+                direction[basis] = -step
+                raise lp.LpUnboundedError(direction=direction)
+            # entering variable flips to its other bound, basis unchanged
+            status[j] = _AT_UPPER if increasing else _AT_LOWER
+            continue
+
+        # Bland: among the minimal ratios, evict the lowest variable index; a
+        # ratio only ties if its row would end within LP_TIE_TOL of its bound,
+        # so a long step cannot push the true blocking row past its own
+        tied = np.nonzero(ratios <= theta_basic + lp.LP_TIE_TOL)[0]
+        if tied.size > 1:
+            tied = tied[(ratios[tied] - theta_basic) * np.abs(step[tied]) <= lp.LP_TIE_TOL]
+        leave_pos = int(min(tied, key=lambda i: basis[i]))
+        out = basis[leave_pos]
+        basis[leave_pos] = j
+        status[j] = _BASIC
+        status[out] = _AT_LOWER if to_lower[leave_pos] else _AT_UPPER
+
+        pivots += 1
+        if pivots == lp._REFACTOR_INTERVAL:
+            Binv = np.linalg.inv(A[:, basis])
+            pivots = 0
+        else:
+            # product-form update: the new inverse is E @ Binv, where the
+            # eta matrix E turns alpha into the leave_pos unit vector
+            pivot_row = Binv[leave_pos] / alpha[leave_pos]
+            Binv -= np.outer(alpha, pivot_row)
+            Binv[leave_pos] = pivot_row
+
+    raise lp.LpError("pivot limit exceeded")

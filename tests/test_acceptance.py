@@ -158,7 +158,8 @@ def test_edge_min_strong_duality():
         m = int(rng.integers(2, 51))
         t = int(rng.integers(1, 11))
         A = GainMatrix([rng.uniform(-1, 1, m) for _ in range(t)], list(range(t)))
-        nu = float(min(m, rng.choice([1.0, 1.5, 2.0, 0.2 * m, m])))
+        # nu lies in [1, m]: 0.2 * m is below 1 at the smallest m
+        nu = float(min(m, max(1.0, rng.choice([1.0, 1.5, 2.0, 0.2 * m, m]))))
         sol = solve_edge_min(A, nu)
         assert abs(sol.gamma - sol.rho) <= 1e-7
         assert np.max(sol.d @ A.as_array()) == pytest.approx(sol.gamma, abs=1e-8)

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from marginforge import boosting, lp
+from marginforge.boosting import BoosterConfig, StumpLearner, run_scheme
 from marginforge.core import GainMatrix, check_distribution, check_ensemble_weights
 from marginforge.entropy import capped_min_linear
 from marginforge.lp import (
@@ -19,7 +22,12 @@ from marginforge.lp import (
     solve_edge_min,
 )
 
-from conftest import min_linear_over_cap
+from conftest import (
+    min_linear_over_cap,
+    reference_simplex_min,
+    reference_solve_max,
+    two_gaussians,
+)
 
 
 def _slack_form(G, h, c, upper=None):
@@ -154,7 +162,8 @@ def test_edge_min_strong_duality_and_attainment_random():
         m = int(rng.integers(2, 12))
         t = int(rng.integers(1, 11))
         A = _gain([rng.uniform(-1, 1, m) for _ in range(t)])
-        nu = float(min(m, rng.choice([1.0, 1.5, 2.0, 0.4 * m, m])))
+        # nu lies in [1, m]: 0.4 * m is below 1 at the smallest m
+        nu = float(min(m, max(1.0, rng.choice([1.0, 1.5, 2.0, 0.4 * m, m]))))
         sol = solve_edge_min(A, nu)
         check_distribution(sol.d, nu)
         check_ensemble_weights(sol.w)
@@ -365,3 +374,196 @@ def test_edge_min_tiny_gains_solve_the_bounded_lp(family, v):
     G = _tiny_gain_rows(family, v)
     sol = solve_edge_min(_gain(G.T), 1.0)
     assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-7)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _outcome(solve, *args):
+    """A kernel's result as comparable bytes: the output arrays, or the
+    exception's type, message and certificate or direction."""
+    try:
+        return "solved", tuple(_bits(v) for v in solve(*args))
+    except (LpError, np.linalg.LinAlgError) as exc:
+        payload = getattr(exc, "certificate", getattr(exc, "direction", None))
+        return type(exc).__name__, str(exc), None if payload is None else _bits(payload)
+
+
+def _random_kernel(r, n, entries, rhs, bounds, seed):
+    """(A, b, c, u) of a random kernel LP; the rhs and bound kinds pick
+    degenerate (zero) right-hand sides and mixed finite/infinite bounds."""
+    rng = np.random.default_rng(seed)
+    if entries == "signs":
+        A = rng.choice([-1.0, 1.0], (r, n))
+    elif entries == "sparse signs":
+        A = rng.choice([-1.0, 0.0, 1.0], (r, n))
+    else:
+        A = rng.uniform(-1.0, 1.0, (r, n))
+    b = {
+        "zero": np.zeros(r),
+        "zero but one": np.append(np.zeros(r - 1), 1.0),
+        "positive": rng.uniform(0.1, 1.0, r),
+        "mixed": rng.choice([-1.0, 0.0, 0.5, 1.0], r),
+    }[rhs]
+    c = rng.choice([-1.0, 0.0, 1.0], n) if entries != "general" else rng.uniform(-1.0, 1.0, n)
+    u = {
+        "infinite": np.full(n, math.inf),
+        "finite": rng.choice([0.0, 0.25, 0.5, 1.0], n),
+        "mixed": rng.choice([0.5, 1.0, math.inf], n),
+    }[bounds]
+    return A, b, c, u
+
+
+_KERNEL_KINDS = dict(
+    entries=["signs", "sparse signs", "general"],
+    rhs=["zero", "zero but one", "positive", "mixed"],
+    bounds=["infinite", "finite", "mixed"],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 30),
+    st.sampled_from(_KERNEL_KINDS["entries"]),
+    st.sampled_from(_KERNEL_KINDS["rhs"]),
+    st.sampled_from(_KERNEL_KINDS["bounds"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_simplex_matches_the_reference_kernel_bit_for_bit(r, n, entries, rhs, bounds, seed):
+    kernel = _random_kernel(r, n, entries, rhs, bounds, seed)
+    assert _outcome(_simplex_min, *kernel) == _outcome(reference_simplex_min, *kernel)
+
+
+def test_reference_cross_check_reaches_every_outcome():
+    # the same generator as the property test, swept over fixed seeds:
+    # optimal, infeasible and unbounded kernels all occur and all match
+    seen = set()
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        kinds = {key: str(rng.choice(values)) for key, values in _KERNEL_KINDS.items()}
+        kernel = _random_kernel(int(rng.integers(1, 13)), int(rng.integers(1, 31)), seed=seed, **kinds)
+        outcome = _outcome(_simplex_min, *kernel)
+        assert outcome == _outcome(reference_simplex_min, *kernel)
+        seen.add(outcome[0])
+    assert {"solved", "LpInfeasibleError", "LpUnboundedError"} <= seen
+
+
+def _reference_edge_min(monkeypatch, A, nu):
+    """solve_edge_min with the LP handed to the reference kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_solve_max", reference_solve_max)
+        return solve_edge_min(A, nu)
+
+
+def _parts(sol):
+    return sol.d, sol.w, sol.gamma, sol.rho
+
+
+def test_every_lp_of_an_mlpb_ss_fit_matches_the_reference(monkeypatch):
+    calls = []
+
+    def recording_solve(A, nu):
+        sol = solve_edge_min(A, nu)
+        calls.append((A.as_array().copy(), nu, sol))
+        return sol
+
+    monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
+    data = two_gaussians(200, seed=0)
+    cfg = BoosterConfig(eps=0.01, nu=20.0, fw_rule="short_step", secondary="lpboost")
+    model, _ = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged
+    assert len(calls) >= 10
+    for G, nu, sol in calls:
+        ref = _reference_edge_min(monkeypatch, _gain(G.T), nu)
+        assert _outcome(_parts, sol) == _outcome(_parts, ref)
+
+
+@pytest.mark.parametrize(
+    "family, v",
+    [(1, 1e-8), (1, 5e-10), (1, 1e-10), (2, 1e-9), (2, 1.01e-10), (2, 1e-10), (2, 5e-11)],
+)
+def test_tiny_gain_failures_match_the_reference(monkeypatch, family, v):
+    # the strict xfail below must keep failing exactly as before
+    A = _gain(_tiny_gain_rows(family, v).T)
+    new = _outcome(lambda: _parts(solve_edge_min(A, 1.0)))
+    assert new[0] != "solved"
+    assert new == _outcome(lambda: _parts(_reference_edge_min(monkeypatch, A, 1.0)))
+
+
+# max x2 - x5 subject to G x <= (0, 0, 0, 1), x >= 0: a degenerate vertex
+# at the origin where the stall-to-Bland switch picks another optimum
+_DEGENERATE_G = np.array(
+    [
+        [-1, -1, 0, 0, 1, 0, -1],
+        [-1, 0, 0, 1, 0, 0, 0],
+        [-1, 1, -1, -1, 0, -1, 0],
+        [1, 1, 1, 1, 1, 1, 1],
+    ],
+    dtype=float,
+)
+_DEGENERATE_H = np.array([0.0, 0.0, 0.0, 1.0])
+_DEGENERATE_C = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+
+
+def test_stall_switch_to_bland_matches_highs_and_the_reference(monkeypatch):
+    kernel = _slack_form(_DEGENERATE_G, _DEGENERATE_H, _DEGENERATE_C)
+    dantzig = _outcome(_simplex_min, *kernel)
+    monkeypatch.setattr(lp, "_STALL_LIMIT", 1)
+    bland = _outcome(_simplex_min, *kernel)
+    # Bland's rule ends at a different optimal vertex, so the switch fired
+    assert bland != dantzig
+    assert bland == _outcome(reference_simplex_min, *kernel)
+    x, _ = _simplex_min(*kernel)
+    ref = linprog(-_DEGENERATE_C, A_ub=_DEGENERATE_G, b_ub=_DEGENERATE_H, method="highs")
+    assert ref.status == 0, ref.message
+    value = float(_DEGENERATE_C @ x[:7])
+    assert value == pytest.approx(-ref.fun, abs=1e-12)
+    assert np.all(_DEGENERATE_G @ x[:7] <= _DEGENERATE_H + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_min_under_immediate_bland_matches_highs_and_the_reference(data):
+    G, nu = data.draw(sign_matrices(wide=data.draw(st.booleans())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_STALL_LIMIT", 1)
+        sol = solve_edge_min(_gain(G.T), nu)
+        ref = _reference_edge_min(patch, _gain(G.T), nu)
+        assert _outcome(_parts, sol) == _outcome(_parts, ref)
+    assert sol.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-7)
+
+
+def test_pivot_limit_raises_and_the_booster_keeps_the_fw_step(monkeypatch, caplog):
+    # the third restricted LP gets one pivot, so the kernel itself raises
+    calls = {"n": 0}
+
+    def starved_third_solve(A, nu):
+        calls["n"] += 1
+        with monkeypatch.context() as patch:
+            if calls["n"] == 3:
+                patch.setattr(lp, "_MAX_PIVOTS", 1)
+            return solve_edge_min(A, nu)
+
+    monkeypatch.setattr(boosting, "solve_edge_min", starved_third_solve)
+    data = two_gaussians(60, seed=3)
+    cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule="short_step", secondary="lpboost")
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged
+    assert calls["n"] > 3
+    assert records[2].chosen_rule == "fw"
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["round 3: secondary update failed (pivot limit exceeded); keeping the FW step"]
+
+
+@pytest.mark.parametrize("nu", [0.0, math.nan, math.inf, -1.0, 5.0, 0.5])
+def test_edge_min_rejects_nu_outside_one_to_m_before_solving(monkeypatch, nu):
+    def no_solve(*args):
+        raise AssertionError("the LP was built")
+
+    monkeypatch.setattr(lp, "_solve_max", no_solve)
+    A = _gain([[1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, -1.0]])
+    with pytest.raises(ValueError, match=r"nu must lie in \[1, m\]; got"):
+        solve_edge_min(A, nu)
