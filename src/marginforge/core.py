@@ -68,10 +68,10 @@ class CapParams:
     def __post_init__(self):
         if not 1.0 <= self.nu <= self.m:
             raise ValueError(f"nu must lie in [1, m]; got nu={self.nu}, m={self.m}")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be a positive finite number")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be a positive finite number")
 
     @classmethod
     def from_tolerance(cls, m: int, nu: float, eps: float) -> "CapParams":

@@ -11,18 +11,18 @@ caller that also needs ``capped_min_linear`` of the same vector sorts
 once, and evaluates its objective only on demand, in closed form from
 the capped entries and the uncapped entries' normaliser: O(k) for k
 capped entries, where the entropy of d would take a logarithm over m.
-A caller that projects a slowly changing vector round after round passes
-the previous order back as ``order_hint``: the sort then runs over a
-nearly sorted gather and yields the same permutation as a cold sort.
 
 The public functions validate at the boundary: they copy their input,
-scan it for non-finite entries, check shapes, and accept a given order
-only as a permutation of range(m) (for ``capped_min_linear``, one that
-sorts the margins).  Each then calls a private kernel, ``_project`` or
-``_min_linear``, which does the arithmetic alone.  The booster loop and
-the corrective solve call those kernels directly on vectors they formed
-themselves, with orders that come from a sort, and so pay for no check
-inside the loop; both paths return the same bits.
+scan it for non-finite entries and check shapes, then sort from
+scratch.  Each calls a private kernel, ``_project`` or ``_min_linear``,
+which does the arithmetic alone.  The booster loop and the corrective
+solve call those kernels directly on vectors they formed themselves,
+and so pay for no check inside the loop.  The loop also reuses sort
+orders: it passes the previous round's order to ``_project`` as
+``order_hint``, so the sort runs over a nearly sorted gather, and a
+projection's order to ``_min_linear`` in place of a sort.  Either way
+the permutation is the one a cold sort gives, so both paths return the
+same bits.
 """
 
 from __future__ import annotations
@@ -77,9 +77,7 @@ class ProjectionResult:
         return cap * float(self.theta[self.order[:k]].sum()) + entropy / self.params.eta
 
 
-def capped_entropy_projection(
-    theta: np.ndarray, params: CapParams, order_hint: np.ndarray | None = None
-) -> ProjectionResult:
+def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> ProjectionResult:
     """Entropy-regularised projection, O(m log m).
 
     Sorts theta ascending and caps a growing prefix at 1/nu until the
@@ -90,22 +88,12 @@ def capped_entropy_projection(
     reach, after one fold of the rest.  The result keeps its own copy of
     theta (``theta``); a caller that needs the projected vector again may
     read it.
-
-    ``order_hint``, a permutation of range(m) such as the ``order`` of an
-    earlier projection, seeds the sort: theta is stably sorted in hint
-    order, and should two equal entries come out against index order the
-    sort is redone from scratch.  Either way ``order`` is the ascending
-    (theta, index) permutation, so the result does not depend on the hint.
     """
     theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] != params.m:
         raise ValueError(f"theta must be a vector of length m={params.m}")
     _require_finite(theta)
-    if order_hint is not None:
-        order_hint = np.asarray(order_hint)
-        if not _is_permutation(order_hint, params.m):
-            raise ValueError("order_hint must be a permutation of range(m)")
-    return _project(theta, params, order_hint)
+    return _project(theta, params)
 
 
 def _project(
@@ -114,8 +102,12 @@ def _project(
     """``capped_entropy_projection`` without its checks or its copy.
 
     theta must be a finite float vector of length m that the caller will
-    not modify (the result keeps it), and ``order_hint`` None or an
-    integer permutation of range(m).
+    not modify (the result keeps it).  ``order_hint``, None or an integer
+    permutation of range(m) such as the ``order`` of an earlier
+    projection, seeds the sort: theta is stably sorted in hint order, and
+    should two equal entries come out against index order the sort is
+    redone from scratch.  Either way ``order`` is the ascending (theta,
+    index) permutation, so the result does not depend on the hint.
     """
     m, nu, eta = params.m, params.nu, params.eta
     cap = 1.0 / nu
@@ -160,13 +152,6 @@ def _require_finite(theta: np.ndarray) -> None:
         raise ValueError("theta has non-finite entries")
 
 
-def _is_permutation(order: np.ndarray, m: int) -> bool:
-    """Whether ``order`` is an integer vector holding each of 0..m-1 once."""
-    if order.shape != (m,) or not np.issubdtype(order.dtype, np.integer):
-        return False
-    return bool(np.array_equal(np.sort(order), np.arange(m)))
-
-
 def _ascending_order(theta: np.ndarray, hint: np.ndarray | None):
     """The ascending (theta, index) permutation, seeded by ``hint`` if given,
     and theta gathered into it (a fresh array)."""
@@ -185,17 +170,12 @@ def smoothed_conjugate(theta: np.ndarray, params: CapParams) -> float:
     return -capped_entropy_projection(-np.asarray(theta, dtype=float), params).objective
 
 
-def capped_min_linear(
-    margins: np.ndarray, nu: float, order: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def capped_min_linear(margins: np.ndarray, nu: float) -> tuple[float, np.ndarray]:
     """Exact minimum of d@margins over the capped simplex by water-filling.
 
     The floor(nu) smallest entries receive 1/nu each and the next one
     takes the leftover 1 - floor(nu)/nu; this is an optimal vertex of
-    the cap polytope.  ``order``, when given, must be a permutation of
-    range(m) that sorts ``margins`` ascending, such as the ``order`` of
-    a projection of the same vector; it replaces the sort.  Returns
-    (value, argmin).
+    the cap polytope.  Returns (value, argmin).
     """
     margins = np.asarray(margins, dtype=float)
     if not np.all(np.isfinite(margins)):
@@ -203,21 +183,12 @@ def capped_min_linear(
     m = margins.shape[0]
     if not 1.0 <= nu <= m:
         raise ValueError(f"nu must lie in [1, m]; got {nu}")
-
-    if order is None:
-        order = np.argsort(margins, kind="stable")
-    else:
-        order = np.asarray(order)
-        if not _is_permutation(order, m):
-            raise ValueError("order must be a permutation of range(m)")
-        ranked = margins[order]
-        if np.any(ranked[1:] < ranked[:-1]):
-            raise ValueError("order must sort margins ascending")
-    return _min_linear(margins, nu, order)
+    return _min_linear(margins, nu, np.argsort(margins, kind="stable"))
 
 
 def _min_linear(margins: np.ndarray, nu: float, order: np.ndarray) -> tuple[float, np.ndarray]:
-    """``capped_min_linear`` from a known ascending ``order``, unchecked."""
+    """``capped_min_linear`` from a known ascending ``order``, such as the
+    ``order`` of a projection of the same vector, unchecked."""
     m = margins.shape[0]
     full = int(math.floor(nu))
     d_sorted = np.zeros(m)

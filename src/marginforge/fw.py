@@ -124,23 +124,21 @@ def newton_step(
     w: np.ndarray,
     proj: ProjectionResult,
     params: CapParams,
-    col_edges: np.ndarray | None = None,
+    col_edges: np.ndarray,
 ) -> np.ndarray:
     """Projected-Newton step of the smoothed objective over the simplex.
 
-    ``proj`` must be the projection of margins(A, w), and ``col_edges``,
-    when given, ``proj.d @ A.as_array()``, which the step then does not
-    form again.  The quadratic model at w (gradient -(d @ A), Hessian
-    ``_hessian``) is minimised over the simplex from w, and the line
-    search runs along the segment from w to that minimiser, starting
-    from ``proj``.  Should it return 0, the step goes toward the column
-    of largest edge instead: the slope there is minus the
-    conditional-gradient gap, so any w with a positive gap moves.
+    ``proj`` must be the projection of margins(A, w), and ``col_edges``
+    its column edges ``proj.d @ A.as_array()``.  The quadratic model at w
+    (gradient -col_edges, Hessian ``_hessian``) is minimised over the
+    simplex from w, and the line search runs along the segment from w to
+    that minimiser, starting from ``proj``.  Should it return 0, the step
+    goes toward the column of largest edge instead: the slope there is
+    minus the conditional-gradient gap, so any w with a positive gap
+    moves.
     """
     _require_finite(w)
     G = A.as_array()
-    if col_edges is None:
-        col_edges = proj.d @ G
     v = _simplex_qp(_hessian(G, proj, params), -col_edges, w)
     direction = v - w
     lam = _line_search(proj.theta, G @ direction, 1.0, params, at_zero=proj)

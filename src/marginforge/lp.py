@@ -8,17 +8,19 @@ deterministic.  Each phase inverts its starting basis once and keeps the
 inverse by product-form (rank-one) updates at every basis change,
 re-inverting from scratch every ``_REFACTOR_INTERVAL`` changes to bound
 the drift; the basic solution and duals that end a phase come from
-fresh solves.  The pivot loop carries its state from pivot to pivot
-instead of rebuilding it from the variable statuses: the nonbasic
-values, one pricing sign per variable, the basis's costs, upper bounds
-and finite-bound mask, and ``b - A @ x_nb`` and the reduced costs for as
-long as the pivots leave them unchanged.  Carrying adds no arithmetic of
-its own: each value is bit for bit the one a rebuild would give, so the
-pivots and the outputs equal those of the rebuilding kernel that
-``tests/conftest.py`` keeps as a reference.  ``solve_edge_min`` is the
-one entry point above it: it checks ``nu``, merges identical instance
-rows, solves the restricted edge-min / soft-margin pair over the
-distinct rows, and certifies strong duality on every call.
+fresh solves.  A variable's bound state is its nonbasic value alone:
+``x_nb`` holds u at an upper-bound nonbasic and 0 elsewhere, and the
+two phases update one ``x_nb`` in place.  Only a variable with a
+positive upper bound may move, so phase 2 locks the artificials by
+giving them a zero upper bound.  The pivot loop also carries one pricing
+sign per variable, the basis's costs, upper bounds and finite-bound
+mask, and ``b - A @ x_nb`` and the reduced costs for as long as the
+pivots leave them unchanged.  Its pivots and outputs equal bit for bit
+those of the reference kernel in ``tests/conftest.py``, which rebuilds
+all of these at every pivot.  ``solve_edge_min`` is the one entry point
+above it: it checks ``nu``, merges identical instance rows, solves the
+restricted edge-min / soft-margin pair over the distinct rows, and
+certifies strong duality on every call.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .entropy import capped_min_linear
 _STALL_LIMIT = 32  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
 _MAX_PIVOTS = 200_000
-
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 
 class LpError(Exception):
@@ -95,30 +95,28 @@ def _simplex_min(A, b, c, upper):
     u1 = np.concatenate([upper, np.full(r, math.inf)])
     c1 = np.concatenate([np.zeros(n), np.ones(r)])
     basis = np.arange(n, n + r)
-    status = np.full(n + r, _AT_LOWER, dtype=np.int8)
-    status[basis] = _BASIC
-    allow = np.ones(n + r, dtype=bool)
+    x_nb = np.zeros(n + r)
 
-    _iterate(A1, b, c1, u1, basis, status, allow)
-    x1 = _assemble_x(A1, b, u1, basis, status)
+    _iterate(A1, b, c1, u1, basis, x_nb)
+    x1 = _assemble_x(A1, b, basis, x_nb)
     if c1 @ x1 > LP_INFEASIBLE_TOL:
         y = _duals(A1, c1, basis, flip)
         raise LpInfeasibleError(certificate=y)
 
-    # phase 2: lock artificials at zero and restore the real objective
+    # phase 2: lock artificials at zero and restore the real objective;
+    # phase 1 never puts one at its infinite upper bound, so x_nb holds 0
+    # for each and needs no change
     u1[n:] = 0.0
     c2 = np.concatenate([c, np.zeros(r)])
-    allow[n:] = False
-    _iterate(A1, b, c2, u1, basis, status, allow)
+    _iterate(A1, b, c2, u1, basis, x_nb)
 
-    x = _assemble_x(A1, b, u1, basis, status)
+    x = _assemble_x(A1, b, basis, x_nb)
     y = _duals(A1, c2, basis, flip)
     return np.clip(x[:n], 0.0, upper), y
 
 
-def _assemble_x(A, b, u, basis, status):
-    x = np.where(status == _AT_UPPER, u, 0.0)
-    x[basis] = 0.0
+def _assemble_x(A, b, basis, x_nb):
+    x = x_nb.copy()
     rhs = b - A @ x
     x[basis] = np.linalg.solve(A[:, basis], rhs)
     return x
@@ -129,20 +127,20 @@ def _duals(A, c, basis, flip):
     return np.where(flip, -y, y)
 
 
-def _iterate(A, b, c, u, basis, status, allow):
+def _iterate(A, b, c, u, basis, x_nb):
     """Pivot from a feasible basis until pricing finds no improving column.
 
-    ``basis`` and ``status`` are updated in place.  Everything else a pivot
-    needs is carried from pivot to pivot instead of rebuilt from
-    ``status``: the nonbasic values ``x_nb`` (u at upper-bound nonbasics,
-    0 elsewhere and on the basis), each variable's pricing sign (+1 if
-    movable at its lower bound, -1 if movable at its upper bound, 0 if
-    basic or locked, so a column is eligible when ``red * sign <
-    -LP_PIVOT_TOL`` and Dantzig's column is the first argmin), and the
-    basis's costs, upper bounds and finite-bound mask.  ``b - A @ x_nb``
-    is formed again only after ``x_nb`` changes, and the reduced costs
-    only after the basis does; a bound flip keeps them.  Reduced costs
-    are assumed finite: a NaN would win the argmin.
+    ``basis`` and the nonbasic values ``x_nb`` (u at upper-bound
+    nonbasics, 0 elsewhere and on the basis) are updated in place.  Only
+    a variable with a positive upper bound may move.  A movable nonbasic
+    has pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its
+    lower bound; a basic or locked variable has 0.  A column is eligible
+    when ``red * sign < -LP_PIVOT_TOL``, and Dantzig's column is the
+    first argmin.  The signs and the basis's costs, upper bounds and
+    finite-bound mask are carried from pivot to pivot.  ``b - A @ x_nb`` is formed again
+    only after ``x_nb`` changes, and the reduced costs only after the
+    basis does; a bound flip keeps them.  Reduced costs are assumed
+    finite: a NaN would win the argmin.
     """
     r, n = A.shape
     bland = False
@@ -150,11 +148,10 @@ def _iterate(A, b, c, u, basis, status, allow):
     last_obj = math.inf
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
-    movable = allow & (u > 0.0)
-    x_nb = np.where(status == _AT_UPPER, u, 0.0)
-    x_nb[basis] = 0.0
-    sign = np.where(status == _AT_LOWER, 1.0, -1.0)
-    sign[~movable | (status == _BASIC)] = 0.0
+    movable = u > 0.0
+    sign = np.where(x_nb > 0.0, -1.0, 1.0)
+    sign[~movable] = 0.0
+    sign[basis] = 0.0
     c_B = c[basis]
     u_B = u[basis]
     finite_B = np.isfinite(u_B)
@@ -216,7 +213,6 @@ def _iterate(A, b, c, u, basis, status, allow):
                 direction[basis] = -step
                 raise LpUnboundedError(direction=direction)
             # entering variable flips to its other bound, basis unchanged
-            status[j] = _AT_UPPER if increasing else _AT_LOWER
             x_nb[j] = u_j if increasing else 0.0
             sign[j] = -sign[j]
             rhs = None
@@ -232,7 +228,6 @@ def _iterate(A, b, c, u, basis, status, allow):
         out = int(basis[leave_pos])
         # j enters at leave_pos and out leaves to the bound it reached
         basis[leave_pos] = j
-        status[j] = _BASIC
         if not increasing:
             x_nb[j] = 0.0
             rhs = None
@@ -241,10 +236,8 @@ def _iterate(A, b, c, u, basis, status, allow):
         u_B[leave_pos] = u_j
         finite_B[leave_pos] = math.isfinite(u_j)
         if to_lower[leave_pos]:
-            status[out] = _AT_LOWER
             sign[out] = 1.0 if movable[out] else 0.0
         else:
-            status[out] = _AT_UPPER
             x_nb[out] = u[out]
             sign[out] = -1.0 if movable[out] else 0.0
             rhs = None

@@ -32,6 +32,18 @@ def test_cap_params_eta_formula():
         CapParams(nu=0.5, m=4, eta=1.0, eps=0.1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta", math.nan), ("eta", math.inf), ("eta", 0.0), ("eps", math.nan), ("eps", math.inf)],
+)
+def test_cap_params_reject_a_non_finite_or_non_positive_eta_or_eps(field, value):
+    # unchecked, a NaN or infinite eta makes the projection of
+    # theta = [0.1, -0.2, 0.3, 0.0] at nu = 2 return d = [nan, 0.5, nan, 0.5]
+    kwargs = dict(nu=2.0, m=4, eta=1.0, eps=0.1) | {field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a positive finite number"):
+        CapParams(**kwargs)
+
+
 def test_gain_matrix_deduplicates_known_ids():
     col = np.array([1.0, -1.0])
     A = GainMatrix([col], ["h0"])

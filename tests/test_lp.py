@@ -450,6 +450,53 @@ def test_reference_cross_check_reaches_every_outcome():
     assert {"solved", "LpInfeasibleError", "LpUnboundedError"} <= seen
 
 
+# Kernels that enter phase 2 in the two states it rebuilds from x_nb alone:
+# an artificial still basic (the equality rows repeat, so one artificial
+# stays in the basis at zero), and structurals at their upper bounds
+_PHASE_TWO_STARTS = {
+    "artificial_basic": (
+        np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+        np.array([1.0, 1.0]),
+        np.array([1.0, 2.0, 0.5]),
+        np.full(3, math.inf),
+        [0.0, 0.0, 1.0],
+    ),
+    "structurals_at_upper": (
+        np.array([[1.0, 1.0, 1.0]]),
+        np.array([2.0]),
+        np.array([-1.0, 0.0, 1.0]),
+        np.array([0.5, 1.0, math.inf]),
+        [0.5, 1.0, 0.5],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PHASE_TWO_STARTS))
+def test_phase_two_start_states_match_the_reference_and_highs(monkeypatch, case):
+    *kernel, optimum = _PHASE_TWO_STARTS[case]
+    A, b, c, u = kernel
+    n = A.shape[1]
+    starts = []
+    iterate = lp._iterate
+
+    def recording_iterate(A1, b1, c1, u1, basis, x_nb):
+        starts.append((basis.copy(), x_nb.copy()))
+        return iterate(A1, b1, c1, u1, basis, x_nb)
+
+    monkeypatch.setattr(lp, "_iterate", recording_iterate)
+    assert _outcome(_simplex_min, *kernel) == _outcome(reference_simplex_min, *kernel)
+    basis, x_nb = starts[1]
+    if case == "artificial_basic":
+        assert np.any(basis >= n)
+    else:
+        assert np.any((x_nb[:n] > 0.0) & (x_nb[:n] == u))
+    x, _ = _simplex_min(*kernel)
+    assert np.array_equal(x, optimum)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(np.zeros(n), u)), method="highs")
+    assert ref.status == 0, ref.message
+    assert float(c @ x) == pytest.approx(ref.fun, abs=1e-12)
+
+
 def _reference_edge_min(monkeypatch, A, nu):
     """solve_edge_min with the LP handed to the reference kernel."""
     with monkeypatch.context() as patch:
