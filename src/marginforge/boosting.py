@@ -133,7 +133,12 @@ class PoolOracleLearner:
 
 def default_iteration_cap(m: int, nu: float, eps: float) -> int:
     """Theoretical round bound ceil(32 * ln(m/nu) / eps^2) plus slack."""
-    return math.ceil(32.0 * math.log(m / nu) / eps**2) + 16
+    try:
+        return math.ceil(32.0 * math.log(m / nu) / eps**2) + 16
+    except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or the bound overflows
+        raise ValueError(
+            f"eps={eps!r} is too small: the round bound 32*ln(m/nu)/eps^2 overflows"
+        ) from None
 
 
 def _start(learner, config: BoosterConfig):

@@ -80,8 +80,11 @@ class CapParams:
         At nu == m the capped simplex is the single point 1/m and the
         formula would give eta = 0; any positive eta yields the same
         (unique) feasible vector, so eta is floored at a tiny value.
+        An eps so small that eta overflows is rejected by name.
         """
         eta = max(2.0 * math.log(m / nu) / eps, 1e-9)
+        if eta == math.inf:
+            raise ValueError(f"eps={eps!r} is too small: eta = 2*ln(m/nu)/eps overflows")
         return cls(nu=nu, m=m, eta=eta, eps=eps)
 
 

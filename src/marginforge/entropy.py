@@ -36,6 +36,9 @@ import numpy as np
 from .constants import CAP_REL_SLACK, ENTROPY_ZERO
 from .core import CapParams
 
+_LOOP_SCAN_MAX = 64  # longest cap scan run as a Python loop
+_EXP_RECHECK_RTOL = 1e-12  # np.exp weights this close to the bound are redone with math.exp
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -128,11 +131,8 @@ def _project(
     lse[1:] = scaled[stop - 1 :: -1]
     np.logaddexp.accumulate(lse, out=lse)
 
-    for k, gap in enumerate((scaled[:stop] - lse[stop:0:-1]).tolist()):
-        remaining = 1.0 - k / nu
-        if remaining * math.exp(gap) <= cap * (1.0 + CAP_REL_SLACK):
-            break
-
+    k = _capped_count(scaled[:stop] - lse[stop:0:-1], nu, cap * (1.0 + CAP_REL_SLACK))
+    remaining = 1.0 - k / nu
     lse_k = float(lse[stop - k])
     d_sorted = np.empty(m)
     d_sorted[:k] = cap
@@ -143,6 +143,29 @@ def _project(
     return ProjectionResult(
         d=d, capped_count=k, order=order, d_sorted=d_sorted, theta=theta, lse=lse_k, params=params
     )
+
+
+def _capped_count(gaps: np.ndarray, nu: float, bound: float) -> int:
+    """The cap scan: the first k whose largest uncapped weight
+    (1 - k/nu) * exp(gaps[k]) fits under ``bound``, else the last index.
+
+    Past ``_LOOP_SCAN_MAX`` entries every weight is first formed in one
+    pass with np.exp, which may differ from math.exp in the last bit.  No
+    entry before the first one within ``_EXP_RECHECK_RTOL`` of the bound
+    can fit, so the loop starts there, and k is the loop's k exactly.
+    """
+    stop = gaps.shape[0]
+    start = 0
+    if stop > _LOOP_SCAN_MAX:
+        weights = (1.0 - np.arange(stop) / nu) * np.exp(gaps)
+        near = weights <= bound * (1.0 + _EXP_RECHECK_RTOL)
+        start = int(np.argmax(near))
+        if not near[start]:
+            return stop - 1
+    for k, gap in enumerate(gaps[start:].tolist(), start):
+        if (1.0 - k / nu) * math.exp(gap) <= bound:
+            return k
+    return stop - 1
 
 
 def _require_finite(theta: np.ndarray) -> None:

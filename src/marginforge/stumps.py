@@ -2,9 +2,12 @@
 
 ``best_stump`` answers a distribution with the pool stump of largest
 weighted correlation.  ``StumpPool.build`` argsorts every feature once,
-O(p m log m); each query then costs O(p m + |pool|): one gather into
-that order, one row-wise prefix sum, and one argmax and one argmin over
-the thresholds' +1 edges.  ``StumpLearner`` answers the same queries
+O(p m log m), and keeps the pool as arrays: a feature and a threshold
+per split, with no hypothesis object.  Each query then costs
+O(p m + |pool|): one gather into that order, one row-wise prefix sum
+turned into the thresholds' +1 edges in place, and one argmax and one
+argmin over them.  Only the answer is built as a ``StumpHypothesis``,
+by ``StumpPool.candidate``.  ``StumpLearner`` answers the same queries
 for a booster and keeps each gain column it has computed.
 ``pool_oracle`` answers by dense argmax when the whole gain matrix
 is in memory.
@@ -13,6 +16,7 @@ is in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +37,7 @@ class StumpHypothesis:
         return np.where(fire, float(self.polarity), -float(self.polarity))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StumpPool:
     """Deterministic stump candidates for a dataset, plus its presort.
 
@@ -48,27 +52,32 @@ class StumpPool:
     threshold asc, +1 first), which is also the tie-break order of
     every max-edge query.
 
+    The pool is held as arrays, one entry per threshold k in pool order:
+    ``features[k]`` and ``thresholds[k]``.  Candidate 2k is
+    (features[k], thresholds[k], +1) and candidate 2k+1 the same
+    threshold with polarity -1; ``candidate(j)`` builds one on demand.
+    ``candidates``, the whole tuple, is formed on first access only: a
+    fit reads a few of the pool's stumps and never forms it.
+
     ``orders[f]`` is the stable ascending argsort of feature f (p x m).
     ``split_at[k]`` locates threshold k in the (p, m+1) prefix-sum
     matrix of a query: flat index f*(m+1) + (rows below the threshold).
-    Both come from ``build``; a pool made from bare candidates has an
-    empty presort and cannot answer ``best_stump``.
+    Both come from ``build``; a pool made from bare arrays has an
+    empty presort and cannot answer ``best_stump``.  Pools compare and
+    hash by identity.
     """
 
-    candidates: tuple[StumpHypothesis, ...]
-    orders: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 0), dtype=np.intp), compare=False, repr=False
-    )
-    split_at: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.intp), compare=False, repr=False
-    )
+    features: np.ndarray
+    thresholds: np.ndarray
+    orders: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.intp), repr=False)
+    split_at: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp), repr=False)
 
     @classmethod
     def build(cls, data: Dataset) -> "StumpPool":
         m = data.m
         orders = np.argsort(data.features.T, axis=1, kind="stable")
         sorted_x = np.take_along_axis(data.features.T, orders, axis=1)
-        out, splits = [], []
+        all_thresholds, splits = [], []
         for f, xs in enumerate(sorted_x):
             boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1
             lo, hi = xs[boundaries - 1], xs[boundaries]
@@ -85,14 +94,32 @@ class StumpPool:
                 # nothing finite lies above the float maximum; the dropped
                 # pair's columns repeat the below-min pair's, polarity flipped
                 thresholds, cuts = thresholds[:-1], cuts[:-1]
+            all_thresholds.append(thresholds)
             splits.append(f * (m + 1) + cuts)
-            for thr in thresholds.tolist():
-                out.append(StumpHypothesis(f, thr, 1))
-                out.append(StumpHypothesis(f, thr, -1))
-        return cls(candidates=tuple(out), orders=orders, split_at=np.concatenate(splits))
+        split_at = np.concatenate(splits)
+        return cls(
+            features=split_at // (m + 1),
+            thresholds=np.concatenate(all_thresholds),
+            orders=orders,
+            split_at=split_at,
+        )
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return 2 * self.thresholds.size
+
+    def candidate(self, j: int) -> StumpHypothesis:
+        """Pool candidate j: threshold j // 2, polarity +1 at even j, -1 at odd."""
+        k, odd = divmod(j, 2)
+        return StumpHypothesis(int(self.features[k]), float(self.thresholds[k]), -1 if odd else 1)
+
+    @cached_property
+    def candidates(self) -> tuple[StumpHypothesis, ...]:
+        """Every candidate in pool order, formed once on first access."""
+        return tuple(
+            StumpHypothesis(f, thr, polarity)
+            for f, thr in zip(self.features.tolist(), self.thresholds.tolist())
+            for polarity in (1, -1)
+        )
 
 
 def best_stump(
@@ -110,7 +137,7 @@ def best_stump(
     argmax over the whole pool order would.
     """
     j, d = _pick(data, d, pool)
-    stump = pool.candidates[j]
+    stump = pool.candidate(j)
     gain_column = data.labels * stump.predict(data.features)
     return stump, float(d @ gain_column), gain_column
 
@@ -125,9 +152,15 @@ def _pick(data: Dataset, d: np.ndarray, pool: StumpPool) -> tuple[int, np.ndarra
     if d.shape != (data.m,):
         raise ValueError("distribution length does not match the dataset")
 
-    prefix = np.zeros((data.p, data.m + 1))
+    # +1 edges total_f - 2*prefix_f, formed in place as -2*prefix + total
+    # (the same bits); split_at is the identity when every value is distinct
+    prefix = np.empty((data.p, data.m + 1))
+    prefix[:, 0] = 0.0
     np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
-    plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
+    total = prefix[:, -1:].copy()
+    prefix *= -2.0
+    prefix += total
+    plus = prefix.ravel() if pool.split_at.size == prefix.size else prefix.take(pool.split_at)
     i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
     if plus[i_pos] > -plus[i_neg] or (plus[i_pos] == -plus[i_neg] and i_pos <= i_neg):
         return 2 * i_pos, d
@@ -154,7 +187,7 @@ class StumpLearner:
 
     def query(self, d: np.ndarray):
         j, d = _pick(self.data, d, self.pool)
-        stump = self.pool.candidates[j]
+        stump = self.pool.candidate(j)
         gains = self._gains.get(j)
         if gains is None:
             gains = (self.data.labels * stump.predict(self.data.features)).astype(np.int8)

@@ -13,6 +13,7 @@ import numpy as np
 
 from marginforge import lp
 from marginforge.core import Dataset
+from marginforge.stumps import StumpHypothesis
 
 
 def two_gaussians(m: int, seed: int, p: int = 2, spread: float = 0.9, shift: float = 1.1) -> Dataset:
@@ -105,6 +106,37 @@ def min_linear_over_cap(vector, nu: float) -> float:
     """Exact min of d @ vector over the capped simplex via its vertices."""
     vector = np.asarray(vector, dtype=float)
     return min(float(d @ vector) for d in capped_simplex_vertices(vector.shape[0], nu))
+
+
+def reference_stump_pool(data: Dataset):
+    """The stump pool as first built: one ``StumpHypothesis`` object per
+    candidate, enumerated verbatim, as an oracle for the array-backed pool.
+    Returns (candidates, orders, split_at)."""
+    m = data.m
+    orders = np.argsort(data.features.T, axis=1, kind="stable")
+    sorted_x = np.take_along_axis(data.features.T, orders, axis=1)
+    out, splits = [], []
+    for f, xs in enumerate(sorted_x):
+        boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1
+        lo, hi = xs[boundaries - 1], xs[boundaries]
+        with np.errstate(over="ignore"):
+            mids = (lo + hi) / 2.0
+            mids = np.where(np.isfinite(mids), mids, lo / 2.0 + hi / 2.0)  # lo + hi overflowed
+            mids = np.where(mids > lo, mids, hi)  # adjacent floats: rounded onto lo
+            top = xs[-1] + 1.0
+            if top == xs[-1]:  # |xs[-1]| >= 2**53 absorbs the 1.0
+                top = np.nextafter(xs[-1], np.inf)
+        thresholds = np.concatenate([[xs[0] - 1.0], mids, [top]])
+        cuts = np.concatenate([[0], boundaries, [m]])
+        if not np.isfinite(top):
+            # nothing finite lies above the float maximum; the dropped
+            # pair's columns repeat the below-min pair's, polarity flipped
+            thresholds, cuts = thresholds[:-1], cuts[:-1]
+        splits.append(f * (m + 1) + cuts)
+        for thr in thresholds.tolist():
+            out.append(StumpHypothesis(f, thr, 1))
+            out.append(StumpHypothesis(f, thr, -1))
+    return tuple(out), orders, np.concatenate(splits)
 
 
 # Reference simplex: the dense kernel of marginforge.lp before its pivot

@@ -506,6 +506,22 @@ def test_train_rejects_non_finite_eps(tmp_path, capsys, value):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize(
+    "value, overflows",
+    [("1e-320", "eta = 2*ln(m/nu)/eps"), ("1e-200", "round bound"), ("1e-160", "round bound")],
+)
+def test_train_rejects_an_eps_whose_eta_or_round_bound_overflows(tmp_path, capsys, value, overflows):
+    model_path = tmp_path / "model.json"
+    code = main([
+        "train", "--data", separable_csv(tmp_path), "--algo", "erlpboost", "--nu-frac", "0.5",
+        "--eps", value, "--model-out", str(model_path),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"eps={value} is too small" in err and overflows in err
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_bench_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, capsys, value):
     out_path = tmp_path / "bench.csv"

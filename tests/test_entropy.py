@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from marginforge.constants import CAP_REL_SLACK
 from marginforge.core import CapParams, check_distribution, relative_entropy
+from marginforge import entropy
 from marginforge.entropy import (
+    _capped_count,
     _min_linear,
     _project,
     capped_entropy_projection,
@@ -274,6 +276,79 @@ def test_warm_started_projection_is_bit_identical_to_the_while_loop(case):
             assert np.array_equal(res.d, ref_d)
         np.testing.assert_allclose(res.d, ref_d, rtol=rtol, atol=16 * 2.0**-1074)
         assert abs(res.objective - ref_objective) <= rtol * (1.0 + big + math.log(m) / eta)
+
+
+def _threshold_theta(m, nu, k0, shift):
+    """theta whose sorted entry k0 weighs about the cap scan's bound when
+    entries before it are capped: a head far below, k0 itself, then a flat tail at 1.0.
+    ``shift`` moves entry k0 by that many float steps."""
+    bound = (1.0 + CAP_REL_SLACK) / nu
+    remaining = 1.0 - k0 / nu
+    tail = m - k0 - 1
+    # eta = 1: remaining * e^s / (e^s + tail * e^-1) = bound at s = -theta[k0]
+    at = -math.log(bound * tail * math.exp(-1.0) / (remaining - bound))
+    for _ in range(abs(shift)):
+        at = float(np.nextafter(at, math.copysign(math.inf, shift)))
+    theta = np.concatenate([np.linspace(-600.0, -50.0, k0), [at], np.ones(tail)])
+    return np.random.default_rng(k0).permutation(theta)
+
+
+@pytest.mark.parametrize("m, nu", [(300, 299.5), (400, 399.25)])
+def test_vector_cap_scan_matches_the_while_loop_at_the_threshold(m, nu):
+    """Past the loop cutoff the scan forms every weight with np.exp; an
+    entry at the cap is redone with math.exp, so the capped count is the
+    while loop's to the bit.  stop == m here, so the kernel's suffix
+    log-sum-exp is the reference's and d matches bit for bit too."""
+    assert min(m, math.floor(nu) + 1) == m > entropy._LOOP_SCAN_MAX
+    k0 = 120
+    seen = set()
+    for shift in range(-24, 25):
+        theta = _threshold_theta(m, nu, k0, shift)
+        ref_order, ref_k, ref_d = while_loop_projection(theta, nu, 1.0)
+        res = _project(theta, params(m, nu, 1.0))
+        assert res.capped_count == ref_k
+        assert np.array_equal(res.order, ref_order)
+        assert np.array_equal(res.d, ref_d)
+        seen.add(ref_k)
+    assert seen == {k0, k0 + 1}  # the sweep crosses the threshold
+
+
+def _loop_capped_count(gaps, nu, bound):
+    k = 0
+    while k < gaps.shape[0] - 1 and (1.0 - k / nu) * math.exp(gaps[k]) > bound:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("stop", [3, 64, 65, 201])
+def test_capped_count_matches_the_loop_on_both_sides_of_the_cutoff(stop):
+    rng = np.random.default_rng(stop)
+    nu = stop - 0.5
+    bound = 1.0 / nu
+    for gaps in (
+        np.zeros(stop),  # weights 1 - k/nu: only the last can fit
+        np.full(stop, -50.0),  # the first fits
+        np.full(stop, 5.0),  # none fits: the last index
+        np.sort(rng.uniform(-8.0, 0.0, stop))[::-1].copy(),
+        np.log(bound / (1.0 - np.arange(stop) / nu)),  # every weight at the bound
+    ):
+        assert _capped_count(gaps, nu, bound) == _loop_capped_count(gaps, nu, bound)
+
+
+def test_capped_count_redoes_a_weight_that_np_exp_rounds_across_the_bound():
+    """np.exp and math.exp may differ in the last bit.  Put the bound
+    between the two weights of entry k0 (on a platform where they agree,
+    at the weight itself): the vector scan must still return the loop's k."""
+    stop, nu, k0 = 201, 200.0, 120
+    gaps = np.zeros(stop)  # before k0 every weight is far above the bound
+    gaps[k0 + 1 :] = -50.0  # after it every weight fits
+    for g in np.linspace(-6.0, -5.0, 1001).tolist():
+        gaps[k0] = g
+        if np.exp(gaps)[k0] != math.exp(g):
+            break
+    remaining = 1.0 - k0 / nu
+    for bound in (remaining * float(np.exp(gaps)[k0]), remaining * math.exp(gaps[k0])):
+        assert _capped_count(gaps, nu, bound) == _loop_capped_count(gaps, nu, bound)
 
 
 def test_projection_accepts_any_permutation_as_hint_and_ignores_it():

@@ -8,14 +8,17 @@ from marginforge.stumps import (
     StumpHypothesis,
     StumpLearner,
     StumpPool,
+    _pick,
     best_stump,
     full_gain_matrix,
     pool_oracle,
 )
 
+from marginforge import cli
+from marginforge.boosting import BoosterConfig
 from marginforge.cli import main
 
-from conftest import two_gaussians, write_csv
+from conftest import reference_stump_pool, two_gaussians, write_csv
 
 
 def naive_best(data, d, pool):
@@ -132,7 +135,7 @@ def test_mismatched_pool_is_configuration_error():
         best_stump(large, np.full(3, 1 / 3), StumpPool.build(small))
     with pytest.raises(ValueError, match="not built for this dataset"):
         best_stump(small, np.full(2, 0.5), StumpPool.build(wide))
-    bare = StumpPool(candidates=(StumpHypothesis(0, 0.5, 1),))
+    bare = StumpPool(features=np.array([0], dtype=np.intp), thresholds=np.array([0.5]))
     with pytest.raises(ValueError, match="not built for this dataset"):
         best_stump(small, np.full(2, 0.5), bare)
 
@@ -217,7 +220,7 @@ def test_edge_equals_one_minus_twice_weighted_error():
 def test_empty_pool_is_configuration_error():
     data = Dataset(np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
-        best_stump(data, np.ones(1), StumpPool(candidates=()))
+        best_stump(data, np.ones(1), StumpPool(features=np.empty(0, dtype=np.intp), thresholds=np.empty(0)))
 
 
 def test_pool_oracle_point_mass_and_ties():
@@ -337,3 +340,93 @@ def test_oracle_runs_on_extreme_feature_values(values, tmp_path, capsys):
     write_csv(path, Dataset(x[:, None], np.where(np.arange(x.size) % 2, 1.0, -1.0)))
     assert main(["oracle", "--data", str(path)]) == 0
     assert "rho_star" in capsys.readouterr().out
+
+
+_FMAX = float(np.finfo(float).max)
+_POOL_EDGE_VALUES = [
+    0.0, -0.0, 0.5, 1.0, float(np.nextafter(1.0, 2.0)), -3.0, float(np.nextafter(-3.0, 0.0)),
+    2.0**53, 2.0**53 + 2.0, -(2.0**53), 1e16 + 4.0, 5e-324, -5e-324,
+    1.7e308, 1.79e308, -1.79e308, _FMAX, float(np.nextafter(_FMAX, 0.0)), -_FMAX,
+]
+
+
+@st.composite
+def edge_value_datasets(draw):
+    """Small feature matrices built from ties, +-0.0, |x| >= 2**53,
+    midpoints that overflow, adjacent floats and the float maximum."""
+    m = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 3))
+    values = st.sampled_from(_POOL_EDGE_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(values, min_size=m * p, max_size=m * p))
+    labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    return Dataset(np.array(cells, dtype=float).reshape(m, p), np.array(labels))
+
+
+def _bits(h):
+    """A stump as exact data: float.hex tells -0.0 from 0.0."""
+    return (h.feature, h.threshold.hex(), h.polarity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_value_datasets())
+@example(Dataset(np.array([[_FMAX, -0.0], [0.0, 0.0], [1.79e308, 2.0**53]]), np.array([1.0, -1.0, 1.0])))
+def test_array_pool_matches_the_object_building_reference(data):
+    ref_candidates, ref_orders, ref_split_at = reference_stump_pool(data)
+    pool = StumpPool.build(data)
+    assert len(pool) == len(ref_candidates)
+    built = [pool.candidate(j) for j in range(len(pool))]
+    assert [_bits(h) for h in built] == [_bits(h) for h in ref_candidates]
+    assert all(type(h.feature) is int and type(h.threshold) is float for h in built)
+    assert pool.candidates == ref_candidates
+    assert [_bits(h) for h in pool.candidates] == [_bits(h) for h in ref_candidates]
+    assert pool.features.dtype == np.intp
+    assert np.array_equal(pool.orders, ref_orders)
+    assert np.array_equal(pool.split_at, ref_split_at)
+
+
+def take_pick(data, d, pool):
+    """The pick as written before the in-place edges: the +1 edges as
+    total - 2*prefix, always gathered through split_at."""
+    prefix = np.zeros((data.p, data.m + 1))
+    np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
+    plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
+    i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
+    if plus[i_pos] > -plus[i_neg] or (plus[i_pos] == -plus[i_neg] and i_pos <= i_neg):
+        return 2 * i_pos
+    return 2 * i_neg + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(stump_queries(), tie_heavy_queries()))
+def test_pick_matches_the_gathered_total_minus_twice_prefix(query):
+    data, d = query
+    pool = StumpPool.build(data)
+    assert _pick(data, d, pool)[0] == take_pick(data, d, pool)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
+def test_pick_matches_with_and_without_the_split_gather(tied):
+    data = two_gaussians(80, seed=7, p=3)
+    if tied:
+        data = Dataset(data.features.round(1), data.labels)
+    pool = StumpPool.build(data)
+    # continuous values make split_at the identity and the gather is
+    # skipped; rounded values collapse thresholds and the gather runs
+    assert (pool.split_at.size == data.p * (data.m + 1)) is not tied
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d = rng.exponential(1.0, data.m)
+        assert _pick(data, d / d.sum(), pool)[0] == take_pick(data, d / d.sum(), pool)
+    uniform = np.full(data.m, 1.0 / data.m)
+    assert _pick(data, uniform, pool)[0] == take_pick(data, uniform, pool)
+
+
+def test_fits_never_form_the_candidate_tuple():
+    data = two_gaussians(200, seed=0)
+    learner = StumpLearner(data)
+    for runner, fw_rule, secondary in cli.ALGORITHMS.values():
+        config = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
+        assert runner(data, learner, config)[0].converged
+    assert "candidates" not in vars(learner.pool)
+    assert learner.pool.candidates is learner.pool.candidates  # cached where the check looks
+    assert "candidates" in vars(learner.pool)
