@@ -115,11 +115,7 @@ class StumpPool:
     @cached_property
     def candidates(self) -> tuple[StumpHypothesis, ...]:
         """Every candidate in pool order, formed once on first access."""
-        return tuple(
-            StumpHypothesis(f, thr, polarity)
-            for f, thr in zip(self.features.tolist(), self.thresholds.tolist())
-            for polarity in (1, -1)
-        )
+        return tuple(map(self.candidate, range(len(self))))
 
 
 def best_stump(

@@ -377,7 +377,6 @@ def test_array_pool_matches_the_object_building_reference(data):
     built = [pool.candidate(j) for j in range(len(pool))]
     assert [_bits(h) for h in built] == [_bits(h) for h in ref_candidates]
     assert all(type(h.feature) is int and type(h.threshold) is float for h in built)
-    assert pool.candidates == ref_candidates
     assert [_bits(h) for h in pool.candidates] == [_bits(h) for h in ref_candidates]
     assert pool.features.dtype == np.intp
     assert np.array_equal(pool.orders, ref_orders)
