@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import EPS_FLOOR
 from .core import (
     CapParams,
     GainMatrix,
@@ -132,13 +133,24 @@ class PoolOracleLearner:
 
 
 def default_iteration_cap(m: int, nu: float, eps: float) -> int:
-    """Theoretical round bound ceil(32 * ln(m/nu) / eps^2) plus slack."""
+    """Theoretical round bound ceil(32 * ln(m/nu) / eps^2) plus slack.
+
+    An eps below EPS_FLOOR is rejected even when its bound is finite: the
+    gap certificate is formed from float sums of size about 1, so such an
+    eps could never be met and the fit would not stop.
+    """
     try:
-        return math.ceil(32.0 * math.log(m / nu) / eps**2) + 16
+        cap = math.ceil(32.0 * math.log(m / nu) / eps**2) + 16
     except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or the bound overflows
         raise ValueError(
             f"eps={eps!r} is too small: the round bound 32*ln(m/nu)/eps^2 overflows"
         ) from None
+    if eps < EPS_FLOOR:
+        raise ValueError(
+            f"eps={eps!r} is too small: below EPS_FLOOR={EPS_FLOOR!r}, "
+            "no float gap can certify it"
+        )
+    return cap
 
 
 def _start(learner, config: BoosterConfig):
@@ -312,10 +324,13 @@ def secondary_erlpboost(
     projected-Newton iterations (``fw.newton_step``) until the
     linearised gap drops below eps/10 (the optional warm start, all
     weight on column 0 by default, does not change the guarantee).
-    Each iteration projects G @ w once for the gap test and the step,
-    which also reuses the gap test's column edges.  The caller's start
-    goes through the checked ``capped_entropy_projection``; every later
-    iterate is one the solve formed, and goes through the kernel.
+    The gap test and the step share one projection of G @ w and its
+    column edges.  The caller's start is projected here, through the
+    checked ``capped_entropy_projection``; every later projection is the
+    one ``newton_step`` returns with its iterate (the accepted full
+    step's trial projection, or the kernel's projection of the iterate
+    its line search reached), so the solve never projects the same
+    margins twice.
     Hitting the inner cap logs a warning and returns the current iterate.
     """
     if A.t < 1:
@@ -330,8 +345,7 @@ def secondary_erlpboost(
         gap = float(col_edges.max() - col_edges @ w)
         if gap <= tol:
             return w
-        w = newton_step(A, w, proj, params, col_edges)
-        proj = _project(G @ w, params)
+        w, proj = newton_step(A, w, proj, params, col_edges)
     logger.warning("fully corrective inner solve hit its %d-step cap", _ERLP_INNER_CAP)
     return w
 

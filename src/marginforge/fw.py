@@ -20,9 +20,11 @@ entry, that the vector they search from is finite.
 
 ``newton_step`` is the projected-Newton step of ERLPBoost's fully
 corrective solve: ``_hessian`` is the matrix form of the curvature in
-``_slope_and_curvature``, ``_simplex_qp`` minimises the resulting
-quadratic model over the simplex by a primal active-set method, and the
-same line search runs along the segment to its minimiser.
+``_slope_and_curvature``, and ``_simplex_qp`` minimises the resulting
+quadratic model over the simplex by a primal active-set method.  The
+full step to that minimiser is taken when it decreases the smoothed
+objective enough (Armijo's test, one projection); otherwise the same
+exact line search runs along the segment to it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from .constants import (
     LINE_SEARCH_MAX_ITERS,
     LINE_SEARCH_TOL,
+    NEWTON_ARMIJO,
     NEWTON_RIDGE,
     QP_MULTIPLIER_TOL,
     SUPPORT_DROP_TOL,
@@ -125,28 +128,41 @@ def newton_step(
     proj: ProjectionResult,
     params: CapParams,
     col_edges: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, ProjectionResult]:
     """Projected-Newton step of the smoothed objective over the simplex.
 
     ``proj`` must be the projection of margins(A, w), and ``col_edges``
     its column edges ``proj.d @ A.as_array()``.  The quadratic model at w
     (gradient -col_edges, Hessian ``_hessian``) is minimised over the
-    simplex from w, and the line search runs along the segment from w to
-    that minimiser, starting from ``proj``.  Should it return 0, the step
-    goes toward the column of largest edge instead: the slope there is
-    minus the conditional-gradient gap, so any w with a positive gap
-    moves.
+    simplex from w.  The full step to that minimiser v is tried first:
+    it is taken when the slope s0 toward v is negative and the smoothed
+    objective at v is at most its value at w plus NEWTON_ARMIJO * s0
+    (Armijo's sufficient decrease).  Otherwise the line search runs along
+    the segment from w to v, starting from ``proj``.  Should it return
+    0, the step goes toward the column of largest edge instead: the
+    slope there is minus the conditional-gradient gap, so any w with a
+    positive gap moves.  Returns the new weights and the projection of
+    their margins, which a caller may use in place of projecting again.
     """
     _require_finite(w)
     G = A.as_array()
     v = _simplex_qp(_hessian(G, proj, params), -col_edges, w)
     direction = v - w
-    lam = _line_search(proj.theta, G @ direction, 1.0, params, at_zero=proj)
+    g_direction = G @ direction
+    slope0 = -float(proj.d @ g_direction)
+    if slope0 < 0.0:
+        full = _normalise(v)
+        trial = _project(G @ full, params)
+        if -trial.objective <= -proj.objective + NEWTON_ARMIJO * slope0:
+            return full, trial
+    lam = _line_search(proj.theta, g_direction, 1.0, params, at_zero=proj)
     if lam > 0.0:
-        return _normalise(w + lam * direction)
-    j_best = int(np.argmax(col_edges))
-    lam = _line_search(proj.theta, G[:, j_best] - proj.theta, 1.0, params, at_zero=proj)
-    return _mix(w, j_best, lam)
+        new_w = _normalise(w + lam * direction)
+    else:
+        j_best = int(np.argmax(col_edges))
+        lam = _line_search(proj.theta, G[:, j_best] - proj.theta, 1.0, params, at_zero=proj)
+        new_w = _mix(w, j_best, lam)
+    return new_w, _project(G @ new_w, params)
 
 
 def _line_search(
@@ -242,10 +258,13 @@ def _hessian(G: np.ndarray, proj: ProjectionResult, params: CapParams) -> np.nda
     remaining = 1.0 - k / params.nu
     if remaining <= 0.0:
         return np.zeros((t, t))
-    G_free = G[proj.order[k:]]
+    G_free = G.take(proj.order[k:], axis=0)
     dG = proj.d_sorted[k:, None] * G_free
     first = dG.sum(axis=0)
-    return params.eta * (G_free.T @ dG - np.outer(first, first) / remaining)
+    H = G_free.T @ dG
+    H -= first[:, None] * first / remaining
+    H *= params.eta
+    return H
 
 
 def _simplex_qp(H: np.ndarray, g: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -266,41 +285,48 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, start: np.ndarray) -> np.ndarray:
     """
     t = g.size
     H_r = H.copy()
-    H_r.flat[:: t + 1] += NEWTON_RIDGE * max(1.0, float(np.max(np.diag(H))))
+    diag = H_r.reshape(-1)[:: t + 1]  # a view: the ridge lands on H_r's diagonal
+    diag += NEWTON_RIDGE * max(1.0, float(diag.max()))
     c = g - H_r @ start
     v = start.copy()
     free = v > 0.0
     released = -1
     kkt_buf, rhs_buf = np.empty((t + 1, t + 1)), np.empty(t + 1)  # reused by every KKT solve
     for _ in range(_QP_MAX_ITERS):
-        F = np.flatnonzero(free)
+        F = free.nonzero()[0]
         n = F.size
         kkt, rhs = kkt_buf[: n + 1, : n + 1], rhs_buf[: n + 1]
-        kkt[:n, :n] = H_r[F][:, F]
+        if n == t:  # no bound in the working set, the usual case
+            kkt[:n, :n] = H_r
+            np.negative(c, out=rhs[:n])
+        else:
+            kkt[:n, :n] = H_r[F][:, F]
+            np.negative(c[F], out=rhs[:n])
         kkt[:n, n] = kkt[n, :n] = 1.0
         kkt[n, n] = 0.0
-        np.negative(c[F], out=rhs[:n])
         rhs[n] = 1.0
         sol = np.linalg.solve(kkt, rhs)
-        p = sol[:n] - v[F]
-        shrink = np.flatnonzero(p < 0.0)
-        ratios = np.maximum(v[F[shrink]], 0.0) / -p[shrink]
-        if ratios.size and ratios.min() < 1.0:
-            i = int(np.argmin(ratios))
-            block = F[shrink[i]]
-            if block == released and ratios[i] == 0.0:
-                break
-            v[F] += ratios[i] * p
-            v[block] = 0.0
-            free[block] = False
-            released = -1
-            continue
+        v_free = v[F]
+        p = sol[:n] - v_free
+        shrink = (p < 0.0).nonzero()[0]
+        if shrink.size:
+            ratios = np.maximum(v_free[shrink], 0.0) / -p[shrink]
+            i = ratios.argmin()
+            if ratios[i] < 1.0:
+                block = F[shrink[i]]
+                if block == released and ratios[i] == 0.0:
+                    break
+                v[F] = v_free + ratios[i] * p
+                v[block] = 0.0
+                free[block] = False
+                released = -1
+                continue
         v[F] = sol[:n]
-        bound = np.flatnonzero(~free)
-        if bound.size == 0:
+        if n == t:
             break
+        bound = (~free).nonzero()[0]
         multipliers = H_r[bound] @ v + c[bound] + sol[n]
-        j = int(np.argmin(multipliers))
+        j = multipliers.argmin()
         if multipliers[j] >= -QP_MULTIPLIER_TOL:
             break
         released = int(bound[j])

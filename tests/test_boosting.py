@@ -18,6 +18,7 @@ from marginforge.boosting import (
     secondary_lpboost,
 )
 from marginforge.cli import ALGORITHMS
+from marginforge.constants import EPS_FLOOR
 from marginforge.core import CapParams, Dataset, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
 from marginforge import boosting, fw
@@ -343,6 +344,12 @@ def test_default_iteration_cap_formula():
     assert default_iteration_cap(200, 20.0, 0.2) == math.ceil(32 * math.log(10) / 0.04) + 16
 
 
+def test_default_iteration_cap_rejects_an_eps_below_the_floor():
+    assert default_iteration_cap(200, 20.0, EPS_FLOOR) > 0
+    with pytest.raises(ValueError, match=r"eps=9\.9e-13 is too small: below EPS_FLOOR"):
+        default_iteration_cap(200, 20.0, 9.9e-13)
+
+
 def _model(hypotheses, weights):
     return TrainedModel(
         hypotheses=hypotheses,
@@ -400,6 +407,20 @@ def test_certified_stop_reads_fresh_margins(algo):
     # the model's objectives come from a fresh A @ w; the stop must too, bit for bit
     assert records[-1].smoothed_obj == model.smoothed_obj
     assert records[-1].soft_margin_obj == model.soft_margin_obj
+
+
+@pytest.mark.parametrize("algo", [algo for algo in ALGORITHMS if algo != "erlpboost"])
+def test_only_erlpboost_takes_newton_steps(algo, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{algo} called newton_step")
+
+    monkeypatch.setattr(fw, "newton_step", forbidden)
+    monkeypatch.setattr(boosting, "newton_step", forbidden)
+    data = two_gaussians(200, seed=0)
+    runner, fw_rule, secondary = ALGORITHMS[algo]
+    cfg = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
+    model, _ = runner(data, StumpLearner(data), cfg)
+    assert model.converged
 
 
 def test_carried_margins_that_overstate_progress_cannot_stop_the_loop(monkeypatch):

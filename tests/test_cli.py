@@ -1,4 +1,6 @@
 import json
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -519,6 +521,35 @@ def test_train_rejects_an_eps_whose_eta_or_round_bound_overflows(tmp_path, capsy
     assert code == 1
     err = capsys.readouterr().err
     assert f"eps={value} is too small" in err and overflows in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("value", ["1e-15", "1e-150"])
+def test_train_rejects_an_eps_below_the_float_floor(tmp_path, capsys, value):
+    # finite eta and round bound, but no float gap certifies such an eps:
+    # without the floor this fit never stopped
+    data_path = tmp_path / "gauss.csv"
+    write_csv(data_path, two_gaussians(200, seed=0))
+    model_path = tmp_path / "model.json"
+
+    def give_up(signum, frame):  # a regression fails here instead of hanging
+        raise TimeoutError("train was still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    tic = time.perf_counter()
+    try:
+        code = main([
+            "train", "--data", str(data_path), "--algo", "erlpboost",
+            "--eps", value, "--model-out", str(model_path),
+        ])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - tic < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"eps={value} is too small" in err and "EPS_FLOOR=1e-12" in err
     assert not model_path.exists()
 
 

@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 from marginforge import boosting, fw
 from marginforge.boosting import BoosterConfig, StumpLearner, run_scheme, secondary_erlpboost
-from marginforge.constants import NEWTON_RIDGE, SIMPLEX_SUM_TOL
+from marginforge.constants import NEWTON_ARMIJO, NEWTON_RIDGE, SIMPLEX_SUM_TOL
 from marginforge.core import CapParams, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
 from marginforge.fw import classic_step, line_search_step, pairwise_step, short_step
@@ -346,6 +346,24 @@ def test_erlpboost_line_search_projection_count(monkeypatch):
         assert solve_counts["kernel"] + solve_counts["public"] <= 50
 
 
+def test_erlpboost_full_newton_steps_save_projections(monkeypatch):
+    # 295 kernel projections with an exact line search on every Newton step
+    counts = {"kernel": 0}
+    project = fw._project
+
+    def counting(*args, **kwargs):
+        counts["kernel"] += 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(fw, "_project", counting)
+    monkeypatch.setattr(boosting, "_project", counting)
+    data = two_gaussians(200, seed=0)
+    config = BoosterConfig(eps=0.01, nu=20.0, secondary="erlpboost")
+    model, records = run_scheme(data, StumpLearner(data), config)
+    assert model.converged and len(records) == 19
+    assert counts["kernel"] <= 220
+
+
 def test_hessian_matches_curvature_along_the_margins():
     rng = np.random.default_rng(11)
     capped = 0
@@ -599,7 +617,8 @@ def reference_newton_step(A, w, proj, params):
 
     Hessian entries by polarisation of the curvature along single
     columns; the ridged quadratic model minimised by enumerating every
-    support and keeping the best nonnegative KKT point; the same line
+    support and keeping the best nonnegative KKT point; the same
+    full-step test, on public-projection objectives, then the same line
     search and zero-step fallback.
     """
     G, t = A.as_array(), A.t
@@ -627,6 +646,12 @@ def reference_newton_step(A, w, proj, params):
             cand[S] = np.linalg.solve(kkt, rhs)[:size]
             if cand.min() >= -1e-12 and model_value(H, g, w, cand) < best:
                 best, v = model_value(H, g, w, cand), np.maximum(cand, 0.0)
+    slope0 = -float(proj.d @ (G @ (v - w)))
+    full = fw._normalise(v)
+    if slope0 < 0.0 and (
+        smoothed_obj(A, full, params) <= smoothed_obj(A, w, params) + NEWTON_ARMIJO * slope0
+    ):
+        return full
     lam = fw._line_search(theta, G @ (v - w), 1.0, params, at_zero=proj)
     if lam > 0.0:
         return fw._normalise(w + lam * (v - w))
@@ -643,9 +668,64 @@ def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
     j_best = int(np.argmax(col_edges))
     assert col_edges[j_best] - col_edges @ w > 1e-6
     monkeypatch.setattr(fw, "_simplex_qp", lambda H, g, start: start.copy())
-    new_w = fw.newton_step(A, w, proj, params, col_edges)
+    new_w, _ = fw.newton_step(A, w, proj, params, col_edges)
     assert np.array_equal(new_w, line_search_step(A, w, j_best, margins(A, w), params).new_w)
     assert smoothed_obj(A, new_w, params) < smoothed_obj(A, w, params)
+
+
+def test_newton_step_refuses_a_full_step_without_sufficient_decrease(monkeypatch):
+    # the QP minimiser is replaced by the point past the segment's minimum
+    # where the smoothed objective climbs back to its value at w
+    rng = np.random.default_rng(7)
+    A, w, params, _ = random_instance(rng, m=8, t=4)
+    G = A.as_array()
+    proj = capped_entropy_projection(G @ w, params)
+    col_edges = proj.d @ G
+    j = int(np.argmax(col_edges))
+    at_w = smoothed_obj(A, w, params)
+    lo = fw._line_search(G @ w, G[:, j] - G @ w, 1.0, params)
+    hi = 1.0
+    assert smoothed_obj(A, fw._mix(w, j, hi), params) > at_w
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if smoothed_obj(A, fw._mix(w, j, mid), params) > at_w:
+            hi = mid
+        else:
+            lo = mid
+    level = fw._mix(w, j, hi)
+    monkeypatch.setattr(fw, "_simplex_qp", lambda H, g, start: level.copy())
+    new_w, _ = fw.newton_step(A, w, proj, params, col_edges)
+    assert smoothed_obj(A, new_w, params) < at_w - 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_newton_step_returns_the_projection_of_its_weights(seed):
+    A, w, params, _ = random_instance(np.random.default_rng(seed))
+    G = A.as_array()
+    proj = capped_entropy_projection(G @ w, params)
+    qp_minimisers, simplex_qp = [], fw._simplex_qp
+
+    def recording_qp(H, g, start):
+        qp_minimisers.append(simplex_qp(H, g, start))
+        return qp_minimisers[-1]
+
+    with mock.patch.object(fw, "_simplex_qp", recording_qp), mock.patch.object(
+        fw, "_line_search", wraps=fw._line_search
+    ) as search:
+        new_w, new_proj = fw.newton_step(A, w, proj, params, proj.d @ G)
+    fresh = capped_entropy_projection(margins(A, new_w), params)
+    assert new_proj.d.tobytes() == fresh.d.tobytes()
+    assert new_proj.order.tobytes() == fresh.order.tobytes()
+    assert new_proj.capped_count == fresh.capped_count
+    assert np.float64(new_proj.objective).tobytes() == np.float64(fresh.objective).tobytes()
+    assert -fresh.objective <= -proj.objective + 1e-12
+    if search.call_count == 0:  # the full step was accepted
+        (v,) = qp_minimisers
+        assert np.array_equal(new_w, fw._normalise(v))
+        slope0 = -float(proj.d @ (G @ (v - w)))
+        assert slope0 < 0.0
+        assert -fresh.objective <= -proj.objective + NEWTON_ARMIJO * slope0
 
 
 def test_public_steps_reject_non_finite_vectors_at_entry():
@@ -663,7 +743,7 @@ def test_public_steps_reject_non_finite_vectors_at_entry():
         with pytest.raises(ValueError, match="non-finite"):
             pairwise_step(A, w, 0, base, d, params)
         with pytest.raises(ValueError, match="non-finite"):
-            fw.newton_step(A, bad_w, proj, params, proj.d @ G)
+            _, _ = fw.newton_step(A, bad_w, proj, params, proj.d @ G)
         with pytest.raises(ValueError, match="non-finite"):
             secondary_erlpboost(A, params, start=bad_w)
 
