@@ -22,6 +22,10 @@ seeded with the previous round's sort order.  The loop calls the
 entropy kernels (``entropy._project``, ``entropy._min_linear``), which
 skip the public functions' input checks: every vector it projects is
 one it formed itself.
+The FW rule is handed the gain column the weak learner returned
+(``column=``), which is contiguous, instead of reading column j_new of
+A through a strided view of the gain matrix's buffer; the two are
+equal, so the step's bits are the same.
 The gain matrix grows in place by at most one column per round and
 never loses one, so its column count identifies its column set.  The
 LPBoost secondary depends only on the discovered columns and nu, so it
@@ -145,27 +149,34 @@ def default_iteration_cap(m: int, nu: float, eps: float) -> int:
         raise ValueError(
             f"eps={eps!r} is too small: the round bound 32*ln(m/nu)/eps^2 overflows"
         ) from None
+    _require_certifiable(eps)
+    return cap
+
+
+def _require_certifiable(eps: float) -> None:
+    """Reject an eps below EPS_FLOOR, which no float gap can certify."""
     if eps < EPS_FLOOR:
         raise ValueError(
             f"eps={eps!r} is too small: below EPS_FLOOR={EPS_FLOOR!r}, "
             "no float gap can certify it"
         )
-    return cap
 
 
 def _start(learner, config: BoosterConfig):
     """Start state shared by both loops.
 
     Returns the params, the round cap, and the one-column gain matrix and
-    edge of the weak learner's answer to the uniform distribution.
+    edge of the weak learner's answer to the uniform distribution.  An eps
+    below EPS_FLOOR is rejected whether or not ``max_iterations`` caps
+    the rounds.
     """
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)
-    cap_rounds = (
-        config.max_iterations
-        if config.max_iterations is not None
-        else default_iteration_cap(m, config.nu, config.eps)
-    )
+    if config.max_iterations is None:
+        cap_rounds = default_iteration_cap(m, config.nu, config.eps)
+    else:
+        _require_certifiable(config.eps)
+        cap_rounds = config.max_iterations
     hypothesis, column, edge0 = learner.query(np.full(m, 1.0 / m))
     return params, cap_rounds, GainMatrix([column], [hypothesis]), edge0
 
@@ -229,7 +240,7 @@ def run_scheme(data, learner, config: BoosterConfig):
             )
             break
 
-        fw_out = _fw_update(config.fw_rule, A, w, j_new, marg, proj.d, params, t)
+        fw_out = _fw_update(config.fw_rule, A, w, j_new, marg, proj.d, params, t, column)
         chosen_rule = "fw"
         w, marg, proj = fw_out.new_w, fw_out.margins, None
         if lp_memo is not None and lp_memo[0] == A.t:
@@ -287,14 +298,16 @@ def _evaluate(marg, params, proj, order):
     return proj, -proj.objective, soft_margin_obj
 
 
-def _fw_update(rule, A, w, j_new, base, d, params, t) -> FwStepOutcome:
+def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
+    """The FW rule's candidate; ``column`` is the learner's answer, column
+    j_new of A, handed over so the rule need not read A's strided column."""
     if rule == "classic":
-        return classic_step(A, w, j_new, base, t)
+        return classic_step(A, w, j_new, base, t, column=column)
     if rule == "short_step":
-        return short_step(A, w, j_new, base, d, params.eta)
+        return short_step(A, w, j_new, base, d, params.eta, column=column)
     if rule == "line_search":
-        return line_search_step(A, w, j_new, base, params)
-    return pairwise_step(A, w, j_new, base, d, params)
+        return line_search_step(A, w, j_new, base, params, column=column)
+    return pairwise_step(A, w, j_new, base, d, params, column=column)
 
 
 def _secondary_update(secondary, A, params, nu, current_w):

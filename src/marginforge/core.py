@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,15 @@ class CapParams:
         if eta == math.inf:
             raise ValueError(f"eps={eps!r} is too small: eta = 2*ln(m/nu)/eps overflows")
         return cls(nu=nu, m=m, eta=eta, eps=eps)
+
+    @cached_property
+    def cap_scan_factors(self) -> np.ndarray:
+        """1 - k/nu for k < min(m, floor(nu) + 1): the mass left to the
+        uncapped entries at each k the projection's cap scan can reach.
+        Formed on first access, once per fit; read-only."""
+        factors = 1.0 - np.arange(min(self.m, math.floor(self.nu) + 1)) / self.nu
+        factors.flags.writeable = False
+        return factors
 
 
 class GainMatrix:

@@ -23,6 +23,15 @@ orders: it passes the previous round's order to ``_project`` as
 projection's order to ``_min_linear`` in place of a sort.  Either way
 the permutation is the one a cold sort gives, so both paths return the
 same bits.
+
+The kernels form few temporaries: ``_project`` takes the exponentials
+of the tail fold and of the uncapped entries in place, forms d_sorted
+in the buffer of its scaled sort, and runs the sort's tie check in
+place; the vector cap scan reads its factors 1 - k/nu from
+``CapParams.cap_scan_factors``, formed once per fit; ``_min_linear``
+writes its floor(nu) + 1 weighted entries into zeros.  In-place
+arithmetic rounds as the out-of-place form does, so the bits are those
+of the plain expressions.
 """
 
 from __future__ import annotations
@@ -119,24 +128,30 @@ def _project(
     np.multiply(scaled, -eta, out=scaled)  # -eta * sorted theta, descending
     # largest uncapped weight belongs to the smallest theta in the tail;
     # it fits under the cap by k = floor(nu) (or k = m - 1 at nu = m)
-    stop = min(m, math.floor(nu) + 1)
+    factors = params.cap_scan_factors
+    stop = factors.shape[0]  # min(m, floor(nu) + 1)
     # lse[stop - k] = log(sum_{i >= k} exp(scaled[i])) for k < stop; lse[0]
     # folds the entries past stop around their maximum scaled[stop]
     lse = np.empty(stop + 1)
     if stop < m:
         top = scaled[stop]
-        lse[0] = top + math.log(float(np.exp(scaled[stop:] - top).sum()))
+        fold = scaled[stop:] - top
+        np.exp(fold, out=fold)
+        lse[0] = top + math.log(float(fold.sum()))
     else:
         lse[0] = -math.inf  # logaddexp(-inf, x) == x: the plain suffix scan
     lse[1:] = scaled[stop - 1 :: -1]
     np.logaddexp.accumulate(lse, out=lse)
 
-    k = _capped_count(scaled[:stop] - lse[stop:0:-1], nu, cap * (1.0 + CAP_REL_SLACK))
+    k = _capped_count(scaled[:stop] - lse[stop:0:-1], nu, cap * (1.0 + CAP_REL_SLACK), factors)
     remaining = 1.0 - k / nu
     lse_k = float(lse[stop - k])
-    d_sorted = np.empty(m)
+    d_sorted = scaled  # the scan is done with it: d is formed in its place
     d_sorted[:k] = cap
-    d_sorted[k:] = remaining * np.exp(scaled[k:] - lse_k)
+    free = d_sorted[k:]
+    free -= lse_k
+    np.exp(free, out=free)
+    free *= remaining
     d = np.empty(m)
     d[order] = d_sorted
 
@@ -145,7 +160,9 @@ def _project(
     )
 
 
-def _capped_count(gaps: np.ndarray, nu: float, bound: float) -> int:
+def _capped_count(
+    gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray | None = None
+) -> int:
     """The cap scan: the first k whose largest uncapped weight
     (1 - k/nu) * exp(gaps[k]) fits under ``bound``, else the last index.
 
@@ -153,11 +170,16 @@ def _capped_count(gaps: np.ndarray, nu: float, bound: float) -> int:
     pass with np.exp, which may differ from math.exp in the last bit.  No
     entry before the first one within ``_EXP_RECHECK_RTOL`` of the bound
     can fit, so the loop starts there, and k is the loop's k exactly.
+    ``factors``, when given, is 1 - arange(len(gaps))/nu, such as
+    ``CapParams.cap_scan_factors``, which a fit forms once.
     """
     stop = gaps.shape[0]
     start = 0
     if stop > _LOOP_SCAN_MAX:
-        weights = (1.0 - np.arange(stop) / nu) * np.exp(gaps)
+        if factors is None:
+            factors = 1.0 - np.arange(stop) / nu
+        weights = np.exp(gaps)
+        weights *= factors
         near = weights <= bound * (1.0 + _EXP_RECHECK_RTOL)
         start = int(np.argmax(near))
         if not near[start]:
@@ -182,7 +204,8 @@ def _ascending_order(theta: np.ndarray, hint: np.ndarray | None):
         order = hint[theta[hint].argsort(kind="stable")]
         sorted_theta = theta[order]
         tied = sorted_theta[1:] == sorted_theta[:-1]
-        if not np.any(tied & (order[1:] < order[:-1])):
+        tied &= order[1:] < order[:-1]  # equal entries out of index order
+        if not tied.any():
             return order, sorted_theta
     order = theta.argsort(kind="stable")
     return order, theta[order]
@@ -212,13 +235,10 @@ def capped_min_linear(margins: np.ndarray, nu: float) -> tuple[float, np.ndarray
 def _min_linear(margins: np.ndarray, nu: float, order: np.ndarray) -> tuple[float, np.ndarray]:
     """``capped_min_linear`` from a known ascending ``order``, such as the
     ``order`` of a projection of the same vector, unchecked."""
-    m = margins.shape[0]
     full = int(math.floor(nu))
-    d_sorted = np.zeros(m)
-    d_sorted[:full] = 1.0 / nu
+    d = np.zeros(margins.shape[0])
+    d[order[:full]] = 1.0 / nu  # the floor(nu) + 1 weighted entries alone
     leftover = 1.0 - full / nu
-    if leftover > ENTROPY_ZERO and full < m:
-        d_sorted[full] = leftover
-    d = np.empty(m)
-    d[order] = d_sorted
+    if leftover > ENTROPY_ZERO and full < d.shape[0]:
+        d[order[full]] = leftover
     return float(d @ margins), d

@@ -2,13 +2,21 @@
 
 Each rule maps the current ensemble weights (a vector with one entry
 per gain column), their margins ``base`` = A @ w and a newly discovered
-column to new weights on the simplex, without modifying the weights it
-was given.  It also returns the new margins as ``base + lam * direction``,
-the vector it already forms, so a caller can carry the margins from
+column to new weights on the simplex, without modifying the weights,
+margins or column it was given.  It also returns the new margins as
+``base + lam * direction``, formed in place in the direction vector it
+already holds (the same bits), so a caller can carry the margins from
 round to round instead of rebuilding A @ w; they agree with A @ new_w up
 to rounding and to the support entries ``_normalise`` drops.
 ``good_step`` records whether a pairwise move stopped short of its mass
 cap; for the other rules the cap is 1.
+
+Every rule takes the new column as an optional keyword ``column``, which
+must equal ``A.as_array()[:, e_new]``.  The booster loop passes the
+column its weak learner just returned: that vector is contiguous, where
+a column of A is a strided view of the m x capacity buffer that touches
+one cache line per entry.  Without it a rule reads the column from A,
+with the same result to the bit.
 
 The line-search and pairwise rules minimise the smoothed objective
 exactly along their segment.  The slope there is nondecreasing and has
@@ -57,48 +65,93 @@ class FwStepOutcome:
 
 
 def classic_step(
-    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, t: int
+    A: GainMatrix,
+    w: np.ndarray,
+    e_new: int,
+    base: np.ndarray,
+    t: int,
+    *,
+    column: np.ndarray | None = None,
 ) -> FwStepOutcome:
-    """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
+    """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright.
+
+    ``column``, when given, is ``A.as_array()[:, e_new]``, read in its place.
+    """
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
+    _require_finite(base)
     lam = 2.0 / (t + 2.0)
-    direction = A.as_array()[:, e_new] - base
+    direction = _new_column(A, e_new, column) - base
     return _toward(w, e_new, lam, base, direction)
 
 
 def short_step(
-    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, d: np.ndarray, eta: float
+    A: GainMatrix,
+    w: np.ndarray,
+    e_new: int,
+    base: np.ndarray,
+    d: np.ndarray,
+    eta: float,
+    *,
+    column: np.ndarray | None = None,
 ) -> FwStepOutcome:
     """Step minimising the smoothness upper bound, clipped to [0, 1].
 
     lam = [d @ (col_new - A w)] / [eta * ||col_new - A w||_inf^2];
     a zero denominator (new column equals the current mix) gives 0.
+    ``column``, when given, is ``A.as_array()[:, e_new]``, read in its place.
+    Should the denominator or the slope come out non-finite, the inputs
+    are scanned and a non-finite one is named in a ValueError; finite
+    inputs whose products overflow keep the step the formula gives.
     """
-    direction = A.as_array()[:, e_new] - base
-    denom = eta * float(np.max(np.abs(direction))) ** 2
-    lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, float(d @ direction) / denom))
+    new_col = _new_column(A, e_new, column)
+    direction = new_col - base
+    denom = eta * float(max(direction.max(), -direction.min())) ** 2
+    slope = float(d @ direction)
+    if not (math.isfinite(denom) and math.isfinite(slope)):
+        for name, vector in (("d", d), ("base", base), ("column", new_col)):
+            if not np.all(np.isfinite(vector)):
+                raise ValueError(f"short step: {name} has non-finite entries")
+    lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, slope / denom))
     return _toward(w, e_new, lam, base, direction)
 
 
 def line_search_step(
-    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, params: CapParams
+    A: GainMatrix,
+    w: np.ndarray,
+    e_new: int,
+    base: np.ndarray,
+    params: CapParams,
+    *,
+    column: np.ndarray | None = None,
 ) -> FwStepOutcome:
-    """Exact minimisation of the smoothed objective along the segment."""
+    """Exact minimisation of the smoothed objective along the segment.
+
+    ``column``, when given, is ``A.as_array()[:, e_new]``, read in its place.
+    """
     _require_finite(base)
-    direction = A.as_array()[:, e_new] - base
+    direction = _new_column(A, e_new, column) - base
     lam = _line_search(base, direction, 1.0, params)
     return _toward(w, e_new, lam, base, direction)
 
 
 def pairwise_step(
-    A: GainMatrix, w: np.ndarray, e_new: int, base: np.ndarray, d: np.ndarray, params: CapParams
+    A: GainMatrix,
+    w: np.ndarray,
+    e_new: int,
+    base: np.ndarray,
+    d: np.ndarray,
+    params: CapParams,
+    *,
+    column: np.ndarray | None = None,
 ) -> FwStepOutcome:
     """Move mass from the worst active column onto the new one.
 
     The away column minimises d @ column over the support (ties to the
     lowest index) and caps the step at its coefficient; hitting the cap
-    drops it from the support and counts as a bad step.
+    drops it from the support and counts as a bad step.  ``column``,
+    when given, is ``A.as_array()[:, e_new]``, read in its place; the away
+    column is still read from A.
     """
     _require_finite(base)
     support = np.flatnonzero(w)
@@ -108,18 +161,30 @@ def pairwise_step(
     away_idx = int(support[np.argmin((d @ G)[support])])
     cap = float(w[away_idx])
 
-    direction = G[:, e_new] - G[:, away_idx]
+    direction = (G[:, e_new] if column is None else column) - G[:, away_idx]
     lam = _line_search(base, direction, cap, params)
 
     new_w = w.copy()
     new_w[away_idx] -= lam
     new_w[e_new] += lam
-    return FwStepOutcome(_normalise(new_w), lam, lam < cap, base + lam * direction)
+    return FwStepOutcome(_normalise(new_w), lam, lam < cap, _step_margins(base, lam, direction))
+
+
+def _new_column(A: GainMatrix, e_new: int, column: np.ndarray | None) -> np.ndarray:
+    return A.as_array()[:, e_new] if column is None else column
 
 
 def _toward(w, e_new, lam, base, direction) -> FwStepOutcome:
     """Outcome of the step of size lam from w toward column e_new."""
-    return FwStepOutcome(_mix(w, e_new, lam), lam, lam < 1.0, base + lam * direction)
+    return FwStepOutcome(_mix(w, e_new, lam), lam, lam < 1.0, _step_margins(base, lam, direction))
+
+
+def _step_margins(base: np.ndarray, lam: float, direction: np.ndarray) -> np.ndarray:
+    """``base + lam * direction``, formed in ``direction``, which the rule
+    formed itself and no longer needs; the same bits."""
+    direction *= lam
+    direction += base
+    return direction
 
 
 def newton_step(

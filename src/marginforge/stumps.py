@@ -15,6 +15,7 @@ is in memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -139,7 +140,11 @@ def best_stump(
 
 
 def _pick(data: Dataset, d: np.ndarray, pool: StumpPool) -> tuple[int, np.ndarray]:
-    """Pool index of ``best_stump``'s answer, and d as a float vector."""
+    """Pool index of ``best_stump``'s answer, and d as a float vector.
+
+    A non-finite d is rejected with a ValueError.  The check reads only
+    the p feature totals, and scans d only when one is not finite.
+    """
     if len(pool) == 0:
         raise ValueError("stump pool is empty")
     if pool.orders.shape != (data.p, data.m):
@@ -154,6 +159,11 @@ def _pick(data: Dataset, d: np.ndarray, pool: StumpPool) -> tuple[int, np.ndarra
     prefix[:, 0] = 0.0
     np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
     total = prefix[:, -1:].copy()
+    if not math.isfinite(total.sum()):
+        # every entry of d reaches every feature's total, so this catches
+        # any non-finite d; a finite d whose sums overflow keeps its answer
+        if not np.all(np.isfinite(d)):
+            raise ValueError("distribution has non-finite entries")
     prefix *= -2.0
     prefix += total
     plus = prefix.ravel() if pool.split_at.size == prefix.size else prefix.take(pool.split_at)

@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 
-from marginforge import lp
+from marginforge import entropy, lp
+from marginforge.constants import CAP_REL_SLACK, ENTROPY_ZERO
 from marginforge.core import Dataset
+from marginforge.entropy import ProjectionResult
 from marginforge.stumps import StumpHypothesis
 
 
@@ -294,3 +296,83 @@ def _reference_iterate(A, b, c, u, basis, status, allow):
             Binv[leave_pos] = pivot_row
 
     raise lp.LpError("pivot limit exceeded")
+
+
+# Reference projection: the entropy kernels as they stood before the
+# projection formed d in place of its scaled sort and the cap scan read
+# its 1 - k/nu factors from CapParams, kept verbatim as an oracle that the
+# lean kernels must match bit for bit.  The scan's cutoffs are read from
+# marginforge.entropy at call time.
+
+
+def reference_project(theta, params, order_hint=None):
+    m, nu, eta = params.m, params.nu, params.eta
+    cap = 1.0 / nu
+
+    order, scaled = reference_ascending_order(theta, order_hint)
+    np.multiply(scaled, -eta, out=scaled)  # -eta * sorted theta, descending
+    # largest uncapped weight belongs to the smallest theta in the tail;
+    # it fits under the cap by k = floor(nu) (or k = m - 1 at nu = m)
+    stop = min(m, math.floor(nu) + 1)
+    # lse[stop - k] = log(sum_{i >= k} exp(scaled[i])) for k < stop; lse[0]
+    # folds the entries past stop around their maximum scaled[stop]
+    lse = np.empty(stop + 1)
+    if stop < m:
+        top = scaled[stop]
+        lse[0] = top + math.log(float(np.exp(scaled[stop:] - top).sum()))
+    else:
+        lse[0] = -math.inf  # logaddexp(-inf, x) == x: the plain suffix scan
+    lse[1:] = scaled[stop - 1 :: -1]
+    np.logaddexp.accumulate(lse, out=lse)
+
+    k = reference_capped_count(scaled[:stop] - lse[stop:0:-1], nu, cap * (1.0 + CAP_REL_SLACK))
+    remaining = 1.0 - k / nu
+    lse_k = float(lse[stop - k])
+    d_sorted = np.empty(m)
+    d_sorted[:k] = cap
+    d_sorted[k:] = remaining * np.exp(scaled[k:] - lse_k)
+    d = np.empty(m)
+    d[order] = d_sorted
+
+    return ProjectionResult(
+        d=d, capped_count=k, order=order, d_sorted=d_sorted, theta=theta, lse=lse_k, params=params
+    )
+
+
+def reference_capped_count(gaps, nu, bound):
+    stop = gaps.shape[0]
+    start = 0
+    if stop > entropy._LOOP_SCAN_MAX:
+        weights = (1.0 - np.arange(stop) / nu) * np.exp(gaps)
+        near = weights <= bound * (1.0 + entropy._EXP_RECHECK_RTOL)
+        start = int(np.argmax(near))
+        if not near[start]:
+            return stop - 1
+    for k, gap in enumerate(gaps[start:].tolist(), start):
+        if (1.0 - k / nu) * math.exp(gap) <= bound:
+            return k
+    return stop - 1
+
+
+def reference_ascending_order(theta, hint):
+    if hint is not None:
+        order = hint[theta[hint].argsort(kind="stable")]
+        sorted_theta = theta[order]
+        tied = sorted_theta[1:] == sorted_theta[:-1]
+        if not np.any(tied & (order[1:] < order[:-1])):
+            return order, sorted_theta
+    order = theta.argsort(kind="stable")
+    return order, theta[order]
+
+
+def reference_min_linear(margins, nu, order):
+    m = margins.shape[0]
+    full = int(math.floor(nu))
+    d_sorted = np.zeros(m)
+    d_sorted[:full] = 1.0 / nu
+    leftover = 1.0 - full / nu
+    if leftover > ENTROPY_ZERO and full < m:
+        d_sorted[full] = leftover
+    d = np.empty(m)
+    d[order] = d_sorted
+    return float(d @ margins), d

@@ -350,6 +350,14 @@ def test_default_iteration_cap_rejects_an_eps_below_the_floor():
         default_iteration_cap(200, 20.0, 9.9e-13)
 
 
+@pytest.mark.parametrize("runner", [run_scheme, run_lpboost])
+def test_a_round_cap_does_not_let_an_eps_below_the_floor_through(runner):
+    data = two_gaussians(60, seed=1)
+    config = BoosterConfig(eps=1e-15, nu=6.0, max_iterations=5)
+    with pytest.raises(ValueError, match=r"eps=1e-15 is too small: below EPS_FLOOR"):
+        runner(data, StumpLearner(data), config)
+
+
 def _model(hypotheses, weights):
     return TrainedModel(
         hypotheses=hypotheses,

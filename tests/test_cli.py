@@ -553,6 +553,35 @@ def test_train_rejects_an_eps_below_the_float_floor(tmp_path, capsys, value):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("algo", ["erlpboost", "cerlpboost", "lpboost"])
+def test_train_rejects_an_eps_below_the_float_floor_under_a_round_cap(tmp_path, capsys, algo):
+    # a --max-iters cap used to skip the floor: erlpboost then ran its
+    # corrective solve to the inner cap, and cerlpboost exited 2
+    data_path = tmp_path / "gauss.csv"
+    write_csv(data_path, two_gaussians(200, seed=0))
+    model_path = tmp_path / "model.json"
+
+    def give_up(signum, frame):  # a regression fails here instead of hanging
+        raise TimeoutError("train was still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    tic = time.perf_counter()
+    try:
+        code = main([
+            "train", "--data", str(data_path), "--algo", algo,
+            "--eps", "1e-15", "--max-iters", "5", "--model-out", str(model_path),
+        ])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - tic < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "eps=1e-15 is too small" in err and "EPS_FLOOR=1e-12" in err
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_bench_rejects_a_timeout_that_is_not_positive_and_finite(tmp_path, capsys, value):
     out_path = tmp_path / "bench.csv"

@@ -17,7 +17,12 @@ from marginforge.entropy import (
     smoothed_conjugate,
 )
 
-from conftest import min_linear_over_cap, oracle_projection
+from conftest import (
+    min_linear_over_cap,
+    oracle_projection,
+    reference_min_linear,
+    reference_project,
+)
 
 
 def params(m, nu, eta):
@@ -365,3 +370,57 @@ def test_capped_min_linear_accepts_a_sorting_order_that_breaks_ties_by_value_onl
     margins = np.array([0.2, -0.1, 0.2, -0.1])
     value, _ = _min_linear(margins, 1.5, np.array([3, 1, 2, 0]))
     assert value == pytest.approx(capped_min_linear(margins, 1.5)[0], abs=1e-15)
+
+
+@st.composite
+def reference_cases(draw):
+    """(theta, nu, eta, hint) at m from 2 to 400, so both the loop scan and
+    the vector scan past _LOOP_SCAN_MAX entries run; theta is rounded to
+    one or two decimals (heavy ties) or not at all, and the hint is None,
+    the order of a perturbed theta, or an unrelated permutation."""
+    m = draw(st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.normal(0.0, draw(st.sampled_from([0.05, 0.5, 2.0])), m)
+    decimals = draw(st.sampled_from([1, 2, None]))
+    if decimals is not None:
+        theta = np.round(theta, decimals)
+    hint = draw(st.sampled_from(["none", "perturbed", "permutation"]))
+    if hint == "none":
+        hint = None
+    elif hint == "perturbed":
+        hint = np.lexsort((np.arange(m), theta + rng.normal(0.0, 1e-3, m)))
+    else:
+        hint = rng.permutation(m)
+    nu = draw(st.one_of(st.floats(1.0, float(m)), st.integers(1, m).map(float)))
+    eta = draw(st.sampled_from([1e-9, 0.5, 7.0, 60.0, 2000.0]))
+    return theta, nu, eta, hint
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_cases())
+@example((np.round(np.linspace(-1.0, 1.0, 400), 1), 150.5, 46.0, None))  # vector scan, ties
+@example((np.zeros(300), 299.0, 7.0, np.arange(300)[::-1].copy()))  # every entry tied
+def test_projection_and_min_linear_match_the_reference_kernels_bit_for_bit(case):
+    theta, nu, eta, hint = case
+    p = params(theta.shape[0], nu, eta)
+    got = _project(theta.copy(), p, hint)
+    want = reference_project(theta.copy(), p, hint)
+    assert np.array_equal(got.order, want.order)
+    assert got.capped_count == want.capped_count
+    for field in ("d", "d_sorted"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert got.lse == want.lse
+    assert got.objective == want.objective
+    value, d = _min_linear(theta, nu, got.order)
+    ref_value, ref_d = reference_min_linear(theta, nu, want.order)
+    assert value == ref_value
+    assert d.tobytes() == ref_d.tobytes()
+
+
+def test_cap_scan_factors_are_formed_once_and_read_only():
+    p = params(500, 200.5, 7.0)
+    factors = p.cap_scan_factors
+    assert p.cap_scan_factors is factors
+    assert factors.tobytes() == (1.0 - np.arange(201) / 200.5).tobytes()
+    assert not factors.flags.writeable
+    assert params(6, 6.0, 7.0).cap_scan_factors.shape == (6,)  # stop == m

@@ -791,3 +791,76 @@ def test_margins_carried_for_5000_steps_stay_within_the_simplex_tolerance(rule):
         w, carried = out.new_w, out.margins
         worst = max(worst, float(np.max(np.abs(carried - margins(A, w)))))
     assert worst <= SIMPLEX_SUM_TOL
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["classic", "short", "line_search", "pairwise"]))
+def test_rules_given_the_new_column_return_the_same_bits_and_leave_inputs_alone(seed, rule):
+    rng = np.random.default_rng(seed)
+    A, w, params, d = random_instance(rng)
+    e_new = int(rng.integers(0, A.t))
+    base = margins(A, w)
+    t = int(rng.integers(0, 50))
+    step = {
+        "classic": lambda **kw: classic_step(A, w, e_new, base, t, **kw),
+        "short": lambda **kw: short_step(A, w, e_new, base, d, params.eta, **kw),
+        "line_search": lambda **kw: line_search_step(A, w, e_new, base, params, **kw),
+        "pairwise": lambda **kw: pairwise_step(A, w, e_new, base, d, params, **kw),
+    }[rule]
+    column = A.as_array()[:, e_new].copy()
+    base_before, column_before = base.copy(), column.copy()
+    read = step()
+    given_column = step(column=column)
+    for field in ("new_w", "step_size", "good_step", "margins"):
+        assert _same_bits(getattr(given_column, field), getattr(read, field)), field
+    assert _same_bits(base, base_before)
+    assert _same_bits(column, column_before)
+
+
+def test_scheme_loop_reads_the_gain_matrix_only_to_refresh_its_margins(monkeypatch):
+    # the FW rule takes the learner's column; as_array is left to the
+    # start, the every-64-rounds re-derivation, the certify and the model
+    calls = []
+    as_array = GainMatrix.as_array
+
+    def counted(self):
+        calls.append(self.t)
+        return as_array(self)
+
+    monkeypatch.setattr(GainMatrix, "as_array", counted)
+    data = two_gaussians(200, seed=0)
+    _, records = run_scheme(data, StumpLearner(data), BoosterConfig(eps=0.1, nu=20.0))
+    assert len(records) == 236
+    assert len(calls) <= 10
+
+
+def test_short_and_classic_steps_name_a_non_finite_input():
+    rng = np.random.default_rng(11)
+    A, w, params, d = random_instance(rng, m=6, t=3)
+    base = margins(A, w)
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_d, bad_base, bad_column = d.copy(), base.copy(), A.as_array()[:, 1].copy()
+        bad_d[2], bad_base[3], bad_column[4] = bad, bad, bad
+        with pytest.raises(ValueError, match="non-finite"):
+            short_step(A, w, 1, base, bad_d, params.eta)
+        with pytest.raises(ValueError, match="non-finite"):
+            short_step(A, w, 1, bad_base, d, params.eta)
+        with pytest.raises(ValueError, match="non-finite"):
+            short_step(A, w, 1, base, d, params.eta, column=bad_column)
+        with pytest.raises(ValueError, match="non-finite"):
+            classic_step(A, w, 1, bad_base, 3)
+
+
+def test_short_step_keeps_its_step_when_finite_inputs_overflow():
+    # eta * ||direction||^2 overflows to inf on finite inputs: no error,
+    # and the formula's step, 0
+    A = GainMatrix([np.array([-1.0, 1.0]), np.array([1.0, -1.0])], [0, 1])
+    w = np.array([1.0, 0.0])
+    out = short_step(A, w, 1, margins(A, w), np.array([0.8, 0.2]), eta=1e308)
+    assert out.step_size == 0.0
+    assert np.array_equal(out.new_w, w)

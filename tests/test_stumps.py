@@ -429,3 +429,26 @@ def test_fits_never_form_the_candidate_tuple():
     assert "candidates" not in vars(learner.pool)
     assert learner.pool.candidates is learner.pool.candidates  # cached where the check looks
     assert "candidates" in vars(learner.pool)
+
+
+def test_query_names_a_non_finite_distribution():
+    data = two_gaussians(40, seed=3)
+    learner = StumpLearner(data)
+    pool = StumpPool.build(data)
+    for bad in (np.nan, np.inf, -np.inf):
+        d = np.full(data.m, 1.0 / data.m)
+        d[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            learner.query(d)
+        with pytest.raises(ValueError, match="non-finite"):
+            best_stump(data, d, pool)
+
+
+def test_query_answers_a_finite_distribution_whose_sums_overflow():
+    # the per-feature totals overflow, but every entry of d is finite:
+    # no error, the answer of the unchecked query
+    data = two_gaussians(40, seed=3)
+    d = np.full(data.m, 1e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stump, _, _ = StumpLearner(data).query(d)
+    assert isinstance(stump, StumpHypothesis)
