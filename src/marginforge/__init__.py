@@ -9,7 +9,6 @@ as configurations, with a certified optimality-gap stopping rule.
 from .boosting import (
     BoosterConfig,
     IterationRecord,
-    PoolOracleLearner,
     TrainedModel,
     predict,
     run_lpboost,
@@ -17,7 +16,7 @@ from .boosting import (
     secondary_erlpboost,
     secondary_lpboost,
 )
-from .core import CapParams, Dataset, GainMatrix, edges, margins, relative_entropy
+from .core import CapParams, Dataset, GainMatrix, margins, relative_entropy
 from .entropy import (
     ProjectionResult,
     capped_entropy_projection,
@@ -26,7 +25,7 @@ from .entropy import (
 )
 from .fw import FwStepOutcome, classic_step, line_search_step, pairwise_step, short_step
 from .lp import EdgeMinSolution, solve_edge_min
-from .stumps import StumpHypothesis, StumpLearner, StumpPool, best_stump, full_gain_matrix, pool_oracle
+from .stumps import StumpHypothesis, StumpLearner, StumpPool, best_stump, full_gain_matrix
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,6 @@ __all__ = [
     "FwStepOutcome",
     "GainMatrix",
     "IterationRecord",
-    "PoolOracleLearner",
     "ProjectionResult",
     "StumpHypothesis",
     "StumpLearner",
@@ -48,12 +46,10 @@ __all__ = [
     "capped_entropy_projection",
     "capped_min_linear",
     "classic_step",
-    "edges",
     "full_gain_matrix",
     "line_search_step",
     "margins",
     "pairwise_step",
-    "pool_oracle",
     "predict",
     "relative_entropy",
     "run_lpboost",

@@ -22,10 +22,9 @@ seeded with the previous round's sort order.  The loop calls the
 entropy kernels (``entropy._project``, ``entropy._min_linear``), which
 skip the public functions' input checks: every vector it projects is
 one it formed itself.
-The FW rule is handed the gain column the weak learner returned
-(``column=``), which is contiguous, instead of reading column j_new of
-A through a strided view of the gain matrix's buffer; the two are
-equal, so the step's bits are the same.
+The FW rule is handed the gain column the weak learner returned, which
+is contiguous, where column j_new of A is a strided view of the gain
+matrix's buffer.
 The gain matrix grows in place by at most one column per round and
 never loses one, so its column count identifies its column set.  The
 LPBoost secondary depends only on the discovered columns and nu, so it
@@ -66,7 +65,7 @@ from .entropy import (
 )
 from .fw import FwStepOutcome, classic_step, line_search_step, newton_step, pairwise_step, short_step
 from .lp import LpError, solve_edge_min
-from .stumps import StumpLearner, pool_oracle  # StumpLearner: re-exported
+from .stumps import StumpLearner  # re-exported
 
 logger = logging.getLogger(__name__)
 
@@ -117,23 +116,6 @@ class TrainedModel:
     soft_margin_obj: float
     smoothed_obj: float
     converged: bool
-
-
-class PoolOracleLearner:
-    """Max-edge responses over a fully materialised gain matrix."""
-
-    def __init__(self, A_full: GainMatrix):
-        self.A_full = A_full
-
-    @property
-    def m(self) -> int:
-        return self.A_full.m
-
-    def query(self, d: np.ndarray):
-        j = pool_oracle(self.A_full, d)
-        # a contiguous copy: a strided dot would round the edge differently
-        column = self.A_full.as_array()[:, j].copy()
-        return self.A_full.hypothesis_ids[j], column, float(d @ column)
 
 
 def default_iteration_cap(m: int, nu: float, eps: float) -> int:
@@ -302,12 +284,12 @@ def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
     """The FW rule's candidate; ``column`` is the learner's answer, column
     j_new of A, handed over so the rule need not read A's strided column."""
     if rule == "classic":
-        return classic_step(A, w, j_new, base, t, column=column)
+        return classic_step(w, j_new, column, base, t)
     if rule == "short_step":
-        return short_step(A, w, j_new, base, d, params.eta, column=column)
+        return short_step(w, j_new, column, base, d, params.eta)
     if rule == "line_search":
-        return line_search_step(A, w, j_new, base, params, column=column)
-    return pairwise_step(A, w, j_new, base, d, params, column=column)
+        return line_search_step(w, j_new, column, base, params)
+    return pairwise_step(A, w, j_new, column, base, d, params)
 
 
 def _secondary_update(secondary, A, params, nu, current_w):
@@ -325,18 +307,13 @@ def secondary_lpboost(A: GainMatrix, nu: float) -> np.ndarray:
     return solve_edge_min(A, nu).w
 
 
-def secondary_erlpboost(
-    A: GainMatrix,
-    params: CapParams,
-    start: np.ndarray | None = None,
-    gap_tol: float | None = None,
-) -> np.ndarray:
+def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> np.ndarray:
     """Fully corrective weights over the discovered columns.
 
     Minimises the smoothed objective over the restricted simplex by
-    projected-Newton iterations (``fw.newton_step``) until the
-    linearised gap drops below eps/10 (the optional warm start, all
-    weight on column 0 by default, does not change the guarantee).
+    projected-Newton iterations (``fw.newton_step``) from the weights
+    ``start`` until the linearised gap drops below eps/10 (the warm
+    start does not change the guarantee).
     The gap test and the step share one projection of G @ w and its
     column edges.  The caller's start is projected here, through the
     checked ``capped_entropy_projection``; every later projection is the
@@ -346,10 +323,8 @@ def secondary_erlpboost(
     margins twice.
     Hitting the inner cap logs a warning and returns the current iterate.
     """
-    if A.t < 1:
-        raise ValueError("gain matrix has no columns")
-    tol = params.eps / 10.0 if gap_tol is None else gap_tol
-    w = np.eye(1, A.t)[0] if start is None else start
+    tol = params.eps / 10.0
+    w = start
     G = A.as_array()
 
     proj = capped_entropy_projection(G @ w, params)  # checks the caller's start once

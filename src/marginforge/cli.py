@@ -257,15 +257,14 @@ def cmd_train(manifest: RunManifest) -> int:
     return EXIT_OK if model.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_oracle(manifest: RunManifest, budget: int | None = None) -> int:
-    """Exact restriction-free soft-margin optimum over the whole pool."""
-    if budget is None:
-        budget = DEFAULT_ORACLE_BUDGET
+def cmd_oracle(manifest: RunManifest) -> int:
+    """Exact restriction-free soft-margin optimum over the whole pool, when
+    the pool's gain matrix holds at most DEFAULT_ORACLE_BUDGET entries."""
     data = load_dataset(manifest.data, manifest.format)
     pool = StumpPool.build(data)
-    if len(pool) * data.m > budget:
+    if len(pool) * data.m > DEFAULT_ORACLE_BUDGET:
         raise BudgetExceededError(
-            f"pool of {len(pool)} stumps x {data.m} rows exceeds {budget} entries"
+            f"pool of {len(pool)} stumps x {data.m} rows exceeds {DEFAULT_ORACLE_BUDGET} entries"
         )
     sol = solve_edge_min(full_gain_matrix(data, pool), manifest.nu(data.m))
     print(json.dumps({"rho_star": sol.rho, "support_size": int(np.count_nonzero(sol.w))}))

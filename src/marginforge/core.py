@@ -1,7 +1,8 @@
 """Shared data model: datasets, gain matrices, capped-simplex points.
 
 The gain matrix is one append-only column store that a booster loop
-grows in place, at most one column per round.
+starts from the weak learner's first column and grows in place, at most
+one column per round.
 
 Distributions over examples and ensemble weights over the discovered
 hypotheses are both plain 1-D numpy arrays; a weight vector has one
@@ -101,18 +102,21 @@ class CapParams:
 class GainMatrix:
     """Discovered gain columns, entry [i, j] = label_i * h_j(x_i).
 
-    An append-only store: columns sit in discovery order in one
-    m x capacity buffer, and ``with_column`` writes a new column in
-    place (the buffer doubles when full), so an append costs amortised
-    O(m).  Columns are never overwritten, so an ``as_array`` view taken
-    before an append keeps its shape and values.  Hypothesis ids are
-    unique: the constructor rejects a repeated id, and ``with_column``
-    returns a known id's old index instead of inserting a duplicate.
+    An append-only store of at least one column: columns sit in
+    discovery order in one m x capacity buffer, and ``with_column``
+    writes a new column in place (the buffer doubles when full), so an
+    append costs amortised O(m).  Columns are never overwritten, so an
+    ``as_array`` view taken before an append keeps its shape and values.
+    Hypothesis ids are unique: the constructor rejects a repeated id, and
+    ``with_column`` returns a known id's old index instead of inserting a
+    duplicate.
     """
 
-    def __init__(self, columns=(), hypothesis_ids=()):
+    def __init__(self, columns, hypothesis_ids):
         columns = [np.asarray(col, dtype=float) for col in columns]
         self.hypothesis_ids: list = list(hypothesis_ids)
+        if not columns:
+            raise ValueError("gain matrix needs at least one column")
         if len(columns) != len(self.hypothesis_ids):
             raise ValueError("columns and hypothesis_ids must run parallel")
         for col in columns:
@@ -122,20 +126,15 @@ class GainMatrix:
             if hid in self._index_of:
                 raise ValueError(f"repeated hypothesis id {hid!r}")
             self._index_of[hid] = j
-        self._data = np.column_stack(columns) if columns else None
+        self._data = np.column_stack(columns)
 
     @property
     def m(self) -> int:
-        if self._data is None:
-            raise ValueError("empty gain matrix has no row count")
         return self._data.shape[0]
 
     @property
     def t(self) -> int:
         return len(self.hypothesis_ids)
-
-    def index_of(self, hypothesis_id):
-        return self._index_of.get(hypothesis_id)
 
     def with_column(self, column: np.ndarray, hypothesis_id) -> tuple["GainMatrix", int]:
         """Append the column in place; return (self, its index).
@@ -148,11 +147,9 @@ class GainMatrix:
         column = np.asarray(column, dtype=float)
         _check_gain_column(column)
         t = self.t
-        if self._data is None:
-            self._data = np.empty((column.shape[0], 1))
-        elif column.shape != (self.m,):
+        if column.shape != (self.m,):
             raise ValueError("column length does not match the matrix")
-        elif t == self._data.shape[1]:
+        if t == self._data.shape[1]:
             grown = np.empty((self.m, 2 * t))
             grown[:, :t] = self._data
             self._data = grown
@@ -163,8 +160,6 @@ class GainMatrix:
 
     def as_array(self) -> np.ndarray:
         """Read-only dense m x t view of the column buffer."""
-        if self._data is None:
-            raise ValueError("empty gain matrix has no columns")
         view = self._data[:, : self.t]
         view.flags.writeable = False
         return view
@@ -191,13 +186,13 @@ def check_distribution(d: np.ndarray, nu: float) -> np.ndarray:
     return d
 
 
-def check_ensemble_weights(w: np.ndarray, A: GainMatrix | None = None) -> np.ndarray:
+def check_ensemble_weights(w: np.ndarray, A: GainMatrix) -> np.ndarray:
     """Validate simplex weights: a vector of nonnegative entries summing to 1,
-    one per column of ``A`` when a matrix is given."""
+    one per column of ``A``."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("ensemble weights must be a non-empty vector")
-    if A is not None and w.shape != (A.t,):
+    if w.shape != (A.t,):
         raise ValueError(f"weights of shape {w.shape} for {A.t} columns")
     if np.any(w < 0.0):
         raise ValueError("ensemble weights must be nonnegative")
@@ -211,14 +206,6 @@ def margins(A: GainMatrix, w: np.ndarray) -> np.ndarray:
     if np.shape(w) != (A.t,):
         raise ValueError(f"weights of shape {np.shape(w)} for {A.t} columns")
     return A.as_array() @ w
-
-
-def edges(A: GainMatrix, d: np.ndarray) -> np.ndarray:
-    """Per-column weighted correlations d @ A (length t)."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (A.m,):
-        raise ValueError(f"distribution length {d.shape} does not match m={A.m}")
-    return d @ A.as_array()
 
 
 def relative_entropy(d: np.ndarray) -> float:

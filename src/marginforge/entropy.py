@@ -160,9 +160,7 @@ def _project(
     )
 
 
-def _capped_count(
-    gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray | None = None
-) -> int:
+def _capped_count(gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray) -> int:
     """The cap scan: the first k whose largest uncapped weight
     (1 - k/nu) * exp(gaps[k]) fits under ``bound``, else the last index.
 
@@ -170,14 +168,12 @@ def _capped_count(
     pass with np.exp, which may differ from math.exp in the last bit.  No
     entry before the first one within ``_EXP_RECHECK_RTOL`` of the bound
     can fit, so the loop starts there, and k is the loop's k exactly.
-    ``factors``, when given, is 1 - arange(len(gaps))/nu, such as
+    ``factors`` is 1 - arange(len(gaps))/nu, such as
     ``CapParams.cap_scan_factors``, which a fit forms once.
     """
     stop = gaps.shape[0]
     start = 0
     if stop > _LOOP_SCAN_MAX:
-        if factors is None:
-            factors = 1.0 - np.arange(stop) / nu
         weights = np.exp(gaps)
         weights *= factors
         near = weights <= bound * (1.0 + _EXP_RECHECK_RTOL)
@@ -191,8 +187,8 @@ def _capped_count(
 
 
 def _require_finite(theta: np.ndarray) -> None:
-    """The projection's finiteness check, shared with the public FW steps
-    that hand a vector of their caller's to the unchecked kernel."""
+    """The projection's finiteness check, shared with ``fw.newton_step``,
+    which checks its caller's weights before it projects their margins."""
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta has non-finite entries")
 

@@ -11,12 +11,13 @@ to rounding and to the support entries ``_normalise`` drops.
 ``good_step`` records whether a pairwise move stopped short of its mass
 cap; for the other rules the cap is 1.
 
-Every rule takes the new column as an optional keyword ``column``, which
-must equal ``A.as_array()[:, e_new]``.  The booster loop passes the
-column its weak learner just returned: that vector is contiguous, where
-a column of A is a strided view of the m x capacity buffer that touches
-one cache line per entry.  Without it a rule reads the column from A,
-with the same result to the bit.
+Every rule takes the new column itself, column ``e_new`` of the gain
+matrix, as the argument after ``e_new``; only the pairwise rule reads
+the gain matrix, for its away column.  The booster loop passes the column its
+weak learner just returned: that vector is contiguous, where a column
+of A is a strided view of the m x capacity buffer that touches one
+cache line per entry.  A column whose shape is not that of ``base`` is
+rejected, so a length-1 column cannot broadcast.
 
 The line-search and pairwise rules minimise the smoothed objective
 exactly along their segment.  The slope there is nondecreasing and has
@@ -24,7 +25,7 @@ a closed-form derivative, so the root is found by Newton's method kept
 inside a sign bracket, at about six entropy projections per step.
 Those projections run through the unchecked kernel ``entropy._project``
 on vectors the search forms itself; the public rules check once, on
-entry, that the vector they search from is finite.
+entry, that the margins and the new column they search from are finite.
 
 ``newton_step`` is the projected-Newton step of ERLPBoost's fully
 corrective solve: ``_hessian`` is the matrix form of the curvature in
@@ -65,51 +66,36 @@ class FwStepOutcome:
 
 
 def classic_step(
-    A: GainMatrix,
-    w: np.ndarray,
-    e_new: int,
-    base: np.ndarray,
-    t: int,
-    *,
-    column: np.ndarray | None = None,
+    w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, t: int
 ) -> FwStepOutcome:
-    """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright.
-
-    ``column``, when given, is ``A.as_array()[:, e_new]``, read in its place.
-    """
+    """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    _require_finite(base)
+    _check_inputs(column, base)
     lam = 2.0 / (t + 2.0)
-    direction = _new_column(A, e_new, column) - base
-    return _toward(w, e_new, lam, base, direction)
+    return _toward(w, e_new, lam, base, column - base)
 
 
 def short_step(
-    A: GainMatrix,
-    w: np.ndarray,
-    e_new: int,
-    base: np.ndarray,
-    d: np.ndarray,
-    eta: float,
-    *,
-    column: np.ndarray | None = None,
+    w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, d: np.ndarray, eta: float
 ) -> FwStepOutcome:
     """Step minimising the smoothness upper bound, clipped to [0, 1].
 
-    lam = [d @ (col_new - A w)] / [eta * ||col_new - A w||_inf^2];
+    lam = [d @ (column - A w)] / [eta * ||column - A w||_inf^2];
     a zero denominator (new column equals the current mix) gives 0.
-    ``column``, when given, is ``A.as_array()[:, e_new]``, read in its place.
     Should the denominator or the slope come out non-finite, the inputs
     are scanned and a non-finite one is named in a ValueError; finite
     inputs whose products overflow keep the step the formula gives.
     """
-    new_col = _new_column(A, e_new, column)
-    direction = new_col - base
-    denom = eta * float(max(direction.max(), -direction.min())) ** 2
+    _check_shape(column, base)
+    direction = column - base
+    try:
+        denom = eta * float(max(direction.max(), -direction.min())) ** 2
+    except OverflowError:  # the Python float square leaves float range
+        denom = math.inf
     slope = float(d @ direction)
     if not (math.isfinite(denom) and math.isfinite(slope)):
-        for name, vector in (("d", d), ("base", base), ("column", new_col)):
+        for name, vector in (("d", d), ("base", base), ("column", column)):
             if not np.all(np.isfinite(vector)):
                 raise ValueError(f"short step: {name} has non-finite entries")
     lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, slope / denom))
@@ -117,20 +103,11 @@ def short_step(
 
 
 def line_search_step(
-    A: GainMatrix,
-    w: np.ndarray,
-    e_new: int,
-    base: np.ndarray,
-    params: CapParams,
-    *,
-    column: np.ndarray | None = None,
+    w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
-    """Exact minimisation of the smoothed objective along the segment.
-
-    ``column``, when given, is ``A.as_array()[:, e_new]``, read in its place.
-    """
-    _require_finite(base)
-    direction = _new_column(A, e_new, column) - base
+    """Exact minimisation of the smoothed objective along the segment."""
+    _check_inputs(column, base)
+    direction = column - base
     lam = _line_search(base, direction, 1.0, params)
     return _toward(w, e_new, lam, base, direction)
 
@@ -139,21 +116,19 @@ def pairwise_step(
     A: GainMatrix,
     w: np.ndarray,
     e_new: int,
+    column: np.ndarray,
     base: np.ndarray,
     d: np.ndarray,
     params: CapParams,
-    *,
-    column: np.ndarray | None = None,
 ) -> FwStepOutcome:
     """Move mass from the worst active column onto the new one.
 
-    The away column minimises d @ column over the support (ties to the
-    lowest index) and caps the step at its coefficient; hitting the cap
-    drops it from the support and counts as a bad step.  ``column``,
-    when given, is ``A.as_array()[:, e_new]``, read in its place; the away
-    column is still read from A.
+    The away column, read from A, is the support column of least edge
+    d @ A[:, j] (ties to the lowest index) and caps the step at its
+    coefficient; hitting the cap drops it from the support and counts as
+    a bad step.
     """
-    _require_finite(base)
+    _check_inputs(column, base)
     support = np.flatnonzero(w)
     if support.size == 0:
         raise ValueError("pairwise step needs a non-empty support")
@@ -161,7 +136,7 @@ def pairwise_step(
     away_idx = int(support[np.argmin((d @ G)[support])])
     cap = float(w[away_idx])
 
-    direction = (G[:, e_new] if column is None else column) - G[:, away_idx]
+    direction = column - G[:, away_idx]
     lam = _line_search(base, direction, cap, params)
 
     new_w = w.copy()
@@ -170,8 +145,18 @@ def pairwise_step(
     return FwStepOutcome(_normalise(new_w), lam, lam < cap, _step_margins(base, lam, direction))
 
 
-def _new_column(A: GainMatrix, e_new: int, column: np.ndarray | None) -> np.ndarray:
-    return A.as_array()[:, e_new] if column is None else column
+def _check_shape(column: np.ndarray, base: np.ndarray) -> None:
+    if column.shape != base.shape:
+        raise ValueError(f"new column of shape {column.shape} for margins of shape {base.shape}")
+
+
+def _check_inputs(column: np.ndarray, base: np.ndarray) -> None:
+    """The shape check, then the finiteness check of both vectors the
+    rule hands to the unchecked projection kernel."""
+    _check_shape(column, base)
+    for name, vector in (("base", base), ("column", column)):
+        if not np.all(np.isfinite(vector)):
+            raise ValueError(f"{name} has non-finite entries")
 
 
 def _toward(w, e_new, lam, base, direction) -> FwStepOutcome:

@@ -291,8 +291,6 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
     the full matrix.  ``nu`` outside ``[1, m]``, NaN included, is a
     ValueError before any LP is built.
     """
-    if A.t < 1:
-        raise ValueError("gain matrix has no columns")
     if not 1.0 <= nu <= A.m:
         raise ValueError(f"nu must lie in [1, m]; got {nu}")
     t = A.t

@@ -9,8 +9,6 @@ turned into the thresholds' +1 edges in place, and one argmax and one
 argmin over them.  Only the answer is built as a ``StumpHypothesis``,
 by ``StumpPool.candidate``.  ``StumpLearner`` answers the same queries
 for a booster and keeps each gain column it has computed.
-``pool_oracle`` answers by dense argmax when the whole gain matrix
-is in memory.
 """
 
 from __future__ import annotations
@@ -63,15 +61,13 @@ class StumpPool:
     ``orders[f]`` is the stable ascending argsort of feature f (p x m).
     ``split_at[k]`` locates threshold k in the (p, m+1) prefix-sum
     matrix of a query: flat index f*(m+1) + (rows below the threshold).
-    Both come from ``build``; a pool made from bare arrays has an
-    empty presort and cannot answer ``best_stump``.  Pools compare and
-    hash by identity.
+    Both come from ``build``.  Pools compare and hash by identity.
     """
 
     features: np.ndarray
     thresholds: np.ndarray
-    orders: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.intp), repr=False)
-    split_at: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp), repr=False)
+    orders: np.ndarray = field(repr=False)
+    split_at: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, data: Dataset) -> "StumpPool":
@@ -200,15 +196,6 @@ class StumpLearner:
             self._gains[j] = gains
         column = gains.astype(float)
         return stump, column, float(d @ column)
-
-
-def pool_oracle(A_full: GainMatrix, d: np.ndarray) -> int:
-    """Index of the max-edge column of a fully materialised gain matrix.
-
-    Ties go to the lowest index.
-    """
-    d = np.asarray(d, dtype=float)
-    return int(np.argmax(d @ A_full.as_array()))
 
 
 def full_gain_matrix(data: Dataset, pool: StumpPool) -> GainMatrix:

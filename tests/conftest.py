@@ -150,6 +150,32 @@ def reference_stump_pool(data: Dataset):
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 
+def pool_oracle(A_full, d) -> int:
+    """Index of the max-edge column of a fully materialised gain matrix.
+
+    Ties go to the lowest index.
+    """
+    d = np.asarray(d, dtype=float)
+    return int(np.argmax(d @ A_full.as_array()))
+
+
+class PoolOracleLearner:
+    """Max-edge responses over a fully materialised gain matrix."""
+
+    def __init__(self, A_full):
+        self.A_full = A_full
+
+    @property
+    def m(self) -> int:
+        return self.A_full.m
+
+    def query(self, d):
+        j = pool_oracle(self.A_full, d)
+        # a contiguous copy: a strided dot would round the edge differently
+        column = self.A_full.as_array()[:, j].copy()
+        return self.A_full.hypothesis_ids[j], column, float(d @ column)
+
+
 def reference_solve_max(objective, con, upper):
     r, n = con.shape
     kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])

@@ -17,7 +17,6 @@ import pytest
 
 from marginforge.boosting import (
     BoosterConfig,
-    PoolOracleLearner,
     StumpLearner,
     run_lpboost,
     run_scheme,
@@ -30,6 +29,7 @@ from marginforge.core import GainMatrix
 from marginforge.stumps import StumpPool, full_gain_matrix
 
 from conftest import (
+    PoolOracleLearner,
     capped_simplex_vertices,
     min_linear_over_cap,
     oracle_projection,

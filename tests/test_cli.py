@@ -147,7 +147,7 @@ def test_rerun_is_byte_identical_minus_wall_time(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_oracle_separable_and_budget(tmp_path, capsys):
+def test_oracle_separable_and_budget(tmp_path, capsys, monkeypatch):
     data_path = separable_csv(tmp_path)
     manifest = RunManifest(data=data_path, nu_frac=1.0)
     assert cmd_oracle(manifest) == 0
@@ -155,8 +155,9 @@ def test_oracle_separable_and_budget(tmp_path, capsys):
     assert out["rho_star"] >= 1.0 - 1e-8
     assert out["support_size"] >= 1
 
+    monkeypatch.setattr("marginforge.cli.DEFAULT_ORACLE_BUDGET", 3)
     with pytest.raises(BudgetExceededError):
-        cmd_oracle(manifest, budget=3)
+        cmd_oracle(manifest)
 
 
 def test_oracle_matches_train_objective(tmp_path, capsys):

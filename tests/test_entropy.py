@@ -337,7 +337,8 @@ def test_capped_count_matches_the_loop_on_both_sides_of_the_cutoff(stop):
         np.sort(rng.uniform(-8.0, 0.0, stop))[::-1].copy(),
         np.log(bound / (1.0 - np.arange(stop) / nu)),  # every weight at the bound
     ):
-        assert _capped_count(gaps, nu, bound) == _loop_capped_count(gaps, nu, bound)
+        factors = 1.0 - np.arange(stop) / nu
+        assert _capped_count(gaps, nu, bound, factors) == _loop_capped_count(gaps, nu, bound)
 
 
 def test_capped_count_redoes_a_weight_that_np_exp_rounds_across_the_bound():
@@ -352,8 +353,9 @@ def test_capped_count_redoes_a_weight_that_np_exp_rounds_across_the_bound():
         if np.exp(gaps)[k0] != math.exp(g):
             break
     remaining = 1.0 - k0 / nu
+    factors = 1.0 - np.arange(stop) / nu
     for bound in (remaining * float(np.exp(gaps)[k0]), remaining * math.exp(gaps[k0])):
-        assert _capped_count(gaps, nu, bound) == _loop_capped_count(gaps, nu, bound)
+        assert _capped_count(gaps, nu, bound, factors) == _loop_capped_count(gaps, nu, bound)
 
 
 def test_projection_accepts_any_permutation_as_hint_and_ignores_it():

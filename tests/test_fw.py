@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,11 @@ from marginforge.fw import classic_step, line_search_step, pairwise_step, short_
 from marginforge.stumps import StumpPool, full_gain_matrix
 
 from conftest import two_gaussians
+
+
+def column_of(A, j):
+    """Column j of A, the new column a FW rule takes after its index."""
+    return A.as_array()[:, j]
 
 
 def smoothed_obj(A, w, params):
@@ -44,10 +50,10 @@ def test_classic_step_sizes():
     A = GainMatrix([np.array([0.5, -0.5]), np.array([0.2, 0.1]), np.array([-1.0, 1.0])], [0, 1, 2])
     w = np.array([0.4, 0.6, 0.0])
     base = margins(A, w)
-    assert classic_step(A, w, 2, base, 0).step_size == pytest.approx(1.0)
-    assert classic_step(A, w, 2, base, 2).step_size == pytest.approx(0.5)
-    assert classic_step(A, w, 2, base, 998).step_size == pytest.approx(0.002)
-    out = classic_step(A, w, 2, base, 0)
+    assert classic_step(w, 2, column_of(A, 2), base, 0).step_size == pytest.approx(1.0)
+    assert classic_step(w, 2, column_of(A, 2), base, 2).step_size == pytest.approx(0.5)
+    assert classic_step(w, 2, column_of(A, 2), base, 998).step_size == pytest.approx(0.002)
+    out = classic_step(w, 2, column_of(A, 2), base, 0)
     assert out.new_w == pytest.approx([0.0, 0.0, 1.0])
 
 
@@ -55,7 +61,7 @@ def test_short_step_hand_case_and_slope():
     A = GainMatrix([np.zeros(2), np.array([0.5, -0.5])], [0, 1])
     w = np.array([1.0, 0.0])
     d = np.array([0.8, 0.2])
-    out = short_step(A, w, 1, margins(A, w), d, eta=4.0)
+    out = short_step(w, 1, column_of(A, 1), margins(A, w), d, eta=4.0)
     assert out.step_size == pytest.approx(0.3)
 
     # same numerator through a finite difference of the smoothed
@@ -73,15 +79,15 @@ def test_short_step_clips_to_zero_and_one():
     A = GainMatrix([np.zeros(3), np.array([0.5, 0.5, -0.5])], [0, 1])
     w = np.array([1.0, 0.0])
     down = np.array([0.1, 0.1, 0.8])  # negative numerator
-    assert short_step(A, w, 1, margins(A, w), down, eta=2.0).step_size == 0.0
+    assert short_step(w, 1, column_of(A, 1), margins(A, w), down, eta=2.0).step_size == 0.0
     up = np.array([0.45, 0.45, 0.1])  # numerator 0.4 vs denominator 0.025
-    assert short_step(A, w, 1, margins(A, w), up, eta=0.1).step_size == 1.0
+    assert short_step(w, 1, column_of(A, 1), margins(A, w), up, eta=0.1).step_size == 1.0
 
 
 def test_short_step_zero_direction():
     A = GainMatrix([np.array([0.3, -0.3])], [0])
     w = np.array([1.0])
-    out = short_step(A, w, 0, margins(A, w), np.array([0.5, 0.5]), eta=5.0)
+    out = short_step(w, 0, column_of(A, 0), margins(A, w), np.array([0.5, 0.5]), eta=5.0)
     assert out.step_size == 0.0
 
 
@@ -93,7 +99,7 @@ def test_line_search_boundary_cases():
     base = margins(A, w)
     d0 = capped_entropy_projection(base, params).d
     if float(d0 @ (A.as_array()[:, j_self] - base)) <= 0:
-        assert line_search_step(A, w, j_self, base, params).step_size == 0.0
+        assert line_search_step(w, j_self, column_of(A, j_self), base, params).step_size == 0.0
 
 
 def test_line_search_saturates_at_one():
@@ -101,7 +107,7 @@ def test_line_search_saturates_at_one():
     A = GainMatrix([np.full(3, -0.8), np.full(3, 0.9)], [0, 1])
     params = CapParams(nu=1.0, m=3, eta=3.0, eps=0.1)
     w = np.array([1.0, 0.0])
-    out = line_search_step(A, w, 1, margins(A, w), params)
+    out = line_search_step(w, 1, column_of(A, 1), margins(A, w), params)
     assert out.step_size == pytest.approx(1.0)
     assert out.new_w == pytest.approx([0.0, 1.0])
 
@@ -111,7 +117,7 @@ def test_line_search_matches_grid_oracle():
     for _ in range(10):
         A, w, params, _ = random_instance(rng)
         j_new = int(rng.integers(0, A.t))
-        out = line_search_step(A, w, j_new, margins(A, w), params)
+        out = line_search_step(w, j_new, column_of(A, j_new), margins(A, w), params)
         value = smoothed_obj(A, out.new_w, params)
         base = margins(A, w)
         direction = A.as_array()[:, j_new] - base
@@ -130,10 +136,10 @@ def test_rules_return_normalised_simplex_points():
         j_new = int(rng.integers(0, A.t))
         base = margins(A, w)
         for out in (
-            classic_step(A, w, j_new, base, int(rng.integers(0, 50))),
-            short_step(A, w, j_new, base, d, params.eta),
-            line_search_step(A, w, j_new, base, params),
-            pairwise_step(A, w, j_new, base, d, params),
+            classic_step(w, j_new, column_of(A, j_new), base, int(rng.integers(0, 50))),
+            short_step(w, j_new, column_of(A, j_new), base, d, params.eta),
+            line_search_step(w, j_new, column_of(A, j_new), base, params),
+            pairwise_step(A, w, j_new, column_of(A, j_new), base, d, params),
         ):
             assert out.new_w.shape == (A.t,)
             assert abs(out.new_w.sum() - 1.0) <= 1e-12
@@ -149,8 +155,9 @@ def test_short_step_and_line_search_descend():
         d = capped_entropy_projection(base, params).d  # true gradient
         j_new = int(np.argmax(d @ A.as_array()))
         before = smoothed_obj(A, w, params)
-        after_ss = smoothed_obj(A, short_step(A, w, j_new, base, d, params.eta).new_w, params)
-        after_ls = smoothed_obj(A, line_search_step(A, w, j_new, base, params).new_w, params)
+        column = column_of(A, j_new)
+        after_ss = smoothed_obj(A, short_step(w, j_new, column, base, d, params.eta).new_w, params)
+        after_ls = smoothed_obj(A, line_search_step(w, j_new, column, base, params).new_w, params)
         assert after_ss <= before + 1e-9
         assert after_ls <= after_ss + 1e-9  # line search dominates short step
 
@@ -159,7 +166,7 @@ def test_pairwise_degenerate_support_is_noop():
     A = GainMatrix([np.array([0.5, -0.5]), np.array([0.1, 0.2])], [0, 1])
     params = CapParams(nu=1.0, m=2, eta=2.0, eps=0.1)
     w = np.array([1.0, 0.0])
-    out = pairwise_step(A, w, 0, margins(A, w), np.array([0.5, 0.5]), params)
+    out = pairwise_step(A, w, 0, column_of(A, 0), margins(A, w), np.array([0.5, 0.5]), params)
     assert out.new_w == pytest.approx([1.0, 0.0])
 
 
@@ -169,7 +176,7 @@ def test_pairwise_drop_step_removes_away_column():
     params = CapParams(nu=1.0, m=3, eta=2.0, eps=0.1)
     w = np.array([0.3, 0.7])
     d = capped_entropy_projection(margins(A, w), params).d
-    out = pairwise_step(A, w, 1, margins(A, w), d, params)
+    out = pairwise_step(A, w, 1, column_of(A, 1), margins(A, w), d, params)
     assert out.step_size == pytest.approx(0.3)
     assert not out.good_step
     assert np.flatnonzero(out.new_w).tolist() == [1]
@@ -181,7 +188,7 @@ def test_pairwise_away_choice_and_descent():
         A, w, params, _ = random_instance(rng)
         d = capped_entropy_projection(margins(A, w), params).d
         j_new = int(np.argmax(d @ A.as_array()))
-        out = pairwise_step(A, w, j_new, margins(A, w), d, params)
+        out = pairwise_step(A, w, j_new, column_of(A, j_new), margins(A, w), d, params)
         # exhaustive away check: the step moves mass off the worst support
         # column, and no more than that column holds
         away = min(np.flatnonzero(w), key=lambda j: (float(d @ A.as_array()[:, j]), j))
@@ -457,7 +464,7 @@ def restricted_problems(draw):
 def test_corrective_solve_matches_slsqp(problem):
     A, params = problem
     G = A.as_array()
-    w = secondary_erlpboost(A, params, gap_tol=1e-10)
+    w = secondary_erlpboost(A, replace(params, eps=1e-9), np.eye(1, A.t)[0])  # gap tolerance 1e-10
     col_edges = capped_entropy_projection(G @ w, params).d @ G
     assert col_edges.max() - col_edges @ w <= 1e-10
 
@@ -584,27 +591,30 @@ def test_dense_rules_match_dict_reference(instance):
     proj = capped_entropy_projection(margins(A, w), params)
     d = proj.d
     base = margins(A, w)
+    column = column_of(A, j_new)
+    assert_same_step(classic_step(w, j_new, column, base, rounds), dict_classic(rounds, w_dict, j_new))
     assert_same_step(
-        classic_step(A, w, j_new, base, rounds), dict_classic(rounds, w_dict, j_new)
-    )
-    assert_same_step(
-        short_step(A, w, j_new, base, d, params.eta),
+        short_step(w, j_new, column, base, d, params.eta),
         dict_short(A, w_dict, j_new, d, params.eta),
     )
     assert_same_step(
-        line_search_step(A, w, j_new, base, params), dict_line_search(A, w_dict, j_new, params)
+        line_search_step(w, j_new, column, base, params), dict_line_search(A, w_dict, j_new, params)
     )
     assert_same_step(
-        pairwise_step(A, w, j_new, base, d, params), dict_pairwise(A, w_dict, j_new, d, params)
+        pairwise_step(A, w, j_new, column, base, d, params), dict_pairwise(A, w_dict, j_new, d, params)
     )
 
-    # corrective solve: stops at once when the gap is within tolerance, and
-    # otherwise takes the projected-Newton step of the reference below
+    # corrective solve: stops at once when the gap is within its tolerance
+    # eps/10, and otherwise takes the projected-Newton step of the reference
+    # below (a zero gap has no positive tolerance under it: the step alone)
     col_edges = d @ A.as_array()
     gap = dict_gap(col_edges, w_dict)
-    assert secondary_erlpboost(A, params, start=w, gap_tol=gap + 1e-12) is w
-    with mock.patch.object(boosting, "_ERLP_INNER_CAP", 1):
-        one_step = secondary_erlpboost(A, params, start=w, gap_tol=gap - 1e-12)
+    assert secondary_erlpboost(A, replace(params, eps=10.0 * (gap + 1e-12)), w) is w
+    one_step, _ = fw.newton_step(A, w, proj, params, col_edges)
+    if gap > 1e-12:
+        with mock.patch.object(boosting, "_ERLP_INNER_CAP", 1):
+            solved = secondary_erlpboost(A, replace(params, eps=10.0 * (gap - 1e-12)), w)
+        assert _same_bits(solved, one_step)
     ref = reference_newton_step(A, w, proj, params)
     assert np.all(one_step >= 0.0) and abs(one_step.sum() - 1.0) <= 1e-12
     assert smoothed_obj(A, one_step, params) == pytest.approx(
@@ -656,7 +666,7 @@ def reference_newton_step(A, w, proj, params):
     if lam > 0.0:
         return fw._normalise(w + lam * (v - w))
     j_best = int(np.argmax(proj.d @ G))
-    return line_search_step(A, w, j_best, margins(A, w), params).new_w
+    return line_search_step(w, j_best, column_of(A, j_best), margins(A, w), params).new_w
 
 
 def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
@@ -669,7 +679,8 @@ def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
     assert col_edges[j_best] - col_edges @ w > 1e-6
     monkeypatch.setattr(fw, "_simplex_qp", lambda H, g, start: start.copy())
     new_w, _ = fw.newton_step(A, w, proj, params, col_edges)
-    assert np.array_equal(new_w, line_search_step(A, w, j_best, margins(A, w), params).new_w)
+    step = line_search_step(w, j_best, column_of(A, j_best), margins(A, w), params)
+    assert np.array_equal(new_w, step.new_w)
     assert smoothed_obj(A, new_w, params) < smoothed_obj(A, w, params)
 
 
@@ -739,19 +750,13 @@ def test_public_steps_reject_non_finite_vectors_at_entry():
         bad_w = w.copy()
         bad_w[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            line_search_step(A, w, 0, base, params)
+            line_search_step(w, 0, column_of(A, 0), base, params)
         with pytest.raises(ValueError, match="non-finite"):
-            pairwise_step(A, w, 0, base, d, params)
+            pairwise_step(A, w, 0, column_of(A, 0), base, d, params)
         with pytest.raises(ValueError, match="non-finite"):
             _, _ = fw.newton_step(A, bad_w, proj, params, proj.d @ G)
         with pytest.raises(ValueError, match="non-finite"):
             secondary_erlpboost(A, params, start=bad_w)
-
-
-def test_secondary_erlpboost_starts_from_the_first_column():
-    A = GainMatrix([np.array([0.4, -0.1, 0.3]), np.array([-0.2, 0.1, 0.5])], [0, 1])
-    params = CapParams.from_tolerance(3, 1.5, 0.1)
-    assert np.array_equal(secondary_erlpboost(A, params, gap_tol=10.0), [1.0, 0.0])
 
 
 def test_rules_return_the_margins_of_their_new_weights():
@@ -761,10 +766,10 @@ def test_rules_return_the_margins_of_their_new_weights():
         j_new = int(rng.integers(0, A.t))
         base = margins(A, w)
         for out in (
-            classic_step(A, w, j_new, base, int(rng.integers(0, 50))),
-            short_step(A, w, j_new, base, d, params.eta),
-            line_search_step(A, w, j_new, base, params),
-            pairwise_step(A, w, j_new, base, d, params),
+            classic_step(w, j_new, column_of(A, j_new), base, int(rng.integers(0, 50))),
+            short_step(w, j_new, column_of(A, j_new), base, d, params.eta),
+            line_search_step(w, j_new, column_of(A, j_new), base, params),
+            pairwise_step(A, w, j_new, column_of(A, j_new), base, d, params),
         ):
             assert np.max(np.abs(out.margins - margins(A, out.new_w))) <= 1e-12
 
@@ -785,9 +790,9 @@ def test_margins_carried_for_5000_steps_stay_within_the_simplex_tolerance(rule):
         if j_new == w.size:
             w = np.append(w, 0.0)
         if rule == "classic":
-            out = classic_step(A, w, j_new, carried, t)
+            out = classic_step(w, j_new, column_of(A, j_new), carried, t)
         else:
-            out = short_step(A, w, j_new, carried, d, params.eta)
+            out = short_step(w, j_new, column_of(A, j_new), carried, d, params.eta)
         w, carried = out.new_w, out.margins
         worst = max(worst, float(np.max(np.abs(carried - margins(A, w)))))
     assert worst <= SIMPLEX_SUM_TOL
@@ -798,28 +803,63 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+RULES = ["classic", "short", "line_search", "pairwise"]
+
+
+def call_rule(rule, A, w, e_new, column, base, d, params, t):
+    """One FW rule's step toward ``column``, the new column e_new."""
+    if rule == "classic":
+        return classic_step(w, e_new, column, base, t)
+    if rule == "short":
+        return short_step(w, e_new, column, base, d, params.eta)
+    if rule == "line_search":
+        return line_search_step(w, e_new, column, base, params)
+    return pairwise_step(A, w, e_new, column, base, d, params)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["classic", "short", "line_search", "pairwise"]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(RULES))
 def test_rules_given_the_new_column_return_the_same_bits_and_leave_inputs_alone(seed, rule):
+    # the strided view of A's buffer and its contiguous copy, as the
+    # booster loop hands over the learner's column
     rng = np.random.default_rng(seed)
     A, w, params, d = random_instance(rng)
     e_new = int(rng.integers(0, A.t))
     base = margins(A, w)
     t = int(rng.integers(0, 50))
-    step = {
-        "classic": lambda **kw: classic_step(A, w, e_new, base, t, **kw),
-        "short": lambda **kw: short_step(A, w, e_new, base, d, params.eta, **kw),
-        "line_search": lambda **kw: line_search_step(A, w, e_new, base, params, **kw),
-        "pairwise": lambda **kw: pairwise_step(A, w, e_new, base, d, params, **kw),
-    }[rule]
-    column = A.as_array()[:, e_new].copy()
-    base_before, column_before = base.copy(), column.copy()
-    read = step()
-    given_column = step(column=column)
+    strided = A.as_array()[:, e_new]
+    column = strided.copy()
+    w_before, base_before, column_before = w.copy(), base.copy(), column.copy()
+    from_view = call_rule(rule, A, w, e_new, strided, base, d, params, t)
+    from_copy = call_rule(rule, A, w, e_new, column, base, d, params, t)
     for field in ("new_w", "step_size", "good_step", "margins"):
-        assert _same_bits(getattr(given_column, field), getattr(read, field)), field
+        assert _same_bits(getattr(from_copy, field), getattr(from_view, field)), field
+    assert _same_bits(w, w_before)
     assert _same_bits(base, base_before)
     assert _same_bits(column, column_before)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rules_reject_a_column_whose_shape_is_not_that_of_the_margins(rule):
+    # a length-1 column would otherwise broadcast against the margins
+    rng = np.random.default_rng(12)
+    A, w, params, d = random_instance(rng, m=6, t=3)
+    base = margins(A, w)
+    for bad in (np.ones(1), np.ones(5), np.ones(7), np.ones((6, 1))):
+        with pytest.raises(ValueError, match="new column of shape"):
+            call_rule(rule, A, w, 1, bad, base, d, params, 3)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_rules_name_a_non_finite_column(rule):
+    rng = np.random.default_rng(13)
+    A, w, params, d = random_instance(rng, m=6, t=3)
+    base = margins(A, w)
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_column = A.as_array()[:, 1].copy()
+        bad_column[4] = bad
+        with pytest.raises(ValueError, match="column has non-finite entries"):
+            call_rule(rule, A, w, 1, bad_column, base, d, params, 3)
 
 
 def test_scheme_loop_reads_the_gain_matrix_only_to_refresh_its_margins(monkeypatch):
@@ -844,16 +884,14 @@ def test_short_and_classic_steps_name_a_non_finite_input():
     A, w, params, d = random_instance(rng, m=6, t=3)
     base = margins(A, w)
     for bad in (np.nan, np.inf, -np.inf):
-        bad_d, bad_base, bad_column = d.copy(), base.copy(), A.as_array()[:, 1].copy()
-        bad_d[2], bad_base[3], bad_column[4] = bad, bad, bad
+        bad_d, bad_base = d.copy(), base.copy()  # a bad column: test_rules_name_a_non_finite_column
+        bad_d[2], bad_base[3] = bad, bad
         with pytest.raises(ValueError, match="non-finite"):
-            short_step(A, w, 1, base, bad_d, params.eta)
+            short_step(w, 1, column_of(A, 1), base, bad_d, params.eta)
         with pytest.raises(ValueError, match="non-finite"):
-            short_step(A, w, 1, bad_base, d, params.eta)
+            short_step(w, 1, column_of(A, 1), bad_base, d, params.eta)
         with pytest.raises(ValueError, match="non-finite"):
-            short_step(A, w, 1, base, d, params.eta, column=bad_column)
-        with pytest.raises(ValueError, match="non-finite"):
-            classic_step(A, w, 1, bad_base, 3)
+            classic_step(w, 1, column_of(A, 1), bad_base, 3)
 
 
 def test_short_step_keeps_its_step_when_finite_inputs_overflow():
@@ -861,6 +899,13 @@ def test_short_step_keeps_its_step_when_finite_inputs_overflow():
     # and the formula's step, 0
     A = GainMatrix([np.array([-1.0, 1.0]), np.array([1.0, -1.0])], [0, 1])
     w = np.array([1.0, 0.0])
-    out = short_step(A, w, 1, margins(A, w), np.array([0.8, 0.2]), eta=1e308)
+    out = short_step(w, 1, column_of(A, 1), margins(A, w), np.array([0.8, 0.2]), eta=1e308)
     assert out.step_size == 0.0
     assert np.array_equal(out.new_w, w)
+    # ||direction||_inf ~ 1e200: the Python float square itself leaves float
+    # range (OverflowError), read as an infinite denominator
+    base = np.array([1e200, -1e200])
+    out = short_step(w, 1, np.array([1.0, 0.0]), base, np.array([0.5, 0.5]), eta=1.0)
+    assert out.step_size == 0.0
+    assert np.array_equal(out.new_w, w)
+    assert np.array_equal(out.margins, base)

@@ -166,7 +166,7 @@ def test_edge_min_strong_duality_and_attainment_random():
         nu = float(min(m, max(1.0, rng.choice([1.0, 1.5, 2.0, 0.4 * m, m]))))
         sol = solve_edge_min(A, nu)
         check_distribution(sol.d, nu)
-        check_ensemble_weights(sol.w)
+        check_ensemble_weights(sol.w, A)
         assert abs(sol.gamma - sol.rho) <= 1e-7
         # primal attainment: d really achieves the reported worst edge
         assert np.max(sol.d @ A.as_array()) == pytest.approx(sol.gamma, abs=1e-8)
@@ -292,9 +292,10 @@ def test_edge_min_accepts_duals_within_the_pricing_tolerance():
     # pricing stops with a dual of -5e-10 here (soft-margin form, t > k);
     # that is inside LP_PIVOT_TOL, so it is rounding, not infeasibility
     G = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1e-9], [0.0, 0.0, 1.0, 0.0]])
-    sol = solve_edge_min(_gain(G.T), 1.0)
+    A = _gain(G.T)
+    sol = solve_edge_min(A, 1.0)
     check_distribution(sol.d, 1.0)
-    check_ensemble_weights(sol.w)
+    check_ensemble_weights(sol.w, A)
     assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-7)
     assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
 
