@@ -65,7 +65,6 @@ from .entropy import (
 )
 from .fw import FwStepOutcome, classic_step, line_search_step, newton_step, pairwise_step, short_step
 from .lp import LpError, solve_edge_min
-from .stumps import StumpLearner  # re-exported
 
 logger = logging.getLogger(__name__)
 
@@ -231,16 +230,14 @@ def run_scheme(data, learner, config: BoosterConfig):
         else:
             # the FW candidate doubles as the warm start for a corrective solve
             try:
-                secondary_w = _secondary_update(
+                secondary_w, secondary_proj = _secondary_update(
                     config.secondary, A, params, config.nu, fw_out.new_w
                 )
             except (LpError, np.linalg.LinAlgError) as exc:
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                 secondary_w = None
-            if secondary_w is not None:
-                secondary_proj = _project(margins(A, secondary_w), params)
-                if config.secondary == "lpboost":
-                    lp_memo = (A.t, secondary_w, secondary_proj)
+            if secondary_w is not None and config.secondary == "lpboost":
+                lp_memo = (A.t, secondary_w, secondary_proj)
         if secondary_w is not None:
             # each candidate's smoothed value is minus the objective of the
             # projection of its margins; the winner's projection starts the
@@ -293,13 +290,17 @@ def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
 
 
 def _secondary_update(secondary, A, params, nu, current_w):
+    """The secondary's weights and the projection of their margins, or
+    (None, None) for secondary "none"."""
     if secondary == "none":
-        return None
-    if secondary == "lpboost":
-        return secondary_lpboost(A, nu)
+        return None, None
     if secondary == "erlpboost":
         return secondary_erlpboost(A, params, start=current_w)
-    return check_ensemble_weights(secondary(A, params), A)
+    if secondary == "lpboost":
+        w = secondary_lpboost(A, nu)
+    else:
+        w = check_ensemble_weights(secondary(A, params), A)
+    return w, _project(margins(A, w), params)
 
 
 def secondary_lpboost(A: GainMatrix, nu: float) -> np.ndarray:
@@ -307,8 +308,9 @@ def secondary_lpboost(A: GainMatrix, nu: float) -> np.ndarray:
     return solve_edge_min(A, nu).w
 
 
-def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> np.ndarray:
-    """Fully corrective weights over the discovered columns.
+def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> tuple:
+    """Fully corrective weights over the discovered columns, and the
+    projection of their margins ``A.as_array() @ w``.
 
     Minimises the smoothed objective over the restricted simplex by
     projected-Newton iterations (``fw.newton_step``) from the weights
@@ -320,7 +322,7 @@ def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> 
     one ``newton_step`` returns with its iterate (the accepted full
     step's trial projection, or the kernel's projection of the iterate
     its line search reached), so the solve never projects the same
-    margins twice.
+    margins twice, and the caller need not project the result again.
     Hitting the inner cap logs a warning and returns the current iterate.
     """
     tol = params.eps / 10.0
@@ -332,10 +334,10 @@ def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> 
         col_edges = proj.d @ G
         gap = float(col_edges.max() - col_edges @ w)
         if gap <= tol:
-            return w
+            return w, proj
         w, proj = newton_step(A, w, proj, params, col_edges)
     logger.warning("fully corrective inner solve hit its %d-step cap", _ERLP_INNER_CAP)
-    return w
+    return w, proj
 
 
 def run_lpboost(data, learner, config: BoosterConfig):

@@ -11,10 +11,11 @@ GAIN_RANGE_SLACK       1e-12      absolute slack above 1 allowed on |gain| entri
 CAP_BOX_TOL            1e-12      absolute slack above 1/nu for distribution entries
 CAP_REL_SLACK          1e-12      relative slack when a projection entry hits 1/nu
 ENTROPY_ZERO           1e-15      entries below this count as 0 in x*ln(x)
+ETA_FLOOR              1e-9       smallest eta; 2*ln(m/nu)/eps is 0 at nu = m
+EXP_RECHECK_RTOL       1e-12      cap-scan np.exp weights this near the bound are redone with math.exp
 STRONG_DUALITY_TOL     1e-7       |gamma - rho| accepted from an edge-min solve
 LP_PIVOT_TOL           1e-9       reduced-cost threshold for simplex pricing
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
-LP_INFEASIBLE_TOL      1e-7       phase-1 artificial sum above which an LP is infeasible
 LP_PROGRESS_TOL        1e-12      objective decrease below which a simplex pivot counts as stalled
 LP_TIE_TOL             1e-12      slack at which a bound flip or a ratio-test tie counts as reached
 LINE_SEARCH_TOL        1e-10      bracket width or Newton step at which line search stops
@@ -32,10 +33,11 @@ GAIN_RANGE_SLACK = 1e-12
 CAP_BOX_TOL = 1e-12
 CAP_REL_SLACK = 1e-12
 ENTROPY_ZERO = 1e-15
+ETA_FLOOR = 1e-9
+EXP_RECHECK_RTOL = 1e-12
 STRONG_DUALITY_TOL = 1e-7
 LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10
-LP_INFEASIBLE_TOL = 1e-7
 LP_PROGRESS_TOL = 1e-12
 LP_TIE_TOL = 1e-12
 LINE_SEARCH_TOL = 1e-10

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import CAP_BOX_TOL, ENTROPY_ZERO, GAIN_RANGE_SLACK, SIMPLEX_SUM_TOL
+from .constants import CAP_BOX_TOL, ENTROPY_ZERO, ETA_FLOOR, GAIN_RANGE_SLACK, SIMPLEX_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ class CapParams:
 
         At nu == m the capped simplex is the single point 1/m and the
         formula would give eta = 0; any positive eta yields the same
-        (unique) feasible vector, so eta is floored at a tiny value.
+        (unique) feasible vector, so eta is floored at ``ETA_FLOOR``.
         An eps so small that eta overflows is rejected by name.
         """
-        eta = max(2.0 * math.log(m / nu) / eps, 1e-9)
+        eta = max(2.0 * math.log(m / nu) / eps, ETA_FLOOR)
         if eta == math.inf:
             raise ValueError(f"eps={eps!r} is too small: eta = 2*ln(m/nu)/eps overflows")
         return cls(nu=nu, m=m, eta=eta, eps=eps)

@@ -42,11 +42,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import CAP_REL_SLACK, ENTROPY_ZERO
+from .constants import CAP_REL_SLACK, ENTROPY_ZERO, EXP_RECHECK_RTOL
 from .core import CapParams
 
 _LOOP_SCAN_MAX = 64  # longest cap scan run as a Python loop
-_EXP_RECHECK_RTOL = 1e-12  # np.exp weights this close to the bound are redone with math.exp
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def _capped_count(gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray
 
     Past ``_LOOP_SCAN_MAX`` entries every weight is first formed in one
     pass with np.exp, which may differ from math.exp in the last bit.  No
-    entry before the first one within ``_EXP_RECHECK_RTOL`` of the bound
+    entry before the first one within ``EXP_RECHECK_RTOL`` of the bound
     can fit, so the loop starts there, and k is the loop's k exactly.
     ``factors`` is 1 - arange(len(gaps))/nu, such as
     ``CapParams.cap_scan_factors``, which a fit forms once.
@@ -176,7 +175,7 @@ def _capped_count(gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray
     if stop > _LOOP_SCAN_MAX:
         weights = np.exp(gaps)
         weights *= factors
-        near = weights <= bound * (1.0 + _EXP_RECHECK_RTOL)
+        near = weights <= bound * (1.0 + EXP_RECHECK_RTOL)
         start = int(np.argmax(near))
         if not near[start]:
             return stop - 1

@@ -1,24 +1,25 @@
 """Dense simplex kernel and the edge-min / soft-margin LP pair built on it.
 
-The kernel ``_simplex_min`` is a two-phase primal simplex for
-``min c @ x, A x = b, 0 <= x <= u`` (upper bounds handled implicitly).
-Pricing is most-negative-reduced-cost but falls back to Bland's rule
-whenever the objective stalls, so the solver cannot cycle and stays
-deterministic.  Each phase inverts its starting basis once and keeps the
-inverse by product-form (rank-one) updates at every basis change,
-re-inverting from scratch every ``_REFACTOR_INTERVAL`` changes to bound
-the drift; the basic solution and duals that end a phase come from
-fresh solves.  A variable's bound state is its nonbasic value alone:
-``x_nb`` holds u at an upper-bound nonbasic and 0 elsewhere, and the
-two phases update one ``x_nb`` in place.  Only a variable with a
-positive upper bound may move, so phase 2 locks the artificials by
-giving them a zero upper bound.  The pivot loop also carries one pricing
-sign per variable, the basis's costs, upper bounds and finite-bound
-mask, and ``b - A @ x_nb`` and the reduced costs for as long as the
-pivots leave them unchanged.  Its pivots and outputs equal bit for bit
-those of the reference kernel in ``tests/conftest.py``, which rebuilds
-all of these at every pivot.  ``solve_edge_min`` is the one entry point
-above it: it checks ``nu``, merges identical instance rows, solves the
+The kernel ``_simplex_min`` is a primal simplex for ``min c @ x,
+A x = b, 0 <= x <= u`` (upper bounds handled implicitly, every one
+positive) that starts from a feasible basis its caller supplies: it has
+no phase 1, because both LPs ``solve_edge_min`` writes have a feasible
+basis known in closed form (a crash basis).  Pricing is
+most-negative-reduced-cost but falls back to Bland's rule whenever the
+objective stalls, so the solver cannot cycle and stays deterministic.
+The kernel inverts its starting basis once and keeps the inverse by
+product-form (rank-one) updates at every basis change, re-inverting
+from scratch every ``_REFACTOR_INTERVAL`` changes to bound the drift;
+the basic solution and duals it returns come from fresh solves.  A
+variable's bound state is its nonbasic value alone: ``x_nb`` holds u at
+an upper-bound nonbasic and 0 elsewhere.  The pivot loop also carries
+one pricing sign per variable, the basis's costs, upper bounds and
+finite-bound mask, and ``b - A @ x_nb`` and the reduced costs for as
+long as the pivots leave them unchanged.  Its pivots and outputs equal
+bit for bit those of the reference kernel in ``tests/conftest.py``,
+which rebuilds all of these at every pivot.  ``solve_edge_min`` is the
+one entry point above it: it checks ``nu``, merges identical instance
+rows, builds the start basis of the form it solves, solves the
 restricted edge-min / soft-margin pair over the distinct rows, and
 certifies strong duality on every call.
 """
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
-    LP_INFEASIBLE_TOL,
     LP_PIVOT_TOL,
     LP_PROGRESS_TOL,
     LP_RATIO_TOL,
@@ -50,26 +50,22 @@ class LpError(Exception):
     pass
 
 
-class LpInfeasibleError(LpError):
-    def __init__(self, certificate):
-        super().__init__("LP is infeasible")
-        self.certificate = certificate
-
-
 class LpUnboundedError(LpError):
     def __init__(self, direction):
         super().__init__("LP is unbounded")
         self.direction = direction
 
 
-def _solve_max(objective, con, upper):
+def _solve_max(objective, con, upper, basis, x_nb):
     """maximize objective @ x subject to con[:-1] @ x <= 0, con[-1] @ x = 1,
     0 <= x[:-1] <= upper and x[-1] free; returns (x, value, row duals).
 
     The kernel's columns are con's, the mirror x- of the free variable
     x[-1] = x+ - x-, then one slack per inequality row; that order sets
-    the pivoting tie-breaks, so it is part of the result.  Duals are for
-    the maximisation sense: nonnegative on binding inequality rows.
+    the pivoting tie-breaks, so it is part of the result.  ``basis`` and
+    ``x_nb`` are a feasible start over those columns (see
+    ``_simplex_min``).  Duals are for the maximisation sense:
+    nonnegative on binding inequality rows.
     """
     r, n = con.shape
     kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
@@ -77,70 +73,41 @@ def _solve_max(objective, con, upper):
     bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
     rhs = np.append(np.zeros(r - 1), 1.0)
 
-    x_full, y = _simplex_min(kernel, rhs, cost, bounds)
+    x_full, y = _simplex_min(kernel, rhs, cost, bounds, basis, x_nb)
     x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
     x[-1] -= x_full[n]
     return x, float(objective @ x), -y
 
 
-def _simplex_min(A, b, c, upper):
-    """minimize c@x st A@x = b, 0 <= x <= upper.  Returns (x, duals)."""
-    r, n = A.shape
-    flip = b < 0
-    b = np.abs(b)
+def _simplex_min(A, b, c, upper, basis, x_nb):
+    """minimize c@x st A@x = b, 0 <= x <= upper.  Returns (x, duals).
 
-    # phase 1: artificial basis
-    A1 = np.hstack([A, np.eye(r)])
-    A1[flip, :n] *= -1.0
-    u1 = np.concatenate([upper, np.full(r, math.inf)])
-    c1 = np.concatenate([np.zeros(n), np.ones(r)])
-    basis = np.arange(n, n + r)
-    x_nb = np.zeros(n + r)
-
-    _iterate(A1, b, c1, u1, basis, x_nb)
-    x1 = _assemble_x(A1, b, basis, x_nb)
-    if c1 @ x1 > LP_INFEASIBLE_TOL:
-        y = _duals(A1, c1, basis, flip)
-        raise LpInfeasibleError(certificate=y)
-
-    # phase 2: lock artificials at zero and restore the real objective;
-    # phase 1 never puts one at its infinite upper bound, so x_nb holds 0
-    # for each and needs no change
-    u1[n:] = 0.0
-    c2 = np.concatenate([c, np.zeros(r)])
-    _iterate(A1, b, c2, u1, basis, x_nb)
-
-    x = _assemble_x(A1, b, basis, x_nb)
-    y = _duals(A1, c2, basis, flip)
-    return np.clip(x[:n], 0.0, upper), y
-
-
-def _assemble_x(A, b, basis, x_nb):
-    x = x_nb.copy()
-    rhs = b - A @ x
-    x[basis] = np.linalg.solve(A[:, basis], rhs)
-    return x
-
-
-def _duals(A, c, basis, flip):
+    Starts from the feasible basis ``basis`` (one column index per row)
+    with the nonbasic values ``x_nb`` (upper at an upper-bound nonbasic,
+    0 elsewhere and on the basis); neither argument is modified.
+    """
+    basis, x_nb = basis.copy(), x_nb.copy()
+    _iterate(A, b, c, upper, basis, x_nb)
+    x = x_nb
+    x[basis] = np.linalg.solve(A[:, basis], b - A @ x_nb)
     y = np.linalg.solve(A[:, basis].T, c[basis])
-    return np.where(flip, -y, y)
+    return np.clip(x, 0.0, upper), y
 
 
 def _iterate(A, b, c, u, basis, x_nb):
     """Pivot from a feasible basis until pricing finds no improving column.
 
     ``basis`` and the nonbasic values ``x_nb`` (u at upper-bound
-    nonbasics, 0 elsewhere and on the basis) are updated in place.  Only
-    a variable with a positive upper bound may move.  A movable nonbasic
-    has pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its
-    lower bound; a basic or locked variable has 0.  A column is eligible
-    when ``red * sign < -LP_PIVOT_TOL``, and Dantzig's column is the
-    first argmin.  The signs and the basis's costs, upper bounds and
-    finite-bound mask are carried from pivot to pivot.  ``b - A @ x_nb`` is formed again
-    only after ``x_nb`` changes, and the reduced costs only after the
-    basis does; a bound flip keeps them.  Reduced costs are assumed
-    finite: a NaN would win the argmin.
+    nonbasics, 0 elsewhere and on the basis) are updated in place.  Every
+    upper bound is positive, so a nonbasic can always move: it has
+    pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its lower
+    bound, and a basic variable has 0.  A column is eligible when
+    ``red * sign < -LP_PIVOT_TOL``, and Dantzig's column is the first
+    argmin.  The signs and the basis's costs, upper bounds and
+    finite-bound mask are carried from pivot to pivot.  ``b - A @ x_nb``
+    is formed again only after ``x_nb`` changes, and the reduced costs
+    only after the basis does; a bound flip keeps them.  Reduced costs
+    are assumed finite: a NaN would win the argmin.
     """
     r, n = A.shape
     bland = False
@@ -148,9 +115,7 @@ def _iterate(A, b, c, u, basis, x_nb):
     last_obj = math.inf
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
-    movable = u > 0.0
     sign = np.where(x_nb > 0.0, -1.0, 1.0)
-    sign[~movable] = 0.0
     sign[basis] = 0.0
     c_B = c[basis]
     u_B = u[basis]
@@ -236,10 +201,10 @@ def _iterate(A, b, c, u, basis, x_nb):
         u_B[leave_pos] = u_j
         finite_B[leave_pos] = math.isfinite(u_j)
         if to_lower[leave_pos]:
-            sign[out] = 1.0 if movable[out] else 0.0
+            sign[out] = 1.0
         else:
             x_nb[out] = u[out]
-            sign[out] = -1.0 if movable[out] else 0.0
+            sign[out] = -1.0
             rhs = None
         red = None
 
@@ -287,9 +252,11 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
     ``d_i = D_g / n_g``.  The reduction is exact, and duplicated rows
     get equal weight.  Whichever form has fewer rows is handed to the
     solver: the edge-min form has t+1 rows (caps live in variable
-    bounds), the soft-margin form k+1.  rho and gamma are evaluated on
-    the full matrix.  ``nu`` outside ``[1, m]``, NaN included, is a
-    ValueError before any LP is built.
+    bounds), the soft-margin form k+1, and each starts the simplex from
+    its own feasible basis, a function of (A, nu) alone.  rho and gamma
+    are evaluated on the full matrix.  A solved LP whose cleaned-up d or
+    w fails its membership check is an ``LpError``.  ``nu`` outside
+    ``[1, m]``, NaN included, is a ValueError before any LP is built.
     """
     if not 1.0 <= nu <= A.m:
         raise ValueError(f"nu must lie in [1, m]; got {nu}")
@@ -306,7 +273,19 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
         con[:t, :k] = rows.T
         con[:t, k] = -1.0
         con[t, :k] = 1.0
-        x, value, duals = _solve_max(np.concatenate([np.zeros(k), [-1.0]]), con, counts * cap)
+        # start: fill D_1, D_2, ... to their caps; the D that completes the
+        # sum is basic (the caps sum to m/nu >= 1, but at nu = m their float
+        # sum can end just short of 1), g+ or its mirror g- is basic at the
+        # largest edge, and so is every slack but the one on that edge's row
+        upper = counts * cap
+        f = min(int(np.searchsorted(np.cumsum(upper), 1.0)), k - 1)
+        x_nb = np.zeros(k + 2 + t)
+        x_nb[:f] = upper[:f]
+        edges = x_nb[:k] @ rows + (1.0 - upper[:f].sum()) * rows[f]
+        top = int(edges.argmax())
+        slacks = np.delete(np.arange(k + 2, k + 2 + t), top)
+        basis = np.concatenate([[f, k if edges[top] >= 0.0 else k + 1], slacks])
+        x, value, duals = _solve_max(np.concatenate([np.zeros(k), [-1.0]]), con, upper, basis, x_nb)
         d = _cleanup_distribution((x[:k] / counts)[group], cap)
         gamma = -value
         w = _cleanup_weights(duals[:t])
@@ -319,16 +298,24 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
         con[:k, t : t + k] = -np.eye(k)
         con[:k, t + k] = 1.0
         con[k, :t] = 1.0
-        x, value, duals = _solve_max(
-            np.concatenate([np.zeros(t), -counts * cap, [1.0]]), con, np.full(t + k, math.inf)
-        )
+        # start: w_1 = 1 is basic, r+ or its mirror r- is basic at column 1's
+        # smallest margin, and so is every slack but the one on that margin's row
+        low = int(rows[:, 0].argmin())
+        slacks = np.delete(np.arange(t + k + 2, t + 2 * k + 2), low)
+        basis = np.concatenate([[0, t + k if rows[low, 0] >= 0.0 else t + k + 1], slacks])
+        objective = np.concatenate([np.zeros(t), -counts * cap, [1.0]])
+        upper, x_nb = np.full(t + k, math.inf), np.zeros(t + 2 * k + 2)
+        x, value, duals = _solve_max(objective, con, upper, basis, x_nb)
         rho = value
         w = _cleanup_weights(x[:t])
         d = _cleanup_distribution((duals[:k] / counts)[group], cap)
         gamma = float(np.max(d @ G))
 
-    check_distribution(d, nu)
-    check_ensemble_weights(w, A)
+    try:
+        check_distribution(d, nu)
+        check_ensemble_weights(w, A)
+    except ValueError as exc:  # the cleaned-up optimum left its set: a failed solve
+        raise LpError(str(exc)) from exc
     return EdgeMinSolution(d=d, gamma=gamma, w=w, rho=rho)
 
 

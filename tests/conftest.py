@@ -142,10 +142,11 @@ def reference_stump_pool(data: Dataset):
 
 
 # Reference simplex: the dense kernel of marginforge.lp before its pivot
-# loop carried state from pivot to pivot, kept verbatim as an oracle that
-# the lean kernel must match bit for bit.  The limits are read from
-# marginforge.lp at call time, so a test that monkeypatches them there
-# runs both kernels under the same limits.
+# loop carried state from pivot to pivot, kept as an oracle that the lean
+# kernel must match bit for bit.  Like the lean kernel it starts from the
+# feasible basis its caller gives it, with no phase 1.  The limits are
+# read from marginforge.lp at call time, so a test that monkeypatches
+# them there runs both kernels under the same limits.
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
@@ -176,74 +177,41 @@ class PoolOracleLearner:
         return self.A_full.hypothesis_ids[j], column, float(d @ column)
 
 
-def reference_solve_max(objective, con, upper):
+def reference_solve_max(objective, con, upper, basis, x_nb):
     r, n = con.shape
     kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
     cost = np.concatenate([-objective, objective[-1:], np.zeros(r - 1)])
     bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
     rhs = np.append(np.zeros(r - 1), 1.0)
 
-    x_full, y = reference_simplex_min(kernel, rhs, cost, bounds)
+    x_full, y = reference_simplex_min(kernel, rhs, cost, bounds, basis, x_nb)
     x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
     x[-1] -= x_full[n]
     return x, float(objective @ x), -y
 
 
-def reference_simplex_min(A, b, c, upper):
-    """minimize c@x st A@x = b, 0 <= x <= upper.  Returns (x, duals)."""
-    r, n = A.shape
-    flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
-    b = np.abs(b)
-
-    # phase 1: artificial basis
-    A1 = np.hstack([A, np.eye(r)])
-    u1 = np.concatenate([upper, np.full(r, math.inf)])
-    c1 = np.concatenate([np.zeros(n), np.ones(r)])
-    basis = np.arange(n, n + r)
-    status = np.full(n + r, _AT_LOWER, dtype=np.int8)
+def reference_simplex_min(A, b, c, upper, basis, x_nb):
+    """minimize c@x st A@x = b, 0 <= x <= upper from the feasible start
+    (basis, x_nb), which is not modified.  Returns (x, duals)."""
+    basis = basis.copy()
+    status = np.where(x_nb > 0.0, _AT_UPPER, _AT_LOWER).astype(np.int8)
     status[basis] = _BASIC
-    allow = np.ones(n + r, dtype=bool)
 
-    _reference_iterate(A1, b, c1, u1, basis, status, allow)
-    x1 = _reference_assemble_x(A1, b, u1, basis, status)
-    if c1 @ x1 > lp.LP_INFEASIBLE_TOL:
-        y = _reference_duals(A1, c1, basis, flip)
-        raise lp.LpInfeasibleError(certificate=y)
-
-    # phase 2: lock artificials at zero and restore the real objective
-    u1[n:] = 0.0
-    c2 = np.concatenate([c, np.zeros(r)])
-    allow[n:] = False
-    _reference_iterate(A1, b, c2, u1, basis, status, allow)
-
-    x = _reference_assemble_x(A1, b, u1, basis, status)
-    y = _reference_duals(A1, c2, basis, flip)
-    return np.clip(x[:n], 0.0, upper), y
-
-
-def _reference_assemble_x(A, b, u, basis, status):
-    x = np.where(status == _AT_UPPER, u, 0.0)
+    _reference_iterate(A, b, c, upper, basis, status)
+    x = np.where(status == _AT_UPPER, upper, 0.0)
     x[basis] = 0.0
-    rhs = b - A @ x
-    x[basis] = np.linalg.solve(A[:, basis], rhs)
-    return x
-
-
-def _reference_duals(A, c, basis, flip):
+    x[basis] = np.linalg.solve(A[:, basis], b - A @ x)
     y = np.linalg.solve(A[:, basis].T, c[basis])
-    return np.where(flip, -y, y)
+    return np.clip(x, 0.0, upper), y
 
 
-def _reference_iterate(A, b, c, u, basis, status, allow):
+def _reference_iterate(A, b, c, u, basis, status):
     r, n = A.shape
     bland = False
     stall = 0
     last_obj = math.inf
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
-    movable = allow & (u > 0.0)
 
     for _ in range(lp._MAX_PIVOTS):
         x = np.where(status == _AT_UPPER, u, 0.0)
@@ -252,7 +220,7 @@ def _reference_iterate(A, b, c, u, basis, status, allow):
         y = c[basis] @ Binv
         red = c - y @ A
 
-        eligible = movable & (status != _BASIC)
+        eligible = status != _BASIC
         eligible &= ((status == _AT_LOWER) & (red < -lp.LP_PIVOT_TOL)) | (
             (status == _AT_UPPER) & (red > lp.LP_PIVOT_TOL)
         )
@@ -370,7 +338,7 @@ def reference_capped_count(gaps, nu, bound):
     start = 0
     if stop > entropy._LOOP_SCAN_MAX:
         weights = (1.0 - np.arange(stop) / nu) * np.exp(gaps)
-        near = weights <= bound * (1.0 + entropy._EXP_RECHECK_RTOL)
+        near = weights <= bound * (1.0 + entropy.EXP_RECHECK_RTOL)
         start = int(np.argmax(near))
         if not near[start]:
             return stop - 1

@@ -17,7 +17,6 @@ import pytest
 
 from marginforge.boosting import (
     BoosterConfig,
-    StumpLearner,
     run_lpboost,
     run_scheme,
 )
@@ -26,7 +25,7 @@ from marginforge.core import CapParams, relative_entropy
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
 from marginforge.lp import solve_edge_min
 from marginforge.core import GainMatrix
-from marginforge.stumps import StumpPool, full_gain_matrix
+from marginforge.stumps import StumpLearner, StumpPool, full_gain_matrix
 
 from conftest import (
     PoolOracleLearner,

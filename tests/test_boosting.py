@@ -7,7 +7,6 @@ import pytest
 
 from marginforge.boosting import (
     BoosterConfig,
-    StumpLearner,
     TrainedModel,
     default_iteration_cap,
     predict,
@@ -22,7 +21,7 @@ from marginforge.core import CapParams, Dataset, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
 from marginforge import boosting, fw
 from marginforge.lp import LpError, solve_edge_min
-from marginforge.stumps import StumpHypothesis, StumpPool, full_gain_matrix
+from marginforge.stumps import StumpHypothesis, StumpLearner, StumpPool, full_gain_matrix
 
 from conftest import PoolOracleLearner, min_linear_over_cap, two_gaussians
 
@@ -147,7 +146,8 @@ def test_secondary_lpboost_matches_edge_min_dual():
 def test_secondary_erlpboost_point_mass():
     A = GainMatrix([np.array([0.4, -0.1, 0.3])], [0])
     params = CapParams.from_tolerance(3, 1.5, 0.1)
-    assert secondary_erlpboost(A, params, np.ones(1)) == pytest.approx([1.0])
+    w, _ = secondary_erlpboost(A, params, np.ones(1))
+    assert w == pytest.approx([1.0])
 
 
 def test_secondary_erlpboost_nu_equals_m_maximises_mean_margin():
@@ -155,7 +155,7 @@ def test_secondary_erlpboost_nu_equals_m_maximises_mean_margin():
     cols = [rng.uniform(-1, 1, 4) for _ in range(3)]
     A = GainMatrix(cols, [0, 1, 2])
     params = CapParams.from_tolerance(4, 4.0, 0.1)
-    w = secondary_erlpboost(A, params, np.eye(1, 3)[0])
+    w, _ = secondary_erlpboost(A, params, np.eye(1, 3)[0])
     best = int(np.argmax([c.mean() for c in cols]))
     assert w[best] == pytest.approx(1.0, abs=1e-6)
 
@@ -165,7 +165,7 @@ def test_secondary_erlpboost_matches_grid_oracle():
     cols = [rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)]
     A = GainMatrix(cols, [0, 1])
     params = CapParams(nu=1.5, m=3, eta=20.0, eps=0.05)
-    w = secondary_erlpboost(A, params, np.eye(1, 2)[0])
+    w, _ = secondary_erlpboost(A, params, np.eye(1, 2)[0])
     value = smoothed_conjugate(-margins(A, w), params)
     grid_best = min(
         smoothed_conjugate(-(lam * cols[0] + (1 - lam) * cols[1]), params)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from marginforge.boosting import BoosterConfig, StumpLearner, predict, run_scheme
+from marginforge.boosting import BoosterConfig, predict, run_scheme
 from marginforge.cli import (
     BudgetExceededError,
     DataFormatError,
@@ -18,7 +18,7 @@ from marginforge.cli import (
     main,
 )
 from marginforge.lp import LpError, solve_edge_min
-from marginforge.stumps import StumpPool, full_gain_matrix
+from marginforge.stumps import StumpLearner, StumpPool, full_gain_matrix
 
 from conftest import two_gaussians, write_csv
 

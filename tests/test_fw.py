@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from marginforge import boosting, fw
-from marginforge.boosting import BoosterConfig, StumpLearner, run_scheme, secondary_erlpboost
+from marginforge.boosting import BoosterConfig, run_scheme, secondary_erlpboost
 from marginforge.constants import NEWTON_ARMIJO, NEWTON_RIDGE, SIMPLEX_SUM_TOL
 from marginforge.core import CapParams, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
 from marginforge.fw import classic_step, line_search_step, pairwise_step, short_step
-from marginforge.stumps import StumpPool, full_gain_matrix
+from marginforge.stumps import StumpLearner, StumpPool, full_gain_matrix
 
 from conftest import two_gaussians
 
@@ -332,9 +332,9 @@ def test_erlpboost_line_search_projection_count(monkeypatch):
 
     def counting_solve(*args, **kwargs):
         before = dict(counts)
-        w = solve(*args, **kwargs)
+        result = solve(*args, **kwargs)
         per_solve.append({key: counts[key] - before[key] for key in counts})
-        return w
+        return result
 
     monkeypatch.setattr(fw, "_project", counting("kernel", project))
     monkeypatch.setattr(boosting, "_project", counting("kernel", project))
@@ -464,7 +464,7 @@ def restricted_problems(draw):
 def test_corrective_solve_matches_slsqp(problem):
     A, params = problem
     G = A.as_array()
-    w = secondary_erlpboost(A, replace(params, eps=1e-9), np.eye(1, A.t)[0])  # gap tolerance 1e-10
+    w, _ = secondary_erlpboost(A, replace(params, eps=1e-9), np.eye(1, A.t)[0])  # gap tolerance 1e-10
     col_edges = capped_entropy_projection(G @ w, params).d @ G
     assert col_edges.max() - col_edges @ w <= 1e-10
 
@@ -477,6 +477,21 @@ def test_corrective_solve_matches_slsqp(problem):
     rng = np.random.default_rng(0)
     starts = [np.full(A.t, 1.0 / A.t), np.eye(1, A.t)[0], rng.dirichlet(np.ones(A.t))]
     assert objective(w) <= slsqp_simplex_min(objective, gradient, A.t, starts) + 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(restricted_problems(), st.sampled_from([None, 1e-9]))
+def test_corrective_solve_returns_the_projection_of_its_weights(problem, eps):
+    # the projection it hands back is the one a fresh projection of its
+    # weights' margins gives, bit for bit, so the booster need not project again
+    A, params = problem
+    if eps is not None:
+        params = replace(params, eps=eps)
+    w, proj = secondary_erlpboost(A, params, np.eye(1, A.t)[0])
+    ref = capped_entropy_projection(A.as_array() @ w, params)
+    assert _same_bits(proj.d, ref.d)
+    assert np.array_equal(proj.order, ref.order)
+    assert _same_bits(proj.objective, ref.objective)
 
 
 # The step rules and the corrective-solve gap as they were on sparse
@@ -609,11 +624,11 @@ def test_dense_rules_match_dict_reference(instance):
     # below (a zero gap has no positive tolerance under it: the step alone)
     col_edges = d @ A.as_array()
     gap = dict_gap(col_edges, w_dict)
-    assert secondary_erlpboost(A, replace(params, eps=10.0 * (gap + 1e-12)), w) is w
+    assert secondary_erlpboost(A, replace(params, eps=10.0 * (gap + 1e-12)), w)[0] is w
     one_step, _ = fw.newton_step(A, w, proj, params, col_edges)
     if gap > 1e-12:
         with mock.patch.object(boosting, "_ERLP_INNER_CAP", 1):
-            solved = secondary_erlpboost(A, replace(params, eps=10.0 * (gap - 1e-12)), w)
+            solved, _ = secondary_erlpboost(A, replace(params, eps=10.0 * (gap - 1e-12)), w)
         assert _same_bits(solved, one_step)
     ref = reference_newton_step(A, w, proj, params)
     assert np.all(one_step >= 0.0) and abs(one_step.sum() - 1.0) <= 1e-12

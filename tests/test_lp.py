@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from marginforge import boosting, lp
-from marginforge.boosting import BoosterConfig, StumpLearner, run_scheme
+from marginforge.boosting import BoosterConfig, run_scheme
 from marginforge.core import GainMatrix, check_distribution, check_ensemble_weights
 from marginforge.entropy import capped_min_linear
 from marginforge.lp import (
@@ -17,10 +17,10 @@ from marginforge.lp import (
     _distinct_rows,
     _simplex_min,
     LpError,
-    LpInfeasibleError,
     LpUnboundedError,
     solve_edge_min,
 )
+from marginforge.stumps import StumpLearner
 
 from conftest import (
     min_linear_over_cap,
@@ -31,8 +31,9 @@ from conftest import (
 
 
 def _slack_form(G, h, c, upper=None):
-    """Kernel form (A, b, cost, u) of max c@x st G@x <= h, 0 <= x <= upper:
-    one slack column per row, costs negated for minimisation."""
+    """Kernel form (A, b, cost, u, basis, x_nb) of max c@x st G@x <= h,
+    0 <= x <= upper: one slack column per row, costs negated for
+    minimisation, and the slack basis as the start, feasible for h >= 0."""
     r, n = G.shape
     upper = np.full(n, math.inf) if upper is None else np.asarray(upper, dtype=float)
     return (
@@ -40,6 +41,8 @@ def _slack_form(G, h, c, upper=None):
         h,
         np.concatenate([-c, np.zeros(r)]),
         np.concatenate([upper, np.full(r, math.inf)]),
+        np.arange(n, n + r),
+        np.zeros(n + r),
     )
 
 
@@ -61,27 +64,24 @@ def test_single_bound():
 def test_degenerate_face():
     # max x1 + x2 st x1 + x2 = 1: an equality row, so no slack column
     c = np.array([1.0, 1.0])
-    x, _ = _simplex_min(np.array([[1.0, 1.0]]), np.array([1.0]), -c, np.full(2, math.inf))
+    x, _ = _simplex_min(
+        np.array([[1.0, 1.0]]), np.array([1.0]), -c, np.full(2, math.inf), np.array([0]), np.zeros(2)
+    )
     assert float(c @ x) == pytest.approx(1.0)
     assert x.sum() == pytest.approx(1.0)
 
 
-def test_infeasible_and_unbounded_are_reported():
-    # x <= -1 with x >= 0: the certificate y is a Farkas ray, y@A <= 0 < y@b
-    A, b, cost, u = _slack_form(np.array([[1.0]]), np.array([-1.0]), np.array([1.0]))
-    with pytest.raises(LpInfeasibleError) as err:
-        _simplex_min(A, b, cost, u)
-    y = err.value.certificate
-    assert np.all(y @ A <= 1e-12) and y @ b > 0.0
-    # max x st -x <= 1: the direction (over the columns and the phase-1
-    # artificials) keeps A@x = b, stays nonnegative and lowers the cost
-    A, b, cost, u = _slack_form(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]))
+def test_unbounded_is_reported():
+    # max x st -x <= 1: the direction over the kernel's columns keeps
+    # A@x = b, stays nonnegative and lowers the cost
+    kernel = _slack_form(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]))
+    A, _, cost, _, _, _ = kernel
     with pytest.raises(LpUnboundedError) as err:
-        _simplex_min(A, b, cost, u)
+        _simplex_min(*kernel)
     direction = err.value.direction
-    assert direction is not None
-    assert np.allclose(np.hstack([A, np.eye(1)]) @ direction, 0.0)
-    assert np.all(direction >= 0.0) and cost @ direction[: A.shape[1]] < 0.0
+    assert direction.shape == (A.shape[1],)
+    assert np.allclose(A @ direction, 0.0)
+    assert np.all(direction >= 0.0) and cost @ direction < 0.0
 
 
 def _enumerate_bfs_value(G, h, c):
@@ -265,6 +265,40 @@ def test_edge_min_over_repeated_rows_matches_scipy_highs(wide, data):
         assert np.all(sol.d[group == g] == sol.d[group == g][0])
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "soft-margin form"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_edge_min_start_basis_is_feasible_and_unimodular(wide, data):
+    # the start solve_edge_min hands the kernel: x_B within its bounds, x_nb
+    # at a bound and 0 on the basis, and a basis matrix of determinant +-1
+    G, nu = data.draw(
+        st.one_of(sign_matrices(wide), repeated_row_matrices(wide).map(lambda drawn: drawn[:2]))
+    )
+    starts = []
+    solve_max = lp._solve_max
+
+    def recording_solve_max(objective, con, upper, basis, x_nb):
+        starts.append((con, upper, basis.copy(), x_nb.copy()))
+        return solve_max(objective, con, upper, basis, x_nb)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_solve_max", recording_solve_max)
+        try:
+            solve_edge_min(_gain(G.T), nu)
+        except (LpError, np.linalg.LinAlgError):
+            pass  # the start is checked whether or not the pivots succeed
+    (con, upper, basis, x_nb), = starts
+    r = con.shape[0]
+    kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
+    bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
+    assert np.unique(basis).size == r
+    assert np.all((x_nb == 0.0) | (x_nb == bounds)) and np.all(x_nb[basis] == 0.0)
+    B = kernel[:, basis]
+    assert abs(np.linalg.det(B)) == pytest.approx(1.0, abs=1e-12)
+    x_B = np.linalg.solve(B, np.append(np.zeros(r - 1), 1.0) - kernel @ x_nb)
+    assert np.all(x_B >= -1e-12) and np.all(x_B <= bounds[basis] + 1e-12)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([[-1.0, 1.0], [-1.0, -0.0, 0.0, 1.0], None]),
@@ -311,9 +345,9 @@ def test_ratio_test_ties_leave_no_row_past_its_bound():
 
 
 def test_simplex_reinverts_basis_on_long_runs(monkeypatch):
-    # 40 "le" rows with positive right-hand sides: phase 1 starts from 40
-    # basic artificials and must pivot each one out, so the basis changes
-    # more often than _REFACTOR_INTERVAL and the inverse is rebuilt
+    # 40 "le" rows with positive right-hand sides: from the slack basis the
+    # optimum is more than _REFACTOR_INTERVAL basis changes away, so the
+    # inverse is rebuilt
     assert _REFACTOR_INTERVAL < 40
     inversions = []
     real_inv = np.linalg.inv
@@ -329,7 +363,7 @@ def test_simplex_reinverts_basis_on_long_runs(monkeypatch):
     h = np.concatenate([rng.uniform(0.1, 1.0, r - 1), [5.0]])
     c = rng.uniform(-0.2, 1.0, n)
     x, value, duals = _max_le(G, h, c)
-    assert len(inversions) > 2  # one per phase, plus at least one refresh
+    assert len(inversions) > 1  # the starting inversion, plus at least one refresh
 
     ref = linprog(-c, A_ub=G, b_ub=h, bounds=[(0.0, None)] * n, method="highs")
     assert ref.status == 0, ref.message
@@ -343,8 +377,8 @@ def test_simplex_reinverts_basis_on_long_runs(monkeypatch):
 
 
 def _tiny_gain_rows(family, v):
-    """The 4 x 5 gain rows at nu 1 whose tiny entry v drives the simplex to
-    pivot on elements near 1e-7 (ROADMAP item 6)."""
+    """The 4 x 5 gain rows at nu 1 with one tiny entry v, near the absolute
+    ratio-test tolerance (ROADMAP item 6)."""
     head = (
         [[0.75, 0, 0, -1, -0.0078125], [0.625, 0, 0, -1, 0.5], [0.375, 0, 0, -1, 0]]
         if family == 1
@@ -362,11 +396,6 @@ def test_edge_min_tiny_gain_neighbours_match_scipy_highs(v):
     assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=(LpError, np.linalg.LinAlgError),
-    reason="absolute ratio-test tolerance pivots on ~1e-7 elements (ROADMAP item 6)",
-)
 @pytest.mark.parametrize(
     "family, v",
     [(1, 1e-8), (1, 5e-10), (1, 1e-10), (2, 1e-9), (2, 1.01e-10), (2, 1e-10), (2, 5e-11)],
@@ -383,43 +412,57 @@ def _bits(value):
 
 def _outcome(solve, *args):
     """A kernel's result as comparable bytes: the output arrays, or the
-    exception's type, message and certificate or direction."""
+    exception's type, message and direction."""
     try:
         return "solved", tuple(_bits(v) for v in solve(*args))
     except (LpError, np.linalg.LinAlgError) as exc:
-        payload = getattr(exc, "certificate", getattr(exc, "direction", None))
+        payload = getattr(exc, "direction", None)
         return type(exc).__name__, str(exc), None if payload is None else _bits(payload)
 
 
-def _random_kernel(r, n, entries, rhs, bounds, seed):
-    """(A, b, c, u) of a random kernel LP; the rhs and bound kinds pick
-    degenerate (zero) right-hand sides and mixed finite/infinite bounds."""
+def _random_kernel(r, n, entries, rhs, bounds, start, seed):
+    """(A, b, c, u, basis, x_nb) of a random kernel LP: n structural
+    columns, then r slacks whose basis is the start.  The rhs kind picks
+    the slacks' start values, degenerate (zero) ones included; the bound
+    kind mixes finite and infinite bounds; the start kind puts some
+    finite-bounded structurals at their upper bound, and b absorbs them."""
     rng = np.random.default_rng(seed)
     if entries == "signs":
-        A = rng.choice([-1.0, 1.0], (r, n))
+        G = rng.choice([-1.0, 1.0], (r, n))
     elif entries == "sparse signs":
-        A = rng.choice([-1.0, 0.0, 1.0], (r, n))
+        G = rng.choice([-1.0, 0.0, 1.0], (r, n))
     else:
-        A = rng.uniform(-1.0, 1.0, (r, n))
-    b = {
+        G = rng.uniform(-1.0, 1.0, (r, n))
+    slack = {
         "zero": np.zeros(r),
         "zero but one": np.append(np.zeros(r - 1), 1.0),
         "positive": rng.uniform(0.1, 1.0, r),
-        "mixed": rng.choice([-1.0, 0.0, 0.5, 1.0], r),
+        "mixed": rng.choice([0.0, 0.5, 1.0], r),
     }[rhs]
     c = rng.choice([-1.0, 0.0, 1.0], n) if entries != "general" else rng.uniform(-1.0, 1.0, n)
     u = {
         "infinite": np.full(n, math.inf),
-        "finite": rng.choice([0.0, 0.25, 0.5, 1.0], n),
+        "finite": rng.choice([0.25, 0.5, 1.0], n),
         "mixed": rng.choice([0.5, 1.0, math.inf], n),
     }[bounds]
-    return A, b, c, u
+    x_nb = np.zeros(n + r)
+    if start == "some at upper":
+        x_nb[:n] = np.where(np.isfinite(u) & (rng.random(n) < 0.5), u, 0.0)
+    return (
+        np.hstack([G, np.eye(r)]),
+        slack + G @ x_nb[:n],
+        np.concatenate([c, np.zeros(r)]),
+        np.concatenate([u, np.full(r, math.inf)]),
+        np.arange(n, n + r),
+        x_nb,
+    )
 
 
 _KERNEL_KINDS = dict(
     entries=["signs", "sparse signs", "general"],
     rhs=["zero", "zero but one", "positive", "mixed"],
     bounds=["infinite", "finite", "mixed"],
+    start=["at lower", "some at upper"],
 )
 
 
@@ -430,16 +473,17 @@ _KERNEL_KINDS = dict(
     st.sampled_from(_KERNEL_KINDS["entries"]),
     st.sampled_from(_KERNEL_KINDS["rhs"]),
     st.sampled_from(_KERNEL_KINDS["bounds"]),
+    st.sampled_from(_KERNEL_KINDS["start"]),
     st.integers(0, 2**32 - 1),
 )
-def test_simplex_matches_the_reference_kernel_bit_for_bit(r, n, entries, rhs, bounds, seed):
-    kernel = _random_kernel(r, n, entries, rhs, bounds, seed)
+def test_simplex_matches_the_reference_kernel_bit_for_bit(r, n, entries, rhs, bounds, start, seed):
+    kernel = _random_kernel(r, n, entries, rhs, bounds, start, seed)
     assert _outcome(_simplex_min, *kernel) == _outcome(reference_simplex_min, *kernel)
 
 
 def test_reference_cross_check_reaches_every_outcome():
     # the same generator as the property test, swept over fixed seeds:
-    # optimal, infeasible and unbounded kernels all occur and all match
+    # optimal and unbounded kernels both occur and all match
     seen = set()
     for seed in range(400):
         rng = np.random.default_rng(seed)
@@ -448,52 +492,21 @@ def test_reference_cross_check_reaches_every_outcome():
         outcome = _outcome(_simplex_min, *kernel)
         assert outcome == _outcome(reference_simplex_min, *kernel)
         seen.add(outcome[0])
-    assert {"solved", "LpInfeasibleError", "LpUnboundedError"} <= seen
+    assert {"solved", "LpUnboundedError"} <= seen
 
 
-# Kernels that enter phase 2 in the two states it rebuilds from x_nb alone:
-# an artificial still basic (the equality rows repeat, so one artificial
-# stays in the basis at zero), and structurals at their upper bounds
-_PHASE_TWO_STARTS = {
-    "artificial_basic": (
-        np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
-        np.array([1.0, 1.0]),
-        np.array([1.0, 2.0, 0.5]),
-        np.full(3, math.inf),
-        [0.0, 0.0, 1.0],
-    ),
-    "structurals_at_upper": (
-        np.array([[1.0, 1.0, 1.0]]),
-        np.array([2.0]),
-        np.array([-1.0, 0.0, 1.0]),
-        np.array([0.5, 1.0, math.inf]),
-        [0.5, 1.0, 0.5],
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(_PHASE_TWO_STARTS))
-def test_phase_two_start_states_match_the_reference_and_highs(monkeypatch, case):
-    *kernel, optimum = _PHASE_TWO_STARTS[case]
-    A, b, c, u = kernel
-    n = A.shape[1]
-    starts = []
-    iterate = lp._iterate
-
-    def recording_iterate(A1, b1, c1, u1, basis, x_nb):
-        starts.append((basis.copy(), x_nb.copy()))
-        return iterate(A1, b1, c1, u1, basis, x_nb)
-
-    monkeypatch.setattr(lp, "_iterate", recording_iterate)
+def test_start_with_nonbasics_at_upper_matches_the_reference_and_highs():
+    # min x0 - x2 st x0 + x1 + x2 = 2, x0 <= 0.5, x1 <= 1: the start holds
+    # both bounded structurals at their upper bounds, and both must leave
+    A = np.array([[1.0, 1.0, 1.0]])
+    b = np.array([2.0])
+    c = np.array([1.0, 0.0, -1.0])
+    u = np.array([0.5, 1.0, math.inf])
+    kernel = (A, b, c, u, np.array([2]), np.array([0.5, 1.0, 0.0]))
     assert _outcome(_simplex_min, *kernel) == _outcome(reference_simplex_min, *kernel)
-    basis, x_nb = starts[1]
-    if case == "artificial_basic":
-        assert np.any(basis >= n)
-    else:
-        assert np.any((x_nb[:n] > 0.0) & (x_nb[:n] == u))
     x, _ = _simplex_min(*kernel)
-    assert np.array_equal(x, optimum)
-    ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(np.zeros(n), u)), method="highs")
+    assert np.array_equal(x, [0.0, 0.0, 2.0])
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(np.zeros(3), u)), method="highs")
     assert ref.status == 0, ref.message
     assert float(c @ x) == pytest.approx(ref.fun, abs=1e-12)
 
@@ -533,26 +546,27 @@ def test_every_lp_of_an_mlpb_ss_fit_matches_the_reference(monkeypatch):
     [(1, 1e-8), (1, 5e-10), (1, 1e-10), (2, 1e-9), (2, 1.01e-10), (2, 1e-10), (2, 5e-11)],
 )
 def test_tiny_gain_failures_match_the_reference(monkeypatch, family, v):
-    # the strict xfail below must keep failing exactly as before
+    # the tiny-gain cases solve, with the reference kernel's bits
     A = _gain(_tiny_gain_rows(family, v).T)
     new = _outcome(lambda: _parts(solve_edge_min(A, 1.0)))
-    assert new[0] != "solved"
+    assert new[0] == "solved"
     assert new == _outcome(lambda: _parts(_reference_edge_min(monkeypatch, A, 1.0)))
 
 
-# max x2 - x5 subject to G x <= (0, 0, 0, 1), x >= 0: a degenerate vertex
-# at the origin where the stall-to-Bland switch picks another optimum
+# max x4 - x2 - x6 subject to G x <= (0, 0, 0, 1), x >= 0: the slack start
+# is a degenerate vertex at the origin where the stall-to-Bland switch
+# picks another optimum
 _DEGENERATE_G = np.array(
     [
-        [-1, -1, 0, 0, 1, 0, -1],
-        [-1, 0, 0, 1, 0, 0, 0],
-        [-1, 1, -1, -1, 0, -1, 0],
+        [0, 1, -1, 1, -1, 0, 0],
+        [-1, 0, 0, 1, 0, -1, -1],
+        [1, 1, 1, 1, -1, 1, -1],
         [1, 1, 1, 1, 1, 1, 1],
     ],
     dtype=float,
 )
 _DEGENERATE_H = np.array([0.0, 0.0, 0.0, 1.0])
-_DEGENERATE_C = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+_DEGENERATE_C = np.array([0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0])
 
 
 def test_stall_switch_to_bland_matches_highs_and_the_reference(monkeypatch):
@@ -604,6 +618,58 @@ def test_pivot_limit_raises_and_the_booster_keeps_the_fw_step(monkeypatch, caplo
     assert records[2].chosen_rule == "fw"
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == ["round 3: secondary update failed (pivot limit exceeded); keeping the FW step"]
+
+
+# 9 instances x 11 columns of +-1 and +-1e-9 gains whose solved LP, once its
+# d is clipped to the cap and renormalised, leaves the capped simplex
+_CLIPPED_OUT_G = np.array(
+    [
+        [-1, 1, -1, 1e-9, -1, -1, 1, -1, -1, 1e-9, -1e-9],
+        [-1, -1e-9, -1, 1e-9, -1e-9, 1, 1, -1, -1e-9, -1, 1e-9],
+        [-1, -1e-9, -1, -1, -1, -1, -1e-9, -1, -1, 1, 1e-9],
+        [1, 1, -1e-9, 1, 1, 1e-9, -1e-9, -1, -1, -1, 1],
+        [-1e-9, -1e-9, -1, -1, 1, -1, -1, 1, 1, 1, 1],
+        [1, 1, -1, -1, 1, -1, 1, 1, 1e-9, -1, -1],
+        [1, -1, 1, 1, -1, 1, 1, 1, -1, -1, 1e-9],
+        [-1, -1, 1, 1, -1e-9, -1, 1, -1, -1, -1e-9, 1],
+        [-1, -1, 1e-9, 1, 1, 1e-9, -1, -1, 1e-9, -1, -1e-9],
+    ]
+)
+
+
+def test_edge_min_reports_a_cleaned_optimum_outside_its_set_as_lp_error():
+    nu = 6.168163068520413
+    try:
+        sol = solve_edge_min(_gain(_CLIPPED_OUT_G.T), nu)
+    except LpError:
+        return  # a failed solve, which the booster survives; never a ValueError
+    assert sol.gamma == pytest.approx(_scipy_edge_min(_CLIPPED_OUT_G, nu), abs=1e-7)
+
+
+def test_membership_failure_in_a_solve_keeps_the_fw_step(monkeypatch, caplog):
+    # the third solve's distribution fails its check: an LpError, not a
+    # ValueError that would end the fit
+    calls = {"n": 0}
+    check = lp.check_distribution
+
+    def failing_third_check(d, nu):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise ValueError("distribution entries leave [0, 1/nu]")
+        return check(d, nu)
+
+    monkeypatch.setattr(lp, "check_distribution", failing_third_check)
+    data = two_gaussians(60, seed=3)
+    cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule="short_step", secondary="lpboost")
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged
+    assert calls["n"] > 3
+    assert records[2].chosen_rule == "fw"
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        "round 3: secondary update failed (distribution entries leave [0, 1/nu]); keeping the FW step"
+    ]
 
 
 @pytest.mark.parametrize("nu", [0.0, math.nan, math.inf, -1.0, 5.0, 0.5])
