@@ -79,6 +79,8 @@ class RunManifest:
     timeout_secs: float | None = None
 
     def __post_init__(self):
+        if self.algo not in ALGORITHMS:
+            raise ValueError(f"unknown algo {self.algo!r}")
         if self.format not in ("csv", "libsvm"):
             raise DataFormatError(f"unknown format {self.format!r}")
         if not 0.0 < self.nu_frac <= 1.0:
@@ -201,8 +203,6 @@ def build_config(manifest: RunManifest, m: int) -> BoosterConfig:
 
 
 def _run_manifest(manifest: RunManifest, data: Dataset):
-    if manifest.algo not in ALGORITHMS:
-        raise ValueError(f"unknown algo {manifest.algo!r}")
     runner = ALGORITHMS[manifest.algo][0]
     config = build_config(manifest, data.m)
     learner = StumpLearner(data)
@@ -381,13 +381,13 @@ def _bench_cell(manifest: RunManifest, features, labels, conn):
 
 
 def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) -> int:
-    data = load_dataset(manifest.data, manifest.format)
-    threads = max(int(os.environ.get("MARGINFORGE_THREADS", "1")), 1)
     cells = [
-        dataclasses.replace(manifest, algo=algo, nu_frac=frac)
+        dataclasses.replace(manifest, algo=algo, nu_frac=frac)  # checks each cell
         for algo in algos
         for frac in nu_fracs
     ]
+    data = load_dataset(manifest.data, manifest.format)
+    threads = max(int(os.environ.get("MARGINFORGE_THREADS", "1")), 1)
 
     ctx = multiprocessing.get_context("fork")
     pending = list(enumerate(cells))
@@ -499,9 +499,6 @@ def main(argv: list[str] | None = None) -> int:
             algos = [a.strip() for a in args.algo.split(",") if a.strip()]
             if not algos:
                 raise ValueError("--algo lists no algorithm")
-            for algo in algos:
-                if algo not in ALGORITHMS:
-                    raise ValueError(f"unknown algo {algo!r}")
             fracs = [float(v) for v in args.nu_frac.split(",") if v.strip()]
             if not fracs:
                 raise ValueError("--nu-frac lists no value")

@@ -7,8 +7,8 @@ per split, with no hypothesis object.  Each query then costs
 O(p m + |pool|): one gather into that order, one row-wise prefix sum
 turned into the thresholds' +1 edges in place, and one argmax and one
 argmin over them.  Only the answer is built as a ``StumpHypothesis``,
-by ``StumpPool.candidate``.  ``StumpLearner`` answers the same queries
-for a booster and keeps each gain column it has computed.
+by ``StumpPool.candidate``.  ``StumpLearner`` is the weak learner a
+booster queries: ``best_stump`` over its dataset's own pool.
 """
 
 from __future__ import annotations
@@ -62,12 +62,16 @@ class StumpPool:
     ``split_at[k]`` locates threshold k in the (p, m+1) prefix-sum
     matrix of a query: flat index f*(m+1) + (rows below the threshold).
     Both come from ``build``.  Pools compare and hash by identity.
+
+    ``_signs`` keeps, by pool index, the +-1 predictions of each stump
+    ``best_stump`` has returned, as int8: a fit mostly repeats stumps.
     """
 
     features: np.ndarray
     thresholds: np.ndarray
     orders: np.ndarray = field(repr=False)
     split_at: np.ndarray = field(repr=False)
+    _signs: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, data: Dataset) -> "StumpPool":
@@ -117,8 +121,9 @@ class StumpPool:
 
 def best_stump(
     data: Dataset, d: np.ndarray, pool: StumpPool
-) -> tuple[StumpHypothesis, float, np.ndarray]:
-    """Pool stump with the largest edge sum_i d_i y_i h(x_i).
+) -> tuple[StumpHypothesis, np.ndarray, float]:
+    """Pool stump with the largest edge sum_i d_i y_i h(x_i), as the
+    weak-learner protocol's (hypothesis, gain column, edge).
 
     Uses the pool's presort: gather d_i*y_i into feature order, take
     row-wise prefix sums, and read every threshold's +1 edge
@@ -127,19 +132,13 @@ def best_stump(
     ``StumpPool.build``.  The largest +1 edge (first argmax) and the
     largest -1 edge (first argmin of the +1 edges) compete, and an exact
     tie goes to the earlier pool candidate, so ties resolve as a first
-    argmax over the whole pool order would.
-    """
-    j, d = _pick(data, d, pool)
-    stump = pool.candidate(j)
-    gain_column = data.labels * stump.predict(data.features)
-    return stump, float(d @ gain_column), gain_column
-
-
-def _pick(data: Dataset, d: np.ndarray, pool: StumpPool) -> tuple[int, np.ndarray]:
-    """Pool index of ``best_stump``'s answer, and d as a float vector.
+    argmax over the whole pool order would.  The gain column is a fresh
+    float vector, y times the predictions the pool keeps.
 
     A non-finite d is rejected with a ValueError.  The check reads only
-    the p feature totals, and scans d only when one is not finite.
+    the p feature totals, and scans d only when one is not finite.  A
+    finite d whose edge sums overflow is rejected too: an inf or NaN
+    edge is what the argmax or the argmin picks.
     """
     if len(pool) == 0:
         raise ValueError("stump pool is empty")
@@ -157,45 +156,45 @@ def _pick(data: Dataset, d: np.ndarray, pool: StumpPool) -> tuple[int, np.ndarra
     total = prefix[:, -1:].copy()
     if not math.isfinite(total.sum()):
         # every entry of d reaches every feature's total, so this catches
-        # any non-finite d; a finite d whose sums overflow keeps its answer
+        # any non-finite d before the edges are formed from it
         if not np.all(np.isfinite(d)):
             raise ValueError("distribution has non-finite entries")
     prefix *= -2.0
     prefix += total
     plus = prefix.ravel() if pool.split_at.size == prefix.size else prefix.take(pool.split_at)
     i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
-    if plus[i_pos] > -plus[i_neg] or (plus[i_pos] == -plus[i_neg] and i_pos <= i_neg):
-        return 2 * i_pos, d
-    return 2 * i_neg + 1, d
+    top, bottom = float(plus[i_pos]), float(plus[i_neg])
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError("distribution's edge sums overflow")
+    if top > -bottom or (top == -bottom and i_pos <= i_neg):
+        j = 2 * i_pos
+    else:
+        j = 2 * i_neg + 1
+    stump = pool.candidate(j)
+    signs = pool._signs.get(j)
+    if signs is None:
+        signs = pool._signs[j] = stump.predict(data.features).astype(np.int8)
+    gain_column = data.labels * signs
+    edge = float(d @ gain_column)
+    if not math.isfinite(edge):
+        raise ValueError("distribution's edge sums overflow")
+    return stump, gain_column, edge
 
 
 class StumpLearner:
-    """Max-edge responses over the stump pool of a dataset.
+    """The weak learner a booster queries: ``best_stump`` over the stump
+    pool of its dataset, built here."""
 
-    Answers as ``best_stump`` does.  A booster's queries mostly return
-    stumps it already holds, so each gain column is computed once and
-    kept by pool index.  Gains are exactly +-1, so the kept copy is int8
-    (m bytes per stump); each query hands out a fresh float column.
-    """
-
-    def __init__(self, data: Dataset, pool: StumpPool | None = None):
+    def __init__(self, data: Dataset):
         self.data = data
-        self.pool = pool if pool is not None else StumpPool.build(data)
-        self._gains: dict[int, np.ndarray] = {}
+        self.pool = StumpPool.build(data)
 
     @property
     def m(self) -> int:
         return self.data.m
 
     def query(self, d: np.ndarray):
-        j, d = _pick(self.data, d, self.pool)
-        stump = self.pool.candidate(j)
-        gains = self._gains.get(j)
-        if gains is None:
-            gains = (self.data.labels * stump.predict(self.data.features)).astype(np.int8)
-            self._gains[j] = gains
-        column = gains.astype(float)
-        return stump, column, float(d @ column)
+        return best_stump(self.data, d, self.pool)
 
 
 def full_gain_matrix(data: Dataset, pool: StumpPool) -> GainMatrix:

@@ -614,3 +614,36 @@ def test_libsvm_width_budget_boundary(tmp_path, monkeypatch):
     path.write_text("1 3:1\n-1 1:1\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="2 x 3"):
         load_dataset(str(path), "libsvm")
+
+
+def test_bench_rejects_an_unknown_algo_in_its_list(tmp_path, capsys):
+    code = main(["bench", "--data", separable_csv(tmp_path), "--algo", "lpboost,nope"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "unknown algo 'nope'" in captured.err
+    assert captured.out == ""
+
+
+MALFORMED_INPUTS = {
+    "empty csv": ("csv", "", ": empty file"),
+    "header-only csv": ("csv", "f0,f1,label\n", ": no data rows"),
+    "label-only csv": ("csv", "label\n1\n-1\n", ": no feature columns"),
+    "unlabeled csv": ("csv", "f0,f1\n0.5,1.0\n", ": no label column found"),
+    "non-numeric libsvm label": ("libsvm", "+1 1:0.5\nyes 1:0.25\n", ":2: bad label field"),
+    "0-based libsvm index": ("libsvm", "+1 0:0.5\n", ":1: indices are 1-based"),
+    "comment-only libsvm": ("libsvm", "# header\n\n   \n# footer\n", ": no data rows"),
+}
+
+
+@pytest.mark.parametrize(
+    "format, text, message", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys()
+)
+def test_train_rejects_malformed_input_with_its_message(tmp_path, capsys, format, text, message):
+    path = tmp_path / f"bad.{format}"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError, match=message):
+        load_dataset(str(path), format)
+    assert main(["train", "--data", str(path), "--format", format]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}{message}" in err
+    assert "Traceback" not in err

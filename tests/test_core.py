@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import marginforge
+from marginforge import cli
+from marginforge.boosting import BoosterConfig
 from marginforge.core import (
     CapParams,
     Dataset,
@@ -15,8 +17,9 @@ from marginforge.core import (
     margins,
     relative_entropy,
 )
+from marginforge.stumps import StumpLearner
 
-from conftest import capped_simplex_vertices
+from conftest import capped_simplex_vertices, two_gaussians
 
 
 def test_dataset_rejects_bad_labels():
@@ -74,13 +77,18 @@ def test_public_names_resolve_once():
         getattr(marginforge, name)
 
 
-def test_benchmark_tracer_layers_resolve():
-    """Every layer perfbench's tracer rebinds is still there to rebind:
-    a module-level function, or a method in its class's own namespace."""
+def _load_benchmark_tracer():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_layers_resolve():
+    """Every layer perfbench's tracer rebinds is still there to rebind:
+    a module-level function, or a method in its class's own namespace."""
+    tracer = _load_benchmark_tracer()
     assert tracer.LAYERS
     for _, module_name, attr in tracer.LAYERS:
         module = importlib.import_module(module_name)
@@ -90,6 +98,24 @@ def test_benchmark_tracer_layers_resolve():
             assert method in vars(getattr(module, cls_name)), attr
         else:
             assert callable(getattr(module, attr, None)), attr
+
+
+@pytest.mark.parametrize("algo", ["cerlpboost", "mlpb-ss"])
+def test_benchmark_tracer_sees_the_layers_a_fit_runs(algo):
+    """A layer a fit stops calling through its traced name reads 0 in
+    the benchmark; each fit queries the stump oracle once per round and
+    once in its start."""
+    runner, fw_rule, secondary = cli.ALGORITHMS[algo]
+    data = two_gaussians(200, seed=0)
+    config = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
+    with _load_benchmark_tracer().Tracer() as tracer:
+        _, records = runner(data, StumpLearner(data), config)
+    tracer.drain()
+    stats = tracer.stats
+    assert stats["stumps.query"].calls == len(records) + 1
+    assert stats["fw.step"].calls > 0
+    assert stats["core.margins"].calls > 0
+    assert (stats["lp.solve"].calls > 0) is (secondary == "lpboost")
 
 
 def test_gain_matrix_view_survives_appends_and_doubling():

@@ -8,7 +8,6 @@ from marginforge.stumps import (
     StumpHypothesis,
     StumpLearner,
     StumpPool,
-    _pick,
     best_stump,
     full_gain_matrix,
 )
@@ -89,7 +88,7 @@ def stump_queries(draw):
 def test_best_stump_is_identical_to_per_feature_sweep(query):
     data, d = query
     pool = StumpPool.build(data)
-    stump, edge, column = best_stump(data, d, pool)
+    stump, column, edge = best_stump(data, d, pool)
     ref_stump, ref_edge = sweep_best(data, d)
     assert stump == ref_stump
     assert edge == ref_edge  # bit-equal, not approximately equal
@@ -99,18 +98,17 @@ def test_best_stump_is_identical_to_per_feature_sweep(query):
 
 def test_learner_queries_match_fresh_best_stump_calls():
     data = two_gaussians(60, seed=1)
-    pool = StumpPool.build(data)
-    learner = StumpLearner(data, pool)
+    learner = StumpLearner(data)
     rng = np.random.default_rng(5)
     raw = [rng.exponential(1.0, data.m) for _ in range(12)]
     ds = [r / r.sum() for r in raw] + [np.full(data.m, 1.0 / data.m)]
     for d in ds + ds[::-1]:  # the second pass returns only stumps already held
         stump, column, edge = learner.query(d)
-        ref_stump, ref_edge, ref_column = best_stump(data, d, pool)
+        ref_stump, ref_column, ref_edge = best_stump(data, d, StumpPool.build(data))
         assert stump == ref_stump
         assert column.dtype == ref_column.dtype and np.array_equal(column, ref_column)
         assert edge == ref_edge
-        column[:] = 0.0  # a caller's copy: the kept gains stay as they were
+        column[:] = 0.0  # a caller's copy: the pool's kept predictions stay as they were
 
 
 def test_pool_thresholds_match_distinct_value_midpoints():
@@ -155,14 +153,14 @@ def test_pool_is_deterministic_and_covers_constants():
 def test_perfectly_split_feature_has_edge_one():
     data = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([-1.0, -1.0, 1.0, 1.0]))
     pool = StumpPool.build(data)
-    _, edge, column = best_stump(data, np.full(4, 0.25), pool)
+    _, column, edge = best_stump(data, np.full(4, 0.25), pool)
     assert edge == pytest.approx(1.0)
     assert np.allclose(column, 1.0)
 
 
 def test_constant_stump_matches_constant_labels():
     data = Dataset(np.array([[3.0], [1.0], [2.0]]), np.ones(3))
-    stump, edge, _ = best_stump(data, np.full(3, 1 / 3), StumpPool.build(data))
+    stump, _, edge = best_stump(data, np.full(3, 1 / 3), StumpPool.build(data))
     assert edge == pytest.approx(1.0)
     assert stump.threshold < 1.0  # fires everywhere
 
@@ -179,7 +177,7 @@ def test_best_stump_matches_naive_scan():
         raw = rng.exponential(1.0, m)
         d = raw / raw.sum()
         pool = StumpPool.build(data)
-        stump, edge, column = best_stump(data, d, pool)
+        stump, column, edge = best_stump(data, d, pool)
         ref_edge, ref_stump = naive_best(data, d, pool)
         assert edge == pytest.approx(ref_edge, abs=1e-12)
         # exact ties may resolve differently across the two float paths,
@@ -198,7 +196,7 @@ def test_sweep_agrees_with_naive_at_scale():
     raw = rng.exponential(1.0, 200)
     d = raw / raw.sum()
     pool = StumpPool.build(data)
-    _, edge, _ = best_stump(data, d, pool)
+    _, _, edge = best_stump(data, d, pool)
     ref_edge, _ = naive_best(data, d, pool)
     assert edge == pytest.approx(ref_edge, abs=1e-12)
 
@@ -208,7 +206,7 @@ def test_edge_equals_one_minus_twice_weighted_error():
     data = two_gaussians(60, seed=1)
     raw = rng.exponential(1.0, 60)
     d = raw / raw.sum()
-    stump, edge, _ = best_stump(data, d, StumpPool.build(data))
+    stump, _, edge = best_stump(data, d, StumpPool.build(data))
     werr = float(d @ (stump.predict(data.features) != data.labels))
     assert edge == pytest.approx(1.0 - 2.0 * werr, abs=1e-12)
 
@@ -318,7 +316,7 @@ def test_every_threshold_fires_on_the_rows_its_split_counts(values):
     # the presorted query agrees bit for bit with scoring every column
     rng = np.random.default_rng(m)
     d = rng.exponential(1.0, m)
-    stump, edge, column = best_stump(data, d, pool)
+    stump, column, edge = best_stump(data, d, pool)
     assert np.array_equal(column, data.labels * stump.predict(data.features))
     assert edge == max(float(d @ (data.labels * h.predict(data.features))) for h in pool.candidates)
 
@@ -398,7 +396,7 @@ def take_pick(data, d, pool):
 def test_pick_matches_the_gathered_total_minus_twice_prefix(query):
     data, d = query
     pool = StumpPool.build(data)
-    assert _pick(data, d, pool)[0] == take_pick(data, d, pool)
+    assert best_stump(data, d, pool)[0] == pool.candidate(take_pick(data, d, pool))
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
@@ -413,9 +411,10 @@ def test_pick_matches_with_and_without_the_split_gather(tied):
     rng = np.random.default_rng(11)
     for _ in range(40):
         d = rng.exponential(1.0, data.m)
-        assert _pick(data, d / d.sum(), pool)[0] == take_pick(data, d / d.sum(), pool)
+        d /= d.sum()
+        assert best_stump(data, d, pool)[0] == pool.candidate(take_pick(data, d, pool))
     uniform = np.full(data.m, 1.0 / data.m)
-    assert _pick(data, uniform, pool)[0] == take_pick(data, uniform, pool)
+    assert best_stump(data, uniform, pool)[0] == pool.candidate(take_pick(data, uniform, pool))
 
 
 def test_fits_never_form_the_candidate_tuple():
@@ -442,11 +441,24 @@ def test_query_names_a_non_finite_distribution():
             best_stump(data, d, pool)
 
 
-def test_query_answers_a_finite_distribution_whose_sums_overflow():
-    # the per-feature totals overflow, but every entry of d is finite:
-    # no error, the answer of the unchecked query
+def test_query_rejects_a_finite_distribution_whose_sums_overflow():
+    # every entry of d is finite, but the edge sums overflow: an inf or
+    # NaN edge would decide the answer, so the query refuses d instead
     data = two_gaussians(40, seed=3)
     d = np.full(data.m, 1e307)
     with np.errstate(over="ignore", invalid="ignore"):
-        stump, _, _ = StumpLearner(data).query(d)
-    assert isinstance(stump, StumpHypothesis)
+        with pytest.raises(ValueError, match="distribution's edge sums overflow"):
+            StumpLearner(data).query(d)
+        with pytest.raises(ValueError, match="distribution's edge sums overflow"):
+            best_stump(data, d, StumpPool.build(data))
+
+
+def test_pool_keeps_the_predictions_of_each_answer_once():
+    data = two_gaussians(60, seed=1)
+    pool = StumpPool.build(data)
+    d = np.full(data.m, 1.0 / data.m)
+    stump, column, _ = best_stump(data, d, pool)
+    (kept,) = pool._signs.values()
+    assert kept.dtype == np.int8 and np.array_equal(kept, stump.predict(data.features))
+    assert best_stump(data, d, pool)[1] is not column  # each answer is a fresh column
+    assert len(pool._signs) == 1
