@@ -86,6 +86,11 @@ class BoosterConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
             raise ValueError("eps must be a positive finite number")
+        if self.eps < EPS_FLOOR:  # the gap certificate is formed from float sums of size about 1
+            raise ValueError(
+                f"eps={self.eps!r} is too small: below EPS_FLOOR={EPS_FLOOR!r}, "
+                "no float gap can certify it"
+            )
         if self.fw_rule not in FW_RULES:
             raise ValueError(f"unknown fw rule {self.fw_rule!r}")
         if not callable(self.secondary) and self.secondary not in SECONDARY_RULES:
@@ -120,44 +125,28 @@ class TrainedModel:
 def default_iteration_cap(m: int, nu: float, eps: float) -> int:
     """Theoretical round bound ceil(32 * ln(m/nu) / eps^2) plus slack.
 
-    An eps below EPS_FLOOR is rejected even when its bound is finite: the
-    gap certificate is formed from float sums of size about 1, so such an
-    eps could never be met and the fit would not stop.
+    Finite for every eps ``BoosterConfig`` accepts; a direct call with an
+    eps whose bound overflows gets a ValueError that names eps.
     """
     try:
-        cap = math.ceil(32.0 * math.log(m / nu) / eps**2) + 16
+        return math.ceil(32.0 * math.log(m / nu) / eps**2) + 16
     except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or the bound overflows
         raise ValueError(
             f"eps={eps!r} is too small: the round bound 32*ln(m/nu)/eps^2 overflows"
         ) from None
-    _require_certifiable(eps)
-    return cap
-
-
-def _require_certifiable(eps: float) -> None:
-    """Reject an eps below EPS_FLOOR, which no float gap can certify."""
-    if eps < EPS_FLOOR:
-        raise ValueError(
-            f"eps={eps!r} is too small: below EPS_FLOOR={EPS_FLOOR!r}, "
-            "no float gap can certify it"
-        )
 
 
 def _start(learner, config: BoosterConfig):
     """Start state shared by both loops.
 
-    Returns the params, the round cap, and the one-column gain matrix and
-    edge of the weak learner's answer to the uniform distribution.  An eps
-    below EPS_FLOOR is rejected whether or not ``max_iterations`` caps
-    the rounds.
+    Returns the params, the round cap (``max_iterations``, else the
+    theoretical bound), and the one-column gain matrix and edge of the
+    weak learner's answer to the uniform distribution.  ``config`` has
+    already rejected an eps below EPS_FLOOR.
     """
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)
-    if config.max_iterations is None:
-        cap_rounds = default_iteration_cap(m, config.nu, config.eps)
-    else:
-        _require_certifiable(config.eps)
-        cap_rounds = config.max_iterations
+    cap_rounds = config.max_iterations or default_iteration_cap(m, config.nu, config.eps)
     hypothesis, column, edge0 = learner.query(np.full(m, 1.0 / m))
     return params, cap_rounds, GainMatrix([column], [hypothesis]), edge0
 
@@ -323,7 +312,10 @@ def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> 
     step's trial projection, or the kernel's projection of the iterate
     its line search reached), so the solve never projects the same
     margins twice, and the caller need not project the result again.
-    Hitting the inner cap logs a warning and returns the current iterate.
+    Hitting the inner cap logs a warning and returns the current iterate,
+    and so does a step that returns its input weights bit for bit: the
+    next step would start from the same weights and projection, so the
+    solve has reached the fixed point of its float arithmetic.
     """
     tol = params.eps / 10.0
     w = start
@@ -335,7 +327,13 @@ def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> 
         gap = float(col_edges.max() - col_edges @ w)
         if gap <= tol:
             return w, proj
-        w, proj = newton_step(A, w, proj, params, col_edges)
+        new_w, proj = newton_step(A, w, proj, params, col_edges)
+        if np.array_equal(new_w, w):  # a fixed point: every later step would return w again
+            logger.warning(
+                "fully corrective inner solve stalled at gap %r above its tolerance %r", gap, tol
+            )
+            return w, proj
+        w = new_w
     logger.warning("fully corrective inner solve hit its %d-step cap", _ERLP_INNER_CAP)
     return w, proj
 

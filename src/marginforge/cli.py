@@ -361,9 +361,9 @@ def cmd_predict(model_path: str, data_path: str, format: str = "csv") -> int:
     return EXIT_OK
 
 
-def _bench_cell(manifest: RunManifest, features, labels, conn):
+def _bench_cell(manifest: RunManifest, data: Dataset, conn):
+    """One sweep cell in a forked worker, which inherits the parent's checked ``data``."""
     try:
-        data = Dataset(features, labels)
         tic = time.perf_counter()
         model, records = _run_manifest(manifest, data)
         conn.send(
@@ -397,9 +397,7 @@ def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) ->
         while pending and len(running) < threads:
             idx, cell = pending.pop(0)
             parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_bench_cell, args=(cell, data.features, data.labels, child)
-            )
+            proc = ctx.Process(target=_bench_cell, args=(cell, data, child))
             proc.start()
             child.close()
             running[idx] = (proc, parent, cell, time.perf_counter())

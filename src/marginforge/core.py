@@ -82,11 +82,10 @@ class CapParams:
         At nu == m the capped simplex is the single point 1/m and the
         formula would give eta = 0; any positive eta yields the same
         (unique) feasible vector, so eta is floored at ``ETA_FLOOR``.
-        An eps so small that eta overflows is rejected by name.
+        eta is finite for every eps ``BoosterConfig`` accepts; an eps so
+        small that it overflows fails the eta check.
         """
         eta = max(2.0 * math.log(m / nu) / eps, ETA_FLOOR)
-        if eta == math.inf:
-            raise ValueError(f"eps={eps!r} is too small: eta = 2*ln(m/nu)/eps overflows")
         return cls(nu=nu, m=m, eta=eta, eps=eps)
 
     @cached_property

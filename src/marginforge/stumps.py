@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +53,8 @@ class StumpPool:
     The pool is held as arrays, one entry per threshold k in pool order:
     ``features[k]`` and ``thresholds[k]``.  Candidate 2k is
     (features[k], thresholds[k], +1) and candidate 2k+1 the same
-    threshold with polarity -1; ``candidate(j)`` builds one on demand.
-    ``candidates``, the whole tuple, is formed on first access only: a
-    fit reads a few of the pool's stumps and never forms it.
+    threshold with polarity -1; ``candidate(j)`` builds one on demand,
+    so a fit forms only the stumps its queries return.
 
     ``orders[f]`` is the stable ascending argsort of feature f (p x m).
     ``split_at[k]`` locates threshold k in the (p, m+1) prefix-sum
@@ -112,11 +110,6 @@ class StumpPool:
         """Pool candidate j: threshold j // 2, polarity +1 at even j, -1 at odd."""
         k, odd = divmod(j, 2)
         return StumpHypothesis(int(self.features[k]), float(self.thresholds[k]), -1 if odd else 1)
-
-    @cached_property
-    def candidates(self) -> tuple[StumpHypothesis, ...]:
-        """Every candidate in pool order, formed once on first access."""
-        return tuple(map(self.candidate, range(len(self))))
 
 
 def best_stump(
@@ -199,5 +192,5 @@ class StumpLearner:
 
 def full_gain_matrix(data: Dataset, pool: StumpPool) -> GainMatrix:
     """Gain columns of every pool candidate, in pool order."""
-    columns = [data.labels * h.predict(data.features) for h in pool.candidates]
-    return GainMatrix(columns, list(pool.candidates))
+    stumps = [pool.candidate(j) for j in range(len(pool))]
+    return GainMatrix([data.labels * h.predict(data.features) for h in stumps], stumps)

@@ -110,6 +110,11 @@ def min_linear_over_cap(vector, nu: float) -> float:
     return min(float(d @ vector) for d in capped_simplex_vertices(vector.shape[0], nu))
 
 
+def pool_candidates(pool) -> tuple:
+    """Every candidate of a ``StumpPool``, in pool order."""
+    return tuple(pool.candidate(j) for j in range(len(pool)))
+
+
 def reference_stump_pool(data: Dataset):
     """The stump pool as first built: one ``StumpHypothesis`` object per
     candidate, enumerated verbatim, as an oracle for the array-backed pool.

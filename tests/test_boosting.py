@@ -174,6 +174,38 @@ def test_secondary_erlpboost_matches_grid_oracle():
     assert value <= grid_best + params.eps / 10 + 1e-9
 
 
+def test_corrective_solve_stops_at_its_fixed_point(monkeypatch, caplog):
+    # at eps 1e-8 the first corrective solve on this sample reaches weights
+    # that a Newton step returns bit for bit, with the gap still above eps/10
+    steps = {"n": 0}
+    solves = []
+
+    def counting_step(*args):
+        steps["n"] += 1
+        return fw.newton_step(*args)
+
+    def recording_solve(A, params, start):
+        A = GainMatrix(list(A.as_array().T), list(A.hypothesis_ids))  # a copy the fit cannot grow
+        w, proj = secondary_erlpboost(A, params, start)
+        solves.append((A, params, w, proj))
+        return w, proj
+
+    monkeypatch.setattr(boosting, "newton_step", counting_step)
+    monkeypatch.setattr(boosting, "secondary_erlpboost", recording_solve)
+    data = two_gaussians(60, seed=0)
+    cfg = BoosterConfig(eps=1e-8, nu=6.0, secondary="erlpboost", max_iterations=1)
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        run_scheme(data, StumpLearner(data), cfg)
+    [(A, params, w, proj)] = solves
+    assert 0 < steps["n"] < boosting._ERLP_INNER_CAP // 100
+    col_edges = proj.d @ A.as_array()
+    gap, tol = float(col_edges.max() - col_edges @ w), params.eps / 10.0
+    assert gap > tol
+    assert np.array_equal(fw.newton_step(A, w, proj, params, col_edges)[0], w)
+    stalled = f"fully corrective inner solve stalled at gap {gap!r} above its tolerance {tol!r}"
+    assert stalled in [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
 @pytest.mark.parametrize("error", [LpError("pivot limit"), np.linalg.LinAlgError("singular")])
 def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
     calls = {"n": 0}
@@ -343,18 +375,33 @@ def test_default_iteration_cap_formula():
     assert default_iteration_cap(200, 20.0, 0.2) == math.ceil(32 * math.log(10) / 0.04) + 16
 
 
-def test_default_iteration_cap_rejects_an_eps_below_the_floor():
+def test_booster_config_rejects_an_eps_below_the_floor():
     assert default_iteration_cap(200, 20.0, EPS_FLOOR) > 0
-    with pytest.raises(ValueError, match=r"eps=9\.9e-13 is too small: below EPS_FLOOR"):
-        default_iteration_cap(200, 20.0, 9.9e-13)
+    BoosterConfig(eps=EPS_FLOOR, nu=20.0)
+    for value in (9.9e-13, 1e-13, 1e-15, 1e-160, 1e-200, 1e-320):
+        with pytest.raises(ValueError, match=rf"eps={value!r} is too small: below EPS_FLOOR=1e-12"):
+            BoosterConfig(eps=value, nu=20.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_booster_config_rejects_an_eps_that_is_not_positive_and_finite(value):
+    with pytest.raises(ValueError, match="eps must be a positive finite number"):
+        BoosterConfig(eps=value, nu=20.0)
+
+
+def test_direct_callers_get_the_overflow_guards():
+    # below the floor a fit never forms these; a direct call still gets a message
+    with pytest.raises(ValueError, match=r"eps=1e-200 is too small: the round bound"):
+        default_iteration_cap(200, 20.0, 1e-200)
+    with pytest.raises(ValueError, match="eta must be a positive finite number"):
+        CapParams.from_tolerance(200, 20.0, 1e-320)
 
 
 @pytest.mark.parametrize("runner", [run_scheme, run_lpboost])
 def test_a_round_cap_does_not_let_an_eps_below_the_floor_through(runner):
     data = two_gaussians(60, seed=1)
-    config = BoosterConfig(eps=1e-15, nu=6.0, max_iterations=5)
     with pytest.raises(ValueError, match=r"eps=1e-15 is too small: below EPS_FLOOR"):
-        runner(data, StumpLearner(data), config)
+        runner(data, StumpLearner(data), BoosterConfig(eps=1e-15, nu=6.0, max_iterations=5))
 
 
 def _model(hypotheses, weights):

@@ -514,6 +514,7 @@ def test_train_rejects_non_finite_eps(tmp_path, capsys, value):
     [("1e-320", "eta = 2*ln(m/nu)/eps"), ("1e-200", "round bound"), ("1e-160", "round bound")],
 )
 def test_train_rejects_an_eps_whose_eta_or_round_bound_overflows(tmp_path, capsys, value, overflows):
+    # such an eps is below the floor, which is checked before eta or the bound is formed
     model_path = tmp_path / "model.json"
     code = main([
         "train", "--data", separable_csv(tmp_path), "--algo", "erlpboost", "--nu-frac", "0.5",
@@ -521,7 +522,30 @@ def test_train_rejects_an_eps_whose_eta_or_round_bound_overflows(tmp_path, capsy
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"eps={value} is too small" in err and overflows in err
+    assert f"eps={value} is too small: below EPS_FLOOR=1e-12" in err and overflows not in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("max_iters", [None, "5"], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("value", ["1e-13", "1e-15", "1e-160", "1e-200", "1e-320"])
+def test_train_rejects_an_eps_below_the_floor_before_building_the_pool(
+    tmp_path, capsys, monkeypatch, value, max_iters
+):
+    model_path = tmp_path / "model.json"
+
+    def no_pool(data):
+        raise AssertionError("the stump pool was built")
+
+    monkeypatch.setattr(StumpPool, "build", no_pool)
+    argv = [
+        "train", "--data", separable_csv(tmp_path), "--algo", "erlpboost",
+        "--eps", value, "--model-out", str(model_path),
+    ]
+    tic = time.perf_counter()
+    code = main(argv + (["--max-iters", max_iters] if max_iters else []))
+    assert time.perf_counter() - tic < 1.0
+    assert code == 1
+    assert f"eps={value} is too small: below EPS_FLOOR=1e-12" in capsys.readouterr().err
     assert not model_path.exists()
 
 

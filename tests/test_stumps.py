@@ -16,14 +16,14 @@ from marginforge import cli
 from marginforge.boosting import BoosterConfig
 from marginforge.cli import main
 
-from conftest import pool_oracle, reference_stump_pool, two_gaussians, write_csv
+from conftest import pool_candidates, pool_oracle, reference_stump_pool, two_gaussians, write_csv
 
 
 def naive_best(data, d, pool):
     """Reference scan: dot every pool column with d*y, first max wins."""
     weighted = d * data.labels
     best = None
-    for h in pool.candidates:
+    for h in pool_candidates(pool):
         edge = float(weighted @ h.predict(data.features))
         if best is None or edge > best[0]:
             best = (edge, h)
@@ -92,7 +92,7 @@ def test_best_stump_is_identical_to_per_feature_sweep(query):
     ref_stump, ref_edge = sweep_best(data, d)
     assert stump == ref_stump
     assert edge == ref_edge  # bit-equal, not approximately equal
-    assert stump in pool.candidates
+    assert stump in pool_candidates(pool)
     assert np.array_equal(column, data.labels * stump.predict(data.features))
 
 
@@ -120,8 +120,8 @@ def test_pool_thresholds_match_distinct_value_midpoints():
         distinct = np.unique(data.features[:, f])
         thresholds = [distinct[0] - 1.0, *((distinct[:-1] + distinct[1:]) / 2.0), distinct[-1] + 1.0]
         expected.extend((f, float(thr)) for thr in thresholds)
-    assert [(h.feature, h.threshold) for h in pool.candidates[::2]] == expected
-    assert [h.polarity for h in pool.candidates] == [1, -1] * len(expected)
+    assert [(h.feature, h.threshold) for h in pool_candidates(pool)[::2]] == expected
+    assert [h.polarity for h in pool_candidates(pool)] == [1, -1] * len(expected)
 
 
 def test_mismatched_pool_is_configuration_error():
@@ -143,10 +143,10 @@ def test_stump_prediction_sign_convention():
 def test_pool_is_deterministic_and_covers_constants():
     data = Dataset(np.array([[0.0], [1.0], [1.0], [2.0]]), np.array([1.0, -1.0, 1.0, -1.0]))
     pool = StumpPool.build(data)
-    assert pool.candidates == StumpPool.build(data).candidates
+    assert pool_candidates(pool) == pool_candidates(StumpPool.build(data))
     # 3 distinct values -> 2 midpoints + below-min + above-max, both signs
     assert len(pool) == 8
-    thresholds = [h.threshold for h in pool.candidates[::2]]
+    thresholds = [h.threshold for h in pool_candidates(pool)[::2]]
     assert thresholds == [-1.0, 0.5, 1.5, 3.0]
 
 
@@ -249,7 +249,7 @@ def test_full_gain_matrix_entries():
     pool = StumpPool.build(data)
     A = full_gain_matrix(data, pool)
     assert A.t == len(pool)
-    for j, h in enumerate(pool.candidates):
+    for j, h in enumerate(pool_candidates(pool)):
         assert np.allclose(A.as_array()[:, j], data.labels * h.predict(data.features))
 
 
@@ -259,7 +259,7 @@ def interleaved_pick(data, d, pool):
     prefix = np.zeros((data.p, data.m + 1))
     np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
     plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
-    return pool.candidates[int(np.argmax(np.column_stack([plus, -plus]).ravel()))]
+    return pool_candidates(pool)[int(np.argmax(np.column_stack([plus, -plus]).ravel()))]
 
 
 @st.composite
@@ -305,9 +305,9 @@ def test_every_threshold_fires_on_the_rows_its_split_counts(values):
     m = x.size
     data = Dataset(np.column_stack([x, x[::-1]]), np.where(np.arange(m) % 2, 1.0, -1.0))
     pool = StumpPool.build(data)
-    assert len(set(pool.candidates)) == len(pool.candidates)
+    assert len(set(pool_candidates(pool))) == len(pool_candidates(pool))
     assert pool.split_at.size == len(pool) // 2
-    for h, flat in zip(pool.candidates[::2], pool.split_at.tolist()):
+    for h, flat in zip(pool_candidates(pool)[::2], pool.split_at.tolist()):
         f, below = divmod(flat, m + 1)
         assert f == h.feature
         assert np.isfinite(h.threshold)
@@ -318,14 +318,15 @@ def test_every_threshold_fires_on_the_rows_its_split_counts(values):
     d = rng.exponential(1.0, m)
     stump, column, edge = best_stump(data, d, pool)
     assert np.array_equal(column, data.labels * stump.predict(data.features))
-    assert edge == max(float(d @ (data.labels * h.predict(data.features))) for h in pool.candidates)
+    gains = (data.labels * h.predict(data.features) for h in pool_candidates(pool))
+    assert edge == max(float(d @ gain) for gain in gains)
 
 
 def test_no_finite_threshold_above_the_float_maximum_drops_that_pair():
     top = np.finfo(float).max
     data = Dataset(np.array([[top], [0.0]]), np.array([1.0, -1.0]))
     pool = StumpPool.build(data)
-    assert [h.threshold for h in pool.candidates[::2]] == [-1.0, top / 2.0]
+    assert [h.threshold for h in pool_candidates(pool)[::2]] == [-1.0, top / 2.0]
     assert pool.split_at.tolist() == [0, 1]
 
 
@@ -373,7 +374,6 @@ def test_array_pool_matches_the_object_building_reference(data):
     built = [pool.candidate(j) for j in range(len(pool))]
     assert [_bits(h) for h in built] == [_bits(h) for h in ref_candidates]
     assert all(type(h.feature) is int and type(h.threshold) is float for h in built)
-    assert [_bits(h) for h in pool.candidates] == [_bits(h) for h in ref_candidates]
     assert pool.features.dtype == np.intp
     assert np.array_equal(pool.orders, ref_orders)
     assert np.array_equal(pool.split_at, ref_split_at)
@@ -423,9 +423,8 @@ def test_fits_never_form_the_candidate_tuple():
     for runner, fw_rule, secondary in cli.ALGORITHMS.values():
         config = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
         assert runner(data, learner, config)[0].converged
-    assert "candidates" not in vars(learner.pool)
-    assert learner.pool.candidates is learner.pool.candidates  # cached where the check looks
-    assert "candidates" in vars(learner.pool)
+    # the pool keeps the signs of each stump a query returned, and only those
+    assert 0 < len(learner.pool._signs) < len(learner.pool) // 4
 
 
 def test_query_names_a_non_finite_distribution():
