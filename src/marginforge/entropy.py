@@ -11,6 +11,9 @@ caller that also needs ``capped_min_linear`` of the same vector sorts
 once, and evaluates its objective only on demand, in closed form from
 the capped entries and the uncapped entries' normaliser: O(k) for k
 capped entries, where the entropy of d would take a logarithm over m.
+Below eta 1 that form loses the digits the division by eta magnifies,
+so there the objective is summed from small terms over the uncapped
+entries, in O(m).
 
 The public functions validate at the boundary: they copy their input,
 scan it for non-finite entries and check shapes, then sort from
@@ -46,6 +49,7 @@ from .constants import CAP_REL_SLACK, ENTROPY_ZERO, EXP_RECHECK_RTOL
 from .core import CapParams
 
 _LOOP_SCAN_MAX = 64  # longest cap scan run as a Python loop
+_SHIFTED_OBJECTIVE_ETA = 1.0  # eta below which the objective is summed from small terms
 
 
 @dataclass(frozen=True)
@@ -78,14 +82,45 @@ class ProjectionResult:
         R = 1 - k/nu, so their d_i*theta_i cancel against the entropy
         and what is left is cap*sum(capped theta) + (k*cap*ln cap
         + R*(ln R - lse) + ln m)/eta, with R*ln R = 0 at R = 0.
+
+        The bracket is a difference of terms of size ln m, so it carries
+        an absolute error of a few ulps of ln m, which the division by
+        eta magnifies.  Below ``_SHIFTED_OBJECTIVE_ETA`` the bracket is
+        formed from small terms instead, in O(m): see ``_small_eta_entropy``.
         """
-        k, nu = self.capped_count, self.params.nu
+        k, nu, eta = self.capped_count, self.params.nu, self.params.eta
         cap = 1.0 / nu
         remaining = 1.0 - k / nu
+        capped_sum = cap * float(self.theta[self.order[:k]].sum())
+        if eta < _SHIFTED_OBJECTIVE_ETA:
+            return capped_sum + self._small_eta_entropy(remaining)
         entropy = k * cap * math.log(cap) + math.log(self.d.shape[0])
         if remaining > 0.0:
             entropy += remaining * (math.log(remaining) - self.lse)
-        return cap * float(self.theta[self.order[:k]].sum()) + entropy / self.params.eta
+        return capped_sum + entropy / eta
+
+    def _small_eta_entropy(self, remaining: float) -> float:
+        """The objective's terms past the capped sum, accurate at small eta.
+
+        With n = m - k uncapped entries, t the smallest uncapped theta and
+        E = sum over the uncapped entries of expm1(-eta*(theta_i - t)),
+        lse = -eta*t + ln(n + E) and m*R = n - k*(m - nu)/nu, so the
+        bracket is k*cap*log1p((m - nu)/nu) + R*(eta*t + ln(m*R/(n + E))),
+        and ln(m*R/(n + E)) = log1p(-(k*(m - nu)/nu + E)/(n + E)).  Every
+        term is formed to a relative ulp, so dividing by eta loses nothing.
+        """
+        k, nu, eta = self.capped_count, self.params.nu, self.params.eta
+        m = self.d.shape[0]
+        excess = (m - nu) / nu  # m*cap - 1
+        value = k * math.log1p(excess) / (nu * eta)
+        if remaining > 0.0:
+            free = self.theta[self.order[k:]]
+            t = float(free[0])
+            spread = float(np.expm1(-eta * (free - t)).sum())  # E, in (-n, 0]
+            n = m - k
+            log_ratio = math.log1p(-(k * excess + spread) / (n + spread))
+            value += remaining * (t + log_ratio / eta)
+        return value
 
 
 def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> ProjectionResult:

@@ -46,6 +46,17 @@ def test_projection_nu_equals_m_forces_uniform():
     assert np.allclose(res.d, 0.2, atol=1e-9)
 
 
+@pytest.mark.parametrize("nu_below_m", [0.0, 4e-15, 1e-12])
+def test_objective_at_the_eta_floor_is_the_mean(nu_below_m):
+    # every feasible d lies within 2*nu_below_m/m of uniform in l1 norm, so
+    # the objective is mean(theta) to far below 1e-12, though eta = 1e-9
+    # scales a rounding error of ln m in the entropy up by 1e9
+    theta = np.random.default_rng(5).uniform(-1, 1, 17)
+    res = capped_entropy_projection(theta, params(17, 17.0 - nu_below_m, 1e-9))
+    assert abs(res.objective - theta.mean()) <= 1e-12
+    assert abs(smoothed_conjugate(-theta, res.params) + theta.mean()) <= 1e-12
+
+
 def test_projection_frozen_instance():
     # oracle_projection([0.9, 0.1, -0.5], nu=1.5, eta=2) computed these
     res = capped_entropy_projection(np.array([0.9, 0.1, -0.5]), params(3, 1.5, 2.0))
