@@ -6,22 +6,21 @@ certified optimality gap, then keeps the better of a conditional
 gradient update and an optional secondary update (a secondary that
 fails numerically leaves the conditional-gradient update in place).
 Ensemble weights are one vector with an entry per discovered column,
-grown by a zero whenever the weak learner returns a new column.  Their
-margins A @ w are carried from round to round: each update hands back
-the margins of its candidate (the FW rule as ``base + lam * direction``,
-the secondary as the A @ w it forms for its value), A @ w is re-derived
-every ``_MARGIN_REFRESH`` rounds to bound the drift, and a round that
-may stop re-derives it first, so the certificate and the final model
-never read a carried vector.  The projection of the margins is carried
-with them: a round that compares two candidates scores each as minus
-the objective of the projection of exactly the margins it would keep,
-and the winner's projection is the next round's distribution, so the
-round does not project those margins again.  A round without a
-comparison, a re-derivation and the certify re-check project afresh,
-seeded with the previous round's sort order.  The loop calls the
-entropy kernels (``entropy._project``, ``entropy._min_linear``), which
-skip the public functions' input checks: every vector it projects is
-one it formed itself.
+grown by a zero whenever the weak learner returns a new column.  Beside
+them the loop carries one round state, ``proj``: every round ends holding
+the projection of the margins A @ w it keeps, and the next round reads
+from it its distribution, its margins (the FW rule's base), its objective
+and its sort order, which seeds the next sort.  Each candidate is
+projected once, the FW rule's ``base + lam * direction`` right after its
+step and the secondary's A @ w inside the secondary, and the one whose
+projection has the larger objective (the smaller smoothed value) is
+kept.  Every ``_MARGIN_REFRESH`` rounds, and on a round that may stop,
+``proj`` becomes the projection of a fresh A @ w: the drift of the
+carried margins stays bounded, and the certificate and the final model
+never read them.  The loop calls the entropy kernels
+(``entropy._project``, ``entropy._min_linear``), which skip the public
+functions' input checks: every vector it projects is one it formed
+itself.
 The FW rule is handed the gain column the weak learner returned, which
 is contiguous, where column j_new of A is a strided view of the gain
 matrix's buffer.
@@ -154,8 +153,8 @@ def _start(learner, config: BoosterConfig):
 def run_scheme(data, learner, config: BoosterConfig):
     """Generic booster: certified stopping, FW rule vs secondary rule.
 
-    Per round: distribution by entropy projection of the margins, weak
-    learner query, gap eps_t = min running edge + smoothed objective,
+    Per round: weak learner query at the distribution the last round
+    ended holding, gap eps_t = min running edge + smoothed objective,
     stop at eps_t <= eps/2, otherwise keep whichever of the FW and
     secondary candidates has the smaller smoothed objective (ties stay
     with FW).  The margins are carried, not rebuilt, and a round is
@@ -172,9 +171,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     """
     params, cap_rounds, A, min_edge = _start(learner, config)
     w = np.ones(1)
-    marg = margins(A, w)  # carried from round to round, re-derived every _MARGIN_REFRESH
-    proj = None  # the projection of marg, when the last comparison formed it
-    order = None  # the latest projection's sort order, which seeds the next sort
+    proj = _project(margins(A, w), params)  # of the kept margins; every round ends holding one
     records: list[IterationRecord] = []
     converged = False
     lp_memo = None  # (A.t, weights, projection of their margins) of the last LPBoost solve
@@ -182,24 +179,21 @@ def run_scheme(data, learner, config: BoosterConfig):
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
         if t % _MARGIN_REFRESH == 0:
-            marg, proj = margins(A, w), None
-        proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, proj, order)
-        order = proj.order
+            proj = _project(margins(A, w), params, proj.order)
 
         hypothesis, column, edge_new = learner.query(proj.d)
         A, j_new = A.with_column(column, hypothesis)
         if j_new == w.size:
             w = np.append(w, 0.0)
         min_edge = min(min_edge, edge_new)
-        eps_t = min_edge + smoothed_obj
-
+        eps_t = min_edge - proj.objective
         if eps_t <= config.eps / 2.0:
             # certify on a fresh A @ w, never on the carried margins; a round
-            # that fails the re-check goes on from the fresh vector
-            marg = margins(A, w)
-            proj, smoothed_obj, soft_margin_obj = _evaluate(marg, params, None, order)
-            order = proj.order
-            eps_t = min_edge + smoothed_obj
+            # that fails the re-check goes on from the fresh projection
+            proj = _project(margins(A, w), params, proj.order)
+            eps_t = min_edge - proj.objective
+        smoothed_obj = -proj.objective
+        soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
         if eps_t <= config.eps / 2.0:
             converged = True
             records.append(
@@ -210,9 +204,9 @@ def run_scheme(data, learner, config: BoosterConfig):
             )
             break
 
-        fw_out = _fw_update(config.fw_rule, A, w, j_new, marg, proj.d, params, t, column)
+        fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
         chosen_rule = "fw"
-        w, marg, proj = fw_out.new_w, fw_out.margins, None
+        w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
         if lp_memo is not None and lp_memo[0] == A.t:
             # known column: the restricted LP is the one already solved
             _, secondary_w, secondary_proj = lp_memo
@@ -220,23 +214,17 @@ def run_scheme(data, learner, config: BoosterConfig):
             # the FW candidate doubles as the warm start for a corrective solve
             try:
                 secondary_w, secondary_proj = _secondary_update(
-                    config.secondary, A, params, config.nu, fw_out.new_w
+                    config.secondary, A, params, config.nu, w
                 )
             except (LpError, np.linalg.LinAlgError) as exc:
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                 secondary_w = None
             if secondary_w is not None and config.secondary == "lpboost":
                 lp_memo = (A.t, secondary_w, secondary_proj)
-        if secondary_w is not None:
-            # each candidate's smoothed value is minus the objective of the
-            # projection of its margins; the winner's projection starts the
-            # next round
-            fw_proj = _project(marg, params)
-            if -secondary_proj.objective < -fw_proj.objective:
-                chosen_rule = "secondary"
-                w, marg, proj = secondary_w, secondary_proj.theta, secondary_proj
-            else:
-                proj = fw_proj
+        # a candidate's smoothed value is minus its projection's objective
+        if secondary_w is not None and secondary_proj.objective > proj.objective:
+            chosen_rule = "secondary"
+            w, proj = secondary_w, secondary_proj
 
         records.append(
             IterationRecord(
@@ -250,20 +238,6 @@ def run_scheme(data, learner, config: BoosterConfig):
     if not converged:
         logger.warning("booster hit the iteration cap (%d rounds)", cap_rounds)
     return model, records
-
-
-def _evaluate(marg, params, proj, order):
-    """Projection of the margins and the round's two objectives.
-
-    ``proj``, when given, is already the projection of ``marg`` and is
-    used as it is; otherwise ``marg`` is projected, its sort seeded by
-    ``order``.  Returns the projection, the smoothed objective and the
-    soft-margin objective.
-    """
-    if proj is None:
-        proj = _project(marg, params, order)
-    soft_margin_obj, _ = _min_linear(marg, params.nu, proj.order)
-    return proj, -proj.objective, soft_margin_obj
 
 
 def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:

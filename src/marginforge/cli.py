@@ -333,8 +333,9 @@ def load_model(path: str):
         if weight is None:
             raise DataFormatError(f"{path}: weight {k} is not a number: {v!r}")
         weights.append(weight)
-    if not all(math.isfinite(v) for v in weights):
-        raise DataFormatError(f"{path}: weights must be finite")
+    # bounds every partial sum of the vote, so predict's score cannot overflow
+    if not math.isfinite(sum(abs(v) for v in weights)):
+        raise DataFormatError(f"{path}: weights must be finite, and so must their absolute sum")
     return _DiskModel(hypotheses=hypotheses, weights=weights)
 
 

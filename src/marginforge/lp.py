@@ -13,11 +13,11 @@ from scratch every ``_REFACTOR_INTERVAL`` changes to bound the drift;
 the basic solution and duals it returns come from fresh solves.  A
 variable's bound state is its nonbasic value alone: ``x_nb`` holds u at
 an upper-bound nonbasic and 0 elsewhere.  The pivot loop also carries
-one pricing sign per variable, the basis's costs, upper bounds and
-finite-bound mask, and ``b - A @ x_nb`` and the reduced costs for as
-long as the pivots leave them unchanged.  Its pivots and outputs equal
-bit for bit those of the reference kernel in ``tests/conftest.py``,
-which rebuilds all of these at every pivot.  ``solve_edge_min`` is the
+one pricing sign per variable, the basis's costs and upper bounds,
+and ``b - A @ x_nb`` and the reduced costs for as long as the pivots
+leave them unchanged.  Its pivots and outputs equal bit for bit those
+of the reference kernel in ``tests/conftest.py``, which rebuilds all of
+these at every pivot.  ``solve_edge_min`` is the
 one entry point above it: it checks ``nu``, merges identical instance
 rows, builds the start basis of the form it solves, solves the
 restricted edge-min / soft-margin pair over the distinct rows, and
@@ -103,11 +103,12 @@ def _iterate(A, b, c, u, basis, x_nb):
     pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its lower
     bound, and a basic variable has 0.  A column is eligible when
     ``red * sign < -LP_PIVOT_TOL``, and Dantzig's column is the first
-    argmin.  The signs and the basis's costs, upper bounds and
-    finite-bound mask are carried from pivot to pivot.  ``b - A @ x_nb``
-    is formed again only after ``x_nb`` changes, and the reduced costs
-    only after the basis does; a bound flip keeps them.  Reduced costs
-    are assumed finite: a NaN would win the argmin.
+    argmin.  The signs and the basis's costs and upper bounds are
+    carried from pivot to pivot; a basic variable with an infinite upper
+    bound gets an infinite room and ratio, so it never leaves toward it.
+    ``b - A @ x_nb`` is formed again only after ``x_nb`` changes, and the
+    reduced costs only after the basis does; a bound flip keeps them.
+    Reduced costs are assumed finite: a NaN would win the argmin.
     """
     r, n = A.shape
     bland = False
@@ -119,9 +120,8 @@ def _iterate(A, b, c, u, basis, x_nb):
     sign[basis] = 0.0
     c_B = c[basis]
     u_B = u[basis]
-    finite_B = np.isfinite(u_B)
     ratios = np.empty(r)
-    room = np.empty(r)  # u_B - x_B on the rows that can reach their upper bound
+    room = np.empty(r)  # u_B - x_B on the rows that move toward their upper bound
     rhs = red = None  # b - A @ x_nb and the reduced costs, while still current
 
     for _ in range(_MAX_PIVOTS):
@@ -161,7 +161,6 @@ def _iterate(A, b, c, u, basis, x_nb):
 
         to_lower = step > LP_RATIO_TOL
         to_upper = step < -LP_RATIO_TOL
-        to_upper &= finite_B
         ratios.fill(math.inf)
         np.divide(x_B, step, out=ratios, where=to_lower)
         np.subtract(u_B, x_B, out=room, where=to_upper)
@@ -199,7 +198,6 @@ def _iterate(A, b, c, u, basis, x_nb):
         sign[j] = 0.0
         c_B[leave_pos] = c[j]
         u_B[leave_pos] = u_j
-        finite_B[leave_pos] = math.isfinite(u_j)
         if to_lower[leave_pos]:
             sign[out] = 1.0
         else:

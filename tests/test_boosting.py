@@ -507,42 +507,93 @@ def _assert_same_projection(got, fresh):
     assert np.float64(got.objective).tobytes() == np.float64(fresh.objective).tobytes()
 
 
+# kernel projections (``entropy._project`` through boosting and fw) of each
+# fit in the test below.  A fit that compares candidates makes exactly these;
+# cerlpboost may make one more per ``_MARGIN_REFRESH`` rounds, where its
+# refresh replaces a projection that no comparison read
+KERNEL_PROJECTIONS = {
+    "erlpboost": 55,
+    "cerlpboost": 1844,
+    "mlpb-ss": 379,
+    "mlpb-pfw": 530,
+    "mlpb-ls": 350,
+    "mlpb-classic": 478,
+}
+
+
 @pytest.mark.parametrize("algo", SCHEME_ALGOS)
 def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypatch):
-    """The loop projects through the unchecked kernel and hands the winning
-    candidate's projection to the next round; each projection it uses must
-    equal, bit for bit, a fresh checked projection of the same margins."""
+    """The loop projects through the unchecked kernel and ends every round
+    holding the projection of the margins it keeps.  Each projection must
+    equal, bit for bit, a fresh checked projection of the same margins; each
+    round must query the learner with one of them; and each record's
+    objectives must be the checked values of the margins whose projection
+    that round read: the one it queried with, or its certify re-check's."""
     kernels = {"boosting": boosting._project, "fw": fw._project}
-    evaluate = boosting._evaluate
-    seen = {"kernel": 0, "reused": 0}
+    public = boosting.capped_entropy_projection
+    by_d = {}  # id(d) -> projection; holding every projection keeps the ids unique
+    events = []  # ("query", projection or None) and ("project", projection), in call order
+    kernel_calls = [0]
+
+    def checked(res, theta, params):
+        _assert_same_projection(res, capped_entropy_projection(theta, params))
+        by_d[id(res.d)] = res
+        return res
 
     def checked_kernel(owner):
         def project(theta, params, order_hint=None):
-            res = kernels[owner](theta, params, order_hint)
-            _assert_same_projection(res, capped_entropy_projection(theta, params))
-            seen["kernel"] += 1
+            res = checked(kernels[owner](theta, params, order_hint), theta, params)
+            kernel_calls[0] += 1
+            if owner == "boosting":
+                events.append(("project", res))
             return res
 
         return project
 
-    def checked_evaluate(marg, params, proj, order):
-        seen["reused"] += proj is not None
-        got, smoothed_obj, soft_margin_obj = evaluate(marg, params, proj, order)
-        _assert_same_projection(got, capped_entropy_projection(marg, params))
-        assert np.float64(smoothed_obj).tobytes() == np.float64(
-            smoothed_conjugate(-marg, params)
-        ).tobytes()
-        assert soft_margin_obj == capped_min_linear(marg, params.nu)[0]
-        return got, smoothed_obj, soft_margin_obj
+    data = two_gaussians(80, seed=4)
+    learner = StumpLearner(data)
+    query = learner.query
+
+    def traced_query(d):
+        events.append(("query", by_d.get(id(d))))
+        return query(d)
 
     monkeypatch.setattr(boosting, "_project", checked_kernel("boosting"))
     monkeypatch.setattr(fw, "_project", checked_kernel("fw"))
-    monkeypatch.setattr(boosting, "_evaluate", checked_evaluate)
-    data = two_gaussians(80, seed=4)
+    monkeypatch.setattr(
+        boosting,
+        "capped_entropy_projection",
+        lambda theta, params: checked(public(theta, params), theta, params),
+    )
+    monkeypatch.setattr(learner, "query", traced_query)
     _, fw_rule, secondary = ALGORITHMS[algo]
     cfg = BoosterConfig(eps=0.02, nu=8.0, fw_rule=fw_rule, secondary=secondary)
-    model, records = run_scheme(data, StumpLearner(data), cfg)
-    assert model.converged and seen["kernel"] > 0
-    if secondary != "none":
-        assert seen["reused"] > 0
+    model, records = run_scheme(data, learner, cfg)
+    assert model.converged
+
+    # split the events after the start's uniform query into one run per round
+    assert events[0] == ("query", None)
+    rounds = []
+    for kind, res in events[1:]:
+        if kind == "query":
+            assert res is not None, "a round queried with a vector that is no projection"
+            rounds.append([res])
+        elif rounds:
+            rounds[-1].append(res)
+    assert len(rounds) == len(records)
+    params = rounds[0][0].params
+    for rec, (queried, *projected) in zip(records, rounds):
+        read = queried
+        if rec.min_edge_so_far - queried.objective <= cfg.eps / 2.0:
+            read = projected[0]  # the certify re-check of a fresh A @ w
+        assert np.float64(rec.smoothed_obj).tobytes() == np.float64(
+            smoothed_conjugate(-read.theta, params)
+        ).tobytes()
+        assert rec.soft_margin_obj == capped_min_linear(read.theta, params.nu)[0]
+
+    if secondary == "none":
+        refreshes = math.ceil(len(records) / boosting._MARGIN_REFRESH)
+        assert kernel_calls[0] <= KERNEL_PROJECTIONS[algo] + refreshes
+    else:
+        assert kernel_calls[0] == KERNEL_PROJECTIONS[algo]
         assert any(rec.chosen_rule == "secondary" for rec in records)

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import re
 import signal
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginforge.boosting import BoosterConfig, predict, run_scheme
 from marginforge.cli import (
@@ -332,6 +339,29 @@ def test_predict_rejects_integers_beyond_float_range(tmp_path, capsys):
     stump = dict(GOOD_STUMP, threshold=-huge)
     code, err = _predict_exit(tmp_path, capsys, {"hypotheses": [stump], "weights": [1.0]})
     assert code == 1 and "non-finite threshold" in err
+
+
+def _overflowing_vote(tmp_path, weight):
+    """`predict` on one row with f0 = 1.0 of a model that votes +1 twice and
+    -1 three times, every vote with ``weight``."""
+    down = dict(GOOD_STUMP, polarity=-1)
+    model = _write_model(
+        tmp_path, {"hypotheses": [GOOD_STUMP] * 2 + [down] * 3, "weights": [weight] * 5}
+    )
+    data_path = tmp_path / "row.csv"
+    data_path.write_text("f0\n1.0\n", encoding="utf-8")
+    return main(["predict", "--model", model, "--data", str(data_path)])
+
+
+def test_predict_rejects_weights_whose_sum_leaves_float_range(tmp_path, capsys):
+    # each weight is finite, but the score 2e308 - 3e308 overflows and voted +1
+    assert _overflowing_vote(tmp_path, 1e308) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "absolute sum" in err and "model.json" in err
+    # a sum inside float range still gets the true vote
+    assert _overflowing_vote(tmp_path, 1e307) == 0
+    assert capsys.readouterr().out.split() == ["-1"]
 
 
 @pytest.mark.parametrize("bad", ["0.5", True], ids=["numeric string", "bool"])
@@ -671,3 +701,79 @@ def test_train_rejects_malformed_input_with_its_message(tmp_path, capsys, format
     err = capsys.readouterr().err
     assert f"{path}{message}" in err
     assert "Traceback" not in err
+
+
+# valid inputs for the fuzz test: ten rows, two features, both label signs
+_FUZZ_ROWS = [
+    ((-1.2, 0.3), -1), ((-0.8, -0.5), -1), ((-1.5, 1.1), -1), ((0.2, -0.9), -1), ((-0.1, 0.4), -1),
+    ((1.3, 0.2), 1), ((0.7, 1.4), 1), ((1.9, -0.6), 1), ((-0.3, 0.9), 1), ((0.5, 0.5), 1),
+]
+_FUZZ_BASE = {
+    "csv": "f0,f1,label\n" + "".join(f"{a},{b},{y}\n" for (a, b), y in _FUZZ_ROWS),
+    "libsvm": "".join(f"{y} 1:{a} 2:{b}\n" for (a, b), y in _FUZZ_ROWS),
+    "model": json.dumps(
+        {
+            "hypotheses": [
+                {"feature": 0, "threshold": 0.05, "polarity": 1},
+                {"feature": 1, "threshold": 0.3, "polarity": -1},
+            ],
+            "weights": [0.75, 0.25],
+        }
+    ),
+}
+_FUZZ_SPECIALS = [
+    b"nan", b"NaN", b"inf", b"-inf", b"Infinity", b"1e400", b"-1e400",
+    b"\xff", b"\xc3\x28", b"\xed\xa0\x80",  # invalid UTF-8: a stray byte, a bad tail, a surrogate
+]
+_FUZZ_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e-?\d+)?")
+# inserted bytes exclude digits: a run of them can lengthen a LIBSVM index to
+# millions of columns, which the loader densifies within its 1e8-entry budget
+_FUZZ_BYTES = [b for b in range(256) if not 0x30 <= b <= 0x39]
+
+
+@st.composite
+def _mutated(draw, base: bytes) -> bytes:
+    """``base`` after one to three byte insertions, deletions, special
+    tokens inserted anywhere, or special tokens in place of a number."""
+    data = base
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "special", "replace"]))
+        pos = draw(st.integers(0, len(data)))
+        if kind == "insert":
+            chunk = bytes(draw(st.lists(st.sampled_from(_FUZZ_BYTES), min_size=1, max_size=4)))
+            data = data[:pos] + chunk + data[pos:]
+        elif kind == "delete":
+            data = data[:pos] + data[pos + draw(st.integers(1, 8)) :]
+        elif kind == "special":
+            data = data[:pos] + draw(st.sampled_from(_FUZZ_SPECIALS)) + data[pos:]
+        else:
+            numbers = list(_FUZZ_NUMBER.finditer(data))
+            if numbers:
+                hit = numbers[draw(st.integers(0, len(numbers) - 1))]
+                data = data[: hit.start()] + draw(st.sampled_from(_FUZZ_SPECIALS)) + data[hit.end() :]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_BASE)).flatmap(
+    lambda target: st.tuples(st.just(target), _mutated(_FUZZ_BASE[target].encode()))
+))
+def test_mutated_inputs_end_with_a_documented_exit_code(case):
+    """A mutated CSV, LIBSVM file or model JSON drives `predict`, and a
+    mutated dataset also `train --max-iters 50`: every run returns a
+    documented exit code, and no exception escapes ``main``."""
+    target, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in _FUZZ_BASE.items():
+            paths[name] = os.path.join(tmp, f"input.{name}")
+            with open(paths[name], "wb") as fh:
+                fh.write(payload if name == target else text.encode())
+        format = "libsvm" if target == "libsvm" else "csv"
+        runs = [["predict", "--model", paths["model"], "--data", paths[format], "--format", format]]
+        if target != "model":
+            runs.append(["train", "--data", paths[format], "--format", format, "--max-iters", "50"])
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in {0, 1, 2, 4}, (argv[0], code, payload)
