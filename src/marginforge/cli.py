@@ -162,6 +162,8 @@ def _load_libsvm(path: str):
                     raise DataFormatError(f"{path}:{lineno}: bad index:value pair {item!r}") from None
                 if idx < 1:
                     raise DataFormatError(f"{path}:{lineno}: indices are 1-based")
+                if idx in entries:
+                    raise DataFormatError(f"{path}:{lineno}: index {idx} repeated")
                 entries[idx] = val
             labels.append(label)
             rows.append(entries)

@@ -2,13 +2,14 @@
 
 ``best_stump`` answers a distribution with the pool stump of largest
 weighted correlation.  ``StumpPool.build`` argsorts every feature once,
-O(p m log m), and keeps the pool as arrays: a feature and a threshold
-per split, with no hypothesis object.  Each query then costs
-O(p m + |pool|): one gather into that order, one row-wise prefix sum
-turned into the thresholds' +1 edges in place, and one argmax and one
-argmin over them.  Only the answer is built as a ``StumpHypothesis``,
-by ``StumpPool.candidate``.  ``StumpLearner`` is the weak learner a
-booster queries: ``best_stump`` over its dataset's own pool.
+O(p m log m), and forms the pool from that presort in one array pass:
+a feature and a threshold per split, with no hypothesis object.  Each
+query then costs O(p m + |pool|): one gather into that order, one
+row-wise prefix sum turned into the thresholds' +1 edges in place, and
+one argmax and one argmin over them.  Only the answer is built as a
+``StumpHypothesis``, by ``StumpPool.candidate``.  ``StumpLearner`` is
+the weak learner a booster queries: ``best_stump`` over its dataset's
+own pool.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ class StumpPool:
     ``orders[f]`` is the stable ascending argsort of feature f (p x m).
     ``split_at[k]`` locates threshold k in the (p, m+1) prefix-sum
     matrix of a query: flat index f*(m+1) + (rows below the threshold).
-    Both come from ``build``.  Pools compare and hash by identity.
+    ``build`` forms the threshold at every cut of every feature as one
+    (p, m+1) array, with no loop over features; ``split_at`` is the flat
+    nonzeros of the mask of cuts that split.  Pools compare and hash by
+    identity.
 
     ``_signs`` keeps, by pool index, the +-1 predictions of each stump
     ``best_stump`` has returned, as int8: a fit mostly repeats stumps.
@@ -73,32 +77,24 @@ class StumpPool:
 
     @classmethod
     def build(cls, data: Dataset) -> "StumpPool":
-        m = data.m
         orders = np.argsort(data.features.T, axis=1, kind="stable")
-        sorted_x = np.take_along_axis(data.features.T, orders, axis=1)
-        all_thresholds, splits = [], []
-        for f, xs in enumerate(sorted_x):
-            boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1
-            lo, hi = xs[boundaries - 1], xs[boundaries]
-            with np.errstate(over="ignore"):
-                mids = (lo + hi) / 2.0
-                mids = np.where(np.isfinite(mids), mids, lo / 2.0 + hi / 2.0)  # lo + hi overflowed
-                mids = np.where(mids > lo, mids, hi)  # adjacent floats: rounded onto lo
-                top = xs[-1] + 1.0
-                if top == xs[-1]:  # |xs[-1]| >= 2**53 absorbs the 1.0
-                    top = np.nextafter(xs[-1], np.inf)
-            thresholds = np.concatenate([[xs[0] - 1.0], mids, [top]])
-            cuts = np.concatenate([[0], boundaries, [m]])
-            if not np.isfinite(top):
-                # nothing finite lies above the float maximum; the dropped
-                # pair's columns repeat the below-min pair's, polarity flipped
-                thresholds, cuts = thresholds[:-1], cuts[:-1]
-            all_thresholds.append(thresholds)
-            splits.append(f * (m + 1) + cuts)
-        split_at = np.concatenate(splits)
+        xs = np.take_along_axis(data.features.T, orders, axis=1)
+        lo, hi, last = xs[:, :-1], xs[:, 1:], xs[:, -1]
+        with np.errstate(over="ignore"):
+            mids = (lo + hi) / 2.0
+            mids = np.where(np.isfinite(mids), mids, lo / 2.0 + hi / 2.0)  # lo + hi overflowed
+            mids = np.where(mids > lo, mids, hi)  # adjacent floats: rounded onto lo
+            top = last + 1.0
+            top = np.where(top == last, np.nextafter(last, np.inf), top)  # |x| >= 2**53 absorbs the 1.0
+        # cuts 0..m split below the minimum, between distinct values, and above
+        # a maximum with a finite float above it (at the float maximum the
+        # dropped pair's columns would repeat the below-min pair's, flipped)
+        at_cut = np.column_stack([xs[:, 0] - 1.0, mids, top])
+        splits = np.column_stack([np.ones(data.p, dtype=bool), lo < hi, np.isfinite(top)])
+        split_at = np.flatnonzero(splits)
         return cls(
-            features=split_at // (m + 1),
-            thresholds=np.concatenate(all_thresholds),
+            features=split_at // (data.m + 1),
+            thresholds=at_cut.ravel()[split_at],
             orders=orders,
             split_at=split_at,
         )

@@ -685,6 +685,7 @@ MALFORMED_INPUTS = {
     "unlabeled csv": ("csv", "f0,f1\n0.5,1.0\n", ": no label column found"),
     "non-numeric libsvm label": ("libsvm", "+1 1:0.5\nyes 1:0.25\n", ":2: bad label field"),
     "0-based libsvm index": ("libsvm", "+1 0:0.5\n", ":1: indices are 1-based"),
+    "repeated libsvm index": ("libsvm", "+1 1:0.25\n+1 1:0.5 1:-3\n", ":2: index 1 repeated"),
     "comment-only libsvm": ("libsvm", "# header\n\n   \n# footer\n", ": no data rows"),
 }
 

@@ -103,8 +103,8 @@ def test_benchmark_tracer_layers_resolve():
 @pytest.mark.parametrize("algo", ["cerlpboost", "mlpb-ss"])
 def test_benchmark_tracer_sees_the_layers_a_fit_runs(algo):
     """A layer a fit stops calling through its traced name reads 0 in
-    the benchmark; each fit queries the stump oracle once per round and
-    once in its start."""
+    the benchmark; the learner builds its pool once, and each fit
+    queries the stump oracle once per round and once in its start."""
     runner, fw_rule, secondary = cli.ALGORITHMS[algo]
     data = two_gaussians(200, seed=0)
     config = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
@@ -112,6 +112,7 @@ def test_benchmark_tracer_sees_the_layers_a_fit_runs(algo):
         _, records = runner(data, StumpLearner(data), config)
     tracer.drain()
     stats = tracer.stats
+    assert stats["stumps.pool_build"].calls == 1
     assert stats["stumps.query"].calls == len(records) + 1
     assert stats["fw.step"].calls > 0
     assert stats["core.margins"].calls > 0

@@ -364,9 +364,21 @@ def _bits(h):
     return (h.feature, h.threshold.hex(), h.polarity)
 
 
+def _wide_zeros(top=None):
+    """A 4 x 2,000 matrix of zeros with a few nonzero entries, so most
+    features are constant; ``top`` fills one column besides."""
+    x = np.zeros((4, 2000))
+    x[0, 3], x[1, 3], x[2, 999], x[3, 1999] = 0.5, -2.0, 1e300, -0.25
+    if top is not None:
+        x[:, 1500] = [top, 0.0, top, -1.0]
+    return Dataset(x, np.array([1.0, -1.0, -1.0, 1.0]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(edge_value_datasets())
 @example(Dataset(np.array([[_FMAX, -0.0], [0.0, 0.0], [1.79e308, 2.0**53]]), np.array([1.0, -1.0, 1.0])))
+@example(_wide_zeros())
+@example(_wide_zeros(top=_FMAX))
 def test_array_pool_matches_the_object_building_reference(data):
     ref_candidates, ref_orders, ref_split_at = reference_stump_pool(data)
     pool = StumpPool.build(data)
