@@ -29,14 +29,15 @@ never loses one, so its column count identifies its column set.  The
 LPBoost secondary depends only on the discovered columns and nu, so it
 is solved once per column count and reused, with the projection of
 its margins, on rounds whose weak learner returns a column already
-held.  The ERLPBoost
+held; each solve is warm-started from the final basis of the last one
+(``lp.solve_edge_min``'s ``start``).  The ERLPBoost
 secondary re-solves the smoothed problem over all discovered columns by
 projected-Newton steps (``fw.newton_step``), warm-started at the
 conditional-gradient candidate.
 ``run_lpboost`` is the classic fully-LP baseline with its own stopping
-rule.  A weak learner answers ``query(d)`` with
-``(hypothesis, gain column, edge)``; the hypothesis also identifies its
-column in the gain matrix.
+rule, each round's LP warm-started from the last round's basis.  A weak
+learner answers ``query(d)`` with ``(hypothesis, gain column, edge)``;
+the hypothesis also identifies its column in the gain matrix.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .entropy import (
     smoothed_conjugate,
 )
 from .fw import FwStepOutcome, classic_step, line_search_step, newton_step, pairwise_step, short_step
-from .lp import LpError, solve_edge_min
+from .lp import EdgeMinBasis, LpError, solve_edge_min
 
 logger = logging.getLogger(__name__)
 
@@ -163,8 +164,9 @@ def run_scheme(data, learner, config: BoosterConfig):
     warning and the round keeps the FW candidate.  The "lpboost"
     secondary is a function of (A, nu) alone, so its last successful
     weights and the projection of their margins are kept and reused while
-    the learner returns known columns (``A.t`` unchanged); a failed solve
-    is not kept, so the next round retries.  The "erlpboost" secondary
+    the learner returns known columns (``A.t`` unchanged), and its final
+    basis starts the next solve; a failed solve drops them, so the next
+    round retries from a cold start.  The "erlpboost" secondary
     depends on its warm start and a callable may keep state, so both run
     every round.  With secondary "none" and the short-step rule this is
     the plain corrective booster.
@@ -174,7 +176,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     proj = _project(margins(A, w), params)  # of the kept margins; every round ends holding one
     records: list[IterationRecord] = []
     converged = False
-    lp_memo = None  # (A.t, weights, projection of their margins) of the last LPBoost solve
+    lp_memo = None  # (A.t, weights, projection of their margins, basis) of the last LPBoost solve
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
@@ -209,18 +211,19 @@ def run_scheme(data, learner, config: BoosterConfig):
         w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
         if lp_memo is not None and lp_memo[0] == A.t:
             # known column: the restricted LP is the one already solved
-            _, secondary_w, secondary_proj = lp_memo
+            _, secondary_w, secondary_proj, _ = lp_memo
         else:
             # the FW candidate doubles as the warm start for a corrective solve
             try:
-                secondary_w, secondary_proj = _secondary_update(
-                    config.secondary, A, params, config.nu, w
+                lp_start = None if lp_memo is None else lp_memo[3]
+                secondary_w, secondary_proj, basis = _secondary_update(
+                    config.secondary, A, params, config.nu, w, lp_start
                 )
             except (LpError, np.linalg.LinAlgError) as exc:
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
-                secondary_w = None
+                secondary_w = lp_memo = None
             if secondary_w is not None and config.secondary == "lpboost":
-                lp_memo = (A.t, secondary_w, secondary_proj)
+                lp_memo = (A.t, secondary_w, secondary_proj, basis)
         # a candidate's smoothed value is minus its projection's objective
         if secondary_w is not None and secondary_proj.objective > proj.objective:
             chosen_rule = "secondary"
@@ -252,23 +255,28 @@ def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
     return pairwise_step(A, w, j_new, column, base, d, params)
 
 
-def _secondary_update(secondary, A, params, nu, current_w):
-    """The secondary's weights and the projection of their margins, or
-    (None, None) for secondary "none"."""
+def _secondary_update(secondary, A, params, nu, current_w, lp_start):
+    """The secondary's weights, the projection of their margins and, for
+    "lpboost", the final LP basis, solved from ``lp_start``; all None for
+    secondary "none"."""
     if secondary == "none":
-        return None, None
+        return None, None, None
     if secondary == "erlpboost":
-        return secondary_erlpboost(A, params, start=current_w)
+        return (*secondary_erlpboost(A, params, start=current_w), None)
+    basis = None
     if secondary == "lpboost":
-        w = secondary_lpboost(A, nu)
+        w, basis = secondary_lpboost(A, nu, lp_start)
     else:
         w = check_ensemble_weights(secondary(A, params), A)
-    return w, _project(margins(A, w), params)
+    return w, _project(margins(A, w), params), basis
 
 
-def secondary_lpboost(A: GainMatrix, nu: float) -> np.ndarray:
-    """Optimal restricted soft-margin weights from the edge-min LP dual."""
-    return solve_edge_min(A, nu).w
+def secondary_lpboost(A: GainMatrix, nu: float, start: EdgeMinBasis | None = None) -> tuple:
+    """Optimal restricted soft-margin weights from the edge-min LP dual,
+    and the LP's final basis (see ``solve_edge_min``), solved from the
+    basis ``start`` of an earlier solve if one is given."""
+    sol = solve_edge_min(A, nu, start=start)
+    return sol.w, sol.basis
 
 
 def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> tuple:
@@ -323,10 +331,11 @@ def run_lpboost(data, learner, config: BoosterConfig):
     params, cap_rounds, A, min_edge = _start(learner, config)
     records: list[IterationRecord] = []
     converged = False
+    sol = None
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
-        sol = solve_edge_min(A, config.nu)
+        sol = solve_edge_min(A, config.nu, start=None if sol is None else sol.basis)
         w = sol.w
         hypothesis, column, edge_new = learner.query(sol.d)
         min_edge = min(min_edge, edge_new)

@@ -18,6 +18,7 @@ LP_PIVOT_TOL           1e-9       reduced-cost threshold for simplex pricing
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
 LP_PROGRESS_TOL        1e-12      objective decrease below which a simplex pivot counts as stalled
 LP_TIE_TOL             1e-12      slack at which a bound flip or a ratio-test tie counts as reached
+LP_FEAS_TOL            1e-9       bound violation of a basic value the dual simplex accepts as feasible
 LINE_SEARCH_TOL        1e-10      bracket width or Newton step at which line search stops
 LINE_SEARCH_MAX_ITERS  50         hard cap on line-search slope evaluations per step
 SUPPORT_DROP_TOL       1e-12      ensemble coefficients below this leave the support
@@ -40,6 +41,7 @@ LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10
 LP_PROGRESS_TOL = 1e-12
 LP_TIE_TOL = 1e-12
+LP_FEAS_TOL = 1e-9
 LINE_SEARCH_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 50
 SUPPORT_DROP_TOL = 1e-12

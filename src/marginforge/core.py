@@ -112,20 +112,21 @@ class GainMatrix:
     """
 
     def __init__(self, columns, hypothesis_ids):
-        columns = [np.asarray(col, dtype=float) for col in columns]
+        stacked = np.asarray(columns, dtype=float)  # one column per row
         self.hypothesis_ids: list = list(hypothesis_ids)
-        if not columns:
+        if len(stacked) == 0:
             raise ValueError("gain matrix needs at least one column")
-        if len(columns) != len(self.hypothesis_ids):
+        if len(stacked) != len(self.hypothesis_ids):
             raise ValueError("columns and hypothesis_ids must run parallel")
-        for col in columns:
-            _check_gain_column(col)
+        if stacked.ndim != 2 or stacked.shape[1] < 1:
+            raise ValueError("gain column must be a non-empty vector")
+        _check_gains(stacked)
         self._index_of = {}
         for j, hid in enumerate(self.hypothesis_ids):
             if hid in self._index_of:
                 raise ValueError(f"repeated hypothesis id {hid!r}")
             self._index_of[hid] = j
-        self._data = np.column_stack(columns)
+        self._data = stacked.T.copy()
 
     @property
     def m(self) -> int:
@@ -167,9 +168,14 @@ class GainMatrix:
 def _check_gain_column(col: np.ndarray):
     if col.ndim != 1 or col.shape[0] < 1:
         raise ValueError("gain column must be a non-empty vector")
-    if not np.all(np.isfinite(col)):
+    _check_gains(col)
+
+
+def _check_gains(gains: np.ndarray):
+    """The entry checks of one gain column or of a stack of them."""
+    if not np.all(np.isfinite(gains)):
         raise ValueError("gain column has non-finite entries")
-    if np.any(np.abs(col) > 1.0 + GAIN_RANGE_SLACK):
+    if np.any(np.abs(gains) > 1.0 + GAIN_RANGE_SLACK):
         raise ValueError("gain column entries must lie in [-1, +1]")
 
 

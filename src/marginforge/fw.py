@@ -26,6 +26,8 @@ inside a sign bracket, at about six entropy projections per step.
 Those projections run through the unchecked kernel ``entropy._project``
 on vectors the search forms itself; the public rules check once, on
 entry, that the margins and the new column they search from are finite.
+The classic and line-search rules test only the direction they form,
+``column - base``, and scan the two inputs only when it is not finite.
 
 ``newton_step`` is the projected-Newton step of ERLPBoost's fully
 corrective solve: ``_hessian`` is the matrix form of the curvature in
@@ -71,9 +73,11 @@ def classic_step(
     """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    _check_inputs(column, base)
+    _check_shape(column, base)
+    direction = column - base
+    _check_direction(direction, column, base)
     lam = 2.0 / (t + 2.0)
-    return _toward(w, e_new, lam, base, column - base)
+    return _toward(w, e_new, lam, base, direction)
 
 
 def short_step(
@@ -106,8 +110,9 @@ def line_search_step(
     w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
-    _check_inputs(column, base)
+    _check_shape(column, base)
     direction = column - base
+    _check_direction(direction, column, base)
     lam = _line_search(base, direction, 1.0, params)
     return _toward(w, e_new, lam, base, direction)
 
@@ -154,8 +159,20 @@ def _check_inputs(column: np.ndarray, base: np.ndarray) -> None:
     """The shape check, then the finiteness check of both vectors the
     rule hands to the unchecked projection kernel."""
     _check_shape(column, base)
+    _name_non_finite(column, base)
+
+
+def _check_direction(direction: np.ndarray, column: np.ndarray, base: np.ndarray) -> None:
+    """``_check_inputs``'s finiteness check, made lazily: one test of the
+    direction ``column - base``, which is finite whenever both are, and
+    the scans that name a non-finite one only when it fails."""
+    if not np.isfinite(direction).all():
+        _name_non_finite(column, base)
+
+
+def _name_non_finite(column: np.ndarray, base: np.ndarray) -> None:
     for name, vector in (("base", base), ("column", column)):
-        if not np.all(np.isfinite(vector)):
+        if not np.isfinite(vector).all():
             raise ValueError(f"{name} has non-finite entries")
 
 

@@ -17,21 +17,33 @@ one pricing sign per variable, the basis's costs and upper bounds,
 and ``b - A @ x_nb`` and the reduced costs for as long as the pivots
 leave them unchanged.  Its pivots and outputs equal bit for bit those
 of the reference kernel in ``tests/conftest.py``, which rebuilds all of
-these at every pivot.  ``solve_edge_min`` is the
-one entry point above it: it checks ``nu``, merges identical instance
-rows, builds the start basis of the form it solves, solves the
-restricted edge-min / soft-margin pair over the distinct rows, and
-certifies strong duality on every call.
+these at every pivot.
+
+``_dual_iterate`` is the dual simplex that column generation restarts
+from: given a dual-feasible basis whose basic values leave their
+bounds, it pivots the worst violation out until the basis is primal
+feasible, and the primal pivots then finish from its inverse.  Both
+loops change the basis through one exchange and one inverse update.
+
+``solve_edge_min`` is the one entry point above the kernels: it checks
+``nu``, merges identical instance rows, builds the start basis of the
+form it solves, solves the restricted edge-min / soft-margin pair over
+the distinct rows, and certifies strong duality on every call.  Given
+the final basis of an earlier edge-min-form solve as ``start`` it
+carries that basis over to the grown matrix and warm-starts by the dual
+simplex; without one it solves from the crash basis.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import (
+    LP_FEAS_TOL,
     LP_PIVOT_TOL,
     LP_PROGRESS_TOL,
     LP_RATIO_TOL,
@@ -40,6 +52,8 @@ from .constants import (
 )
 from .core import GainMatrix, check_distribution, check_ensemble_weights
 from .entropy import capped_min_linear
+
+logger = logging.getLogger(__name__)
 
 _STALL_LIMIT = 32  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
@@ -56,16 +70,18 @@ class LpUnboundedError(LpError):
         self.direction = direction
 
 
-def _solve_max(objective, con, upper, basis, x_nb):
+def _solve_max(objective, con, upper, basis, x_nb, dual_start=False):
     """maximize objective @ x subject to con[:-1] @ x <= 0, con[-1] @ x = 1,
     0 <= x[:-1] <= upper and x[-1] free; returns (x, value, row duals).
 
     The kernel's columns are con's, the mirror x- of the free variable
     x[-1] = x+ - x-, then one slack per inequality row; that order sets
     the pivoting tie-breaks, so it is part of the result.  ``basis`` and
-    ``x_nb`` are a feasible start over those columns (see
-    ``_simplex_min``).  Duals are for the maximisation sense:
-    nonnegative on binding inequality rows.
+    ``x_nb`` are a start over those columns, feasible (see
+    ``_simplex_min``) or, with ``dual_start``, dual feasible (see
+    ``_dual_iterate``); they are updated in place to the final basis.
+    Duals are for the maximisation sense: nonnegative on binding
+    inequality rows.
     """
     r, n = con.shape
     kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
@@ -73,7 +89,7 @@ def _solve_max(objective, con, upper, basis, x_nb):
     bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
     rhs = np.append(np.zeros(r - 1), 1.0)
 
-    x_full, y = _simplex_min(kernel, rhs, cost, bounds, basis, x_nb)
+    x_full, y = _optimum(kernel, rhs, cost, bounds, basis, x_nb, dual_start)
     x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
     x[-1] -= x_full[n]
     return x, float(objective @ x), -y
@@ -86,20 +102,37 @@ def _simplex_min(A, b, c, upper, basis, x_nb):
     with the nonbasic values ``x_nb`` (upper at an upper-bound nonbasic,
     0 elsewhere and on the basis); neither argument is modified.
     """
-    basis, x_nb = basis.copy(), x_nb.copy()
-    _iterate(A, b, c, upper, basis, x_nb)
-    x = x_nb
+    return _optimum(A, b, c, upper, basis.copy(), x_nb.copy())
+
+
+def _optimum(A, b, c, upper, basis, x_nb, dual_start=False):
+    """``_simplex_min`` with ``basis`` and ``x_nb`` updated in place.
+
+    A dual-feasible start is first made primal feasible by
+    ``_dual_iterate``, and the primal pivots run from the inverse it ends
+    with only if pricing still finds an improving column.  The basic
+    solution and duals come from fresh solves.
+    """
+    if not dual_start:
+        _iterate(A, b, c, upper, basis, x_nb)
+    else:
+        Binv = _dual_iterate(A, b, c, upper, basis, x_nb)
+        score = (c - (c[basis] @ Binv) @ A) * _pricing_signs(basis, x_nb)
+        if (score < -LP_PIVOT_TOL).any():
+            _iterate(A, b, c, upper, basis, x_nb, Binv)
+    x = x_nb.copy()
     x[basis] = np.linalg.solve(A[:, basis], b - A @ x_nb)
     y = np.linalg.solve(A[:, basis].T, c[basis])
     return np.clip(x, 0.0, upper), y
 
 
-def _iterate(A, b, c, u, basis, x_nb):
+def _iterate(A, b, c, u, basis, x_nb, Binv=None):
     """Pivot from a feasible basis until pricing finds no improving column.
 
     ``basis`` and the nonbasic values ``x_nb`` (u at upper-bound
-    nonbasics, 0 elsewhere and on the basis) are updated in place.  Every
-    upper bound is positive, so a nonbasic can always move: it has
+    nonbasics, 0 elsewhere and on the basis) are updated in place;
+    ``Binv``, if given, is the inverse of the starting basis matrix.
+    Every upper bound is positive, so a nonbasic can always move: it has
     pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its lower
     bound, and a basic variable has 0.  A column is eligible when
     ``red * sign < -LP_PIVOT_TOL``, and Dantzig's column is the first
@@ -114,10 +147,10 @@ def _iterate(A, b, c, u, basis, x_nb):
     bland = False
     stall = 0
     last_obj = math.inf
-    Binv = np.linalg.inv(A[:, basis])
+    if Binv is None:
+        Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
-    sign = np.where(x_nb > 0.0, -1.0, 1.0)
-    sign[basis] = 0.0
+    sign = _pricing_signs(basis, x_nb)
     c_B = c[basis]
     u_B = u[basis]
     ratios = np.empty(r)
@@ -125,9 +158,6 @@ def _iterate(A, b, c, u, basis, x_nb):
     rhs = red = None  # b - A @ x_nb and the reduced costs, while still current
 
     for _ in range(_MAX_PIVOTS):
-        if rhs is None:
-            rhs = b - A @ x_nb
-        x_B = Binv @ rhs
         if red is None:
             y = c_B @ Binv
             red = c - y @ A
@@ -143,6 +173,9 @@ def _iterate(A, b, c, u, basis, x_nb):
             if not score[j] < -LP_PIVOT_TOL:
                 return
 
+        if rhs is None:
+            rhs = b - A @ x_nb
+        x_B = Binv @ rhs
         x = x_nb.copy()
         x[basis] = x_B
         obj = float(c @ x)
@@ -189,45 +222,142 @@ def _iterate(A, b, c, u, basis, x_nb):
         if tied.size > 1:
             tied = tied[(ratios[tied] - theta_basic) * abs(step[tied]) <= LP_TIE_TOL]
         leave_pos = int(tied[basis[tied].argmin()])
-        out = int(basis[leave_pos])
-        # j enters at leave_pos and out leaves to the bound it reached
-        basis[leave_pos] = j
-        if not increasing:
-            x_nb[j] = 0.0
-            rhs = None
-        sign[j] = 0.0
-        c_B[leave_pos] = c[j]
-        u_B[leave_pos] = u_j
-        if to_lower[leave_pos]:
-            sign[out] = 1.0
-        else:
-            x_nb[out] = u[out]
-            sign[out] = -1.0
-            rhs = None
+        _exchange(basis, x_nb, sign, c_B, u_B, c, u, leave_pos, j, not to_lower[leave_pos])
+        if not (increasing and to_lower[leave_pos]):
+            rhs = None  # j left its upper bound or the leaving column went to its own
         red = None
-
-        pivots += 1
-        if pivots == _REFACTOR_INTERVAL:
-            Binv = np.linalg.inv(A[:, basis])
-            pivots = 0
-        else:
-            # product-form update: the new inverse is E @ Binv, where the
-            # eta matrix E turns alpha into the leave_pos unit vector
-            pivot_row = Binv[leave_pos] / alpha[leave_pos]
-            Binv -= alpha[:, None] * pivot_row
-            Binv[leave_pos] = pivot_row
+        Binv, pivots = _updated_inverse(Binv, alpha, leave_pos, pivots, A, basis)
 
     raise LpError("pivot limit exceeded")
 
 
+def _dual_iterate(A, b, c, u, basis, x_nb):
+    """Dual simplex from a dual-feasible basis until it is primal feasible.
+
+    The start has the primal kernel's form (``basis`` and ``x_nb`` as in
+    ``_iterate``, both updated in place) and reduced costs of the sign
+    its bounds need, up to pricing's tolerance, but basic values that
+    may leave their bounds.  Each pivot evicts the basic variable of
+    largest bound violation to the bound it violates; the entering
+    column is the first minimum of |red / alpha| over the nonbasics
+    whose move toward their other bound pushes that row back, with
+    |alpha| above ``LP_RATIO_TOL``, so the reduced costs keep their
+    signs.  Stops once every basic value lies within ``LP_FEAS_TOL`` of
+    its bounds and returns the basis inverse; no eligible column means
+    the LP is infeasible, an ``LpError``.
+    """
+    Binv = np.linalg.inv(A[:, basis])
+    pivots = 0  # basis changes since Binv was last inverted from scratch
+    sign = _pricing_signs(basis, x_nb)
+    c_B = c[basis]
+    u_B = u[basis]
+
+    for _ in range(_MAX_PIVOTS):
+        x_B = Binv @ (b - A @ x_nb)
+        below = -x_B
+        above = x_B - u_B
+        violation = np.maximum(below, above)
+        p = int(violation.argmax())
+        worst = float(violation[p])
+        if math.isnan(worst):
+            raise LpError("basic values are not finite")
+        if not worst > LP_FEAS_TOL:
+            return Binv
+        to_upper = above[p] > below[p]
+
+        row = Binv[p] @ A
+        red = c - (c_B @ Binv) @ A
+        # moving column j in its direction sign[j] changes x_B[p] by -row[j] * sign[j]
+        push = row * sign if to_upper else -row * sign
+        eligible = push > LP_RATIO_TOL
+        if not eligible.any():
+            raise LpError("restricted LP is infeasible")
+        ratios = np.full(row.size, math.inf)
+        np.divide(np.abs(red), np.abs(row), out=ratios, where=eligible)
+        j = int(ratios.argmin())
+
+        alpha = Binv @ A[:, j]
+        _exchange(basis, x_nb, sign, c_B, u_B, c, u, p, j, to_upper)
+        Binv, pivots = _updated_inverse(Binv, alpha, p, pivots, A, basis)
+
+    raise LpError("pivot limit exceeded")
+
+
+def _pricing_signs(basis, x_nb):
+    """-1 at an upper-bound nonbasic, +1 at a lower-bound one, 0 on the basis."""
+    sign = np.where(x_nb > 0.0, -1.0, 1.0)
+    sign[basis] = 0.0
+    return sign
+
+
+def _exchange(basis, x_nb, sign, c_B, u_B, c, u, pos, j, out_at_upper):
+    """Column j enters at basis position ``pos``; the column there leaves to
+    its upper bound if ``out_at_upper``, else to 0.  Updates every
+    argument but c and u in place."""
+    out = int(basis[pos])
+    basis[pos] = j
+    x_nb[j] = 0.0
+    sign[j] = 0.0
+    c_B[pos] = c[j]
+    u_B[pos] = u[j]
+    if out_at_upper:
+        x_nb[out] = u[out]
+        sign[out] = -1.0
+    else:
+        sign[out] = 1.0
+
+
+def _updated_inverse(Binv, alpha, pos, pivots, A, basis):
+    """The basis inverse after the column with ``alpha = Binv @ column``
+    entered at ``pos``, and the basis changes since the last fresh
+    inversion.  Every ``_REFACTOR_INTERVAL`` changes it is inverted from
+    scratch; otherwise the product-form update: the new inverse is
+    E @ Binv, where the eta matrix E turns alpha into the pos unit vector."""
+    pivots += 1
+    if pivots == _REFACTOR_INTERVAL:
+        return np.linalg.inv(A[:, basis]), 0
+    pivot_row = Binv[pos] / alpha[pos]
+    Binv -= alpha[:, None] * pivot_row
+    Binv[pos] = pivot_row
+    return Binv, pivots
+
+
+@dataclass(frozen=True)
+class EdgeMinBasis:
+    """The final basis of an edge-min-form solve: the start of the next.
+
+    ``group`` is each instance's row group over the t columns solved,
+    ``basic`` the kernel column basic at each of the t + 1 basis
+    positions, ``x_nb`` the nonbasic values over the kernel's columns
+    (D_1..D_k, g+, g-, then one slack per column) and ``weights`` the
+    group weights D the solve returned, the basic ones among them.
+    The arrays are read-only.
+    """
+
+    group: np.ndarray
+    basic: np.ndarray
+    x_nb: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.group, self.basic, self.x_nb, self.weights):
+            array.flags.writeable = False
+
+    @property
+    def t(self) -> int:
+        return self.basic.size - 1
+
+
 @dataclass
 class EdgeMinSolution:
-    """Paired optima of the restricted edge-min LP and its soft-margin dual."""
+    """Paired optima of the restricted edge-min LP and its soft-margin dual,
+    and, from an edge-min-form solve, its final basis."""
 
     d: np.ndarray
     gamma: float
     w: np.ndarray
     rho: float
+    basis: EdgeMinBasis | None = None
 
     def __post_init__(self):
         if abs(self.gamma - self.rho) > STRONG_DUALITY_TOL:
@@ -236,7 +366,9 @@ class EdgeMinSolution:
             )
 
 
-def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
+def solve_edge_min(
+    A: GainMatrix, nu: float, start: EdgeMinBasis | None = None
+) -> EdgeMinSolution:
     """Minimise the worst edge over the capped simplex, restricted to A.
 
     Returns the distribution minimising ``max_k (d @ A)_k``, the optimal
@@ -248,46 +380,77 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
     ``[0, n_g/nu]`` (edge-min form) or one slack of cost ``n_g/nu``
     (soft-margin form), and every instance of row g gets
     ``d_i = D_g / n_g``.  The reduction is exact, and duplicated rows
-    get equal weight.  Whichever form has fewer rows is handed to the
-    solver: the edge-min form has t+1 rows (caps live in variable
-    bounds), the soft-margin form k+1, and each starts the simplex from
-    its own feasible basis, a function of (A, nu) alone.  rho and gamma
-    are evaluated on the full matrix.  A solved LP whose cleaned-up d or
-    w fails its membership check is an ``LpError``.  ``nu`` outside
-    ``[1, m]``, NaN included, is a ValueError before any LP is built.
+    get equal weight.  With no ``start``, whichever form has fewer rows
+    is handed to the solver: the edge-min form has t+1 rows (caps live
+    in variable bounds), the soft-margin form k+1, and each starts the
+    simplex from its own feasible basis, a function of (A, nu) alone.
+    rho and gamma are evaluated on the full matrix.  A solved LP whose
+    cleaned-up d or w fails its membership check is an ``LpError``.
+    ``nu`` outside ``[1, m]``, NaN included, is a ValueError before any
+    LP is built.
+
+    An edge-min-form solve returns its final basis as ``basis``; pass it
+    back as ``start`` once A has grown (column generation).  From a
+    start the solve stays in the edge-min form.  A's new columns only
+    split the start's row groups and add rows, so the start's basis
+    carries over dual feasible: a child of a nonbasic group sits at its
+    parent's bound, a basic group's weight fills its children in order
+    up to their caps and the child where it runs out is basic, and each
+    new row's slack is basic with dual 0.  The dual simplex
+    (``_dual_iterate``) then restores primal feasibility, and the primal
+    pivots run on if pricing still finds an improving column.  A start
+    solved over more columns than A has, or whose row groups do not
+    hold identical rows of A, is a ValueError; an ``LpError`` or
+    ``LinAlgError`` on the warm path is logged as a warning and the LP
+    is solved cold.
     """
     if not 1.0 <= nu <= A.m:
         raise ValueError(f"nu must lie in [1, m]; got {nu}")
     t = A.t
     G = A.as_array()
     cap = 1.0 / nu
-    rows, group, counts = _distinct_rows(G)
+    if start is None:
+        rows, group, counts = _distinct_rows(G)
+    else:
+        rows, group, counts, parent = _split_rows(G, start)
     k = rows.shape[0]
+    basis_out = None
 
-    if t <= k:
+    if start is not None or t <= k:
         # variables (D_1..D_k, g): maximize -g
         # rows: column edges <= g; sum(D) = 1
         con = np.zeros((t + 1, k + 1))
         con[:t, :k] = rows.T
         con[:t, k] = -1.0
         con[t, :k] = 1.0
-        # start: fill D_1, D_2, ... to their caps; the D that completes the
-        # sum is basic (the caps sum to m/nu >= 1, but at nu = m their float
-        # sum can end just short of 1), g+ or its mirror g- is basic at the
-        # largest edge, and so is every slack but the one on that edge's row
+        objective = np.concatenate([np.zeros(k), [-1.0]])
         upper = counts * cap
-        f = min(int(np.searchsorted(np.cumsum(upper), 1.0)), k - 1)
-        x_nb = np.zeros(k + 2 + t)
-        x_nb[:f] = upper[:f]
-        edges = x_nb[:k] @ rows + (1.0 - upper[:f].sum()) * rows[f]
-        top = int(edges.argmax())
-        slacks = np.delete(np.arange(k + 2, k + 2 + t), top)
-        basis = np.concatenate([[f, k if edges[top] >= 0.0 else k + 1], slacks])
-        x, value, duals = _solve_max(np.concatenate([np.zeros(k), [-1.0]]), con, upper, basis, x_nb)
+        solved = None
+        if start is not None:
+            basis, x_nb = _carried_basis(start, parent, upper, t)
+            try:
+                solved = _solve_max(objective, con, upper, basis, x_nb, dual_start=True)
+            except (LpError, np.linalg.LinAlgError) as exc:
+                logger.warning("warm-started LP failed (%s); solving it cold", exc)
+        if solved is None:
+            # start: fill D_1, D_2, ... to their caps; the D that completes the
+            # sum is basic (the caps sum to m/nu >= 1, but at nu = m their float
+            # sum can end just short of 1), g+ or its mirror g- is basic at the
+            # largest edge, and so is every slack but the one on that edge's row
+            f = min(int(np.searchsorted(np.cumsum(upper), 1.0)), k - 1)
+            x_nb = np.zeros(k + 2 + t)
+            x_nb[:f] = upper[:f]
+            edges = x_nb[:k] @ rows + (1.0 - upper[:f].sum()) * rows[f]
+            top = int(edges.argmax())
+            slacks = np.delete(np.arange(k + 2, k + 2 + t), top)
+            basis = np.concatenate([[f, k if edges[top] >= 0.0 else k + 1], slacks])
+            solved = _solve_max(objective, con, upper, basis, x_nb)
+        x, value, duals = solved
         d = _cleanup_distribution((x[:k] / counts)[group], cap)
         gamma = -value
         w = _cleanup_weights(duals[:t])
         rho, _ = capped_min_linear(G @ w, nu)
+        basis_out = EdgeMinBasis(group, basis, x_nb, x[:k])  # _solve_max left the final basis here
     else:
         # variables (w_1..w_t, xi_1..xi_k, r): maximize r - sum(n_g xi_g)/nu
         # rows: r - xi_g - (rows w)_g <= 0; sum(w) = 1
@@ -314,7 +477,37 @@ def solve_edge_min(A: GainMatrix, nu: float) -> EdgeMinSolution:
         check_ensemble_weights(w, A)
     except ValueError as exc:  # the cleaned-up optimum left its set: a failed solve
         raise LpError(str(exc)) from exc
-    return EdgeMinSolution(d=d, gamma=gamma, w=w, rho=rho)
+    return EdgeMinSolution(d=d, gamma=gamma, w=w, rho=rho, basis=basis_out)
+
+
+def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t: int):
+    """The start's basis over row groups of t columns whose groups in the
+    start are ``parent`` (nondecreasing), as (basis, x_nb) of the
+    edge-min kernel (see ``solve_edge_min``).
+
+    A basic group's children fill to their caps in order up to its
+    weight, and the child where the caps reach it is basic.  The kernel
+    columns g+, g- and the start's slacks keep their order after the k
+    group weights, and the new rows' slacks are basic at the end.
+    """
+    t_old, k_old, k = start.t, start.weights.size, upper.size
+    x_nb = np.zeros(k + 2 + t)
+    x_nb[:k] = np.where(start.x_nb[parent] > 0.0, upper, 0.0)
+    basis = start.basic.copy()
+    shifted = basis >= k_old
+    basis[shifted] += k - k_old
+    children = np.searchsorted(parent, np.arange(k_old + 1)).tolist()  # group g's: [g] to [g + 1]
+    for pos in np.flatnonzero(~shifted).tolist():
+        g = int(basis[pos])
+        lo, hi = children[g], children[g + 1]
+        if hi - lo > 1:  # a split group; an unsplit one's only child takes its place
+            filled = np.cumsum(upper[lo:hi])
+            runs_out = lo + min(int(np.searchsorted(filled, start.weights[g])), hi - lo - 1)
+            x_nb[lo:runs_out] = upper[lo:runs_out]
+            basis[pos] = runs_out
+        else:
+            basis[pos] = lo
+    return np.concatenate([basis, np.arange(k + 2 + t_old, k + 2 + t)]), x_nb
 
 
 def _distinct_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,13 +518,45 @@ def _distinct_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns.  Rows that differ only in the sign of a zero are one row,
     kept as its first occurrence.
     """
-    m = G.shape[0]
     order = np.lexsort(G.T[::-1])
     ranked = G[order]
-    first = np.ones(m, dtype=bool)
+    first = np.ones(G.shape[0], dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return _grouped(ranked, order, first)
+
+
+def _split_rows(G: np.ndarray, start: EdgeMinBasis):
+    """``_distinct_rows(G)`` formed from the start's row groups, and each
+    distinct row's group in the start (nondecreasing).
+
+    The start's groups are the distinct rows of G's first ``start.t``
+    columns in lexicographic rank, so one stable lexsort of the later
+    columns under that rank orders G as ``_distinct_rows`` does.  A
+    start solved over more columns than G has, or whose groups do not
+    hold identical rows of G, is a ValueError.
+    """
+    m, t = G.shape
+    t_old, k_old = start.t, start.weights.size
+    if t_old > t:
+        raise ValueError(f"start solved {t_old} columns; A has {t}")
+    if start.group.shape != (m,):
+        raise ValueError(f"start's row groups cover {start.group.size} instances; A has {m}")
+    order = np.lexsort((*G[:, t_old:].T[::-1], start.group))
+    ranked, prior = G[order], start.group[order]
+    differs = ranked[1:] != ranked[:-1]
+    same_prior = prior[1:] == prior[:-1]  # each start group's rows are contiguous
+    if prior[0] < 0 or prior[-1] >= k_old or np.any(same_prior & differs[:, :t_old].any(axis=1)):
+        raise ValueError(f"start's row groups do not hold identical rows of A's first {t_old} columns")
+    first = np.ones(m, dtype=bool)
+    first[1:] = ~same_prior | differs[:, t_old:].any(axis=1)
+    return (*_grouped(ranked, order, first), prior[first])
+
+
+def _grouped(ranked, order, first):
+    """(distinct rows, each row's group, group sizes) of the rows
+    ``ranked = G[order]``, sorted, whose new groups begin at ``first``."""
     rank = first.cumsum() - 1
-    group = np.empty(m, dtype=np.intp)
+    group = np.empty(rank.size, dtype=np.intp)
     group[order] = rank
     return ranked[first], group, np.bincount(rank)
 

@@ -187,6 +187,11 @@ class StumpLearner:
 
 
 def full_gain_matrix(data: Dataset, pool: StumpPool) -> GainMatrix:
-    """Gain columns of every pool candidate, in pool order."""
-    stumps = [pool.candidate(j) for j in range(len(pool))]
-    return GainMatrix([data.labels * h.predict(data.features) for h in stumps], stumps)
+    """Gain columns of every pool candidate, in pool order, formed as one
+    array: each threshold's +1 column, then its negation, the -1 column."""
+    fire = data.features[:, pool.features] >= pool.thresholds
+    plus = data.labels[:, None] * np.where(fire, 1.0, -1.0)
+    columns = np.empty((len(pool), data.m))  # one column per row
+    columns[0::2] = plus.T
+    columns[1::2] = -plus.T
+    return GainMatrix(columns, [pool.candidate(j) for j in range(len(pool))])

@@ -126,10 +126,10 @@ def test_pairwise_good_step_rate():
 def test_secondary_lpboost_point_mass_and_duplicates():
     col = np.array([0.4, -0.1, 0.3])
     A = GainMatrix([col], [0])
-    assert secondary_lpboost(A, 2.0) == pytest.approx([1.0])
+    assert secondary_lpboost(A, 2.0)[0] == pytest.approx([1.0])
 
     A2 = GainMatrix([col, col.copy()], [0, 1])
-    w = secondary_lpboost(A2, 2.0)
+    w, _ = secondary_lpboost(A2, 2.0)
     value = min_linear_over_cap(A2.as_array() @ w, 2.0)
     ref = solve_edge_min(A, 2.0).rho
     assert w.sum() == pytest.approx(1.0)
@@ -140,7 +140,10 @@ def test_secondary_lpboost_point_mass_and_duplicates():
 def test_secondary_lpboost_matches_edge_min_dual():
     c = np.array([0.5, -0.2, 0.3, 0.9])
     A = GainMatrix([c, -c], [0, 1])
-    assert np.array_equal(secondary_lpboost(A, 2.0), solve_edge_min(A, 2.0).w)
+    w, basis = secondary_lpboost(A, 2.0)
+    sol = solve_edge_min(A, 2.0)
+    assert np.array_equal(w, sol.w)
+    assert np.array_equal(basis.basic, sol.basis.basic)
 
 
 def test_secondary_erlpboost_point_mass():
@@ -210,11 +213,11 @@ def test_corrective_solve_stops_at_its_fixed_point(monkeypatch, caplog):
 def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
     calls = {"n": 0}
 
-    def fail_on_third_call(A, nu):
+    def fail_on_third_call(A, nu, start=None):
         calls["n"] += 1
         if calls["n"] == 3:
             raise error
-        return solve_edge_min(A, nu)
+        return solve_edge_min(A, nu, start=start)
 
     monkeypatch.setattr(boosting, "solve_edge_min", fail_on_third_call)
     data = two_gaussians(60, seed=3)
@@ -243,9 +246,19 @@ def _same_fit(a, b):
     assert model_a.converged and model_b.converged
 
 
-def _lpboost_every_round(A, params):
-    """The LPBoost secondary as a callable, which run_scheme never reuses."""
-    return secondary_lpboost(A, params.nu)
+def _lpboost_every_round():
+    """The LPBoost secondary as a callable, which run_scheme never reuses:
+    it solves every round, warm-started from its own last basis as
+    run_scheme starts each solve from the last, and drops that basis when
+    a solve fails, as run_scheme does."""
+    last = {"basis": None}
+
+    def solve(A, params):
+        start, last["basis"] = last["basis"], None
+        w, last["basis"] = secondary_lpboost(A, params.nu, start)
+        return w
+
+    return solve
 
 
 @pytest.mark.parametrize("fw_rule", ["short_step", "pairwise"])
@@ -255,7 +268,7 @@ def test_reused_lpboost_secondary_matches_solving_every_round(fw_rule):
     cfg = BoosterConfig(eps=0.01, nu=20.0, fw_rule=fw_rule, secondary="lpboost")
     reused = run_scheme(data, learner, cfg)
     every_round = run_scheme(
-        data, learner, dataclasses.replace(cfg, secondary=_lpboost_every_round)
+        data, learner, dataclasses.replace(cfg, secondary=_lpboost_every_round())
     )
     _same_fit(reused, every_round)
 
@@ -263,9 +276,9 @@ def test_reused_lpboost_secondary_matches_solving_every_round(fw_rule):
 def test_lpboost_secondary_solves_once_per_column_set(monkeypatch):
     column_counts = []
 
-    def counting_solve(A, nu):
+    def counting_solve(A, nu, start=None):
         column_counts.append(A.t)
-        return solve_edge_min(A, nu)
+        return solve_edge_min(A, nu, start=start)
 
     monkeypatch.setattr(boosting, "solve_edge_min", counting_solve)
     data = two_gaussians(200, seed=0)
@@ -274,7 +287,7 @@ def test_lpboost_secondary_solves_once_per_column_set(monkeypatch):
     assert model.converged
     # columns only grow, so one solve per column set means strictly increasing counts
     assert all(a < b for a, b in zip(column_counts, column_counts[1:]))
-    assert len(column_counts) <= len(records) // 10  # measured 22 solves in 605 rounds
+    assert len(column_counts) <= len(records) // 10  # measured 23 solves in 683 rounds
 
 
 class _RecordingLearner:
@@ -295,11 +308,11 @@ class _RecordingLearner:
 def test_failed_lpboost_secondary_is_retried_on_the_same_columns(monkeypatch, caplog):
     column_counts = []
 
-    def fail_at_four_columns(A, nu):
+    def fail_at_four_columns(A, nu, start=None):
         column_counts.append(A.t)
         if A.t == 4:
             raise LpError("pivot limit")
-        return solve_edge_min(A, nu)
+        return solve_edge_min(A, nu, start=start)
 
     monkeypatch.setattr(boosting, "solve_edge_min", fail_at_four_columns)
     data = two_gaussians(60, seed=3)
@@ -315,7 +328,7 @@ def test_failed_lpboost_secondary_is_retried_on_the_same_columns(monkeypatch, ca
     assert len(caplog.records) == column_counts.count(4)
 
     every_round = run_scheme(
-        data, StumpLearner(data), dataclasses.replace(cfg, secondary=_lpboost_every_round)
+        data, StumpLearner(data), dataclasses.replace(cfg, secondary=_lpboost_every_round())
     )
     _same_fit(reused, every_round)
 
@@ -516,8 +529,8 @@ KERNEL_PROJECTIONS = {
     "cerlpboost": 1844,
     "mlpb-ss": 379,
     "mlpb-pfw": 530,
-    "mlpb-ls": 350,
-    "mlpb-classic": 478,
+    "mlpb-ls": 438,
+    "mlpb-classic": 477,
 }
 
 

@@ -81,8 +81,8 @@ def test_every_algo_certifies_its_fit(data, nu_frac, eps):
         manifest = RunManifest(data="", algo=algo, nu_frac=nu_frac, eps=eps)
         solves = []
 
-        def recording_solve(A, nu, solve=boosting.solve_edge_min):
-            solves.append(solve(A, nu))
+        def recording_solve(A, nu, start=None, solve=boosting.solve_edge_min):
+            solves.append(solve(A, nu, start=start))
             return solves[-1]
 
         with mock.patch.object(boosting, "solve_edge_min", recording_solve):

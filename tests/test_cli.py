@@ -402,7 +402,7 @@ def test_predict_rejects_truncated_or_undecodable_model(tmp_path, capsys):
 
 
 def test_lp_error_exits_one_with_message(tmp_path, capsys, monkeypatch):
-    def failing_solve(A, nu):
+    def failing_solve(A, nu, start=None):
         raise LpError("strong duality violated")
 
     data_path = tmp_path / "g.csv"

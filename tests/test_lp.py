@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.optimize import linprog
 
 from marginforge import boosting, lp
 from marginforge.boosting import BoosterConfig, run_scheme
+from marginforge.constants import LP_PIVOT_TOL, STRONG_DUALITY_TOL
 from marginforge.core import GainMatrix, check_distribution, check_ensemble_weights
 from marginforge.entropy import capped_min_linear
 from marginforge.lp import (
@@ -523,12 +525,13 @@ def _parts(sol):
 
 
 def test_every_lp_of_an_mlpb_ss_fit_matches_the_reference(monkeypatch):
+    # the fit's solves are warm-started; the cold solve of each of its LPs
+    # is the one the reference kernel repeats bit for bit
     calls = []
 
-    def recording_solve(A, nu):
-        sol = solve_edge_min(A, nu)
-        calls.append((A.as_array().copy(), nu, sol))
-        return sol
+    def recording_solve(A, nu, start=None):
+        calls.append((A.as_array().copy(), nu))
+        return solve_edge_min(A, nu, start=start)
 
     monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
     data = two_gaussians(200, seed=0)
@@ -536,7 +539,8 @@ def test_every_lp_of_an_mlpb_ss_fit_matches_the_reference(monkeypatch):
     model, _ = run_scheme(data, StumpLearner(data), cfg)
     assert model.converged
     assert len(calls) >= 10
-    for G, nu, sol in calls:
+    for G, nu in calls:
+        sol = solve_edge_min(_gain(G.T), nu)
         ref = _reference_edge_min(monkeypatch, _gain(G.T), nu)
         assert _outcome(_parts, sol) == _outcome(_parts, ref)
 
@@ -598,15 +602,17 @@ def test_edge_min_under_immediate_bland_matches_highs_and_the_reference(data):
 
 
 def test_pivot_limit_raises_and_the_booster_keeps_the_fw_step(monkeypatch, caplog):
-    # the third restricted LP gets one pivot, so the kernel itself raises
+    # the third restricted LP, solved cold, gets one pivot, so the kernel
+    # itself raises
     calls = {"n": 0}
 
-    def starved_third_solve(A, nu):
+    def starved_third_solve(A, nu, start=None):
         calls["n"] += 1
         with monkeypatch.context() as patch:
             if calls["n"] == 3:
                 patch.setattr(lp, "_MAX_PIVOTS", 1)
-            return solve_edge_min(A, nu)
+                start = None
+            return solve_edge_min(A, nu, start=start)
 
     monkeypatch.setattr(boosting, "solve_edge_min", starved_third_solve)
     data = two_gaussians(60, seed=3)
@@ -681,3 +687,142 @@ def test_edge_min_rejects_nu_outside_one_to_m_before_solving(monkeypatch, nu):
     A = _gain([[1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, -1.0]])
     with pytest.raises(ValueError, match=r"nu must lie in \[1, m\]; got"):
         solve_edge_min(A, nu)
+
+
+# -- warm starts: each solve restarts from the last one's final basis ------
+
+
+@st.composite
+def growing_matrices(draw):
+    """(G, nu, counts): an m x T gain matrix, either of +-1 entries or of
+    1/64-grid rows each repeated, and the column counts it is solved at,
+    from one column up to T by one or several columns at a time."""
+    m = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    T = 1 + sum(steps)
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.booleans(), min_size=m * T, max_size=m * T))
+        G = np.where(np.array(signs).reshape(m, T), 1.0, -1.0)
+    else:
+        k = draw(st.integers(1, m))
+        cells = draw(st.lists(st.integers(-64, 64), min_size=k * T, max_size=k * T))
+        rows = np.array(cells, dtype=float).reshape(k, T) / 64.0
+        G = rows[draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))]
+    nu = draw(st.floats(1.0, float(m)))
+    return G, nu, list(np.cumsum([1] + steps))
+
+
+_DUAL_ITERATE = lp._dual_iterate
+
+
+def _dual_feasible_dual_iterate(A, b, c, u, basis, x_nb):
+    """``lp._dual_iterate``, checked to end with reduced costs of the sign
+    each nonbasic's bound needs (measured: 1.1e-15 at worst over 8,895
+    warm solves of the strategy below)."""
+    Binv = _DUAL_ITERATE(A, b, c, u, basis, x_nb)
+    red = c - np.linalg.solve(A[:, basis].T, c[basis]) @ A
+    assert np.all(red * lp._pricing_signs(basis, x_nb) >= -LP_PIVOT_TOL)
+    return Binv
+
+
+@settings(max_examples=150, deadline=None)
+@given(growing_matrices())
+def test_warm_solves_match_the_cold_solve_and_highs(drawn):
+    G, nu, counts = drawn
+    with (
+        mock.patch.object(lp.logger, "warning") as warned,
+        mock.patch.object(lp, "_dual_iterate", _dual_feasible_dual_iterate),
+    ):
+        sol = solve_edge_min(_gain(G[:, :1].T), nu)
+        for t in counts[1:]:
+            A = _gain(G[:, :t].T)
+            warm = solve_edge_min(A, nu, start=sol.basis)
+            assert warm.basis is not None and warm.basis.t == t
+            assert warm.gamma == pytest.approx(solve_edge_min(A, nu).gamma, abs=1e-7)
+            assert warm.gamma == pytest.approx(_scipy_edge_min(G[:, :t], nu), abs=1e-7)
+            check_distribution(warm.d, nu)
+            check_ensemble_weights(warm.w, A)
+            assert abs(warm.gamma - warm.rho) <= STRONG_DUALITY_TOL
+            assert np.max(warm.d @ G[:, :t]) == pytest.approx(warm.gamma, abs=1e-8)
+            sol = warm
+    warned.assert_not_called()
+
+
+def test_a_new_column_that_splits_a_basic_group_fills_its_children_in_order():
+    # one column: rows 2 and 3 (gain -1) form the basic group, weight 1 below
+    # its cap 4/3; the second column splits it into (-1, -1) and (-1, 1)
+    G = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    nu = 1.5
+    sol = solve_edge_min(_gain(G[:, :1].T), nu)
+    low = 0  # the -1 row sorts first
+    assert low in sol.basis.basic and sol.basis.weights[low] == 1.0
+
+    A = _gain(G.T)
+    rows, group, counts, parent = lp._split_rows(A.as_array(), sol.basis)
+    assert np.array_equal(parent, [0, 0, 1, 1])
+    upper = counts / nu
+    basis, x_nb = lp._carried_basis(sol.basis, parent, upper, 2)
+    # child 0 fills to its cap 2/3, child 1 is basic with the remaining 1/3
+    assert x_nb[0] == upper[0] and 1 in basis and 0 not in basis
+    assert basis[-1] == len(upper) + 2 + 1  # the new row's slack, basic
+    warm = solve_edge_min(A, nu, start=sol.basis)
+    assert warm.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-12)
+    assert warm.gamma == pytest.approx(solve_edge_min(A, nu).gamma, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_warm_solve_of_an_unchanged_matrix_returns_the_bits_it_started_from(seed):
+    rng = np.random.default_rng(seed)
+    m, t = int(rng.integers(4, 30)), int(rng.integers(1, 8))
+    G = rng.choice([-1.0, 1.0], (m, t)) if seed % 2 else rng.integers(-8, 9, (m, t)) / 8.0
+    nu = float(rng.uniform(1.0, m))
+    A = _gain(G.T)
+    sol = solve_edge_min(A, nu, start=solve_edge_min(_gain(G[:, :1].T), nu).basis)
+    again = solve_edge_min(A, nu, start=sol.basis)
+    assert _outcome(_parts, again) == _outcome(_parts, sol)
+    for name in ("group", "basic", "x_nb", "weights"):
+        assert _bits(getattr(again.basis, name)) == _bits(getattr(sol.basis, name))
+
+
+def test_only_the_edge_min_form_returns_a_basis():
+    rng = np.random.default_rng(5)
+    wide = _gain([rng.uniform(-1, 1, 3) for _ in range(9)])  # t > k: soft-margin form
+    assert solve_edge_min(wide, 1.5).basis is None
+    narrow = _gain([rng.uniform(-1, 1, 9) for _ in range(3)])
+    basis = solve_edge_min(narrow, 1.5).basis
+    assert basis.t == 3 and basis.group.size == 9
+    with pytest.raises(ValueError):
+        basis.x_nb[0] = 1.0  # a frozen value
+
+
+def test_a_start_that_does_not_fit_the_matrix_is_a_value_error(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the LP was built")
+
+    G = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
+    grown = solve_edge_min(_gain(G.T), 2.0).basis
+    other = solve_edge_min(_gain([G[:, 0] * np.array([1.0, -1.0, 1.0, -1.0])]), 2.0).basis
+    monkeypatch.setattr(lp, "_solve_max", no_solve)
+    with pytest.raises(ValueError, match="start solved 3 columns; A has 2"):
+        solve_edge_min(_gain(G[:, :2].T), 2.0, start=grown)
+    with pytest.raises(ValueError, match="do not hold identical rows"):
+        solve_edge_min(_gain(G.T), 2.0, start=other)
+    with pytest.raises(ValueError, match="cover 4 instances; A has 3"):
+        solve_edge_min(_gain(G[:3].T), 2.0, start=grown)
+
+
+@pytest.mark.parametrize("error", [LpError("forced"), np.linalg.LinAlgError("singular")])
+def test_a_failed_warm_solve_falls_back_cold_with_one_warning(monkeypatch, caplog, error):
+    def failing_dual_iterate(*args):
+        raise error
+
+    G = np.random.default_rng(3).choice([-1.0, 1.0], (40, 5))
+    start = solve_edge_min(_gain(G[:, :2].T), 4.0).basis
+    A = _gain(G.T)
+    monkeypatch.setattr(lp, "_dual_iterate", failing_dual_iterate)
+    with caplog.at_level(logging.WARNING, logger="marginforge.lp"):
+        sol = solve_edge_min(A, 4.0, start=start)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"warm-started LP failed ({error}); solving it cold"
+    ]
+    assert _outcome(_parts, sol) == _outcome(_parts, solve_edge_min(A, 4.0))

@@ -253,6 +253,19 @@ def test_full_gain_matrix_entries():
         assert np.allclose(A.as_array()[:, j], data.labels * h.predict(data.features))
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_full_gain_matrix_forms_each_candidates_column_bit_for_bit(tied):
+    # the columns, formed as one array, are each candidate's y * h(x)
+    data = two_gaussians(40, seed=2, p=3)
+    if tied:
+        data = Dataset(np.round(data.features, 1), data.labels)
+    pool = StumpPool.build(data)
+    A = full_gain_matrix(data, pool)
+    assert tuple(A.hypothesis_ids) == pool_candidates(pool)
+    for j, h in enumerate(pool_candidates(pool)):
+        assert A.as_array()[:, j].tobytes() == (data.labels * h.predict(data.features)).tobytes()
+
+
 def interleaved_pick(data, d, pool):
     """The pick as first written: argmax over the (+edge, -edge) pairs
     interleaved into one array, so the first maximum in pool order wins."""
