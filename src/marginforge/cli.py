@@ -18,8 +18,10 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +110,44 @@ def _load_table(path: str, format: str):
     raise DataFormatError(f"unknown format {format!r}")
 
 
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # one line and its end
+_BYTE_LINE_END = re.compile(rb"\r\n|\r|\n")
+
+
+def _read_lines(path: str) -> list[str]:
+    """The file's UTF-8 lines with their ends; an undecodable byte is a
+    DataFormatError at its line."""
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:  # exc.object is the whole file
+            line = 1 + len(_BYTE_LINE_END.findall(exc.object, 0, exc.start))
+            raise DataFormatError(f"{path}:{line}: {exc}") from None
+    return _split_lines(text)
+
+
+def _split_lines(text: str) -> list[str]:
+    """text's lines with their ends, split where csv's reader splits them: at
+    \r\n, \r and \n only (str.splitlines() also breaks at \x0c, \x1c-\x1e
+    and more, inside what csv reads as one field)."""
+    end = "\r\n" if "\r\n" in text else "\n" if "\n" in text else "\r"
+    lines = text.split(end)
+    if any(c in "".join(lines) for c in "\r\n"):  # mixed ends: a regex, ten times slower
+        return _LINE.findall(text)
+    last = lines.pop()
+    for i, line in enumerate(lines):  # in place, so the lines are held once, not twice
+        lines[i] = line + end
+    if last:
+        lines.append(last)
+    return lines
+
+
 def _load_csv(path: str):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    """The header by csv's reader; the rows by numpy's C parser where every
+    field is a plain number, and by the strict reader otherwise."""
+    lines = _read_lines(path)
+    reader = csv.reader(lines)
+    try:
         try:
             header = next(reader)
         except StopIteration:
@@ -119,56 +156,76 @@ def _load_csv(path: str):
         width = len(header) - (1 if labeled else 0)
         if width < 1:
             raise DataFormatError(f"{path}: no feature columns")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
-            if labeled:
-                rows.append(values[:-1])
-                labels.append(values[-1])
-            else:
-                rows.append(values)
-        if not rows:
-            raise DataFormatError(f"{path}: no data rows")
-    features = np.array(rows, dtype=float)
+        table = _plain_table(lines[reader.line_num :], len(header))
+        if table is None:
+            table = _strict_table(reader, len(header), path)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not labeled:
-        return features, None
-    return features, _map_labels(labels, path)
+        return table, None
+    return table[:, :-1], _map_labels(table[:, -1].tolist(), path)
+
+
+def _plain_table(lines: list[str], width: int):
+    """The data lines as read by numpy's C parser, or None where only the
+    strict reader may decide: any exception, a skipped blank line, another
+    width, or a line longer than csv's field limit.  The parser accepts a
+    subset of float()'s syntax and rounds as float() does."""
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # all-blank lines: "input contained no data"
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except Exception:
+        return None
+    return table if table.shape == (len(lines), width) else None
+
+
+def _strict_table(reader, width: int, path: str) -> np.ndarray:
+    """The rows after the header, each field read by float(); the arbiter of
+    what a CSV may hold and of every message about it."""
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise DataFormatError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
 
 
 def _load_libsvm(path: str):
     rows, labels = [], []
     width = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: bad label field") from None
+        entries = {}
+        for item in parts[1:]:
             try:
-                label = float(parts[0])
+                idx_s, val_s = item.split(":", 1)
+                idx, val = int(idx_s), float(val_s)
             except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad label field") from None
-            entries = {}
-            for item in parts[1:]:
-                try:
-                    idx_s, val_s = item.split(":", 1)
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise DataFormatError(f"{path}:{lineno}: bad index:value pair {item!r}") from None
-                if idx < 1:
-                    raise DataFormatError(f"{path}:{lineno}: indices are 1-based")
-                if idx in entries:
-                    raise DataFormatError(f"{path}:{lineno}: index {idx} repeated")
-                entries[idx] = val
-            labels.append(label)
-            rows.append(entries)
-            if entries:
-                width = max(width, max(entries))
+                raise DataFormatError(f"{path}:{lineno}: bad index:value pair {item!r}") from None
+            if idx < 1:
+                raise DataFormatError(f"{path}:{lineno}: indices are 1-based")
+            if idx in entries:
+                raise DataFormatError(f"{path}:{lineno}: index {idx} repeated")
+            entries[idx] = val
+        labels.append(label)
+        rows.append(entries)
+        if entries:
+            width = max(width, max(entries))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     width = max(width, 1)
@@ -189,7 +246,8 @@ def _map_labels(raw: list[float], path: str) -> np.ndarray:
         return np.array(raw)
     if values <= {0.0, 1.0}:
         return np.array([1.0 if v == 1.0 else -1.0 for v in raw])
-    bad = sorted(values - {-1.0, 0.0, 1.0}) or sorted(values)
+    # NaN last: NaNs hash by identity, so their set order varies from run to run
+    bad = sorted(values - {-1.0, 0.0, 1.0}, key=lambda v: (math.isnan(v), v)) or sorted(values)
     raise DataFormatError(f"{path}: labels must be -1/+1 or 0/1; saw {bad[0]}")
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginforge import cli
 from marginforge.boosting import BoosterConfig, predict, run_scheme
 from marginforge.cli import (
     BudgetExceededError,
@@ -778,3 +779,182 @@ def test_mutated_inputs_end_with_a_documented_exit_code(case):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in {0, 1, 2, 4}, (argv[0], code, payload)
+
+
+def test_bad_label_message_names_a_number_before_nan(tmp_path):
+    """NaNs hash by identity, so a message picked by set order could name
+    either label from one run to the next."""
+    path = tmp_path / "labels.csv"
+    path.write_text("f0,label\n0.5,nan\n1.5,2\n2.5,nan\n", encoding="utf-8")
+    for _ in range(20):  # each load hashes new NaN objects
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}: labels must be -1/+1 or 0/1; saw 2.0"
+
+
+OVER_LONG = "0" * 199_999 + "1"  # a number float() reads, in a field past csv's 131,072 limit
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [(f"f0,label\n0.5,1\n{OVER_LONG},-1\n", 3), (f"f0,{OVER_LONG},label\n0.5,1,1\n", 1)],
+    ids=["data row", "header"],
+)
+def test_over_long_csv_field_exits_one_at_its_line(tmp_path, capsys, text, line):
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["train", "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: field larger than field limit (131072)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "format, raw, line",
+    [
+        ("csv", b"f0,label\r\n" + b"0.5,1\r\n" * 2000 + b"0.\xff,-1\r\n", 2002),
+        ("libsvm", b"+1 1:0.5\r" * 2000 + b"-1 1:0.\xff\r", 2001),
+    ],
+    ids=["csv", "libsvm"],
+)
+def test_undecodable_input_exits_one_naming_its_file_and_line(tmp_path, capsys, format, raw, line):
+    path = tmp_path / f"bad.{format}"
+    path.write_bytes(raw)
+    with pytest.raises(DataFormatError, match="invalid start byte"):
+        load_dataset(str(path), format)
+    assert main(["train", "--data", str(path), "--format", format]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
+def test_plain_numeric_csv_is_read_without_the_strict_reader(tmp_path, monkeypatch):
+    """A CSV as perfbench writes it (header f0..f9,label, repr floats, integer
+    labels, CRLF ends) never reaches the strict reader, and reads bit for bit."""
+    data = two_gaussians(200, seed=5, p=10)
+    path = tmp_path / "bench.csv"
+    write_csv(path, data)
+
+    def refuse(*args):
+        raise AssertionError("the strict reader ran on a plain numeric CSV")
+
+    monkeypatch.setattr(cli, "_strict_table", refuse)
+    loaded = load_dataset(str(path))
+    assert loaded.features.tobytes() == data.features.tobytes()
+    assert loaded.labels.tobytes() == data.labels.tobytes()
+
+
+def _csv_outcome(path: str):
+    """_load_csv's arrays as bytes, or its DataFormatError message."""
+    try:
+        features, labels = cli._load_csv(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return features.shape, features.tobytes(), None if labels is None else labels.tobytes()
+
+
+def _file_lines(path: str) -> list[str]:
+    """The lines csv's reader sees in a file opened with newline=''."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(fh)
+
+
+def _assert_fast_path_agrees(path: str):
+    """The loader's arrays or message equal those of the strict reader alone
+    on the file's own lines."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_plain_table", lambda lines, width: None)
+        patch.setattr(cli, "_read_lines", _file_lines)
+        strict = _csv_outcome(path)
+    assert _csv_outcome(path) == strict
+
+
+# inputs on which numpy's C parser, str.splitlines() or float() part ways
+PARSER_SPLITS = {
+    "underscore": "f0,label\n1_0,1\n2.5,-1\n",
+    "arabic-indic digit": "f0,label\n\u0661,1\n2.5,-1\n",
+    "blank line": "f0,label\n1.5,1\n\n2.5,-1\n",
+    "blank last line": "f0,label\n1.5,1\n2.5,-1\n\n",
+    "form feed in a row": "f0,label\n1.0,1\x0c3.0,-1\n",
+    "form feed as space": "f0,label\n1.0\x0c,1\n3.0,-1\x0c\n",
+    "file separator": "f0,label\n1.0,1\x1c3.0,-1\n",
+    "quoted numbers": 'f0,label\n"1.5","1"\n"2.5",-1\n',
+    "quoted line end": 'f0,label\n"1.5\n",1\n2.5,-1\n',
+    "quoted header line end": '"f\n0",label\n1.5,1\n2.5,-1\n',
+    "crlf": "f0,label\r\n1.5,1\r\n2.5,-1\r\n",
+    "lone cr": "f0,label\r1.5,1\r2.5,-1",
+    "mixed ends": "f0,label\n1.5,1\r\n2.5,-1\r0.5,1",
+    "cr before crlf": "f0,label\r\n1.5,1\r\r\n2.5,-1\r\n",
+    "bom": "\ufefff0,label\n1.5,1\n2.5,-1\n",
+    "bom before label": "\ufefflabel\n1\n",
+    "trailing comma": "f0,label\n1.5,1,\n2.5,-1,\n",
+    "trailing comma in header": "f0,label,\n1.5,1,\n",
+    "hash": "f0,label\n#1.5,1\n2.5,-1\n",
+    "hash after a number": "f0,label\n1.5,1#2\n2.5,-1\n",
+    "nul": "f0,label\n1.5\x00,1\n",
+    "nan and inf": "f0,f1,label\nnan,-inf,1\n1e400,-nan,0\n",
+    "header only": "f0,label\n",
+    "empty": "",
+    "over-long field": f"f0,label\n{OVER_LONG},1\n",
+}
+
+
+@pytest.mark.parametrize("text", PARSER_SPLITS.values(), ids=PARSER_SPLITS.keys())
+def test_fast_csv_path_matches_the_strict_reader(tmp_path, text):
+    path = tmp_path / "split.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    _assert_fast_path_agrees(str(path))
+
+
+_CSV_SPECIALS = [
+    "1e400", "nan", "-inf", " 2.5 ", "2.5\x0c", "1_0", "\u0661", '"0.75"', '"1\n2"', "", "#1",
+    "1.0\x0c3.0", "0x10", "\xa01", "1\x00", OVER_LONG,
+]
+_CSV_NUMBERS = st.builds(
+    lambda x, fmt: fmt % x, st.floats(), st.sampled_from(["%r", "%.17g", "%.6g", "%.3e", "%.0f"])
+)
+_CSV_LABELS = ["1", "-1", "0", "1.0", "2", "nan", '"1"', "", "1#"]
+_CSV_HEADERS = ["f0,f1,label", "\ufefff0,f1,label", '"f0","f1",label', '"f\n0",f1,label', "f0,f1", ""]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Two-feature CSV texts: mostly plain numbers, and some of what parts
+    the parsers."""
+    lines = [draw(st.sampled_from(_CSV_HEADERS[:1] * 5 + _CSV_HEADERS))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "trailing comma"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = [
+            draw(_CSV_NUMBERS if draw(st.integers(0, 9)) else st.sampled_from(_CSV_SPECIALS))
+            for _ in range(2)
+        ]
+        label = draw(st.sampled_from(_CSV_LABELS[:2] * 10 + _CSV_LABELS))
+        lines.append(",".join(cells + [label]) + ("," if kind != "row" else ""))
+    style = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = [
+        draw(st.sampled_from(["\n", "\r\n", "\r"])) if style == "mixed" else style for _ in lines
+    ]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return "" if draw(st.integers(0, 30)) == 0 else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_fast_csv_path_matches_the_strict_reader_on_generated_texts(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gen.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        _assert_fast_path_agrees(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("a,\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), max_size=12))
+def test_lines_split_only_where_csv_splits_them(text):
+    assert cli._split_lines(text) == list(io.StringIO(text, newline=""))
