@@ -184,15 +184,16 @@ def _plain_table(lines: list[str], width: int):
 
 def _strict_table(reader, width: int, path: str) -> np.ndarray:
     """The rows after the header, each field read by float(); the arbiter of
-    what a CSV may hold and of every message about it."""
+    what a CSV may hold and of every message about it, which names the
+    physical line where the row ends (``reader.line_num``)."""
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if len(row) != width:
-            raise DataFormatError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            raise DataFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
         try:
             rows.append([float(v) for v in row])
         except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
+            raise DataFormatError(f"{path}:{reader.line_num}: non-numeric value") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return np.array(rows, dtype=float)

@@ -244,7 +244,9 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
     |alpha| above ``LP_RATIO_TOL``, so the reduced costs keep their
     signs.  Stops once every basic value lies within ``LP_FEAS_TOL`` of
     its bounds and returns the basis inverse; no eligible column means
-    the LP is infeasible, an ``LpError``.
+    the LP is infeasible, an ``LpError``.  The loop has no anti-cycling
+    rule, so it stops after ``4 r + 16`` pivots for r rows with the
+    primal loop's ``LpError``, and the caller solves cold.
     """
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
@@ -252,7 +254,7 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
     c_B = c[basis]
     u_B = u[basis]
 
-    for _ in range(_MAX_PIVOTS):
+    for _ in range(4 * A.shape[0] + 16):
         x_B = Binv @ (b - A @ x_nb)
         below = -x_B
         above = x_B - u_B

@@ -5,11 +5,11 @@ weighted correlation.  ``StumpPool.build`` argsorts every feature once,
 O(p m log m), and forms the pool from that presort in one array pass:
 a feature and a threshold per split, with no hypothesis object.  Each
 query then costs O(p m + |pool|): one gather into that order, one
-row-wise prefix sum turned into the thresholds' +1 edges in place, and
-one argmax and one argmin over them.  Only the answer is built as a
-``StumpHypothesis``, by ``StumpPool.candidate``.  ``StumpLearner`` is
-the weak learner a booster queries: ``best_stump`` over its dataset's
-own pool.
+row-wise prefix sum turned into the thresholds' +1 edges in one flat
+buffer, and one argmax and one argmin over them.  Only the answer is
+built as a ``StumpHypothesis``, by ``StumpPool.candidate``.
+``StumpLearner`` is the weak learner a booster queries: ``best_stump``
+over its dataset's own pool.
 """
 
 from __future__ import annotations
@@ -40,16 +40,16 @@ class StumpHypothesis:
 class StumpPool:
     """Deterministic stump candidates for a dataset, plus its presort.
 
-    Per feature: one threshold below the minimum, midpoints between
-    consecutive distinct values, one above the maximum; each threshold
-    with polarity +1 then -1.  A midpoint is halved before adding where
-    the sum would overflow, one that rounds onto the lower of its two
-    values is replaced by the upper one, and the threshold above
-    the maximum is the next float up when adding 1 does not move it; at
-    the float maximum itself there is none, and that feature's
-    above-maximum pair is left out.  Enumeration order is (feature asc,
-    threshold asc, +1 first), which is also the tie-break order of
-    every max-edge query.
+    The stump class holds two constant hypotheses, "always +1" and
+    "always -1", and the pool holds them once: candidates 0 and 1,
+    written as feature 0's stump below its minimum (threshold
+    ``min - 1``, which fires on every row), polarity +1 then -1.  Then,
+    per feature, one threshold at the midpoint between each two
+    consecutive distinct values, with polarity +1 then -1.  A midpoint
+    is halved before adding where the sum would overflow, and one that
+    rounds onto the lower of its two values is replaced by the upper
+    one.  Enumeration order is (feature asc, threshold asc, +1 first),
+    which is also the tie-break order of every max-edge query.
 
     The pool is held as arrays, one entry per threshold k in pool order:
     ``features[k]`` and ``thresholds[k]``.  Candidate 2k is
@@ -58,12 +58,13 @@ class StumpPool:
     so a fit forms only the stumps its queries return.
 
     ``orders[f]`` is the stable ascending argsort of feature f (p x m).
-    ``split_at[k]`` locates threshold k in the (p, m+1) prefix-sum
-    matrix of a query: flat index f*(m+1) + (rows below the threshold).
-    ``build`` forms the threshold at every cut of every feature as one
-    (p, m+1) array, with no loop over features; ``split_at`` is the flat
-    nonzeros of the mask of cuts that split.  Pools compare and hash by
-    identity.
+    ``split_at[k]`` locates threshold k in the flat edge buffer of a
+    query: slot 0 for the constant, and 1 + f*(m-1) + i for the cut of
+    feature f above its i+1 smallest values.  ``build`` forms every
+    feature's midpoints as one (p, m-1) array, with no loop over
+    features; ``split_at`` is the flat nonzeros of the mask of cuts
+    between distinct values, with the constant's slot put in front.
+    Pools compare and hash by identity.
 
     ``_signs`` keeps, by pool index, the +-1 predictions of each stump
     ``best_stump`` has returned, as int8: a fit mostly repeats stumps.
@@ -79,22 +80,15 @@ class StumpPool:
     def build(cls, data: Dataset) -> "StumpPool":
         orders = np.argsort(data.features.T, axis=1, kind="stable")
         xs = np.take_along_axis(data.features.T, orders, axis=1)
-        lo, hi, last = xs[:, :-1], xs[:, 1:], xs[:, -1]
+        lo, hi = xs[:, :-1], xs[:, 1:]
         with np.errstate(over="ignore"):
             mids = (lo + hi) / 2.0
             mids = np.where(np.isfinite(mids), mids, lo / 2.0 + hi / 2.0)  # lo + hi overflowed
             mids = np.where(mids > lo, mids, hi)  # adjacent floats: rounded onto lo
-            top = last + 1.0
-            top = np.where(top == last, np.nextafter(last, np.inf), top)  # |x| >= 2**53 absorbs the 1.0
-        # cuts 0..m split below the minimum, between distinct values, and above
-        # a maximum with a finite float above it (at the float maximum the
-        # dropped pair's columns would repeat the below-min pair's, flipped)
-        at_cut = np.column_stack([xs[:, 0] - 1.0, mids, top])
-        splits = np.column_stack([np.ones(data.p, dtype=bool), lo < hi, np.isfinite(top)])
-        split_at = np.flatnonzero(splits)
+        split_at = np.flatnonzero(np.append(True, lo < hi))
         return cls(
-            features=split_at // (data.m + 1),
-            thresholds=at_cut.ravel()[split_at],
+            features=np.append(0, (split_at[1:] - 1) // (data.m - 1)),
+            thresholds=np.append(xs[0, 0] - 1.0, mids).take(split_at),
             orders=orders,
             split_at=split_at,
         )
@@ -138,19 +132,23 @@ def best_stump(
         raise ValueError("distribution length does not match the dataset")
 
     # +1 edges total_f - 2*prefix_f, formed in place as -2*prefix + total
-    # (the same bits); split_at is the identity when every value is distinct
-    prefix = np.empty((data.p, data.m + 1))
-    prefix[:, 0] = 0.0
-    np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
-    total = prefix[:, -1:].copy()
+    # (the same bits; the constant's is total_0) in the buffer split_at
+    # indexes, which is the identity when every value is distinct; total_f
+    # is the last step of the row's sequential cumsum
+    weighted = (d * data.labels)[pool.orders]
+    edges = np.empty(1 + data.p * (data.m - 1))
+    cuts = edges[1:].reshape(data.p, data.m - 1)
+    np.cumsum(weighted[:, :-1], axis=1, out=cuts)
+    total = weighted[:, -1:] + cuts[:, -1:] if data.m > 1 else weighted
     if not math.isfinite(total.sum()):
         # every entry of d reaches every feature's total, so this catches
         # any non-finite d before the edges are formed from it
         if not np.all(np.isfinite(d)):
             raise ValueError("distribution has non-finite entries")
-    prefix *= -2.0
-    prefix += total
-    plus = prefix.ravel() if pool.split_at.size == prefix.size else prefix.take(pool.split_at)
+    edges[0] = total[0, 0]
+    cuts *= -2.0
+    cuts += total
+    plus = edges if pool.split_at.size == edges.size else edges.take(pool.split_at)
     i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
     top, bottom = float(plus[i_pos]), float(plus[i_neg])
     if not (math.isfinite(top) and math.isfinite(bottom)):

@@ -29,6 +29,17 @@ def two_gaussians(m: int, seed: int, p: int = 2, spread: float = 0.9, shift: flo
     return Dataset(features, labels)
 
 
+def ringnorm(m: int, seed: int, p: int = 20) -> Dataset:
+    """Breiman's ringnorm (1996, "Bias, variance, and arcing classifiers"):
+    m/2 rows of label +1 drawn from N(0, 4 I), then m/2 of label -1 from
+    N(a, I) with every coordinate of a equal to 1/sqrt(p), drawn first."""
+    rng = np.random.default_rng(seed)
+    half = m // 2
+    neg = rng.standard_normal((half, p)) + 1.0 / math.sqrt(p)
+    pos = 2.0 * rng.standard_normal((half, p))
+    return Dataset(np.vstack([pos, neg]), np.concatenate([np.ones(half), -np.ones(half)]))
+
+
 def write_csv(path, data: Dataset):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -116,13 +127,15 @@ def pool_candidates(pool) -> tuple:
 
 
 def reference_stump_pool(data: Dataset):
-    """The stump pool as first built: one ``StumpHypothesis`` object per
+    """The stump pool by its definition: one ``StumpHypothesis`` object per
     candidate, enumerated verbatim, as an oracle for the array-backed pool.
-    Returns (candidates, orders, split_at)."""
+    The constant pair comes first, as feature 0's stump below its minimum;
+    then each feature's midpoints.  Returns (candidates, orders, split_at)."""
     m = data.m
     orders = np.argsort(data.features.T, axis=1, kind="stable")
     sorted_x = np.take_along_axis(data.features.T, orders, axis=1)
-    out, splits = [], []
+    below = float(sorted_x[0][0] - 1.0)
+    out, splits = [StumpHypothesis(0, below, 1), StumpHypothesis(0, below, -1)], [[0]]
     for f, xs in enumerate(sorted_x):
         boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1
         lo, hi = xs[boundaries - 1], xs[boundaries]
@@ -130,17 +143,9 @@ def reference_stump_pool(data: Dataset):
             mids = (lo + hi) / 2.0
             mids = np.where(np.isfinite(mids), mids, lo / 2.0 + hi / 2.0)  # lo + hi overflowed
             mids = np.where(mids > lo, mids, hi)  # adjacent floats: rounded onto lo
-            top = xs[-1] + 1.0
-            if top == xs[-1]:  # |xs[-1]| >= 2**53 absorbs the 1.0
-                top = np.nextafter(xs[-1], np.inf)
-        thresholds = np.concatenate([[xs[0] - 1.0], mids, [top]])
-        cuts = np.concatenate([[0], boundaries, [m]])
-        if not np.isfinite(top):
-            # nothing finite lies above the float maximum; the dropped
-            # pair's columns repeat the below-min pair's, polarity flipped
-            thresholds, cuts = thresholds[:-1], cuts[:-1]
-        splits.append(f * (m + 1) + cuts)
-        for thr in thresholds.tolist():
+        # the cut above the first b rows sits in slot 1 + f*(m-1) + (b-1)
+        splits.append(f * (m - 1) + boundaries)
+        for thr in mids.tolist():
             out.append(StumpHypothesis(f, thr, 1))
             out.append(StumpHypothesis(f, thr, -1))
     return tuple(out), orders, np.concatenate(splits)

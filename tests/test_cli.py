@@ -75,6 +75,12 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(DataFormatError, match=":2:"):
         load_dataset(str(path3), "csv")
 
+    # a quoted header field spans lines 1 and 2, so the short row is on line 4
+    path4 = tmp_path / "multiline.csv"
+    path4.write_text('"f\n0",label\n1.5,1\n2.5\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r":4: expected 2 fields, got 1$"):
+        load_dataset(str(path4), "csv")
+
 
 def test_libsvm_matches_csv_equivalent(tmp_path):
     csv_path = tmp_path / "pair.csv"

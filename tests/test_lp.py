@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from marginforge import boosting, lp
+from marginforge import boosting, cli, lp
 from marginforge.boosting import BoosterConfig, run_scheme
 from marginforge.constants import LP_PIVOT_TOL, STRONG_DUALITY_TOL
 from marginforge.core import GainMatrix, check_distribution, check_ensemble_weights
@@ -28,6 +28,7 @@ from conftest import (
     min_linear_over_cap,
     reference_simplex_min,
     reference_solve_max,
+    ringnorm,
     two_gaussians,
 )
 
@@ -826,3 +827,28 @@ def test_a_failed_warm_solve_falls_back_cold_with_one_warning(monkeypatch, caplo
         f"warm-started LP failed ({error}); solving it cold"
     ]
     assert _outcome(_parts, sol) == _outcome(_parts, solve_edge_min(A, 4.0))
+
+
+def test_the_warm_dual_phase_is_bounded_where_it_cycles(monkeypatch):
+    # lpboost on ringnorm: under the primal loop's 200,000-pivot cap the dual
+    # phase cycled under dual degeneracy and ran out the cap in three solves
+    count = {"inside": False, "pivots": 0}
+    dual_iterate, exchange = lp._dual_iterate, lp._exchange
+
+    def counted_dual_iterate(*args):
+        count["inside"] = True
+        try:
+            return dual_iterate(*args)
+        finally:
+            count["inside"] = False
+
+    def counted_exchange(*args):
+        count["pivots"] += count["inside"]
+        return exchange(*args)
+
+    monkeypatch.setattr(lp, "_dual_iterate", counted_dual_iterate)
+    monkeypatch.setattr(lp, "_exchange", counted_exchange)
+    manifest = cli.RunManifest(data="ringnorm", algo="lpboost", nu_frac=0.1, eps=0.1)
+    model, _ = cli._run_manifest(manifest, ringnorm(200, seed=3))
+    assert model.converged
+    assert 0 < count["pivots"] < 50_000

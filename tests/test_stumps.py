@@ -33,9 +33,10 @@ def naive_best(data, d, pool):
 def sweep_best(data, d):
     """Reference per-feature sweep: argsort, prefix sums, strict-> scan.
 
-    Visits candidates in pool order (feature asc, threshold asc, +1
-    first) and keeps the first maximum, recomputing the thresholds from
-    each query's own sort rather than from a presort.
+    Visits candidates in pool order (the constant pair as feature 0's
+    stump below its minimum, then feature asc, threshold asc, +1 first)
+    and keeps the first maximum, recomputing the thresholds from each
+    query's own sort rather than from a presort.
     """
     weighted = d * data.labels
     best = None  # (edge, stump)
@@ -45,13 +46,10 @@ def sweep_best(data, d):
         xs = x[order]
         prefix = np.concatenate([[0.0], np.cumsum(weighted[order])])
         total = prefix[-1]
-        thresholds = [xs[0] - 1.0]
-        plus_edges = [total]
+        thresholds, plus_edges = ([xs[0] - 1.0], [total]) if f == 0 else ([], [])
         boundaries = np.nonzero(xs[:-1] < xs[1:])[0] + 1
         thresholds.extend((xs[boundaries - 1] + xs[boundaries]) / 2.0)
         plus_edges.extend(total - 2.0 * prefix[boundaries])
-        thresholds.append(xs[-1] + 1.0)
-        plus_edges.append(-total)
         for thr, edge_plus in zip(thresholds, plus_edges):
             for pol, edge in ((1, edge_plus), (-1, -edge_plus)):
                 if best is None or edge > best[0]:
@@ -85,6 +83,12 @@ def stump_queries(draw):
 @given(stump_queries())
 @example((Dataset(np.array([[2.0]]), np.array([-1.0])), np.array([1.0])))
 @example((Dataset(np.full((4, 2), 0.7), np.array([1.0, -1.0, 1.0, -1.0])), np.full(4, 0.25)))
+@example(  # feature 1 sums d*y to one ulp more than feature 0, whose total is the constant's edge
+    (
+        Dataset(np.column_stack([np.arange(5.0), np.arange(5.0)[::-1]]), np.ones(5)),
+        np.array([0.15217391304347824, 0.15217391304347824, 0.6521739130434782, 0.043478260869565216, 0.0]),
+    )
+)
 def test_best_stump_is_identical_to_per_feature_sweep(query):
     data, d = query
     pool = StumpPool.build(data)
@@ -115,11 +119,10 @@ def test_pool_thresholds_match_distinct_value_midpoints():
     rng = np.random.default_rng(3)
     data = Dataset(rng.normal(0, 1, (50, 3)).round(1), rng.choice([-1.0, 1.0], 50))
     pool = StumpPool.build(data)
-    expected = []
+    expected = [(0, float(data.features[:, 0].min() - 1.0))]
     for f in range(data.p):
         distinct = np.unique(data.features[:, f])
-        thresholds = [distinct[0] - 1.0, *((distinct[:-1] + distinct[1:]) / 2.0), distinct[-1] + 1.0]
-        expected.extend((f, float(thr)) for thr in thresholds)
+        expected.extend((f, float(thr)) for thr in (distinct[:-1] + distinct[1:]) / 2.0)
     assert [(h.feature, h.threshold) for h in pool_candidates(pool)[::2]] == expected
     assert [h.polarity for h in pool_candidates(pool)] == [1, -1] * len(expected)
 
@@ -144,10 +147,10 @@ def test_pool_is_deterministic_and_covers_constants():
     data = Dataset(np.array([[0.0], [1.0], [1.0], [2.0]]), np.array([1.0, -1.0, 1.0, -1.0]))
     pool = StumpPool.build(data)
     assert pool_candidates(pool) == pool_candidates(StumpPool.build(data))
-    # 3 distinct values -> 2 midpoints + below-min + above-max, both signs
-    assert len(pool) == 8
+    # 3 distinct values -> the constant pair + 2 midpoints, both signs
+    assert len(pool) == 6
     thresholds = [h.threshold for h in pool_candidates(pool)[::2]]
-    assert thresholds == [-1.0, 0.5, 1.5, 3.0]
+    assert thresholds == [-1.0, 0.5, 1.5]
 
 
 def test_perfectly_split_feature_has_edge_one():
@@ -253,6 +256,16 @@ def test_full_gain_matrix_entries():
         assert np.allclose(A.as_array()[:, j], data.labels * h.predict(data.features))
 
 
+@settings(max_examples=200, deadline=None)
+@given(stump_queries())
+def test_full_pool_holds_each_constant_hypothesis_once(query):
+    # ties and constant columns add cuts to no feature and constants to none
+    data, _ = query
+    columns = full_gain_matrix(data, StumpPool.build(data)).as_array().T
+    for constant in (data.labels, -data.labels):
+        assert sum(np.array_equal(column, constant) for column in columns) == 1
+
+
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
 def test_full_gain_matrix_forms_each_candidates_column_bit_for_bit(tied):
     # the columns, formed as one array, are each candidate's y * h(x)
@@ -266,12 +279,20 @@ def test_full_gain_matrix_forms_each_candidates_column_bit_for_bit(tied):
         assert A.as_array()[:, j].tobytes() == (data.labels * h.predict(data.features)).tobytes()
 
 
+def gathered_edges(data, d, pool):
+    """Every threshold's +1 edge as total - 2*prefix, always gathered
+    through split_at: the constant's is feature 0's total, and the cut of
+    feature f above its i+1 smallest values sits in slot 1 + f*(m-1) + i."""
+    prefix = np.zeros((data.p, data.m + 1))
+    np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
+    plus = prefix[:, -1:] - 2.0 * prefix
+    return np.concatenate([plus[0, :1], plus[:, 1:-1].ravel()]).take(pool.split_at)
+
+
 def interleaved_pick(data, d, pool):
     """The pick as first written: argmax over the (+edge, -edge) pairs
     interleaved into one array, so the first maximum in pool order wins."""
-    prefix = np.zeros((data.p, data.m + 1))
-    np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
-    plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
+    plus = gathered_edges(data, d, pool)
     return pool_candidates(pool)[int(np.argmax(np.column_stack([plus, -plus]).ravel()))]
 
 
@@ -319,9 +340,15 @@ def test_every_threshold_fires_on_the_rows_its_split_counts(values):
     data = Dataset(np.column_stack([x, x[::-1]]), np.where(np.arange(m) % 2, 1.0, -1.0))
     pool = StumpPool.build(data)
     assert len(set(pool_candidates(pool))) == len(pool_candidates(pool))
+    # the constant pair and one pair per gap between distinct values: no
+    # threshold above a maximum, the float maximum's included
+    gaps = sum(np.unique(column).size - 1 for column in data.features.T)
+    assert len(pool) == 2 + 2 * gaps
     assert pool.split_at.size == len(pool) // 2
-    for h, flat in zip(pool_candidates(pool)[::2], pool.split_at.tolist()):
-        f, below = divmod(flat, m + 1)
+    for k, (h, flat) in enumerate(zip(pool_candidates(pool)[::2], pool.split_at.tolist())):
+        f, i = divmod(flat - 1, m - 1) if flat else (0, -1)
+        below = i + 1  # rows under the threshold: none for the constant
+        assert (k == 0) is (below == 0) and below < m
         assert f == h.feature
         assert np.isfinite(h.threshold)
         fires = np.flatnonzero(data.features[:, f] >= h.threshold)
@@ -336,6 +363,8 @@ def test_every_threshold_fires_on_the_rows_its_split_counts(values):
 
 
 def test_no_finite_threshold_above_the_float_maximum_drops_that_pair():
+    # no feature has a cut above its maximum: the pool is the constant
+    # pair (slot 0) and the one midpoint (slot 1), never a threshold past top
     top = np.finfo(float).max
     data = Dataset(np.array([[top], [0.0]]), np.array([1.0, -1.0]))
     pool = StumpPool.build(data)
@@ -407,9 +436,7 @@ def test_array_pool_matches_the_object_building_reference(data):
 def take_pick(data, d, pool):
     """The pick as written before the in-place edges: the +1 edges as
     total - 2*prefix, always gathered through split_at."""
-    prefix = np.zeros((data.p, data.m + 1))
-    np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
-    plus = (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
+    plus = gathered_edges(data, d, pool)
     i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
     if plus[i_pos] > -plus[i_neg] or (plus[i_pos] == -plus[i_neg] and i_pos <= i_neg):
         return 2 * i_pos
@@ -432,7 +459,7 @@ def test_pick_matches_with_and_without_the_split_gather(tied):
     pool = StumpPool.build(data)
     # continuous values make split_at the identity and the gather is
     # skipped; rounded values collapse thresholds and the gather runs
-    assert (pool.split_at.size == data.p * (data.m + 1)) is not tied
+    assert (pool.split_at.size == 1 + data.p * (data.m - 1)) is not tied
     rng = np.random.default_rng(11)
     for _ in range(40):
         d = rng.exponential(1.0, data.m)
