@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from marginforge import entropy, lp
 from marginforge.constants import CAP_REL_SLACK, ENTROPY_ZERO
@@ -129,26 +130,33 @@ def pool_candidates(pool) -> tuple:
 def reference_stump_pool(data: Dataset):
     """The stump pool by its definition: one ``StumpHypothesis`` object per
     candidate, enumerated verbatim, as an oracle for the array-backed pool.
-    The constant pair comes first, as feature 0's stump below its minimum;
-    then each feature's midpoints.  Returns (candidates, orders, split_at)."""
+    The constant pair comes first, as feature 0's stump below its minimum.
+    Then, per feature, one loop over its groups of equal values in sorted
+    order: the midpoint between each two consecutive groups, skipped when
+    every row of both groups carries one label.  Returns (candidates,
+    orders, split_at), split_at[k] being f*(m+1) plus the rows below the
+    cut, and 0 for the constant."""
     m = data.m
     orders = np.argsort(data.features.T, axis=1, kind="stable")
-    sorted_x = np.take_along_axis(data.features.T, orders, axis=1)
-    below = float(sorted_x[0][0] - 1.0)
-    out, splits = [StumpHypothesis(0, below, 1), StumpHypothesis(0, below, -1)], [[0]]
-    for f, xs in enumerate(sorted_x):
-        boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1
-        lo, hi = xs[boundaries - 1], xs[boundaries]
-        with np.errstate(over="ignore"):
-            mids = (lo + hi) / 2.0
-            mids = np.where(np.isfinite(mids), mids, lo / 2.0 + hi / 2.0)  # lo + hi overflowed
-            mids = np.where(mids > lo, mids, hi)  # adjacent floats: rounded onto lo
-        # the cut above the first b rows sits in slot 1 + f*(m-1) + (b-1)
-        splits.append(f * (m - 1) + boundaries)
-        for thr in mids.tolist():
-            out.append(StumpHypothesis(f, thr, 1))
-            out.append(StumpHypothesis(f, thr, -1))
-    return tuple(out), orders, np.concatenate(splits)
+    below = float(data.features[orders[0][0], 0] - 1.0)
+    out, splits = [StumpHypothesis(0, below, 1), StumpHypothesis(0, below, -1)], [0]
+    for f in range(data.p):
+        xs = [float(data.features[i, f]) for i in orders[f]]
+        ys = [float(data.labels[i]) for i in orders[f]]
+        groups = [0] + [i for i in range(1, m) if xs[i - 1] < xs[i]] + [m]  # group starts
+        for a, b, c in zip(groups, groups[1:], groups[2:]):
+            if len(set(ys[a:c])) == 1:
+                continue  # groups [a, b) and [b, c) carry one label
+            lo, hi = xs[b - 1], xs[b]
+            mid = (lo + hi) / 2.0
+            if not math.isfinite(mid):
+                mid = lo / 2.0 + hi / 2.0  # lo + hi overflowed
+            if not mid > lo:
+                mid = hi  # adjacent floats: rounded onto lo
+            splits.append(f * (m + 1) + b)
+            out.append(StumpHypothesis(f, mid, 1))
+            out.append(StumpHypothesis(f, mid, -1))
+    return tuple(out), orders, np.array(splits)
 
 
 # Reference simplex: the dense kernel of marginforge.lp before its pivot
@@ -159,6 +167,22 @@ def reference_stump_pool(data: Dataset):
 # them there runs both kernels under the same limits.
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+
+
+def scipy_edge_min(G, nu):
+    """min g subject to G.T @ d <= g, sum(d) = 1, 0 <= d <= 1/nu, by HiGHS."""
+    m, t = G.shape
+    res = linprog(
+        c=np.concatenate([np.zeros(m), [1.0]]),
+        A_ub=np.hstack([G.T, -np.ones((t, 1))]),
+        b_ub=np.zeros(t),
+        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, 1.0 / nu)] * m + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun
 
 
 def pool_oracle(A_full, d) -> int:

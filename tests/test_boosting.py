@@ -527,10 +527,10 @@ def _assert_same_projection(got, fresh):
 KERNEL_PROJECTIONS = {
     "erlpboost": 55,
     "cerlpboost": 1844,
-    "mlpb-ss": 379,
-    "mlpb-pfw": 530,
-    "mlpb-ls": 438,
-    "mlpb-classic": 477,
+    "mlpb-ss": 280,
+    "mlpb-pfw": 329,
+    "mlpb-ls": 408,
+    "mlpb-classic": 478,
 }
 
 

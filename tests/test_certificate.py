@@ -15,7 +15,6 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from marginforge import boosting
 from marginforge.cli import ALGORITHMS, RunManifest, _run_manifest, model_payload, record_payload
@@ -24,7 +23,7 @@ from marginforge.core import CapParams, Dataset
 from marginforge.entropy import smoothed_conjugate
 from marginforge.stumps import StumpPool, full_gain_matrix
 
-from conftest import min_linear_over_cap
+from conftest import scipy_edge_min, min_linear_over_cap
 
 VALUES = (-1.0, -0.5, 0.0, 0.25, 1.0, 2.0)
 
@@ -47,19 +46,7 @@ def tiny_datasets(draw):
 
 def full_pool_optimum(data: Dataset, nu: float) -> float:
     """rho* = min over the capped simplex of the best stump's edge, by HiGHS."""
-    G = full_gain_matrix(data, StumpPool.build(data)).as_array()
-    m, t = G.shape
-    res = linprog(
-        c=np.append(np.zeros(m), 1.0),
-        A_ub=np.hstack([G.T, -np.ones((t, 1))]),
-        b_ub=np.zeros(t),
-        A_eq=np.append(np.ones(m), 0.0)[None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0 / nu)] * m + [(None, None)],
-        method="highs",
-    )
-    assert res.status == 0, res.message
-    return res.fun
+    return scipy_edge_min(full_gain_matrix(data, StumpPool.build(data)).as_array(), nu)
 
 
 def artifact_bytes(model, records) -> str:

@@ -29,6 +29,7 @@ from conftest import (
     reference_simplex_min,
     reference_solve_max,
     ringnorm,
+    scipy_edge_min,
     two_gaussians,
 )
 
@@ -214,29 +215,13 @@ def sign_matrices(draw, wide: bool):
     return G, nu
 
 
-def _scipy_edge_min(G, nu):
-    """min g subject to G.T @ d <= g, sum(d) = 1, 0 <= d <= 1/nu, by HiGHS."""
-    m, t = G.shape
-    res = linprog(
-        c=np.concatenate([np.zeros(m), [1.0]]),
-        A_ub=np.hstack([G.T, -np.ones((t, 1))]),
-        b_ub=np.zeros(t),
-        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0 / nu)] * m + [(None, None)],
-        method="highs",
-    )
-    assert res.status == 0, res.message
-    return res.fun
-
-
 @pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "soft-margin form"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_edge_min_gamma_matches_scipy_highs(wide, data):
     G, nu = data.draw(sign_matrices(wide))
     sol = solve_edge_min(_gain(G.T), nu)
-    assert sol.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-7)
+    assert sol.gamma == pytest.approx(scipy_edge_min(G, nu), abs=1e-7)
 
 
 @st.composite
@@ -261,7 +246,7 @@ def repeated_row_matrices(draw, wide: bool):
 def test_edge_min_over_repeated_rows_matches_scipy_highs(wide, data):
     G, nu, group = data.draw(repeated_row_matrices(wide))
     sol = solve_edge_min(_gain(G.T), nu)
-    assert sol.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-7)
+    assert sol.gamma == pytest.approx(scipy_edge_min(G, nu), abs=1e-7)
     check_distribution(sol.d, nu)
     assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
     for g in np.unique(group):
@@ -333,7 +318,7 @@ def test_edge_min_accepts_duals_within_the_pricing_tolerance():
     sol = solve_edge_min(A, 1.0)
     check_distribution(sol.d, 1.0)
     check_ensemble_weights(sol.w, A)
-    assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-7)
+    assert sol.gamma == pytest.approx(scipy_edge_min(G, 1.0), abs=1e-7)
     assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
 
 
@@ -343,7 +328,7 @@ def test_ratio_test_ties_leave_no_row_past_its_bound():
     # and gamma comes out 0
     G = np.array([[0.0, 4.40284458e-07], [1.0, 0.0]])
     sol = solve_edge_min(_gain(G.T), 1.0)
-    assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-12)
+    assert sol.gamma == pytest.approx(scipy_edge_min(G, 1.0), abs=1e-12)
     assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-12)
 
 
@@ -395,7 +380,7 @@ def test_edge_min_tiny_gain_neighbours_match_scipy_highs(v):
     G = _tiny_gain_rows(1, v)
     sol = solve_edge_min(_gain(G.T), 1.0)
     check_distribution(sol.d, 1.0)
-    assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-7)
+    assert sol.gamma == pytest.approx(scipy_edge_min(G, 1.0), abs=1e-7)
     assert np.max(sol.d @ G) == pytest.approx(sol.gamma, abs=1e-8)
 
 
@@ -406,7 +391,7 @@ def test_edge_min_tiny_gain_neighbours_match_scipy_highs(v):
 def test_edge_min_tiny_gains_solve_the_bounded_lp(family, v):
     G = _tiny_gain_rows(family, v)
     sol = solve_edge_min(_gain(G.T), 1.0)
-    assert sol.gamma == pytest.approx(_scipy_edge_min(G, 1.0), abs=1e-7)
+    assert sol.gamma == pytest.approx(scipy_edge_min(G, 1.0), abs=1e-7)
 
 
 def _bits(value):
@@ -599,7 +584,7 @@ def test_edge_min_under_immediate_bland_matches_highs_and_the_reference(data):
         sol = solve_edge_min(_gain(G.T), nu)
         ref = _reference_edge_min(patch, _gain(G.T), nu)
         assert _outcome(_parts, sol) == _outcome(_parts, ref)
-    assert sol.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-7)
+    assert sol.gamma == pytest.approx(scipy_edge_min(G, nu), abs=1e-7)
 
 
 def test_pivot_limit_raises_and_the_booster_keeps_the_fw_step(monkeypatch, caplog):
@@ -650,7 +635,7 @@ def test_edge_min_reports_a_cleaned_optimum_outside_its_set_as_lp_error():
         sol = solve_edge_min(_gain(_CLIPPED_OUT_G.T), nu)
     except LpError:
         return  # a failed solve, which the booster survives; never a ValueError
-    assert sol.gamma == pytest.approx(_scipy_edge_min(_CLIPPED_OUT_G, nu), abs=1e-7)
+    assert sol.gamma == pytest.approx(scipy_edge_min(_CLIPPED_OUT_G, nu), abs=1e-7)
 
 
 def test_membership_failure_in_a_solve_keeps_the_fw_step(monkeypatch, caplog):
@@ -740,7 +725,7 @@ def test_warm_solves_match_the_cold_solve_and_highs(drawn):
             warm = solve_edge_min(A, nu, start=sol.basis)
             assert warm.basis is not None and warm.basis.t == t
             assert warm.gamma == pytest.approx(solve_edge_min(A, nu).gamma, abs=1e-7)
-            assert warm.gamma == pytest.approx(_scipy_edge_min(G[:, :t], nu), abs=1e-7)
+            assert warm.gamma == pytest.approx(scipy_edge_min(G[:, :t], nu), abs=1e-7)
             check_distribution(warm.d, nu)
             check_ensemble_weights(warm.w, A)
             assert abs(warm.gamma - warm.rho) <= STRONG_DUALITY_TOL
@@ -767,7 +752,7 @@ def test_a_new_column_that_splits_a_basic_group_fills_its_children_in_order():
     assert x_nb[0] == upper[0] and 1 in basis and 0 not in basis
     assert basis[-1] == len(upper) + 2 + 1  # the new row's slack, basic
     warm = solve_edge_min(A, nu, start=sol.basis)
-    assert warm.gamma == pytest.approx(_scipy_edge_min(G, nu), abs=1e-12)
+    assert warm.gamma == pytest.approx(scipy_edge_min(G, nu), abs=1e-12)
     assert warm.gamma == pytest.approx(solve_edge_min(A, nu).gamma, abs=1e-12)
 
 

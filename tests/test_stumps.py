@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from marginforge.constants import STRONG_DUALITY_TOL
 from marginforge.core import Dataset, GainMatrix
+from marginforge.lp import solve_edge_min
 from marginforge.stumps import (
     StumpHypothesis,
     StumpLearner,
@@ -16,7 +18,15 @@ from marginforge import cli
 from marginforge.boosting import BoosterConfig
 from marginforge.cli import main
 
-from conftest import pool_candidates, pool_oracle, reference_stump_pool, two_gaussians, write_csv
+from conftest import (
+    pool_candidates,
+    pool_oracle,
+    reference_stump_pool,
+    ringnorm,
+    scipy_edge_min,
+    two_gaussians,
+    write_csv,
+)
 
 
 def naive_best(data, d, pool):
@@ -34,22 +44,26 @@ def sweep_best(data, d):
     """Reference per-feature sweep: argsort, prefix sums, strict-> scan.
 
     Visits candidates in pool order (the constant pair as feature 0's
-    stump below its minimum, then feature asc, threshold asc, +1 first)
-    and keeps the first maximum, recomputing the thresholds from each
-    query's own sort rather than from a presort.
+    stump below its minimum, then feature asc, threshold asc, +1 first),
+    walks each feature's groups of equal values, skips the cut between
+    two groups whose rows all carry one label, and keeps the first
+    maximum, recomputing the thresholds from each query's own sort
+    rather than from a presort.
     """
     weighted = d * data.labels
     best = None  # (edge, stump)
     for f in range(data.p):
         x = data.features[:, f]
         order = np.argsort(x, kind="stable")
-        xs = x[order]
+        xs, ys = x[order], data.labels[order]
         prefix = np.concatenate([[0.0], np.cumsum(weighted[order])])
         total = prefix[-1]
         thresholds, plus_edges = ([xs[0] - 1.0], [total]) if f == 0 else ([], [])
-        boundaries = np.nonzero(xs[:-1] < xs[1:])[0] + 1
-        thresholds.extend((xs[boundaries - 1] + xs[boundaries]) / 2.0)
-        plus_edges.extend(total - 2.0 * prefix[boundaries])
+        groups = [0, *(np.nonzero(xs[:-1] < xs[1:])[0] + 1), data.m]  # group starts
+        for a, b, c in zip(groups, groups[1:], groups[2:]):
+            if ys[a:c].min() < ys[a:c].max():  # both labels in groups [a, b) and [b, c)
+                thresholds.append((xs[b - 1] + xs[b]) / 2.0)
+                plus_edges.append(total - 2.0 * prefix[b])
         for thr, edge_plus in zip(thresholds, plus_edges):
             for pol, edge in ((1, edge_plus), (-1, -edge_plus)):
                 if best is None or edge > best[0]:
@@ -115,14 +129,27 @@ def test_learner_queries_match_fresh_best_stump_calls():
         column[:] = 0.0  # a caller's copy: the pool's kept predictions stay as they were
 
 
+def label_boundary_gaps(data):
+    """(feature, lo, hi) for each two consecutive distinct values of a
+    feature whose rows do not all carry one label, in pool order."""
+    gaps = []
+    for f, x in enumerate(data.features.T):
+        distinct = np.unique(x)
+        for lo, hi in zip(distinct[:-1], distinct[1:]):
+            if np.unique(data.labels[(x == lo) | (x == hi)]).size > 1:
+                gaps.append((f, lo, hi))
+    return gaps
+
+
 def test_pool_thresholds_match_distinct_value_midpoints():
+    # one midpoint per gap between distinct values at a label boundary
     rng = np.random.default_rng(3)
     data = Dataset(rng.normal(0, 1, (50, 3)).round(1), rng.choice([-1.0, 1.0], 50))
     pool = StumpPool.build(data)
+    gaps = label_boundary_gaps(data)
+    assert len(gaps) < sum(np.unique(x).size - 1 for x in data.features.T)  # some are dropped
     expected = [(0, float(data.features[:, 0].min() - 1.0))]
-    for f in range(data.p):
-        distinct = np.unique(data.features[:, f])
-        expected.extend((f, float(thr)) for thr in (distinct[:-1] + distinct[1:]) / 2.0)
+    expected.extend((f, float((lo + hi) / 2.0)) for f, lo, hi in gaps)
     assert [(h.feature, h.threshold) for h in pool_candidates(pool)[::2]] == expected
     assert [h.polarity for h in pool_candidates(pool)] == [1, -1] * len(expected)
 
@@ -280,13 +307,13 @@ def test_full_gain_matrix_forms_each_candidates_column_bit_for_bit(tied):
 
 
 def gathered_edges(data, d, pool):
-    """Every threshold's +1 edge as total - 2*prefix, always gathered
-    through split_at: the constant's is feature 0's total, and the cut of
-    feature f above its i+1 smallest values sits in slot 1 + f*(m-1) + i."""
+    """Every threshold's +1 edge as total - 2*prefix, gathered through
+    split_at: the cut of feature f above its b smallest values sits in
+    slot f*(m+1) + b, and the constant in slot 0, whose prefix is empty,
+    so its edge is feature 0's total."""
     prefix = np.zeros((data.p, data.m + 1))
     np.cumsum((d * data.labels)[pool.orders], axis=1, out=prefix[:, 1:])
-    plus = prefix[:, -1:] - 2.0 * prefix
-    return np.concatenate([plus[0, :1], plus[:, 1:-1].ravel()]).take(pool.split_at)
+    return (prefix[:, -1:] - 2.0 * prefix).take(pool.split_at)
 
 
 def interleaved_pick(data, d, pool):
@@ -340,14 +367,12 @@ def test_every_threshold_fires_on_the_rows_its_split_counts(values):
     data = Dataset(np.column_stack([x, x[::-1]]), np.where(np.arange(m) % 2, 1.0, -1.0))
     pool = StumpPool.build(data)
     assert len(set(pool_candidates(pool))) == len(pool_candidates(pool))
-    # the constant pair and one pair per gap between distinct values: no
-    # threshold above a maximum, the float maximum's included
-    gaps = sum(np.unique(column).size - 1 for column in data.features.T)
-    assert len(pool) == 2 + 2 * gaps
+    # the constant pair and one pair per gap between distinct values at a
+    # label boundary: no threshold above a maximum, the float maximum's included
+    assert len(pool) == 2 + 2 * len(label_boundary_gaps(data))
     assert pool.split_at.size == len(pool) // 2
     for k, (h, flat) in enumerate(zip(pool_candidates(pool)[::2], pool.split_at.tolist())):
-        f, i = divmod(flat - 1, m - 1) if flat else (0, -1)
-        below = i + 1  # rows under the threshold: none for the constant
+        f, below = divmod(flat, m + 1)  # rows under the threshold: none for the constant
         assert (k == 0) is (below == 0) and below < m
         assert f == h.feature
         assert np.isfinite(h.threshold)
@@ -434,8 +459,8 @@ def test_array_pool_matches_the_object_building_reference(data):
 
 
 def take_pick(data, d, pool):
-    """The pick as written before the in-place edges: the +1 edges as
-    total - 2*prefix, always gathered through split_at."""
+    """The pick from the +1 edges total - 2*prefix of ``gathered_edges``:
+    the first maximum of either sign, the +1 stump first on a tie."""
     plus = gathered_edges(data, d, pool)
     i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
     if plus[i_pos] > -plus[i_neg] or (plus[i_pos] == -plus[i_neg] and i_pos <= i_neg):
@@ -452,14 +477,14 @@ def test_pick_matches_the_gathered_total_minus_twice_prefix(query):
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["continuous", "tied"])
-def test_pick_matches_with_and_without_the_split_gather(tied):
+def test_pick_matches_the_gathered_edges_on_continuous_and_tied_values(tied):
     data = two_gaussians(80, seed=7, p=3)
     if tied:
         data = Dataset(data.features.round(1), data.labels)
     pool = StumpPool.build(data)
-    # continuous values make split_at the identity and the gather is
-    # skipped; rounded values collapse thresholds and the gather runs
-    assert (pool.split_at.size == 1 + data.p * (data.m - 1)) is not tied
+    # continuous values give each row its own group and rounded values
+    # fewer; either way the pool keeps the label boundaries and drops the rest
+    assert pool.split_at.size == 1 + len(label_boundary_gaps(data)) < 1 + data.p * (data.m - 1)
     rng = np.random.default_rng(11)
     for _ in range(40):
         d = rng.exponential(1.0, data.m)
@@ -513,3 +538,58 @@ def test_pool_keeps_the_predictions_of_each_answer_once():
     assert kept.dtype == np.int8 and np.array_equal(kept, stump.predict(data.features))
     assert best_stump(data, d, pool)[1] is not column  # each answer is a fresh column
     assert len(pool._signs) == 1
+
+
+def every_midpoint_stump(data):
+    """The constant pair, then every stump with a cut between two distinct
+    values of a feature, at both polarities, enumerated with no
+    ``StumpPool``.  Each cut is written with its upper value as threshold,
+    which fires on the same rows as the midpoint."""
+    below = float(data.features[:, 0].min() - 1.0)
+    stumps = [StumpHypothesis(0, below, 1), StumpHypothesis(0, below, -1)]
+    for f in range(data.p):
+        for hi in np.unique(data.features[:, f])[1:].tolist():
+            stumps += [StumpHypothesis(f, hi, 1), StumpHypothesis(f, hi, -1)]
+    return stumps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(stump_queries(), tie_heavy_queries()))
+def test_every_midpoint_stump_is_dominated_by_a_pool_candidate(query):
+    # a dropped stump's gain column is at most a kept one's in every entry
+    data, _ = query
+    pool_columns = full_gain_matrix(data, StumpPool.build(data)).as_array()
+    for h in every_midpoint_stump(data):
+        column = data.labels * h.predict(data.features)
+        assert np.all(pool_columns >= column[:, None], axis=0).any(), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(stump_queries(), tie_heavy_queries()))
+def test_best_stump_edge_is_the_largest_over_every_midpoint_stump(query):
+    data, d = query
+    _, _, edge = best_stump(data, d, StumpPool.build(data))
+    gains = (data.labels * h.predict(data.features) for h in every_midpoint_stump(data))
+    assert abs(edge - max(float(d @ gain) for gain in gains)) <= 1e-12
+
+
+def _rounded(data):
+    return Dataset(data.features.round(1), data.labels)
+
+
+_HIGHS_DATASETS = {
+    "two_gaussians": lambda: two_gaussians(60, seed=0),
+    "rounded": lambda: _rounded(two_gaussians(60, seed=0)),
+    "ringnorm": lambda: ringnorm(60, seed=0, p=5),
+}
+
+
+@pytest.mark.parametrize("name", _HIGHS_DATASETS)
+def test_pool_optimum_matches_highs_over_every_midpoint_stump(name):
+    data = _HIGHS_DATASETS[name]()
+    nu = 0.1 * data.m
+    pool = StumpPool.build(data)
+    rho = solve_edge_min(full_gain_matrix(data, pool), nu).rho
+    G = np.column_stack([data.labels * h.predict(data.features) for h in every_midpoint_stump(data)])
+    assert len(pool) < G.shape[1]  # the pool dropped cuts
+    assert abs(rho - scipy_edge_min(G, nu)) <= STRONG_DUALITY_TOL
