@@ -326,7 +326,11 @@ def run_lpboost(data, learner, config: BoosterConfig):
     Every round re-solves the restricted edge-min LP; the distribution
     is its primal optimum and the returned ensemble its dual.  Stops
     once the freshly queried hypothesis cannot beat the restricted
-    value by more than eps.
+    value by more than eps, or, failing that, once it is a column A
+    already holds: a held column's edge under the LP's distribution is
+    at most gamma, so the restricted optimum is the learner's (LPBoost's
+    exact optimality condition), and the loop ends within as many rounds
+    as the learner has distinct columns, at any eps.
     """
     params, cap_rounds, A, min_edge = _start(learner, config)
     records: list[IterationRecord] = []
@@ -350,7 +354,10 @@ def run_lpboost(data, learner, config: BoosterConfig):
         if edge_new <= sol.gamma + config.eps:
             converged = True
             break
-        A, _ = A.with_column(column, hypothesis)
+        A, j_new = A.with_column(column, hypothesis)
+        if j_new < w.size:
+            converged = True
+            break
 
     # at the cap A holds the last query's column, which that solve did not see
     model = _finish_model(A, np.pad(w, (0, A.t - w.size)), params, converged)

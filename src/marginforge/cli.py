@@ -34,9 +34,10 @@ from .boosting import (
     run_lpboost,
     run_scheme,
 )
+from .constants import EPS_FLOOR
 from .core import Dataset
-from .lp import LpError, solve_edge_min
-from .stumps import StumpHypothesis, StumpLearner, StumpPool, full_gain_matrix
+from .lp import LpError, solve_edge_min  # solve_edge_min: perfbench reads cli.solve_edge_min
+from .stumps import StumpHypothesis, StumpLearner
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 DENSE_ENTRY_BUDGET = 100_000_000  # rows x width of a LIBSVM file's dense matrix
@@ -319,16 +320,23 @@ def cmd_train(manifest: RunManifest) -> int:
 
 
 def cmd_oracle(manifest: RunManifest) -> int:
-    """Exact restriction-free soft-margin optimum over the whole pool, when
-    the pool's gain matrix holds at most DEFAULT_ORACLE_BUDGET entries."""
+    """Exact soft-margin optimum over the whole stump pool, by LPBoost's
+    column generation: ``run_lpboost`` at eps ``EPS_FLOOR`` adds the
+    stump of largest edge until none beats the restricted LP's value,
+    so it ends at the full-pool optimum without forming the full gain
+    matrix.  Each round adds a column the LP does not hold, so the pool
+    size bounds the rounds.  A pool whose full gain matrix would hold
+    more than DEFAULT_ORACLE_BUDGET entries is refused."""
     data = load_dataset(manifest.data, manifest.format)
-    pool = StumpPool.build(data)
+    learner = StumpLearner(data)
+    pool = learner.pool
     if len(pool) * data.m > DEFAULT_ORACLE_BUDGET:
         raise BudgetExceededError(
             f"pool of {len(pool)} stumps x {data.m} rows exceeds {DEFAULT_ORACLE_BUDGET} entries"
         )
-    sol = solve_edge_min(full_gain_matrix(data, pool), manifest.nu(data.m))
-    print(json.dumps({"rho_star": sol.rho, "support_size": int(np.count_nonzero(sol.w))}))
+    config = BoosterConfig(eps=EPS_FLOOR, nu=manifest.nu(data.m), max_iterations=len(pool))
+    model, _ = run_lpboost(data, learner, config)
+    print(json.dumps({"rho_star": model.soft_margin_obj, "support_size": len(model.weights)}))
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
-"""Dense simplex kernel and the edge-min / soft-margin LP pair built on it.
+"""Dense simplex kernel and the edge-min LP built on it.
 
 The kernel ``_simplex_min`` is a primal simplex for ``min c @ x,
 A x = b, 0 <= x <= u`` (upper bounds handled implicitly, every one
 positive) that starts from a feasible basis its caller supplies: it has
-no phase 1, because both LPs ``solve_edge_min`` writes have a feasible
+no phase 1, because the LP ``solve_edge_min`` writes has a feasible
 basis known in closed form (a crash basis).  Pricing is
 most-negative-reduced-cost but falls back to Bland's rule whenever the
 objective stalls, so the solver cannot cycle and stays deterministic.
@@ -26,12 +26,12 @@ feasible, and the primal pivots then finish from its inverse.  Both
 loops change the basis through one exchange and one inverse update.
 
 ``solve_edge_min`` is the one entry point above the kernels: it checks
-``nu``, merges identical instance rows, builds the start basis of the
-form it solves, solves the restricted edge-min / soft-margin pair over
-the distinct rows, and certifies strong duality on every call.  Given
-the final basis of an earlier edge-min-form solve as ``start`` it
-carries that basis over to the grown matrix and warm-starts by the dual
-simplex; without one it solves from the crash basis.
+``nu``, merges identical instance rows, solves the restricted edge-min
+LP over the distinct rows, reads the soft-margin weights from its
+duals, and certifies strong duality on every call.  Given the final
+basis of an earlier solve as ``start`` it carries that basis over to
+the grown matrix and warm-starts by the dual simplex; without one it
+solves from the crash basis.
 """
 
 from __future__ import annotations
@@ -109,17 +109,12 @@ def _optimum(A, b, c, upper, basis, x_nb, dual_start=False):
     """``_simplex_min`` with ``basis`` and ``x_nb`` updated in place.
 
     A dual-feasible start is first made primal feasible by
-    ``_dual_iterate``, and the primal pivots run from the inverse it ends
-    with only if pricing still finds an improving column.  The basic
-    solution and duals come from fresh solves.
+    ``_dual_iterate``, and the primal pivots run on from the inverse it
+    ends with; they stop at once where pricing finds no improving column.
+    The basic solution and duals come from fresh solves.
     """
-    if not dual_start:
-        _iterate(A, b, c, upper, basis, x_nb)
-    else:
-        Binv = _dual_iterate(A, b, c, upper, basis, x_nb)
-        score = (c - (c[basis] @ Binv) @ A) * _pricing_signs(basis, x_nb)
-        if (score < -LP_PIVOT_TOL).any():
-            _iterate(A, b, c, upper, basis, x_nb, Binv)
+    Binv = _dual_iterate(A, b, c, upper, basis, x_nb) if dual_start else None
+    _iterate(A, b, c, upper, basis, x_nb, Binv)
     x = x_nb.copy()
     x[basis] = np.linalg.solve(A[:, basis], b - A @ x_nb)
     y = np.linalg.solve(A[:, basis].T, c[basis])
@@ -326,7 +321,7 @@ def _updated_inverse(Binv, alpha, pos, pivots, A, basis):
 
 @dataclass(frozen=True)
 class EdgeMinBasis:
-    """The final basis of an edge-min-form solve: the start of the next.
+    """The final basis of an edge-min solve: the start of the next.
 
     ``group`` is each instance's row group over the t columns solved,
     ``basic`` the kernel column basic at each of the t + 1 basis
@@ -353,13 +348,13 @@ class EdgeMinBasis:
 @dataclass
 class EdgeMinSolution:
     """Paired optima of the restricted edge-min LP and its soft-margin dual,
-    and, from an edge-min-form solve, its final basis."""
+    and the solve's final basis."""
 
     d: np.ndarray
     gamma: float
     w: np.ndarray
     rho: float
-    basis: EdgeMinBasis | None = None
+    basis: EdgeMinBasis
 
     def __post_init__(self):
         if abs(self.gamma - self.rho) > STRONG_DUALITY_TOL:
@@ -379,28 +374,25 @@ def solve_edge_min(
 
     Identical instance rows of A are merged first: the k distinct rows,
     with multiplicities n_g, carry one aggregate weight D_g in
-    ``[0, n_g/nu]`` (edge-min form) or one slack of cost ``n_g/nu``
-    (soft-margin form), and every instance of row g gets
-    ``d_i = D_g / n_g``.  The reduction is exact, and duplicated rows
-    get equal weight.  With no ``start``, whichever form has fewer rows
-    is handed to the solver: the edge-min form has t+1 rows (caps live
-    in variable bounds), the soft-margin form k+1, and each starts the
-    simplex from its own feasible basis, a function of (A, nu) alone.
-    rho and gamma are evaluated on the full matrix.  A solved LP whose
-    cleaned-up d or w fails its membership check is an ``LpError``.
-    ``nu`` outside ``[1, m]``, NaN included, is a ValueError before any
-    LP is built.
+    ``[0, n_g/nu]``, and every instance of row g gets ``d_i = D_g / n_g``.
+    The reduction is exact, and duplicated rows get equal weight.  The
+    LP has t+1 rows, one per column edge and the sum of D, with the caps
+    in variable bounds.  The weights w are the duals of the t edge rows,
+    and rho is evaluated from them on the full matrix.  With no
+    ``start`` the simplex starts from the crash basis, a function of
+    (A, nu) alone.  A solved LP whose cleaned-up d or w fails its
+    membership check is an ``LpError``.  ``nu`` outside ``[1, m]``, NaN
+    included, is a ValueError before any LP is built.
 
-    An edge-min-form solve returns its final basis as ``basis``; pass it
-    back as ``start`` once A has grown (column generation).  From a
-    start the solve stays in the edge-min form.  A's new columns only
+    Every solve returns its final basis as ``basis``; pass it back as
+    ``start`` once A has grown (column generation).  A's new columns only
     split the start's row groups and add rows, so the start's basis
     carries over dual feasible: a child of a nonbasic group sits at its
     parent's bound, a basic group's weight fills its children in order
     up to their caps and the child where it runs out is basic, and each
     new row's slack is basic with dual 0.  The dual simplex
     (``_dual_iterate``) then restores primal feasibility, and the primal
-    pivots run on if pricing still finds an improving column.  A start
+    pivots run on while pricing finds an improving column.  A start
     solved over more columns than A has, or whose row groups do not
     hold identical rows of A, is a ValueError; an ``LpError`` or
     ``LinAlgError`` on the warm path is logged as a warning and the LP
@@ -416,70 +408,47 @@ def solve_edge_min(
     else:
         rows, group, counts, parent = _split_rows(G, start)
     k = rows.shape[0]
-    basis_out = None
 
-    if start is not None or t <= k:
-        # variables (D_1..D_k, g): maximize -g
-        # rows: column edges <= g; sum(D) = 1
-        con = np.zeros((t + 1, k + 1))
-        con[:t, :k] = rows.T
-        con[:t, k] = -1.0
-        con[t, :k] = 1.0
-        objective = np.concatenate([np.zeros(k), [-1.0]])
-        upper = counts * cap
-        solved = None
-        if start is not None:
-            basis, x_nb = _carried_basis(start, parent, upper, t)
-            try:
-                solved = _solve_max(objective, con, upper, basis, x_nb, dual_start=True)
-            except (LpError, np.linalg.LinAlgError) as exc:
-                logger.warning("warm-started LP failed (%s); solving it cold", exc)
-        if solved is None:
-            # start: fill D_1, D_2, ... to their caps; the D that completes the
-            # sum is basic (the caps sum to m/nu >= 1, but at nu = m their float
-            # sum can end just short of 1), g+ or its mirror g- is basic at the
-            # largest edge, and so is every slack but the one on that edge's row
-            f = min(int(np.searchsorted(np.cumsum(upper), 1.0)), k - 1)
-            x_nb = np.zeros(k + 2 + t)
-            x_nb[:f] = upper[:f]
-            edges = x_nb[:k] @ rows + (1.0 - upper[:f].sum()) * rows[f]
-            top = int(edges.argmax())
-            slacks = np.delete(np.arange(k + 2, k + 2 + t), top)
-            basis = np.concatenate([[f, k if edges[top] >= 0.0 else k + 1], slacks])
-            solved = _solve_max(objective, con, upper, basis, x_nb)
-        x, value, duals = solved
-        d = _cleanup_distribution((x[:k] / counts)[group], cap)
-        gamma = -value
-        w = _cleanup_weights(duals[:t])
-        rho, _ = capped_min_linear(G @ w, nu)
-        basis_out = EdgeMinBasis(group, basis, x_nb, x[:k])  # _solve_max left the final basis here
-    else:
-        # variables (w_1..w_t, xi_1..xi_k, r): maximize r - sum(n_g xi_g)/nu
-        # rows: r - xi_g - (rows w)_g <= 0; sum(w) = 1
-        con = np.zeros((k + 1, t + k + 1))
-        con[:k, :t] = -rows
-        con[:k, t : t + k] = -np.eye(k)
-        con[:k, t + k] = 1.0
-        con[k, :t] = 1.0
-        # start: w_1 = 1 is basic, r+ or its mirror r- is basic at column 1's
-        # smallest margin, and so is every slack but the one on that margin's row
-        low = int(rows[:, 0].argmin())
-        slacks = np.delete(np.arange(t + k + 2, t + 2 * k + 2), low)
-        basis = np.concatenate([[0, t + k if rows[low, 0] >= 0.0 else t + k + 1], slacks])
-        objective = np.concatenate([np.zeros(t), -counts * cap, [1.0]])
-        upper, x_nb = np.full(t + k, math.inf), np.zeros(t + 2 * k + 2)
-        x, value, duals = _solve_max(objective, con, upper, basis, x_nb)
-        rho = value
-        w = _cleanup_weights(x[:t])
-        d = _cleanup_distribution((duals[:k] / counts)[group], cap)
-        gamma = float(np.max(d @ G))
+    # variables (D_1..D_k, g): maximize -g
+    # rows: column edges <= g; sum(D) = 1
+    con = np.zeros((t + 1, k + 1))
+    con[:t, :k] = rows.T
+    con[:t, k] = -1.0
+    con[t, :k] = 1.0
+    objective = np.concatenate([np.zeros(k), [-1.0]])
+    upper = counts * cap
+    solved = None
+    if start is not None:
+        basis, x_nb = _carried_basis(start, parent, upper, t)
+        try:
+            solved = _solve_max(objective, con, upper, basis, x_nb, dual_start=True)
+        except (LpError, np.linalg.LinAlgError) as exc:
+            logger.warning("warm-started LP failed (%s); solving it cold", exc)
+    if solved is None:
+        # start: fill D_1, D_2, ... to their caps; the D that completes the
+        # sum is basic (the caps sum to m/nu >= 1, but at nu = m their float
+        # sum can end just short of 1), g+ or its mirror g- is basic at the
+        # largest edge, and so is every slack but the one on that edge's row
+        f = min(int(np.searchsorted(np.cumsum(upper), 1.0)), k - 1)
+        x_nb = np.zeros(k + 2 + t)
+        x_nb[:f] = upper[:f]
+        edges = x_nb[:k] @ rows + (1.0 - upper[:f].sum()) * rows[f]
+        top = int(edges.argmax())
+        slacks = np.delete(np.arange(k + 2, k + 2 + t), top)
+        basis = np.concatenate([[f, k if edges[top] >= 0.0 else k + 1], slacks])
+        solved = _solve_max(objective, con, upper, basis, x_nb)
+    x, value, duals = solved
+    d = _cleanup_distribution((x[:k] / counts)[group], cap)
+    w = _cleanup_weights(duals[:t])
+    rho, _ = capped_min_linear(G @ w, nu)
 
     try:
         check_distribution(d, nu)
         check_ensemble_weights(w, A)
     except ValueError as exc:  # the cleaned-up optimum left its set: a failed solve
         raise LpError(str(exc)) from exc
-    return EdgeMinSolution(d=d, gamma=gamma, w=w, rho=rho, basis=basis_out)
+    basis_out = EdgeMinBasis(group, basis, x_nb, x[:k])  # _solve_max left the final basis here
+    return EdgeMinSolution(d=d, gamma=-value, w=w, rho=rho, basis=basis_out)
 
 
 def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t: int):

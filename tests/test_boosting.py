@@ -366,6 +366,25 @@ def test_run_lpboost_reaches_full_pool_optimum():
     assert all(r.chosen_rule == "secondary" for r in records)
 
 
+def test_run_lpboost_stops_once_the_learner_returns_a_held_column():
+    # every reported edge sits 1e-9 above the true one, so the eps test never
+    # passes at eps 1e-12; the held column is LPBoost's exact optimality
+    class InflatedEdges(StumpLearner):
+        def query(self, d):
+            hypothesis, column, edge = super().query(d)
+            return hypothesis, column, edge + 1e-9
+
+    data = two_gaussians(60, seed=5)
+    nu = 9.0
+    cfg = BoosterConfig(eps=EPS_FLOOR, nu=nu, max_iterations=60)
+    model, records = run_lpboost(data, InflatedEdges(data), cfg)
+    assert model.converged
+    assert len(records) == 3
+    assert model.soft_margin_obj == 0.5555555555555556
+    rho_star = solve_edge_min(full_gain_matrix(data, StumpPool.build(data)), nu).rho
+    assert model.soft_margin_obj == pytest.approx(rho_star, abs=1e-12)
+
+
 def test_erlpboost_converges_in_few_rounds():
     data = two_gaussians(60, seed=5)
     learner = StumpLearner(data)

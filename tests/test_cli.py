@@ -25,10 +25,12 @@ from marginforge.cli import (
     load_model,
     main,
 )
+from marginforge.constants import STRONG_DUALITY_TOL
+from marginforge.core import Dataset
 from marginforge.lp import LpError, solve_edge_min
 from marginforge.stumps import StumpLearner, StumpPool, full_gain_matrix
 
-from conftest import two_gaussians, write_csv
+from conftest import ringnorm, two_gaussians, write_csv
 
 LOG_KEYS = [
     "t", "edge_new", "min_edge", "smoothed_obj", "soft_margin_obj",
@@ -205,6 +207,47 @@ def test_oracle_exit_code_through_main(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("marginforge.cli.DEFAULT_ORACLE_BUDGET", 3)
     code = main(["oracle", "--data", separable_csv(tmp_path)])
     assert code == 3
+
+
+@st.composite
+def oracle_datasets(draw):
+    """Small two-Gaussian, rounded-tie and ringnorm datasets, and a nu-frac."""
+    kind = draw(st.sampled_from(["gaussian", "tied", "ringnorm"]))
+    m, p, seed = draw(st.integers(4, 60)), draw(st.integers(1, 5)), draw(st.integers(0, 2**16))
+    if kind == "ringnorm":
+        data = ringnorm(m, seed=seed, p=p)
+    else:
+        data = two_gaussians(m, seed=seed, p=p)
+        if kind == "tied":
+            data = Dataset(np.round(data.features, 1), data.labels)
+    return data, draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_datasets())
+def test_oracle_matches_the_full_pool_lp(drawn):
+    data, nu_frac = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        write_csv(path, data)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cmd_oracle(RunManifest(data=path, nu_frac=nu_frac)) == 0
+    nu = RunManifest(data=path, nu_frac=nu_frac).nu(data.m)
+    full = solve_edge_min(full_gain_matrix(data, StumpPool.build(data)), nu)
+    assert abs(json.loads(out.getvalue())["rho_star"] - full.rho) <= STRONG_DUALITY_TOL
+
+
+def test_oracle_builds_no_full_gain_matrix(tmp_path, capsys, monkeypatch):
+    def no_full_matrix(*args):
+        raise AssertionError("the full gain matrix was built")
+
+    monkeypatch.setattr("marginforge.stumps.full_gain_matrix", no_full_matrix)
+    monkeypatch.setattr("marginforge.cli.full_gain_matrix", no_full_matrix, raising=False)
+    data_path = tmp_path / "g.csv"
+    write_csv(data_path, two_gaussians(100, seed=4, p=3))
+    assert cmd_oracle(RunManifest(data=str(data_path))) == 0
+    assert "rho_star" in capsys.readouterr().out
 
 
 def test_predict_round_trip_and_error_rate(tmp_path, capsys):

@@ -181,7 +181,7 @@ def test_edge_min_strong_duality_and_attainment_random():
 
 
 def test_edge_min_wide_matrix_uses_dual_form():
-    # t > m exercises the soft-margin formulation branch
+    # t > m: more edge rows than instances; w is read from their duals
     rng = np.random.default_rng(5)
     m, t = 3, 9
     A = _gain([rng.uniform(-1, 1, m) for _ in range(t)])
@@ -215,7 +215,7 @@ def sign_matrices(draw, wide: bool):
     return G, nu
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "soft-margin form"])
+@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "wide"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_edge_min_gamma_matches_scipy_highs(wide, data):
@@ -240,7 +240,7 @@ def repeated_row_matrices(draw, wide: bool):
     return G, nu, group
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "soft-margin form"])
+@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "wide"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_edge_min_over_repeated_rows_matches_scipy_highs(wide, data):
@@ -253,7 +253,7 @@ def test_edge_min_over_repeated_rows_matches_scipy_highs(wide, data):
         assert np.all(sol.d[group == g] == sol.d[group == g][0])
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "soft-margin form"])
+@pytest.mark.parametrize("wide", [False, True], ids=["edge-min form", "wide"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_edge_min_start_basis_is_feasible_and_unimodular(wide, data):
@@ -310,12 +310,22 @@ def test_distinct_rows_match_numpy_unique(values, m, t, seed):
     assert np.array_equal(counts, ref_counts)
 
 
-def test_edge_min_accepts_duals_within_the_pricing_tolerance():
-    # pricing stops with a dual of -5e-10 here (soft-margin form, t > k);
-    # that is inside LP_PIVOT_TOL, so it is rounding, not infeasibility
-    G = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1e-9], [0.0, 0.0, 1.0, 0.0]])
+def test_edge_min_accepts_duals_within_the_pricing_tolerance(monkeypatch):
+    # pricing stops with an edge row's dual of -7.3e-10 here; that is
+    # inside LP_PIVOT_TOL, so it is rounding, not infeasibility
+    G = np.array([[1e-9, -1.0, -1e-9], [-0.5, 0.5, 1e-10]])
     A = _gain(G.T)
+    raw_duals = []
+    cleanup = lp._cleanup_weights
+
+    def recording_cleanup(raw):
+        raw_duals.append(raw.copy())
+        return cleanup(raw)
+
+    monkeypatch.setattr(lp, "_cleanup_weights", recording_cleanup)
     sol = solve_edge_min(A, 1.0)
+    (raw,) = raw_duals
+    assert -LP_PIVOT_TOL < raw.min() < 0.0
     check_distribution(sol.d, 1.0)
     check_ensemble_weights(sol.w, A)
     assert sol.gamma == pytest.approx(scipy_edge_min(G, 1.0), abs=1e-7)
@@ -770,15 +780,14 @@ def test_a_warm_solve_of_an_unchanged_matrix_returns_the_bits_it_started_from(se
         assert _bits(getattr(again.basis, name)) == _bits(getattr(sol.basis, name))
 
 
-def test_only_the_edge_min_form_returns_a_basis():
+def test_every_solve_returns_a_frozen_basis():
     rng = np.random.default_rng(5)
-    wide = _gain([rng.uniform(-1, 1, 3) for _ in range(9)])  # t > k: soft-margin form
-    assert solve_edge_min(wide, 1.5).basis is None
-    narrow = _gain([rng.uniform(-1, 1, 9) for _ in range(3)])
-    basis = solve_edge_min(narrow, 1.5).basis
-    assert basis.t == 3 and basis.group.size == 9
-    with pytest.raises(ValueError):
-        basis.x_nb[0] = 1.0  # a frozen value
+    for m, t in [(3, 9), (9, 3)]:  # wide and narrow
+        basis = solve_edge_min(_gain([rng.uniform(-1, 1, m) for _ in range(t)]), 1.5).basis
+        assert basis.t == t and basis.group.size == m
+        for array in (basis.group, basis.basic, basis.x_nb, basis.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1  # a frozen value
 
 
 def test_a_start_that_does_not_fit_the_matrix_is_a_value_error(monkeypatch):
