@@ -111,36 +111,21 @@ def _load_table(path: str, format: str):
     raise DataFormatError(f"unknown format {format!r}")
 
 
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")  # one line and its end
 _BYTE_LINE_END = re.compile(rb"\r\n|\r|\n")
 
 
 def _read_lines(path: str) -> list[str]:
-    """The file's UTF-8 lines with their ends; an undecodable byte is a
-    DataFormatError at its line."""
+    """The file's UTF-8 lines with their ends, split where csv's reader
+    splits them: at \r\n, \r and \n only (str.splitlines() also breaks
+    at \x0c, \x1c-\x1e and more, inside what csv reads as one field).
+    An undecodable byte is a DataFormatError at its line."""
     with open(path, "rb") as fh:
         try:
             text = fh.read().decode("utf-8")
         except UnicodeDecodeError as exc:  # exc.object is the whole file
             line = 1 + len(_BYTE_LINE_END.findall(exc.object, 0, exc.start))
             raise DataFormatError(f"{path}:{line}: {exc}") from None
-    return _split_lines(text)
-
-
-def _split_lines(text: str) -> list[str]:
-    """text's lines with their ends, split where csv's reader splits them: at
-    \r\n, \r and \n only (str.splitlines() also breaks at \x0c, \x1c-\x1e
-    and more, inside what csv reads as one field)."""
-    end = "\r\n" if "\r\n" in text else "\n" if "\n" in text else "\r"
-    lines = text.split(end)
-    if any(c in "".join(lines) for c in "\r\n"):  # mixed ends: a regex, ten times slower
-        return _LINE.findall(text)
-    last = lines.pop()
-    for i, line in enumerate(lines):  # in place, so the lines are held once, not twice
-        lines[i] = line + end
-    if last:
-        lines.append(last)
-    return lines
+    return io.StringIO(text, newline="").readlines()
 
 
 def _load_csv(path: str):
@@ -457,6 +442,8 @@ def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) ->
         for frac in nu_fracs
     ]
     data = load_dataset(manifest.data, manifest.format)
+    for cell in cells:  # a usage error exits before any cell runs
+        build_config(cell, data.m)
     threads = max(int(os.environ.get("MARGINFORGE_THREADS", "1")), 1)
 
     ctx = multiprocessing.get_context("fork")
@@ -474,12 +461,13 @@ def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) ->
         time.sleep(0.01)
         for idx in list(running):
             proc, parent, cell, started = running[idx]
-            if parent.poll():
-                results[idx] = parent.recv()
+            if parent.poll():  # the worker's row, or end of file where it died first
+                try:
+                    result = parent.recv()
+                except EOFError:
+                    result = None
                 proc.join()
-                del running[idx]
-            elif not proc.is_alive():
-                results[idx] = {"error": f"worker died with code {proc.exitcode}"}
+                results[idx] = result or {"error": f"worker died with code {proc.exitcode}"}
                 del running[idx]
             elif (
                 manifest.timeout_secs is not None

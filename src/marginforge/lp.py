@@ -31,7 +31,9 @@ LP over the distinct rows, reads the soft-margin weights from its
 duals, and certifies strong duality on every call.  Given the final
 basis of an earlier solve as ``start`` it carries that basis over to
 the grown matrix and warm-starts by the dual simplex; without one it
-solves from the crash basis.
+solves from the crash basis.  Both paths group rows by ``_split_rows``
+(a cold solve splits the one group of all rows) and fill capped groups
+by ``_fill_caps``.
 """
 
 from __future__ import annotations
@@ -325,19 +327,20 @@ class EdgeMinBasis:
 
     ``group`` is each instance's row group over the t columns solved,
     ``basic`` the kernel column basic at each of the t + 1 basis
-    positions, ``x_nb`` the nonbasic values over the kernel's columns
-    (D_1..D_k, g+, g-, then one slack per column) and ``weights`` the
-    group weights D the solve returned, the basic ones among them.
-    The arrays are read-only.
+    positions, over the kernel's columns D_1..D_k, g+, g-, then one
+    slack per column, and ``weights`` the k group weights D the solve
+    returned.  A nonbasic D sits at a bound, so its weight is its cap
+    where positive and 0 otherwise; the kernel's g+, g- and slacks have
+    no upper bound, so they are 0 wherever nonbasic.  The arrays are
+    read-only.
     """
 
     group: np.ndarray
     basic: np.ndarray
-    x_nb: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        for array in (self.group, self.basic, self.x_nb, self.weights):
+        for array in (self.group, self.basic, self.weights):
             array.flags.writeable = False
 
     @property
@@ -404,9 +407,9 @@ def solve_edge_min(
     G = A.as_array()
     cap = 1.0 / nu
     if start is None:
-        rows, group, counts = _distinct_rows(G)
+        rows, group, counts, _ = _split_rows(G, 0, np.zeros(A.m, dtype=np.intp), 1)
     else:
-        rows, group, counts, parent = _split_rows(G, start)
+        rows, group, counts, parent = _split_rows(G, start.t, start.group, start.weights.size)
     k = rows.shape[0]
 
     # variables (D_1..D_k, g): maximize -g
@@ -429,9 +432,8 @@ def solve_edge_min(
         # sum is basic (the caps sum to m/nu >= 1, but at nu = m their float
         # sum can end just short of 1), g+ or its mirror g- is basic at the
         # largest edge, and so is every slack but the one on that edge's row
-        f = min(int(np.searchsorted(np.cumsum(upper), 1.0)), k - 1)
         x_nb = np.zeros(k + 2 + t)
-        x_nb[:f] = upper[:f]
+        f = _fill_caps(x_nb, upper, 0, k, 1.0)
         edges = x_nb[:k] @ rows + (1.0 - upper[:f].sum()) * rows[f]
         top = int(edges.argmax())
         slacks = np.delete(np.arange(k + 2, k + 2 + t), top)
@@ -447,7 +449,7 @@ def solve_edge_min(
         check_ensemble_weights(w, A)
     except ValueError as exc:  # the cleaned-up optimum left its set: a failed solve
         raise LpError(str(exc)) from exc
-    basis_out = EdgeMinBasis(group, basis, x_nb, x[:k])  # _solve_max left the final basis here
+    basis_out = EdgeMinBasis(group, basis, x[:k])  # _solve_max left the final basis here
     return EdgeMinSolution(d=d, gamma=-value, w=w, rho=rho, basis=basis_out)
 
 
@@ -456,80 +458,72 @@ def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t
     start are ``parent`` (nondecreasing), as (basis, x_nb) of the
     edge-min kernel (see ``solve_edge_min``).
 
-    A basic group's children fill to their caps in order up to its
-    weight, and the child where the caps reach it is basic.  The kernel
-    columns g+, g- and the start's slacks keep their order after the k
-    group weights, and the new rows' slacks are basic at the end.
+    A nonbasic group is at its cap where its weight is positive, and
+    its children sit at theirs.  A basic group's children fill to their
+    caps in order up to its weight (``_fill_caps``), and the child where
+    the caps reach it is basic; an unsplit group's one child takes its
+    place.  The kernel columns g+, g- and the start's slacks keep their
+    order after the k group weights, and the new rows' slacks are basic
+    at the end.
     """
     t_old, k_old, k = start.t, start.weights.size, upper.size
-    x_nb = np.zeros(k + 2 + t)
-    x_nb[:k] = np.where(start.x_nb[parent] > 0.0, upper, 0.0)
     basis = start.basic.copy()
     shifted = basis >= k_old
+    at_cap = start.weights > 0.0
+    at_cap[basis[~shifted]] = False  # a basic group's weight lies between its bounds
+    x_nb = np.zeros(k + 2 + t)
+    x_nb[:k] = np.where(at_cap[parent], upper, 0.0)
     basis[shifted] += k - k_old
     children = np.searchsorted(parent, np.arange(k_old + 1)).tolist()  # group g's: [g] to [g + 1]
     for pos in np.flatnonzero(~shifted).tolist():
         g = int(basis[pos])
-        lo, hi = children[g], children[g + 1]
-        if hi - lo > 1:  # a split group; an unsplit one's only child takes its place
-            filled = np.cumsum(upper[lo:hi])
-            runs_out = lo + min(int(np.searchsorted(filled, start.weights[g])), hi - lo - 1)
-            x_nb[lo:runs_out] = upper[lo:runs_out]
-            basis[pos] = runs_out
-        else:
-            basis[pos] = lo
+        basis[pos] = _fill_caps(x_nb, upper, children[g], children[g + 1], start.weights[g])
     return np.concatenate([basis, np.arange(k + 2 + t_old, k + 2 + t)]), x_nb
 
 
-def _distinct_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of G in lexicographic order, each row's group, group sizes.
-
-    The triple ``np.unique(G, axis=0, return_inverse=True,
-    return_counts=True)`` returns, from one stable lexsort of the
-    columns.  Rows that differ only in the sign of a zero are one row,
-    kept as its first occurrence.
-    """
-    order = np.lexsort(G.T[::-1])
-    ranked = G[order]
-    first = np.ones(G.shape[0], dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return _grouped(ranked, order, first)
+def _fill_caps(x_nb, upper, lo, hi, weight) -> int:
+    """Fill the groups lo, lo + 1, ... before hi to their caps ``upper``
+    in ``x_nb`` until their sum reaches ``weight``, and return the group
+    where it does, which the caller makes basic; the last, hi - 1, if
+    the caps sum short of it."""
+    f = lo + min(int(np.searchsorted(np.cumsum(upper[lo:hi]), weight)), hi - lo - 1)
+    x_nb[lo:f] = upper[lo:f]
+    return f
 
 
-def _split_rows(G: np.ndarray, start: EdgeMinBasis):
-    """``_distinct_rows(G)`` formed from the start's row groups, and each
-    distinct row's group in the start (nondecreasing).
+def _split_rows(G: np.ndarray, t_old: int, old_group: np.ndarray, k_old: int):
+    """The distinct rows of G in lexicographic order, each row's group,
+    the group sizes, and each distinct row's group in ``old_group``
+    (nondecreasing).
 
-    The start's groups are the distinct rows of G's first ``start.t``
-    columns in lexicographic rank, so one stable lexsort of the later
-    columns under that rank orders G as ``_distinct_rows`` does.  A
-    start solved over more columns than G has, or whose groups do not
-    hold identical rows of G, is a ValueError.
+    ``old_group`` is the start's row groups: the k_old distinct rows of
+    G's first t_old columns, numbered in lexicographic rank; a cold
+    solve passes the single group 0 of all rows over zero columns.  One
+    stable lexsort of the later columns under that rank orders G as
+    ``np.unique(G, axis=0)`` does, so the first three values are the
+    triple ``np.unique(G, axis=0, return_inverse=True,
+    return_counts=True)`` returns.  Rows that differ only in the sign
+    of a zero are one row, kept as its first occurrence.  A start
+    solved over more columns than G has, or whose groups do not hold
+    identical rows of G, is a ValueError.
     """
     m, t = G.shape
-    t_old, k_old = start.t, start.weights.size
     if t_old > t:
         raise ValueError(f"start solved {t_old} columns; A has {t}")
-    if start.group.shape != (m,):
-        raise ValueError(f"start's row groups cover {start.group.size} instances; A has {m}")
-    order = np.lexsort((*G[:, t_old:].T[::-1], start.group))
-    ranked, prior = G[order], start.group[order]
+    if old_group.shape != (m,):
+        raise ValueError(f"start's row groups cover {old_group.size} instances; A has {m}")
+    order = np.lexsort((*G[:, t_old:].T[::-1], old_group))
+    ranked, prior = G[order], old_group[order]
     differs = ranked[1:] != ranked[:-1]
     same_prior = prior[1:] == prior[:-1]  # each start group's rows are contiguous
     if prior[0] < 0 or prior[-1] >= k_old or np.any(same_prior & differs[:, :t_old].any(axis=1)):
         raise ValueError(f"start's row groups do not hold identical rows of A's first {t_old} columns")
     first = np.ones(m, dtype=bool)
     first[1:] = ~same_prior | differs[:, t_old:].any(axis=1)
-    return (*_grouped(ranked, order, first), prior[first])
-
-
-def _grouped(ranked, order, first):
-    """(distinct rows, each row's group, group sizes) of the rows
-    ``ranked = G[order]``, sorted, whose new groups begin at ``first``."""
     rank = first.cumsum() - 1
-    group = np.empty(rank.size, dtype=np.intp)
+    group = np.empty(m, dtype=np.intp)
     group[order] = rank
-    return ranked[first], group, np.bincount(rank)
+    return ranked[first], group, np.bincount(rank), prior[first]
 
 
 # Pricing accepts reduced costs up to LP_PIVOT_TOL on the wrong side, so LP

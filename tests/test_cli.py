@@ -529,6 +529,49 @@ def test_bench_timeout_marks_row(tmp_path):
     assert lines[1].endswith("timed_out")
 
 
+def test_bench_writes_the_row_of_a_worker_that_dies(tmp_path, capsys, monkeypatch):
+    # the forked worker inherits the patch and exits without sending its row
+    monkeypatch.setattr(cli, "_run_manifest", lambda manifest, data: os._exit(9))
+    out_path = tmp_path / "bench.csv"
+    code = main([
+        "bench", "--data", separable_csv(tmp_path), "--algo", "lpboost",
+        "--log-out", str(out_path),
+    ])
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].endswith(",error: worker died with code 9")
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "1e-15", "eps=1e-15 is too small: below EPS_FLOOR=1e-12"),
+        ("--eps", "-1", "eps must be a positive finite number"),
+        ("--max-iters", "0", "max_iterations must be at least 1"),
+    ],
+)
+def test_bench_usage_errors_exit_one_before_any_cell_runs(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_bench_cell", no_cell)
+    out_path = tmp_path / "bench.csv"
+    code = main([
+        "bench", "--data", separable_csv(tmp_path), "--algo", "lpboost,mlpb-ss",
+        flag, value, "--log-out", str(out_path),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_missing_required_flag_exits_one(capsys):
     # argparse's own exit code, 2, would read as "did not converge"
     with pytest.raises(SystemExit) as exc:
@@ -1006,4 +1049,8 @@ def test_fast_csv_path_matches_the_strict_reader_on_generated_texts(text):
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.sampled_from("a,\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"), max_size=12))
 def test_lines_split_only_where_csv_splits_them(text):
-    assert cli._split_lines(text) == list(io.StringIO(text, newline=""))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lines.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert cli._read_lines(path) == _file_lines(path)

@@ -16,7 +16,6 @@ from marginforge.core import GainMatrix, check_distribution, check_ensemble_weig
 from marginforge.entropy import capped_min_linear
 from marginforge.lp import (
     _REFACTOR_INTERVAL,
-    _distinct_rows,
     _simplex_min,
     LpError,
     LpUnboundedError,
@@ -301,7 +300,7 @@ def test_distinct_rows_match_numpy_unique(values, m, t, seed):
         G = base[rng.integers(0, base.shape[0], m)]
     else:
         G = rng.choice(values, (m, t))
-    rows, group, counts = _distinct_rows(G)
+    rows, group, counts, _ = lp._split_rows(G, 0, np.zeros(m, dtype=np.intp), 1)
     ref_rows, ref_group, ref_counts = np.unique(
         G, axis=0, return_inverse=True, return_counts=True
     )
@@ -754,7 +753,8 @@ def test_a_new_column_that_splits_a_basic_group_fills_its_children_in_order():
     assert low in sol.basis.basic and sol.basis.weights[low] == 1.0
 
     A = _gain(G.T)
-    rows, group, counts, parent = lp._split_rows(A.as_array(), sol.basis)
+    start = sol.basis
+    rows, group, counts, parent = lp._split_rows(A.as_array(), start.t, start.group, start.weights.size)
     assert np.array_equal(parent, [0, 0, 1, 1])
     upper = counts / nu
     basis, x_nb = lp._carried_basis(sol.basis, parent, upper, 2)
@@ -776,7 +776,7 @@ def test_a_warm_solve_of_an_unchanged_matrix_returns_the_bits_it_started_from(se
     sol = solve_edge_min(A, nu, start=solve_edge_min(_gain(G[:, :1].T), nu).basis)
     again = solve_edge_min(A, nu, start=sol.basis)
     assert _outcome(_parts, again) == _outcome(_parts, sol)
-    for name in ("group", "basic", "x_nb", "weights"):
+    for name in ("group", "basic", "weights"):
         assert _bits(getattr(again.basis, name)) == _bits(getattr(sol.basis, name))
 
 
@@ -785,7 +785,7 @@ def test_every_solve_returns_a_frozen_basis():
     for m, t in [(3, 9), (9, 3)]:  # wide and narrow
         basis = solve_edge_min(_gain([rng.uniform(-1, 1, m) for _ in range(t)]), 1.5).basis
         assert basis.t == t and basis.group.size == m
-        for array in (basis.group, basis.basic, basis.x_nb, basis.weights):
+        for array in (basis.group, basis.basic, basis.weights):
             with pytest.raises(ValueError):
                 array[0] = 1  # a frozen value
 
@@ -821,6 +821,19 @@ def test_a_failed_warm_solve_falls_back_cold_with_one_warning(monkeypatch, caplo
         f"warm-started LP failed ({error}); solving it cold"
     ]
     assert _outcome(_parts, sol) == _outcome(_parts, solve_edge_min(A, 4.0))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [([1.0, 1.0], "restricted LP is infeasible"), ([1.0, math.nan], "basic values are not finite")],
+)
+def test_the_dual_phase_raises_where_no_basis_is_feasible(row, message):
+    # x1 + x2 = 1 with both caps at 0.25 has no feasible point: from basis
+    # [0], x1 leaves at its cap and no column can lower x2 from 0.75; a NaN
+    # in A leaves the basic values NaN
+    A, caps = np.array([row]), np.full(2, 0.25)
+    with pytest.raises(LpError, match=message):
+        lp._dual_iterate(A, np.ones(1), np.zeros(2), caps, np.array([0]), np.zeros(2))
 
 
 def test_the_warm_dual_phase_is_bounded_where_it_cycles(monkeypatch):
