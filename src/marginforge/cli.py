@@ -105,10 +105,14 @@ def load_dataset(path: str, format: str = "csv") -> Dataset:
 
 def _load_table(path: str, format: str):
     if format == "csv":
-        return _load_csv(path)
-    if format == "libsvm":
-        return _load_libsvm(path)
-    raise DataFormatError(f"unknown format {format!r}")
+        features, labels = _load_csv(path)
+    elif format == "libsvm":
+        features, labels = _load_libsvm(path)
+    else:
+        raise DataFormatError(f"unknown format {format!r}")
+    if not np.isfinite(features).all():
+        raise DataFormatError(f"{path}: features contain non-finite values")
+    return features, labels
 
 
 _BYTE_LINE_END = re.compile(rb"\r\n|\r|\n")
@@ -402,8 +406,6 @@ class _DiskModel:
 def cmd_predict(model_path: str, data_path: str, format: str = "csv") -> int:
     model = load_model(model_path)
     features, labels = _load_table(data_path, format)  # labels already mapped
-    if not np.all(np.isfinite(features)):
-        raise DataFormatError(f"{data_path}: features contain non-finite values")
     try:
         predictions = predict(model, features)
     except ValueError as exc:
@@ -417,25 +419,42 @@ def cmd_predict(model_path: str, data_path: str, format: str = "csv") -> int:
 
 
 def _bench_cell(manifest: RunManifest, data: Dataset, conn):
-    """One sweep cell in a forked worker, which inherits the parent's checked ``data``."""
+    """One sweep cell in a forked worker, which inherits the parent's checked
+    ``data``; sends the last four fields of the cell's row."""
     try:
         tic = time.perf_counter()
         model, records = _run_manifest(manifest, data)
-        conn.send(
-            {
-                "iterations": len(records),
-                "seconds": time.perf_counter() - tic,
-                "final_soft_margin": model.soft_margin_obj,
-                "converged": model.converged,
-            }
-        )
+        seconds = time.perf_counter() - tic
+        converged = "true" if model.converged else "false"
+        fields = [len(records), f"{seconds:.6f}", repr(model.soft_margin_obj), converged]
     except Exception as exc:  # reported as a failed row, sweep continues
-        conn.send({"error": repr(exc)})
-    finally:
-        conn.close()
+        fields = [0, "", "", f"error: {exc!r}"]
+    conn.send(fields)
+
+
+def _run_cell(cell: RunManifest, data: Dataset) -> list:
+    """The last four fields of ``cell``'s row, from a forked worker that is
+    stopped once ``cell.timeout_secs`` runs out."""
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_bench_cell, args=(cell, data, child))
+    proc.start()
+    child.close()
+    if not parent.poll(cell.timeout_secs):  # poll(None) waits for ever
+        proc.terminate()
+        proc.join()
+        return [0, cell.timeout_secs, "", "timed_out"]
+    try:
+        fields = parent.recv()
+    except EOFError:  # poll saw end of file: the worker died before it sent its row
+        fields = None
+    proc.join()
+    return fields or [0, "", "", f"error: worker died with code {proc.exitcode}"]
 
 
 def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) -> int:
+    """Runs the cells one after another, in cell order: cells that run
+    together slow each other down, and each row times its own cell."""
     cells = [
         dataclasses.replace(manifest, algo=algo, nu_frac=frac)  # checks each cell
         for algo in algos
@@ -444,61 +463,11 @@ def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) ->
     data = load_dataset(manifest.data, manifest.format)
     for cell in cells:  # a usage error exits before any cell runs
         build_config(cell, data.m)
-    threads = max(int(os.environ.get("MARGINFORGE_THREADS", "1")), 1)
-
-    ctx = multiprocessing.get_context("fork")
-    pending = list(enumerate(cells))
-    running = {}  # index -> (process, conn, cell, start time)
-    results = {}
-    while pending or running:
-        while pending and len(running) < threads:
-            idx, cell = pending.pop(0)
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_bench_cell, args=(cell, data, child))
-            proc.start()
-            child.close()
-            running[idx] = (proc, parent, cell, time.perf_counter())
-        time.sleep(0.01)
-        for idx in list(running):
-            proc, parent, cell, started = running[idx]
-            if parent.poll():  # the worker's row, or end of file where it died first
-                try:
-                    result = parent.recv()
-                except EOFError:
-                    result = None
-                proc.join()
-                results[idx] = result or {"error": f"worker died with code {proc.exitcode}"}
-                del running[idx]
-            elif (
-                manifest.timeout_secs is not None
-                and time.perf_counter() - started > manifest.timeout_secs
-            ):
-                proc.terminate()
-                proc.join()
-                results[idx] = {"timed_out": True}
-                del running[idx]
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["algo", "nu_frac", "seed", "iterations", "seconds", "final_soft_margin", "converged"])
-    for idx, cell in enumerate(cells):
-        res = results[idx]
-        if res.get("timed_out"):
-            writer.writerow([cell.algo, cell.nu_frac, cell.seed, 0, manifest.timeout_secs, "", "timed_out"])
-        elif "error" in res:
-            writer.writerow([cell.algo, cell.nu_frac, cell.seed, 0, "", "", f"error: {res['error']}"])
-        else:
-            writer.writerow(
-                [
-                    cell.algo,
-                    cell.nu_frac,
-                    cell.seed,
-                    res["iterations"],
-                    f"{res['seconds']:.6f}",
-                    repr(res["final_soft_margin"]),
-                    "true" if res["converged"] else "false",
-                ]
-            )
+    for cell in cells:
+        writer.writerow([cell.algo, cell.nu_frac, cell.seed, *_run_cell(cell, data)])
     if manifest.log_out:
         _atomic_write(manifest.log_out, out.getvalue())
     else:

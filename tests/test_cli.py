@@ -484,12 +484,11 @@ def test_model_disk_round_trip_matches_memory(tmp_path):
     assert np.array_equal(predict(disk, probe), predict(in_memory, probe))
 
 
-def test_bench_grid_rows_and_header(tmp_path, monkeypatch):
+def test_bench_grid_rows_and_header(tmp_path):
     data = two_gaussians(40, seed=9)
     data_path = tmp_path / "g.csv"
     write_csv(data_path, data)
     out_path = tmp_path / "bench.csv"
-    monkeypatch.setenv("MARGINFORGE_THREADS", "2")
     code = main([
         "bench", "--data", str(data_path), "--algo", "lpboost,mlpb-pfw",
         "--nu-frac", "0.2,0.5", "--eps", "0.05", "--log-out", str(out_path),
@@ -498,10 +497,11 @@ def test_bench_grid_rows_and_header(tmp_path, monkeypatch):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "algo,nu_frac,seed,iterations,seconds,final_soft_margin,converged"
     assert len(lines) == 5
-    cells = {tuple(line.split(",")[:2]) for line in lines[1:]}
-    assert cells == {
+    # rows come in cell order: algo-major, then --nu-frac
+    cells = [tuple(line.split(",")[:2]) for line in lines[1:]]
+    assert cells == [
         ("lpboost", "0.2"), ("lpboost", "0.5"), ("mlpb-pfw", "0.2"), ("mlpb-pfw", "0.5"),
-    }
+    ]
     # every converged cell sits within eps of its capping level's optimum
     oracles = {}
     for frac in (0.2, 0.5):
@@ -519,14 +519,16 @@ def test_bench_timeout_marks_row(tmp_path):
     write_csv(data_path, data)
     out_path = tmp_path / "bench.csv"
     code = main([
-        "bench", "--data", str(data_path), "--algo", "cerlpboost",
+        "bench", "--data", str(data_path), "--algo", "cerlpboost,lpboost",
         "--nu-frac", "0.05", "--eps", "0.002", "--timeout-secs", "0.2",
         "--log-out", str(out_path),
     ])
     assert code == 0
     lines = out_path.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[1].endswith("timed_out")
+    assert len(lines) == 3
+    assert lines[1].startswith("cerlpboost,") and lines[1].endswith(",timed_out")
+    # the sweep goes on after it stops a worker
+    assert lines[2].startswith("lpboost,") and lines[2].endswith(",true")
 
 
 def test_bench_writes_the_row_of_a_worker_that_dies(tmp_path, capsys, monkeypatch):
@@ -780,6 +782,8 @@ MALFORMED_INPUTS = {
     "0-based libsvm index": ("libsvm", "+1 0:0.5\n", ":1: indices are 1-based"),
     "repeated libsvm index": ("libsvm", "+1 1:0.25\n+1 1:0.5 1:-3\n", ":2: index 1 repeated"),
     "comment-only libsvm": ("libsvm", "# header\n\n   \n# footer\n", ": no data rows"),
+    "nan csv feature": ("csv", "f0,label\n0.5,1\nnan,-1\n", ": features contain non-finite values"),
+    "inf libsvm feature": ("libsvm", "+1 1:0.5\n-1 1:inf\n", ": features contain non-finite values"),
 }
 
 
