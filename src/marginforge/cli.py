@@ -4,8 +4,8 @@ Artifacts are machine-readable: model JSON, per-round JSON-lines logs
 and a CSV summary for sweeps.  All writes are atomic (temp file then
 rename).  Each subcommand accepts only the flags it reads.  Exit
 codes: 0 ok, 2 not converged, 3 budget exceeded, 4 input width
-mismatch, 1 anything else (usage error, bad input or model file, LP
-failure).
+mismatch, 143 a bench stopped by SIGTERM, 1 anything else (usage error,
+bad input or model file, LP failure).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import sys
 import time
 import warnings
@@ -421,6 +422,7 @@ def cmd_predict(model_path: str, data_path: str, format: str = "csv") -> int:
 def _bench_cell(manifest: RunManifest, data: Dataset, conn):
     """One sweep cell in a forked worker, which inherits the parent's checked
     ``data``; sends the last four fields of the cell's row."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not the parent's handler: terminate() ends it
     try:
         tic = time.perf_counter()
         model, records = _run_manifest(manifest, data)
@@ -434,27 +436,29 @@ def _bench_cell(manifest: RunManifest, data: Dataset, conn):
 
 def _run_cell(cell: RunManifest, data: Dataset) -> list:
     """The last four fields of ``cell``'s row, from a forked worker that is
-    stopped once ``cell.timeout_secs`` runs out."""
+    stopped once ``cell.timeout_secs`` runs out or the parent exits."""
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_bench_cell, args=(cell, data, child))
     proc.start()
     child.close()
-    if not parent.poll(cell.timeout_secs):  # poll(None) waits for ever
+    try:
+        if not parent.poll(cell.timeout_secs):  # poll(None) waits for ever
+            return [0, cell.timeout_secs, "", "timed_out"]
+        try:
+            return parent.recv()
+        except EOFError:  # poll saw end of file: the worker died before it sent its row
+            proc.join()
+            return [0, "", "", f"error: worker died with code {proc.exitcode}"]
+    finally:  # a worker still running has timed out, or the parent is exiting
         proc.terminate()
         proc.join()
-        return [0, cell.timeout_secs, "", "timed_out"]
-    try:
-        fields = parent.recv()
-    except EOFError:  # poll saw end of file: the worker died before it sent its row
-        fields = None
-    proc.join()
-    return fields or [0, "", "", f"error: worker died with code {proc.exitcode}"]
 
 
 def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) -> int:
     """Runs the cells one after another, in cell order: cells that run
-    together slow each other down, and each row times its own cell."""
+    together slow each other down, and each row times its own cell.
+    SIGTERM exits 143 with no rows, once it has stopped the worker."""
     cells = [
         dataclasses.replace(manifest, algo=algo, nu_frac=frac)  # checks each cell
         for algo in algos
@@ -466,8 +470,12 @@ def cmd_bench(manifest: RunManifest, algos: list[str], nu_fracs: list[float]) ->
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["algo", "nu_frac", "seed", "iterations", "seconds", "final_soft_margin", "converged"])
-    for cell in cells:
-        writer.writerow([cell.algo, cell.nu_frac, cell.seed, *_run_cell(cell, data)])
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        for cell in cells:
+            writer.writerow([cell.algo, cell.nu_frac, cell.seed, *_run_cell(cell, data)])
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if manifest.log_out:
         _atomic_write(manifest.log_out, out.getvalue())
     else:

@@ -19,6 +19,7 @@ LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio tes
 LP_PROGRESS_TOL        1e-12      objective decrease below which a simplex pivot counts as stalled
 LP_TIE_TOL             1e-12      slack at which a bound flip or a ratio-test tie counts as reached
 LP_FEAS_TOL            1e-9       bound violation of a basic value the dual simplex accepts as feasible
+LP_COST_SHIFT          1e-7       relative cost shift that moves the dual simplex off dual degeneracy
 LINE_SEARCH_TOL        1e-10      bracket width or Newton step at which line search stops
 LINE_SEARCH_MAX_ITERS  50         hard cap on line-search slope evaluations per step
 SUPPORT_DROP_TOL       1e-12      ensemble coefficients below this leave the support
@@ -42,6 +43,7 @@ LP_RATIO_TOL = 1e-10
 LP_PROGRESS_TOL = 1e-12
 LP_TIE_TOL = 1e-12
 LP_FEAS_TOL = 1e-9
+LP_COST_SHIFT = 1e-7
 LINE_SEARCH_TOL = 1e-10
 LINE_SEARCH_MAX_ITERS = 50
 SUPPORT_DROP_TOL = 1e-12

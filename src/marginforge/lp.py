@@ -2,9 +2,7 @@
 
 The kernel ``_simplex_min`` is a primal simplex for ``min c @ x,
 A x = b, 0 <= x <= u`` (upper bounds handled implicitly, every one
-positive) that starts from a feasible basis its caller supplies: it has
-no phase 1, because the LP ``solve_edge_min`` writes has a feasible
-basis known in closed form (a crash basis).  Pricing is
+positive) from a feasible basis its caller supplies.  Pricing is
 most-negative-reduced-cost but falls back to Bland's rule whenever the
 objective stalls, so the solver cannot cycle and stays deterministic.
 The kernel inverts its starting basis once and keeps the inverse by
@@ -15,36 +13,34 @@ variable's bound state is its nonbasic value alone: ``x_nb`` holds u at
 an upper-bound nonbasic and 0 elsewhere.  The pivot loop also carries
 one pricing sign per variable, the basis's costs and upper bounds,
 and ``b - A @ x_nb`` and the reduced costs for as long as the pivots
-leave them unchanged.  Its pivots and outputs equal bit for bit those
-of the reference kernel in ``tests/conftest.py``, which rebuilds all of
-these at every pivot.
+leave them unchanged.  Its pivots and outputs, and those of the dual
+loop below, equal bit for bit those of the reference loops in
+``tests/conftest.py``, which rebuild all of these at every pivot.
 
-``_dual_iterate`` is the dual simplex that column generation restarts
-from: given a dual-feasible basis whose basic values leave their
-bounds, it pivots the worst violation out until the basis is primal
-feasible, and the primal pivots then finish from its inverse.  Both
-loops change the basis through one exchange and one inverse update.
+``_optimum`` is the one solve path: the dual simplex ``_dual_iterate``
+on costs shifted off dual degeneracy, then the primal pivots as a
+clean-up on the true costs.  Both loops change the basis through one
+exchange and one inverse update.
 
-``solve_edge_min`` is the one entry point above the kernels: it checks
+``solve_edge_min`` is the one entry point above ``_optimum``: it checks
 ``nu``, merges identical instance rows, solves the restricted edge-min
 LP over the distinct rows, reads the soft-margin weights from its
-duals, and certifies strong duality on every call.  Given the final
-basis of an earlier solve as ``start`` it carries that basis over to
-the grown matrix and warm-starts by the dual simplex; without one it
-solves from the crash basis.  Both paths group rows by ``_split_rows``
-(a cold solve splits the one group of all rows) and fill capped groups
-by ``_fill_caps``.
+duals, and certifies strong duality on every call.  It starts from a
+dual-feasible basis: the cold start, in closed form, or, given the
+final basis of an earlier solve as ``start``, that basis carried over
+to the grown matrix.
 """
 
 from __future__ import annotations
 
-import logging
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import (
+    LP_COST_SHIFT,
     LP_FEAS_TOL,
     LP_PIVOT_TOL,
     LP_PROGRESS_TOL,
@@ -54,8 +50,6 @@ from .constants import (
 )
 from .core import GainMatrix, check_distribution, check_ensemble_weights
 from .entropy import capped_min_linear
-
-logger = logging.getLogger(__name__)
 
 _STALL_LIMIT = 32  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
@@ -72,18 +66,17 @@ class LpUnboundedError(LpError):
         self.direction = direction
 
 
-def _solve_max(objective, con, upper, basis, x_nb, dual_start=False):
+def _solve_max(objective, con, upper, basis, x_nb):
     """maximize objective @ x subject to con[:-1] @ x <= 0, con[-1] @ x = 1,
     0 <= x[:-1] <= upper and x[-1] free; returns (x, value, row duals).
 
     The kernel's columns are con's, the mirror x- of the free variable
     x[-1] = x+ - x-, then one slack per inequality row; that order sets
     the pivoting tie-breaks, so it is part of the result.  ``basis`` and
-    ``x_nb`` are a start over those columns, feasible (see
-    ``_simplex_min``) or, with ``dual_start``, dual feasible (see
-    ``_dual_iterate``); they are updated in place to the final basis.
-    Duals are for the maximisation sense: nonnegative on binding
-    inequality rows.
+    ``x_nb`` are a dual-feasible start over those columns (see
+    ``_optimum``); they are updated in place to the final basis.  Duals
+    are for the maximisation sense: nonnegative on binding inequality
+    rows.
     """
     r, n = con.shape
     kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
@@ -91,7 +84,7 @@ def _solve_max(objective, con, upper, basis, x_nb, dual_start=False):
     bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
     rhs = np.append(np.zeros(r - 1), 1.0)
 
-    x_full, y = _optimum(kernel, rhs, cost, bounds, basis, x_nb, dual_start)
+    x_full, y = _optimum(kernel, rhs, cost, bounds, basis, x_nb)
     x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
     x[-1] -= x_full[n]
     return x, float(objective @ x), -y
@@ -100,22 +93,31 @@ def _solve_max(objective, con, upper, basis, x_nb, dual_start=False):
 def _simplex_min(A, b, c, upper, basis, x_nb):
     """minimize c@x st A@x = b, 0 <= x <= upper.  Returns (x, duals).
 
-    Starts from the feasible basis ``basis`` (one column index per row)
-    with the nonbasic values ``x_nb`` (upper at an upper-bound nonbasic,
-    0 elsewhere and on the basis); neither argument is modified.
+    The primal simplex from the feasible basis ``basis`` (one column
+    index per row) with the nonbasic values ``x_nb`` (upper at an
+    upper-bound nonbasic, 0 elsewhere and on the basis): ``_optimum``'s
+    dual loop makes no pivot there.  Neither argument is modified.
     """
     return _optimum(A, b, c, upper, basis.copy(), x_nb.copy())
 
 
-def _optimum(A, b, c, upper, basis, x_nb, dual_start=False):
-    """``_simplex_min`` with ``basis`` and ``x_nb`` updated in place.
+def _optimum(A, b, c, upper, basis, x_nb):
+    """minimize c@x st A@x = b, 0 <= x <= upper from a dual-feasible or a
+    feasible start, ``basis`` and ``x_nb`` updated in place.  Returns (x, duals).
 
-    A dual-feasible start is first made primal feasible by
-    ``_dual_iterate``, and the primal pivots run on from the inverse it
-    ends with; they stop at once where pricing finds no improving column.
-    The basic solution and duals come from fresh solves.
+    ``_dual_iterate`` first makes the start primal feasible on costs
+    shifted away from dual degeneracy: each nonbasic cost moves by
+    ``LP_COST_SHIFT * (1 + |c_j|) * u_j`` in the direction that widens
+    its reduced cost, minus at an upper-bound nonbasic and plus at a
+    lower-bound one, so the start stays dual feasible and ties between
+    reduced costs, on which the dual loop would cycle, are broken.  The
+    u_j in [0.5, 1.5) are a fixed draw per size (``_shift_draws``).  The
+    primal pivots then clean up on the true costs from the inverse the
+    dual loop ends with; they stop at once where pricing finds no
+    improving column.
     """
-    Binv = _dual_iterate(A, b, c, upper, basis, x_nb) if dual_start else None
+    shift = LP_COST_SHIFT * (1.0 + np.abs(c)) * _shift_draws(c.size) * _pricing_signs(basis, x_nb)
+    Binv = _dual_iterate(A, b, c + shift, upper, basis, x_nb)
     _iterate(A, b, c, upper, basis, x_nb, Binv)
     x = x_nb.copy()
     x[basis] = np.linalg.solve(A[:, basis], b - A @ x_nb)
@@ -123,12 +125,21 @@ def _optimum(A, b, c, upper, basis, x_nb, dual_start=False):
     return np.clip(x, 0.0, upper), y
 
 
-def _iterate(A, b, c, u, basis, x_nb, Binv=None):
+@functools.lru_cache(maxsize=256)
+def _shift_draws(n):
+    """``default_rng(n)``'s n draws of U(0.5, 1.5), read-only: drawn once
+    per size, as a draw costs about 25 us (256 sizes of 4,000 hold 8 MB)."""
+    draws = np.random.default_rng(n).uniform(0.5, 1.5, n)
+    draws.flags.writeable = False
+    return draws
+
+
+def _iterate(A, b, c, u, basis, x_nb, Binv):
     """Pivot from a feasible basis until pricing finds no improving column.
 
     ``basis`` and the nonbasic values ``x_nb`` (u at upper-bound
     nonbasics, 0 elsewhere and on the basis) are updated in place;
-    ``Binv``, if given, is the inverse of the starting basis matrix.
+    ``Binv`` is the inverse of the starting basis matrix.
     Every upper bound is positive, so a nonbasic can always move: it has
     pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its lower
     bound, and a basic variable has 0.  A column is eligible when
@@ -144,8 +155,6 @@ def _iterate(A, b, c, u, basis, x_nb, Binv=None):
     bland = False
     stall = 0
     last_obj = math.inf
-    if Binv is None:
-        Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
     sign = _pricing_signs(basis, x_nb)
     c_B = c[basis]
@@ -242,8 +251,9 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
     signs.  Stops once every basic value lies within ``LP_FEAS_TOL`` of
     its bounds and returns the basis inverse; no eligible column means
     the LP is infeasible, an ``LpError``.  The loop has no anti-cycling
-    rule, so it stops after ``4 r + 16`` pivots for r rows with the
-    primal loop's ``LpError``, and the caller solves cold.
+    rule of its own: ``_optimum`` hands it costs shifted off dual
+    degeneracy.  Like the primal loop it raises ``LpError`` after
+    ``_MAX_PIVOTS`` pivots.
     """
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
@@ -251,7 +261,7 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
     c_B = c[basis]
     u_B = u[basis]
 
-    for _ in range(4 * A.shape[0] + 16):
+    for _ in range(_MAX_PIVOTS):
         x_B = Binv @ (b - A @ x_nb)
         below = -x_B
         above = x_B - u_B
@@ -381,11 +391,16 @@ def solve_edge_min(
     The reduction is exact, and duplicated rows get equal weight.  The
     LP has t+1 rows, one per column edge and the sum of D, with the caps
     in variable bounds.  The weights w are the duals of the t edge rows,
-    and rho is evaluated from them on the full matrix.  With no
-    ``start`` the simplex starts from the crash basis, a function of
-    (A, nu) alone.  A solved LP whose cleaned-up d or w fails its
-    membership check is an ``LpError``.  ``nu`` outside ``[1, m]``, NaN
-    included, is a ValueError before any LP is built.
+    and rho is evaluated from them on the full matrix.  Every solve runs
+    ``_optimum`` from a dual-feasible basis; a failed solve raises its
+    ``LpError`` (or ``LinAlgError``), and so does a solved LP whose
+    cleaned-up d or w fails its membership check.  ``nu`` outside
+    ``[1, m]``, NaN included, is a ValueError before any LP is built.
+
+    With no ``start`` the basis is the cold start: D_1, g+ and the slacks
+    of edge rows 2..t basic, every other column at 0.  D_j's reduced
+    cost there is ``rows[j, 0] - rows[0, 0]``, g-'s 0 and the first
+    slack's 1; the rows are in lexicographic order, so it is dual feasible.
 
     Every solve returns its final basis as ``basis``; pass it back as
     ``start`` once A has grown (column generation).  A's new columns only
@@ -393,13 +408,9 @@ def solve_edge_min(
     carries over dual feasible: a child of a nonbasic group sits at its
     parent's bound, a basic group's weight fills its children in order
     up to their caps and the child where it runs out is basic, and each
-    new row's slack is basic with dual 0.  The dual simplex
-    (``_dual_iterate``) then restores primal feasibility, and the primal
-    pivots run on while pricing finds an improving column.  A start
-    solved over more columns than A has, or whose row groups do not
-    hold identical rows of A, is a ValueError; an ``LpError`` or
-    ``LinAlgError`` on the warm path is logged as a warning and the LP
-    is solved cold.
+    new row's slack is basic with dual 0.  A start solved over more
+    columns than A has, or whose row groups do not hold identical rows
+    of A, is a ValueError.
     """
     if not 1.0 <= nu <= A.m:
         raise ValueError(f"nu must lie in [1, m]; got {nu}")
@@ -420,26 +431,11 @@ def solve_edge_min(
     con[t, :k] = 1.0
     objective = np.concatenate([np.zeros(k), [-1.0]])
     upper = counts * cap
-    solved = None
-    if start is not None:
+    if start is None:  # the cold start
+        basis, x_nb = np.concatenate([[0, k], np.arange(k + 3, k + 2 + t)]), np.zeros(k + 2 + t)
+    else:
         basis, x_nb = _carried_basis(start, parent, upper, t)
-        try:
-            solved = _solve_max(objective, con, upper, basis, x_nb, dual_start=True)
-        except (LpError, np.linalg.LinAlgError) as exc:
-            logger.warning("warm-started LP failed (%s); solving it cold", exc)
-    if solved is None:
-        # start: fill D_1, D_2, ... to their caps; the D that completes the
-        # sum is basic (the caps sum to m/nu >= 1, but at nu = m their float
-        # sum can end just short of 1), g+ or its mirror g- is basic at the
-        # largest edge, and so is every slack but the one on that edge's row
-        x_nb = np.zeros(k + 2 + t)
-        f = _fill_caps(x_nb, upper, 0, k, 1.0)
-        edges = x_nb[:k] @ rows + (1.0 - upper[:f].sum()) * rows[f]
-        top = int(edges.argmax())
-        slacks = np.delete(np.arange(k + 2, k + 2 + t), top)
-        basis = np.concatenate([[f, k if edges[top] >= 0.0 else k + 1], slacks])
-        solved = _solve_max(objective, con, upper, basis, x_nb)
-    x, value, duals = solved
+    x, value, duals = _solve_max(objective, con, upper, basis, x_nb)
     d = _cleanup_distribution((x[:k] / counts)[group], cap)
     w = _cleanup_weights(duals[:t])
     rho, _ = capped_min_linear(G @ w, nu)
@@ -460,9 +456,9 @@ def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t
 
     A nonbasic group is at its cap where its weight is positive, and
     its children sit at theirs.  A basic group's children fill to their
-    caps in order up to its weight (``_fill_caps``), and the child where
-    the caps reach it is basic; an unsplit group's one child takes its
-    place.  The kernel columns g+, g- and the start's slacks keep their
+    caps in order until their sum reaches its weight, and the child where
+    it does is basic (the last child if the caps sum short of it); an
+    unsplit group's one child takes its place.  The kernel columns g+, g- and the start's slacks keep their
     order after the k group weights, and the new rows' slacks are basic
     at the end.
     """
@@ -477,18 +473,11 @@ def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t
     children = np.searchsorted(parent, np.arange(k_old + 1)).tolist()  # group g's: [g] to [g + 1]
     for pos in np.flatnonzero(~shifted).tolist():
         g = int(basis[pos])
-        basis[pos] = _fill_caps(x_nb, upper, children[g], children[g + 1], start.weights[g])
+        lo, hi = children[g], children[g + 1]
+        f = lo + min(int(np.searchsorted(np.cumsum(upper[lo:hi]), start.weights[g])), hi - lo - 1)
+        x_nb[lo:f] = upper[lo:f]
+        basis[pos] = f
     return np.concatenate([basis, np.arange(k + 2 + t_old, k + 2 + t)]), x_nb
-
-
-def _fill_caps(x_nb, upper, lo, hi, weight) -> int:
-    """Fill the groups lo, lo + 1, ... before hi to their caps ``upper``
-    in ``x_nb`` until their sum reaches ``weight``, and return the group
-    where it does, which the caller makes basic; the last, hi - 1, if
-    the caps sum short of it."""
-    f = lo + min(int(np.searchsorted(np.cumsum(upper[lo:hi]), weight)), hi - lo - 1)
-    x_nb[lo:f] = upper[lo:f]
-    return f
 
 
 def _split_rows(G: np.ndarray, t_old: int, old_group: np.ndarray, k_old: int):

@@ -160,11 +160,14 @@ def reference_stump_pool(data: Dataset):
 
 
 # Reference simplex: the dense kernel of marginforge.lp before its pivot
-# loop carried state from pivot to pivot, kept as an oracle that the lean
-# kernel must match bit for bit.  Like the lean kernel it starts from the
-# feasible basis its caller gives it, with no phase 1.  The limits are
-# read from marginforge.lp at call time, so a test that monkeypatches
-# them there runs both kernels under the same limits.
+# loops carried state from pivot to pivot, kept as an oracle that the lean
+# loops must match bit for bit.  Like the lean kernel it starts from the
+# basis its caller gives it, with no phase 1: ``reference_solve_max`` from
+# a dual-feasible one, through the dual loop on shifted costs and then the
+# primal loop, and ``reference_simplex_min`` from a feasible one, through
+# the primal loop alone.  The limits are read from marginforge.lp at call
+# time, so a test that monkeypatches them there runs both kernels under
+# the same limits.
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
@@ -212,13 +215,17 @@ class PoolOracleLearner:
 
 
 def reference_solve_max(objective, con, upper, basis, x_nb):
+    """``lp._solve_max`` by the reference loops; updates basis in place."""
     r, n = con.shape
     kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
     cost = np.concatenate([-objective, objective[-1:], np.zeros(r - 1)])
     bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
     rhs = np.append(np.zeros(r - 1), 1.0)
 
-    x_full, y = reference_simplex_min(kernel, rhs, cost, bounds, basis, x_nb)
+    status = _status(basis, x_nb)
+    Binv = _reference_dual_iterate(kernel, rhs, cost, bounds, basis, status)
+    _reference_iterate(kernel, rhs, cost, bounds, basis, status, Binv)
+    x_full, y = _reference_solution(kernel, rhs, cost, bounds, basis, status)
     x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
     x[-1] -= x_full[n]
     return x, float(objective @ x), -y
@@ -228,10 +235,18 @@ def reference_simplex_min(A, b, c, upper, basis, x_nb):
     """minimize c@x st A@x = b, 0 <= x <= upper from the feasible start
     (basis, x_nb), which is not modified.  Returns (x, duals)."""
     basis = basis.copy()
+    status = _status(basis, x_nb)
+    _reference_iterate(A, b, c, upper, basis, status, np.linalg.inv(A[:, basis]))
+    return _reference_solution(A, b, c, upper, basis, status)
+
+
+def _status(basis, x_nb):
     status = np.where(x_nb > 0.0, _AT_UPPER, _AT_LOWER).astype(np.int8)
     status[basis] = _BASIC
+    return status
 
-    _reference_iterate(A, b, c, upper, basis, status)
+
+def _reference_solution(A, b, c, upper, basis, status):
     x = np.where(status == _AT_UPPER, upper, 0.0)
     x[basis] = 0.0
     x[basis] = np.linalg.solve(A[:, basis], b - A @ x)
@@ -239,12 +254,76 @@ def reference_simplex_min(A, b, c, upper, basis, x_nb):
     return np.clip(x, 0.0, upper), y
 
 
-def _reference_iterate(A, b, c, u, basis, status):
+def _reference_dual_iterate(A, b, c, u, basis, status):
+    """Dual simplex on costs shifted by ``LP_COST_SHIFT * (1 + |c_j|) * u_j``
+    away from zero reduced cost at each nonbasic of the start, u_j being
+    ``default_rng(n).uniform(0.5, 1.5, n)`` for n columns.  Returns the
+    basis inverse it ends with."""
+    n = A.shape[1]
+    start = status.copy()
+    Binv = np.linalg.inv(A[:, basis])
+    pivots = 0  # basis changes since Binv was last inverted from scratch
+
+    for _ in range(lp._MAX_PIVOTS):
+        sign = np.where(start == _AT_UPPER, -1.0, 1.0)
+        sign[start == _BASIC] = 0.0
+        draws = np.random.default_rng(n).uniform(0.5, 1.5, n)
+        shifted = c + lp.LP_COST_SHIFT * (1.0 + np.abs(c)) * draws * sign
+
+        x = np.where(status == _AT_UPPER, u, 0.0)
+        x[basis] = 0.0
+        xb = Binv @ (b - A @ x)
+        below = -xb
+        above = xb - u[basis]
+        violation = np.maximum(below, above)
+        p = int(np.argmax(violation))
+        if math.isnan(violation[p]):
+            raise lp.LpError("basic values are not finite")
+        if not violation[p] > lp.LP_FEAS_TOL:
+            return Binv
+        to_upper = above[p] > below[p]
+
+        row = Binv[p] @ A
+        y = shifted[basis] @ Binv
+        red = shifted - y @ A
+        # a nonbasic at its lower bound moves up (+1), one at its upper down (-1)
+        direction = np.where(status == _AT_UPPER, -1.0, 1.0)
+        direction[basis] = 0.0
+        push = row * direction if to_upper else -row * direction
+        eligible = push > lp.LP_RATIO_TOL
+        if not eligible.any():
+            raise lp.LpError("restricted LP is infeasible")
+        ratios = np.full(n, math.inf)
+        ratios[eligible] = np.abs(red[eligible]) / np.abs(row[eligible])
+        j = int(np.argmin(ratios))
+
+        alpha = Binv @ A[:, j]
+        out = basis[p]
+        basis[p] = j
+        status[j] = _BASIC
+        status[out] = _AT_UPPER if to_upper else _AT_LOWER
+        Binv, pivots = _reference_inverse_update(Binv, alpha, p, pivots, A, basis)
+
+    raise lp.LpError("pivot limit exceeded")
+
+
+def _reference_inverse_update(Binv, alpha, pos, pivots, A, basis):
+    pivots += 1
+    if pivots == lp._REFACTOR_INTERVAL:
+        return np.linalg.inv(A[:, basis]), 0
+    # product-form update: the new inverse is E @ Binv, where the eta
+    # matrix E turns alpha into the pos unit vector
+    pivot_row = Binv[pos] / alpha[pos]
+    Binv -= np.outer(alpha, pivot_row)
+    Binv[pos] = pivot_row
+    return Binv, pivots
+
+
+def _reference_iterate(A, b, c, u, basis, status, Binv):
     r, n = A.shape
     bland = False
     stall = 0
     last_obj = math.inf
-    Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
 
     for _ in range(lp._MAX_PIVOTS):
@@ -311,17 +390,7 @@ def _reference_iterate(A, b, c, u, basis, status):
         basis[leave_pos] = j
         status[j] = _BASIC
         status[out] = _AT_LOWER if to_lower[leave_pos] else _AT_UPPER
-
-        pivots += 1
-        if pivots == lp._REFACTOR_INTERVAL:
-            Binv = np.linalg.inv(A[:, basis])
-            pivots = 0
-        else:
-            # product-form update: the new inverse is E @ Binv, where the
-            # eta matrix E turns alpha into the leave_pos unit vector
-            pivot_row = Binv[leave_pos] / alpha[leave_pos]
-            Binv -= np.outer(alpha, pivot_row)
-            Binv[leave_pos] = pivot_row
+        Binv, pivots = _reference_inverse_update(Binv, alpha, leave_pos, pivots, A, basis)
 
     raise lp.LpError("pivot limit exceeded")
 

@@ -546,10 +546,10 @@ def _assert_same_projection(got, fresh):
 KERNEL_PROJECTIONS = {
     "erlpboost": 55,
     "cerlpboost": 1844,
-    "mlpb-ss": 280,
-    "mlpb-pfw": 329,
-    "mlpb-ls": 408,
-    "mlpb-classic": 478,
+    "mlpb-ss": 279,
+    "mlpb-pfw": 176,
+    "mlpb-ls": 341,
+    "mlpb-classic": 1550,
 }
 
 

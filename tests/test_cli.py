@@ -4,6 +4,8 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -545,6 +547,53 @@ def test_bench_writes_the_row_of_a_worker_that_dies(tmp_path, capsys, monkeypatc
     assert lines[1].endswith(",error: worker died with code 9")
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+# bench with every fit replaced by one that writes the worker's pid to
+# argv[1] and sleeps; the forked worker inherits the patch
+_SLEEPING_BENCH = """
+import os, sys, time
+from marginforge import cli
+
+def announce_and_sleep(manifest, data):
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    time.sleep(60)
+
+cli._run_manifest = announce_and_sleep
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_bench_stopped_by_sigterm_stops_its_worker(tmp_path):
+    pid_path = tmp_path / "worker.pid"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["bench", "--data", separable_csv(tmp_path), "--algo", "lpboost", "--log-out", str(tmp_path / "b.csv")]
+    bench = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_BENCH, str(pid_path), *argv],
+        env=env, stderr=subprocess.PIPE, text=True,
+    )
+    worker = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_path.exists() and pid_path.read_text()):
+            assert bench.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        worker = int(pid_path.read_text())
+        bench.send_signal(signal.SIGTERM)
+        _, err = bench.communicate(timeout=30)
+        assert bench.returncode == 128 + signal.SIGTERM
+        assert "Traceback" not in err
+        assert not (tmp_path / "b.csv").exists()
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker, 0)  # the parent joined it: no process has its pid
+    finally:
+        bench.kill()
+        bench.wait()
+        if worker is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)
 
 
 @pytest.mark.parametrize(
