@@ -27,10 +27,16 @@ matrix's buffer.
 The gain matrix grows in place by at most one column per round and
 never loses one, so its column count identifies its column set.  The
 LPBoost secondary depends only on the discovered columns and nu, so it
-is solved once per column count and reused, with the projection of
-its margins, on rounds whose weak learner returns a column already
-held; each solve is warm-started from the final basis of the last one
-(``lp.solve_edge_min``'s ``start``).  The ERLPBoost
+is solved at most once per column count and reused, with the projection
+of its margins, on rounds whose weak learner returns a column already
+held.  A new column is priced first (LPBoost's optimality test, Demiriz,
+Bennett & Shawe-Taylor 2002): if its edge under the last LP's
+distribution is at most that LP's gamma, the last optimum stays optimal
+over the grown matrix, so the round reuses it, its weights padded with
+a zero, and solves nothing.  Each solve is warm-started from the final
+basis of the last one (``lp.solve_edge_min``'s ``start``), carried over
+every column added since, and the projection of its weights is formed
+from the margins the solve hands back.  The ERLPBoost
 secondary re-solves the smoothed problem over all discovered columns by
 projected-Newton steps (``fw.newton_step``), warm-started at the
 conditional-gradient candidate.
@@ -64,7 +70,7 @@ from .entropy import (
     smoothed_conjugate,
 )
 from .fw import FwStepOutcome, classic_step, line_search_step, newton_step, pairwise_step, short_step
-from .lp import EdgeMinBasis, LpError, solve_edge_min
+from .lp import EdgeMinBasis, EdgeMinSolution, LpError, solve_edge_min
 
 logger = logging.getLogger(__name__)
 
@@ -164,9 +170,10 @@ def run_scheme(data, learner, config: BoosterConfig):
     warning and the round keeps the FW candidate.  The "lpboost"
     secondary is a function of (A, nu) alone, so its last successful
     weights and the projection of their margins are kept and reused while
-    the learner returns known columns (``A.t`` unchanged), and its final
-    basis starts the next solve; a failed solve drops them, so the next
-    round retries from a cold start.  The "erlpboost" secondary
+    the learner returns known columns (``A.t`` unchanged) or new columns
+    that the last solution prices out, and its final basis starts the
+    next solve; a failed solve drops them, so the next round retries from
+    a cold start.  The "erlpboost" secondary
     depends on its warm start and a callable may keep state, so both run
     every round.  With secondary "none" and the short-step rule this is
     the plain corrective booster.
@@ -176,7 +183,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     proj = _project(margins(A, w), params)  # of the kept margins; every round ends holding one
     records: list[IterationRecord] = []
     converged = False
-    lp_memo = None  # (A.t, weights, projection of their margins, basis) of the last LPBoost solve
+    lp_memo = None  # (A.t, weights, projection of their margins, solution) of the last LPBoost optimum
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
@@ -212,18 +219,24 @@ def run_scheme(data, learner, config: BoosterConfig):
         if lp_memo is not None and lp_memo[0] == A.t:
             # known column: the restricted LP is the one already solved
             _, secondary_w, secondary_proj, _ = lp_memo
+        elif lp_memo is not None and lp_memo[3].d @ column <= lp_memo[3].gamma:
+            # the round's new column is priced out: its edge under the last
+            # LP's distribution is at most that LP's gamma, so the last
+            # optimum stands over the grown matrix with a zero weight on it
+            secondary_w, secondary_proj = np.append(lp_memo[1], 0.0), lp_memo[2]
+            lp_memo = (A.t, secondary_w, secondary_proj, lp_memo[3])
         else:
             # the FW candidate doubles as the warm start for a corrective solve
             try:
-                lp_start = None if lp_memo is None else lp_memo[3]
-                secondary_w, secondary_proj, basis = _secondary_update(
+                lp_start = None if lp_memo is None else lp_memo[3].basis
+                secondary_w, secondary_proj, sol = _secondary_update(
                     config.secondary, A, params, config.nu, w, lp_start
                 )
             except (LpError, np.linalg.LinAlgError) as exc:
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                 secondary_w = lp_memo = None
             if secondary_w is not None and config.secondary == "lpboost":
-                lp_memo = (A.t, secondary_w, secondary_proj, basis)
+                lp_memo = (A.t, secondary_w, secondary_proj, sol)
         # a candidate's smoothed value is minus its projection's objective
         if secondary_w is not None and secondary_proj.objective > proj.objective:
             chosen_rule = "secondary"
@@ -257,26 +270,25 @@ def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
 
 def _secondary_update(secondary, A, params, nu, current_w, lp_start):
     """The secondary's weights, the projection of their margins and, for
-    "lpboost", the final LP basis, solved from ``lp_start``; all None for
-    secondary "none"."""
+    "lpboost", the LP solution, solved from the basis ``lp_start``; all
+    None for secondary "none"."""
     if secondary == "none":
         return None, None, None
     if secondary == "erlpboost":
         return (*secondary_erlpboost(A, params, start=current_w), None)
-    basis = None
     if secondary == "lpboost":
-        w, basis = secondary_lpboost(A, nu, lp_start)
-    else:
-        w = check_ensemble_weights(secondary(A, params), A)
-    return w, _project(margins(A, w), params), basis
+        sol = secondary_lpboost(A, nu, lp_start)
+        return sol.w, _project(sol.margins, params), sol  # sol.margins is A @ sol.w
+    w = check_ensemble_weights(secondary(A, params), A)
+    return w, _project(margins(A, w), params), None
 
 
-def secondary_lpboost(A: GainMatrix, nu: float, start: EdgeMinBasis | None = None) -> tuple:
-    """Optimal restricted soft-margin weights from the edge-min LP dual,
-    and the LP's final basis (see ``solve_edge_min``), solved from the
-    basis ``start`` of an earlier solve if one is given."""
-    sol = solve_edge_min(A, nu, start=start)
-    return sol.w, sol.basis
+def secondary_lpboost(A: GainMatrix, nu: float, start: EdgeMinBasis | None = None) -> EdgeMinSolution:
+    """The restricted edge-min LP's solution: its distribution and gamma,
+    the optimal restricted soft-margin weights ``w`` from its dual with
+    their margins, and its final basis (see ``solve_edge_min``), solved
+    from the basis ``start`` of an earlier solve if one is given."""
+    return solve_edge_min(A, nu, start=start)
 
 
 def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> tuple:

@@ -173,9 +173,9 @@ def _check_gain_column(col: np.ndarray):
 
 def _check_gains(gains: np.ndarray):
     """The entry checks of one gain column or of a stack of them."""
-    if not np.all(np.isfinite(gains)):
+    if not np.isfinite(gains).all():
         raise ValueError("gain column has non-finite entries")
-    if np.any(np.abs(gains) > 1.0 + GAIN_RANGE_SLACK):
+    if (np.abs(gains) > 1.0 + GAIN_RANGE_SLACK).any():
         raise ValueError("gain column entries must lie in [-1, +1]")
 
 
@@ -184,7 +184,7 @@ def check_distribution(d: np.ndarray, nu: float) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:
         raise ValueError("distribution must be a vector")
-    if np.any(d < -CAP_BOX_TOL) or np.any(d > 1.0 / nu + CAP_BOX_TOL):
+    if (d < -CAP_BOX_TOL).any() or (d > 1.0 / nu + CAP_BOX_TOL).any():
         raise ValueError("distribution entries leave [0, 1/nu]")
     if abs(float(d.sum()) - 1.0) > SIMPLEX_SUM_TOL:
         raise ValueError("distribution does not sum to 1")
@@ -199,7 +199,7 @@ def check_ensemble_weights(w: np.ndarray, A: GainMatrix) -> np.ndarray:
         raise ValueError("ensemble weights must be a non-empty vector")
     if w.shape != (A.t,):
         raise ValueError(f"weights of shape {w.shape} for {A.t} columns")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise ValueError("ensemble weights must be nonnegative")
     if not abs(float(w.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
         raise ValueError("ensemble weights do not sum to 1")

@@ -1,34 +1,36 @@
 """Dense simplex kernel and the edge-min LP built on it.
 
-The kernel ``_simplex_min`` is a primal simplex for ``min c @ x,
-A x = b, 0 <= x <= u`` (upper bounds handled implicitly, every one
-positive) from a feasible basis its caller supplies.  Pricing is
-most-negative-reduced-cost but falls back to Bland's rule whenever the
-objective stalls, so the solver cannot cycle and stays deterministic.
-The kernel inverts its starting basis once and keeps the inverse by
-product-form (rank-one) updates at every basis change, re-inverting
-from scratch every ``_REFACTOR_INTERVAL`` changes to bound the drift;
-the basic solution and duals it returns come from fresh solves.  A
-variable's bound state is its nonbasic value alone: ``x_nb`` holds u at
-an upper-bound nonbasic and 0 elsewhere.  The pivot loop also carries
-one pricing sign per variable, the basis's costs and upper bounds,
-and ``b - A @ x_nb`` and the reduced costs for as long as the pivots
-leave them unchanged.  Its pivots and outputs, and those of the dual
-loop below, equal bit for bit those of the reference loops in
-``tests/conftest.py``, which rebuild all of these at every pivot.
-
-``_optimum`` is the one solve path: the dual simplex ``_dual_iterate``
-on costs shifted off dual degeneracy, then the primal pivots as a
-clean-up on the true costs.  Both loops change the basis through one
-exchange and one inverse update.
+``_optimum`` is the one solve path, for ``min c @ x, A x = b, 0 <= x
+<= u`` (upper bounds handled implicitly, every one positive) from a
+basis its caller supplies, dual feasible or feasible: the dual simplex
+``_dual_iterate`` on costs shifted off dual degeneracy, then the primal
+pivots of ``_iterate`` as a clean-up on the true costs.  The primal
+loop's pricing is most-negative-reduced-cost but falls back to Bland's
+rule whenever the objective stalls, so it cannot cycle and stays
+deterministic.  The dual loop inverts its starting basis once, and both
+loops keep the inverse by product-form (rank-one) updates at every
+basis change, re-inverting from scratch every ``_REFACTOR_INTERVAL``
+changes to bound the drift; the basic solution and duals ``_optimum``
+returns come from fresh solves.  A variable's bound state is its
+nonbasic value alone: ``x_nb`` holds u at an upper-bound nonbasic and 0
+elsewhere.  The primal loop also carries one pricing sign per variable,
+the basis's costs and upper bounds, and ``b - A @ x_nb`` and the
+reduced costs for as long as the pivots leave them unchanged.  The
+pivots and outputs of both loops equal bit for bit those of the
+reference loops in ``tests/conftest.py``, which rebuild all of these at
+every pivot.  ``_simplex_min`` is ``_optimum`` on a copy of its start.
 
 ``solve_edge_min`` is the one entry point above ``_optimum``: it checks
-``nu``, merges identical instance rows, solves the restricted edge-min
-LP over the distinct rows, reads the soft-margin weights from its
-duals, and certifies strong duality on every call.  It starts from a
-dual-feasible basis: the cold start, in closed form, or, given the
-final basis of an earlier solve as ``start``, that basis carried over
-to the grown matrix.
+``nu``, merges identical instance rows, writes the kernel of the
+restricted edge-min LP over the distinct rows, solves it, reads the
+soft-margin weights from its duals, and certifies strong duality on
+every call.  It starts from a dual-feasible basis: the cold start, in
+closed form, or, given the final basis of an earlier solve as
+``start``, that basis carried over to the grown matrix.  Most warm
+solves make no pivot and pay for this set-up alone, so it runs in a
+few array steps: the kernel is written once, the carried basis loops
+only over the basic groups the new columns split, and rho is read from
+the margins ``G @ w`` that the solution also hands to its caller.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .constants import (
     STRONG_DUALITY_TOL,
 )
 from .core import GainMatrix, check_distribution, check_ensemble_weights
-from .entropy import capped_min_linear
+from .entropy import _min_linear
 
 _STALL_LIMIT = 32  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
@@ -64,30 +66,6 @@ class LpUnboundedError(LpError):
     def __init__(self, direction):
         super().__init__("LP is unbounded")
         self.direction = direction
-
-
-def _solve_max(objective, con, upper, basis, x_nb):
-    """maximize objective @ x subject to con[:-1] @ x <= 0, con[-1] @ x = 1,
-    0 <= x[:-1] <= upper and x[-1] free; returns (x, value, row duals).
-
-    The kernel's columns are con's, the mirror x- of the free variable
-    x[-1] = x+ - x-, then one slack per inequality row; that order sets
-    the pivoting tie-breaks, so it is part of the result.  ``basis`` and
-    ``x_nb`` are a dual-feasible start over those columns (see
-    ``_optimum``); they are updated in place to the final basis.  Duals
-    are for the maximisation sense: nonnegative on binding inequality
-    rows.
-    """
-    r, n = con.shape
-    kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
-    cost = np.concatenate([-objective, objective[-1:], np.zeros(r - 1)])
-    bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
-    rhs = np.append(np.zeros(r - 1), 1.0)
-
-    x_full, y = _optimum(kernel, rhs, cost, bounds, basis, x_nb)
-    x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
-    x[-1] -= x_full[n]
-    return x, float(objective @ x), -y
 
 
 def _simplex_min(A, b, c, upper, basis, x_nb):
@@ -119,9 +97,10 @@ def _optimum(A, b, c, upper, basis, x_nb):
     shift = LP_COST_SHIFT * (1.0 + np.abs(c)) * _shift_draws(c.size) * _pricing_signs(basis, x_nb)
     Binv = _dual_iterate(A, b, c + shift, upper, basis, x_nb)
     _iterate(A, b, c, upper, basis, x_nb, Binv)
+    B = A[:, basis]
     x = x_nb.copy()
-    x[basis] = np.linalg.solve(A[:, basis], b - A @ x_nb)
-    y = np.linalg.solve(A[:, basis].T, c[basis])
+    x[basis] = np.linalg.solve(B, b - A @ x_nb)
+    y = np.linalg.solve(B.T, c[basis])
     return np.clip(x, 0.0, upper), y
 
 
@@ -361,11 +340,12 @@ class EdgeMinBasis:
 @dataclass
 class EdgeMinSolution:
     """Paired optima of the restricted edge-min LP and its soft-margin dual,
-    and the solve's final basis."""
+    the margins ``G @ w`` of the dual weights, and the solve's final basis."""
 
     d: np.ndarray
     gamma: float
     w: np.ndarray
+    margins: np.ndarray
     rho: float
     basis: EdgeMinBasis
 
@@ -391,7 +371,8 @@ def solve_edge_min(
     The reduction is exact, and duplicated rows get equal weight.  The
     LP has t+1 rows, one per column edge and the sum of D, with the caps
     in variable bounds.  The weights w are the duals of the t edge rows,
-    and rho is evaluated from them on the full matrix.  Every solve runs
+    and rho is evaluated from their margins ``G @ w`` on the full matrix,
+    which the solution returns as ``margins``.  Every solve runs
     ``_optimum`` from a dual-feasible basis; a failed solve raises its
     ``LpError`` (or ``LinAlgError``), and so does a solved LP whose
     cleaned-up d or w fails its membership check.  ``nu`` outside
@@ -422,31 +403,44 @@ def solve_edge_min(
     else:
         rows, group, counts, parent = _split_rows(G, start.t, start.group, start.weights.size)
     k = rows.shape[0]
-
-    # variables (D_1..D_k, g): maximize -g
-    # rows: column edges <= g; sum(D) = 1
-    con = np.zeros((t + 1, k + 1))
-    con[:t, :k] = rows.T
-    con[:t, k] = -1.0
-    con[t, :k] = 1.0
-    objective = np.concatenate([np.zeros(k), [-1.0]])
     upper = counts * cap
+
+    # minimise g = g+ - g- over (D_1..D_k, g+, g-, one slack per edge row):
+    # rows: column edges - g + slack = 0; sum(D) = 1.  The column order sets
+    # the pivoting tie-breaks, so it is part of the result
+    n = k + 2 + t
+    kernel = np.zeros((t + 1, n))
+    kernel[:t, :k] = rows.T
+    kernel[:t, k] = -1.0
+    kernel[:t, k + 1] = 1.0
+    kernel[t, :k] = 1.0
+    np.fill_diagonal(kernel[:, k + 2 :], 1.0)
+    rhs = np.zeros(t + 1)
+    rhs[t] = 1.0
+    cost = np.zeros(n)
+    cost[k], cost[k + 1] = 1.0, -1.0
+    bounds = np.full(n, math.inf)
+    bounds[:k] = upper
     if start is None:  # the cold start
-        basis, x_nb = np.concatenate([[0, k], np.arange(k + 3, k + 2 + t)]), np.zeros(k + 2 + t)
+        basis, x_nb = np.concatenate([[0, k], np.arange(k + 3, n)]), np.zeros(n)
     else:
         basis, x_nb = _carried_basis(start, parent, upper, t)
-    x, value, duals = _solve_max(objective, con, upper, basis, x_nb)
-    d = _cleanup_distribution((x[:k] / counts)[group], cap)
-    w = _cleanup_weights(duals[:t])
-    rho, _ = capped_min_linear(G @ w, nu)
+    x, y = _optimum(kernel, rhs, cost, bounds, basis, x_nb)
+    weights = x[:k] + 0.0  # + 0.0 turns a clipped -0.0 into 0.0
+    g = x[k] - x[k + 1]  # g+ - g-
+    gamma = -float(0.0 - g)  # minus max -g, whose value is 0 - g: -0.0 where g is 0
+    d = _cleanup_distribution((weights / counts)[group], cap)
+    w = _cleanup_weights(-y[:t])  # the edge rows' duals in the max sense
+    margins = G @ w
+    rho, _ = _min_linear(margins, nu, np.argsort(margins, kind="stable"))
 
     try:
         check_distribution(d, nu)
         check_ensemble_weights(w, A)
     except ValueError as exc:  # the cleaned-up optimum left its set: a failed solve
         raise LpError(str(exc)) from exc
-    basis_out = EdgeMinBasis(group, basis, x[:k])  # _solve_max left the final basis here
-    return EdgeMinSolution(d=d, gamma=-value, w=w, rho=rho, basis=basis_out)
+    basis_out = EdgeMinBasis(group, basis, weights)  # _optimum left the final basis here
+    return EdgeMinSolution(d=d, gamma=gamma, w=w, margins=margins, rho=rho, basis=basis_out)
 
 
 def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t: int):
@@ -457,27 +451,31 @@ def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t
     A nonbasic group is at its cap where its weight is positive, and
     its children sit at theirs.  A basic group's children fill to their
     caps in order until their sum reaches its weight, and the child where
-    it does is basic (the last child if the caps sum short of it); an
-    unsplit group's one child takes its place.  The kernel columns g+, g- and the start's slacks keep their
-    order after the k group weights, and the new rows' slacks are basic
-    at the end.
+    it does is basic (the last child if the caps sum short of it): an
+    unsplit group's one child takes its place, in one array step with
+    every other such child, and only the groups the new columns split
+    are filled one by one.  The kernel columns g+, g- and the start's
+    slacks keep their order after the k group weights, and the new rows'
+    slacks are basic at the end.
     """
     t_old, k_old, k = start.t, start.weights.size, upper.size
-    basis = start.basic.copy()
-    shifted = basis >= k_old
+    # numbered over the start's columns, with the new rows' slacks after its own
+    basis = np.concatenate([start.basic, np.arange(k_old + 2 + t_old, k_old + 2 + t)])
+    positions = (basis < k_old).nonzero()[0]
+    groups = basis[positions]
+    basis += k - k_old  # g+, g- and the slacks move past the k groups
     at_cap = start.weights > 0.0
-    at_cap[basis[~shifted]] = False  # a basic group's weight lies between its bounds
+    at_cap[groups] = False  # a basic group's weight lies between its bounds
     x_nb = np.zeros(k + 2 + t)
     x_nb[:k] = np.where(at_cap[parent], upper, 0.0)
-    basis[shifted] += k - k_old
-    children = np.searchsorted(parent, np.arange(k_old + 1)).tolist()  # group g's: [g] to [g + 1]
-    for pos in np.flatnonzero(~shifted).tolist():
-        g = int(basis[pos])
-        lo, hi = children[g], children[g + 1]
-        f = lo + min(int(np.searchsorted(np.cumsum(upper[lo:hi]), start.weights[g])), hi - lo - 1)
-        x_nb[lo:f] = upper[lo:f]
-        basis[pos] = f
-    return np.concatenate([basis, np.arange(k + 2 + t_old, k + 2 + t)]), x_nb
+    lo, hi = np.searchsorted(parent, groups), np.searchsorted(parent, groups, side="right")
+    basis[positions] = lo  # group g's children are lo to hi, the first basic
+    for i in (hi - lo > 1).nonzero()[0].tolist():  # the split groups
+        a, b = int(lo[i]), int(hi[i])
+        f = a + min(int(np.searchsorted(np.cumsum(upper[a:b]), start.weights[groups[i]])), b - a - 1)
+        x_nb[a:f] = upper[a:f]
+        basis[positions[i]] = f
+    return basis, x_nb
 
 
 def _split_rows(G: np.ndarray, t_old: int, old_group: np.ndarray, k_old: int):
@@ -502,23 +500,23 @@ def _split_rows(G: np.ndarray, t_old: int, old_group: np.ndarray, k_old: int):
     if old_group.shape != (m,):
         raise ValueError(f"start's row groups cover {old_group.size} instances; A has {m}")
     order = np.lexsort((*G[:, t_old:].T[::-1], old_group))
-    ranked, prior = G[order], old_group[order]
+    ranked, prior = G.take(order, axis=0), old_group[order]
     differs = ranked[1:] != ranked[:-1]
     same_prior = prior[1:] == prior[:-1]  # each start group's rows are contiguous
-    if prior[0] < 0 or prior[-1] >= k_old or np.any(same_prior & differs[:, :t_old].any(axis=1)):
+    if prior[0] < 0 or prior[-1] >= k_old or (same_prior & differs[:, :t_old].any(axis=1)).any():
         raise ValueError(f"start's row groups do not hold identical rows of A's first {t_old} columns")
     first = np.ones(m, dtype=bool)
     first[1:] = ~same_prior | differs[:, t_old:].any(axis=1)
     rank = first.cumsum() - 1
     group = np.empty(m, dtype=np.intp)
     group[order] = rank
-    return ranked[first], group, np.bincount(rank), prior[first]
+    return ranked.compress(first, axis=0), group, np.bincount(rank), prior[first]
 
 
 # Pricing accepts reduced costs up to LP_PIVOT_TOL on the wrong side, so LP
 # values within LP_PIVOT_TOL below zero are rounding, not infeasibility.
 def _cleanup_distribution(raw: np.ndarray, cap: float) -> np.ndarray:
-    if np.any(raw < -LP_PIVOT_TOL):
+    if raw.min() < -LP_PIVOT_TOL:
         raise LpError(f"distribution weight below -{LP_PIVOT_TOL}: {raw.min()}")
     d = np.clip(raw, 0.0, cap)
     total = d.sum()
@@ -528,7 +526,7 @@ def _cleanup_distribution(raw: np.ndarray, cap: float) -> np.ndarray:
 
 
 def _cleanup_weights(raw: np.ndarray) -> np.ndarray:
-    if np.any(raw < -LP_PIVOT_TOL):
+    if raw.min() < -LP_PIVOT_TOL:
         raise LpError(f"dual weight below -{LP_PIVOT_TOL}: {raw.min()}")
     clipped = np.where(raw > LP_PIVOT_TOL, raw, 0.0)
     total = clipped.sum()

@@ -14,8 +14,8 @@ from scipy.optimize import linprog
 
 from marginforge import entropy, lp
 from marginforge.constants import CAP_REL_SLACK, ENTROPY_ZERO
-from marginforge.core import Dataset
-from marginforge.entropy import ProjectionResult
+from marginforge.core import Dataset, GainMatrix, check_distribution, check_ensemble_weights
+from marginforge.entropy import ProjectionResult, capped_min_linear
 from marginforge.stumps import StumpHypothesis
 
 
@@ -162,7 +162,7 @@ def reference_stump_pool(data: Dataset):
 # Reference simplex: the dense kernel of marginforge.lp before its pivot
 # loops carried state from pivot to pivot, kept as an oracle that the lean
 # loops must match bit for bit.  Like the lean kernel it starts from the
-# basis its caller gives it, with no phase 1: ``reference_solve_max`` from
+# basis its caller gives it, with no phase 1: ``reference_edge_min`` from
 # a dual-feasible one, through the dual loop on shifted costs and then the
 # primal loop, and ``reference_simplex_min`` from a feasible one, through
 # the primal loop alone.  The limits are read from marginforge.lp at call
@@ -214,21 +214,86 @@ class PoolOracleLearner:
         return self.A_full.hypothesis_ids[j], column, float(d @ column)
 
 
-def reference_solve_max(objective, con, upper, basis, x_nb):
-    """``lp._solve_max`` by the reference loops; updates basis in place."""
+def reference_edge_min(G, nu, start=None):
+    """``lp.solve_edge_min`` of the gain matrix G from ``start`` (an
+    ``lp.EdgeMinBasis`` or None), re-derived: row groups by ``np.unique``,
+    the start carried group by group, the kernel assembled from the
+    constraint matrix ``con`` of max -g, and the reference loops."""
+    m, t = G.shape
+    cap = 1.0 / nu
+    rows, group, counts = np.unique(G, axis=0, return_inverse=True, return_counts=True)
+    group = group.reshape(-1)
+    k = rows.shape[0]
+    upper = counts * cap
+    con = np.zeros((t + 1, k + 1))  # variables (D_1..D_k, g); rows: edges - g <= 0, sum(D) = 1
+    con[:t, :k] = rows.T
+    con[:t, k] = -1.0
+    con[t, :k] = 1.0
+    objective = np.concatenate([np.zeros(k), [-1.0]])
+    if start is None:
+        basis, x_nb = np.concatenate([[0, k], np.arange(k + 3, k + 2 + t)]), np.zeros(k + 2 + t)
+    else:
+        parent = np.empty(k, dtype=np.intp)
+        parent[group] = start.group
+        basis, x_nb = _reference_carried_basis(start, parent, upper, t)
+
     r, n = con.shape
     kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
     cost = np.concatenate([-objective, objective[-1:], np.zeros(r - 1)])
     bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
     rhs = np.append(np.zeros(r - 1), 1.0)
-
     status = _status(basis, x_nb)
     Binv = _reference_dual_iterate(kernel, rhs, cost, bounds, basis, status)
     _reference_iterate(kernel, rhs, cost, bounds, basis, status, Binv)
     x_full, y = _reference_solution(kernel, rhs, cost, bounds, basis, status)
     x = np.zeros(n) + x_full[:n]  # + 0.0 turns a clipped -0.0 into 0.0
     x[-1] -= x_full[n]
-    return x, float(objective @ x), -y
+
+    raw_d, raw_w = (x[:k] / counts)[group], -y[:t]
+    if np.any(raw_d < -lp.LP_PIVOT_TOL):
+        raise lp.LpError(f"distribution weight below -{lp.LP_PIVOT_TOL}: {raw_d.min()}")
+    d = np.clip(raw_d, 0.0, cap)
+    if d.sum() <= 0.0:
+        raise lp.LpError("degenerate zero distribution")
+    if np.any(raw_w < -lp.LP_PIVOT_TOL):
+        raise lp.LpError(f"dual weight below -{lp.LP_PIVOT_TOL}: {raw_w.min()}")
+    w = np.where(raw_w > lp.LP_PIVOT_TOL, raw_w, 0.0)
+    if w.sum() <= 0.0:
+        raise lp.LpError("degenerate zero weight vector")
+    d, w = d / d.sum(), w / w.sum()
+    try:
+        check_distribution(d, nu)
+        check_ensemble_weights(w, GainMatrix(list(G.T), range(t)))
+    except ValueError as exc:
+        raise lp.LpError(str(exc)) from exc
+    rho, _ = capped_min_linear(G @ w, nu)
+    return lp.EdgeMinSolution(
+        d=d, gamma=-float(objective @ x), w=w, margins=G @ w, rho=rho,
+        basis=lp.EdgeMinBasis(group, basis, x[:k]),
+    )
+
+
+def _reference_carried_basis(start, parent, upper, t):
+    """The start's basis carried over row groups of t columns whose groups
+    in the start are ``parent``, one basis position at a time: a basic
+    group's children fill to their caps in order and the child where its
+    weight runs out is basic."""
+    t_old, k_old, k = start.t, start.weights.size, upper.size
+    basis = start.basic.copy()
+    x_nb = np.zeros(k + 2 + t)
+    for j in range(k):
+        g = parent[j]
+        x_nb[j] = upper[j] if start.weights[g] > 0.0 and g not in start.basic else 0.0
+    for pos, col in enumerate(start.basic):
+        if col >= k_old:  # g+, g- and the slacks keep their order after the k groups
+            basis[pos] = col + k - k_old
+            continue
+        children = np.flatnonzero(parent == col)
+        filled = np.cumsum(upper[children])
+        f = children[min(int(np.searchsorted(filled, start.weights[col])), children.size - 1)]
+        x_nb[children[0] : f] = upper[children[0] : f]
+        basis[pos] = f
+    return np.concatenate([basis, np.arange(k + 2 + t_old, k + 2 + t)]), x_nb
 
 
 def reference_simplex_min(A, b, c, upper, basis, x_nb):

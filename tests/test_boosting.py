@@ -16,14 +16,14 @@ from marginforge.boosting import (
     secondary_lpboost,
 )
 from marginforge.cli import ALGORITHMS
-from marginforge.constants import EPS_FLOOR
+from marginforge.constants import EPS_FLOOR, STRONG_DUALITY_TOL
 from marginforge.core import CapParams, Dataset, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
 from marginforge import boosting, fw
 from marginforge.lp import LpError, solve_edge_min
 from marginforge.stumps import StumpHypothesis, StumpLearner, StumpPool, full_gain_matrix
 
-from conftest import PoolOracleLearner, min_linear_over_cap, two_gaussians
+from conftest import PoolOracleLearner, min_linear_over_cap, scipy_edge_min, two_gaussians
 
 
 def uniform_stub(A, params):
@@ -126,10 +126,10 @@ def test_pairwise_good_step_rate():
 def test_secondary_lpboost_point_mass_and_duplicates():
     col = np.array([0.4, -0.1, 0.3])
     A = GainMatrix([col], [0])
-    assert secondary_lpboost(A, 2.0)[0] == pytest.approx([1.0])
+    assert secondary_lpboost(A, 2.0).w == pytest.approx([1.0])
 
     A2 = GainMatrix([col, col.copy()], [0, 1])
-    w, _ = secondary_lpboost(A2, 2.0)
+    w = secondary_lpboost(A2, 2.0).w
     value = min_linear_over_cap(A2.as_array() @ w, 2.0)
     ref = solve_edge_min(A, 2.0).rho
     assert w.sum() == pytest.approx(1.0)
@@ -140,10 +140,11 @@ def test_secondary_lpboost_point_mass_and_duplicates():
 def test_secondary_lpboost_matches_edge_min_dual():
     c = np.array([0.5, -0.2, 0.3, 0.9])
     A = GainMatrix([c, -c], [0, 1])
-    w, basis = secondary_lpboost(A, 2.0)
+    secondary = secondary_lpboost(A, 2.0)
     sol = solve_edge_min(A, 2.0)
-    assert np.array_equal(w, sol.w)
-    assert np.array_equal(basis.basic, sol.basis.basic)
+    assert np.array_equal(secondary.w, sol.w)
+    assert np.array_equal(secondary.margins, A.as_array() @ sol.w)
+    assert np.array_equal(secondary.basis.basic, sol.basis.basic)
 
 
 def test_secondary_erlpboost_point_mass():
@@ -255,8 +256,9 @@ def _lpboost_every_round():
 
     def solve(A, params):
         start, last["basis"] = last["basis"], None
-        w, last["basis"] = secondary_lpboost(A, params.nu, start)
-        return w
+        sol = secondary_lpboost(A, params.nu, start)
+        last["basis"] = sol.basis
+        return sol.w
 
     return solve
 
@@ -539,6 +541,66 @@ def _assert_same_projection(got, fresh):
     assert np.float64(got.objective).tobytes() == np.float64(fresh.objective).tobytes()
 
 
+def test_the_lpboost_secondary_skips_exactly_the_priced_out_columns(monkeypatch):
+    # a new column whose edge under the last LP's distribution is at most
+    # that LP's gamma leaves the last optimum optimal: no solve, the weights
+    # padded with zeros.  Every other new column is solved
+    events = []  # ("query", hypothesis, column) and ("solve", A.t, solution) in call order
+
+    def recording_solve(A, nu, start=None):
+        sol = solve_edge_min(A, nu, start=start)
+        events.append(("solve", A.t, sol))
+        return sol
+
+    data = two_gaussians(200, seed=0)
+    learner = StumpLearner(data)
+    query = learner.query
+
+    def recording_query(d):
+        response = query(d)
+        events.append(("query", response[0], response[1]))
+        return response
+
+    monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
+    monkeypatch.setattr(learner, "query", recording_query)
+    nu = 20.0
+    cfg = BoosterConfig(eps=0.01, nu=nu, fw_rule="classic", secondary="lpboost")
+    model, _ = run_scheme(data, learner, cfg)
+    assert model.converged
+
+    (_, first, column), *events = events
+    held, gains = {first}, [column]
+    last = None  # the last solution
+    solves = skipped = new_columns = 0
+    for i, (kind, *event) in enumerate(events):
+        if kind == "solve":
+            last = event[1]
+            continue
+        hypothesis, column = event
+        if hypothesis in held:
+            continue  # a held column: the round reuses the last optimum
+        held.add(hypothesis)
+        gains.append(column)
+        if i == len(events) - 1:
+            break  # the last round certified its stop before any secondary
+        new_columns += 1
+        solved = events[i + 1][0] == "solve"
+        if last is not None and last.d @ column <= last.gamma:
+            assert not solved
+            skipped += 1
+            G = np.column_stack(gains)
+            value, _ = capped_min_linear(G @ np.pad(last.w, (0, G.shape[1] - last.w.size)), nu)
+            cold = solve_edge_min(GainMatrix(gains, range(len(gains))), nu).gamma
+            assert abs(value - cold) <= STRONG_DUALITY_TOL
+            assert abs(value - scipy_edge_min(G, nu)) <= STRONG_DUALITY_TOL
+        else:
+            assert solved
+            solves += 1
+    assert sum(kind == "solve" for kind, *_ in events) == solves
+    assert solves == new_columns - skipped
+    assert skipped >= 10  # measured 17 of 38 new columns
+
+
 # kernel projections (``entropy._project`` through boosting and fw) of each
 # fit in the test below.  A fit that compares candidates makes exactly these;
 # cerlpboost may make one more per ``_MARGIN_REFRESH`` rounds, where its
@@ -546,10 +608,10 @@ def _assert_same_projection(got, fresh):
 KERNEL_PROJECTIONS = {
     "erlpboost": 55,
     "cerlpboost": 1844,
-    "mlpb-ss": 279,
-    "mlpb-pfw": 176,
-    "mlpb-ls": 341,
-    "mlpb-classic": 1550,
+    "mlpb-ss": 277,
+    "mlpb-pfw": 174,
+    "mlpb-ls": 339,
+    "mlpb-classic": 1547,
 }
 
 

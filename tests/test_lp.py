@@ -26,8 +26,8 @@ from marginforge.stumps import StumpLearner
 
 from conftest import (
     min_linear_over_cap,
+    reference_edge_min,
     reference_simplex_min,
-    reference_solve_max,
     ringnorm,
     scipy_edge_min,
     two_gaussians,
@@ -264,23 +264,20 @@ def test_edge_min_start_basis_is_feasible_and_unimodular(wide, data):
         st.one_of(sign_matrices(wide), repeated_row_matrices(wide).map(lambda drawn: drawn[:2]))
     )
     starts = []
-    solve_max = lp._solve_max
+    optimum = lp._optimum
 
-    def recording_solve_max(objective, con, upper, basis, x_nb):
-        starts.append((objective, con, upper, basis.copy(), x_nb.copy()))
-        return solve_max(objective, con, upper, basis, x_nb)
+    def recording_optimum(kernel, rhs, cost, bounds, basis, x_nb):
+        starts.append((kernel, cost, bounds, basis.copy(), x_nb.copy()))
+        return optimum(kernel, rhs, cost, bounds, basis, x_nb)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_solve_max", recording_solve_max)
+        patch.setattr(lp, "_optimum", recording_optimum)
         try:
             solve_edge_min(_gain(G.T), nu)
         except (LpError, np.linalg.LinAlgError):
             pass  # the start is checked whether or not the pivots succeed
-    (objective, con, upper, basis, x_nb), = starts
-    r = con.shape[0]
-    kernel = np.hstack([con, -con[:, -1:], np.eye(r, r - 1)])
-    cost = np.concatenate([-objective, objective[-1:], np.zeros(r - 1)])
-    bounds = np.concatenate([upper, np.full(r + 1, math.inf)])
+    (kernel, cost, bounds, basis, x_nb), = starts
+    r = kernel.shape[0]
     assert np.unique(basis).size == r
     assert np.all((x_nb == 0.0) | (x_nb == bounds)) and np.all(x_nb[basis] == 0.0)
     B = kernel[:, basis]
@@ -511,11 +508,9 @@ def test_start_with_nonbasics_at_upper_matches_the_reference_and_highs():
     assert float(c @ x) == pytest.approx(ref.fun, abs=1e-12)
 
 
-def _reference_edge_min(monkeypatch, A, nu):
-    """solve_edge_min with the LP handed to the reference kernel."""
-    with monkeypatch.context() as patch:
-        patch.setattr(lp, "_solve_max", reference_solve_max)
-        return solve_edge_min(A, nu)
+def _reference_edge_min(A, nu, start=None):
+    """solve_edge_min re-derived by the reference kernel."""
+    return reference_edge_min(A.as_array(), nu, start)
 
 
 def _parts(sol):
@@ -539,20 +534,50 @@ def test_every_lp_of_an_mlpb_ss_fit_matches_the_reference(monkeypatch):
     assert len(calls) >= 10
     for G, nu in calls:
         sol = solve_edge_min(_gain(G.T), nu)
-        ref = _reference_edge_min(monkeypatch, _gain(G.T), nu)
+        ref = _reference_edge_min(_gain(G.T), nu)
         assert _outcome(_parts, sol) == _outcome(_parts, ref)
+
+
+def _solution_bits(sol):
+    basis = sol.basis
+    return [_bits(v) for v in (*_parts(sol), sol.margins, basis.group, basis.basic, basis.weights)]
+
+
+def test_every_warm_solve_of_an_mlpb_ss_fit_matches_the_reference_set_up(monkeypatch):
+    # each warm solve, as the fit ran it and again from a copy of its matrix,
+    # equals bit for bit the reference that carries the same start group by
+    # group, assembles the kernel from its constraint matrix and pivots by the
+    # reference loops
+    calls = []
+
+    def recording_solve(A, nu, start=None):
+        sol = solve_edge_min(A, nu, start=start)
+        calls.append((A.as_array().copy(), nu, start, sol))
+        return sol
+
+    monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
+    data = two_gaussians(200, seed=0)
+    cfg = BoosterConfig(eps=0.01, nu=20.0, fw_rule="short_step", secondary="lpboost")
+    model, _ = run_scheme(data, StumpLearner(data), cfg)
+    assert model.converged
+    warm = [call for call in calls if call[2] is not None]
+    assert len(warm) >= 10
+    for G, nu, start, sol in warm:
+        ref = _solution_bits(reference_edge_min(G, nu, start))
+        assert _solution_bits(sol) == ref
+        assert _solution_bits(solve_edge_min(_gain(G.T), nu, start=start)) == ref
 
 
 @pytest.mark.parametrize(
     "family, v",
     [(1, 1e-8), (1, 5e-10), (1, 1e-10), (2, 1e-9), (2, 1.01e-10), (2, 1e-10), (2, 5e-11)],
 )
-def test_tiny_gain_failures_match_the_reference(monkeypatch, family, v):
+def test_tiny_gain_failures_match_the_reference(family, v):
     # the tiny-gain cases solve, with the reference kernel's bits
     A = _gain(_tiny_gain_rows(family, v).T)
     new = _outcome(lambda: _parts(solve_edge_min(A, 1.0)))
     assert new[0] == "solved"
-    assert new == _outcome(lambda: _parts(_reference_edge_min(monkeypatch, A, 1.0)))
+    assert new == _outcome(lambda: _parts(_reference_edge_min(A, 1.0)))
 
 
 # max x4 - x2 - x6 subject to G x <= (0, 0, 0, 1), x >= 0: the slack start
@@ -594,7 +619,7 @@ def test_edge_min_under_immediate_bland_matches_highs_and_the_reference(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lp, "_STALL_LIMIT", 1)
         sol = solve_edge_min(_gain(G.T), nu)
-        ref = _reference_edge_min(patch, _gain(G.T), nu)
+        ref = _reference_edge_min(_gain(G.T), nu)
         assert _outcome(_parts, sol) == _outcome(_parts, ref)
     assert sol.gamma == pytest.approx(scipy_edge_min(G, nu), abs=1e-7)
 
@@ -681,7 +706,7 @@ def test_edge_min_rejects_nu_outside_one_to_m_before_solving(monkeypatch, nu):
     def no_solve(*args):
         raise AssertionError("the LP was built")
 
-    monkeypatch.setattr(lp, "_solve_max", no_solve)
+    monkeypatch.setattr(lp, "_optimum", no_solve)
     A = _gain([[1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, -1.0]])
     with pytest.raises(ValueError, match=r"nu must lie in \[1, m\]; got"):
         solve_edge_min(A, nu)
@@ -799,7 +824,7 @@ def test_a_start_that_does_not_fit_the_matrix_is_a_value_error(monkeypatch):
     G = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
     grown = solve_edge_min(_gain(G.T), 2.0).basis
     other = solve_edge_min(_gain([G[:, 0] * np.array([1.0, -1.0, 1.0, -1.0])]), 2.0).basis
-    monkeypatch.setattr(lp, "_solve_max", no_solve)
+    monkeypatch.setattr(lp, "_optimum", no_solve)
     with pytest.raises(ValueError, match="start solved 3 columns; A has 2"):
         solve_edge_min(_gain(G[:, :2].T), 2.0, start=grown)
     with pytest.raises(ValueError, match="do not hold identical rows"):
