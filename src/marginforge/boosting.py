@@ -28,18 +28,18 @@ The gain matrix grows in place by at most one column per round and
 never loses one, so its column count identifies its column set.  The
 LPBoost secondary depends only on the discovered columns and nu, so it
 is solved at most once per column count and reused, with the projection
-of its margins, on rounds whose weak learner returns a column already
-held.  A new column is priced first (LPBoost's optimality test, Demiriz,
-Bennett & Shawe-Taylor 2002): if its edge under the last LP's
-distribution is at most that LP's gamma, the last optimum stays optimal
-over the grown matrix, so the round reuses it, its weights padded with
-a zero, and solves nothing.  Each solve is warm-started from the final
-basis of the last one (``lp.solve_edge_min``'s ``start``), carried over
-every column added since, and the projection of its weights is formed
-from the margins the solve hands back.  The ERLPBoost
-secondary re-solves the smoothed problem over all discovered columns by
-projected-Newton steps (``fw.newton_step``), warm-started at the
-conditional-gradient candidate.
+of its margins, on rounds whose weak learner returns a column the last
+LP was solved over.  Any other column is priced first (LPBoost's
+optimality test, Demiriz, Bennett & Shawe-Taylor 2002): if its edge
+under the last LP's distribution is at most that LP's gamma, the last
+optimum stays optimal over the grown matrix, so the round reuses it, its
+weights padded with zeros, and solves nothing.  Each solve is
+warm-started from the final basis of the last one
+(``lp.solve_edge_min``'s ``start``), carried over every column added
+since, and the projection of its weights is formed from the margins the
+solve hands back.  The ERLPBoost secondary re-solves the smoothed
+problem over all discovered columns by projected-Newton steps
+(``fw.newton_step``), warm-started at the conditional-gradient candidate.
 ``run_lpboost`` is the classic fully-LP baseline with its own stopping
 rule, each round's LP warm-started from the last round's basis.  A weak
 learner answers ``query(d)`` with ``(hypothesis, gain column, edge)``;
@@ -169,21 +169,20 @@ def run_scheme(data, learner, config: BoosterConfig):
     ``LpError`` or ``LinAlgError`` from the secondary is logged as a
     warning and the round keeps the FW candidate.  The "lpboost"
     secondary is a function of (A, nu) alone, so its last successful
-    weights and the projection of their margins are kept and reused while
-    the learner returns known columns (``A.t`` unchanged) or new columns
-    that the last solution prices out, and its final basis starts the
-    next solve; a failed solve drops them, so the next round retries from
-    a cold start.  The "erlpboost" secondary
-    depends on its warm start and a callable may keep state, so both run
-    every round.  With secondary "none" and the short-step rule this is
-    the plain corrective booster.
+    solution and the projection of its margins are kept and reused while
+    the learner returns columns that solution was solved over or prices
+    out, and its final basis starts the next solve; a failed solve drops
+    them, so the next round retries from a cold start.  The "erlpboost"
+    secondary depends on its warm start and a callable may keep state,
+    so both run every round.  With secondary "none" and the short-step
+    rule this is the plain corrective booster.
     """
     params, cap_rounds, A, min_edge = _start(learner, config)
     w = np.ones(1)
     proj = _project(margins(A, w), params)  # of the kept margins; every round ends holding one
     records: list[IterationRecord] = []
     converged = False
-    lp_memo = None  # (A.t, weights, projection of their margins, solution) of the last LPBoost optimum
+    lp_memo = None  # (solution, projection of its margins) of the last LPBoost optimum
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
@@ -216,19 +215,19 @@ def run_scheme(data, learner, config: BoosterConfig):
         fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
         chosen_rule = "fw"
         w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
-        if lp_memo is not None and lp_memo[0] == A.t:
-            # known column: the restricted LP is the one already solved
-            _, secondary_w, secondary_proj, _ = lp_memo
-        elif lp_memo is not None and lp_memo[3].d @ column <= lp_memo[3].gamma:
-            # the round's new column is priced out: its edge under the last
-            # LP's distribution is at most that LP's gamma, so the last
-            # optimum stands over the grown matrix with a zero weight on it
-            secondary_w, secondary_proj = np.append(lp_memo[1], 0.0), lp_memo[2]
-            lp_memo = (A.t, secondary_w, secondary_proj, lp_memo[3])
+        if lp_memo is not None and (
+            j_new < lp_memo[0].w.size or lp_memo[0].d @ column <= lp_memo[0].gamma
+        ):
+            # the column is one the last LP solved over, or its edge under that
+            # LP's distribution is at most its gamma: the last optimum stands
+            # over A, with zero weight on every column added since
+            sol, secondary_proj = lp_memo
+            pad = A.t - sol.w.size  # most reusing rounds have none: no copy there
+            secondary_w = np.concatenate((sol.w, np.zeros(pad))) if pad else sol.w
         else:
             # the FW candidate doubles as the warm start for a corrective solve
             try:
-                lp_start = None if lp_memo is None else lp_memo[3].basis
+                lp_start = None if lp_memo is None else lp_memo[0].basis
                 secondary_w, secondary_proj, sol = _secondary_update(
                     config.secondary, A, params, config.nu, w, lp_start
                 )
@@ -236,7 +235,7 @@ def run_scheme(data, learner, config: BoosterConfig):
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                 secondary_w = lp_memo = None
             if secondary_w is not None and config.secondary == "lpboost":
-                lp_memo = (A.t, secondary_w, secondary_proj, sol)
+                lp_memo = (sol, secondary_proj)
         # a candidate's smoothed value is minus its projection's objective
         if secondary_w is not None and secondary_proj.objective > proj.objective:
             chosen_rule = "secondary"

@@ -11,6 +11,7 @@ bad input or model file, LP failure).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -292,10 +293,17 @@ def record_payload(rec: IterationRecord) -> dict:
 
 
 def _atomic_write(path: str, text: str):
+    """Writes ``text`` to a temp file beside ``path`` and renames it over
+    ``path``; on any failure the temp file is removed and the error raised."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the open may have failed before creating it
+            os.remove(tmp)
+        raise
 
 
 def cmd_train(manifest: RunManifest) -> int:

@@ -14,9 +14,8 @@ ENTROPY_ZERO           1e-15      entries below this count as 0 in x*ln(x)
 ETA_FLOOR              1e-9       smallest eta; 2*ln(m/nu)/eps is 0 at nu = m
 EXP_RECHECK_RTOL       1e-12      cap-scan np.exp weights this near the bound are redone with math.exp
 STRONG_DUALITY_TOL     1e-7       |gamma - rho| accepted from an edge-min solve
-LP_PIVOT_TOL           1e-9       reduced-cost threshold for simplex pricing
+LP_PIVOT_TOL           1e-9       reduced-cost threshold for pricing; the primal loop takes the first column past it
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
-LP_PROGRESS_TOL        1e-12      objective decrease below which a simplex pivot counts as stalled
 LP_TIE_TOL             1e-12      slack at which a bound flip or a ratio-test tie counts as reached
 LP_FEAS_TOL            1e-9       bound violation of a basic value the dual simplex accepts as feasible
 LP_COST_SHIFT          1e-7       relative cost shift that moves the dual simplex off dual degeneracy
@@ -40,7 +39,6 @@ EXP_RECHECK_RTOL = 1e-12
 STRONG_DUALITY_TOL = 1e-7
 LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10
-LP_PROGRESS_TOL = 1e-12
 LP_TIE_TOL = 1e-12
 LP_FEAS_TOL = 1e-9
 LP_COST_SHIFT = 1e-7

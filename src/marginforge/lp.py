@@ -4,21 +4,22 @@
 <= u`` (upper bounds handled implicitly, every one positive) from a
 basis its caller supplies, dual feasible or feasible: the dual simplex
 ``_dual_iterate`` on costs shifted off dual degeneracy, then the primal
-pivots of ``_iterate`` as a clean-up on the true costs.  The primal
-loop's pricing is most-negative-reduced-cost but falls back to Bland's
-rule whenever the objective stalls, so it cannot cycle and stays
-deterministic.  The dual loop inverts its starting basis once, and both
-loops keep the inverse by product-form (rank-one) updates at every
-basis change, re-inverting from scratch every ``_REFACTOR_INTERVAL``
-changes to bound the drift; the basic solution and duals ``_optimum``
-returns come from fresh solves.  A variable's bound state is its
-nonbasic value alone: ``x_nb`` holds u at an upper-bound nonbasic and 0
-elsewhere.  The primal loop also carries one pricing sign per variable,
-the basis's costs and upper bounds, and ``b - A @ x_nb`` and the
-reduced costs for as long as the pivots leave them unchanged.  The
+pivots of ``_iterate`` as a clean-up on the true costs.  The clean-up
+prices by Bland's rule alone, so it cannot cycle from any feasible
+start; after a dual phase it seldom pivots at all.  The dual loop
+inverts its starting basis once, and both loops keep the inverse by
+product-form (rank-one) updates at every basis change, re-inverting
+from scratch every ``_REFACTOR_INTERVAL`` changes to bound the drift;
+the basic solution and duals ``_optimum`` returns come from fresh
+solves.  A variable's bound state is its nonbasic value alone:
+``x_nb`` holds u at an upper-bound nonbasic and 0 elsewhere.  Beside
+the inverse, both loops carry only one pricing sign per variable: they
+form the basic values and reduced costs afresh at every pivot and read
+the basis's costs and bounds as ``c[basis]`` and ``u[basis]``.  The
 pivots and outputs of both loops equal bit for bit those of the
-reference loops in ``tests/conftest.py``, which rebuild all of these at
-every pivot.  ``_simplex_min`` is ``_optimum`` on a copy of its start.
+reference loops in ``tests/conftest.py``, which keep a status per
+variable in place of ``x_nb`` and the signs.  ``_simplex_min`` is
+``_optimum`` on a copy of its start.
 
 ``solve_edge_min`` is the one entry point above ``_optimum``: it checks
 ``nu``, merges identical instance rows, writes the kernel of the
@@ -45,7 +46,6 @@ from .constants import (
     LP_COST_SHIFT,
     LP_FEAS_TOL,
     LP_PIVOT_TOL,
-    LP_PROGRESS_TOL,
     LP_RATIO_TOL,
     LP_TIE_TOL,
     STRONG_DUALITY_TOL,
@@ -53,7 +53,6 @@ from .constants import (
 from .core import GainMatrix, check_distribution, check_ensemble_weights
 from .entropy import _min_linear
 
-_STALL_LIMIT = 32  # degenerate pivots tolerated before switching to Bland
 _REFACTOR_INTERVAL = 32  # basis changes between fresh inversions of the basis
 _MAX_PIVOTS = 200_000
 
@@ -121,70 +120,37 @@ def _iterate(A, b, c, u, basis, x_nb, Binv):
     ``Binv`` is the inverse of the starting basis matrix.
     Every upper bound is positive, so a nonbasic can always move: it has
     pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its lower
-    bound, and a basic variable has 0.  A column is eligible when
-    ``red * sign < -LP_PIVOT_TOL``, and Dantzig's column is the first
-    argmin.  The signs and the basis's costs and upper bounds are
-    carried from pivot to pivot; a basic variable with an infinite upper
-    bound gets an infinite room and ratio, so it never leaves toward it.
-    ``b - A @ x_nb`` is formed again only after ``x_nb`` changes, and the
-    reduced costs only after the basis does; a bound flip keeps them.
-    Reduced costs are assumed finite: a NaN would win the argmin.
+    bound, and a basic variable has 0.  Pricing is Bland's rule (Bland
+    1977): the entering column is the first with ``red * sign <
+    -LP_PIVOT_TOL``, and the ratio test evicts the lowest index among
+    tied rows, so the loop cannot cycle.  The basic values and reduced
+    costs are formed afresh at every pivot; a basic variable with an
+    infinite upper bound gets an infinite ratio toward it, so it never
+    leaves there.
     """
     r, n = A.shape
-    bland = False
-    stall = 0
-    last_obj = math.inf
     pivots = 0  # basis changes since Binv was last inverted from scratch
     sign = _pricing_signs(basis, x_nb)
-    c_B = c[basis]
-    u_B = u[basis]
-    ratios = np.empty(r)
-    room = np.empty(r)  # u_B - x_B on the rows that move toward their upper bound
-    rhs = red = None  # b - A @ x_nb and the reduced costs, while still current
 
     for _ in range(_MAX_PIVOTS):
-        if red is None:
-            y = c_B @ Binv
-            red = c - y @ A
+        red = c - (c[basis] @ Binv) @ A
+        eligible = red * sign < -LP_PIVOT_TOL
+        j = int(eligible.argmax())
+        if not eligible[j]:
+            return
 
-        score = red * sign
-        if bland:
-            eligible = score < -LP_PIVOT_TOL
-            j = int(eligible.argmax())
-            if not eligible[j]:
-                return
-        else:
-            j = int(score.argmin())  # the first of the largest |red|
-            if not score[j] < -LP_PIVOT_TOL:
-                return
-
-        if rhs is None:
-            rhs = b - A @ x_nb
-        x_B = Binv @ rhs
-        x = x_nb.copy()
-        x[basis] = x_B
-        obj = float(c @ x)
-        if obj < last_obj - LP_PROGRESS_TOL:
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-        last_obj = min(last_obj, obj)
-
+        x_B = Binv @ (b - A @ x_nb)
         alpha = Binv @ A[:, j]
         increasing = sign[j] > 0.0
         step = alpha if increasing else -alpha  # basic vars move by -step * theta
 
         to_lower = step > LP_RATIO_TOL
         to_upper = step < -LP_RATIO_TOL
-        ratios.fill(math.inf)
+        ratios = np.full(r, math.inf)
         np.divide(x_B, step, out=ratios, where=to_lower)
-        np.subtract(u_B, x_B, out=room, where=to_upper)
-        np.divide(room, -step, out=ratios, where=to_upper)
+        np.divide(u[basis] - x_B, -step, out=ratios, where=to_upper)
         np.maximum(ratios, 0.0, out=ratios)  # absorb tiny feasibility drift
-        theta_basic = float(ratios[ratios.argmin()]) if r else math.inf
+        theta_basic = float(ratios.min(initial=math.inf))
         tie_bound = theta_basic + LP_TIE_TOL
 
         u_j = u[j]
@@ -197,7 +163,6 @@ def _iterate(A, b, c, u, basis, x_nb, Binv):
             # entering variable flips to its other bound, basis unchanged
             x_nb[j] = u_j if increasing else 0.0
             sign[j] = -sign[j]
-            rhs = None
             continue
 
         # Bland: among the minimal ratios, evict the lowest variable index; a
@@ -207,10 +172,7 @@ def _iterate(A, b, c, u, basis, x_nb, Binv):
         if tied.size > 1:
             tied = tied[(ratios[tied] - theta_basic) * abs(step[tied]) <= LP_TIE_TOL]
         leave_pos = int(tied[basis[tied].argmin()])
-        _exchange(basis, x_nb, sign, c_B, u_B, c, u, leave_pos, j, not to_lower[leave_pos])
-        if not (increasing and to_lower[leave_pos]):
-            rhs = None  # j left its upper bound or the leaving column went to its own
-        red = None
+        _exchange(basis, x_nb, sign, u, leave_pos, j, not to_lower[leave_pos])
         Binv, pivots = _updated_inverse(Binv, alpha, leave_pos, pivots, A, basis)
 
     raise LpError("pivot limit exceeded")
@@ -237,13 +199,11 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
     sign = _pricing_signs(basis, x_nb)
-    c_B = c[basis]
-    u_B = u[basis]
 
     for _ in range(_MAX_PIVOTS):
         x_B = Binv @ (b - A @ x_nb)
         below = -x_B
-        above = x_B - u_B
+        above = x_B - u[basis]
         violation = np.maximum(below, above)
         p = int(violation.argmax())
         worst = float(violation[p])
@@ -254,7 +214,7 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
         to_upper = above[p] > below[p]
 
         row = Binv[p] @ A
-        red = c - (c_B @ Binv) @ A
+        red = c - (c[basis] @ Binv) @ A
         # moving column j in its direction sign[j] changes x_B[p] by -row[j] * sign[j]
         push = row * sign if to_upper else -row * sign
         eligible = push > LP_RATIO_TOL
@@ -265,7 +225,7 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
         j = int(ratios.argmin())
 
         alpha = Binv @ A[:, j]
-        _exchange(basis, x_nb, sign, c_B, u_B, c, u, p, j, to_upper)
+        _exchange(basis, x_nb, sign, u, p, j, to_upper)
         Binv, pivots = _updated_inverse(Binv, alpha, p, pivots, A, basis)
 
     raise LpError("pivot limit exceeded")
@@ -278,16 +238,14 @@ def _pricing_signs(basis, x_nb):
     return sign
 
 
-def _exchange(basis, x_nb, sign, c_B, u_B, c, u, pos, j, out_at_upper):
+def _exchange(basis, x_nb, sign, u, pos, j, out_at_upper):
     """Column j enters at basis position ``pos``; the column there leaves to
-    its upper bound if ``out_at_upper``, else to 0.  Updates every
-    argument but c and u in place."""
+    its upper bound if ``out_at_upper``, else to 0.  Updates ``basis``,
+    ``x_nb`` and ``sign`` in place."""
     out = int(basis[pos])
     basis[pos] = j
     x_nb[j] = 0.0
     sign[j] = 0.0
-    c_B[pos] = c[j]
-    u_B[pos] = u[j]
     if out_at_upper:
         x_nb[out] = u[out]
         sign[out] = -1.0

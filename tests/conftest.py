@@ -159,15 +159,16 @@ def reference_stump_pool(data: Dataset):
     return tuple(out), orders, np.array(splits)
 
 
-# Reference simplex: the dense kernel of marginforge.lp before its pivot
-# loops carried state from pivot to pivot, kept as an oracle that the lean
-# loops must match bit for bit.  Like the lean kernel it starts from the
-# basis its caller gives it, with no phase 1: ``reference_edge_min`` from
-# a dual-feasible one, through the dual loop on shifted costs and then the
-# primal loop, and ``reference_simplex_min`` from a feasible one, through
-# the primal loop alone.  The limits are read from marginforge.lp at call
-# time, so a test that monkeypatches them there runs both kernels under
-# the same limits.
+# Reference simplex: the dense kernel of marginforge.lp re-derived with a
+# status per variable in place of its nonbasic values and pricing signs,
+# kept as an oracle that the lean loops must match bit for bit.  Its primal
+# loop prices by Bland's rule, as the lean one does.  Like the lean kernel
+# it starts from the basis its caller gives it, with no phase 1:
+# ``reference_edge_min`` from a dual-feasible one, through the dual loop on
+# shifted costs and then the primal loop, and ``reference_simplex_min`` from
+# a feasible one, through the primal loop alone.  The limits are read from
+# marginforge.lp at call time, so a test that monkeypatches them there runs
+# both kernels under the same limits.
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
@@ -386,9 +387,6 @@ def _reference_inverse_update(Binv, alpha, pos, pivots, A, basis):
 
 def _reference_iterate(A, b, c, u, basis, status, Binv):
     r, n = A.shape
-    bland = False
-    stall = 0
-    last_obj = math.inf
     pivots = 0  # basis changes since Binv was last inverted from scratch
 
     for _ in range(lp._MAX_PIVOTS):
@@ -405,20 +403,7 @@ def _reference_iterate(A, b, c, u, basis, status, Binv):
         idx = np.nonzero(eligible)[0]
         if idx.size == 0:
             return
-        if bland:
-            j = int(idx[0])
-        else:
-            j = int(idx[np.argmax(np.abs(red[idx]))])
-
-        obj = float(c @ x)
-        if obj < last_obj - lp.LP_PROGRESS_TOL:
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall >= lp._STALL_LIMIT:
-                bland = True
-        last_obj = min(last_obj, obj)
+        j = int(idx[0])  # Bland's rule: the first improving column
 
         alpha = Binv @ A[:, j]
         increasing = status[j] == _AT_LOWER

@@ -129,6 +129,19 @@ def test_train_writes_model_and_log(tmp_path):
         assert list(rec) == LOG_KEYS
 
 
+@pytest.mark.parametrize("command, flag", [("train", "--model-out"), ("bench", "--log-out")])
+def test_a_failed_output_write_exits_one_and_leaves_no_temp_file(tmp_path, capsys, command, flag):
+    # the output path is an existing directory, so renaming the written
+    # temp file over it fails
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    data_path = separable_csv(tmp_path)
+    assert main([command, "--data", data_path, "--algo", "lpboost", "--eps", "0.05", flag, str(out_dir)]) == 1
+    assert str(out_dir) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "sep.csv"]
+    assert list(out_dir.iterdir()) == []
+
+
 def test_train_non_convergence_exit_code(tmp_path):
     data = two_gaussians(40, seed=11)
     data_path = tmp_path / "g.csv"

@@ -580,47 +580,63 @@ def test_tiny_gain_failures_match_the_reference(family, v):
     assert new == _outcome(lambda: _parts(_reference_edge_min(A, 1.0)))
 
 
-# max x4 - x2 - x6 subject to G x <= (0, 0, 0, 1), x >= 0: the slack start
-# is a degenerate vertex at the origin where the stall-to-Bland switch
-# picks another optimum
-_DEGENERATE_G = np.array(
-    [
-        [0, 1, -1, 1, -1, 0, 0],
-        [-1, 0, 0, 1, 0, -1, -1],
-        [1, 1, 1, 1, -1, 1, -1],
-        [1, 1, 1, 1, 1, 1, 1],
-    ],
-    dtype=float,
-)
-_DEGENERATE_H = np.array([0.0, 0.0, 0.0, 1.0])
-_DEGENERATE_C = np.array([0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0])
+# max c @ x subject to G x <= h, x >= 0, each from the slack basis at a
+# degenerate vertex: Beale's (1955) and Chvatal's ("Linear Programming",
+# 1983, ch. 3) textbook examples, on which the largest-reduced-cost rule
+# cycles, and one LP with more than one optimal vertex.  The last entry is
+# the optimal value
+_DEGENERATE_LPS = {
+    "beale": (
+        [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [0.0, 0.0, 1.0],
+        [0.75, -20.0, 0.5, -6.0],
+        1.25,
+    ),
+    "chvatal": (
+        [[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]],
+        [0.0, 0.0, 1.0],
+        [10.0, -57.0, -9.0, -24.0],
+        1.0,
+    ),
+    "two optima": (
+        [
+            [0, 1, -1, 1, -1, 0, 0],
+            [-1, 0, 0, 1, 0, -1, -1],
+            [1, 1, 1, 1, -1, 1, -1],
+            [1, 1, 1, 1, 1, 1, 1],
+        ],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0],
+        1.0 / 3.0,
+    ),
+}
 
 
-def test_stall_switch_to_bland_matches_highs_and_the_reference(monkeypatch):
-    kernel = _slack_form(_DEGENERATE_G, _DEGENERATE_H, _DEGENERATE_C)
-    dantzig = _outcome(_simplex_min, *kernel)
-    monkeypatch.setattr(lp, "_STALL_LIMIT", 1)
-    bland = _outcome(_simplex_min, *kernel)
-    # Bland's rule ends at a different optimal vertex, so the switch fired
-    assert bland != dantzig
-    assert bland == _outcome(reference_simplex_min, *kernel)
+@pytest.mark.parametrize("name", list(_DEGENERATE_LPS))
+def test_bland_pricing_reaches_the_optimum_of_degenerate_lps(monkeypatch, name):
+    # Bland's rule cannot cycle: each LP solves within 12 pivots, at HiGHS's
+    # optimum and with the reference kernel's bits
+    G, h, c, optimum = _DEGENERATE_LPS[name]
+    G, h, c = np.array(G, dtype=float), np.array(h), np.array(c)
+    kernel = _slack_form(G, h, c)
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 12)
+    assert _outcome(_simplex_min, *kernel) == _outcome(reference_simplex_min, *kernel)
     x, _ = _simplex_min(*kernel)
-    ref = linprog(-_DEGENERATE_C, A_ub=_DEGENERATE_G, b_ub=_DEGENERATE_H, method="highs")
+    ref = linprog(-c, A_ub=G, b_ub=h, method="highs")
     assert ref.status == 0, ref.message
-    value = float(_DEGENERATE_C @ x[:7])
-    assert value == pytest.approx(-ref.fun, abs=1e-12)
-    assert np.all(_DEGENERATE_G @ x[:7] <= _DEGENERATE_H + 1e-12)
+    assert -ref.fun == pytest.approx(optimum, abs=1e-12)
+    assert float(c @ x[: c.size]) == pytest.approx(optimum, abs=1e-12)
+    assert np.all(G @ x[: c.size] <= h + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_edge_min_under_immediate_bland_matches_highs_and_the_reference(data):
+    # the clean-up prices by Bland's rule from its first pivot
     G, nu = data.draw(sign_matrices(wide=data.draw(st.booleans())))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_STALL_LIMIT", 1)
-        sol = solve_edge_min(_gain(G.T), nu)
-        ref = _reference_edge_min(_gain(G.T), nu)
-        assert _outcome(_parts, sol) == _outcome(_parts, ref)
+    sol = solve_edge_min(_gain(G.T), nu)
+    ref = _reference_edge_min(_gain(G.T), nu)
+    assert _outcome(_parts, sol) == _outcome(_parts, ref)
     assert sol.gamma == pytest.approx(scipy_edge_min(G, nu), abs=1e-7)
 
 
