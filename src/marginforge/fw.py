@@ -16,18 +16,23 @@ matrix, as the argument after ``e_new``; only the pairwise rule reads
 the gain matrix, for its away column.  The booster loop passes the column its
 weak learner just returned: that vector is contiguous, where a column
 of A is a strided view of the m x capacity buffer that touches one
-cache line per entry.  A column whose shape is not that of ``base`` is
-rejected, so a length-1 column cannot broadcast.
+cache line per entry.  A column, or a distribution ``d``, whose shape
+is not that of ``base`` is rejected, so a length-1 vector cannot
+broadcast.
 
 The line-search and pairwise rules minimise the smoothed objective
 exactly along their segment.  The slope there is nondecreasing and has
 a closed-form derivative, so the root is found by Newton's method kept
 inside a sign bracket, at about six entropy projections per step.
 Those projections run through the unchecked kernel ``entropy._project``
-on vectors the search forms itself; the public rules check once, on
-entry, that the margins and the new column they search from are finite.
-The classic and line-search rules test only the direction they form,
-``column - base``, and scan the two inputs only when it is not finite.
+on vectors the search forms itself.  All four public rules check their
+inputs once, on entry, through ``_direction``: it checks the shapes,
+forms ``column - base``, tests that one difference for finiteness, which
+holds whenever both inputs are finite, and scans the inputs to name a
+non-finite one only when the test fails.  The two rules that read ``d``
+scan it only when what they form from it is not finite: the short
+step's slope, and the pairwise rule's edges over the support, where a
+finite ``d`` whose edges overflow is refused too.
 
 ``newton_step`` is the projected-Newton step of ERLPBoost's fully
 corrective solve: ``_hessian`` is the matrix form of the curvature in
@@ -73,9 +78,7 @@ def classic_step(
     """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    _check_shape(column, base)
-    direction = column - base
-    _check_direction(direction, column, base)
+    direction = _direction(column, base)
     lam = 2.0 / (t + 2.0)
     return _toward(w, e_new, lam, base, direction)
 
@@ -87,21 +90,18 @@ def short_step(
 
     lam = [d @ (column - A w)] / [eta * ||column - A w||_inf^2];
     a zero denominator (new column equals the current mix) gives 0.
-    Should the denominator or the slope come out non-finite, the inputs
-    are scanned and a non-finite one is named in a ValueError; finite
-    inputs whose products overflow keep the step the formula gives.
+    Should the slope come out non-finite, d is scanned and named in a
+    ValueError if it is not finite; finite inputs whose products
+    overflow keep the step the formula gives.
     """
-    _check_shape(column, base)
-    direction = column - base
+    direction = _direction(column, base, d)
     try:
         denom = eta * float(max(direction.max(), -direction.min())) ** 2
     except OverflowError:  # the Python float square leaves float range
         denom = math.inf
     slope = float(d @ direction)
-    if not (math.isfinite(denom) and math.isfinite(slope)):
-        for name, vector in (("d", d), ("base", base), ("column", column)):
-            if not np.all(np.isfinite(vector)):
-                raise ValueError(f"short step: {name} has non-finite entries")
+    if not math.isfinite(slope):
+        _name_non_finite(d=d)
     lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, slope / denom))
     return _toward(w, e_new, lam, base, direction)
 
@@ -110,9 +110,7 @@ def line_search_step(
     w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
-    _check_shape(column, base)
-    direction = column - base
-    _check_direction(direction, column, base)
+    direction = _direction(column, base)
     lam = _line_search(base, direction, 1.0, params)
     return _toward(w, e_new, lam, base, direction)
 
@@ -131,14 +129,19 @@ def pairwise_step(
     The away column, read from A, is the support column of least edge
     d @ A[:, j] (ties to the lowest index) and caps the step at its
     coefficient; hitting the cap drops it from the support and counts as
-    a bad step.
+    a bad step.  A d that is not finite, or whose edges over the support
+    overflow, is a ValueError.
     """
-    _check_inputs(column, base)
+    _direction(column, base, d)  # the input check: this rule steps from the away column
     support = np.flatnonzero(w)
     if support.size == 0:
         raise ValueError("pairwise step needs a non-empty support")
     G = A.as_array()
-    away_idx = int(support[np.argmin((d @ G)[support])])
+    edges = (d @ G)[support]
+    if not np.isfinite(edges).all():
+        _name_non_finite(d=d)
+        raise ValueError("d's edges over the support overflow")
+    away_idx = int(support[np.argmin(edges)])
     cap = float(w[away_idx])
 
     direction = column - G[:, away_idx]
@@ -150,28 +153,23 @@ def pairwise_step(
     return FwStepOutcome(_normalise(new_w), lam, lam < cap, _step_margins(base, lam, direction))
 
 
-def _check_shape(column: np.ndarray, base: np.ndarray) -> None:
+def _direction(column: np.ndarray, base: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """``column - base``, the direction from the margins to the new column,
+    once ``column`` and ``d`` (where given) are of ``base``'s shape and the
+    direction is finite.  The inputs are scanned to name a non-finite one
+    only when it is not."""
     if column.shape != base.shape:
         raise ValueError(f"new column of shape {column.shape} for margins of shape {base.shape}")
-
-
-def _check_inputs(column: np.ndarray, base: np.ndarray) -> None:
-    """The shape check, then the finiteness check of both vectors the
-    rule hands to the unchecked projection kernel."""
-    _check_shape(column, base)
-    _name_non_finite(column, base)
-
-
-def _check_direction(direction: np.ndarray, column: np.ndarray, base: np.ndarray) -> None:
-    """``_check_inputs``'s finiteness check, made lazily: one test of the
-    direction ``column - base``, which is finite whenever both are, and
-    the scans that name a non-finite one only when it fails."""
+    if d is not None and d.shape != base.shape:
+        raise ValueError(f"d of shape {d.shape} for margins of shape {base.shape}")
+    direction = column - base
     if not np.isfinite(direction).all():
-        _name_non_finite(column, base)
+        _name_non_finite(base=base, column=column)
+    return direction
 
 
-def _name_non_finite(column: np.ndarray, base: np.ndarray) -> None:
-    for name, vector in (("base", base), ("column", column)):
+def _name_non_finite(**vectors: np.ndarray) -> None:
+    for name, vector in vectors.items():
         if not np.isfinite(vector).all():
             raise ValueError(f"{name} has non-finite entries")
 

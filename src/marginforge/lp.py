@@ -13,13 +13,13 @@ from scratch every ``_REFACTOR_INTERVAL`` changes to bound the drift;
 the basic solution and duals ``_optimum`` returns come from fresh
 solves.  A variable's bound state is its nonbasic value alone:
 ``x_nb`` holds u at an upper-bound nonbasic and 0 elsewhere.  Beside
-the inverse, both loops carry only one pricing sign per variable: they
-form the basic values and reduced costs afresh at every pivot and read
-the basis's costs and bounds as ``c[basis]`` and ``u[basis]``.  The
-pivots and outputs of both loops equal bit for bit those of the
-reference loops in ``tests/conftest.py``, which keep a status per
-variable in place of ``x_nb`` and the signs.  ``_simplex_min`` is
-``_optimum`` on a copy of its start.
+the inverse, both loops carry only one pricing sign per variable, in
+the one array ``_optimum`` forms from the start and hands to each loop
+in turn: they form the basic values and reduced costs afresh at every
+pivot and read the basis's costs and bounds as ``c[basis]`` and
+``u[basis]``.  The pivots and outputs of both loops equal bit for bit
+those of the reference loops in ``tests/conftest.py``, which keep a
+status per variable in place of ``x_nb`` and the signs.
 
 ``solve_edge_min`` is the one entry point above ``_optimum``: it checks
 ``nu``, merges identical instance rows, writes the kernel of the
@@ -61,26 +61,15 @@ class LpError(Exception):
     pass
 
 
-class LpUnboundedError(LpError):
-    def __init__(self, direction):
-        super().__init__("LP is unbounded")
-        self.direction = direction
-
-
-def _simplex_min(A, b, c, upper, basis, x_nb):
-    """minimize c@x st A@x = b, 0 <= x <= upper.  Returns (x, duals).
-
-    The primal simplex from the feasible basis ``basis`` (one column
-    index per row) with the nonbasic values ``x_nb`` (upper at an
-    upper-bound nonbasic, 0 elsewhere and on the basis): ``_optimum``'s
-    dual loop makes no pivot there.  Neither argument is modified.
-    """
-    return _optimum(A, b, c, upper, basis.copy(), x_nb.copy())
-
-
 def _optimum(A, b, c, upper, basis, x_nb):
     """minimize c@x st A@x = b, 0 <= x <= upper from a dual-feasible or a
     feasible start, ``basis`` and ``x_nb`` updated in place.  Returns (x, duals).
+
+    ``basis`` holds one column index per row and ``x_nb`` the nonbasic
+    values: upper at an upper-bound nonbasic, 0 elsewhere and on the
+    basis.  The pricing signs of that start (``_pricing_signs``) are
+    formed once, here, and the one array goes to both loops, which keep
+    it equal to ``_pricing_signs(basis, x_nb)`` at every pivot.
 
     ``_dual_iterate`` first makes the start primal feasible on costs
     shifted away from dual degeneracy: each nonbasic cost moves by
@@ -93,9 +82,10 @@ def _optimum(A, b, c, upper, basis, x_nb):
     dual loop ends with; they stop at once where pricing finds no
     improving column.
     """
-    shift = LP_COST_SHIFT * (1.0 + np.abs(c)) * _shift_draws(c.size) * _pricing_signs(basis, x_nb)
-    Binv = _dual_iterate(A, b, c + shift, upper, basis, x_nb)
-    _iterate(A, b, c, upper, basis, x_nb, Binv)
+    sign = _pricing_signs(basis, x_nb)
+    shift = LP_COST_SHIFT * (1.0 + np.abs(c)) * _shift_draws(c.size) * sign
+    Binv = _dual_iterate(A, b, c + shift, upper, basis, x_nb, sign)
+    _iterate(A, b, c, upper, basis, x_nb, sign, Binv)
     B = A[:, basis]
     x = x_nb.copy()
     x[basis] = np.linalg.solve(B, b - A @ x_nb)
@@ -112,12 +102,13 @@ def _shift_draws(n):
     return draws
 
 
-def _iterate(A, b, c, u, basis, x_nb, Binv):
+def _iterate(A, b, c, u, basis, x_nb, sign, Binv):
     """Pivot from a feasible basis until pricing finds no improving column.
 
-    ``basis`` and the nonbasic values ``x_nb`` (u at upper-bound
-    nonbasics, 0 elsewhere and on the basis) are updated in place;
-    ``Binv`` is the inverse of the starting basis matrix.
+    ``basis``, the nonbasic values ``x_nb`` (u at upper-bound nonbasics,
+    0 elsewhere and on the basis) and their pricing signs ``sign``
+    (``_pricing_signs(basis, x_nb)``) are updated in place; ``Binv`` is
+    the inverse of the starting basis matrix.
     Every upper bound is positive, so a nonbasic can always move: it has
     pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its lower
     bound, and a basic variable has 0.  Pricing is Bland's rule (Bland
@@ -126,11 +117,11 @@ def _iterate(A, b, c, u, basis, x_nb, Binv):
     tied rows, so the loop cannot cycle.  The basic values and reduced
     costs are formed afresh at every pivot; a basic variable with an
     infinite upper bound gets an infinite ratio toward it, so it never
-    leaves there.
+    leaves there.  An improving column that nothing blocks means the LP
+    is unbounded, an ``LpError``.
     """
-    r, n = A.shape
+    r = A.shape[0]
     pivots = 0  # basis changes since Binv was last inverted from scratch
-    sign = _pricing_signs(basis, x_nb)
 
     for _ in range(_MAX_PIVOTS):
         red = c - (c[basis] @ Binv) @ A
@@ -156,10 +147,7 @@ def _iterate(A, b, c, u, basis, x_nb, Binv):
         u_j = u[j]
         if u_j <= tie_bound:
             if math.isinf(u_j):
-                direction = np.zeros(n)
-                direction[j] = 1.0 if increasing else -1.0
-                direction[basis] = -step
-                raise LpUnboundedError(direction=direction)
+                raise LpError("LP is unbounded")
             # entering variable flips to its other bound, basis unchanged
             x_nb[j] = u_j if increasing else 0.0
             sign[j] = -sign[j]
@@ -178,13 +166,13 @@ def _iterate(A, b, c, u, basis, x_nb, Binv):
     raise LpError("pivot limit exceeded")
 
 
-def _dual_iterate(A, b, c, u, basis, x_nb):
+def _dual_iterate(A, b, c, u, basis, x_nb, sign):
     """Dual simplex from a dual-feasible basis until it is primal feasible.
 
-    The start has the primal kernel's form (``basis`` and ``x_nb`` as in
-    ``_iterate``, both updated in place) and reduced costs of the sign
-    its bounds need, up to pricing's tolerance, but basic values that
-    may leave their bounds.  Each pivot evicts the basic variable of
+    The start has the primal kernel's form (``basis``, ``x_nb`` and the
+    pricing signs ``sign`` as in ``_iterate``, all updated in place) and
+    reduced costs of the sign its bounds need, up to pricing's
+    tolerance, but basic values that may leave their bounds.  Each pivot evicts the basic variable of
     largest bound violation to the bound it violates; the entering
     column is the first minimum of |red / alpha| over the nonbasics
     whose move toward their other bound pushes that row back, with
@@ -198,7 +186,6 @@ def _dual_iterate(A, b, c, u, basis, x_nb):
     """
     Binv = np.linalg.inv(A[:, basis])
     pivots = 0  # basis changes since Binv was last inverted from scratch
-    sign = _pricing_signs(basis, x_nb)
 
     for _ in range(_MAX_PIVOTS):
         x_B = Binv @ (b - A @ x_nb)

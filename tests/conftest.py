@@ -386,7 +386,7 @@ def _reference_inverse_update(Binv, alpha, pos, pivots, A, basis):
 
 
 def _reference_iterate(A, b, c, u, basis, status, Binv):
-    r, n = A.shape
+    r = A.shape[0]
     pivots = 0  # basis changes since Binv was last inverted from scratch
 
     for _ in range(lp._MAX_PIVOTS):
@@ -421,10 +421,7 @@ def _reference_iterate(A, b, c, u, basis, status, Binv):
 
         if u[j] <= theta_basic + lp.LP_TIE_TOL:
             if math.isinf(u[j]):
-                direction = np.zeros(n)
-                direction[j] = 1.0 if increasing else -1.0
-                direction[basis] = -step
-                raise lp.LpUnboundedError(direction=direction)
+                raise lp.LpError("LP is unbounded")
             # entering variable flips to its other bound, basis unchanged
             status[j] = _AT_UPPER if increasing else _AT_LOWER
             continue

@@ -924,3 +924,31 @@ def test_short_step_keeps_its_step_when_finite_inputs_overflow():
     assert out.step_size == 0.0
     assert np.array_equal(out.new_w, w)
     assert np.array_equal(out.margins, base)
+
+
+@pytest.mark.parametrize("rule", ["short", "pairwise"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "length m + 1"])
+def test_rules_that_read_d_name_a_non_finite_or_misshapen_d(rule, bad):
+    # without the check the pairwise rule stepped from a NaN d (argmin over
+    # NaN edges) and a d of length m + 1 met numpy's matmul message
+    rng = np.random.default_rng(15)
+    A, w, params, d = random_instance(rng, m=8, t=3)
+    w = np.array([0.0, 0.5, 0.5])
+    if bad == "length m + 1":
+        bad_d = np.append(d, 0.0)
+    else:
+        bad_d = d.copy()
+        bad_d[3] = float(bad)
+    with pytest.raises(ValueError, match=r"\bd\b"):
+        call_rule(rule, A, w, 0, column_of(A, 0), margins(A, w), bad_d, params, 3)
+
+
+def test_pairwise_step_refuses_a_finite_d_whose_edges_overflow():
+    A = GainMatrix([np.array([1.0, 1.0]), np.array([-1.0, 1.0])], [0, 1])
+    params = CapParams(nu=1.0, m=2, eta=2.0, eps=0.1)
+    w = np.array([0.5, 0.5])
+    with (
+        np.errstate(over="ignore"),
+        pytest.raises(ValueError, match="d's edges over the support overflow"),
+    ):
+        pairwise_step(A, w, 0, column_of(A, 0), margins(A, w), np.full(2, 1e308), params)

@@ -15,13 +15,7 @@ from marginforge.boosting import BoosterConfig, run_scheme
 from marginforge.constants import LP_PIVOT_TOL, STRONG_DUALITY_TOL
 from marginforge.core import GainMatrix, check_distribution, check_ensemble_weights
 from marginforge.entropy import capped_min_linear
-from marginforge.lp import (
-    _REFACTOR_INTERVAL,
-    _simplex_min,
-    LpError,
-    LpUnboundedError,
-    solve_edge_min,
-)
+from marginforge.lp import _REFACTOR_INTERVAL, LpError, solve_edge_min
 from marginforge.stumps import StumpLearner
 
 from conftest import (
@@ -32,6 +26,12 @@ from conftest import (
     scipy_edge_min,
     two_gaussians,
 )
+
+
+def _simplex_min(A, b, c, upper, basis, x_nb):
+    """``lp._optimum`` on copies of the start ``basis`` and ``x_nb``, which
+    stay as they were: from a feasible start its dual loop makes no pivot."""
+    return lp._optimum(A, b, c, upper, basis.copy(), x_nb.copy())
 
 
 def _slack_form(G, h, c, upper=None):
@@ -76,16 +76,11 @@ def test_degenerate_face():
 
 
 def test_unbounded_is_reported():
-    # max x st -x <= 1: the direction over the kernel's columns keeps
-    # A@x = b, stays nonnegative and lowers the cost
+    # max x st -x <= 1: x enters and no row blocks it
     kernel = _slack_form(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]))
-    A, _, cost, _, _, _ = kernel
-    with pytest.raises(LpUnboundedError) as err:
-        _simplex_min(*kernel)
-    direction = err.value.direction
-    assert direction.shape == (A.shape[1],)
-    assert np.allclose(A @ direction, 0.0)
-    assert np.all(direction >= 0.0) and cost @ direction < 0.0
+    for solve in (_simplex_min, reference_simplex_min):
+        with pytest.raises(LpError, match="unbounded"):
+            solve(*kernel)
 
 
 def _enumerate_bfs_value(G, h, c):
@@ -409,12 +404,11 @@ def _bits(value):
 
 def _outcome(solve, *args):
     """A kernel's result as comparable bytes: the output arrays, or the
-    exception's type, message and direction."""
+    exception's type and message."""
     try:
         return "solved", tuple(_bits(v) for v in solve(*args))
     except (LpError, np.linalg.LinAlgError) as exc:
-        payload = getattr(exc, "direction", None)
-        return type(exc).__name__, str(exc), None if payload is None else _bits(payload)
+        return type(exc).__name__, str(exc)
 
 
 def _random_kernel(r, n, entries, rhs, bounds, start, seed):
@@ -488,8 +482,8 @@ def test_reference_cross_check_reaches_every_outcome():
         kernel = _random_kernel(int(rng.integers(1, 13)), int(rng.integers(1, 31)), seed=seed, **kinds)
         outcome = _outcome(_simplex_min, *kernel)
         assert outcome == _outcome(reference_simplex_min, *kernel)
-        seen.add(outcome[0])
-    assert {"solved", "LpUnboundedError"} <= seen
+        seen.add(outcome[0] if outcome[0] == "solved" else outcome)
+    assert seen == {"solved", ("LpError", "LP is unbounded")}
 
 
 def test_start_with_nonbasics_at_upper_matches_the_reference_and_highs():
@@ -754,11 +748,11 @@ def growing_matrices(draw):
 _DUAL_ITERATE = lp._dual_iterate
 
 
-def _dual_feasible_dual_iterate(A, b, c, u, basis, x_nb):
+def _dual_feasible_dual_iterate(A, b, c, u, basis, x_nb, sign):
     """``lp._dual_iterate``, checked to end with reduced costs of the sign
     each nonbasic's bound needs (measured: 1.1e-15 at worst over 8,895
     warm solves of the strategy below)."""
-    Binv = _DUAL_ITERATE(A, b, c, u, basis, x_nb)
+    Binv = _DUAL_ITERATE(A, b, c, u, basis, x_nb, sign)
     red = c - np.linalg.solve(A[:, basis].T, c[basis]) @ A
     assert np.all(red * lp._pricing_signs(basis, x_nb) >= -LP_PIVOT_TOL)
     return Binv
@@ -894,9 +888,9 @@ def test_the_dual_phase_raises_where_no_basis_is_feasible(row, message):
     # x1 + x2 = 1 with both caps at 0.25 has no feasible point: from basis
     # [0], x1 leaves at its cap and no column can lower x2 from 0.75; a NaN
     # in A leaves the basic values NaN
-    A, caps = np.array([row]), np.full(2, 0.25)
+    A, caps, basis, x_nb = np.array([row]), np.full(2, 0.25), np.array([0]), np.zeros(2)
     with pytest.raises(LpError, match=message):
-        lp._dual_iterate(A, np.ones(1), np.zeros(2), caps, np.array([0]), np.zeros(2))
+        lp._dual_iterate(A, np.ones(1), np.zeros(2), caps, basis, x_nb, lp._pricing_signs(basis, x_nb))
 
 
 def test_the_warm_dual_phase_is_bounded_where_it_cycles(monkeypatch):
@@ -946,3 +940,55 @@ def test_paper_scale_fits_solve_every_lp_without_a_warning(monkeypatch, caplog, 
     assert failures == []
     assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
     assert any(rec.chosen_rule == "secondary" for rec in records)
+
+
+def test_each_solve_forms_one_sign_array_that_both_loops_carry(monkeypatch):
+    # _optimum forms the pricing signs once; the dual and then the primal
+    # loop get that very array, and it equals the signs of their basis when
+    # each loop starts and when it returns
+    pricing_signs, optimum = lp._pricing_signs, lp._optimum
+    formed, received, loops_run = [], [], []
+
+    def recording_signs(basis, x_nb):
+        formed.append(pricing_signs(basis, x_nb))
+        return formed[-1]
+
+    def checked(loop):
+        def run(A, b, c, u, basis, x_nb, sign, *rest):
+            received.append(sign)
+            assert np.array_equal(sign, pricing_signs(basis, x_nb))
+            out = loop(A, b, c, u, basis, x_nb, sign, *rest)
+            assert np.array_equal(sign, pricing_signs(basis, x_nb))
+            return out
+
+        return run
+
+    def recording_optimum(*args):
+        formed.clear()
+        received.clear()
+        try:
+            return optimum(*args)
+        finally:
+            assert len(formed) == 1
+            assert received and all(sign is formed[0] for sign in received)
+            loops_run.append(len(received))
+
+    monkeypatch.setattr(lp, "_pricing_signs", recording_signs)
+    monkeypatch.setattr(lp, "_dual_iterate", checked(lp._dual_iterate))
+    monkeypatch.setattr(lp, "_iterate", checked(lp._iterate))
+    monkeypatch.setattr(lp, "_optimum", recording_optimum)
+    for algo in ("mlpb-ss", "lpboost"):
+        manifest = cli.RunManifest(data="two_gaussians", algo=algo, nu_frac=0.1, eps=0.05)
+        model, _ = cli._run_manifest(manifest, two_gaussians(200, seed=0))
+        assert model.converged
+    fits = len(loops_run)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        kinds = {key: str(rng.choice(values)) for key, values in _KERNEL_KINDS.items()}
+        kernel = _random_kernel(int(rng.integers(1, 13)), int(rng.integers(1, 31)), seed=seed, **kinds)
+        try:
+            _simplex_min(*kernel)
+        except LpError:
+            pass
+    assert fits >= 20
+    assert loops_run == [2] * (fits + 200)  # every solve ran both loops
