@@ -25,11 +25,13 @@ The FW rule is handed the gain column the weak learner returned, which
 is contiguous, where column j_new of A is a strided view of the gain
 matrix's buffer.
 The gain matrix grows in place by at most one column per round and
-never loses one, so its column count identifies its column set.  The
-LPBoost secondary depends only on the discovered columns and nu, so it
-is solved at most once per column count and reused, with the projection
-of its margins, on rounds whose weak learner returns a column the last
-LP was solved over.  Any other column is priced first (LPBoost's
+never loses one, so its column count identifies its column set.  An LP
+solution depends only on the discovered columns and nu, so the loop
+keeps the last one a secondary handed back (only "lpboost" hands one
+back), with the projection of its margins, and a failed secondary drops
+it.  The LP is thus solved at most once per column count, and the kept
+solution is reused on rounds whose weak learner returns a column it
+was solved over.  Any other column is priced first (LPBoost's
 optimality test, Demiriz, Bennett & Shawe-Taylor 2002): if its edge
 under the last LP's distribution is at most that LP's gamma, the last
 optimum stays optimal over the grown matrix, so the round reuses it, its
@@ -167,14 +169,15 @@ def run_scheme(data, learner, config: BoosterConfig):
     with FW).  The margins are carried, not rebuilt, and a round is
     certified only on a fresh A @ w (see the module docstring).  An
     ``LpError`` or ``LinAlgError`` from the secondary is logged as a
-    warning and the round keeps the FW candidate.  The "lpboost"
-    secondary is a function of (A, nu) alone, so its last successful
-    solution and the projection of its margins are kept and reused while
-    the learner returns columns that solution was solved over or prices
-    out, and its final basis starts the next solve; a failed solve drops
-    them, so the next round retries from a cold start.  The "erlpboost"
-    secondary depends on its warm start and a callable may keep state,
-    so both run every round.  With secondary "none" and the short-step
+    warning and the round keeps the FW candidate.  An LP solution is a
+    function of (A, nu) alone, so the last one the secondary handed back
+    ("lpboost" does) and the projection of its margins are kept and
+    reused while the learner returns columns that solution was solved
+    over or prices out, and its final basis starts the next solve; a
+    failed secondary drops them, so the next round retries from a cold
+    start.  The "erlpboost" secondary depends on its warm start and a
+    callable may keep state, and neither hands back an LP solution, so
+    both run every round.  With secondary "none" and the short-step
     rule this is the plain corrective booster.
     """
     params, cap_rounds, A, min_edge = _start(learner, config)
@@ -233,9 +236,8 @@ def run_scheme(data, learner, config: BoosterConfig):
                 )
             except (LpError, np.linalg.LinAlgError) as exc:
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
-                secondary_w = lp_memo = None
-            if secondary_w is not None and config.secondary == "lpboost":
-                lp_memo = (sol, secondary_proj)
+                secondary_w = sol = None
+            lp_memo = None if sol is None else (sol, secondary_proj)
         # a candidate's smoothed value is minus its projection's objective
         if secondary_w is not None and secondary_proj.objective > proj.objective:
             chosen_rule = "secondary"
@@ -354,7 +356,7 @@ def run_lpboost(data, learner, config: BoosterConfig):
         w = sol.w
         hypothesis, column, edge_new = learner.query(sol.d)
         min_edge = min(min_edge, edge_new)
-        smoothed_obj = smoothed_conjugate(-margins(A, w), params)
+        smoothed_obj = smoothed_conjugate(-sol.margins, params)  # sol.margins is A @ w
         records.append(
             IterationRecord(
                 t, edge_new, min_edge, smoothed_obj, sol.rho,

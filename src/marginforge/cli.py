@@ -277,19 +277,13 @@ def model_payload(model: TrainedModel) -> dict:
     }
 
 
+# the IterationRecord fields the log writes under other names
+_LOG_KEYS = {"min_edge_so_far": "min_edge", "chosen_rule": "rule", "step_size": "lambda"}
+
+
 def record_payload(rec: IterationRecord) -> dict:
-    return {
-        "t": rec.t,
-        "edge_new": rec.edge_new,
-        "min_edge": rec.min_edge_so_far,
-        "smoothed_obj": rec.smoothed_obj,
-        "soft_margin_obj": rec.soft_margin_obj,
-        "eps_t": rec.eps_t,
-        "rule": rec.chosen_rule,
-        "lambda": rec.step_size,
-        "good_step": rec.good_step,
-        "wall_time_ns": rec.wall_time_ns,
-    }
+    """The record's fields in order, each under its log key."""
+    return {_LOG_KEYS.get(f.name, f.name): getattr(rec, f.name) for f in dataclasses.fields(rec)}
 
 
 def _atomic_write(path: str, text: str):

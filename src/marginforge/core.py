@@ -145,10 +145,10 @@ class GainMatrix:
         if existing is not None:
             return self, existing
         column = np.asarray(column, dtype=float)
-        _check_gain_column(column)
-        t = self.t
         if column.shape != (self.m,):
             raise ValueError("column length does not match the matrix")
+        _check_gains(column)
+        t = self.t
         if t == self._data.shape[1]:
             grown = np.empty((self.m, 2 * t))
             grown[:, :t] = self._data
@@ -165,12 +165,6 @@ class GainMatrix:
         return view
 
 
-def _check_gain_column(col: np.ndarray):
-    if col.ndim != 1 or col.shape[0] < 1:
-        raise ValueError("gain column must be a non-empty vector")
-    _check_gains(col)
-
-
 def _check_gains(gains: np.ndarray):
     """The entry checks of one gain column or of a stack of them."""
     if not np.isfinite(gains).all():
@@ -180,13 +174,14 @@ def _check_gains(gains: np.ndarray):
 
 
 def check_distribution(d: np.ndarray, nu: float) -> np.ndarray:
-    """Validate a capped-simplex point: entries in [0, 1/nu], sum 1."""
+    """Validate a capped-simplex point: entries in [0, 1/nu], sum 1.  NaN
+    fails each test."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:
         raise ValueError("distribution must be a vector")
-    if (d < -CAP_BOX_TOL).any() or (d > 1.0 / nu + CAP_BOX_TOL).any():
+    if not ((d >= -CAP_BOX_TOL).all() and (d <= 1.0 / nu + CAP_BOX_TOL).all()):
         raise ValueError("distribution entries leave [0, 1/nu]")
-    if abs(float(d.sum()) - 1.0) > SIMPLEX_SUM_TOL:
+    if not abs(float(d.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
         raise ValueError("distribution does not sum to 1")
     return d
 

@@ -254,6 +254,8 @@ def capped_min_linear(margins: np.ndarray, nu: float) -> tuple[float, np.ndarray
     the cap polytope.  Returns (value, argmin).
     """
     margins = np.asarray(margins, dtype=float)
+    if margins.ndim != 1:
+        raise ValueError(f"margins must be a vector; got shape {margins.shape}")
     if not np.all(np.isfinite(margins)):
         raise ValueError("margins have non-finite entries")
     m = margins.shape[0]

@@ -295,7 +295,7 @@ class EdgeMinSolution:
     basis: EdgeMinBasis
 
     def __post_init__(self):
-        if abs(self.gamma - self.rho) > STRONG_DUALITY_TOL:
+        if not abs(self.gamma - self.rho) <= STRONG_DUALITY_TOL:  # NaN fails it
             raise LpError(
                 f"strong duality violated: gamma={self.gamma!r} rho={self.rho!r}"
             )
@@ -458,23 +458,26 @@ def _split_rows(G: np.ndarray, t_old: int, old_group: np.ndarray, k_old: int):
     return ranked.compress(first, axis=0), group, np.bincount(rank), prior[first]
 
 
-# Pricing accepts reduced costs up to LP_PIVOT_TOL on the wrong side, so LP
-# values within LP_PIVOT_TOL below zero are rounding, not infeasibility.
 def _cleanup_distribution(raw: np.ndarray, cap: float) -> np.ndarray:
-    if raw.min() < -LP_PIVOT_TOL:
-        raise LpError(f"distribution weight below -{LP_PIVOT_TOL}: {raw.min()}")
-    d = np.clip(raw, 0.0, cap)
-    total = d.sum()
-    if total <= 0.0:
-        raise LpError("degenerate zero distribution")
-    return d / total
+    return _normalised(raw, np.clip(raw, 0.0, cap), "distribution weight", "distribution")
 
 
 def _cleanup_weights(raw: np.ndarray) -> np.ndarray:
-    if raw.min() < -LP_PIVOT_TOL:
-        raise LpError(f"dual weight below -{LP_PIVOT_TOL}: {raw.min()}")
-    clipped = np.where(raw > LP_PIVOT_TOL, raw, 0.0)
-    total = clipped.sum()
-    if total <= 0.0:
-        raise LpError("degenerate zero weight vector")
-    return clipped / total
+    return _normalised(raw, np.where(raw > LP_PIVOT_TOL, raw, 0.0), "dual weight", "weight vector")
+
+
+def _normalised(raw: np.ndarray, kept: np.ndarray, entry: str, vector: str) -> np.ndarray:
+    """``kept``, the LP values ``raw`` moved into their set, over its sum.
+
+    Pricing accepts reduced costs up to LP_PIVOT_TOL on the wrong side, so
+    LP values within LP_PIVOT_TOL below zero are rounding, not
+    infeasibility.  A value of ``raw`` further below, or NaN, is an
+    LpError, and so is a ``kept`` whose sum is not positive.
+    """
+    low = raw.min()  # NaN where any value is
+    if not low >= -LP_PIVOT_TOL:
+        raise LpError(f"{entry} below -{LP_PIVOT_TOL}: {low}")
+    total = kept.sum()
+    if not total > 0.0:
+        raise LpError(f"degenerate zero {vector}")
+    return kept / total

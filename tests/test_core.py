@@ -189,6 +189,14 @@ def test_check_ensemble_weights_rejections():
             check_ensemble_weights(bad, A)
 
 
+def test_check_distribution_refuses_nan():
+    for bad in (np.array([math.nan, 1.0]), np.array([0.5, 0.5, math.nan])):
+        with pytest.raises(ValueError, match="leave"):
+            check_distribution(bad, 1.0)
+    d = np.array([0.25, 0.75])
+    assert check_distribution(d, 1.0) is d
+
+
 def test_relative_entropy_values():
     assert relative_entropy(np.full(7, 1 / 7)) == pytest.approx(0.0, abs=1e-12)
     assert relative_entropy(np.array([1.0, 0, 0, 0])) == pytest.approx(math.log(4.0))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,12 @@ def test_capped_min_linear_examples():
     value, d = capped_min_linear(_REPRO_THETA, 2.0)
     assert value == pytest.approx(-0.30, abs=1e-15)
     assert np.array_equal(d, [0.0, 0.5, 0.0, 0.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("margins", [np.zeros((2, 3)), np.array(0.5)], ids=["2-D", "0-D"])
+def test_capped_min_linear_names_the_shape_of_a_non_vector(margins):
+    with pytest.raises(ValueError, match=re.escape(f"margins must be a vector; got shape {margins.shape}")):
+        capped_min_linear(margins, 1.0)
 
 
 def test_capped_min_linear_matches_vertex_enumeration():

@@ -711,6 +711,32 @@ def test_membership_failure_in_a_solve_keeps_the_fw_step(monkeypatch, caplog):
     ]
 
 
+def test_the_strong_duality_check_refuses_a_nan_gamma():
+    parts = dict(d=np.array([0.5, 0.5]), w=np.array([1.0]), margins=np.array([0.5, 0.5]), basis=None)
+    with pytest.raises(LpError, match="strong duality violated: gamma=nan"):
+        lp.EdgeMinSolution(gamma=math.nan, rho=0.5, **parts)
+    gamma = 0.5 + STRONG_DUALITY_TOL  # a finite gap at the tolerance passes
+    assert lp.EdgeMinSolution(gamma=gamma, rho=0.5, **parts).gamma == gamma
+
+
+def test_the_distribution_clean_up_refuses_a_nan_weight():
+    with pytest.raises(LpError, match="distribution weight below .*: nan"):
+        lp._cleanup_distribution(np.array([math.nan, 0.5]), 1.0)
+    # finite weights: clipped to [0, cap] and scaled to sum 1, as before
+    raw = np.array([-0.5 * LP_PIVOT_TOL, 0.3, 0.9])
+    expected = np.clip(raw, 0.0, 0.75)
+    assert np.array_equal(lp._cleanup_distribution(raw, 0.75), expected / expected.sum())
+
+
+def test_the_weight_clean_up_refuses_a_nan_dual():
+    with pytest.raises(LpError, match="dual weight below .*: nan"):
+        lp._cleanup_weights(np.array([math.nan, 0.5]))
+    # finite duals: those at most LP_PIVOT_TOL dropped, the rest scaled to sum 1
+    raw = np.array([-0.5 * LP_PIVOT_TOL, LP_PIVOT_TOL, 0.3, 0.9])
+    kept = np.array([0.0, 0.0, 0.3, 0.9])
+    assert np.array_equal(lp._cleanup_weights(raw), kept / kept.sum())
+
+
 @pytest.mark.parametrize("nu", [0.0, math.nan, math.inf, -1.0, 5.0, 0.5])
 def test_edge_min_rejects_nu_outside_one_to_m_before_solving(monkeypatch, nu):
     def no_solve(*args):
