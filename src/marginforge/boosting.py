@@ -14,10 +14,12 @@ and its sort order, which seeds the next sort.  Each candidate is
 projected once, the FW rule's ``base + lam * direction`` right after its
 step and the secondary's A @ w inside the secondary, and the one whose
 projection has the larger objective (the smaller smoothed value) is
-kept.  Every ``_MARGIN_REFRESH`` rounds, and on a round that may stop,
-``proj`` becomes the projection of a fresh A @ w: the drift of the
-carried margins stays bounded, and the certificate and the final model
-never read them.  The loop calls the entropy kernels
+kept.  The ERLPBoost secondary starts from the FW candidate and the
+projection the round just formed for it, so it projects only the
+iterates its own steps reach.  Every ``_MARGIN_REFRESH`` rounds, and on
+a round that may stop, ``proj`` becomes the projection of a fresh A @ w:
+the drift of the carried margins stays bounded, and the certificate and
+the final model never read them.  The loop calls the entropy kernels
 (``entropy._project``, ``entropy._min_linear``), which skip the public
 functions' input checks: every vector it projects is one it formed
 itself.
@@ -41,7 +43,8 @@ warm-started from the final basis of the last one
 since, and the projection of its weights is formed from the margins the
 solve hands back.  The ERLPBoost secondary re-solves the smoothed
 problem over all discovered columns by projected-Newton steps
-(``fw.newton_step``), warm-started at the conditional-gradient candidate.
+(``fw.newton_step``), warm-started at the conditional-gradient candidate
+and its projection.
 ``run_lpboost`` is the classic fully-LP baseline with its own stopping
 rule, each round's LP warm-started from the last round's basis.  A weak
 learner answers ``query(d)`` with ``(hypothesis, gain column, edge)``;
@@ -65,9 +68,10 @@ from .core import (
     margins,
 )
 from .entropy import (
+    ProjectionResult,
     _min_linear,
     _project,
-    capped_entropy_projection,
+    _require_finite,
     capped_min_linear,
     smoothed_conjugate,
 )
@@ -232,7 +236,7 @@ def run_scheme(data, learner, config: BoosterConfig):
             try:
                 lp_start = None if lp_memo is None else lp_memo[0].basis
                 secondary_w, secondary_proj, sol = _secondary_update(
-                    config.secondary, A, params, config.nu, w, lp_start
+                    config.secondary, A, params, config.nu, w, proj, lp_start
                 )
             except (LpError, np.linalg.LinAlgError) as exc:
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
@@ -269,14 +273,15 @@ def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
     return pairwise_step(A, w, j_new, column, base, d, params)
 
 
-def _secondary_update(secondary, A, params, nu, current_w, lp_start):
+def _secondary_update(secondary, A, params, nu, current_w, current_proj, lp_start):
     """The secondary's weights, the projection of their margins and, for
     "lpboost", the LP solution, solved from the basis ``lp_start``; all
-    None for secondary "none"."""
+    None for secondary "none".  "erlpboost" starts from ``current_w`` and
+    ``current_proj``, the projection of its margins."""
     if secondary == "none":
         return None, None, None
     if secondary == "erlpboost":
-        return (*secondary_erlpboost(A, params, start=current_w), None)
+        return (*secondary_erlpboost(A, params, current_w, current_proj), None)
     if secondary == "lpboost":
         sol = secondary_lpboost(A, nu, lp_start)
         return sol.w, _project(sol.margins, params), sol  # sol.margins is A @ sol.w
@@ -292,43 +297,52 @@ def secondary_lpboost(A: GainMatrix, nu: float, start: EdgeMinBasis | None = Non
     return solve_edge_min(A, nu, start=start)
 
 
-def secondary_erlpboost(A: GainMatrix, params: CapParams, start: np.ndarray) -> tuple:
+def secondary_erlpboost(
+    A: GainMatrix, params: CapParams, start: np.ndarray, start_proj: ProjectionResult
+) -> tuple:
     """Fully corrective weights over the discovered columns, and the
-    projection of their margins ``A.as_array() @ w``.
+    projection of their margins.
 
     Minimises the smoothed objective over the restricted simplex by
     projected-Newton iterations (``fw.newton_step``) from the weights
     ``start`` until the linearised gap drops below eps/10 (the warm
     start does not change the guarantee).
-    The gap test and the step share one projection of G @ w and its
-    column edges.  The caller's start is projected here, through the
-    checked ``capped_entropy_projection``; every later projection is the
+    The gap test and the step share one projection and its column edges.
+    ``start_proj`` is the caller's projection of the margins of
+    ``start``: the booster round's projection of its FW candidate's
+    carried margins, which the solve does not form again.  Only the
+    start's finiteness is checked here.  Every later projection is the
     one ``newton_step`` returns with its iterate (the accepted full
-    step's trial projection, or the kernel's projection of the iterate
-    its line search reached), so the solve never projects the same
-    margins twice, and the caller need not project the result again.
+    step's trial projection, or the kernel's projection of
+    ``A.as_array() @ w`` at the iterate its line search reached), so the
+    solve never projects the same margins twice, and the caller need not
+    project the result again.
     Hitting the inner cap logs a warning and returns the current iterate,
-    and so does a step that returns its input weights bit for bit: the
-    next step would start from the same weights and projection, so the
-    solve has reached the fixed point of its float arithmetic.
+    and so does a step that returns its start or an iterate the solve has
+    already produced, bit for bit, at any period: after the start every
+    projection is of the iterate's own margins, so a step is a function
+    of the weights alone, and a repeated iterate is a cycle of the float
+    arithmetic that no later step leaves.
     """
+    _require_finite(start)
     tol = params.eps / 10.0
-    w = start
+    w, proj = start, start_proj
     G = A.as_array()
-
-    proj = capped_entropy_projection(G @ w, params)  # checks the caller's start once
+    seen = {w.tobytes()}  # every iterate so far; A's width is fixed within a solve
     for _ in range(_ERLP_INNER_CAP):
         col_edges = proj.d @ G
         gap = float(col_edges.max() - col_edges @ w)
         if gap <= tol:
             return w, proj
-        new_w, proj = newton_step(A, w, proj, params, col_edges)
-        if np.array_equal(new_w, w):  # a fixed point: every later step would return w again
+        new_w, new_proj = newton_step(A, w, proj, params, col_edges)
+        key = new_w.tobytes()
+        if key in seen:  # a cycle: the steps from new_w repeat the ones made before
             logger.warning(
                 "fully corrective inner solve stalled at gap %r above its tolerance %r", gap, tol
             )
             return w, proj
-        w = new_w
+        seen.add(key)
+        w, proj = new_w, new_proj
     logger.warning("fully corrective inner solve hit its %d-step cap", _ERLP_INNER_CAP)
     return w, proj
 

@@ -24,7 +24,8 @@ LINE_SEARCH_MAX_ITERS  50         hard cap on line-search slope evaluations per 
 SUPPORT_DROP_TOL       1e-12      ensemble coefficients below this leave the support
 NEWTON_RIDGE           1e-10      diagonal ridge, relative to max(1, max diag), on the Newton QP
 QP_MULTIPLIER_TOL      1e-12      bound multipliers above -this are optimal in the Newton QP
-NEWTON_ARMIJO          1e-4       sufficient-decrease fraction that accepts a full Newton step
+NEWTON_ARMIJO          1e-4       sufficient-decrease fraction for a full Newton step and a fallback's stop
+NEWTON_CURVATURE       0.1        a Newton fallback search may stop where |slope| <= this * |slope at 0|
 EPS_FLOOR              1e-12      smallest eps a float gap can certify; smaller eps is rejected
 =====================  =========  ================================================
 """
@@ -48,4 +49,5 @@ SUPPORT_DROP_TOL = 1e-12
 NEWTON_RIDGE = 1e-10
 QP_MULTIPLIER_TOL = 1e-12
 NEWTON_ARMIJO = 1e-4
+NEWTON_CURVATURE = 0.1
 EPS_FLOOR = 1e-12

@@ -137,7 +137,7 @@ def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> Projectio
     """
     theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] != params.m:
-        raise ValueError(f"theta must be a vector of length m={params.m}")
+        raise ValueError(f"theta must be a vector of length m={params.m}; got shape {theta.shape}")
     _require_finite(theta)
     return _project(theta, params)
 

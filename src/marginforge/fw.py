@@ -39,8 +39,11 @@ corrective solve: ``_hessian`` is the matrix form of the curvature in
 ``_slope_and_curvature``, and ``_simplex_qp`` minimises the resulting
 quadratic model over the simplex by a primal active-set method.  The
 full step to that minimiser is taken when it decreases the smoothed
-objective enough (Armijo's test, one projection); otherwise the same
-exact line search runs along the segment to it.
+objective enough (Armijo's test, one projection).  Otherwise the line
+search runs along the segment to it, seeded with the projections at both
+ends, and stops at the first point it evaluates that meets the strong
+Wolfe conditions (Nocedal & Wright 2006, *Numerical Optimization*,
+§3.1): a Newton method needs a sufficient step, not an exact one.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .constants import (
     LINE_SEARCH_MAX_ITERS,
     LINE_SEARCH_TOL,
     NEWTON_ARMIJO,
+    NEWTON_CURVATURE,
     NEWTON_RIDGE,
     QP_MULTIPLIER_TOL,
     SUPPORT_DROP_TOL,
@@ -196,18 +200,23 @@ def newton_step(
 ) -> tuple[np.ndarray, ProjectionResult]:
     """Projected-Newton step of the smoothed objective over the simplex.
 
-    ``proj`` must be the projection of margins(A, w), and ``col_edges``
-    its column edges ``proj.d @ A.as_array()``.  The quadratic model at w
+    ``proj`` must be the projection of margins(A, w), or of margins that
+    stand for them, such as a booster round's carried margins of w; the
+    step reads the margins as ``proj.theta``.  ``col_edges`` are its
+    column edges ``proj.d @ A.as_array()``.  The quadratic model at w
     (gradient -col_edges, Hessian ``_hessian``) is minimised over the
     simplex from w.  The full step to that minimiser v is tried first:
     it is taken when the slope s0 toward v is negative and the smoothed
     objective at v is at most its value at w plus NEWTON_ARMIJO * s0
     (Armijo's sufficient decrease).  Otherwise the line search runs along
-    the segment from w to v, starting from ``proj``.  Should it return
-    0, the step goes toward the column of largest edge instead: the
-    slope there is minus the conditional-gradient gap, so any w with a
-    positive gap moves.  Returns the new weights and the projection of
-    their margins, which a caller may use in place of projecting again.
+    the segment from w to v with ``proj`` as its value at 0 and the
+    refused trial's projection as its value at 1, and stops at a strong
+    Wolfe point.  Should it return 0, the step goes toward the column of
+    largest edge instead, by the exact search: the slope there is minus
+    the conditional-gradient gap, so any w with a positive gap moves.
+    Returns the new weights and the projection of their margins
+    margins(A, new_w), which a caller may use in place of projecting
+    again.
     """
     _require_finite(w)
     G = A.as_array()
@@ -215,12 +224,13 @@ def newton_step(
     direction = v - w
     g_direction = G @ direction
     slope0 = -float(proj.d @ g_direction)
+    trial = None
     if slope0 < 0.0:
         full = _normalise(v)
         trial = _project(G @ full, params)
         if -trial.objective <= -proj.objective + NEWTON_ARMIJO * slope0:
             return full, trial
-    lam = _line_search(proj.theta, g_direction, 1.0, params, at_zero=proj)
+    lam = _line_search(proj.theta, g_direction, 1.0, params, at_zero=proj, at_hi=trial, wolfe=True)
     if lam > 0.0:
         new_w = _normalise(w + lam * direction)
     else:
@@ -236,6 +246,8 @@ def _line_search(
     hi: float,
     params: CapParams,
     at_zero: ProjectionResult | None = None,
+    at_hi: ProjectionResult | None = None,
+    wolfe: bool = False,
 ) -> float:
     """Root in [0, hi] of the directional derivative of the smoothed objective.
 
@@ -250,12 +262,18 @@ def _line_search(
     It stops when the bracket or the Newton step is at most
     LINE_SEARCH_TOL, or after LINE_SEARCH_MAX_ITERS evaluations.
     ``at_zero``, when given, is the projection of base and replaces the
-    one at lam = 0.
+    one at lam = 0; ``at_hi`` stands for the one at hi likewise (the
+    Newton step passes its refused trial, the projection of the
+    normalised end point).  With
+    ``wolfe`` (which needs ``at_zero``) it also stops at the first lam the
+    loop evaluates where both strong Wolfe conditions hold: the smoothed
+    objective is at most its value at 0 plus NEWTON_ARMIJO * lam * s(0),
+    and |s(lam)| <= NEWTON_CURVATURE * |s(0)|.
     """
     s_lo, ds_lo = _slope_and_curvature(base, direction, 0.0, params, at_zero)
     if s_lo >= 0.0:
         return 0.0
-    s_up, _ = _slope_and_curvature(base, direction, hi, params)
+    s_up, _ = _slope_and_curvature(base, direction, hi, params, at_hi)
     if s_up <= 0.0:
         return hi
     lo, up = 0.0, hi
@@ -274,7 +292,14 @@ def _line_search(
             nxt = 0.5 * (lo + up)
         older_move, last_move = last_move, abs(nxt - lam)
         lam = nxt
-        s, ds = _slope_and_curvature(base, direction, lam, params)
+        proj = _project(base + lam * direction, params)
+        s, ds = _slope_and_curvature(base, direction, lam, params, proj)
+        if (
+            wolfe
+            and abs(s) <= NEWTON_CURVATURE * -s_lo
+            and -proj.objective <= -at_zero.objective + NEWTON_ARMIJO * lam * s_lo
+        ):
+            return lam
         if s >= 0.0:
             up = lam
         else:

@@ -147,10 +147,16 @@ def test_secondary_lpboost_matches_edge_min_dual():
     assert np.array_equal(secondary.basis.basic, sol.basis.basic)
 
 
+def solve_from(A, params, start):
+    """The corrective solve from ``start`` and the projection of its margins."""
+    start_proj = capped_entropy_projection(margins(A, start), params)
+    return secondary_erlpboost(A, params, start, start_proj)
+
+
 def test_secondary_erlpboost_point_mass():
     A = GainMatrix([np.array([0.4, -0.1, 0.3])], [0])
     params = CapParams.from_tolerance(3, 1.5, 0.1)
-    w, _ = secondary_erlpboost(A, params, np.ones(1))
+    w, _ = solve_from(A, params, np.ones(1))
     assert w == pytest.approx([1.0])
 
 
@@ -159,7 +165,7 @@ def test_secondary_erlpboost_nu_equals_m_maximises_mean_margin():
     cols = [rng.uniform(-1, 1, 4) for _ in range(3)]
     A = GainMatrix(cols, [0, 1, 2])
     params = CapParams.from_tolerance(4, 4.0, 0.1)
-    w, _ = secondary_erlpboost(A, params, np.eye(1, 3)[0])
+    w, _ = solve_from(A, params, np.eye(1, 3)[0])
     best = int(np.argmax([c.mean() for c in cols]))
     assert w[best] == pytest.approx(1.0, abs=1e-6)
 
@@ -169,7 +175,7 @@ def test_secondary_erlpboost_matches_grid_oracle():
     cols = [rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)]
     A = GainMatrix(cols, [0, 1])
     params = CapParams(nu=1.5, m=3, eta=20.0, eps=0.05)
-    w, _ = secondary_erlpboost(A, params, np.eye(1, 2)[0])
+    w, _ = solve_from(A, params, np.eye(1, 2)[0])
     value = smoothed_conjugate(-margins(A, w), params)
     grid_best = min(
         smoothed_conjugate(-(lam * cols[0] + (1 - lam) * cols[1]), params)
@@ -188,9 +194,9 @@ def test_corrective_solve_stops_at_its_fixed_point(monkeypatch, caplog):
         steps["n"] += 1
         return fw.newton_step(*args)
 
-    def recording_solve(A, params, start):
+    def recording_solve(A, params, start, start_proj):
         A = GainMatrix(list(A.as_array().T), list(A.hypothesis_ids))  # a copy the fit cannot grow
-        w, proj = secondary_erlpboost(A, params, start)
+        w, proj = secondary_erlpboost(A, params, start, start_proj)
         solves.append((A, params, w, proj))
         return w, proj
 
@@ -208,6 +214,42 @@ def test_corrective_solve_stops_at_its_fixed_point(monkeypatch, caplog):
     assert np.array_equal(fw.newton_step(A, w, proj, params, col_edges)[0], w)
     stalled = f"fully corrective inner solve stalled at gap {gap!r} above its tolerance {tol!r}"
     assert stalled in [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_corrective_solve_stops_on_a_cycle(monkeypatch, caplog):
+    # a step that alternates between two weight vectors never returns its own
+    # input: the solve ends at the first iterate it has produced before
+    A = GainMatrix([np.array([1.0, -1.0, 0.2]), np.array([-0.5, 0.8, -0.3])], [0, 1])
+    params = CapParams.from_tolerance(3, 1.5, 1e-6)
+    G = A.as_array()
+    cycle = [np.array([0.75, 0.25]), np.array([0.25, 0.75])]
+    steps = []
+
+    def alternating_step(A, w, proj, params, col_edges):
+        new_w = cycle[len(steps) % 2]
+        steps.append(new_w)
+        return new_w, capped_entropy_projection(G @ new_w, params)
+
+    monkeypatch.setattr(boosting, "newton_step", alternating_step)
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        w, _ = solve_from(A, params, np.array([1.0, 0.0]))
+    assert len(steps) == 3  # start -> cycle[0] -> cycle[1] -> cycle[0] again
+    assert w is cycle[1]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "stalled" in warnings[0]
+
+
+def test_capped_erlpboost_fit_of_the_smoke_data_never_hits_the_inner_cap(caplog):
+    # the console-script smoke data (60 rows) at eps 1e-8 over 5 rounds: every
+    # corrective solve ends on its tolerance or on a repeated iterate
+    rng = np.random.default_rng(0)
+    features = np.vstack([rng.normal(-1.1, 0.9, (30, 2)), rng.normal(1.1, 0.9, (30, 2))])
+    data = Dataset(features, np.repeat([-1.0, 1.0], 30))
+    cfg = BoosterConfig(eps=1e-8, nu=6.0, secondary="erlpboost", max_iterations=5)
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        model, records = run_scheme(data, StumpLearner(data), cfg)
+    assert not model.converged and len(records) == 5
+    assert not [r for r in caplog.records if "hit its" in r.getMessage()]
 
 
 @pytest.mark.parametrize("error", [LpError("pivot limit"), np.linalg.LinAlgError("singular")])
@@ -606,7 +648,7 @@ def test_the_lpboost_secondary_skips_exactly_the_priced_out_columns(monkeypatch)
 # cerlpboost may make one more per ``_MARGIN_REFRESH`` rounds, where its
 # refresh replaces a projection that no comparison read
 KERNEL_PROJECTIONS = {
-    "erlpboost": 55,
+    "erlpboost": 51,
     "cerlpboost": 1844,
     "mlpb-ss": 277,
     "mlpb-pfw": 174,
@@ -624,7 +666,6 @@ def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypat
     objectives must be the checked values of the margins whose projection
     that round read: the one it queried with, or its certify re-check's."""
     kernels = {"boosting": boosting._project, "fw": fw._project}
-    public = boosting.capped_entropy_projection
     by_d = {}  # id(d) -> projection; holding every projection keeps the ids unique
     events = []  # ("query", projection or None) and ("project", projection), in call order
     kernel_calls = [0]
@@ -654,11 +695,6 @@ def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypat
 
     monkeypatch.setattr(boosting, "_project", checked_kernel("boosting"))
     monkeypatch.setattr(fw, "_project", checked_kernel("fw"))
-    monkeypatch.setattr(
-        boosting,
-        "capped_entropy_projection",
-        lambda theta, params: checked(public(theta, params), theta, params),
-    )
     monkeypatch.setattr(learner, "query", traced_query)
     _, fw_rule, secondary = ALGORITHMS[algo]
     cfg = BoosterConfig(eps=0.02, nu=8.0, fw_rule=fw_rule, secondary=secondary)

@@ -71,6 +71,15 @@ def test_projection_rejects_bad_theta():
         capped_entropy_projection(np.array([1.0, np.inf]), params(2, 1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "theta", [np.zeros((2, 3)), np.array(0.5), np.zeros(4)], ids=["2-D", "0-D", "length-m+1"]
+)
+def test_projection_names_the_shape_it_refuses(theta):
+    message = f"theta must be a vector of length m=3; got shape {theta.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        capped_entropy_projection(theta, params(3, 1.5, 2.0))
+
+
 def test_projection_matches_subset_oracle():
     rng = np.random.default_rng(42)
     for _ in range(150):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from marginforge import boosting, fw
+from marginforge import boosting, entropy, fw
 from marginforge.boosting import BoosterConfig, run_scheme, secondary_erlpboost
 from marginforge.constants import NEWTON_ARMIJO, NEWTON_RIDGE, SIMPLEX_SUM_TOL
 from marginforge.core import CapParams, GainMatrix, margins
@@ -315,13 +315,13 @@ def test_curvature_matches_finite_difference_of_slope():
 
 
 def test_erlpboost_line_search_projection_count(monkeypatch):
-    # the solve checks its start through the public projection once; every
-    # later projection, the line search's included, goes through the kernel
+    # the solve starts from the projection the round hands it, so it makes no
+    # checked projection (counted through entropy's own ``_project``, which
+    # only the public functions call); every one it makes, the line search's
+    # included, goes through the kernel
     counts = {"kernel": 0, "public": 0, "searches": 0}
     per_solve = []
-    project, public, search, solve = (
-        fw._project, boosting.capped_entropy_projection, fw._line_search, boosting.secondary_erlpboost
-    )
+    project, search, solve = fw._project, fw._line_search, boosting.secondary_erlpboost
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -338,7 +338,7 @@ def test_erlpboost_line_search_projection_count(monkeypatch):
 
     monkeypatch.setattr(fw, "_project", counting("kernel", project))
     monkeypatch.setattr(boosting, "_project", counting("kernel", project))
-    monkeypatch.setattr(boosting, "capped_entropy_projection", counting("public", public))
+    monkeypatch.setattr(entropy, "_project", counting("public", project))
     monkeypatch.setattr(fw, "_line_search", counting("searches", search))
     monkeypatch.setattr(boosting, "secondary_erlpboost", counting_solve)
     data = two_gaussians(200, seed=0, p=10)
@@ -348,9 +348,11 @@ def test_erlpboost_line_search_projection_count(monkeypatch):
     assert counts["searches"] > 0
     assert per_solve
     for solve_counts in per_solve:
-        assert solve_counts["public"] == 1
-        assert solve_counts["kernel"] >= 1
-        assert solve_counts["kernel"] + solve_counts["public"] <= 50
+        assert solve_counts["public"] == 0
+        assert solve_counts["kernel"] <= 50
+    # measured 84; 111, plus one checked projection per solve, where each
+    # solve re-projected its start and each refused full step ran an exact search
+    assert counts["kernel"] <= 95
 
 
 def test_erlpboost_full_newton_steps_save_projections(monkeypatch):
@@ -464,7 +466,9 @@ def restricted_problems(draw):
 def test_corrective_solve_matches_slsqp(problem):
     A, params = problem
     G = A.as_array()
-    w, _ = secondary_erlpboost(A, replace(params, eps=1e-9), np.eye(1, A.t)[0])  # gap tolerance 1e-10
+    start = np.eye(1, A.t)[0]
+    start_proj = capped_entropy_projection(G @ start, params)
+    w, _ = secondary_erlpboost(A, replace(params, eps=1e-9), start, start_proj)  # gap tol 1e-10
     col_edges = capped_entropy_projection(G @ w, params).d @ G
     assert col_edges.max() - col_edges @ w <= 1e-10
 
@@ -487,7 +491,9 @@ def test_corrective_solve_returns_the_projection_of_its_weights(problem, eps):
     A, params = problem
     if eps is not None:
         params = replace(params, eps=eps)
-    w, proj = secondary_erlpboost(A, params, np.eye(1, A.t)[0])
+    start = np.eye(1, A.t)[0]
+    start_proj = capped_entropy_projection(A.as_array() @ start, params)
+    w, proj = secondary_erlpboost(A, params, start, start_proj)
     ref = capped_entropy_projection(A.as_array() @ w, params)
     assert _same_bits(proj.d, ref.d)
     assert np.array_equal(proj.order, ref.order)
@@ -624,11 +630,11 @@ def test_dense_rules_match_dict_reference(instance):
     # below (a zero gap has no positive tolerance under it: the step alone)
     col_edges = d @ A.as_array()
     gap = dict_gap(col_edges, w_dict)
-    assert secondary_erlpboost(A, replace(params, eps=10.0 * (gap + 1e-12)), w)[0] is w
+    assert secondary_erlpboost(A, replace(params, eps=10.0 * (gap + 1e-12)), w, proj)[0] is w
     one_step, _ = fw.newton_step(A, w, proj, params, col_edges)
     if gap > 1e-12:
         with mock.patch.object(boosting, "_ERLP_INNER_CAP", 1):
-            solved, _ = secondary_erlpboost(A, replace(params, eps=10.0 * (gap - 1e-12)), w)
+            solved, _ = secondary_erlpboost(A, replace(params, eps=10.0 * (gap - 1e-12)), w, proj)
         assert _same_bits(solved, one_step)
     ref = reference_newton_step(A, w, proj, params)
     assert np.all(one_step >= 0.0) and abs(one_step.sum() - 1.0) <= 1e-12
@@ -644,7 +650,8 @@ def reference_newton_step(A, w, proj, params):
     columns; the ridged quadratic model minimised by enumerating every
     support and keeping the best nonnegative KKT point; the same
     full-step test, on public-projection objectives, then the same line
-    search and zero-step fallback.
+    search, seeded with the refused trial and stopped at a strong-Wolfe
+    point, and zero-step fallback.
     """
     G, t = A.as_array(), A.t
     theta = proj.theta
@@ -677,7 +684,8 @@ def reference_newton_step(A, w, proj, params):
         smoothed_obj(A, full, params) <= smoothed_obj(A, w, params) + NEWTON_ARMIJO * slope0
     ):
         return full
-    lam = fw._line_search(theta, G @ (v - w), 1.0, params, at_zero=proj)
+    trial = capped_entropy_projection(G @ full, params) if slope0 < 0.0 else None
+    lam = fw._line_search(theta, G @ (v - w), 1.0, params, at_zero=proj, at_hi=trial, wolfe=True)
     if lam > 0.0:
         return fw._normalise(w + lam * (v - w))
     j_best = int(np.argmax(proj.d @ G))
@@ -771,7 +779,7 @@ def test_public_steps_reject_non_finite_vectors_at_entry():
         with pytest.raises(ValueError, match="non-finite"):
             _, _ = fw.newton_step(A, bad_w, proj, params, proj.d @ G)
         with pytest.raises(ValueError, match="non-finite"):
-            secondary_erlpboost(A, params, start=bad_w)
+            secondary_erlpboost(A, params, bad_w, proj)
 
 
 def test_rules_return_the_margins_of_their_new_weights():
