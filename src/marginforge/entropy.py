@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -74,9 +73,21 @@ class ProjectionResult:
     lse: float = field(repr=False)
     params: CapParams = field(repr=False)
 
-    @cached_property
+    @property
     def objective(self) -> float:
-        """d@theta + relative_entropy(d)/eta in closed form, O(k).
+        """d@theta + relative_entropy(d)/eta, formed on first read and kept.
+
+        Kept as a plain instance entry: ``functools.cached_property`` takes
+        a lock on every first read before Python 3.12, and most
+        projections are read once or twice.
+        """
+        objective = self.__dict__.get("_objective")
+        if objective is None:
+            objective = self.__dict__["_objective"] = self._closed_form_objective()
+        return objective
+
+    def _closed_form_objective(self) -> float:
+        """The objective in closed form, O(k).
 
         On the uncapped entries ln d_i = ln R - eta*theta_i - lse with
         R = 1 - k/nu, so their d_i*theta_i cancel against the entropy
@@ -91,7 +102,7 @@ class ProjectionResult:
         k, nu, eta = self.capped_count, self.params.nu, self.params.eta
         cap = 1.0 / nu
         remaining = 1.0 - k / nu
-        capped_sum = cap * float(self.theta[self.order[:k]].sum())
+        capped_sum = cap * float(np.add.reduce(self.theta[self.order[:k]]))
         if eta < _SHIFTED_OBJECTIVE_ETA:
             return capped_sum + self._small_eta_entropy(remaining)
         entropy = k * cap * math.log(cap) + math.log(self.d.shape[0])
@@ -116,7 +127,7 @@ class ProjectionResult:
         if remaining > 0.0:
             free = self.theta[self.order[k:]]
             t = float(free[0])
-            spread = float(np.expm1(-eta * (free - t)).sum())  # E, in (-n, 0]
+            spread = float(np.add.reduce(np.expm1(-eta * (free - t))))  # E, in (-n, 0]
             n = m - k
             log_ratio = math.log1p(-(k * excess + spread) / (n + spread))
             value += remaining * (t + log_ratio / eta)
@@ -171,7 +182,7 @@ def _project(
         top = scaled[stop]
         fold = scaled[stop:] - top
         np.exp(fold, out=fold)
-        lse[0] = top + math.log(float(fold.sum()))
+        lse[0] = top + math.log(np.add.reduce(fold))
     else:
         lse[0] = -math.inf  # logaddexp(-inf, x) == x: the plain suffix scan
     lse[1:] = scaled[stop - 1 :: -1]
@@ -211,7 +222,7 @@ def _capped_count(gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray
         weights = np.exp(gaps)
         weights *= factors
         near = weights <= bound * (1.0 + EXP_RECHECK_RTOL)
-        start = int(np.argmax(near))
+        start = int(near.argmax())
         if not near[start]:
             return stop - 1
     for k, gap in enumerate(gaps[start:].tolist(), start):
@@ -235,7 +246,7 @@ def _ascending_order(theta: np.ndarray, hint: np.ndarray | None):
         sorted_theta = theta[order]
         tied = sorted_theta[1:] == sorted_theta[:-1]
         tied &= order[1:] < order[:-1]  # equal entries out of index order
-        if not tied.any():
+        if not np.logical_or.reduce(tied):
             return order, sorted_theta
     order = theta.argsort(kind="stable")
     return order, theta[order]

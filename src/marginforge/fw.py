@@ -27,12 +27,14 @@ inside a sign bracket, at about six entropy projections per step.
 Those projections run through the unchecked kernel ``entropy._project``
 on vectors the search forms itself.  All four public rules check their
 inputs once, on entry, through ``_direction``: it checks the shapes,
-forms ``column - base``, tests that one difference for finiteness, which
-holds whenever both inputs are finite, and scans the inputs to name a
-non-finite one only when the test fails.  The two rules that read ``d``
-scan it only when what they form from it is not finite: the short
-step's slope, and the pairwise rule's edges over the support, where a
-finite ``d`` whose edges overflow is refused too.
+forms ``column - base`` and tests that one difference for finiteness on
+its largest and smallest entries, the two values the short step's
+denominator reads.  Only when the test fails does it scan the inputs,
+to name a non-finite one; finite inputs whose difference overflows are
+refused as an overflow, not carried as a NaN step.  The two rules that
+read ``d`` scan it only when what they form from it is not finite: the
+short step's slope, and the pairwise rule's edges over the support,
+where a finite ``d`` whose edges overflow is refused too.
 
 ``newton_step`` is the projected-Newton step of ERLPBoost's fully
 corrective solve: ``_hessian`` is the matrix form of the curvature in
@@ -82,7 +84,7 @@ def classic_step(
     """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    direction = _direction(column, base)
+    direction = _direction(column, base)[0]
     lam = 2.0 / (t + 2.0)
     return _toward(w, e_new, lam, base, direction)
 
@@ -98,9 +100,9 @@ def short_step(
     ValueError if it is not finite; finite inputs whose products
     overflow keep the step the formula gives.
     """
-    direction = _direction(column, base, d)
+    direction, top, bottom = _direction(column, base, d)
     try:
-        denom = eta * float(max(direction.max(), -direction.min())) ** 2
+        denom = eta * max(top, -bottom) ** 2  # ||direction||_inf^2
     except OverflowError:  # the Python float square leaves float range
         denom = math.inf
     slope = float(d @ direction)
@@ -114,7 +116,7 @@ def line_search_step(
     w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, params: CapParams
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
-    direction = _direction(column, base)
+    direction = _direction(column, base)[0]
     lam = _line_search(base, direction, 1.0, params)
     return _toward(w, e_new, lam, base, direction)
 
@@ -157,19 +159,28 @@ def pairwise_step(
     return FwStepOutcome(_normalise(new_w), lam, lam < cap, _step_margins(base, lam, direction))
 
 
-def _direction(column: np.ndarray, base: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+def _direction(
+    column: np.ndarray, base: np.ndarray, d: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float]:
     """``column - base``, the direction from the margins to the new column,
-    once ``column`` and ``d`` (where given) are of ``base``'s shape and the
-    direction is finite.  The inputs are scanned to name a non-finite one
-    only when it is not."""
+    with its largest and smallest entries, once ``column`` and ``d``
+    (where given) are of ``base``'s shape and the direction is finite.
+
+    The finiteness test reads the two extremes: a NaN reaches both and an
+    infinity one of them.  Only when it fails are the inputs scanned, to
+    name a non-finite one; finite inputs whose difference overflows are
+    refused as such.
+    """
     if column.shape != base.shape:
         raise ValueError(f"new column of shape {column.shape} for margins of shape {base.shape}")
     if d is not None and d.shape != base.shape:
         raise ValueError(f"d of shape {d.shape} for margins of shape {base.shape}")
     direction = column - base
-    if not np.isfinite(direction).all():
+    top, bottom = float(np.maximum.reduce(direction)), float(np.minimum.reduce(direction))
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         _name_non_finite(base=base, column=column)
-    return direction
+        raise ValueError("new column minus margins overflows")
+    return direction, top, bottom
 
 
 def _name_non_finite(**vectors: np.ndarray) -> None:
@@ -433,7 +444,8 @@ def _mix(w: np.ndarray, e_new: int, lam: float) -> np.ndarray:
 def _normalise(w: np.ndarray) -> np.ndarray:
     """Entries at or below SUPPORT_DROP_TOL become exact zeros; the rest sum to 1."""
     kept = np.where(w > SUPPORT_DROP_TOL, w, 0.0)
-    total = kept.sum()
+    total = np.add.reduce(kept)
     if total <= 0.0:
         raise ValueError("update emptied the ensemble support")
-    return kept / total
+    kept /= total
+    return kept

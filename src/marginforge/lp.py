@@ -90,7 +90,7 @@ def _optimum(A, b, c, upper, basis, x_nb):
     x = x_nb.copy()
     x[basis] = np.linalg.solve(B, b - A @ x_nb)
     y = np.linalg.solve(B.T, c[basis])
-    return np.clip(x, 0.0, upper), y
+    return x.clip(0.0, upper), y
 
 
 @functools.lru_cache(maxsize=256)
@@ -359,13 +359,14 @@ def solve_edge_min(
     kernel[:t, k] = -1.0
     kernel[:t, k + 1] = 1.0
     kernel[t, :k] = 1.0
-    np.fill_diagonal(kernel[:, k + 2 :], 1.0)
+    kernel.reshape(-1)[k + 2 :: n + 1] = 1.0  # the slacks' diagonal: t entries
     rhs = np.zeros(t + 1)
     rhs[t] = 1.0
     cost = np.zeros(n)
     cost[k], cost[k + 1] = 1.0, -1.0
-    bounds = np.full(n, math.inf)
+    bounds = np.empty(n)
     bounds[:k] = upper
+    bounds[k:].fill(math.inf)
     if start is None:  # the cold start
         basis, x_nb = np.concatenate([[0, k], np.arange(k + 3, n)]), np.zeros(n)
     else:
@@ -377,7 +378,7 @@ def solve_edge_min(
     d = _cleanup_distribution((weights / counts)[group], cap)
     w = _cleanup_weights(-y[:t])  # the edge rows' duals in the max sense
     margins = G @ w
-    rho, _ = _min_linear(margins, nu, np.argsort(margins, kind="stable"))
+    rho, _ = _min_linear(margins, nu, margins.argsort(kind="stable"))
 
     try:
         check_distribution(d, nu)
@@ -413,11 +414,11 @@ def _carried_basis(start: EdgeMinBasis, parent: np.ndarray, upper: np.ndarray, t
     at_cap[groups] = False  # a basic group's weight lies between its bounds
     x_nb = np.zeros(k + 2 + t)
     x_nb[:k] = np.where(at_cap[parent], upper, 0.0)
-    lo, hi = np.searchsorted(parent, groups), np.searchsorted(parent, groups, side="right")
+    lo, hi = parent.searchsorted(groups), parent.searchsorted(groups, side="right")
     basis[positions] = lo  # group g's children are lo to hi, the first basic
     for i in (hi - lo > 1).nonzero()[0].tolist():  # the split groups
         a, b = int(lo[i]), int(hi[i])
-        f = a + min(int(np.searchsorted(np.cumsum(upper[a:b]), start.weights[groups[i]])), b - a - 1)
+        f = a + min(int(upper[a:b].cumsum().searchsorted(start.weights[groups[i]])), b - a - 1)
         x_nb[a:f] = upper[a:f]
         basis[positions[i]] = f
     return basis, x_nb
@@ -459,7 +460,7 @@ def _split_rows(G: np.ndarray, t_old: int, old_group: np.ndarray, k_old: int):
 
 
 def _cleanup_distribution(raw: np.ndarray, cap: float) -> np.ndarray:
-    return _normalised(raw, np.clip(raw, 0.0, cap), "distribution weight", "distribution")
+    return _normalised(raw, raw.clip(0.0, cap), "distribution weight", "distribution")
 
 
 def _cleanup_weights(raw: np.ndarray) -> np.ndarray:
@@ -474,10 +475,11 @@ def _normalised(raw: np.ndarray, kept: np.ndarray, entry: str, vector: str) -> n
     infeasibility.  A value of ``raw`` further below, or NaN, is an
     LpError, and so is a ``kept`` whose sum is not positive.
     """
-    low = raw.min()  # NaN where any value is
+    low = np.minimum.reduce(raw)  # NaN where any value is
     if not low >= -LP_PIVOT_TOL:
         raise LpError(f"{entry} below -{LP_PIVOT_TOL}: {low}")
-    total = kept.sum()
+    total = np.add.reduce(kept)
     if not total > 0.0:
         raise LpError(f"degenerate zero {vector}")
-    return kept / total
+    kept /= total
+    return kept

@@ -11,8 +11,10 @@ cut at an end of that stretch does at least as well on every row
 in decision tree generation").  Each query then costs O(p m + |pool|):
 one gather into the presort, one row-wise prefix sum, and the kept
 thresholds' +1 edges gathered from it, then one argmax and one argmin.
-Only the answer is built as a ``StumpHypothesis``, by
-``StumpPool.candidate``.  ``StumpLearner`` is the weak learner a
+Only an answer is built as a ``StumpHypothesis``, by
+``StumpPool.candidate``, and only once: the pool keeps it beside its
+predictions, so a repeat answer, the common case in a fit, builds no
+object but its gain column.  ``StumpLearner`` is the weak learner a
 booster queries: ``best_stump`` over its dataset's own pool.
 """
 
@@ -87,15 +89,18 @@ class StumpPool:
     constant feature costs no more than its presort.  Pools compare and
     hash by identity.
 
-    ``_signs`` keeps, by pool index, the +-1 predictions of each stump
-    ``best_stump`` has returned, as int8: a fit mostly repeats stumps.
+    ``_signs`` keeps, by pool index, each stump ``best_stump`` has
+    returned beside its +-1 predictions as int8: a fit mostly repeats
+    stumps, and a repeat answer builds neither again.
     """
 
     features: np.ndarray
     thresholds: np.ndarray
     orders: np.ndarray = field(repr=False)
     split_at: np.ndarray = field(repr=False)
-    _signs: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _signs: dict[int, tuple[StumpHypothesis, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @classmethod
     def build(cls, data: Dataset) -> "StumpPool":
@@ -158,8 +163,10 @@ def best_stump(
     argmin of the +1 edges) compete, and an exact tie goes to the
     earlier pool candidate, so ties resolve as a first argmax over the
     whole pool order would.  For d >= 0 the answer's edge is the largest
-    over every midpoint stump (see ``StumpPool``).  The gain column is a
-    fresh float vector, y times the predictions the pool keeps.
+    over every midpoint stump (see ``StumpPool``).  The hypothesis is the
+    one the pool keeps for that candidate, the same object at every
+    repeat; the gain column is a fresh float vector, y times the
+    predictions the pool keeps beside it.
 
     A non-finite d is rejected with a ValueError.  The check reads only
     the p feature totals, and scans d only when one is not finite.  A
@@ -168,10 +175,11 @@ def best_stump(
     """
     if len(pool) == 0:
         raise ValueError("stump pool is empty")
-    if pool.orders.shape != (data.p, data.m):
+    m, p = data.features.shape
+    if pool.orders.shape != (p, m):
         raise ValueError("stump pool was not built for this dataset")
     d = np.asarray(d, dtype=float)
-    if d.shape != (data.m,):
+    if d.shape != (m,):
         raise ValueError("distribution length does not match the dataset")
 
     # +1 edges total_f - 2*prefix_f, formed as -2*prefix + total (the same
@@ -179,11 +187,11 @@ def best_stump(
     # rows, the constant, whose edge is then total_0; no cut reads another
     # row's first slot.  total_f is the last step of the row's sequential cumsum
     weighted = (d * data.labels)[pool.orders]
-    prefix = np.empty((data.p, data.m + 1))
+    prefix = np.empty((p, m + 1))
     prefix[0, 0] = 0.0
-    np.cumsum(weighted, axis=1, out=prefix[:, 1:])
+    weighted.cumsum(axis=1, out=prefix[:, 1:])
     total = prefix[:, -1]
-    if not math.isfinite(total.sum()):
+    if not math.isfinite(np.add.reduce(total)):
         # every entry of d reaches every feature's total, so this catches
         # any non-finite d before the edges are formed from it
         if not np.all(np.isfinite(d)):
@@ -191,7 +199,7 @@ def best_stump(
     plus = prefix.take(pool.split_at)
     plus *= -2.0
     plus += total.take(pool.features)
-    i_pos, i_neg = int(np.argmax(plus)), int(np.argmin(plus))
+    i_pos, i_neg = int(plus.argmax()), int(plus.argmin())
     top, bottom = float(plus[i_pos]), float(plus[i_neg])
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("distribution's edge sums overflow")
@@ -199,10 +207,11 @@ def best_stump(
         j = 2 * i_pos
     else:
         j = 2 * i_neg + 1
-    stump = pool.candidate(j)
-    signs = pool._signs.get(j)
-    if signs is None:
-        signs = pool._signs[j] = stump.predict(data.features).astype(np.int8)
+    answer = pool._signs.get(j)
+    if answer is None:
+        stump = pool.candidate(j)
+        answer = pool._signs[j] = stump, stump.predict(data.features).astype(np.int8)
+    stump, signs = answer
     gain_column = data.labels * signs
     edge = float(d @ gain_column)
     if not math.isfinite(edge):

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from marginforge.cli import ALGORITHMS
 from marginforge.constants import EPS_FLOOR, STRONG_DUALITY_TOL
 from marginforge.core import CapParams, Dataset, GainMatrix, margins
 from marginforge.entropy import capped_entropy_projection, capped_min_linear, smoothed_conjugate
-from marginforge import boosting, fw
+from marginforge import boosting, fw, lp
 from marginforge.lp import LpError, solve_edge_min
 from marginforge.stumps import StumpHypothesis, StumpLearner, StumpPool, full_gain_matrix
 
@@ -727,3 +729,77 @@ def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypat
     else:
         assert kernel_calls[0] == KERNEL_PROJECTIONS[algo]
         assert any(rec.chosen_rule == "secondary" for rec in records)
+
+
+# the names the benchmark's span tracer (perfbench/tracer.py) rebinds, by
+# module: it wraps each in every marginforge module that holds it, so a fit
+# must reach its layers through these names, not through private kernels
+TRACED_NAMES = {
+    "stumps": ["best_stump"],
+    "lp": ["solve_edge_min"],
+    "entropy": ["capped_entropy_projection", "smoothed_conjugate", "capped_min_linear"],
+    "fw": ["classic_step", "short_step", "line_search_step", "pairwise_step"],
+    "boosting": ["secondary_lpboost", "secondary_erlpboost"],
+    "core": ["margins"],
+}
+RULE_OF = {
+    "classic": "classic_step",
+    "short_step": "short_step",
+    "line_search": "line_search_step",
+    "pairwise": "pairwise_step",
+}
+
+
+def _count_calls(monkeypatch, module, name, counts, key):
+    """Rebind ``name`` in every marginforge module that holds ``module``'s
+    object to a wrapper that counts its calls under ``key``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+
+    for module_name, holder in list(sys.modules.items()):
+        if module_name.split(".")[0] == "marginforge" and getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counted)
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_every_traced_layer_is_reached_through_its_traced_name(algo, monkeypatch):
+    counts = collections.Counter()
+    for owner, names in TRACED_NAMES.items():
+        for name in names:
+            _count_calls(monkeypatch, sys.modules[f"marginforge.{owner}"], name, counts, name)
+    # the independent counts: the learner's queries and the LP's one solve path
+    _count_calls(monkeypatch, lp, "_optimum", counts, "lp solves")
+    data = two_gaussians(60, seed=2)
+    learner = StumpLearner(data)
+    query = learner.query
+
+    def counted_query(d):
+        counts["queries"] += 1
+        return query(d)
+
+    monkeypatch.setattr(learner, "query", counted_query)
+    runner, fw_rule, secondary = ALGORITHMS[algo]
+    config = BoosterConfig(eps=0.05, nu=6.0, fw_rule=fw_rule, secondary=secondary)
+    model, records = runner(data, learner, config)
+    assert model.converged
+
+    # one best_stump call per query and one solve_edge_min call per LP solve
+    assert counts["best_stump"] == counts["queries"] == len(records) + 1
+    assert counts["solve_edge_min"] == counts["lp solves"]
+    # one rule call per FW step: run_scheme steps on every round it does not stop on
+    steps = 0 if runner is run_lpboost else len(records) - 1
+    assert counts[RULE_OF[fw_rule]] == steps
+    assert sum(counts[name] for name in TRACED_NAMES["fw"]) == steps
+    if secondary == "lpboost":
+        assert 0 < counts["secondary_lpboost"] == counts["solve_edge_min"]
+    elif runner is run_lpboost:
+        assert counts["solve_edge_min"] == len(records) and counts["secondary_lpboost"] == 0
+    else:
+        assert counts["solve_edge_min"] == 0
+    assert counts["secondary_erlpboost"] == (steps if secondary == "erlpboost" else 0)
+    # the final model's checked margins and objectives
+    assert counts["margins"] > 0
+    assert counts["capped_entropy_projection"] > 0 and counts["capped_min_linear"] > 0

@@ -782,6 +782,24 @@ def test_public_steps_reject_non_finite_vectors_at_entry():
             secondary_erlpboost(A, params, bad_w, proj)
 
 
+def test_rules_refuse_a_column_and_base_whose_difference_overflows():
+    # both finite, but column - base is +inf in its first entry
+    column, base = np.array([1e308, 0.0]), np.array([-1e308, 0.0])
+    w, d = np.ones(1), np.array([0.5, 0.5])
+    params = CapParams(nu=1.0, m=2, eta=10.0, eps=0.1)
+    A = GainMatrix([[1.0, -1.0]], [0])
+    for step in (
+        lambda: classic_step(w, 0, column, base, 3),
+        lambda: short_step(w, 0, column, base, d, params.eta),
+        lambda: line_search_step(w, 0, column, base, params),
+        lambda: pairwise_step(A, w, 0, column, base, d, params),
+    ):
+        # numpy reports the overflow of the subtraction; the rule refuses it
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="new column minus margins overflows"):
+                step()
+
+
 def test_rules_return_the_margins_of_their_new_weights():
     rng = np.random.default_rng(52)
     for _ in range(40):

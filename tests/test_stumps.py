@@ -534,9 +534,12 @@ def test_pool_keeps_the_predictions_of_each_answer_once():
     pool = StumpPool.build(data)
     d = np.full(data.m, 1.0 / data.m)
     stump, column, _ = best_stump(data, d, pool)
-    (kept,) = pool._signs.values()
+    ((kept_stump, kept),) = pool._signs.values()  # the answer beside its signs
+    assert kept_stump is stump
     assert kept.dtype == np.int8 and np.array_equal(kept, stump.predict(data.features))
-    assert best_stump(data, d, pool)[1] is not column  # each answer is a fresh column
+    repeat, repeat_column, _ = best_stump(data, d, pool)
+    assert repeat is stump  # a repeat answer is the hypothesis the pool keeps ...
+    assert repeat_column is not column  # ... with a fresh column
     assert len(pool._signs) == 1
 
 
