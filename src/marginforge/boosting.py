@@ -1,10 +1,12 @@
 """Booster loops: the generic two-rule scheme and the LP baselines.
 
 ``run_scheme`` is the shared column-generation loop: per round it
-projects onto the capped simplex, queries the weak learner, checks the
-certified optimality gap, then keeps the better of a conditional
-gradient update and an optional secondary update (a secondary that
-fails numerically leaves the conditional-gradient update in place).
+projects onto the capped simplex, queries the weak learner and checks
+the certified optimality gap; a round that does not stop then keeps the
+better of a conditional gradient update and an optional secondary update
+(a secondary that fails numerically leaves the conditional-gradient
+update in place).  Every round, the certified one included, ends in its
+one ``IterationRecord``, and the loop leaves by one exit.
 Ensemble weights are one vector with an entry per discovered column,
 grown by a zero whenever the weak learner returns a new column.  Beside
 them the loop carries one round state, ``proj``: every round ends holding
@@ -46,7 +48,10 @@ problem over all discovered columns by projected-Newton steps
 (``fw.newton_step``), warm-started at the conditional-gradient candidate
 and its projection.
 ``run_lpboost`` is the classic fully-LP baseline with its own stopping
-rule, each round's LP warm-started from the last round's basis.  A weak
+rule, each round's LP warm-started from the last round's basis; that
+stop is certified too, but has no round bound (see its docstring).  A
+fit of either loop that runs out of rounds logs the one warning
+"booster hit the iteration cap (N rounds)" from ``_finish_model``.  A weak
 learner answers ``query(d)`` with ``(hypothesis, gain column, edge)``;
 the hypothesis also identifies its column in the gain matrix.
 """
@@ -152,9 +157,10 @@ def _start(learner, config: BoosterConfig):
     """Start state shared by both loops.
 
     Returns the params, the round cap (``max_iterations``, else the
-    theoretical bound), and the one-column gain matrix and edge of the
-    weak learner's answer to the uniform distribution.  ``config`` has
-    already rejected an eps below EPS_FLOOR.
+    theoretical bound; at least 1, so every loop runs a round), and the
+    one-column gain matrix and edge of the weak learner's answer to the
+    uniform distribution.  ``config`` has already rejected an eps below
+    EPS_FLOOR.
     """
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)
@@ -170,10 +176,12 @@ def run_scheme(data, learner, config: BoosterConfig):
     ended holding, gap eps_t = min running edge + smoothed objective,
     stop at eps_t <= eps/2, otherwise keep whichever of the FW and
     secondary candidates has the smaller smoothed objective (ties stay
-    with FW).  The margins are carried, not rebuilt, and a round is
-    certified only on a fresh A @ w (see the module docstring).  An
-    ``LpError`` or ``LinAlgError`` from the secondary is logged as a
-    warning and the round keeps the FW candidate.  An LP solution is a
+    with FW).  A round that stops takes no step: its record holds rule
+    "fw", step 0.0 and good_step False.  The margins are carried, not
+    rebuilt, and a round is certified only on a fresh A @ w (see the
+    module docstring).  An ``LpError`` or ``LinAlgError`` from the
+    secondary is logged as a warning and the round keeps the FW
+    candidate.  An LP solution is a
     function of (A, nu) alone, so the last one the secondary handed back
     ("lpboost" does) and the projection of its margins are kept and
     reused while the learner returns columns that solution was solved
@@ -188,8 +196,7 @@ def run_scheme(data, learner, config: BoosterConfig):
     w = np.ones(1)
     proj = _project(margins(A, w), params)  # of the kept margins; every round ends holding one
     records: list[IterationRecord] = []
-    converged = False
-    lp_memo = None  # (solution, projection of its margins) of the last LPBoost optimum
+    lp_sol = None  # the last LPBoost optimum; secondary_proj holds the projection of its margins
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
@@ -207,58 +214,45 @@ def run_scheme(data, learner, config: BoosterConfig):
             # that fails the re-check goes on from the fresh projection
             proj = _project(margins(A, w), params, proj.order)
             eps_t = min_edge - proj.objective
+        converged = eps_t <= config.eps / 2.0
         smoothed_obj = -proj.objective
         soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
-        if eps_t <= config.eps / 2.0:
-            converged = True
-            records.append(
-                IterationRecord(
-                    t, edge_new, min_edge, smoothed_obj, soft_margin_obj, eps_t,
-                    "fw", 0.0, False, time.perf_counter_ns() - tic,
-                )
-            )
-            break
+        chosen_rule, step_size, good_step = "fw", 0.0, False  # a certified round takes no step
 
-        fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
-        chosen_rule = "fw"
-        w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
-        if lp_memo is not None and (
-            j_new < lp_memo[0].w.size or lp_memo[0].d @ column <= lp_memo[0].gamma
-        ):
-            # the column is one the last LP solved over, or its edge under that
-            # LP's distribution is at most its gamma: the last optimum stands
-            # over A, with zero weight on every column added since
-            sol, secondary_proj = lp_memo
-            pad = A.t - sol.w.size  # most reusing rounds have none: no copy there
-            secondary_w = np.concatenate((sol.w, np.zeros(pad))) if pad else sol.w
-        else:
-            # the FW candidate doubles as the warm start for a corrective solve
-            try:
-                lp_start = None if lp_memo is None else lp_memo[0].basis
-                secondary_w, secondary_proj, sol = _secondary_update(
-                    config.secondary, A, params, config.nu, w, proj, lp_start
-                )
-            except (LpError, np.linalg.LinAlgError) as exc:
-                logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
-                secondary_w = sol = None
-            lp_memo = None if sol is None else (sol, secondary_proj)
-        # a candidate's smoothed value is minus its projection's objective
-        if secondary_w is not None and secondary_proj.objective > proj.objective:
-            chosen_rule = "secondary"
-            w, proj = secondary_w, secondary_proj
+        if not converged:
+            fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
+            step_size, good_step = fw_out.step_size, fw_out.good_step
+            w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
+            if lp_sol is not None and (j_new < lp_sol.w.size or lp_sol.d @ column <= lp_sol.gamma):
+                # the column is one the last LP solved over, or its edge under that
+                # LP's distribution is at most its gamma: the last optimum stands
+                # over A, with zero weight on every column added since
+                pad = A.t - lp_sol.w.size  # most reusing rounds have none: no copy there
+                secondary_w = np.concatenate((lp_sol.w, np.zeros(pad))) if pad else lp_sol.w
+            else:
+                # the FW candidate doubles as the warm start for a corrective solve
+                try:
+                    secondary_w, secondary_proj, lp_sol = _secondary_update(
+                        config.secondary, A, params, w, proj, lp_sol
+                    )
+                except (LpError, np.linalg.LinAlgError) as exc:
+                    logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
+                    secondary_w = lp_sol = None
+            # a candidate's smoothed value is minus its projection's objective
+            if secondary_w is not None and secondary_proj.objective > proj.objective:
+                chosen_rule = "secondary"
+                w, proj = secondary_w, secondary_proj
 
         records.append(
             IterationRecord(
                 t, edge_new, min_edge, smoothed_obj, soft_margin_obj, eps_t,
-                chosen_rule, fw_out.step_size, fw_out.good_step,
-                time.perf_counter_ns() - tic,
+                chosen_rule, step_size, good_step, time.perf_counter_ns() - tic,
             )
         )
+        if converged:
+            break
 
-    model = _finish_model(A, w, params, converged)
-    if not converged:
-        logger.warning("booster hit the iteration cap (%d rounds)", cap_rounds)
-    return model, records
+    return _finish_model(A, w, params, converged, cap_rounds), records
 
 
 def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
@@ -273,17 +267,17 @@ def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
     return pairwise_step(A, w, j_new, column, base, d, params)
 
 
-def _secondary_update(secondary, A, params, nu, current_w, current_proj, lp_start):
+def _secondary_update(secondary, A, params, current_w, current_proj, last_lp):
     """The secondary's weights, the projection of their margins and, for
-    "lpboost", the LP solution, solved from the basis ``lp_start``; all
-    None for secondary "none".  "erlpboost" starts from ``current_w`` and
+    "lpboost", the LP solution, solved from the final basis of the earlier
+    solution ``last_lp`` if there is one; all None for secondary "none".  "erlpboost" starts from ``current_w`` and
     ``current_proj``, the projection of its margins."""
     if secondary == "none":
         return None, None, None
     if secondary == "erlpboost":
         return (*secondary_erlpboost(A, params, current_w, current_proj), None)
     if secondary == "lpboost":
-        sol = secondary_lpboost(A, nu, lp_start)
+        sol = secondary_lpboost(A, params.nu, None if last_lp is None else last_lp.basis)
         return sol.w, _project(sol.margins, params), sol  # sol.margins is A @ sol.w
     w = check_ensemble_weights(secondary(A, params), A)
     return w, _project(margins(A, w), params), None
@@ -358,10 +352,15 @@ def run_lpboost(data, learner, config: BoosterConfig):
     at most gamma, so the restricted optimum is the learner's (LPBoost's
     exact optimality condition), and the loop ends within as many rounds
     as the learner has distinct columns, at any eps.
+    The stop is certified, not heuristic: the best edge at any
+    distribution is at least rho*, the full-pool optimum, and gamma
+    equals the restricted soft margin within ``STRONG_DUALITY_TOL``, so
+    the returned soft margin is at least rho* - eps.  No round bound
+    comes with it: LPBoost may need Omega(m) rounds, where the scheme's
+    certificate bounds them by O(ln(m/nu)/eps^2).
     """
     params, cap_rounds, A, min_edge = _start(learner, config)
     records: list[IterationRecord] = []
-    converged = False
     sol = None
 
     for t in range(1, cap_rounds + 1):
@@ -370,30 +369,30 @@ def run_lpboost(data, learner, config: BoosterConfig):
         w = sol.w
         hypothesis, column, edge_new = learner.query(sol.d)
         min_edge = min(min_edge, edge_new)
-        smoothed_obj = smoothed_conjugate(-sol.margins, params)  # sol.margins is A @ w
+        objective = _project(sol.margins, params).objective  # sol.margins is A @ w
         records.append(
             IterationRecord(
-                t, edge_new, min_edge, smoothed_obj, sol.rho,
-                min_edge + smoothed_obj, "secondary", 0.0, False,
-                time.perf_counter_ns() - tic,
+                t, edge_new, min_edge, -objective, sol.rho, min_edge - objective,
+                "secondary", 0.0, False, time.perf_counter_ns() - tic,
             )
         )
-        if edge_new <= sol.gamma + config.eps:
-            converged = True
-            break
-        A, j_new = A.with_column(column, hypothesis)
-        if j_new < w.size:
-            converged = True
+        converged = edge_new <= sol.gamma + config.eps
+        if not converged:
+            A, j_new = A.with_column(column, hypothesis)
+            converged = j_new < w.size
+        if converged:
             break
 
     # at the cap A holds the last query's column, which that solve did not see
-    model = _finish_model(A, np.pad(w, (0, A.t - w.size)), params, converged)
+    return _finish_model(A, np.pad(w, (0, A.t - w.size)), params, converged, cap_rounds), records
+
+
+def _finish_model(A, w, params, converged, cap_rounds) -> TrainedModel:
+    """The model of the weights ``w`` over A; a fit that ran all
+    ``cap_rounds`` rounds without converging logs the one cap warning
+    both loops share."""
     if not converged:
-        logger.warning("LP booster hit the iteration cap (%d rounds)", cap_rounds)
-    return model, records
-
-
-def _finish_model(A, w, params, converged) -> TrainedModel:
+        logger.warning("booster hit the iteration cap (%d rounds)", cap_rounds)
     check_ensemble_weights(w, A)
     marg = margins(A, w)
     soft_margin_obj, _ = capped_min_linear(marg, params.nu)

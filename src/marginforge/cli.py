@@ -3,9 +3,10 @@
 Artifacts are machine-readable: model JSON, per-round JSON-lines logs
 and a CSV summary for sweeps.  All writes are atomic (temp file then
 rename).  Each subcommand accepts only the flags it reads.  Exit
-codes: 0 ok, 2 not converged, 3 budget exceeded, 4 input width
-mismatch, 143 a bench stopped by SIGTERM, 1 anything else (usage error,
-bad input or model file, LP failure).
+codes: 0 ok, 2 not converged, 3 budget exceeded, 4 a CSV narrower than
+the model it is predicted with (a LIBSVM file is padded with the zero
+features it leaves out), 143 a bench stopped by SIGTERM, 1 anything else
+(usage error, bad input or model file, LP failure).
 """
 
 from __future__ import annotations
@@ -105,11 +106,13 @@ def load_dataset(path: str, format: str = "csv") -> Dataset:
     return Dataset(features, labels)
 
 
-def _load_table(path: str, format: str):
+def _load_table(path: str, format: str, min_width: int = 1):
+    """The file's features and labels; a LIBSVM matrix is at least
+    ``min_width`` wide, since LIBSVM writes a zero by leaving it out."""
     if format == "csv":
         features, labels = _load_csv(path)
     elif format == "libsvm":
-        features, labels = _load_libsvm(path)
+        features, labels = _load_libsvm(path, min_width)
     else:
         raise DataFormatError(f"unknown format {format!r}")
     if not np.isfinite(features).all():
@@ -191,7 +194,7 @@ def _strict_table(reader, width: int, path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _load_libsvm(path: str):
+def _load_libsvm(path: str, min_width: int = 1):
     rows, labels = [], []
     width = 0
     for lineno, line in enumerate(_read_lines(path), start=1):
@@ -221,7 +224,7 @@ def _load_libsvm(path: str):
             width = max(width, max(entries))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    width = max(width, 1)
+    width = max(width, min_width)
     if len(rows) * width > DENSE_ENTRY_BUDGET:
         raise DataFormatError(
             f"{path}: a dense {len(rows)} x {width} matrix exceeds {DENSE_ENTRY_BUDGET} entries"
@@ -408,7 +411,8 @@ class _DiskModel:
 
 def cmd_predict(model_path: str, data_path: str, format: str = "csv") -> int:
     model = load_model(model_path)
-    features, labels = _load_table(data_path, format)  # labels already mapped
+    needed = max(h.feature for h in model.hypotheses) + 1
+    features, labels = _load_table(data_path, format, needed)  # labels already mapped
     try:
         predictions = predict(model, features)
     except ValueError as exc:

@@ -400,16 +400,19 @@ def test_run_lpboost_at_the_iteration_cap_keeps_the_last_solve():
 
 
 def test_run_lpboost_reaches_full_pool_optimum():
-    data = two_gaussians(60, seed=5)
-    learner = StumpLearner(data)
-    nu = 9.0
-    rho_star = solve_edge_min(full_gain_matrix(data, learner.pool), nu).rho
-    cfg = BoosterConfig(eps=0.02, nu=nu)
-    model, records = run_lpboost(data, learner, cfg)
-    assert model.converged
-    assert model.soft_margin_obj >= rho_star - cfg.eps
-    # gamma trend is logged via soft_margin_obj, not asserted monotone
-    assert all(r.chosen_rule == "secondary" for r in records)
+    # LPBoost's stop is certified: the edge at the LP's d is at least rho*,
+    # and gamma is the restricted soft margin within STRONG_DUALITY_TOL
+    for seed in range(5):
+        data = two_gaussians(100, seed=seed)
+        learner = StumpLearner(data)
+        for nu in (1.0, 6.0, 0.1 * data.m):
+            rho_star = solve_edge_min(full_gain_matrix(data, learner.pool), nu).rho
+            cfg = BoosterConfig(eps=0.02, nu=nu)
+            model, records = run_lpboost(data, learner, cfg)
+            assert model.converged, (seed, nu)
+            assert model.soft_margin_obj >= rho_star - cfg.eps - STRONG_DUALITY_TOL, (seed, nu)
+            # gamma trend is logged via soft_margin_obj, not asserted monotone
+            assert all(r.chosen_rule == "secondary" for r in records)
 
 
 def test_run_lpboost_stops_once_the_learner_returns_a_held_column():
@@ -536,9 +539,29 @@ def test_certified_stop_reads_fresh_margins(algo):
     cfg = BoosterConfig(eps=0.05, nu=20.0, fw_rule=fw_rule, secondary=secondary)
     model, records = run_scheme(data, StumpLearner(data), cfg)
     assert model.converged
+    # the certified round takes no step, and its one record says so
+    last = records[-1]
+    assert (last.chosen_rule, last.step_size, last.good_step) == ("fw", 0.0, False)
     # the model's objectives come from a fresh A @ w; the stop must too, bit for bit
-    assert records[-1].smoothed_obj == model.smoothed_obj
-    assert records[-1].soft_margin_obj == model.soft_margin_obj
+    assert last.smoothed_obj == model.smoothed_obj
+    assert last.soft_margin_obj == model.soft_margin_obj
+
+
+@pytest.mark.parametrize("runner", [run_scheme, run_lpboost])
+def test_both_loops_log_one_cap_warning(runner, caplog):
+    data = two_gaussians(60, seed=3)
+    cfg = BoosterConfig(eps=0.01, nu=6.0, secondary="lpboost", max_iterations=2)
+    with caplog.at_level(logging.WARNING, logger="marginforge"):
+        model, records = runner(data, StumpLearner(data), cfg)
+    assert not model.converged and len(records) == 2
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["booster hit the iteration cap (2 rounds)"]
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="marginforge"):
+        model, _ = runner(data, StumpLearner(data), dataclasses.replace(cfg, max_iterations=None))
+    assert model.converged
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 @pytest.mark.parametrize("algo", [algo for algo in ALGORITHMS if algo != "erlpboost"])

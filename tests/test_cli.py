@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from marginforge import cli
 from marginforge.boosting import BoosterConfig, predict, run_scheme
 from marginforge.cli import (
+    DENSE_ENTRY_BUDGET,
     BudgetExceededError,
     DataFormatError,
     RunManifest,
@@ -311,6 +312,35 @@ def test_predict_width_mismatch_exit(tmp_path, capsys):
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("f0,label\n0.1,1\n", encoding="utf-8")
     assert cmd_predict(str(model_path), str(narrow), "csv") == 4
+
+
+def test_predict_reads_features_a_libsvm_file_leaves_out_as_zero(tmp_path, capsys):
+    # the model's one stump reads feature 2, which the sparse file never writes
+    model = _write_model(tmp_path, {
+        "hypotheses": [{"feature": 1, "threshold": -0.5, "polarity": 1}],
+        "weights": [1.0],
+    })
+    outputs = []
+    for name, rows in [("explicit", "+1 1:0.9\n-1 1:-0.8 2:0\n"), ("sparse", "+1 1:0.9\n-1 1:-0.8\n")]:
+        path = tmp_path / f"{name}.svm"
+        path.write_text(rows, encoding="utf-8")
+        assert main(["predict", "--model", model, "--data", str(path), "--format", "libsvm"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == '1\n1\n{"error_rate": 0.5}\n'
+
+
+def test_predict_refuses_a_model_width_past_the_dense_budget(tmp_path, capsys):
+    # the width is checked before the matrix is allocated: no 10^9-wide array is made
+    model = _write_model(tmp_path, {
+        "hypotheses": [{"feature": 10**9 - 1, "threshold": 0.0, "polarity": 1}],
+        "weights": [1.0],
+    })
+    path = tmp_path / "one.svm"
+    path.write_text("+1 1:0.5\n", encoding="utf-8")
+    assert main(["predict", "--model", model, "--data", str(path), "--format", "libsvm"]) == 1
+    captured = capsys.readouterr()
+    assert f"a dense 1 x 1000000000 matrix exceeds {DENSE_ENTRY_BUDGET} entries" in captured.err
+    assert captured.out == ""
 
 
 def _write_model(tmp_path, payload):
