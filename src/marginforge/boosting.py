@@ -28,7 +28,7 @@ itself.
 The FW rule is handed the gain column the weak learner returned, which
 is contiguous, where column j_new of A is a strided view of the gain
 matrix's buffer.
-The gain matrix grows in place by at most one column per round and
+The gain matrix grows in place by at most two columns per round and
 never loses one, so its column count identifies its column set.  An LP
 solution depends only on the discovered columns and nu, so the loop
 keeps the last one a secondary handed back (only "lpboost" hands one
@@ -39,7 +39,17 @@ was solved over.  Any other column is priced first (LPBoost's
 optimality test, Demiriz, Bennett & Shawe-Taylor 2002): if its edge
 under the last LP's distribution is at most that LP's gamma, the last
 optimum stays optimal over the grown matrix, so the round reuses it, its
-weights padded with zeros, and solves nothing.  Each solve is
+weights padded with zeros, and solves nothing.
+After each solve, never on a reusing round, the loop runs LPBoost's own
+round too: it queries the weak learner once more, at the solution's d.
+Every d in the capped simplex has a best edge of at least rho*, so that
+edge lowers the running min edge, from the next round's gap on, and the
+min edge stays an upper bound on rho*.  A column A does not hold joins
+A with zero weight in both candidates, and the reuse test prices it as
+it prices the round's own column: one that prices in makes the next
+round solve.  One that prices out, a held column included, leaves the
+LP the full-pool optimum, and the next round's certificate shows it.
+Each solve is
 warm-started from the final basis of the last one
 (``lp.solve_edge_min``'s ``start``), carried over every column added
 since, and the projection of its weights is formed from the margins the
@@ -127,6 +137,8 @@ class IterationRecord:
     chosen_rule: str  # "fw" or "secondary"
     step_size: float
     good_step: bool
+    lp_query: bool  # the round queried the learner at its LP solve's d
+    lp_column_added: bool  # ... and that query's column was new to A
     wall_time_ns: int
 
 
@@ -181,15 +193,19 @@ def run_scheme(data, learner, config: BoosterConfig):
     rebuilt, and a round is certified only on a fresh A @ w (see the
     module docstring).  An ``LpError`` or ``LinAlgError`` from the
     secondary is logged as a warning and the round keeps the FW
-    candidate.  An LP solution is a
-    function of (A, nu) alone, so the last one the secondary handed back
-    ("lpboost" does) and the projection of its margins are kept and
-    reused while the learner returns columns that solution was solved
-    over or prices out, and its final basis starts the next solve; a
-    failed secondary drops them, so the next round retries from a cold
-    start.  The "erlpboost" secondary depends on its warm start and a
-    callable may keep state, and neither hands back an LP solution, so
-    both run every round.  With secondary "none" and the short-step
+    candidate.  An LP solution is a function of (A, nu) alone, so the
+    last one the secondary handed back ("lpboost" does) and the
+    projection of its margins are kept and reused while the learner
+    returns columns that solution was solved over or prices out, and its
+    final basis starts the next solve; a failed secondary drops them, so
+    the next round retries from a cold start.  After each solve the
+    round queries the learner at the solution's d (LPBoost's round): the
+    edge lowers the min edge from the next round on, a new column joins
+    both candidates with zero weight, and a column that prices in makes
+    the next round solve.  The record flags the query (``lp_query``) and
+    a new column (``lp_column_added``).  The "erlpboost" secondary
+    depends on its warm start and a callable may keep state, and neither
+    hands back an LP solution, so both run every round.  With secondary "none" and the short-step
     rule this is the plain corrective booster.
     """
     params, cap_rounds, A, min_edge = _start(learner, config)
@@ -197,6 +213,8 @@ def run_scheme(data, learner, config: BoosterConfig):
     proj = _project(margins(A, w), params)  # of the kept margins; every round ends holding one
     records: list[IterationRecord] = []
     lp_sol = None  # the last LPBoost optimum; secondary_proj holds the projection of its margins
+    lp_stale = False  # the last LP query's column prices in under lp_sol: the next round solves
+    lp_edge = math.inf  # the last LP query's edge, which lowers min_edge from the round after it
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
@@ -207,7 +225,7 @@ def run_scheme(data, learner, config: BoosterConfig):
         A, j_new = A.with_column(column, hypothesis)
         if j_new == w.size:
             w = np.append(w, 0.0)
-        min_edge = min(min_edge, edge_new)
+        min_edge = min(min_edge, edge_new, lp_edge)
         eps_t = min_edge - proj.objective
         if eps_t <= config.eps / 2.0:
             # certify on a fresh A @ w, never on the carried margins; a round
@@ -217,16 +235,16 @@ def run_scheme(data, learner, config: BoosterConfig):
         converged = eps_t <= config.eps / 2.0
         smoothed_obj = -proj.objective
         soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
-        chosen_rule, step_size, good_step = "fw", 0.0, False  # a certified round takes no step
+        # a certified round takes no step and solves no LP
+        chosen_rule, step_size, good_step, lp_query, lp_column_added = "fw", 0.0, False, False, False
 
         if not converged:
             fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
             step_size, good_step = fw_out.step_size, fw_out.good_step
             w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
-            if lp_sol is not None and (j_new < lp_sol.w.size or lp_sol.d @ column <= lp_sol.gamma):
-                # the column is one the last LP solved over, or its edge under that
-                # LP's distribution is at most its gamma: the last optimum stands
-                # over A, with zero weight on every column added since
+            if lp_sol is not None and not lp_stale and _priced_out(lp_sol, j_new, column):
+                # the last optimum stands over A, with zero weight on every column
+                # added since
                 pad = A.t - lp_sol.w.size  # most reusing rounds have none: no copy there
                 secondary_w = np.concatenate((lp_sol.w, np.zeros(pad))) if pad else lp_sol.w
             else:
@@ -238,6 +256,15 @@ def run_scheme(data, learner, config: BoosterConfig):
                 except (LpError, np.linalg.LinAlgError) as exc:
                     logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                     secondary_w = lp_sol = None
+                if lp_sol is not None:
+                    # LPBoost's round: query at the new optimum's d; a column A does
+                    # not hold joins both candidates with zero weight
+                    lp_hypothesis, lp_column, lp_edge = learner.query(lp_sol.d)
+                    A, j_lp = A.with_column(lp_column, lp_hypothesis)
+                    lp_query, lp_column_added = True, j_lp == w.size
+                    if lp_column_added:
+                        w, secondary_w = np.append(w, 0.0), np.append(secondary_w, 0.0)
+                    lp_stale = not _priced_out(lp_sol, j_lp, lp_column)
             # a candidate's smoothed value is minus its projection's objective
             if secondary_w is not None and secondary_proj.objective > proj.objective:
                 chosen_rule = "secondary"
@@ -245,14 +272,22 @@ def run_scheme(data, learner, config: BoosterConfig):
 
         records.append(
             IterationRecord(
-                t, edge_new, min_edge, smoothed_obj, soft_margin_obj, eps_t,
-                chosen_rule, step_size, good_step, time.perf_counter_ns() - tic,
+                t, edge_new, min_edge, smoothed_obj, soft_margin_obj, eps_t, chosen_rule,
+                step_size, good_step, lp_query, lp_column_added, time.perf_counter_ns() - tic,
             )
         )
         if converged:
             break
 
     return _finish_model(A, w, params, converged, cap_rounds), records
+
+
+def _priced_out(sol: EdgeMinSolution, j: int, column: np.ndarray) -> bool:
+    """LPBoost's optimality test for column j of A: the LP ``sol`` was
+    solved over it, or its edge under that LP's distribution is at most
+    its gamma.  Either way ``sol`` stays optimal over a matrix that adds
+    the column."""
+    return j < sol.w.size or sol.d @ column <= sol.gamma
 
 
 def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
@@ -373,7 +408,7 @@ def run_lpboost(data, learner, config: BoosterConfig):
         records.append(
             IterationRecord(
                 t, edge_new, min_edge, -objective, sol.rho, min_edge - objective,
-                "secondary", 0.0, False, time.perf_counter_ns() - tic,
+                "secondary", 0.0, False, False, False, time.perf_counter_ns() - tic,
             )
         )
         converged = edge_new <= sol.gamma + config.eps

@@ -1,8 +1,8 @@
 """Shared data model: datasets, gain matrices, capped-simplex points.
 
 The gain matrix is one append-only column store that a booster loop
-starts from the weak learner's first column and grows in place, at most
-one column per round.
+starts from the weak learner's first column and grows in place, by at
+most one column per weak-learner query.
 
 Distributions over examples and ensemble weights over the discovered
 hypotheses are both plain 1-D numpy arrays; a weight vector has one

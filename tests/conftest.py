@@ -12,10 +12,17 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from marginforge import entropy, lp
+from marginforge import boosting, entropy, lp
 from marginforge.constants import CAP_REL_SLACK, ENTROPY_ZERO
-from marginforge.core import Dataset, GainMatrix, check_distribution, check_ensemble_weights
-from marginforge.entropy import ProjectionResult, capped_min_linear
+from marginforge.core import (
+    CapParams,
+    Dataset,
+    GainMatrix,
+    check_distribution,
+    check_ensemble_weights,
+    margins,
+)
+from marginforge.entropy import ProjectionResult, capped_entropy_projection, capped_min_linear
 from marginforge.stumps import StumpHypothesis
 
 
@@ -213,6 +220,76 @@ class PoolOracleLearner:
         # a contiguous copy: a strided dot would round the edge differently
         column = self.A_full.as_array()[:, j].copy()
         return self.A_full.hypothesis_ids[j], column, float(d @ column)
+
+
+def reference_lp_scheme(data, learner, config):
+    """``boosting.run_scheme`` with the "lpboost" secondary, its round
+    re-derived without the LP reuse, the pricing or the carried state:
+    every round that does not stop solves the restricted LP
+    (``boosting.secondary_lpboost``, looked up at call time) from the
+    basis of the last solve if it succeeded, and then queries the learner
+    at the solution's d, unless that d is bit for bit the last solve's: a
+    deterministic learner would return the column it returned then,
+    which A holds.  A failed solve keeps the FW candidate, and the next
+    solve starts cold and queries.  The LP query's edge lowers the
+    running min edge from the next round on; its column, if new, joins
+    both candidates with zero weight.  Projections are the public,
+    checked ones; the FW step (``boosting._fw_update``) and the final
+    model (``boosting._finish_model``) are the package's, which other
+    tests check.  Returns (model, records), every ``wall_time_ns`` 0."""
+    m = learner.m
+    params = CapParams.from_tolerance(m, config.nu, config.eps)
+    cap_rounds = config.max_iterations or boosting.default_iteration_cap(m, config.nu, config.eps)
+    hypothesis, column, min_edge = learner.query(np.full(m, 1.0 / m))
+    A, w = GainMatrix([column], [hypothesis]), np.ones(1)
+    proj = capped_entropy_projection(margins(A, w), params)
+    records, last = [], None  # last: the last solve, if it succeeded
+    for t in range(1, cap_rounds + 1):
+        if t % boosting._MARGIN_REFRESH == 0:
+            proj = capped_entropy_projection(margins(A, w), params)
+        hypothesis, column, edge_new = learner.query(proj.d)
+        A, j_new = A.with_column(column, hypothesis)
+        if j_new == w.size:
+            w = np.append(w, 0.0)
+        min_edge = min(min_edge, edge_new)
+        eps_t = min_edge - proj.objective
+        if eps_t <= config.eps / 2.0:
+            proj = capped_entropy_projection(margins(A, w), params)
+            eps_t = min_edge - proj.objective
+        converged = eps_t <= config.eps / 2.0
+        smoothed_obj, soft_margin_obj = -proj.objective, capped_min_linear(proj.theta, params.nu)[0]
+        rule, lam, good, lp_query, added, lp_edge = "fw", 0.0, False, False, False, math.inf
+        if not converged:
+            fw_out = boosting._fw_update(
+                config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column
+            )
+            lam, good = fw_out.step_size, fw_out.good_step
+            w, proj = fw_out.new_w, capped_entropy_projection(fw_out.margins, params)
+            try:
+                sol = boosting.secondary_lpboost(A, params.nu, None if last is None else last.basis)
+            except (lp.LpError, np.linalg.LinAlgError):
+                sol = None
+            if sol is not None:
+                candidate, candidate_proj = sol.w, capped_entropy_projection(sol.margins, params)
+                if last is None or sol.d.tobytes() != last.d.tobytes():
+                    lp_hypothesis, lp_column, lp_edge = learner.query(sol.d)
+                    A, j_lp = A.with_column(lp_column, lp_hypothesis)
+                    lp_query, added = True, j_lp == w.size
+                    if added:
+                        w, candidate = np.append(w, 0.0), np.append(candidate, 0.0)
+                if candidate_proj.objective > proj.objective:
+                    rule, w, proj = "secondary", candidate, candidate_proj
+            last = sol
+        records.append(
+            boosting.IterationRecord(
+                t, edge_new, min_edge, smoothed_obj, soft_margin_obj, eps_t,
+                rule, lam, good, lp_query, added, 0,
+            )
+        )
+        min_edge = min(min_edge, lp_edge)
+        if converged:
+            break
+    return boosting._finish_model(A, w, params, converged, cap_rounds), records
 
 
 def reference_edge_min(G, nu, start=None):

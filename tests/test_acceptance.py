@@ -219,9 +219,9 @@ def test_monotonicity(e2e_runs, bound_runs):
         assert np.all(np.diff(min_edge) <= 1e-12)
 
 
-@criterion(9, "LP secondary never needs more rounds than plain short-step (4/5 seeds)")
+@criterion(9, "LP secondary never needs more rounds or queries than plain short-step (4/5 seeds)")
 def test_secondary_advantage():
-    wins = 0
+    wins = query_wins = 0
     counts = []
     for seed in range(5):
         data = two_gaussians(100, seed=seed)
@@ -237,10 +237,14 @@ def test_secondary_advantage():
         pool_optimum = solve_edge_min(A_full, nu).rho
         assert model_withsec.soft_margin_obj >= pool_optimum - EPS
         assert model_plain.soft_margin_obj >= pool_optimum - EPS
-        counts.append((len(recs_withsec), len(recs_plain)))
+        # a round of the LP-secondary fit queries once more after each LP solve
+        queries = (1 + len(recs_withsec) + sum(r.lp_query for r in recs_withsec), 1 + len(recs_plain))
+        counts.append((len(recs_withsec), len(recs_plain), *queries))
         wins += len(recs_withsec) <= len(recs_plain)
-    print(f"[acceptance]   criterion 9 counts (with secondary vs plain): {counts}")
+        query_wins += queries[0] <= queries[1]
+    print(f"[acceptance]   criterion 9 rounds and queries (with secondary vs plain): {counts}")
     assert wins >= 4, counts
+    assert query_wins >= 4, counts
 
 
 @criterion(10, "identical manifest and seed give byte-identical artifacts")

@@ -25,7 +25,13 @@ from marginforge import boosting, fw, lp
 from marginforge.lp import LpError, solve_edge_min
 from marginforge.stumps import StumpHypothesis, StumpLearner, StumpPool, full_gain_matrix
 
-from conftest import PoolOracleLearner, min_linear_over_cap, scipy_edge_min, two_gaussians
+from conftest import (
+    PoolOracleLearner,
+    min_linear_over_cap,
+    reference_lp_scheme,
+    scipy_edge_min,
+    two_gaussians,
+)
 
 
 def uniform_stub(A, params):
@@ -277,6 +283,16 @@ def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
     assert "round 3: secondary update failed" in warnings[0] and str(error) in warnings[0]
 
 
+class InflatedEdges(StumpLearner):
+    """Reports every edge 1e-9 above the true one: at eps ``EPS_FLOOR`` no
+    certificate passes, so a scheme fit runs to its cap, and its rounds after
+    the LP reaches the full-pool optimum reuse that optimum."""
+
+    def query(self, d):
+        hypothesis, column, edge = super().query(d)
+        return hypothesis, column, edge + 1e-9
+
+
 def _strip(records):
     return [dataclasses.replace(r, wall_time_ns=0) for r in records]
 
@@ -291,49 +307,17 @@ def _same_fit(a, b):
     assert model_a.converged and model_b.converged
 
 
-def _lpboost_every_round():
-    """The LPBoost secondary as a callable, which run_scheme never reuses:
-    it solves every round, warm-started from its own last basis as
-    run_scheme starts each solve from the last, and drops that basis when
-    a solve fails, as run_scheme does."""
-    last = {"basis": None}
-
-    def solve(A, params):
-        start, last["basis"] = last["basis"], None
-        sol = secondary_lpboost(A, params.nu, start)
-        last["basis"] = sol.basis
-        return sol.w
-
-    return solve
-
-
 @pytest.mark.parametrize("fw_rule", ["short_step", "pairwise"])
 def test_reused_lpboost_secondary_matches_solving_every_round(fw_rule):
+    # the reference solves the LP on every round that does not stop and queries
+    # at each new optimum's d: the same fit, bit for bit, with the same rounds
+    # flagged for an LP query and for a column that query added
     data = two_gaussians(200, seed=0)
     learner = StumpLearner(data)
     cfg = BoosterConfig(eps=0.01, nu=20.0, fw_rule=fw_rule, secondary="lpboost")
     reused = run_scheme(data, learner, cfg)
-    every_round = run_scheme(
-        data, learner, dataclasses.replace(cfg, secondary=_lpboost_every_round())
-    )
-    _same_fit(reused, every_round)
-
-
-def test_lpboost_secondary_solves_once_per_column_set(monkeypatch):
-    column_counts = []
-
-    def counting_solve(A, nu, start=None):
-        column_counts.append(A.t)
-        return solve_edge_min(A, nu, start=start)
-
-    monkeypatch.setattr(boosting, "solve_edge_min", counting_solve)
-    data = two_gaussians(200, seed=0)
-    cfg = BoosterConfig(eps=0.01, nu=20.0, fw_rule="short_step", secondary="lpboost")
-    model, records = run_scheme(data, StumpLearner(data), cfg)
-    assert model.converged
-    # columns only grow, so one solve per column set means strictly increasing counts
-    assert all(a < b for a, b in zip(column_counts, column_counts[1:]))
-    assert len(column_counts) <= len(records) // 10  # measured 23 solves in 683 rounds
+    _same_fit(reused, reference_lp_scheme(data, learner, cfg))
+    assert sum(r.lp_column_added for r in reused[1]) >= 10  # measured 13 (ss) and 18 (pfw)
 
 
 class _RecordingLearner:
@@ -351,32 +335,69 @@ class _RecordingLearner:
         return response
 
 
+def test_lpboost_secondary_solves_once_per_column_set(monkeypatch):
+    column_counts = []
+
+    def counting_solve(A, nu, start=None):
+        column_counts.append(A.t)
+        return solve_edge_min(A, nu, start=start)
+
+    monkeypatch.setattr(boosting, "solve_edge_min", counting_solve)
+    data = two_gaussians(200, seed=0)
+    # a plain fit, and one whose inflated edges keep it from stopping: its
+    # rounds after the LP reaches the full-pool optimum reuse that optimum
+    for learner, eps, cap in [(StumpLearner(data), 0.01, None), (InflatedEdges(data), EPS_FLOOR, 300)]:
+        column_counts.clear()
+        learner = _RecordingLearner(learner)
+        cfg = BoosterConfig(eps=eps, nu=20.0, fw_rule="short_step", secondary="lpboost", max_iterations=cap)
+        model, records = run_scheme(data, learner, cfg)
+        assert model.converged is (cap is None)
+        # columns only grow, so one solve per column set means strictly increasing counts
+        assert all(a < b for a, b in zip(column_counts, column_counts[1:]))
+        # every solve is followed by one query at its d, and no other round queries twice
+        lp_queries = sum(r.lp_query for r in records)
+        assert len(column_counts) == lp_queries
+        assert len(learner.ids) == 1 + len(records) + lp_queries
+        if cap is None:
+            # every round that does not stop solves: measured 14 solves in 15 rounds
+            assert [r.lp_query for r in records] == [True] * (len(records) - 1) + [False]
+        else:
+            assert len(column_counts) <= len(records) // 10  # measured 14 solves in 300 rounds
+
+
 def test_failed_lpboost_secondary_is_retried_on_the_same_columns(monkeypatch, caplog):
     column_counts = []
 
-    def fail_at_four_columns(A, nu, start=None):
+    def fail_at_five_columns(A, nu, start=None):
         column_counts.append(A.t)
-        if A.t == 4:
+        if A.t == 5:
             raise LpError("pivot limit")
         return solve_edge_min(A, nu, start=start)
 
-    monkeypatch.setattr(boosting, "solve_edge_min", fail_at_four_columns)
+    monkeypatch.setattr(boosting, "solve_edge_min", fail_at_five_columns)
     data = two_gaussians(60, seed=3)
     learner = _RecordingLearner(StumpLearner(data))
     cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule="short_step", secondary="lpboost")
     with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
         reused = run_scheme(data, learner, cfg)
-    # query 0 seeds the matrix; query r belongs to round r; the last round stops
-    counts = [len(set(learner.ids[: r + 1])) for r in range(1, len(reused[1]))]
-    expected = [c for i, c in enumerate(counts) if c == 4 or i == 0 or c != counts[i - 1]]
+    model, records = reused
+    assert model.converged
+    # query 0 seeds the matrix; round r queries once, and once more at its LP's d
+    # if its solve succeeded; every round but the last solves over the columns
+    # its own query leaves, so a failed solve is retried, never reused
+    expected, queries = [], 1
+    for rec in records[:-1]:
+        queries += 1
+        expected.append(len(set(learner.ids[:queries])))
+        queries += rec.lp_query
+    assert queries + 1 == len(learner.ids)
     assert column_counts == expected
-    assert column_counts.count(4) >= 2  # a failed solve is retried, never reused
-    assert len(caplog.records) == column_counts.count(4)
+    assert [r.lp_query for r in records[:-1]] == [c != 5 for c in column_counts]
+    assert all(r.chosen_rule == "fw" for r, c in zip(records, column_counts) if c == 5)
+    assert column_counts.count(5) >= 2  # measured 3
+    assert len(caplog.records) == column_counts.count(5)
 
-    every_round = run_scheme(
-        data, StumpLearner(data), dataclasses.replace(cfg, secondary=_lpboost_every_round())
-    )
-    _same_fit(reused, every_round)
+    _same_fit(reused, reference_lp_scheme(data, StumpLearner(data), cfg))
 
 
 def test_run_lpboost_perfect_stump_stops_fast():
@@ -418,11 +439,6 @@ def test_run_lpboost_reaches_full_pool_optimum():
 def test_run_lpboost_stops_once_the_learner_returns_a_held_column():
     # every reported edge sits 1e-9 above the true one, so the eps test never
     # passes at eps 1e-12; the held column is LPBoost's exact optimality
-    class InflatedEdges(StumpLearner):
-        def query(self, d):
-            hypothesis, column, edge = super().query(d)
-            return hypothesis, column, edge + 1e-9
-
     data = two_gaussians(60, seed=5)
     nu = 9.0
     cfg = BoosterConfig(eps=EPS_FLOOR, nu=nu, max_iterations=60)
@@ -547,6 +563,65 @@ def test_certified_stop_reads_fresh_margins(algo):
     assert last.soft_margin_obj == model.soft_margin_obj
 
 
+LP_SCHEME_ALGOS = [algo for algo in SCHEME_ALGOS if ALGORITHMS[algo][2] == "lpboost"]
+
+
+@pytest.mark.parametrize("algo", LP_SCHEME_ALGOS)
+def test_the_lp_query_keeps_the_certificate(algo, monkeypatch):
+    """After each LP solve the scheme queries the learner at the solution's
+    d.  Every d in the capped simplex has a max edge of at least rho*, so
+    that edge may lower the running min edge, from the next round on.  The
+    min edge never rises, every record's gap is its min edge plus its
+    smoothed value, and every fit still ends within eps of rho* and makes
+    at most twice lpboost's queries (measured up to exactly twice, on
+    seeds 0 and 3)."""
+    solutions = []
+
+    def recording_solve(A, nu, start=None):
+        solutions.append(solve_edge_min(A, nu, start=start))
+        return solutions[-1]
+
+    monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
+    _, fw_rule, secondary = ALGORITHMS[algo]
+    cases = [(two_gaussians(100, seed=seed), 10.0, 0.02) for seed in range(5)]
+    cases.append((two_gaussians(200, seed=0), 20.0, 0.01))  # the acceptance fixture
+    for data, nu, eps in cases:
+        learner = StumpLearner(data)
+        rho_star = solve_edge_min(full_gain_matrix(data, learner.pool), nu).rho
+        solutions.clear()
+        queries = []  # (edge, whether d is an LP solution's) per query
+        query = learner.query
+
+        def recording_query(d):
+            response = query(d)
+            queries.append((response[2], any(d is sol.d for sol in solutions)))
+            return response
+
+        monkeypatch.setattr(learner, "query", recording_query)
+        cfg = BoosterConfig(eps=eps, nu=nu, fw_rule=fw_rule, secondary=secondary)
+        model, records = run_scheme(data, learner, cfg)
+        assert model.converged
+        assert model.soft_margin_obj >= rho_star - eps
+        assert len(queries) == 1 + len(records) + sum(r.lp_query for r in records)
+
+        (bound, _), *queries = queries
+        for rec in records:
+            edge, at_lp = queries.pop(0)
+            assert not at_lp
+            assert rec.edge_new == edge and rec.min_edge_so_far == min(bound, edge)
+            assert rec.eps_t == rec.min_edge_so_far + rec.smoothed_obj
+            bound = rec.min_edge_so_far
+            if rec.lp_query:
+                lp_edge, at_lp = queries.pop(0)
+                assert at_lp and lp_edge >= rho_star - STRONG_DUALITY_TOL
+                bound = min(bound, lp_edge)  # from the next round's gap on
+        min_edges = [r.min_edge_so_far for r in records]
+        assert all(b <= a for a, b in zip(min_edges, min_edges[1:]))
+
+        _, lp_records = run_lpboost(data, StumpLearner(data), cfg)
+        assert 1 + len(records) + sum(r.lp_query for r in records) <= 2 * (1 + len(lp_records))
+
+
 @pytest.mark.parametrize("runner", [run_scheme, run_lpboost])
 def test_both_loops_log_one_cap_warning(runner, caplog):
     data = two_gaussians(60, seed=3)
@@ -609,63 +684,92 @@ def _assert_same_projection(got, fresh):
 
 
 def test_the_lpboost_secondary_skips_exactly_the_priced_out_columns(monkeypatch):
-    # a new column whose edge under the last LP's distribution is at most
-    # that LP's gamma leaves the last optimum optimal: no solve, the weights
-    # padded with zeros.  Every other new column is solved
-    events = []  # ("query", hypothesis, column) and ("solve", A.t, solution) in call order
-
-    def recording_solve(A, nu, start=None):
-        sol = solve_edge_min(A, nu, start=start)
-        events.append(("solve", A.t, sol))
-        return sol
-
-    data = two_gaussians(200, seed=0)
-    learner = StumpLearner(data)
-    query = learner.query
-
-    def recording_query(d):
-        response = query(d)
-        events.append(("query", response[0], response[1]))
-        return response
-
-    monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
-    monkeypatch.setattr(learner, "query", recording_query)
+    # a column the last LP was solved over, or whose edge under that LP's
+    # distribution is at most its gamma, leaves the last optimum optimal.  A
+    # round reuses that optimum, weights padded with zeros, exactly when its
+    # own column and the last LP query's column both pass that test; every
+    # other round that does not stop solves, then queries at the new d
     nu = 20.0
-    cfg = BoosterConfig(eps=0.01, nu=nu, fw_rule="classic", secondary="lpboost")
-    model, _ = run_scheme(data, learner, cfg)
-    assert model.converged
+    data = two_gaussians(200, seed=0)
+    reused_by_fit, skipped_by_fit = [], []
+    fits = [(StumpLearner(data), "classic", 0.01, None), (InflatedEdges(data), "short_step", EPS_FLOOR, 300)]
+    for learner, fw_rule, eps, cap in fits:
+        events = []  # ("query", d, hypothesis, column) and ("solve", A.t, solution) in call order
 
-    (_, first, column), *events = events
-    held, gains = {first}, [column]
-    last = None  # the last solution
-    solves = skipped = new_columns = 0
-    for i, (kind, *event) in enumerate(events):
-        if kind == "solve":
-            last = event[1]
-            continue
-        hypothesis, column = event
-        if hypothesis in held:
-            continue  # a held column: the round reuses the last optimum
-        held.add(hypothesis)
-        gains.append(column)
-        if i == len(events) - 1:
-            break  # the last round certified its stop before any secondary
-        new_columns += 1
-        solved = events[i + 1][0] == "solve"
-        if last is not None and last.d @ column <= last.gamma:
-            assert not solved
-            skipped += 1
+        def recording_solve(A, nu, start=None):
+            sol = solve_edge_min(A, nu, start=start)
+            events.append(("solve", A.t, sol))
+            return sol
+
+        query = learner.query
+
+        def recording_query(d):
+            response = query(d)
+            events.append(("query", d, response[0], response[1]))
+            return response
+
+        monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
+        monkeypatch.setattr(learner, "query", recording_query)
+        cfg = BoosterConfig(eps=eps, nu=nu, fw_rule=fw_rule, secondary="lpboost", max_iterations=cap)
+        model, records = run_scheme(data, learner, cfg)
+        assert model.converged is (cap is None)
+
+        index, gains = {}, []
+
+        def take_query():
+            kind, d, hypothesis, column = events.pop(0)
+            assert kind == "query"
+            new = hypothesis not in index
+            if new:
+                index[hypothesis] = len(gains)
+                gains.append(column)
+            return d, index[hypothesis], column, new
+
+        def priced_out(sol, j, column):
+            return j < sol.w.size or sol.d @ column <= sol.gamma
+
+        def check_optimal(sol):
+            # the padded optimum is the LP's over every column held
             G = np.column_stack(gains)
-            value, _ = capped_min_linear(G @ np.pad(last.w, (0, G.shape[1] - last.w.size)), nu)
+            value, _ = capped_min_linear(G @ np.pad(sol.w, (0, G.shape[1] - sol.w.size)), nu)
             cold = solve_edge_min(GainMatrix(gains, range(len(gains))), nu).gamma
             assert abs(value - cold) <= STRONG_DUALITY_TOL
             assert abs(value - scipy_edge_min(G, nu)) <= STRONG_DUALITY_TOL
-        else:
-            assert solved
+
+        take_query()  # the start's uniform query
+        last, stale = None, False
+        solves = reused = skipped = 0
+        for rec in records:
+            _, j, column, new = take_query()
+            if rec is records[-1] and model.converged:
+                break  # the last round certified its stop before any secondary
+            if last is not None and not stale and priced_out(last, j, column):
+                assert not events or events[0][0] == "query"
+                assert not rec.lp_query
+                reused += 1
+                if new:
+                    skipped += 1
+                    check_optimal(last)
+                continue
+            kind, t, last = events.pop(0)
+            assert kind == "solve" and t == len(gains)
             solves += 1
-    assert sum(kind == "solve" for kind, *_ in events) == solves
-    assert solves == new_columns - skipped
-    assert skipped >= 10  # measured 17 of 38 new columns
+            d, j, column, new = take_query()
+            assert d is last.d
+            assert rec.lp_query and rec.lp_column_added is new
+            stale = not priced_out(last, j, column)
+            if new and not stale:
+                skipped += 1
+                check_optimal(last)
+        assert events == []
+        assert solves == sum(r.lp_query for r in records)
+        reused_by_fit.append(reused)
+        skipped_by_fit.append(skipped)
+    # the plain fit solves on every round it does not stop; the inflated fit
+    # reuses its last optimum from the round after its LP query returned a held
+    # column, and skips a new column once: measured 286 reusing rounds of 300
+    assert reused_by_fit[0] == skipped_by_fit[0] == 0
+    assert reused_by_fit[1] >= 250 and skipped_by_fit[1] == 1
 
 
 # kernel projections (``entropy._project`` through boosting and fw) of each
@@ -675,10 +779,10 @@ def test_the_lpboost_secondary_skips_exactly_the_priced_out_columns(monkeypatch)
 KERNEL_PROJECTIONS = {
     "erlpboost": 51,
     "cerlpboost": 1844,
-    "mlpb-ss": 277,
-    "mlpb-pfw": 174,
-    "mlpb-ls": 339,
-    "mlpb-classic": 1547,
+    "mlpb-ss": 14,
+    "mlpb-pfw": 49,
+    "mlpb-ls": 66,
+    "mlpb-classic": 14,
 }
 
 
@@ -689,10 +793,12 @@ def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypat
     equal, bit for bit, a fresh checked projection of the same margins; each
     round must query the learner with one of them; and each record's
     objectives must be the checked values of the margins whose projection
-    that round read: the one it queried with, or its certify re-check's."""
+    that round read: the one it queried with, or its certify re-check's.
+    The one other query a round makes is after each LP solve, at its d."""
     kernels = {"boosting": boosting._project, "fw": fw._project}
     by_d = {}  # id(d) -> projection; holding every projection keeps the ids unique
-    events = []  # ("query", projection or None) and ("project", projection), in call order
+    # ("query", projection or None, d), ("project", projection) and ("solve", solution), in call order
+    events = []
     kernel_calls = [0]
 
     def checked(res, theta, params):
@@ -710,14 +816,20 @@ def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypat
 
         return project
 
+    def recording_solve(A, nu, start=None):
+        sol = solve_edge_min(A, nu, start=start)
+        events.append(("solve", sol))
+        return sol
+
     data = two_gaussians(80, seed=4)
     learner = StumpLearner(data)
     query = learner.query
 
     def traced_query(d):
-        events.append(("query", by_d.get(id(d))))
+        events.append(("query", by_d.get(id(d)), d))
         return query(d)
 
+    monkeypatch.setattr(boosting, "solve_edge_min", recording_solve)
     monkeypatch.setattr(boosting, "_project", checked_kernel("boosting"))
     monkeypatch.setattr(fw, "_project", checked_kernel("fw"))
     monkeypatch.setattr(learner, "query", traced_query)
@@ -727,15 +839,22 @@ def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypat
     assert model.converged
 
     # split the events after the start's uniform query into one run per round
-    assert events[0] == ("query", None)
-    rounds = []
-    for kind, res in events[1:]:
-        if kind == "query":
-            assert res is not None, "a round queried with a vector that is no projection"
+    assert events[0][:2] == ("query", None)
+    rounds, lp_queries, solved = [], [], None  # solved: the last LP solve, until its query
+    for kind, res, *d in events[1:]:
+        if kind == "solve":
+            solved = res
+        elif kind == "query" and res is None:
+            assert solved is not None and d[0] is solved.d, "a query at no projection and no LP's d"
+            lp_queries.append(len(rounds))
+            solved = None
+        elif kind == "query":
+            assert solved is None, "a round began before the last solve's query"
             rounds.append([res])
         elif rounds:
             rounds[-1].append(res)
     assert len(rounds) == len(records)
+    assert lp_queries == [rec.t for rec in records if rec.lp_query]
     params = rounds[0][0].params
     for rec, (queried, *projected) in zip(records, rounds):
         read = queried
@@ -809,19 +928,22 @@ def test_every_traced_layer_is_reached_through_its_traced_name(algo, monkeypatch
     model, records = runner(data, learner, config)
     assert model.converged
 
-    # one best_stump call per query and one solve_edge_min call per LP solve
-    assert counts["best_stump"] == counts["queries"] == len(records) + 1
+    # one best_stump call per query and one solve_edge_min call per LP solve; a
+    # round queries once, and once more after an LP solve, at its d
+    lp_queries = sum(r.lp_query for r in records)
+    assert counts["best_stump"] == counts["queries"] == len(records) + 1 + lp_queries
     assert counts["solve_edge_min"] == counts["lp solves"]
     # one rule call per FW step: run_scheme steps on every round it does not stop on
     steps = 0 if runner is run_lpboost else len(records) - 1
     assert counts[RULE_OF[fw_rule]] == steps
     assert sum(counts[name] for name in TRACED_NAMES["fw"]) == steps
     if secondary == "lpboost":
-        assert 0 < counts["secondary_lpboost"] == counts["solve_edge_min"]
+        assert 0 < counts["secondary_lpboost"] == counts["solve_edge_min"] == lp_queries
     elif runner is run_lpboost:
         assert counts["solve_edge_min"] == len(records) and counts["secondary_lpboost"] == 0
     else:
         assert counts["solve_edge_min"] == 0
+    assert lp_queries == 0 or secondary == "lpboost"
     assert counts["secondary_erlpboost"] == (steps if secondary == "erlpboost" else 0)
     # the final model's checked margins and objectives
     assert counts["margins"] > 0

@@ -37,7 +37,7 @@ from conftest import ringnorm, two_gaussians, write_csv
 
 LOG_KEYS = [
     "t", "edge_new", "min_edge", "smoothed_obj", "soft_margin_obj",
-    "eps_t", "rule", "lambda", "good_step", "wall_time_ns",
+    "eps_t", "rule", "lambda", "good_step", "lp_query", "lp_column_added", "wall_time_ns",
 ]
 
 

@@ -104,7 +104,8 @@ def test_benchmark_tracer_layers_resolve():
 def test_benchmark_tracer_sees_the_layers_a_fit_runs(algo):
     """A layer a fit stops calling through its traced name reads 0 in
     the benchmark; the learner builds its pool once, and each fit
-    queries the stump oracle once per round and once in its start."""
+    queries the stump oracle once in its start, once per round and once
+    more after each LP solve."""
     runner, fw_rule, secondary = cli.ALGORITHMS[algo]
     data = two_gaussians(200, seed=0)
     config = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
@@ -113,7 +114,9 @@ def test_benchmark_tracer_sees_the_layers_a_fit_runs(algo):
     tracer.drain()
     stats = tracer.stats
     assert stats["stumps.pool_build"].calls == 1
-    assert stats["stumps.query"].calls == len(records) + 1
+    lp_queries = sum(r.lp_query for r in records)
+    assert stats["stumps.query"].calls == len(records) + 1 + lp_queries
+    assert stats["lp.solve"].calls == lp_queries
     assert stats["fw.step"].calls > 0
     assert stats["core.margins"].calls > 0
     assert (stats["lp.solve"].calls > 0) is (secondary == "lpboost")
