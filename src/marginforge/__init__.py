@@ -11,7 +11,6 @@ from .boosting import (
     IterationRecord,
     TrainedModel,
     predict,
-    run_lpboost,
     run_scheme,
     secondary_erlpboost,
     secondary_lpboost,
@@ -52,7 +51,6 @@ __all__ = [
     "pairwise_step",
     "predict",
     "relative_entropy",
-    "run_lpboost",
     "run_scheme",
     "secondary_erlpboost",
     "secondary_lpboost",

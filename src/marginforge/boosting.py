@@ -1,6 +1,6 @@
-"""Booster loops: the generic two-rule scheme and the LP baselines.
+"""The booster loop: one Frank-Wolfe scheme with an optional LP half.
 
-``run_scheme`` is the shared column-generation loop: per round it
+``run_scheme`` is the one column-generation loop.  Per round it
 projects onto the capped simplex, queries the weak learner and checks
 the certified optimality gap; a round that does not stop then keeps the
 better of a conditional gradient update and an optional secondary update
@@ -28,42 +28,29 @@ itself.
 The FW rule is handed the gain column the weak learner returned, which
 is contiguous, where column j_new of A is a strided view of the gain
 matrix's buffer.
-The gain matrix grows in place by at most two columns per round and
-never loses one, so its column count identifies its column set.  An LP
-solution depends only on the discovered columns and nu, so the loop
-keeps the last one a secondary handed back (only "lpboost" hands one
-back), with the projection of its margins, and a failed secondary drops
-it.  The LP is thus solved at most once per column count, and the kept
-solution is reused on rounds whose weak learner returns a column it
-was solved over.  Any other column is priced first (LPBoost's
-optimality test, Demiriz, Bennett & Shawe-Taylor 2002): if its edge
-under the last LP's distribution is at most that LP's gamma, the last
-optimum stays optimal over the grown matrix, so the round reuses it, its
-weights padded with zeros, and solves nothing.
-After each solve, never on a reusing round, the loop runs LPBoost's own
-round too: it queries the weak learner once more, at the solution's d.
-Every d in the capped simplex has a best edge of at least rho*, so that
-edge lowers the running min edge, from the next round's gap on, and the
-min edge stays an upper bound on rho*.  A column A does not hold joins
-A with zero weight in both candidates, and the reuse test prices it as
-it prices the round's own column: one that prices in makes the next
-round solve.  One that prices out, a held column included, leaves the
-LP the full-pool optimum, and the next round's certificate shows it.
-Each solve is
-warm-started from the final basis of the last one
-(``lp.solve_edge_min``'s ``start``), carried over every column added
-since, and the projection of its weights is formed from the margins the
-solve hands back.  The ERLPBoost secondary re-solves the smoothed
-problem over all discovered columns by projected-Newton steps
-(``fw.newton_step``), warm-started at the conditional-gradient candidate
-and its projection.
-``run_lpboost`` is the classic fully-LP baseline with its own stopping
-rule, each round's LP warm-started from the last round's basis; that
-stop is certified too, but has no round bound (see its docstring).  A
-fit of either loop that runs out of rounds logs the one warning
-"booster hit the iteration cap (N rounds)" from ``_finish_model``.  A weak
-learner answers ``query(d)`` with ``(hypothesis, gain column, edge)``;
-the hypothesis also identifies its column in the gain matrix.
+The "lpboost" secondary is the LP half, LPBoost's own round (Demiriz,
+Bennett & Shawe-Taylor 2002): every round that does not stop solves the
+restricted edge-min LP over the discovered columns, warm-started from
+the final basis of the last solve (``lp.solve_edge_min``'s ``start``)
+carried over every column added since, and then queries the weak
+learner once more, at the solution's d.  Every d in the capped simplex
+has a best edge of at least rho*, so that edge lowers the running min
+edge, from the next round's gap on, and the min edge stays an upper
+bound on rho*.  A column A does not hold joins A with zero weight in
+both candidates.  A failed solve drops the last solution, so the next
+round solves from a cold start.  The projection of the LP's weights is
+formed from the margins the solve hands back.  The ERLPBoost secondary
+re-solves the smoothed problem over all discovered columns by
+projected-Newton steps (``fw.newton_step``), warm-started at the
+conditional-gradient candidate and its projection.
+With no FW rule (``fw_rule=None``, which needs the "lpboost" secondary)
+a round is the LP half alone, and the loop is LPBoost: no projection
+query, no certificate and no FW step.  Its stop is LPBoost's rule, which
+is certified too but has no round bound (see ``run_scheme``).  A fit
+that runs out of rounds logs the one warning "booster hit the iteration
+cap (N rounds)" from ``_finish_model``.  A weak learner answers
+``query(d)`` with ``(hypothesis, gain column, edge)``; the hypothesis
+also identifies its column in the gain matrix.
 """
 
 from __future__ import annotations
@@ -106,7 +93,7 @@ _MARGIN_REFRESH = 64  # rounds between re-derivations of the carried margins A @
 class BoosterConfig:
     eps: float
     nu: float
-    fw_rule: str = "short_step"
+    fw_rule: str | None = "short_step"  # None: the LP half alone (LPBoost), secondary "lpboost"
     secondary: object = "none"  # name from SECONDARY_RULES or callable(A, params)
     max_iterations: int | None = None
 
@@ -118,10 +105,16 @@ class BoosterConfig:
                 f"eps={self.eps!r} is too small: below EPS_FLOOR={EPS_FLOOR!r}, "
                 "no float gap can certify it"
             )
-        if self.fw_rule not in FW_RULES:
-            raise ValueError(f"unknown fw rule {self.fw_rule!r}")
         if not callable(self.secondary) and self.secondary not in SECONDARY_RULES:
             raise ValueError(f"unknown secondary rule {self.secondary!r}")
+        if self.fw_rule is None:
+            if self.secondary != "lpboost":
+                raise ValueError(
+                    f"fw_rule=None runs the LP half alone: it needs secondary='lpboost', "
+                    f"not secondary={self.secondary!r}"
+                )
+        elif self.fw_rule not in FW_RULES:
+            raise ValueError(f"unknown fw rule {self.fw_rule!r}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -137,7 +130,7 @@ class IterationRecord:
     chosen_rule: str  # "fw" or "secondary"
     step_size: float
     good_step: bool
-    lp_query: bool  # the round queried the learner at its LP solve's d
+    lp_query: bool  # beside its FW half, the round queried the learner at its LP solve's d
     lp_column_added: bool  # ... and that query's column was new to A
     wall_time_ns: int
 
@@ -165,22 +158,6 @@ def default_iteration_cap(m: int, nu: float, eps: float) -> int:
         ) from None
 
 
-def _start(learner, config: BoosterConfig):
-    """Start state shared by both loops.
-
-    Returns the params, the round cap (``max_iterations``, else the
-    theoretical bound; at least 1, so every loop runs a round), and the
-    one-column gain matrix and edge of the weak learner's answer to the
-    uniform distribution.  ``config`` has already rejected an eps below
-    EPS_FLOOR.
-    """
-    m = learner.m
-    params = CapParams.from_tolerance(m, config.nu, config.eps)
-    cap_rounds = config.max_iterations or default_iteration_cap(m, config.nu, config.eps)
-    hypothesis, column, edge0 = learner.query(np.full(m, 1.0 / m))
-    return params, cap_rounds, GainMatrix([column], [hypothesis]), edge0
-
-
 def run_scheme(data, learner, config: BoosterConfig):
     """Generic booster: certified stopping, FW rule vs secondary rule.
 
@@ -193,78 +170,102 @@ def run_scheme(data, learner, config: BoosterConfig):
     rebuilt, and a round is certified only on a fresh A @ w (see the
     module docstring).  An ``LpError`` or ``LinAlgError`` from the
     secondary is logged as a warning and the round keeps the FW
-    candidate.  An LP solution is a function of (A, nu) alone, so the
-    last one the secondary handed back ("lpboost" does) and the
-    projection of its margins are kept and reused while the learner
-    returns columns that solution was solved over or prices out, and its
-    final basis starts the next solve; a failed secondary drops them, so
-    the next round retries from a cold start.  After each solve the
-    round queries the learner at the solution's d (LPBoost's round): the
-    edge lowers the min edge from the next round on, a new column joins
-    both candidates with zero weight, and a column that prices in makes
-    the next round solve.  The record flags the query (``lp_query``) and
-    a new column (``lp_column_added``).  The "erlpboost" secondary
-    depends on its warm start and a callable may keep state, and neither
-    hands back an LP solution, so both run every round.  With secondary "none" and the short-step
+    candidate.  The "lpboost" secondary solves on every round that does
+    not stop, from the final basis of the last solve (a failed one
+    leaves the next to start cold), and then queries the learner at the
+    solution's d (LPBoost's round): the edge lowers the min edge from
+    the next round on, and a new column joins both candidates with zero
+    weight.  The record flags the query (``lp_query``) and a new column
+    (``lp_column_added``).  With secondary "none" and the short-step
     rule this is the plain corrective booster.
+
+    With ``fw_rule=None`` every round is the LP half alone, which is
+    LPBoost: the LP's distribution and its dual weights are the round's,
+    and the query at its d is the round's one query, whose edge enters
+    the min edge in the same round.  The record holds that edge, the
+    smoothed value of the LP's weights, its soft margin ``rho`` and rule
+    "secondary", with ``lp_query`` and ``lp_column_added`` false.  The
+    loop stops once that edge is at most gamma + eps, adding no column,
+    or once it is a column A already holds: a held column's edge under
+    the LP's distribution is at most gamma, so the restricted optimum is
+    the learner's (LPBoost's exact optimality condition), and the loop
+    ends within as many rounds as the learner has distinct columns, at
+    any eps.  The stop is certified, not heuristic: the best edge at any
+    distribution is at least rho*, the full-pool optimum, and gamma
+    equals the restricted soft margin within ``STRONG_DUALITY_TOL``, so
+    the returned soft margin is at least rho* - eps.  No round bound
+    comes with it: LPBoost may need Omega(m) rounds, where the scheme's
+    certificate bounds them by O(ln(m/nu)/eps^2).  An ``LpError`` is
+    raised, since there is no other candidate.
     """
-    params, cap_rounds, A, min_edge = _start(learner, config)
-    w = np.ones(1)
+    m = learner.m
+    params = CapParams.from_tolerance(m, config.nu, config.eps)  # config refused eps < EPS_FLOOR
+    cap_rounds = config.max_iterations or default_iteration_cap(m, config.nu, config.eps)  # >= 1
+    hypothesis, column, min_edge = learner.query(np.full(m, 1.0 / m))
+    A, w = GainMatrix([column], [hypothesis]), np.ones(1)
     proj = _project(margins(A, w), params)  # of the kept margins; every round ends holding one
     records: list[IterationRecord] = []
-    lp_sol = None  # the last LPBoost optimum; secondary_proj holds the projection of its margins
-    lp_stale = False  # the last LP query's column prices in under lp_sol: the next round solves
+    lp_only = config.fw_rule is None  # every round is the LP half alone: LPBoost
+    lp_sol = None  # the last LP optimum, whose final basis starts the next solve
     lp_edge = math.inf  # the last LP query's edge, which lowers min_edge from the round after it
 
     for t in range(1, cap_rounds + 1):
         tic = time.perf_counter_ns()
-        if t % _MARGIN_REFRESH == 0:
-            proj = _project(margins(A, w), params, proj.order)
-
-        hypothesis, column, edge_new = learner.query(proj.d)
-        A, j_new = A.with_column(column, hypothesis)
-        if j_new == w.size:
-            w = np.append(w, 0.0)
-        min_edge = min(min_edge, edge_new, lp_edge)
-        eps_t = min_edge - proj.objective
-        if eps_t <= config.eps / 2.0:
-            # certify on a fresh A @ w, never on the carried margins; a round
-            # that fails the re-check goes on from the fresh projection
-            proj = _project(margins(A, w), params, proj.order)
-            eps_t = min_edge - proj.objective
-        converged = eps_t <= config.eps / 2.0
-        smoothed_obj = -proj.objective
-        soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
-        # a certified round takes no step and solves no LP
+        # a certified round takes no step and solves no LP; an LP-only round takes no FW step
         chosen_rule, step_size, good_step, lp_query, lp_column_added = "fw", 0.0, False, False, False
+        converged = False
+        if not lp_only:
+            if t % _MARGIN_REFRESH == 0:
+                proj = _project(margins(A, w), params, proj.order)
+            hypothesis, column, edge_new = learner.query(proj.d)
+            A, j_new = A.with_column(column, hypothesis)
+            if j_new == w.size:
+                w = np.append(w, 0.0)
+            min_edge = min(min_edge, edge_new, lp_edge)
+            eps_t = min_edge - proj.objective
+            if eps_t <= config.eps / 2.0:
+                # certify on a fresh A @ w, never on the carried margins; a round
+                # that fails the re-check goes on from the fresh projection
+                proj = _project(margins(A, w), params, proj.order)
+                eps_t = min_edge - proj.objective
+            converged = eps_t <= config.eps / 2.0
+            smoothed_obj = -proj.objective
+            soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
+            if not converged:
+                fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
+                step_size, good_step = fw_out.step_size, fw_out.good_step
+                w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
 
         if not converged:
-            fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
-            step_size, good_step = fw_out.step_size, fw_out.good_step
-            w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
-            if lp_sol is not None and not lp_stale and _priced_out(lp_sol, j_new, column):
-                # the last optimum stands over A, with zero weight on every column
-                # added since
-                pad = A.t - lp_sol.w.size  # most reusing rounds have none: no copy there
-                secondary_w = np.concatenate((lp_sol.w, np.zeros(pad))) if pad else lp_sol.w
-            else:
-                # the FW candidate doubles as the warm start for a corrective solve
-                try:
-                    secondary_w, secondary_proj, lp_sol = _secondary_update(
-                        config.secondary, A, params, w, proj, lp_sol
-                    )
-                except (LpError, np.linalg.LinAlgError) as exc:
-                    logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
-                    secondary_w = lp_sol = None
-                if lp_sol is not None:
-                    # LPBoost's round: query at the new optimum's d; a column A does
-                    # not hold joins both candidates with zero weight
-                    lp_hypothesis, lp_column, lp_edge = learner.query(lp_sol.d)
+            # the FW candidate doubles as the warm start for a corrective solve
+            try:
+                secondary_w, secondary_proj, lp_sol = _secondary_update(
+                    config.secondary, A, params, w, proj, lp_sol
+                )
+            except (LpError, np.linalg.LinAlgError) as exc:
+                if lp_only:
+                    raise
+                logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
+                secondary_w = lp_sol = None
+            if lp_sol is not None:
+                # LPBoost's round: query at the new optimum's d
+                lp_hypothesis, lp_column, lp_edge = learner.query(lp_sol.d)
+                if lp_only:
+                    # the LP's candidate and its query are the round's; LPBoost's rule stops it
+                    chosen_rule, w, proj = "secondary", secondary_w, secondary_proj
+                    edge_new, min_edge, soft_margin_obj = lp_edge, min(min_edge, lp_edge), lp_sol.rho
+                    eps_t, smoothed_obj = min_edge - proj.objective, -proj.objective
+                    converged = lp_edge <= lp_sol.gamma + config.eps
+                if not converged:
+                    # a column A does not hold joins both candidates with zero weight
                     A, j_lp = A.with_column(lp_column, lp_hypothesis)
-                    lp_query, lp_column_added = True, j_lp == w.size
-                    if lp_column_added:
+                    added = j_lp == w.size
+                    if added:
                         w, secondary_w = np.append(w, 0.0), np.append(secondary_w, 0.0)
-                    lp_stale = not _priced_out(lp_sol, j_lp, lp_column)
+                    if lp_only:
+                        converged = not added  # A holds the column: the LP is the learner's optimum
+                    else:
+                        lp_query, lp_column_added = True, added
             # a candidate's smoothed value is minus its projection's objective
             if secondary_w is not None and secondary_proj.objective > proj.objective:
                 chosen_rule = "secondary"
@@ -280,14 +281,6 @@ def run_scheme(data, learner, config: BoosterConfig):
             break
 
     return _finish_model(A, w, params, converged, cap_rounds), records
-
-
-def _priced_out(sol: EdgeMinSolution, j: int, column: np.ndarray) -> bool:
-    """LPBoost's optimality test for column j of A: the LP ``sol`` was
-    solved over it, or its edge under that LP's distribution is at most
-    its gamma.  Either way ``sol`` stays optimal over a matrix that adds
-    the column."""
-    return j < sol.w.size or sol.d @ column <= sol.gamma
 
 
 def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
@@ -318,6 +311,7 @@ def _secondary_update(secondary, A, params, current_w, current_proj, last_lp):
     return w, _project(margins(A, w), params), None
 
 
+# perfbench/tracer.py rebinds this name to time the LP solves
 def secondary_lpboost(A: GainMatrix, nu: float, start: EdgeMinBasis | None = None) -> EdgeMinSolution:
     """The restricted edge-min LP's solution: its distribution and gamma,
     the optimal restricted soft-margin weights ``w`` from its dual with
@@ -376,56 +370,9 @@ def secondary_erlpboost(
     return w, proj
 
 
-def run_lpboost(data, learner, config: BoosterConfig):
-    """Column-generation LP booster.
-
-    Every round re-solves the restricted edge-min LP; the distribution
-    is its primal optimum and the returned ensemble its dual.  Stops
-    once the freshly queried hypothesis cannot beat the restricted
-    value by more than eps, or, failing that, once it is a column A
-    already holds: a held column's edge under the LP's distribution is
-    at most gamma, so the restricted optimum is the learner's (LPBoost's
-    exact optimality condition), and the loop ends within as many rounds
-    as the learner has distinct columns, at any eps.
-    The stop is certified, not heuristic: the best edge at any
-    distribution is at least rho*, the full-pool optimum, and gamma
-    equals the restricted soft margin within ``STRONG_DUALITY_TOL``, so
-    the returned soft margin is at least rho* - eps.  No round bound
-    comes with it: LPBoost may need Omega(m) rounds, where the scheme's
-    certificate bounds them by O(ln(m/nu)/eps^2).
-    """
-    params, cap_rounds, A, min_edge = _start(learner, config)
-    records: list[IterationRecord] = []
-    sol = None
-
-    for t in range(1, cap_rounds + 1):
-        tic = time.perf_counter_ns()
-        sol = solve_edge_min(A, config.nu, start=None if sol is None else sol.basis)
-        w = sol.w
-        hypothesis, column, edge_new = learner.query(sol.d)
-        min_edge = min(min_edge, edge_new)
-        objective = _project(sol.margins, params).objective  # sol.margins is A @ w
-        records.append(
-            IterationRecord(
-                t, edge_new, min_edge, -objective, sol.rho, min_edge - objective,
-                "secondary", 0.0, False, False, False, time.perf_counter_ns() - tic,
-            )
-        )
-        converged = edge_new <= sol.gamma + config.eps
-        if not converged:
-            A, j_new = A.with_column(column, hypothesis)
-            converged = j_new < w.size
-        if converged:
-            break
-
-    # at the cap A holds the last query's column, which that solve did not see
-    return _finish_model(A, np.pad(w, (0, A.t - w.size)), params, converged, cap_rounds), records
-
-
 def _finish_model(A, w, params, converged, cap_rounds) -> TrainedModel:
     """The model of the weights ``w`` over A; a fit that ran all
-    ``cap_rounds`` rounds without converging logs the one cap warning
-    both loops share."""
+    ``cap_rounds`` rounds without converging logs the one cap warning."""
     if not converged:
         logger.warning("booster hit the iteration cap (%d rounds)", cap_rounds)
     check_ensemble_weights(w, A)

@@ -34,7 +34,6 @@ from .boosting import (
     IterationRecord,
     TrainedModel,
     predict,
-    run_lpboost,
     run_scheme,
 )
 from .constants import EPS_FLOOR
@@ -51,9 +50,9 @@ EXIT_NOT_CONVERGED = 2
 EXIT_BUDGET = 3
 EXIT_WIDTH_MISMATCH = 4
 
-# algo name -> (runner, fw rule, secondary rule)
+# algo name -> (runner, fw rule, secondary rule); perfbench/run.py reads the runner column
 ALGORITHMS = {
-    "lpboost": (run_lpboost, "short_step", "none"),
+    "lpboost": (run_scheme, None, "lpboost"),
     "erlpboost": (run_scheme, "short_step", "erlpboost"),
     "cerlpboost": (run_scheme, "short_step", "none"),
     "mlpb-ss": (run_scheme, "short_step", "lpboost"),
@@ -316,12 +315,14 @@ def cmd_train(manifest: RunManifest) -> int:
 
 def cmd_oracle(manifest: RunManifest) -> int:
     """Exact soft-margin optimum over the whole stump pool, by LPBoost's
-    column generation: ``run_lpboost`` at eps ``EPS_FLOOR`` adds the
-    stump of largest edge until none beats the restricted LP's value,
-    so it ends at the full-pool optimum without forming the full gain
-    matrix.  Each round adds a column the LP does not hold, so the pool
-    size bounds the rounds.  A pool whose full gain matrix would hold
-    more than DEFAULT_ORACLE_BUDGET entries is refused."""
+    column generation: ``run_scheme`` with the "lpboost" algo's config
+    (no FW rule), at eps ``EPS_FLOOR``, adds the stump of largest edge
+    until none beats the restricted LP's value or the LP already holds
+    it, so it ends at the full-pool optimum without forming the full
+    gain matrix.  Each round that goes on adds a column the LP does not
+    hold, so the pool size bounds the rounds.  A pool whose full gain
+    matrix would hold more than DEFAULT_ORACLE_BUDGET entries is
+    refused."""
     data = load_dataset(manifest.data, manifest.format)
     learner = StumpLearner(data)
     pool = learner.pool
@@ -329,8 +330,8 @@ def cmd_oracle(manifest: RunManifest) -> int:
         raise BudgetExceededError(
             f"pool of {len(pool)} stumps x {data.m} rows exceeds {DEFAULT_ORACLE_BUDGET} entries"
         )
-    config = BoosterConfig(eps=EPS_FLOOR, nu=manifest.nu(data.m), max_iterations=len(pool))
-    model, _ = run_lpboost(data, learner, config)
+    lpboost = dataclasses.replace(manifest, algo="lpboost", eps=EPS_FLOOR, max_iters=len(pool))
+    model, _ = run_scheme(data, learner, build_config(lpboost, data.m))
     print(json.dumps({"rho_star": model.soft_margin_obj, "support_size": len(model.weights)}))
     return EXIT_OK
 

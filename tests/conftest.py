@@ -223,20 +223,18 @@ class PoolOracleLearner:
 
 
 def reference_lp_scheme(data, learner, config):
-    """``boosting.run_scheme`` with the "lpboost" secondary, its round
-    re-derived without the LP reuse, the pricing or the carried state:
-    every round that does not stop solves the restricted LP
-    (``boosting.secondary_lpboost``, looked up at call time) from the
-    basis of the last solve if it succeeded, and then queries the learner
-    at the solution's d, unless that d is bit for bit the last solve's: a
-    deterministic learner would return the column it returned then,
-    which A holds.  A failed solve keeps the FW candidate, and the next
-    solve starts cold and queries.  The LP query's edge lowers the
-    running min edge from the next round on; its column, if new, joins
-    both candidates with zero weight.  Projections are the public,
-    checked ones; the FW step (``boosting._fw_update``) and the final
-    model (``boosting._finish_model``) are the package's, which other
-    tests check.  Returns (model, records), every ``wall_time_ns`` 0."""
+    """``boosting.run_scheme`` with a FW rule and the "lpboost" secondary,
+    its round re-derived without the carried state: every round that
+    does not stop solves the restricted LP (``boosting.secondary_lpboost``,
+    looked up at call time) from the basis of the last solve if it
+    succeeded, and then queries the learner at the solution's d.  A
+    failed solve keeps the FW candidate, and the next solve starts cold.
+    The LP query's edge lowers the running min edge from the next round
+    on; its column, if new, joins both candidates with zero weight.
+    Projections are the public, checked ones; the FW step
+    (``boosting._fw_update``) and the final model
+    (``boosting._finish_model``) are the package's, which other tests
+    check.  Returns (model, records), every ``wall_time_ns`` 0."""
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)
     cap_rounds = config.max_iterations or boosting.default_iteration_cap(m, config.nu, config.eps)
@@ -271,12 +269,11 @@ def reference_lp_scheme(data, learner, config):
                 sol = None
             if sol is not None:
                 candidate, candidate_proj = sol.w, capped_entropy_projection(sol.margins, params)
-                if last is None or sol.d.tobytes() != last.d.tobytes():
-                    lp_hypothesis, lp_column, lp_edge = learner.query(sol.d)
-                    A, j_lp = A.with_column(lp_column, lp_hypothesis)
-                    lp_query, added = True, j_lp == w.size
-                    if added:
-                        w, candidate = np.append(w, 0.0), np.append(candidate, 0.0)
+                lp_hypothesis, lp_column, lp_edge = learner.query(sol.d)
+                A, j_lp = A.with_column(lp_column, lp_hypothesis)
+                lp_query, added = True, j_lp == w.size
+                if added:
+                    w, candidate = np.append(w, 0.0), np.append(candidate, 0.0)
                 if candidate_proj.objective > proj.objective:
                     rule, w, proj = "secondary", candidate, candidate_proj
             last = sol
@@ -289,6 +286,47 @@ def reference_lp_scheme(data, learner, config):
         min_edge = min(min_edge, lp_edge)
         if converged:
             break
+    return boosting._finish_model(A, w, params, converged, cap_rounds), records
+
+
+def reference_lpboost(data, learner, config):
+    """LPBoost's column generation (Demiriz, Bennett & Shawe-Taylor
+    2002) in a loop of its own, the reference for ``boosting.run_scheme``
+    with no FW rule.  Every round solves the restricted LP
+    (``lp.solve_edge_min``, looked up at call time) from the basis of the
+    last solve and queries the learner at the solution's d.  Its record
+    holds that edge, the running min edge with the edge in it, the
+    smoothed value and the soft margin ``rho`` of the LP's weights, and
+    rule "secondary", with no step and no LP query flagged.  The fit
+    stops once the edge is at most gamma + eps, or once the learner
+    returns a column A holds; otherwise the column joins A.  Projections
+    are the public, checked ones, and the final model is
+    ``boosting._finish_model``'s of the last solve's weights,
+    zero-padded over a column the last round added.  Returns (model,
+    records), every ``wall_time_ns`` 0."""
+    m = learner.m
+    params = CapParams.from_tolerance(m, config.nu, config.eps)
+    cap_rounds = config.max_iterations or boosting.default_iteration_cap(m, config.nu, config.eps)
+    hypothesis, column, min_edge = learner.query(np.full(m, 1.0 / m))
+    A, sol, records = GainMatrix([column], [hypothesis]), None, []
+    for t in range(1, cap_rounds + 1):
+        sol = lp.solve_edge_min(A, config.nu, start=None if sol is None else sol.basis)
+        hypothesis, column, edge = learner.query(sol.d)
+        min_edge = min(min_edge, edge)
+        objective = capped_entropy_projection(sol.margins, params).objective
+        records.append(
+            boosting.IterationRecord(
+                t, edge, min_edge, -objective, sol.rho, min_edge - objective,
+                "secondary", 0.0, False, False, False, 0,
+            )
+        )
+        converged = edge <= sol.gamma + config.eps
+        if not converged:
+            A, j = A.with_column(column, hypothesis)
+            converged = j < sol.w.size
+        if converged:
+            break
+    w = np.pad(sol.w, (0, A.t - sol.w.size))
     return boosting._finish_model(A, w, params, converged, cap_rounds), records
 
 

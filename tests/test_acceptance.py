@@ -15,11 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from marginforge.boosting import (
-    BoosterConfig,
-    run_lpboost,
-    run_scheme,
-)
+from marginforge.boosting import BoosterConfig, run_scheme
 from marginforge.cli import RunManifest, cmd_oracle, cmd_train
 from marginforge.core import CapParams, relative_entropy
 from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
@@ -83,16 +79,16 @@ def e2e_runs(gauss200):
     learner = StumpLearner(gauss200)
     nu = NU_FRAC * M
     out = {}
-    for algo, fw_rule, secondary, runner in [
-        ("lpboost", "short_step", "none", run_lpboost),
-        ("erlpboost", "short_step", "erlpboost", run_scheme),
-        ("cerlpboost", "short_step", "none", run_scheme),
-        ("mlpb-ss", "short_step", "lpboost", run_scheme),
-        ("mlpb-pfw", "pairwise", "lpboost", run_scheme),
+    for algo, fw_rule, secondary in [
+        ("lpboost", None, "lpboost"),
+        ("erlpboost", "short_step", "erlpboost"),
+        ("cerlpboost", "short_step", "none"),
+        ("mlpb-ss", "short_step", "lpboost"),
+        ("mlpb-pfw", "pairwise", "lpboost"),
     ]:
         config = BoosterConfig(eps=EPS, nu=nu, fw_rule=fw_rule, secondary=secondary)
         tic = time.perf_counter()
-        model, records = runner(gauss200, learner, config)
+        model, records = run_scheme(gauss200, learner, config)
         out[algo] = (model, records, time.perf_counter() - tic)
     return out
 

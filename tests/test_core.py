@@ -7,7 +7,7 @@ import pytest
 
 import marginforge
 from marginforge import cli
-from marginforge.boosting import BoosterConfig
+from marginforge.boosting import BoosterConfig, run_scheme
 from marginforge.core import (
     CapParams,
     Dataset,
@@ -106,11 +106,11 @@ def test_benchmark_tracer_sees_the_layers_a_fit_runs(algo):
     the benchmark; the learner builds its pool once, and each fit
     queries the stump oracle once in its start, once per round and once
     more after each LP solve."""
-    runner, fw_rule, secondary = cli.ALGORITHMS[algo]
+    _, fw_rule, secondary = cli.ALGORITHMS[algo]
     data = two_gaussians(200, seed=0)
     config = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
     with _load_benchmark_tracer().Tracer() as tracer:
-        _, records = runner(data, StumpLearner(data), config)
+        _, records = run_scheme(data, StumpLearner(data), config)
     tracer.drain()
     stats = tracer.stats
     assert stats["stumps.pool_build"].calls == 1

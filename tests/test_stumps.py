@@ -15,7 +15,7 @@ from marginforge.stumps import (
 )
 
 from marginforge import cli
-from marginforge.boosting import BoosterConfig
+from marginforge.boosting import BoosterConfig, run_scheme
 from marginforge.cli import main
 
 from conftest import (
@@ -497,9 +497,9 @@ def test_pick_matches_the_gathered_edges_on_continuous_and_tied_values(tied):
 def test_fits_never_form_the_candidate_tuple():
     data = two_gaussians(200, seed=0)
     learner = StumpLearner(data)
-    for runner, fw_rule, secondary in cli.ALGORITHMS.values():
+    for _, fw_rule, secondary in cli.ALGORITHMS.values():
         config = BoosterConfig(eps=0.1, nu=20.0, fw_rule=fw_rule, secondary=secondary)
-        assert runner(data, learner, config)[0].converged
+        assert run_scheme(data, learner, config)[0].converged
     # the pool keeps the signs of each stump a query returned, and only those
     assert 0 < len(learner.pool._signs) < len(learner.pool) // 4
 
