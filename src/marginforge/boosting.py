@@ -5,8 +5,9 @@ projects onto the capped simplex, queries the weak learner and checks
 the certified optimality gap; a round that does not stop then keeps the
 better of a conditional gradient update and an optional secondary update
 (a secondary that fails numerically leaves the conditional-gradient
-update in place).  Every round, the certified one included, ends in its
-one ``IterationRecord``, and the loop leaves by one exit.
+update in place).  Every round, the certified one included, forms its
+gap and objectives from the one projection it holds at its stop test,
+ends in its one ``IterationRecord``, and the loop leaves by one exit.
 Ensemble weights are one vector with an entry per discovered column,
 grown by a zero whenever the weak learner returns a new column.  Beside
 them the loop carries one round state, ``proj``: every round ends holding
@@ -44,8 +45,10 @@ re-solves the smoothed problem over all discovered columns by
 projected-Newton steps (``fw.newton_step``), warm-started at the
 conditional-gradient candidate and its projection.
 With no FW rule (``fw_rule=None``, which needs the "lpboost" secondary)
-a round is the LP half alone, and the loop is LPBoost: no projection
-query, no certificate and no FW step.  Its stop is LPBoost's rule, which
+a round is the LP half alone, and the loop is LPBoost: it solves,
+queries at the LP's d, tests LPBoost's stop and adds the column, with no
+projection query, no certificate and no FW step; the projection it
+holds is that of the LP's margins.  Its stop is LPBoost's rule, which
 is certified too but has no round bound (see ``run_scheme``).  A fit
 that runs out of rounds logs the one warning "booster hit the iteration
 cap (N rounds)" from ``_finish_model``.  A weak learner answers
@@ -183,7 +186,8 @@ def run_scheme(data, learner, config: BoosterConfig):
     LPBoost: the LP's distribution and its dual weights are the round's,
     and the query at its d is the round's one query, whose edge enters
     the min edge in the same round.  The record holds that edge, the
-    smoothed value of the LP's weights, its soft margin ``rho`` and rule
+    smoothed value of the LP's weights, their soft margin (the capped
+    min of the LP's margins, which is its ``rho`` bit for bit) and rule
     "secondary", with ``lp_query`` and ``lp_column_added`` false.  The
     loop stops once that edge is at most gamma + eps, adding no column,
     or once it is a column A already holds: a held column's edge under
@@ -195,8 +199,9 @@ def run_scheme(data, learner, config: BoosterConfig):
     equals the restricted soft margin within ``STRONG_DUALITY_TOL``, so
     the returned soft margin is at least rho* - eps.  No round bound
     comes with it: LPBoost may need Omega(m) rounds, where the scheme's
-    certificate bounds them by O(ln(m/nu)/eps^2).  An ``LpError`` is
-    raised, since there is no other candidate.
+    certificate bounds them by O(ln(m/nu)/eps^2).  An ``LpError`` or
+    ``LinAlgError`` from the solve is raised, since there is no other
+    candidate.
     """
     m = learner.m
     params = CapParams.from_tolerance(m, config.nu, config.eps)  # config refused eps < EPS_FLOOR
@@ -213,8 +218,19 @@ def run_scheme(data, learner, config: BoosterConfig):
         tic = time.perf_counter_ns()
         # a certified round takes no step and solves no LP; an LP-only round takes no FW step
         chosen_rule, step_size, good_step, lp_query, lp_column_added = "fw", 0.0, False, False, False
-        converged = False
-        if not lp_only:
+        if lp_only:
+            # LPBoost's round: solve, query at the LP's d, stop by LPBoost's rule or add the column
+            w, proj, lp_sol = _secondary_update(config.secondary, A, params, w, proj, lp_sol)
+            chosen_rule = "secondary"
+            hypothesis, column, edge_new = learner.query(lp_sol.d)
+            min_edge = min(min_edge, edge_new)
+            converged = edge_new <= lp_sol.gamma + config.eps
+            if not converged:
+                A, j_new = A.with_column(column, hypothesis)
+                converged = j_new < w.size  # A holds the column: the LP is the learner's optimum
+                if not converged:
+                    w = np.append(w, 0.0)
+        else:
             if t % _MARGIN_REFRESH == 0:
                 proj = _project(margins(A, w), params, proj.order)
             hypothesis, column, edge_new = learner.query(proj.d)
@@ -222,50 +238,36 @@ def run_scheme(data, learner, config: BoosterConfig):
             if j_new == w.size:
                 w = np.append(w, 0.0)
             min_edge = min(min_edge, edge_new, lp_edge)
-            eps_t = min_edge - proj.objective
-            if eps_t <= config.eps / 2.0:
+            if min_edge - proj.objective <= config.eps / 2.0:
                 # certify on a fresh A @ w, never on the carried margins; a round
                 # that fails the re-check goes on from the fresh projection
                 proj = _project(margins(A, w), params, proj.order)
-                eps_t = min_edge - proj.objective
-            converged = eps_t <= config.eps / 2.0
-            smoothed_obj = -proj.objective
-            soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
-            if not converged:
-                fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
-                step_size, good_step = fw_out.step_size, fw_out.good_step
-                w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
+            converged = min_edge - proj.objective <= config.eps / 2.0
+        # the record's objectives are those of the round's projection (on an
+        # LP-only round its soft margin is the LP's rho, bit for bit)
+        eps_t, smoothed_obj = min_edge - proj.objective, -proj.objective
+        soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
 
-        if not converged:
+        if not (converged or lp_only):
+            fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
+            step_size, good_step = fw_out.step_size, fw_out.good_step
+            w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
             # the FW candidate doubles as the warm start for a corrective solve
             try:
                 secondary_w, secondary_proj, lp_sol = _secondary_update(
                     config.secondary, A, params, w, proj, lp_sol
                 )
             except (LpError, np.linalg.LinAlgError) as exc:
-                if lp_only:
-                    raise
                 logger.warning("round %d: secondary update failed (%s); keeping the FW step", t, exc)
                 secondary_w = lp_sol = None
             if lp_sol is not None:
-                # LPBoost's round: query at the new optimum's d
+                # LPBoost's round: query at the new optimum's d; a column A does
+                # not hold joins both candidates with zero weight
                 lp_hypothesis, lp_column, lp_edge = learner.query(lp_sol.d)
-                if lp_only:
-                    # the LP's candidate and its query are the round's; LPBoost's rule stops it
-                    chosen_rule, w, proj = "secondary", secondary_w, secondary_proj
-                    edge_new, min_edge, soft_margin_obj = lp_edge, min(min_edge, lp_edge), lp_sol.rho
-                    eps_t, smoothed_obj = min_edge - proj.objective, -proj.objective
-                    converged = lp_edge <= lp_sol.gamma + config.eps
-                if not converged:
-                    # a column A does not hold joins both candidates with zero weight
-                    A, j_lp = A.with_column(lp_column, lp_hypothesis)
-                    added = j_lp == w.size
-                    if added:
-                        w, secondary_w = np.append(w, 0.0), np.append(secondary_w, 0.0)
-                    if lp_only:
-                        converged = not added  # A holds the column: the LP is the learner's optimum
-                    else:
-                        lp_query, lp_column_added = True, added
+                A, j_lp = A.with_column(lp_column, lp_hypothesis)
+                lp_query, lp_column_added = True, j_lp == w.size
+                if lp_column_added:
+                    w, secondary_w = np.append(w, 0.0), np.append(secondary_w, 0.0)
             # a candidate's smoothed value is minus its projection's objective
             if secondary_w is not None and secondary_proj.objective > proj.objective:
                 chosen_rule = "secondary"

@@ -258,10 +258,9 @@ def build_config(manifest: RunManifest, m: int) -> BoosterConfig:
 
 
 def _run_manifest(manifest: RunManifest, data: Dataset):
-    runner = ALGORITHMS[manifest.algo][0]
     config = build_config(manifest, data.m)
     learner = StumpLearner(data)
-    return runner(data, learner, config)
+    return run_scheme(data, learner, config)
 
 
 def model_payload(model: TrainedModel) -> dict:

@@ -260,8 +260,9 @@ def test_capped_erlpboost_fit_of_the_smoke_data_never_hits_the_inner_cap(caplog)
     assert not [r for r in caplog.records if "hit its" in r.getMessage()]
 
 
-@pytest.mark.parametrize("error", [LpError("pivot limit"), np.linalg.LinAlgError("singular")])
-def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
+def _fail_on_third_solve(monkeypatch, error):
+    """Patches the booster's LP solve to raise ``error`` on its third call;
+    returns the call count."""
     calls = {"n": 0}
 
     def fail_on_third_call(A, nu, start=None):
@@ -271,6 +272,12 @@ def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
         return solve_edge_min(A, nu, start=start)
 
     monkeypatch.setattr(boosting, "solve_edge_min", fail_on_third_call)
+    return calls
+
+
+@pytest.mark.parametrize("error", [LpError("pivot limit"), np.linalg.LinAlgError("singular")])
+def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
+    calls = _fail_on_third_solve(monkeypatch, error)
     data = two_gaussians(60, seed=3)
     cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule="short_step", secondary="lpboost")
     with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
@@ -281,6 +288,20 @@ def test_secondary_failure_keeps_fw_step(monkeypatch, caplog, error):
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "round 3: secondary update failed" in warnings[0] and str(error) in warnings[0]
+
+
+@pytest.mark.parametrize("error", [LpError("pivot limit"), np.linalg.LinAlgError("singular")])
+def test_lp_only_failure_is_raised(monkeypatch, caplog, error):
+    # with no FW rule the LP's candidate is the round's only one: a failed
+    # solve leaves the fit, unlogged, where a FW round keeps its step
+    calls = _fail_on_third_solve(monkeypatch, error)
+    data = two_gaussians(60, seed=3)  # 8 rounds unpatched
+    cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule=None, secondary="lpboost")
+    with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
+        with pytest.raises(type(error), match=str(error)):
+            run_scheme(data, StumpLearner(data), cfg)
+    assert calls["n"] == 3
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 class InflatedEdges(StumpLearner):
@@ -309,7 +330,7 @@ def _same_fit(a, b, converged=True):
 
 
 @pytest.mark.parametrize("fw_rule", ["short_step", "pairwise"])
-def test_reused_lpboost_secondary_matches_solving_every_round(fw_rule):
+def test_lpboost_secondary_matches_the_reference_scheme(fw_rule):
     # the reference solves the LP on every round that does not stop and queries
     # at each new optimum's d, with no state carried but the last basis: the
     # same fit, bit for bit, with the same rounds flagged for an LP query and
@@ -358,7 +379,7 @@ class _RecordingLearner:
         return response
 
 
-def test_lpboost_secondary_solves_once_per_column_set(monkeypatch):
+def test_lpboost_secondary_solves_once_per_round_that_does_not_stop(monkeypatch):
     column_counts = []
 
     def counting_solve(A, nu, start=None):
@@ -405,8 +426,8 @@ def test_failed_lpboost_secondary_is_retried_on_the_same_columns(monkeypatch, ca
     learner = _RecordingLearner(StumpLearner(data))
     cfg = BoosterConfig(eps=0.05, nu=6.0, fw_rule="short_step", secondary="lpboost")
     with caplog.at_level(logging.WARNING, logger="marginforge.boosting"):
-        reused = run_scheme(data, learner, cfg)
-    model, records = reused
+        fit = run_scheme(data, learner, cfg)
+    model, records = fit
     assert model.converged
     # query 0 seeds the matrix; round r queries once, and once more at its LP's d
     # if its solve succeeded; every round but the last solves over the columns
@@ -423,10 +444,10 @@ def test_failed_lpboost_secondary_is_retried_on_the_same_columns(monkeypatch, ca
     assert column_counts.count(5) >= 2  # measured 3
     assert len(caplog.records) == column_counts.count(5)
 
-    _same_fit(reused, reference_lp_scheme(data, StumpLearner(data), cfg))
+    _same_fit(fit, reference_lp_scheme(data, StumpLearner(data), cfg))
 
 
-def test_run_lpboost_perfect_stump_stops_fast():
+def test_lpboost_perfect_stump_stops_fast():
     data = separable_line()
     cfg = BoosterConfig(eps=0.05, nu=1.0, **LPBOOST)
     model, records = run_scheme(data, StumpLearner(data), cfg)
@@ -435,7 +456,7 @@ def test_run_lpboost_perfect_stump_stops_fast():
     assert model.soft_margin_obj >= 1.0 - 0.05
 
 
-def test_run_lpboost_at_the_iteration_cap_keeps_the_last_solve():
+def test_lpboost_at_the_iteration_cap_keeps_the_last_solve():
     # the last round grows A after its solve, so the weights need padding
     data = two_gaussians(60, seed=3)
     cfg = BoosterConfig(eps=0.01, nu=6.0, max_iterations=2, **LPBOOST)
@@ -446,7 +467,7 @@ def test_run_lpboost_at_the_iteration_cap_keeps_the_last_solve():
     assert len(model.hypotheses) == 2
 
 
-def test_run_lpboost_reaches_full_pool_optimum():
+def test_lpboost_reaches_full_pool_optimum():
     # LPBoost's stop is certified: the edge at the LP's d is at least rho*,
     # and gamma is the restricted soft margin within STRONG_DUALITY_TOL
     for seed in range(5):
@@ -462,7 +483,7 @@ def test_run_lpboost_reaches_full_pool_optimum():
             assert all(r.chosen_rule == "secondary" for r in records)
 
 
-def test_run_lpboost_stops_once_the_learner_returns_a_held_column():
+def test_lpboost_stops_once_the_learner_returns_a_held_column():
     # every reported edge sits 1e-9 above the true one, so the eps test never
     # passes at eps 1e-12; the held column is LPBoost's exact optimality
     data = two_gaussians(60, seed=5)
@@ -719,7 +740,7 @@ def _assert_same_projection(got, fresh):
     assert np.float64(got.objective).tobytes() == np.float64(fresh.objective).tobytes()
 
 
-def test_the_lpboost_secondary_skips_exactly_the_priced_out_columns(monkeypatch):
+def test_the_lpboost_secondary_skips_no_solve_for_priced_out_columns(monkeypatch):
     # a column the last LP was solved over, or whose edge under that LP's
     # distribution is at most its gamma, leaves the last optimum optimal.  The
     # secondary skips no solve for it: every round that does not stop solves
