@@ -12,10 +12,11 @@ Ensemble weights are one vector with an entry per discovered column,
 grown by a zero whenever the weak learner returns a new column.  Beside
 them the loop carries one round state, ``proj``: every round ends holding
 the projection of the margins A @ w it keeps, and the next round reads
-from it its distribution, its margins (the FW rule's base), its objective
-and its sort order, which seeds the next sort.  Each candidate is
-projected once, the FW rule's ``base + lam * direction`` right after its
-step and the secondary's A @ w inside the secondary, and the one whose
+from it its distribution, its objective and its sort order, which seeds
+the next sort; the FW rule takes it whole, as its margins and their
+distribution.  Each candidate is projected once, the FW rule's ``base +
+lam * direction`` right after its step and the secondary's A @ w inside
+the secondary, and the one whose
 projection has the larger objective (the smaller smoothed value) is
 kept.  The ERLPBoost secondary starts from the FW candidate and the
 projection the round just formed for it, so it projects only the
@@ -171,14 +172,16 @@ def run_scheme(data, learner, config: BoosterConfig):
     with FW).  A round that stops takes no step: its record holds rule
     "fw", step 0.0 and good_step False.  The margins are carried, not
     rebuilt, and a round is certified only on a fresh A @ w (see the
-    module docstring).  An ``LpError`` or ``LinAlgError`` from the
-    secondary is logged as a warning and the round keeps the FW
-    candidate.  The "lpboost" secondary solves on every round that does
-    not stop, from the final basis of the last solve (a failed one
-    leaves the next to start cold), and then queries the learner at the
-    solution's d (LPBoost's round): the edge lowers the min edge from
-    the next round on, and a new column joins both candidates with zero
-    weight.  The record flags the query (``lp_query``) and a new column
+    module docstring).  ``_fw_update`` passes the FW rule ``proj``, the
+    projection the round tested, whose ``theta`` is the carried margins
+    and whose ``d`` the distribution of the query.  An ``LpError`` or
+    ``LinAlgError`` from the secondary is logged as a warning and the
+    round keeps the FW candidate.  The "lpboost" secondary solves on
+    every round that does not stop, from the final basis of the last
+    solve (a failed one leaves the next to start cold), and then queries
+    the learner at the solution's d (LPBoost's round): the edge lowers
+    the min edge from the next round on, and a new column joins both
+    candidates with zero weight.  The record flags the query (``lp_query``) and a new column
     (``lp_column_added``).  With secondary "none" and the short-step
     rule this is the plain corrective booster.
 
@@ -249,7 +252,7 @@ def run_scheme(data, learner, config: BoosterConfig):
         soft_margin_obj, _ = _min_linear(proj.theta, params.nu, proj.order)
 
         if not (converged or lp_only):
-            fw_out = _fw_update(config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column)
+            fw_out = _fw_update(config.fw_rule, A, w, j_new, proj, params, t, column)
             step_size, good_step = fw_out.step_size, fw_out.good_step
             w, proj = fw_out.new_w, _project(fw_out.margins, params, proj.order)
             # the FW candidate doubles as the warm start for a corrective solve
@@ -285,16 +288,17 @@ def run_scheme(data, learner, config: BoosterConfig):
     return _finish_model(A, w, params, converged, cap_rounds), records
 
 
-def _fw_update(rule, A, w, j_new, base, d, params, t, column) -> FwStepOutcome:
-    """The FW rule's candidate; ``column`` is the learner's answer, column
-    j_new of A, handed over so the rule need not read A's strided column."""
+def _fw_update(rule, A, w, j_new, proj, params, t, column) -> FwStepOutcome:
+    """The FW rule's candidate from the round's projection ``proj`` of the
+    margins of w; ``column`` is the learner's answer, column j_new of A,
+    handed over so the rule need not read A's strided column."""
     if rule == "classic":
-        return classic_step(w, j_new, column, base, t)
+        return classic_step(w, j_new, column, proj, t)
     if rule == "short_step":
-        return short_step(w, j_new, column, base, d, params.eta)
+        return short_step(w, j_new, column, proj, params.eta)
     if rule == "line_search":
-        return line_search_step(w, j_new, column, base, params)
-    return pairwise_step(A, w, j_new, column, base, d, params)
+        return line_search_step(w, j_new, column, proj, params)
+    return pairwise_step(A, w, j_new, column, proj, params)
 
 
 def _secondary_update(secondary, A, params, current_w, current_proj, last_lp):
@@ -349,7 +353,7 @@ def secondary_erlpboost(
     of the weights alone, and a repeated iterate is a cycle of the float
     arithmetic that no later step leaves.
     """
-    _require_finite(start)
+    _require_finite(start=start)
     tol = params.eps / 10.0
     w, proj = start, start_proj
     G = A.as_array()

@@ -8,12 +8,12 @@ floor(nu) entries, so the suffix log-sum-exp it reads is formed over
 that head alone, with the rest of the sorted vector folded into one
 term around its maximum.  A projection hands back its sort order, so a
 caller that also needs ``capped_min_linear`` of the same vector sorts
-once, and evaluates its objective only on demand, in closed form from
-the capped entries and the uncapped entries' normaliser: O(k) for k
-capped entries, where the entropy of d would take a logarithm over m.
-Below eta 1 that form loses the digits the division by eta magnifies,
-so there the objective is summed from small terms over the uncapped
-entries, in O(m).
+once.  It also hands back its objective, formed with d in closed form
+from the capped entries and the uncapped entries' normaliser: O(k) for
+k capped entries, where the entropy of d would take a logarithm over
+m.  Below eta 1 that form loses the digits the division by eta
+magnifies, so there the objective is summed from small terms over the
+uncapped entries, in O(m).
 
 The public functions validate at the boundary: they copy their input,
 scan it for non-finite entries and check shapes, then sort from
@@ -55,14 +55,12 @@ _SHIFTED_OBJECTIVE_ETA = 1.0  # eta below which the objective is summed from sma
 class ProjectionResult:
     """Minimiser of d@theta + (1/eta)*relative_entropy(d) over the cap.
 
-    ``order`` is the ascending (theta, index) permutation of the
-    projected vector; ``d[order[:capped_count]]`` sit at the cap 1/nu.
-    ``d_sorted`` is d in that order, ``d[order]``, so the uncapped
-    entries are ``d_sorted[capped_count:]`` without a gather.
-    ``lse`` is log sum_{i >= k} exp(-eta*theta[order[i]]) at
-    k = capped_count, the normaliser of the uncapped entries.
-    ``objective`` is computed on first access, so callers that need only
-    ``d`` skip it.
+    ``d`` is the projection and ``theta`` the projected vector.
+    ``order`` is the ascending (theta, index) permutation of theta;
+    ``d[order[:capped_count]]`` sit at the cap 1/nu.  ``d_sorted`` is d
+    in that order, ``d[order]``, so the uncapped entries are
+    ``d_sorted[capped_count:]`` without a gather.  ``objective`` is the
+    minimum, d@theta + relative_entropy(d)/eta, formed with d.
     """
 
     d: np.ndarray
@@ -70,68 +68,7 @@ class ProjectionResult:
     order: np.ndarray
     d_sorted: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
-    lse: float = field(repr=False)
-    params: CapParams = field(repr=False)
-
-    @property
-    def objective(self) -> float:
-        """d@theta + relative_entropy(d)/eta, formed on first read and kept.
-
-        Kept as a plain instance entry: ``functools.cached_property`` takes
-        a lock on every first read before Python 3.12, and most
-        projections are read once or twice.
-        """
-        objective = self.__dict__.get("_objective")
-        if objective is None:
-            objective = self.__dict__["_objective"] = self._closed_form_objective()
-        return objective
-
-    def _closed_form_objective(self) -> float:
-        """The objective in closed form, O(k).
-
-        On the uncapped entries ln d_i = ln R - eta*theta_i - lse with
-        R = 1 - k/nu, so their d_i*theta_i cancel against the entropy
-        and what is left is cap*sum(capped theta) + (k*cap*ln cap
-        + R*(ln R - lse) + ln m)/eta, with R*ln R = 0 at R = 0.
-
-        The bracket is a difference of terms of size ln m, so it carries
-        an absolute error of a few ulps of ln m, which the division by
-        eta magnifies.  Below ``_SHIFTED_OBJECTIVE_ETA`` the bracket is
-        formed from small terms instead, in O(m): see ``_small_eta_entropy``.
-        """
-        k, nu, eta = self.capped_count, self.params.nu, self.params.eta
-        cap = 1.0 / nu
-        remaining = 1.0 - k / nu
-        capped_sum = cap * float(np.add.reduce(self.theta[self.order[:k]]))
-        if eta < _SHIFTED_OBJECTIVE_ETA:
-            return capped_sum + self._small_eta_entropy(remaining)
-        entropy = k * cap * math.log(cap) + math.log(self.d.shape[0])
-        if remaining > 0.0:
-            entropy += remaining * (math.log(remaining) - self.lse)
-        return capped_sum + entropy / eta
-
-    def _small_eta_entropy(self, remaining: float) -> float:
-        """The objective's terms past the capped sum, accurate at small eta.
-
-        With n = m - k uncapped entries, t the smallest uncapped theta and
-        E = sum over the uncapped entries of expm1(-eta*(theta_i - t)),
-        lse = -eta*t + ln(n + E) and m*R = n - k*(m - nu)/nu, so the
-        bracket is k*cap*log1p((m - nu)/nu) + R*(eta*t + ln(m*R/(n + E))),
-        and ln(m*R/(n + E)) = log1p(-(k*(m - nu)/nu + E)/(n + E)).  Every
-        term is formed to a relative ulp, so dividing by eta loses nothing.
-        """
-        k, nu, eta = self.capped_count, self.params.nu, self.params.eta
-        m = self.d.shape[0]
-        excess = (m - nu) / nu  # m*cap - 1
-        value = k * math.log1p(excess) / (nu * eta)
-        if remaining > 0.0:
-            free = self.theta[self.order[k:]]
-            t = float(free[0])
-            spread = float(np.add.reduce(np.expm1(-eta * (free - t))))  # E, in (-n, 0]
-            n = m - k
-            log_ratio = math.log1p(-(k * excess + spread) / (n + spread))
-            value += remaining * (t + log_ratio / eta)
-        return value
+    objective: float
 
 
 def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> ProjectionResult:
@@ -149,7 +86,7 @@ def capped_entropy_projection(theta: np.ndarray, params: CapParams) -> Projectio
     theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] != params.m:
         raise ValueError(f"theta must be a vector of length m={params.m}; got shape {theta.shape}")
-    _require_finite(theta)
+    _require_finite(theta=theta)
     return _project(theta, params)
 
 
@@ -200,9 +137,62 @@ def _project(
     d = np.empty(m)
     d[order] = d_sorted
 
-    return ProjectionResult(
-        d=d, capped_count=k, order=order, d_sorted=d_sorted, theta=theta, lse=lse_k, params=params
-    )
+    objective = _closed_form_objective(theta, order, k, remaining, lse_k, params)
+    return ProjectionResult(d, k, order, d_sorted, theta, objective)
+
+
+def _closed_form_objective(
+    theta: np.ndarray, order: np.ndarray, k: int, remaining: float, lse_k: float, params: CapParams
+) -> float:
+    """The projection's objective in closed form, O(k).
+
+    With k capped entries, R = 1 - k/nu their complement ``remaining``
+    and lse_k = log sum_{i >= k} exp(-eta*theta[order[i]]), the
+    uncapped entries have ln d_i = ln R - eta*theta_i - lse_k, so their
+    d_i*theta_i cancel against the entropy and what is left is
+    cap*sum(capped theta) + (k*cap*ln cap + R*(ln R - lse_k) + ln m)/eta,
+    with R*ln R = 0 at R = 0.
+
+    The bracket is a difference of terms of size ln m, so it carries
+    an absolute error of a few ulps of ln m, which the division by
+    eta magnifies.  Below ``_SHIFTED_OBJECTIVE_ETA`` the bracket is
+    formed from small terms instead, in O(m): see ``_small_eta_entropy``.
+    """
+    nu, eta = params.nu, params.eta
+    cap = 1.0 / nu
+    capped_sum = cap * float(np.add.reduce(theta[order[:k]]))
+    if eta < _SHIFTED_OBJECTIVE_ETA:
+        return capped_sum + _small_eta_entropy(theta, order, k, remaining, params)
+    entropy = k * cap * math.log(cap) + math.log(theta.shape[0])
+    if remaining > 0.0:
+        entropy += remaining * (math.log(remaining) - lse_k)
+    return capped_sum + entropy / eta
+
+
+def _small_eta_entropy(
+    theta: np.ndarray, order: np.ndarray, k: int, remaining: float, params: CapParams
+) -> float:
+    """The objective's terms past the capped sum, accurate at small eta.
+
+    With n = m - k uncapped entries, t the smallest uncapped theta and
+    E = sum over the uncapped entries of expm1(-eta*(theta_i - t)),
+    lse_k = -eta*t + ln(n + E) and m*R = n - k*(m - nu)/nu, so the
+    bracket is k*cap*log1p((m - nu)/nu) + R*(eta*t + ln(m*R/(n + E))),
+    and ln(m*R/(n + E)) = log1p(-(k*(m - nu)/nu + E)/(n + E)).  Every
+    term is formed to a relative ulp, so dividing by eta loses nothing.
+    """
+    nu, eta = params.nu, params.eta
+    m = theta.shape[0]
+    excess = (m - nu) / nu  # m*cap - 1
+    value = k * math.log1p(excess) / (nu * eta)
+    if remaining > 0.0:
+        free = theta[order[k:]]
+        t = float(free[0])
+        spread = float(np.add.reduce(np.expm1(-eta * (free - t))))  # E, in (-n, 0]
+        n = m - k
+        log_ratio = math.log1p(-(k * excess + spread) / (n + spread))
+        value += remaining * (t + log_ratio / eta)
+    return value
 
 
 def _capped_count(gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray) -> int:
@@ -231,11 +221,12 @@ def _capped_count(gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray
     return stop - 1
 
 
-def _require_finite(theta: np.ndarray) -> None:
-    """The projection's finiteness check, shared with ``fw.newton_step``,
-    which checks its caller's weights before it projects their margins."""
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta has non-finite entries")
+def _require_finite(**vectors: np.ndarray) -> None:
+    """The one finiteness check: a ValueError that names the first of
+    ``vectors`` (name=vector) with a non-finite entry."""
+    for name, vector in vectors.items():
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{name} has non-finite entries")
 
 
 def _ascending_order(theta: np.ndarray, hint: np.ndarray | None):

@@ -1,9 +1,12 @@
 """Pluggable conditional-gradient update rules for the booster loop.
 
 Each rule maps the current ensemble weights (a vector with one entry
-per gain column), their margins ``base`` = A @ w and a newly discovered
-column to new weights on the simplex, without modifying the weights,
-margins or column it was given.  It also returns the new margins as
+per gain column), the round's projection ``proj`` of their margins and
+a newly discovered column to new weights on the simplex, without
+modifying the weights, projection or column it was given.  The margins
+A @ w are ``proj.theta`` (``base`` below) and the distribution the
+short and pairwise rules read is ``proj.d``, so the two come from one
+projection and cannot disagree.  A rule also returns the new margins as
 ``base + lam * direction``, formed in place in the direction vector it
 already holds (the same bits), so a caller can carry the margins from
 round to round instead of rebuilding A @ w; they agree with A @ new_w up
@@ -16,25 +19,22 @@ matrix, as the argument after ``e_new``; only the pairwise rule reads
 the gain matrix, for its away column.  The booster loop passes the column its
 weak learner just returned: that vector is contiguous, where a column
 of A is a strided view of the m x capacity buffer that touches one
-cache line per entry.  A column, or a distribution ``d``, whose shape
-is not that of ``base`` is rejected, so a length-1 vector cannot
-broadcast.
+cache line per entry.  A column whose shape is not that of ``base`` is
+rejected, so a length-1 vector cannot broadcast.
 
 The line-search and pairwise rules minimise the smoothed objective
 exactly along their segment.  The slope there is nondecreasing and has
 a closed-form derivative, so the root is found by Newton's method kept
-inside a sign bracket, at about six entropy projections per step.
-Those projections run through the unchecked kernel ``entropy._project``
-on vectors the search forms itself.  All four public rules check their
-inputs once, on entry, through ``_direction``: it checks the shapes,
-forms ``column - base`` and tests that one difference for finiteness on
-its largest and smallest entries, the two values the short step's
-denominator reads.  Only when the test fails does it scan the inputs,
-to name a non-finite one; finite inputs whose difference overflows are
-refused as an overflow, not carried as a NaN step.  The two rules that
-read ``d`` scan it only when what they form from it is not finite: the
-short step's slope, and the pairwise rule's edges over the support,
-where a finite ``d`` whose edges overflow is refused too.
+inside a sign bracket, at about six entropy projections per step.  The
+search starts from ``proj``, the projection at lam 0, and the others run
+through the unchecked kernel ``entropy._project`` on vectors the search
+forms itself.  All four public rules check their inputs once, on entry,
+through ``_direction``: it checks the column's shape, forms ``column -
+base`` and tests that one difference for finiteness on its largest and
+smallest entries, the two values the short step's denominator reads.
+Only when the test fails does it scan the inputs, to name a non-finite
+one; finite inputs whose difference overflows are refused as an
+overflow, not carried as a NaN step.
 
 ``newton_step`` is the projected-Newton step of ERLPBoost's fully
 corrective solve: ``_hessian`` is the matrix form of the curvature in
@@ -79,46 +79,44 @@ class FwStepOutcome:
 
 
 def classic_step(
-    w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, t: int
+    w: np.ndarray, e_new: int, column: np.ndarray, proj: ProjectionResult, t: int
 ) -> FwStepOutcome:
     """Harmonic step size 2/(t+2); t=0 replaces the ensemble outright."""
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
-    direction = _direction(column, base)[0]
+    direction = _direction(column, proj.theta)[0]
     lam = 2.0 / (t + 2.0)
-    return _toward(w, e_new, lam, base, direction)
+    return _toward(w, e_new, lam, proj.theta, direction)
 
 
 def short_step(
-    w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, d: np.ndarray, eta: float
+    w: np.ndarray, e_new: int, column: np.ndarray, proj: ProjectionResult, eta: float
 ) -> FwStepOutcome:
     """Step minimising the smoothness upper bound, clipped to [0, 1].
 
     lam = [d @ (column - A w)] / [eta * ||column - A w||_inf^2];
     a zero denominator (new column equals the current mix) gives 0.
-    Should the slope come out non-finite, d is scanned and named in a
-    ValueError if it is not finite; finite inputs whose products
-    overflow keep the step the formula gives.
+    Finite inputs whose products overflow keep the step the formula
+    gives.
     """
-    direction, top, bottom = _direction(column, base, d)
+    base = proj.theta
+    direction, top, bottom = _direction(column, base)
     try:
         denom = eta * max(top, -bottom) ** 2  # ||direction||_inf^2
     except OverflowError:  # the Python float square leaves float range
         denom = math.inf
-    slope = float(d @ direction)
-    if not math.isfinite(slope):
-        _name_non_finite(d=d)
+    slope = float(proj.d @ direction)
     lam = 0.0 if denom <= 0.0 else min(1.0, max(0.0, slope / denom))
     return _toward(w, e_new, lam, base, direction)
 
 
 def line_search_step(
-    w: np.ndarray, e_new: int, column: np.ndarray, base: np.ndarray, params: CapParams
+    w: np.ndarray, e_new: int, column: np.ndarray, proj: ProjectionResult, params: CapParams
 ) -> FwStepOutcome:
     """Exact minimisation of the smoothed objective along the segment."""
-    direction = _direction(column, base)[0]
-    lam = _line_search(base, direction, 1.0, params)
-    return _toward(w, e_new, lam, base, direction)
+    direction = _direction(column, proj.theta)[0]
+    lam = _line_search(proj.theta, direction, 1.0, params, proj)
+    return _toward(w, e_new, lam, proj.theta, direction)
 
 
 def pairwise_step(
@@ -126,8 +124,7 @@ def pairwise_step(
     w: np.ndarray,
     e_new: int,
     column: np.ndarray,
-    base: np.ndarray,
-    d: np.ndarray,
+    proj: ProjectionResult,
     params: CapParams,
 ) -> FwStepOutcome:
     """Move mass from the worst active column onto the new one.
@@ -135,23 +132,19 @@ def pairwise_step(
     The away column, read from A, is the support column of least edge
     d @ A[:, j] (ties to the lowest index) and caps the step at its
     coefficient; hitting the cap drops it from the support and counts as
-    a bad step.  A d that is not finite, or whose edges over the support
-    overflow, is a ValueError.
+    a bad step.
     """
-    _direction(column, base, d)  # the input check: this rule steps from the away column
+    base = proj.theta
+    _direction(column, base)  # the input check: this rule steps from the away column
     support = np.flatnonzero(w)
     if support.size == 0:
         raise ValueError("pairwise step needs a non-empty support")
     G = A.as_array()
-    edges = (d @ G)[support]
-    if not np.isfinite(edges).all():
-        _name_non_finite(d=d)
-        raise ValueError("d's edges over the support overflow")
-    away_idx = int(support[np.argmin(edges)])
+    away_idx = int(support[np.argmin((proj.d @ G)[support])])
     cap = float(w[away_idx])
 
     direction = column - G[:, away_idx]
-    lam = _line_search(base, direction, cap, params)
+    lam = _line_search(base, direction, cap, params, proj)
 
     new_w = w.copy()
     new_w[away_idx] -= lam
@@ -159,12 +152,10 @@ def pairwise_step(
     return FwStepOutcome(_normalise(new_w), lam, lam < cap, _step_margins(base, lam, direction))
 
 
-def _direction(
-    column: np.ndarray, base: np.ndarray, d: np.ndarray | None = None
-) -> tuple[np.ndarray, float, float]:
+def _direction(column: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``column - base``, the direction from the margins to the new column,
-    with its largest and smallest entries, once ``column`` and ``d``
-    (where given) are of ``base``'s shape and the direction is finite.
+    with its largest and smallest entries, once ``column`` is of
+    ``base``'s shape and the direction is finite.
 
     The finiteness test reads the two extremes: a NaN reaches both and an
     infinity one of them.  Only when it fails are the inputs scanned, to
@@ -173,20 +164,12 @@ def _direction(
     """
     if column.shape != base.shape:
         raise ValueError(f"new column of shape {column.shape} for margins of shape {base.shape}")
-    if d is not None and d.shape != base.shape:
-        raise ValueError(f"d of shape {d.shape} for margins of shape {base.shape}")
     direction = column - base
     top, bottom = float(np.maximum.reduce(direction)), float(np.minimum.reduce(direction))
     if not (math.isfinite(top) and math.isfinite(bottom)):
-        _name_non_finite(base=base, column=column)
+        _require_finite(base=base, column=column)
         raise ValueError("new column minus margins overflows")
     return direction, top, bottom
-
-
-def _name_non_finite(**vectors: np.ndarray) -> None:
-    for name, vector in vectors.items():
-        if not np.isfinite(vector).all():
-            raise ValueError(f"{name} has non-finite entries")
 
 
 def _toward(w, e_new, lam, base, direction) -> FwStepOutcome:
@@ -229,7 +212,7 @@ def newton_step(
     margins(A, new_w), which a caller may use in place of projecting
     again.
     """
-    _require_finite(w)
+    _require_finite(w=w)
     G = A.as_array()
     v = _simplex_qp(_hessian(G, proj, params), -col_edges, w)
     direction = v - w
@@ -256,7 +239,7 @@ def _line_search(
     direction: np.ndarray,
     hi: float,
     params: CapParams,
-    at_zero: ProjectionResult | None = None,
+    at_zero: ProjectionResult,
     at_hi: ProjectionResult | None = None,
     wolfe: bool = False,
 ) -> float:
@@ -272,12 +255,11 @@ def _line_search(
     where s bends from convex to concave); else the bracket midpoint.
     It stops when the bracket or the Newton step is at most
     LINE_SEARCH_TOL, or after LINE_SEARCH_MAX_ITERS evaluations.
-    ``at_zero``, when given, is the projection of base and replaces the
-    one at lam = 0; ``at_hi`` stands for the one at hi likewise (the
-    Newton step passes its refused trial, the projection of the
-    normalised end point).  With
-    ``wolfe`` (which needs ``at_zero``) it also stops at the first lam the
-    loop evaluates where both strong Wolfe conditions hold: the smoothed
+    ``at_zero`` is the projection of base, the one at lam = 0, which the
+    caller already holds; ``at_hi``, when given, stands for the one at hi
+    likewise (the Newton step passes its refused trial, the projection of
+    the normalised end point).  With ``wolfe`` it also stops at the first
+    lam the loop evaluates where both strong Wolfe conditions hold: the smoothed
     objective is at most its value at 0 plus NEWTON_ARMIJO * lam * s(0),
     and |s(lam)| <= NEWTON_CURVATURE * |s(0)|.
     """

@@ -6,7 +6,13 @@ basis its caller supplies, dual feasible or feasible: the dual simplex
 ``_dual_iterate`` on costs shifted off dual degeneracy, then the primal
 pivots of ``_iterate`` as a clean-up on the true costs.  The clean-up
 prices by Bland's rule alone, so it cannot cycle from any feasible
-start; after a dual phase it seldom pivots at all.  The dual loop
+start.  After a dual phase it pivots only on badly scaled gains: none
+in the 470 solves of 39 fits and 3 oracle runs at m = 60 to 1,000, and
+1 or 2 pivots in 5 of 34,804 Tier-1 solves, all on gains whose
+smallest nonzero entry lay between 3e-300 and 2e-313.  Without it, four
+of those 5 solves refused a dual weight below -1e-9 and one returned
+gamma 5e-10 for HiGHS's 0 (the README's Restricted LP paragraph lists
+the runs).  The dual loop
 inverts its starting basis once, and both loops keep the inverse by
 product-form (rank-one) updates at every basis change, re-inverting
 from scratch every ``_REFACTOR_INTERVAL`` changes to bound the drift;

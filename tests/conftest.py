@@ -258,9 +258,7 @@ def reference_lp_scheme(data, learner, config):
         smoothed_obj, soft_margin_obj = -proj.objective, capped_min_linear(proj.theta, params.nu)[0]
         rule, lam, good, lp_query, added, lp_edge = "fw", 0.0, False, False, False, math.inf
         if not converged:
-            fw_out = boosting._fw_update(
-                config.fw_rule, A, w, j_new, proj.theta, proj.d, params, t, column
-            )
+            fw_out = boosting._fw_update(config.fw_rule, A, w, j_new, proj, params, t, column)
             lam, good = fw_out.step_size, fw_out.good_step
             w, proj = fw_out.new_w, capped_entropy_projection(fw_out.margins, params)
             try:
@@ -593,9 +591,8 @@ def reference_project(theta, params, order_hint=None):
     d = np.empty(m)
     d[order] = d_sorted
 
-    return ProjectionResult(
-        d=d, capped_count=k, order=order, d_sorted=d_sorted, theta=theta, lse=lse_k, params=params
-    )
+    objective = entropy._closed_form_objective(theta, order, k, remaining, lse_k, params)
+    return ProjectionResult(d, k, order, d_sorted, theta, objective)
 
 
 def reference_capped_count(gaps, nu, bound):

@@ -815,13 +815,15 @@ def test_the_lpboost_secondary_skips_no_solve_for_priced_out_columns(monkeypatch
 # kernel projections (``entropy._project`` through boosting and fw) of each
 # fit in the test below.  A fit that compares candidates makes exactly these;
 # cerlpboost may make one more per ``_MARGIN_REFRESH`` rounds, where its
-# refresh replaces a projection that no comparison read
+# refresh replaces a projection that no comparison read.  The line searches
+# of mlpb-pfw and mlpb-ls start from the round's projection, so neither
+# projects at lam 0
 KERNEL_PROJECTIONS = {
     "erlpboost": 51,
     "cerlpboost": 1844,
     "mlpb-ss": 14,
-    "mlpb-pfw": 49,
-    "mlpb-ls": 66,
+    "mlpb-pfw": 44,
+    "mlpb-ls": 60,
     "mlpb-classic": 14,
 }
 
@@ -895,7 +897,7 @@ def test_every_projection_the_loop_uses_is_the_public_projection(algo, monkeypat
             rounds[-1].append(res)
     assert len(rounds) == len(records)
     assert lp_queries == [rec.t for rec in records if rec.lp_query]
-    params = rounds[0][0].params
+    params = CapParams.from_tolerance(data.m, cfg.nu, cfg.eps)  # the fit's own
     for rec, (queried, *projected) in zip(records, rounds):
         read = queried
         if rec.min_edge_so_far - queried.objective <= cfg.eps / 2.0:

@@ -368,6 +368,23 @@ def test_predict_rejects_model_without_hypotheses(tmp_path, capsys):
         load_model(_write_model(tmp_path, {"hypotheses": [], "weights": []}))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"hypotheses": GOOD_STUMP, "weights": [1.0]}, {"hypotheses": [GOOD_STUMP], "weights": 1.0}],
+    ids=["hypotheses", "weights"],
+)
+def test_load_model_refuses_hypotheses_or_weights_that_are_not_lists(tmp_path, payload):
+    with pytest.raises(DataFormatError, match="'hypotheses' and 'weights' must be lists"):
+        load_model(_write_model(tmp_path, payload))
+
+
+def test_load_dataset_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,label\n1.0,1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="unknown format 'xyz'"):
+        load_dataset(str(path), "xyz")
+
+
 def test_predict_rejects_model_missing_keys(tmp_path, capsys):
     code, err = _predict_exit(tmp_path, capsys, {"weights": [1.0]})
     assert code == 1 and "'hypotheses'" in err

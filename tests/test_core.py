@@ -192,6 +192,32 @@ def test_check_ensemble_weights_rejections():
             check_ensemble_weights(bad, A)
 
 
+def _one_column_matrix():
+    return GainMatrix([np.array([0.5, -0.5])], [0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Dataset(np.zeros(3), np.ones(3)), "features must be a non-empty 2-D array"),
+        (lambda: Dataset(np.zeros((3, 1)), np.ones(2)), "labels must be a vector with one entry"),
+        (lambda: GainMatrix([np.zeros(2)] * 2, [0]), "columns and hypothesis_ids must run"),
+        (lambda: _one_column_matrix().with_column(np.zeros(3), 1), "column length does not match"),
+        (lambda: GainMatrix([[0.5, math.nan]], [0]), "gain column has non-finite entries"),
+        (lambda: GainMatrix([[0.5, 1.5]], [0]), r"gain column entries must lie in \[-1, \+1\]"),
+        (lambda: check_distribution(np.full((2, 2), 0.25), 1.0), "distribution must be a vector"),
+        (lambda: check_distribution(np.array([0.25, 0.25]), 1.0), "distribution does not sum to 1"),
+    ],
+    ids=[
+        "features-not-2-D", "labels-wrong-shape", "columns-ids-lengths", "with-column-length",
+        "non-finite-gain", "gain-out-of-range", "d-not-a-vector", "d-sum-not-1",
+    ],
+)
+def test_core_types_refuse_malformed_input_with_a_message(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_check_distribution_refuses_nan():
     for bad in (np.array([math.nan, 1.0]), np.array([0.5, 0.5, math.nan])):
         with pytest.raises(ValueError, match="leave"):

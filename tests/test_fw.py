@@ -13,7 +13,7 @@ from marginforge import boosting, entropy, fw
 from marginforge.boosting import BoosterConfig, run_scheme, secondary_erlpboost
 from marginforge.constants import NEWTON_ARMIJO, NEWTON_RIDGE, SIMPLEX_SUM_TOL
 from marginforge.core import CapParams, GainMatrix, margins
-from marginforge.entropy import capped_entropy_projection, smoothed_conjugate
+from marginforge.entropy import _project, capped_entropy_projection, smoothed_conjugate
 from marginforge.fw import classic_step, line_search_step, pairwise_step, short_step
 from marginforge.stumps import StumpLearner, StumpPool, full_gain_matrix
 
@@ -23,6 +23,18 @@ from conftest import two_gaussians
 def column_of(A, j):
     """Column j of A, the new column a FW rule takes after its index."""
     return A.as_array()[:, j]
+
+
+def round_proj(base, params=None, d=None):
+    """The round state a FW rule takes: the kernel projection of the
+    margins ``base``, whose ``theta`` is ``base`` itself.  The classic and
+    short steps read only its ``theta`` and ``d``, so with ``params``
+    None any cap will do; ``d``, where given, replaces its distribution,
+    for a short step at a hand-picked d."""
+    if params is None:
+        params = CapParams(nu=1.0, m=base.shape[0], eta=1.0, eps=0.1)
+    proj = _project(base, params)
+    return proj if d is None else replace(proj, d=d)
 
 
 def smoothed_obj(A, w, params):
@@ -49,11 +61,11 @@ def random_instance(rng, m=None, t=None):
 def test_classic_step_sizes():
     A = GainMatrix([np.array([0.5, -0.5]), np.array([0.2, 0.1]), np.array([-1.0, 1.0])], [0, 1, 2])
     w = np.array([0.4, 0.6, 0.0])
-    base = margins(A, w)
-    assert classic_step(w, 2, column_of(A, 2), base, 0).step_size == pytest.approx(1.0)
-    assert classic_step(w, 2, column_of(A, 2), base, 2).step_size == pytest.approx(0.5)
-    assert classic_step(w, 2, column_of(A, 2), base, 998).step_size == pytest.approx(0.002)
-    out = classic_step(w, 2, column_of(A, 2), base, 0)
+    proj = round_proj(margins(A, w))
+    assert classic_step(w, 2, column_of(A, 2), proj, 0).step_size == pytest.approx(1.0)
+    assert classic_step(w, 2, column_of(A, 2), proj, 2).step_size == pytest.approx(0.5)
+    assert classic_step(w, 2, column_of(A, 2), proj, 998).step_size == pytest.approx(0.002)
+    out = classic_step(w, 2, column_of(A, 2), proj, 0)
     assert out.new_w == pytest.approx([0.0, 0.0, 1.0])
 
 
@@ -61,7 +73,7 @@ def test_short_step_hand_case_and_slope():
     A = GainMatrix([np.zeros(2), np.array([0.5, -0.5])], [0, 1])
     w = np.array([1.0, 0.0])
     d = np.array([0.8, 0.2])
-    out = short_step(w, 1, column_of(A, 1), margins(A, w), d, eta=4.0)
+    out = short_step(w, 1, column_of(A, 1), round_proj(margins(A, w), d=d), eta=4.0)
     assert out.step_size == pytest.approx(0.3)
 
     # same numerator through a finite difference of the smoothed
@@ -79,15 +91,17 @@ def test_short_step_clips_to_zero_and_one():
     A = GainMatrix([np.zeros(3), np.array([0.5, 0.5, -0.5])], [0, 1])
     w = np.array([1.0, 0.0])
     down = np.array([0.1, 0.1, 0.8])  # negative numerator
-    assert short_step(w, 1, column_of(A, 1), margins(A, w), down, eta=2.0).step_size == 0.0
+    base = margins(A, w)
+    assert short_step(w, 1, column_of(A, 1), round_proj(base, d=down), eta=2.0).step_size == 0.0
     up = np.array([0.45, 0.45, 0.1])  # numerator 0.4 vs denominator 0.025
-    assert short_step(w, 1, column_of(A, 1), margins(A, w), up, eta=0.1).step_size == 1.0
+    assert short_step(w, 1, column_of(A, 1), round_proj(base, d=up), eta=0.1).step_size == 1.0
 
 
 def test_short_step_zero_direction():
     A = GainMatrix([np.array([0.3, -0.3])], [0])
     w = np.array([1.0])
-    out = short_step(w, 0, column_of(A, 0), margins(A, w), np.array([0.5, 0.5]), eta=5.0)
+    proj = round_proj(margins(A, w), d=np.array([0.5, 0.5]))
+    out = short_step(w, 0, column_of(A, 0), proj, eta=5.0)
     assert out.step_size == 0.0
 
 
@@ -99,7 +113,8 @@ def test_line_search_boundary_cases():
     base = margins(A, w)
     d0 = capped_entropy_projection(base, params).d
     if float(d0 @ (A.as_array()[:, j_self] - base)) <= 0:
-        assert line_search_step(w, j_self, column_of(A, j_self), base, params).step_size == 0.0
+        step = line_search_step(w, j_self, column_of(A, j_self), round_proj(base, params), params)
+        assert step.step_size == 0.0
 
 
 def test_line_search_saturates_at_one():
@@ -107,7 +122,7 @@ def test_line_search_saturates_at_one():
     A = GainMatrix([np.full(3, -0.8), np.full(3, 0.9)], [0, 1])
     params = CapParams(nu=1.0, m=3, eta=3.0, eps=0.1)
     w = np.array([1.0, 0.0])
-    out = line_search_step(w, 1, column_of(A, 1), margins(A, w), params)
+    out = line_search_step(w, 1, column_of(A, 1), round_proj(margins(A, w), params), params)
     assert out.step_size == pytest.approx(1.0)
     assert out.new_w == pytest.approx([0.0, 1.0])
 
@@ -117,9 +132,9 @@ def test_line_search_matches_grid_oracle():
     for _ in range(10):
         A, w, params, _ = random_instance(rng)
         j_new = int(rng.integers(0, A.t))
-        out = line_search_step(w, j_new, column_of(A, j_new), margins(A, w), params)
-        value = smoothed_obj(A, out.new_w, params)
         base = margins(A, w)
+        out = line_search_step(w, j_new, column_of(A, j_new), round_proj(base, params), params)
+        value = smoothed_obj(A, out.new_w, params)
         direction = A.as_array()[:, j_new] - base
         grid = np.linspace(0.0, 1.0, 10_001)
         grid_best = min(
@@ -132,14 +147,14 @@ def test_line_search_matches_grid_oracle():
 def test_rules_return_normalised_simplex_points():
     rng = np.random.default_rng(33)
     for _ in range(20):
-        A, w, params, d = random_instance(rng)
+        A, w, params, _ = random_instance(rng)
         j_new = int(rng.integers(0, A.t))
-        base = margins(A, w)
+        proj = round_proj(margins(A, w), params)
         for out in (
-            classic_step(w, j_new, column_of(A, j_new), base, int(rng.integers(0, 50))),
-            short_step(w, j_new, column_of(A, j_new), base, d, params.eta),
-            line_search_step(w, j_new, column_of(A, j_new), base, params),
-            pairwise_step(A, w, j_new, column_of(A, j_new), base, d, params),
+            classic_step(w, j_new, column_of(A, j_new), proj, int(rng.integers(0, 50))),
+            short_step(w, j_new, column_of(A, j_new), proj, params.eta),
+            line_search_step(w, j_new, column_of(A, j_new), proj, params),
+            pairwise_step(A, w, j_new, column_of(A, j_new), proj, params),
         ):
             assert out.new_w.shape == (A.t,)
             assert abs(out.new_w.sum() - 1.0) <= 1e-12
@@ -151,13 +166,12 @@ def test_short_step_and_line_search_descend():
     rng = np.random.default_rng(25)
     for _ in range(15):
         A, w, params, _ = random_instance(rng)
-        base = margins(A, w)
-        d = capped_entropy_projection(base, params).d  # true gradient
-        j_new = int(np.argmax(d @ A.as_array()))
+        proj = round_proj(margins(A, w), params)  # d is the true gradient
+        j_new = int(np.argmax(proj.d @ A.as_array()))
         before = smoothed_obj(A, w, params)
         column = column_of(A, j_new)
-        after_ss = smoothed_obj(A, short_step(w, j_new, column, base, d, params.eta).new_w, params)
-        after_ls = smoothed_obj(A, line_search_step(w, j_new, column, base, params).new_w, params)
+        after_ss = smoothed_obj(A, short_step(w, j_new, column, proj, params.eta).new_w, params)
+        after_ls = smoothed_obj(A, line_search_step(w, j_new, column, proj, params).new_w, params)
         assert after_ss <= before + 1e-9
         assert after_ls <= after_ss + 1e-9  # line search dominates short step
 
@@ -166,7 +180,7 @@ def test_pairwise_degenerate_support_is_noop():
     A = GainMatrix([np.array([0.5, -0.5]), np.array([0.1, 0.2])], [0, 1])
     params = CapParams(nu=1.0, m=2, eta=2.0, eps=0.1)
     w = np.array([1.0, 0.0])
-    out = pairwise_step(A, w, 0, column_of(A, 0), margins(A, w), np.array([0.5, 0.5]), params)
+    out = pairwise_step(A, w, 0, column_of(A, 0), round_proj(margins(A, w), params), params)
     assert out.new_w == pytest.approx([1.0, 0.0])
 
 
@@ -175,8 +189,7 @@ def test_pairwise_drop_step_removes_away_column():
     A = GainMatrix([np.full(3, -0.9), np.full(3, 0.8)], [0, 1])
     params = CapParams(nu=1.0, m=3, eta=2.0, eps=0.1)
     w = np.array([0.3, 0.7])
-    d = capped_entropy_projection(margins(A, w), params).d
-    out = pairwise_step(A, w, 1, column_of(A, 1), margins(A, w), d, params)
+    out = pairwise_step(A, w, 1, column_of(A, 1), round_proj(margins(A, w), params), params)
     assert out.step_size == pytest.approx(0.3)
     assert not out.good_step
     assert np.flatnonzero(out.new_w).tolist() == [1]
@@ -186,9 +199,10 @@ def test_pairwise_away_choice_and_descent():
     rng = np.random.default_rng(44)
     for _ in range(15):
         A, w, params, _ = random_instance(rng)
-        d = capped_entropy_projection(margins(A, w), params).d
+        proj = round_proj(margins(A, w), params)
+        d = proj.d
         j_new = int(np.argmax(d @ A.as_array()))
-        out = pairwise_step(A, w, j_new, column_of(A, j_new), margins(A, w), d, params)
+        out = pairwise_step(A, w, j_new, column_of(A, j_new), proj, params)
         # exhaustive away check: the step moves mass off the worst support
         # column, and no more than that column holds
         away = min(np.flatnonzero(w), key=lambda j: (float(d @ A.as_array()[:, j]), j))
@@ -218,7 +232,7 @@ def test_line_search_from_known_projection_is_identical(monkeypatch):
         j_new = int(np.argmax(proj.d @ A.as_array()))
         direction = A.as_array()[:, j_new] - proj.theta
         before = calls["n"]
-        lam = fw._line_search(proj.theta, direction, 1.0, params)
+        lam = fw._line_search(proj.theta, direction, 1.0, params, fw._project(proj.theta, params))
         fresh = calls["n"] - before
         lam_given = fw._line_search(proj.theta, direction, 1.0, params, at_zero=proj)
         assert lam_given == lam  # bit-equal step
@@ -271,7 +285,7 @@ def line_search_instances(draw):
 @given(line_search_instances())
 def test_line_search_agrees_with_reference_bisection(instance):
     base, direction, hi, params = instance
-    lam = fw._line_search(base, direction, hi, params)
+    lam = fw._line_search(base, direction, hi, params, _project(base, params))
     ref = reference_bisection(base, direction, hi, params)
     if ref in (0.0, hi):
         assert lam == ref
@@ -540,7 +554,8 @@ def dict_short(A, w, e_new, d, eta):
 
 def dict_line_search(A, w, e_new, params):
     base = dict_margins(A, w)
-    lam = fw._line_search(base, A.as_array()[:, e_new] - base, 1.0, params)
+    direction = A.as_array()[:, e_new] - base
+    lam = fw._line_search(base, direction, 1.0, params, _project(base, params))
     return dict_mix(w, e_new, lam), lam, 1.0
 
 
@@ -552,7 +567,8 @@ def dict_pairwise(A, w, e_new, d, params):
             away = (j, score)
     cap = w[away[0]]
     direction = A.as_array()[:, e_new] - A.as_array()[:, away[0]]
-    lam = fw._line_search(dict_margins(A, w), direction, cap, params)
+    base = dict_margins(A, w)
+    lam = fw._line_search(base, direction, cap, params, _project(base, params))
     new_w = dict(w)
     new_w[away[0]] = new_w.get(away[0], 0.0) - lam
     new_w[e_new] = new_w.get(e_new, 0.0) + lam
@@ -611,18 +627,17 @@ def test_dense_rules_match_dict_reference(instance):
     w[list(w_dict)] = list(w_dict.values())
     proj = capped_entropy_projection(margins(A, w), params)
     d = proj.d
-    base = margins(A, w)
     column = column_of(A, j_new)
-    assert_same_step(classic_step(w, j_new, column, base, rounds), dict_classic(rounds, w_dict, j_new))
+    assert_same_step(classic_step(w, j_new, column, proj, rounds), dict_classic(rounds, w_dict, j_new))
     assert_same_step(
-        short_step(w, j_new, column, base, d, params.eta),
+        short_step(w, j_new, column, proj, params.eta),
         dict_short(A, w_dict, j_new, d, params.eta),
     )
     assert_same_step(
-        line_search_step(w, j_new, column, base, params), dict_line_search(A, w_dict, j_new, params)
+        line_search_step(w, j_new, column, proj, params), dict_line_search(A, w_dict, j_new, params)
     )
     assert_same_step(
-        pairwise_step(A, w, j_new, column, base, d, params), dict_pairwise(A, w_dict, j_new, d, params)
+        pairwise_step(A, w, j_new, column, proj, params), dict_pairwise(A, w_dict, j_new, d, params)
     )
 
     # corrective solve: stops at once when the gap is within its tolerance
@@ -689,7 +704,7 @@ def reference_newton_step(A, w, proj, params):
     if lam > 0.0:
         return fw._normalise(w + lam * (v - w))
     j_best = int(np.argmax(proj.d @ G))
-    return line_search_step(w, j_best, column_of(A, j_best), margins(A, w), params).new_w
+    return line_search_step(w, j_best, column_of(A, j_best), proj, params).new_w
 
 
 def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
@@ -702,7 +717,7 @@ def test_newton_step_falls_back_to_the_best_column_on_a_zero_step(monkeypatch):
     assert col_edges[j_best] - col_edges @ w > 1e-6
     monkeypatch.setattr(fw, "_simplex_qp", lambda H, g, start: start.copy())
     new_w, _ = fw.newton_step(A, w, proj, params, col_edges)
-    step = line_search_step(w, j_best, column_of(A, j_best), margins(A, w), params)
+    step = line_search_step(w, j_best, column_of(A, j_best), proj, params)
     assert np.array_equal(new_w, step.new_w)
     assert smoothed_obj(A, new_w, params) < smoothed_obj(A, w, params)
 
@@ -717,7 +732,7 @@ def test_newton_step_refuses_a_full_step_without_sufficient_decrease(monkeypatch
     col_edges = proj.d @ G
     j = int(np.argmax(col_edges))
     at_w = smoothed_obj(A, w, params)
-    lo = fw._line_search(G @ w, G[:, j] - G @ w, 1.0, params)
+    lo = fw._line_search(G @ w, G[:, j] - G @ w, 1.0, params, proj)
     hi = 1.0
     assert smoothed_obj(A, fw._mix(w, j, hi), params) > at_w
     for _ in range(60):
@@ -764,35 +779,80 @@ def test_newton_step_returns_the_projection_of_its_weights(seed):
 
 def test_public_steps_reject_non_finite_vectors_at_entry():
     rng = np.random.default_rng(9)
-    A, w, params, d = random_instance(rng, m=6, t=3)
+    A, w, params, _ = random_instance(rng, m=6, t=3)
     G = A.as_array()
     proj = capped_entropy_projection(G @ w, params)
     for bad in (np.nan, np.inf):
         base = G @ w
         base[1] = bad
+        bad_proj = replace(proj, theta=base)
         bad_w = w.copy()
         bad_w[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            line_search_step(w, 0, column_of(A, 0), base, params)
+            line_search_step(w, 0, column_of(A, 0), bad_proj, params)
         with pytest.raises(ValueError, match="non-finite"):
-            pairwise_step(A, w, 0, column_of(A, 0), base, d, params)
+            pairwise_step(A, w, 0, column_of(A, 0), bad_proj, params)
         with pytest.raises(ValueError, match="non-finite"):
             _, _ = fw.newton_step(A, bad_w, proj, params, proj.d @ G)
         with pytest.raises(ValueError, match="non-finite"):
             secondary_erlpboost(A, params, bad_w, proj)
 
 
+def test_newton_step_names_non_finite_weights_w():
+    rng = np.random.default_rng(9)
+    A, _, params, _ = random_instance(rng, m=6, t=2)
+    proj = capped_entropy_projection(A.as_array() @ np.array([0.5, 0.5]), params)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^w has non-finite entries$"):
+            fw.newton_step(A, np.array([bad, 1.0]), proj, params, proj.d @ A.as_array())
+
+
+def test_corrective_solve_names_a_non_finite_start():
+    rng = np.random.default_rng(9)
+    A, _, params, _ = random_instance(rng, m=6, t=2)
+    proj = capped_entropy_projection(A.as_array() @ np.array([0.5, 0.5]), params)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^start has non-finite entries$"):
+            secondary_erlpboost(A, params, np.array([bad, 0.0]), proj)
+
+
+@pytest.mark.parametrize("rule", ["line_search", "pairwise"])
+def test_line_searching_rules_never_project_their_margins_at_lam_0(rule, monkeypatch):
+    # the search reads the slope at lam 0 from the round's projection, so no
+    # kernel projection inside the rule is of proj.theta itself
+    projected = []
+    project = fw._project
+
+    def recording(theta, params, order_hint=None):
+        projected.append(theta.copy())
+        return project(theta, params, order_hint)
+
+    monkeypatch.setattr(fw, "_project", recording)
+    rng = np.random.default_rng(46)
+    searched = 0
+    for _ in range(40):
+        A, w, params, _ = random_instance(rng)
+        proj = round_proj(margins(A, w), params)
+        j_new = int(np.argmax(proj.d @ A.as_array()))
+        projected.clear()
+        call_rule(rule, A, w, j_new, column_of(A, j_new), proj, params, 0)
+        assert not any(np.array_equal(theta, proj.theta) for theta in projected)
+        searched += len(projected) > 0
+    assert searched >= 10
+
+
 def test_rules_refuse_a_column_and_base_whose_difference_overflows():
     # both finite, but column - base is +inf in its first entry
     column, base = np.array([1e308, 0.0]), np.array([-1e308, 0.0])
-    w, d = np.ones(1), np.array([0.5, 0.5])
+    w = np.ones(1)
     params = CapParams(nu=1.0, m=2, eta=10.0, eps=0.1)
+    proj = replace(round_proj(np.zeros(2), params), theta=base)  # d = [0.5, 0.5]
     A = GainMatrix([[1.0, -1.0]], [0])
     for step in (
-        lambda: classic_step(w, 0, column, base, 3),
-        lambda: short_step(w, 0, column, base, d, params.eta),
-        lambda: line_search_step(w, 0, column, base, params),
-        lambda: pairwise_step(A, w, 0, column, base, d, params),
+        lambda: classic_step(w, 0, column, proj, 3),
+        lambda: short_step(w, 0, column, proj, params.eta),
+        lambda: line_search_step(w, 0, column, proj, params),
+        lambda: pairwise_step(A, w, 0, column, proj, params),
     ):
         # numpy reports the overflow of the subtraction; the rule refuses it
         with pytest.warns(RuntimeWarning, match="overflow"):
@@ -803,14 +863,14 @@ def test_rules_refuse_a_column_and_base_whose_difference_overflows():
 def test_rules_return_the_margins_of_their_new_weights():
     rng = np.random.default_rng(52)
     for _ in range(40):
-        A, w, params, d = random_instance(rng)
+        A, w, params, _ = random_instance(rng)
         j_new = int(rng.integers(0, A.t))
-        base = margins(A, w)
+        proj = round_proj(margins(A, w), params)
         for out in (
-            classic_step(w, j_new, column_of(A, j_new), base, int(rng.integers(0, 50))),
-            short_step(w, j_new, column_of(A, j_new), base, d, params.eta),
-            line_search_step(w, j_new, column_of(A, j_new), base, params),
-            pairwise_step(A, w, j_new, column_of(A, j_new), base, d, params),
+            classic_step(w, j_new, column_of(A, j_new), proj, int(rng.integers(0, 50))),
+            short_step(w, j_new, column_of(A, j_new), proj, params.eta),
+            line_search_step(w, j_new, column_of(A, j_new), proj, params),
+            pairwise_step(A, w, j_new, column_of(A, j_new), proj, params),
         ):
             assert np.max(np.abs(out.margins - margins(A, out.new_w))) <= 1e-12
 
@@ -825,15 +885,15 @@ def test_margins_carried_for_5000_steps_stay_within_the_simplex_tolerance(rule):
     carried = margins(A, w)
     worst = 0.0
     for t in range(1, 5_001):
-        d = capped_entropy_projection(carried, params).d
-        j = int(np.argmax(d @ G))
+        proj = round_proj(carried, params)
+        j = int(np.argmax(proj.d @ G))
         A, j_new = A.with_column(G[:, j], j)
         if j_new == w.size:
             w = np.append(w, 0.0)
         if rule == "classic":
-            out = classic_step(w, j_new, column_of(A, j_new), carried, t)
+            out = classic_step(w, j_new, column_of(A, j_new), proj, t)
         else:
-            out = short_step(w, j_new, column_of(A, j_new), carried, d, params.eta)
+            out = short_step(w, j_new, column_of(A, j_new), proj, params.eta)
         w, carried = out.new_w, out.margins
         worst = max(worst, float(np.max(np.abs(carried - margins(A, w)))))
     assert worst <= SIMPLEX_SUM_TOL
@@ -847,15 +907,15 @@ def _same_bits(a, b):
 RULES = ["classic", "short", "line_search", "pairwise"]
 
 
-def call_rule(rule, A, w, e_new, column, base, d, params, t):
+def call_rule(rule, A, w, e_new, column, proj, params, t):
     """One FW rule's step toward ``column``, the new column e_new."""
     if rule == "classic":
-        return classic_step(w, e_new, column, base, t)
+        return classic_step(w, e_new, column, proj, t)
     if rule == "short":
-        return short_step(w, e_new, column, base, d, params.eta)
+        return short_step(w, e_new, column, proj, params.eta)
     if rule == "line_search":
-        return line_search_step(w, e_new, column, base, params)
-    return pairwise_step(A, w, e_new, column, base, d, params)
+        return line_search_step(w, e_new, column, proj, params)
+    return pairwise_step(A, w, e_new, column, proj, params)
 
 
 @settings(max_examples=300, deadline=None)
@@ -864,15 +924,16 @@ def test_rules_given_the_new_column_return_the_same_bits_and_leave_inputs_alone(
     # the strided view of A's buffer and its contiguous copy, as the
     # booster loop hands over the learner's column
     rng = np.random.default_rng(seed)
-    A, w, params, d = random_instance(rng)
+    A, w, params, _ = random_instance(rng)
     e_new = int(rng.integers(0, A.t))
     base = margins(A, w)
+    proj = round_proj(base, params)  # its theta is base
     t = int(rng.integers(0, 50))
     strided = A.as_array()[:, e_new]
     column = strided.copy()
     w_before, base_before, column_before = w.copy(), base.copy(), column.copy()
-    from_view = call_rule(rule, A, w, e_new, strided, base, d, params, t)
-    from_copy = call_rule(rule, A, w, e_new, column, base, d, params, t)
+    from_view = call_rule(rule, A, w, e_new, strided, proj, params, t)
+    from_copy = call_rule(rule, A, w, e_new, column, proj, params, t)
     for field in ("new_w", "step_size", "good_step", "margins"):
         assert _same_bits(getattr(from_copy, field), getattr(from_view, field)), field
     assert _same_bits(w, w_before)
@@ -884,23 +945,23 @@ def test_rules_given_the_new_column_return_the_same_bits_and_leave_inputs_alone(
 def test_rules_reject_a_column_whose_shape_is_not_that_of_the_margins(rule):
     # a length-1 column would otherwise broadcast against the margins
     rng = np.random.default_rng(12)
-    A, w, params, d = random_instance(rng, m=6, t=3)
-    base = margins(A, w)
+    A, w, params, _ = random_instance(rng, m=6, t=3)
+    proj = round_proj(margins(A, w), params)
     for bad in (np.ones(1), np.ones(5), np.ones(7), np.ones((6, 1))):
         with pytest.raises(ValueError, match="new column of shape"):
-            call_rule(rule, A, w, 1, bad, base, d, params, 3)
+            call_rule(rule, A, w, 1, bad, proj, params, 3)
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_rules_name_a_non_finite_column(rule):
     rng = np.random.default_rng(13)
-    A, w, params, d = random_instance(rng, m=6, t=3)
-    base = margins(A, w)
+    A, w, params, _ = random_instance(rng, m=6, t=3)
+    proj = round_proj(margins(A, w), params)
     for bad in (np.nan, np.inf, -np.inf):
         bad_column = A.as_array()[:, 1].copy()
         bad_column[4] = bad
         with pytest.raises(ValueError, match="column has non-finite entries"):
-            call_rule(rule, A, w, 1, bad_column, base, d, params, 3)
+            call_rule(rule, A, w, 1, bad_column, proj, params, 3)
 
 
 def test_scheme_loop_reads_the_gain_matrix_only_to_refresh_its_margins(monkeypatch):
@@ -922,17 +983,17 @@ def test_scheme_loop_reads_the_gain_matrix_only_to_refresh_its_margins(monkeypat
 
 def test_short_and_classic_steps_name_a_non_finite_input():
     rng = np.random.default_rng(11)
-    A, w, params, d = random_instance(rng, m=6, t=3)
+    A, w, params, _ = random_instance(rng, m=6, t=3)
     base = margins(A, w)
+    proj = round_proj(base, params)
     for bad in (np.nan, np.inf, -np.inf):
-        bad_d, bad_base = d.copy(), base.copy()  # a bad column: test_rules_name_a_non_finite_column
-        bad_d[2], bad_base[3] = bad, bad
+        bad_base = base.copy()  # a bad column: test_rules_name_a_non_finite_column
+        bad_base[3] = bad
+        bad_proj = replace(proj, theta=bad_base)
         with pytest.raises(ValueError, match="non-finite"):
-            short_step(w, 1, column_of(A, 1), base, bad_d, params.eta)
+            short_step(w, 1, column_of(A, 1), bad_proj, params.eta)
         with pytest.raises(ValueError, match="non-finite"):
-            short_step(w, 1, column_of(A, 1), bad_base, d, params.eta)
-        with pytest.raises(ValueError, match="non-finite"):
-            classic_step(w, 1, column_of(A, 1), bad_base, 3)
+            classic_step(w, 1, column_of(A, 1), bad_proj, 3)
 
 
 def test_short_step_keeps_its_step_when_finite_inputs_overflow():
@@ -940,41 +1001,15 @@ def test_short_step_keeps_its_step_when_finite_inputs_overflow():
     # and the formula's step, 0
     A = GainMatrix([np.array([-1.0, 1.0]), np.array([1.0, -1.0])], [0, 1])
     w = np.array([1.0, 0.0])
-    out = short_step(w, 1, column_of(A, 1), margins(A, w), np.array([0.8, 0.2]), eta=1e308)
+    proj = round_proj(margins(A, w), d=np.array([0.8, 0.2]))
+    out = short_step(w, 1, column_of(A, 1), proj, eta=1e308)
     assert out.step_size == 0.0
     assert np.array_equal(out.new_w, w)
     # ||direction||_inf ~ 1e200: the Python float square itself leaves float
     # range (OverflowError), read as an infinite denominator
     base = np.array([1e200, -1e200])
-    out = short_step(w, 1, np.array([1.0, 0.0]), base, np.array([0.5, 0.5]), eta=1.0)
+    proj = round_proj(base, d=np.array([0.5, 0.5]))
+    out = short_step(w, 1, np.array([1.0, 0.0]), proj, eta=1.0)
     assert out.step_size == 0.0
     assert np.array_equal(out.new_w, w)
     assert np.array_equal(out.margins, base)
-
-
-@pytest.mark.parametrize("rule", ["short", "pairwise"])
-@pytest.mark.parametrize("bad", ["nan", "inf", "length m + 1"])
-def test_rules_that_read_d_name_a_non_finite_or_misshapen_d(rule, bad):
-    # without the check the pairwise rule stepped from a NaN d (argmin over
-    # NaN edges) and a d of length m + 1 met numpy's matmul message
-    rng = np.random.default_rng(15)
-    A, w, params, d = random_instance(rng, m=8, t=3)
-    w = np.array([0.0, 0.5, 0.5])
-    if bad == "length m + 1":
-        bad_d = np.append(d, 0.0)
-    else:
-        bad_d = d.copy()
-        bad_d[3] = float(bad)
-    with pytest.raises(ValueError, match=r"\bd\b"):
-        call_rule(rule, A, w, 0, column_of(A, 0), margins(A, w), bad_d, params, 3)
-
-
-def test_pairwise_step_refuses_a_finite_d_whose_edges_overflow():
-    A = GainMatrix([np.array([1.0, 1.0]), np.array([-1.0, 1.0])], [0, 1])
-    params = CapParams(nu=1.0, m=2, eta=2.0, eps=0.1)
-    w = np.array([0.5, 0.5])
-    with (
-        np.errstate(over="ignore"),
-        pytest.raises(ValueError, match="d's edges over the support overflow"),
-    ):
-        pairwise_step(A, w, 0, column_of(A, 0), margins(A, w), np.full(2, 1e308), params)

@@ -195,6 +195,14 @@ def test_constant_stump_matches_constant_labels():
     assert stump.threshold < 1.0  # fires everywhere
 
 
+def test_best_stump_refuses_a_distribution_of_the_wrong_length():
+    data = two_gaussians(20, seed=3)
+    pool = StumpPool.build(data)
+    for m in (19, 21):
+        with pytest.raises(ValueError, match="distribution length does not match the dataset"):
+            best_stump(data, np.full(m, 1.0 / m), pool)
+
+
 def test_best_stump_matches_naive_scan():
     rng = np.random.default_rng(21)
     for trial in range(30):
