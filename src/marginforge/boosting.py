@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS_FLOOR
+from .constants import EPS_FLOOR, INNER_GAP_DIVISOR
 from .core import (
     CapParams,
     GainMatrix,
@@ -334,8 +334,12 @@ def secondary_erlpboost(
 
     Minimises the smoothed objective over the restricted simplex by
     projected-Newton iterations (``fw.newton_step``) from the weights
-    ``start`` until the linearised gap drops below eps/10 (the warm
-    start does not change the guarantee).
+    ``start`` until the linearised gap drops to max(eps/10, eta * 2**-52)
+    (the warm start does not change the guarantee).  The floor is the
+    gap's float resolution: the gap is formed from d, whose entries
+    carry a relative error of about eta times one ulp of margins in
+    [-1, 1].  It binds below eps of about 1e-7, where a solve without it
+    creeps by ulps to its inner cap.
     The gap test and the step share one projection and its column edges.
     ``start_proj`` is the caller's projection of the margins of
     ``start``: the booster round's projection of its FW candidate's
@@ -354,7 +358,7 @@ def secondary_erlpboost(
     arithmetic that no later step leaves.
     """
     _require_finite(start=start)
-    tol = params.eps / 10.0
+    tol = float(max(params.eps / INNER_GAP_DIVISOR, params.eta * math.ulp(1.0)))
     w, proj = start, start_proj
     G = A.as_array()
     seen = {w.tobytes()}  # every iterate so far; A's width is fixed within a solve

@@ -12,7 +12,6 @@ CAP_BOX_TOL            1e-12      absolute slack above 1/nu for distribution ent
 CAP_REL_SLACK          1e-12      relative slack when a projection entry hits 1/nu
 ENTROPY_ZERO           1e-15      entries below this count as 0 in x*ln(x)
 ETA_FLOOR              1e-9       smallest eta; 2*ln(m/nu)/eps is 0 at nu = m
-EXP_RECHECK_RTOL       1e-12      cap-scan np.exp weights this near the bound are redone with math.exp
 STRONG_DUALITY_TOL     1e-7       |gamma - rho| accepted from an edge-min solve
 LP_PIVOT_TOL           1e-9       reduced-cost threshold for pricing; the primal loop takes the first column past it
 LP_RATIO_TOL           1e-10      denominator threshold in the simplex ratio test
@@ -26,6 +25,7 @@ NEWTON_RIDGE           1e-10      diagonal ridge, relative to max(1, max diag), 
 QP_MULTIPLIER_TOL      1e-12      bound multipliers above -this are optimal in the Newton QP
 NEWTON_ARMIJO          1e-4       sufficient-decrease fraction for a full Newton step and a fallback's stop
 NEWTON_CURVATURE       0.1        a Newton fallback search may stop where |slope| <= this * |slope at 0|
+INNER_GAP_DIVISOR      10.0       the corrective solve stops at a linearised gap of max(eps / this, eta * 2**-52)
 EPS_FLOOR              1e-12      smallest eps a float gap can certify; smaller eps is rejected
 =====================  =========  ================================================
 """
@@ -36,7 +36,6 @@ CAP_BOX_TOL = 1e-12
 CAP_REL_SLACK = 1e-12
 ENTROPY_ZERO = 1e-15
 ETA_FLOOR = 1e-9
-EXP_RECHECK_RTOL = 1e-12
 STRONG_DUALITY_TOL = 1e-7
 LP_PIVOT_TOL = 1e-9
 LP_RATIO_TOL = 1e-10
@@ -50,4 +49,5 @@ NEWTON_RIDGE = 1e-10
 QP_MULTIPLIER_TOL = 1e-12
 NEWTON_ARMIJO = 1e-4
 NEWTON_CURVATURE = 0.1
+INNER_GAP_DIVISOR = 10.0
 EPS_FLOOR = 1e-12

