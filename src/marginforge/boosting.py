@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -119,8 +120,9 @@ class BoosterConfig:
                 )
         elif self.fw_rule not in FW_RULES:
             raise ValueError(f"unknown fw rule {self.fw_rule!r}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        cap = self.max_iterations
+        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ValueError(f"max_iterations must be at least 1, an integer; got {cap!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ vectors are produced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -83,10 +83,11 @@ class CapParams:
         formula would give eta = 0; any positive eta yields the same
         (unique) feasible vector, so eta is floored at ``ETA_FLOOR``.
         eta is finite for every eps ``BoosterConfig`` accepts; an eps so
-        small that it overflows fails the eta check.
+        small that it overflows fails the eta check.  nu and eps are
+        checked, by ``__post_init__`` at the floor eta, before eta is formed.
         """
-        eta = max(2.0 * math.log(m / nu) / eps, ETA_FLOOR)
-        return cls(nu=nu, m=m, eta=eta, eps=eps)
+        checked = cls(nu=nu, m=m, eta=ETA_FLOOR, eps=eps)
+        return replace(checked, eta=max(2.0 * math.log(m / nu) / eps, ETA_FLOOR))
 
     @cached_property
     def cap_scan_factors(self) -> np.ndarray:

@@ -258,15 +258,19 @@ def _line_search(
     ``at_zero`` is the projection of base, the one at lam = 0, which the
     caller already holds; ``at_hi``, when given, stands for the one at hi
     likewise (the Newton step passes its refused trial, the projection of
-    the normalised end point).  With ``wolfe`` it also stops at the first
-    lam the loop evaluates where both strong Wolfe conditions hold: the smoothed
-    objective is at most its value at 0 plus NEWTON_ARMIJO * lam * s(0),
-    and |s(lam)| <= NEWTON_CURVATURE * |s(0)|.
+    the normalised end point); without it the search projects base +
+    hi*direction itself, as it does at every lam the loop tries.  With
+    ``wolfe`` it also stops at the first lam the loop evaluates where
+    both strong Wolfe conditions hold: the smoothed objective is at most
+    its value at 0 plus NEWTON_ARMIJO * lam * s(0), and |s(lam)| <=
+    NEWTON_CURVATURE * |s(0)|.
     """
-    s_lo, ds_lo = _slope_and_curvature(base, direction, 0.0, params, at_zero)
+    s_lo, ds_lo = _slope_and_curvature(direction, params, at_zero)
     if s_lo >= 0.0:
         return 0.0
-    s_up, _ = _slope_and_curvature(base, direction, hi, params, at_hi)
+    if at_hi is None:
+        at_hi = _project(base + hi * direction, params)
+    s_up, _ = _slope_and_curvature(direction, params, at_hi)
     if s_up <= 0.0:
         return hi
     lo, up = 0.0, hi
@@ -286,7 +290,7 @@ def _line_search(
         older_move, last_move = last_move, abs(nxt - lam)
         lam = nxt
         proj = _project(base + lam * direction, params)
-        s, ds = _slope_and_curvature(base, direction, lam, params, proj)
+        s, ds = _slope_and_curvature(direction, params, proj)
         if (
             wolfe
             and abs(s) <= NEWTON_CURVATURE * -s_lo
@@ -301,21 +305,15 @@ def _line_search(
 
 
 def _slope_and_curvature(
-    base: np.ndarray,
-    direction: np.ndarray,
-    lam: float,
-    params: CapParams,
-    proj: ProjectionResult | None = None,
+    direction: np.ndarray, params: CapParams, proj: ProjectionResult
 ) -> tuple[float, float]:
-    """Slope s and its derivative s' at lam, from one entropy projection.
+    """Slope s and its derivative s' along ``direction`` at the point
+    ``proj`` projects, read off that one projection alone.
 
     On a fixed capped set, with U the uncapped entries, u = direction and
     R = 1 - k/nu their mass, s' = eta * (sum_U d u^2 - (sum_U d u)^2 / R),
-    eta times the variance of u under d restricted to U.  A given
-    ``proj`` (the projection at lam) is used instead of projecting.
+    eta times the variance of u under d restricted to U.
     """
-    if proj is None:
-        proj = _project(base + lam * direction, params)
     slope = -float(proj.d @ direction)
     k = proj.capped_count
     remaining = 1.0 - k / params.nu

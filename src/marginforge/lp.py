@@ -18,14 +18,15 @@ product-form (rank-one) updates at every basis change, re-inverting
 from scratch every ``_REFACTOR_INTERVAL`` changes to bound the drift;
 the basic solution and duals ``_optimum`` returns come from fresh
 solves.  A variable's bound state is its nonbasic value alone:
-``x_nb`` holds u at an upper-bound nonbasic and 0 elsewhere.  Beside
-the inverse, both loops carry only one pricing sign per variable, in
-the one array ``_optimum`` forms from the start and hands to each loop
-in turn: they form the basic values and reduced costs afresh at every
-pivot and read the basis's costs and bounds as ``c[basis]`` and
-``u[basis]``.  The pivots and outputs of both loops equal bit for bit
-those of the reference loops in ``tests/conftest.py``, which keep a
-status per variable in place of ``x_nb`` and the signs.
+``x_nb`` holds u at an upper-bound nonbasic and 0 elsewhere.  The
+kernel's state is the basis, the nonbasic values and the inverse, and
+nothing else: each loop reads the pricing signs off ``basis`` and
+``x_nb`` (``_pricing_signs``) where it prices, forms the basic values
+and reduced costs afresh at every pivot, and reads the basis's costs
+and bounds as ``c[basis]`` and ``u[basis]``.  The pivots and outputs of
+both loops equal bit for bit those of the reference loops in
+``tests/conftest.py``, which keep a status per variable in place of
+``x_nb``.
 
 ``solve_edge_min`` is the one entry point above ``_optimum``: it checks
 ``nu``, merges identical instance rows, writes the kernel of the
@@ -73,9 +74,8 @@ def _optimum(A, b, c, upper, basis, x_nb):
 
     ``basis`` holds one column index per row and ``x_nb`` the nonbasic
     values: upper at an upper-bound nonbasic, 0 elsewhere and on the
-    basis.  The pricing signs of that start (``_pricing_signs``) are
-    formed once, here, and the one array goes to both loops, which keep
-    it equal to ``_pricing_signs(basis, x_nb)`` at every pivot.
+    basis.  With the inverse each loop forms from them, they are the
+    kernel's whole state; both loops update the two in place.
 
     ``_dual_iterate`` first makes the start primal feasible on costs
     shifted away from dual degeneracy: each nonbasic cost moves by
@@ -88,10 +88,9 @@ def _optimum(A, b, c, upper, basis, x_nb):
     dual loop ends with; they stop at once where pricing finds no
     improving column.
     """
-    sign = _pricing_signs(basis, x_nb)
-    shift = LP_COST_SHIFT * (1.0 + np.abs(c)) * _shift_draws(c.size) * sign
-    Binv = _dual_iterate(A, b, c + shift, upper, basis, x_nb, sign)
-    _iterate(A, b, c, upper, basis, x_nb, sign, Binv)
+    shift = LP_COST_SHIFT * (1.0 + np.abs(c)) * _shift_draws(c.size) * _pricing_signs(basis, x_nb)
+    Binv = _dual_iterate(A, b, c + shift, upper, basis, x_nb)
+    _iterate(A, b, c, upper, basis, x_nb, Binv)
     B = A[:, basis]
     x = x_nb.copy()
     x[basis] = np.linalg.solve(B, b - A @ x_nb)
@@ -108,17 +107,17 @@ def _shift_draws(n):
     return draws
 
 
-def _iterate(A, b, c, u, basis, x_nb, sign, Binv):
+def _iterate(A, b, c, u, basis, x_nb, Binv):
     """Pivot from a feasible basis until pricing finds no improving column.
 
-    ``basis``, the nonbasic values ``x_nb`` (u at upper-bound nonbasics,
-    0 elsewhere and on the basis) and their pricing signs ``sign``
-    (``_pricing_signs(basis, x_nb)``) are updated in place; ``Binv`` is
-    the inverse of the starting basis matrix.
+    ``basis`` and the nonbasic values ``x_nb`` (u at upper-bound
+    nonbasics, 0 elsewhere and on the basis) are updated in place;
+    ``Binv`` is the inverse of the starting basis matrix.
     Every upper bound is positive, so a nonbasic can always move: it has
     pricing sign -1 at its upper bound (``x_nb > 0``) and +1 at its lower
-    bound, and a basic variable has 0.  Pricing is Bland's rule (Bland
-    1977): the entering column is the first with ``red * sign <
+    bound, and a basic variable has 0, as ``_pricing_signs`` reads them
+    off ``basis`` and ``x_nb`` at each pivot.  Pricing is Bland's rule
+    (Bland 1977): the entering column is the first with ``red * sign <
     -LP_PIVOT_TOL``, and the ratio test evicts the lowest index among
     tied rows, so the loop cannot cycle.  The basic values and reduced
     costs are formed afresh at every pivot; a basic variable with an
@@ -131,14 +130,14 @@ def _iterate(A, b, c, u, basis, x_nb, sign, Binv):
 
     for _ in range(_MAX_PIVOTS):
         red = c - (c[basis] @ Binv) @ A
-        eligible = red * sign < -LP_PIVOT_TOL
+        eligible = red * _pricing_signs(basis, x_nb) < -LP_PIVOT_TOL
         j = int(eligible.argmax())
         if not eligible[j]:
             return
 
         x_B = Binv @ (b - A @ x_nb)
         alpha = Binv @ A[:, j]
-        increasing = sign[j] > 0.0
+        increasing = x_nb[j] == 0.0
         step = alpha if increasing else -alpha  # basic vars move by -step * theta
 
         to_lower = step > LP_RATIO_TOL
@@ -156,7 +155,6 @@ def _iterate(A, b, c, u, basis, x_nb, sign, Binv):
                 raise LpError("LP is unbounded")
             # entering variable flips to its other bound, basis unchanged
             x_nb[j] = u_j if increasing else 0.0
-            sign[j] = -sign[j]
             continue
 
         # Bland: among the minimal ratios, evict the lowest variable index; a
@@ -166,19 +164,19 @@ def _iterate(A, b, c, u, basis, x_nb, sign, Binv):
         if tied.size > 1:
             tied = tied[(ratios[tied] - theta_basic) * abs(step[tied]) <= LP_TIE_TOL]
         leave_pos = int(tied[basis[tied].argmin()])
-        _exchange(basis, x_nb, sign, u, leave_pos, j, not to_lower[leave_pos])
+        _exchange(basis, x_nb, u, leave_pos, j, not to_lower[leave_pos])
         Binv, pivots = _updated_inverse(Binv, alpha, leave_pos, pivots, A, basis)
 
     raise LpError("pivot limit exceeded")
 
 
-def _dual_iterate(A, b, c, u, basis, x_nb, sign):
+def _dual_iterate(A, b, c, u, basis, x_nb):
     """Dual simplex from a dual-feasible basis until it is primal feasible.
 
-    The start has the primal kernel's form (``basis``, ``x_nb`` and the
-    pricing signs ``sign`` as in ``_iterate``, all updated in place) and
-    reduced costs of the sign its bounds need, up to pricing's
-    tolerance, but basic values that may leave their bounds.  Each pivot evicts the basic variable of
+    The start has the primal kernel's form (``basis`` and ``x_nb`` as in
+    ``_iterate``, both updated in place) and reduced costs of the sign
+    its bounds need, up to pricing's tolerance, but basic values that
+    may leave their bounds.  Each pivot evicts the basic variable of
     largest bound violation to the bound it violates; the entering
     column is the first minimum of |red / alpha| over the nonbasics
     whose move toward their other bound pushes that row back, with
@@ -208,6 +206,7 @@ def _dual_iterate(A, b, c, u, basis, x_nb, sign):
 
         row = Binv[p] @ A
         red = c - (c[basis] @ Binv) @ A
+        sign = _pricing_signs(basis, x_nb)
         # moving column j in its direction sign[j] changes x_B[p] by -row[j] * sign[j]
         push = row * sign if to_upper else -row * sign
         eligible = push > LP_RATIO_TOL
@@ -218,7 +217,7 @@ def _dual_iterate(A, b, c, u, basis, x_nb, sign):
         j = int(ratios.argmin())
 
         alpha = Binv @ A[:, j]
-        _exchange(basis, x_nb, sign, u, p, j, to_upper)
+        _exchange(basis, x_nb, u, p, j, to_upper)
         Binv, pivots = _updated_inverse(Binv, alpha, p, pivots, A, basis)
 
     raise LpError("pivot limit exceeded")
@@ -231,19 +230,15 @@ def _pricing_signs(basis, x_nb):
     return sign
 
 
-def _exchange(basis, x_nb, sign, u, pos, j, out_at_upper):
+def _exchange(basis, x_nb, u, pos, j, out_at_upper):
     """Column j enters at basis position ``pos``; the column there leaves to
-    its upper bound if ``out_at_upper``, else to 0.  Updates ``basis``,
-    ``x_nb`` and ``sign`` in place."""
+    its upper bound if ``out_at_upper``, else to 0.  Updates ``basis`` and
+    ``x_nb`` in place."""
     out = int(basis[pos])
     basis[pos] = j
     x_nb[j] = 0.0
-    sign[j] = 0.0
     if out_at_upper:
         x_nb[out] = u[out]
-        sign[out] = -1.0
-    else:
-        sign[out] = 1.0
 
 
 def _updated_inverse(Binv, alpha, pos, pivots, A, basis):

@@ -543,6 +543,20 @@ def test_booster_config_rejects_an_eps_that_is_not_positive_and_finite(value):
         BoosterConfig(eps=value, nu=20.0)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", 0, -1])
+def test_booster_config_refuses_a_max_iterations_that_is_not_a_positive_integer(value):
+    # a float cap passes a test of ``< 1`` alone, and run_scheme's range() refuses it
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        BoosterConfig(eps=0.1, nu=20.0, max_iterations=value)
+
+
+def test_booster_config_takes_a_numpy_integer_max_iterations():
+    data = two_gaussians(200, seed=0)
+    cfg = BoosterConfig(eps=1e-6, nu=20.0, max_iterations=np.int64(2))
+    _, records = run_scheme(data, StumpLearner(data), cfg)
+    assert len(records) == 2
+
+
 def test_direct_callers_get_the_overflow_guards():
     # below the floor a fit never forms these; a direct call still gets a message
     with pytest.raises(ValueError, match=r"eps=1e-200 is too small: the round bound"):

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 from pathlib import Path
@@ -46,6 +47,28 @@ def test_cap_params_reject_a_non_finite_or_non_positive_eta_or_eps(field, value)
     kwargs = dict(nu=2.0, m=4, eta=1.0, eps=0.1) | {field: value}
     with pytest.raises(ValueError, match=f"{field} must be a positive finite number"):
         CapParams(**kwargs)
+
+
+def _fit_at_nu(nu):
+    data = two_gaussians(20, seed=0)
+    return run_scheme(data, StumpLearner(data), BoosterConfig(eps=0.1, nu=nu))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (functools.partial(_fit_at_nu, 0.0), r"nu must lie in \[1, m\]; got nu=0.0"),
+        (functools.partial(_fit_at_nu, -2.0), r"nu must lie in \[1, m\]; got nu=-2.0"),
+        (functools.partial(CapParams.from_tolerance, 10, 1.0, 0.0), "eps must be a positive finite number"),
+    ],
+    ids=["fit at nu 0", "fit at nu -2", "from_tolerance at eps 0"],
+)
+def test_nu_and_eps_are_checked_before_eta_is_formed(call, message):
+    # eta = 2 ln(m/nu)/eps divides by nu and eps and takes the log of m/nu:
+    # formed before the checks, nu = 0 and eps = 0 divide by zero and nu = -2
+    # has no log
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_gain_matrix_deduplicates_known_ids():

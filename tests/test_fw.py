@@ -319,9 +319,13 @@ def test_curvature_matches_finite_difference_of_slope():
         }
         if len(capped_sets) != 1:
             continue  # the capped set changes inside the stencil
-        _, ds = fw._slope_and_curvature(base, direction, lam, params)
-        s_minus, _ = fw._slope_and_curvature(base, direction, lam - h, params)
-        s_plus, _ = fw._slope_and_curvature(base, direction, lam + h, params)
+        def slope_and_curvature(x):
+            proj = _project(base + x * direction, params)
+            return fw._slope_and_curvature(direction, params, proj)
+
+        _, ds = slope_and_curvature(lam)
+        s_minus, _ = slope_and_curvature(lam - h)
+        s_plus, _ = slope_and_curvature(lam + h)
         assert ds >= -1e-12
         assert ds == pytest.approx((s_plus - s_minus) / (2 * h), rel=1e-5, abs=1e-7)
         checked += 1
@@ -397,7 +401,7 @@ def test_hessian_matches_curvature_along_the_margins():
         H = fw._hessian(G, proj, params)
         u = rng.normal(size=A.t)
         u -= u.mean()  # a direction inside the simplex
-        _, ds = fw._slope_and_curvature(proj.theta, G @ u, 0.0, params, proj)
+        _, ds = fw._slope_and_curvature(G @ u, params, proj)
         assert u @ H @ u == pytest.approx(ds, rel=1e-9, abs=1e-12)
         assert np.allclose(H, H.T, atol=1e-12)
         capped += proj.capped_count > 0
@@ -672,7 +676,7 @@ def reference_newton_step(A, w, proj, params):
     theta = proj.theta
 
     def curvature(u):
-        return fw._slope_and_curvature(theta, G @ u, 0.0, params, proj)[1]
+        return fw._slope_and_curvature(G @ u, params, proj)[1]
 
     eye = np.eye(t)
     H = np.array(
@@ -962,6 +966,28 @@ def test_rules_name_a_non_finite_column(rule):
         bad_column[4] = bad
         with pytest.raises(ValueError, match="column has non-finite entries"):
             call_rule(rule, A, w, 1, bad_column, proj, params, 3)
+
+
+@pytest.mark.parametrize(
+    "rule, t, message",
+    [
+        ("classic", -1, "iteration index must be nonnegative"),
+        ("pairwise", 3, "pairwise step needs a non-empty support"),
+        ("short", 3, "update emptied the ensemble support"),
+    ],
+)
+def test_rules_refuse_a_step_they_cannot_take(rule, t, message):
+    # classic at a negative round index; pairwise and short from w = 0,
+    # whose margins are 0: pairwise has no support to move mass from, and
+    # short toward the zero column has lam 0, so its mix keeps no weight
+    rng = np.random.default_rng(14)
+    A, w, params, _ = random_instance(rng, m=6, t=3)
+    column = A.as_array()[:, 1].copy()
+    if rule != "classic":
+        w, column = np.zeros(A.t), column if rule == "pairwise" else np.zeros(A.m)
+    proj = round_proj(margins(A, w), params)
+    with pytest.raises(ValueError, match=message):
+        call_rule(rule, A, w, 1, column, proj, params, t)
 
 
 def test_scheme_loop_reads_the_gain_matrix_only_to_refresh_its_margins(monkeypatch):

@@ -774,11 +774,11 @@ def growing_matrices(draw):
 _DUAL_ITERATE = lp._dual_iterate
 
 
-def _dual_feasible_dual_iterate(A, b, c, u, basis, x_nb, sign):
+def _dual_feasible_dual_iterate(A, b, c, u, basis, x_nb):
     """``lp._dual_iterate``, checked to end with reduced costs of the sign
     each nonbasic's bound needs (measured: 1.1e-15 at worst over 8,895
     warm solves of the strategy below)."""
-    Binv = _DUAL_ITERATE(A, b, c, u, basis, x_nb, sign)
+    Binv = _DUAL_ITERATE(A, b, c, u, basis, x_nb)
     red = c - np.linalg.solve(A[:, basis].T, c[basis]) @ A
     assert np.all(red * lp._pricing_signs(basis, x_nb) >= -LP_PIVOT_TOL)
     return Binv
@@ -916,7 +916,7 @@ def test_the_dual_phase_raises_where_no_basis_is_feasible(row, message):
     # in A leaves the basic values NaN
     A, caps, basis, x_nb = np.array([row]), np.full(2, 0.25), np.array([0]), np.zeros(2)
     with pytest.raises(LpError, match=message):
-        lp._dual_iterate(A, np.ones(1), np.zeros(2), caps, basis, x_nb, lp._pricing_signs(basis, x_nb))
+        lp._dual_iterate(A, np.ones(1), np.zeros(2), caps, basis, x_nb)
 
 
 def test_the_warm_dual_phase_is_bounded_where_it_cycles(monkeypatch):
@@ -968,53 +968,56 @@ def test_paper_scale_fits_solve_every_lp_without_a_warning(monkeypatch, caplog, 
     assert any(rec.chosen_rule == "secondary" for rec in records)
 
 
-def test_each_solve_forms_one_sign_array_that_both_loops_carry(monkeypatch):
-    # _optimum forms the pricing signs once; the dual and then the primal
-    # loop get that very array, and it equals the signs of their basis when
-    # each loop starts and when it returns
-    pricing_signs, optimum = lp._pricing_signs, lp._optimum
-    formed, received, loops_run = [], [], []
+@settings(max_examples=100, deadline=None)
+@given(growing_matrices())
+def test_every_pricing_step_reads_its_signs_off_a_bound_state(drawn):
+    # the loops carry no sign array: each reads its pricing signs off basis
+    # and x_nb, which name every variable's bound state only while x_nb is 0
+    # on the basis and 0 or u[j] off it; that holds at every pricing step
+    # of both loops, over cold and warm solves
+    G, nu, counts = drawn
+    optimum, pricing_signs = lp._optimum, lp._pricing_signs
+    dual_iterate, iterate, exchange = lp._dual_iterate, lp._iterate, lp._exchange
+    state = {"u": None, "loop": None}
+    priced = {"dual": 0, "primal": 0}
+    dual_pivots = [0]
 
-    def recording_signs(basis, x_nb):
-        formed.append(pricing_signs(basis, x_nb))
-        return formed[-1]
+    def recording_optimum(A, b, c, upper, basis, x_nb):
+        state["u"] = upper
+        return optimum(A, b, c, upper, basis, x_nb)
 
-    def checked(loop):
-        def run(A, b, c, u, basis, x_nb, sign, *rest):
-            received.append(sign)
-            assert np.array_equal(sign, pricing_signs(basis, x_nb))
-            out = loop(A, b, c, u, basis, x_nb, sign, *rest)
-            assert np.array_equal(sign, pricing_signs(basis, x_nb))
-            return out
+    def in_loop(name, loop):
+        def run(*args):
+            state["loop"] = name
+            try:
+                return loop(*args)
+            finally:
+                state["loop"] = None
 
         return run
 
-    def recording_optimum(*args):
-        formed.clear()
-        received.clear()
-        try:
-            return optimum(*args)
-        finally:
-            assert len(formed) == 1
-            assert received and all(sign is formed[0] for sign in received)
-            loops_run.append(len(received))
+    def checked_signs(basis, x_nb):
+        u, off = state["u"], np.ones(x_nb.size, dtype=bool)
+        off[basis] = False
+        assert np.all(x_nb[basis] == 0.0)
+        assert np.all((x_nb[off] == 0.0) | (x_nb[off] == u[off]))
+        if state["loop"] is not None:
+            priced[state["loop"]] += 1
+        return pricing_signs(basis, x_nb)
 
-    monkeypatch.setattr(lp, "_pricing_signs", recording_signs)
-    monkeypatch.setattr(lp, "_dual_iterate", checked(lp._dual_iterate))
-    monkeypatch.setattr(lp, "_iterate", checked(lp._iterate))
-    monkeypatch.setattr(lp, "_optimum", recording_optimum)
-    for algo in ("mlpb-ss", "lpboost"):
-        manifest = cli.RunManifest(data="two_gaussians", algo=algo, nu_frac=0.1, eps=0.05)
-        model, _ = cli._run_manifest(manifest, two_gaussians(200, seed=0))
-        assert model.converged
-    fits = len(loops_run)
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        kinds = {key: str(rng.choice(values)) for key, values in _KERNEL_KINDS.items()}
-        kernel = _random_kernel(int(rng.integers(1, 13)), int(rng.integers(1, 31)), seed=seed, **kinds)
-        try:
-            _simplex_min(*kernel)
-        except LpError:
-            pass
-    assert fits >= 20
-    assert loops_run == [2] * (fits + 200)  # every solve ran both loops
+    def counted_exchange(*args):
+        dual_pivots[0] += state["loop"] == "dual"
+        return exchange(*args)
+
+    with (
+        mock.patch.object(lp, "_optimum", recording_optimum),
+        mock.patch.object(lp, "_dual_iterate", in_loop("dual", dual_iterate)),
+        mock.patch.object(lp, "_iterate", in_loop("primal", iterate)),
+        mock.patch.object(lp, "_pricing_signs", checked_signs),
+        mock.patch.object(lp, "_exchange", counted_exchange),
+    ):
+        sol = solve_edge_min(_gain(G[:, :1].T), nu)
+        for t in counts[1:]:
+            sol = solve_edge_min(_gain(G[:, :t].T), nu, start=sol.basis)
+    assert priced["dual"] == dual_pivots[0]  # each dual pivot priced once
+    assert priced["primal"] >= len(counts)  # each clean-up priced at least once
